@@ -11,12 +11,13 @@ fits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import SPACE_TIME, SPATIAL_SLICE, Face, Grid, GridFn
+from .grid import SPACE_TIME, Face, Grid, GridFn
 
 __all__ = ["SeparableField", "Term", "random_cosine_field"]
 
@@ -115,14 +116,6 @@ class SeparableField:
             vals += term.coeff * np.multiply.outer(sp, tfac**term.tpow)
         return GridFn(grid, SPACE_TIME, vals)
 
-    def sample_slice(self, grid: Grid, it: int) -> GridFn:
-        self._check_domain(grid)
-        vals = np.zeros(grid.space_shape)
-        tfac = (grid.ts[it] / self.T) ** np.array([term.tpow for term in self.terms])
-        for term, tf in zip(self.terms, tfac):
-            vals += term.coeff * tf * self._space_part(term, grid.xs)
-        return GridFn(grid, SPATIAL_SLICE, vals)
-
     def sample_face(self, grid: Grid, face: Face) -> np.ndarray:
         """Exact trace on one boundary face, shaped like the face node set."""
         self._check_domain(grid)
@@ -172,19 +165,9 @@ def random_cosine_field(
     lengths = tuple(float(L) for L in lengths)
     dim = len(lengths)
     terms = []
-    mode_ranges = [range(max_modes + 1)] * dim
-    for modes in _product(mode_ranges):
+    for modes in itertools.product(range(max_modes + 1), repeat=dim):
         for m in range(t_degree + 1):
             c = float(rng.uniform(-amplitude, amplitude))
-            terms.append(Term(c, (COS,) * dim, tuple(modes), m))
+            terms.append(Term(c, (COS,) * dim, modes, m))
     return SeparableField(lengths, float(T), tuple(terms))
 
-
-def _product(ranges):
-    if len(ranges) == 1:
-        for k in ranges[0]:
-            yield (k,)
-    else:
-        for k in ranges[0]:
-            for rest in _product(ranges[1:]):
-                yield (k, *rest)

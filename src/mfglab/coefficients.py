@@ -3,7 +3,8 @@
 The linear system couples a backward equation (operator ``A``) to a forward
 equation (operator ``B``) through a zeroth-order factor ``c0`` one way and a
 full second-order operator ``A0`` the other way.  This module samples the
-coefficient fields on a grid, applies the operators with the shared stencils,
+coefficient fields on a grid, lists the terms of each operator once
+(:func:`operator_terms`), applies the operators with the shared stencils,
 checks uniform ellipticity and evaluates the size surrogate used to report
 empirical constants against.
 """
@@ -55,21 +56,6 @@ def sample_spatial(grid: Grid, spec: FieldSpec) -> np.ndarray:
         vals = np.asarray(spec(*grid.space_meshes), dtype=float)
         return np.broadcast_to(vals, grid.space_shape).copy()
     return np.full(grid.space_shape, float(spec))
-
-
-def _multi_indices(dim: int) -> list[tuple[int, ...]]:
-    out = []
-    if dim == 1:
-        rng = [(k,) for k in range(3)]
-        out = [g for g in rng]
-    else:
-        out = [
-            (g1, g2)
-            for g1 in range(3)
-            for g2 in range(3)
-            if g1 + g2 <= 2
-        ]
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,16 +114,6 @@ class CoeffSet:
                 raise ValueError("coefficient field contains non-finite entries")
         if self.chi <= 0:
             raise ValueError("chi must be positive")
-
-    def is_principal_diagonal(self, tol: float = 0.0) -> bool:
-        d = self.grid.dim
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                if np.max(np.abs(self.a2[i, j])) > tol or np.max(np.abs(self.b2[i, j])) > tol:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -286,59 +262,39 @@ def check_ellipticity(c: CoeffSet) -> float:
     return min(mins)
 
 
+def operator_terms(kind: str, c: CoeffSet) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The terms of A, B or the coupling operator A0 as (coefficient field, axes).
+
+    The operator is the sum over the terms of coefficient times the spatial
+    derivative along ``axes`` (empty: the field itself; an axis listed
+    twice: its second derivative).  This is the one statement of the
+    operator formula; field application, least-squares assembly and the
+    alternating solver all sum over it.
+    """
+    if kind in ("A", "B"):
+        m2 = c.a2 if kind == "A" else c.b2
+        m1 = c.a1 if kind == "A" else c.b1
+        terms = [(c.a0 if kind == "A" else c.b0, ())]
+        for i in range(c.grid.dim):
+            terms.append((m1[i], (i,)))
+            terms += [(m2[i, j], (i, j)) for j in range(c.grid.dim)]
+        return terms
+    if kind == "A0":
+        return [(coef, tuple(ax for ax, order in enumerate(gidx) for _ in range(order)))
+                for gidx, coef in c.b_gamma.items()]
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
 def apply_operator(kind: str, f: GridFn, c: CoeffSet) -> GridFn:
     """Apply A, B, or the second-order coupling operator A0 to a field."""
     if f.kind != SPACE_TIME:
         raise ValueError("apply_operator requires a space-time field")
     if f.grid is not c.grid and f.grid != c.grid:
         raise ValueError("field and coefficients live on different grids")
-    g = f.grid
-    d = g.dim
-    if kind in ("A", "B"):
-        m2 = c.a2 if kind == "A" else c.b2
-        m1 = c.a1 if kind == "A" else c.b1
-        m0 = c.a0 if kind == "A" else c.b0
-        out = m0 * f.values
-        for i in range(d):
-            out = out + m1[i] * diff(f, x=(i,)).values
-            for j in range(d):
-                out = out + m2[i, j] * diff(f, x=(i, j)).values
-        return GridFn(g, SPACE_TIME, out)
-    if kind == "A0":
-        out = np.zeros(g.shape)
-        for gidx, coef in c.b_gamma.items():
-            axes = tuple(
-                ax for ax, order in enumerate(gidx) for _ in range(order)
-            )
-            out = out + coef * diff(f, x=axes).values
-        return GridFn(g, SPACE_TIME, out)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def apply_operator_slice(kind: str, grid: Grid, slice_vals: np.ndarray,
-                         c: CoeffSet, it: int) -> np.ndarray:
-    """Apply A/B/A0 at one time slice using the slice stencils."""
-    from .grid import slice_diff
-
-    d = grid.dim
-    if kind in ("A", "B"):
-        m2 = (c.a2 if kind == "A" else c.b2)[..., it]
-        m1 = (c.a1 if kind == "A" else c.b1)[..., it]
-        m0 = (c.a0 if kind == "A" else c.b0)[..., it]
-        out = m0 * slice_vals
-        for i in range(d):
-            out = out + m1[i] * slice_diff(grid, slice_vals, (i,))
-            for j in range(d):
-                out = out + m2[i, j] * slice_diff(grid, slice_vals, (i, j))
-        return out
-    if kind == "A0":
-        out = np.zeros(grid.space_shape)
-        for gidx, coef in c.b_gamma.items():
-            axes = tuple(ax for ax, order in enumerate(gidx) for _ in range(order))
-            term = slice_vals if not axes else slice_diff(grid, slice_vals, axes)
-            out = out + coef[..., it] * term
-        return out
-    raise ValueError(f"unknown operator kind {kind!r}")
+    out = np.zeros(f.grid.shape)
+    for coef, axes in operator_terms(kind, c):
+        out += coef * diff(f, x=axes).values
+    return GridFn(f.grid, SPACE_TIME, out)
 
 
 def conormal(f: GridFn, c: CoeffSet, which: str = "A") -> GridFn:

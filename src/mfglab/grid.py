@@ -5,6 +5,13 @@ acts on fields sampled on a :class:`Grid`.  The grid is a uniform tensor
 product of 1 or 2 spatial axes and one time axis; field arrays carry the
 spatial axes first and time last, ``values[ix, (iy,), it]``.
 
+The stencil weights are written here and only here, in :func:`stencil`.
+Field derivatives apply those 1-D matrices along an axis
+(:func:`apply_stencil`); least-squares assembly embeds the same matrices in
+the raveled space-time lattice (:func:`derivative_matrix`).  The only other
+closure in the package is the mirror-point one of the experimental
+alternating solver in ``models``.
+
 Conventions fixed here and relied on everywhere else:
 
 * first derivatives: second-order central stencils in the interior,
@@ -19,11 +26,13 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Face",
@@ -109,6 +118,11 @@ class Grid:
     @property
     def tau(self) -> float:
         return self.T / (self.nt - 1)
+
+    @property
+    def spacings(self) -> tuple[float, ...]:
+        """Node spacing per axis of ``shape`` (spatial steps, then tau)."""
+        return (*self.hs, self.tau)
 
     @property
     def it0(self) -> int:
@@ -310,17 +324,67 @@ def face_quad_weights(grid: Grid, face: Face, with_time: bool = True) -> np.ndar
 # stencils
 
 
-def _d1(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return np.gradient(arr, h, axis=axis, edge_order=2)
+@lru_cache(maxsize=128)
+def stencil(n: int, h: float, order: int) -> sp.csr_matrix:
+    """Sparse 1-D derivative of ``order`` 1 or 2 on ``n`` nodes of spacing ``h``.
+
+    Central weights in the interior, second-order one-sided weights at both
+    ends.  The matrix is cached and shared by every caller: do not mutate it.
+    """
+    if order == 1:
+        interior = {-1: -0.5, 1: 0.5}
+        first, last = (-1.5, 2.0, -0.5), (0.5, -2.0, 1.5)
+    elif order == 2:
+        interior = {-1: 1.0, 0: -2.0, 1: 1.0}
+        first, last = (2.0, -5.0, 4.0, -1.0), (-1.0, 4.0, -5.0, 2.0)
+    else:
+        raise ValueError(f"stencil order must be 1 or 2, got {order}")
+    m = sp.diags(list(interior.values()), list(interior), shape=(n, n), format="lil")
+    m[0, :len(first)] = first
+    m[n - 1, n - len(last):] = last
+    m = m.tocsr()
+    m.data /= h**order  # true division, like np.gradient's end weights
+    return m
 
 
-def _d2(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h**2
-    out[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h**2
-    out[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+def apply_stencil(values: np.ndarray, h: float, order: int, axis: int) -> np.ndarray:
+    """Derivative of ``order`` along ``axis`` of an array of any rank."""
+    moved = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = moved.shape[0]
+    out = stencil(n, h, order) @ moved.reshape(n, -1)
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+def kron_axes(sizes: Sequence[int], factors: Mapping[int, sp.spmatrix]) -> sp.csr_matrix:
+    """Embed 1-D factors in the raveled (C-order) lattice of shape ``sizes``.
+
+    ``factors[axis]`` acts along that axis (it may be rectangular, e.g. a
+    row selecting one node); every other axis gets the identity.
+    """
+    out = sp.identity(1, format="csr")
+    for ax, n in enumerate(sizes):
+        out = sp.kron(out, factors.get(ax, sp.identity(n, format="csr")), format="csr")
+    return out
+
+
+def derivative_matrix(sizes: Sequence[int], spacings: Sequence[float],
+                      axes: Sequence[int],
+                      one_d: Callable[[int, float, int], sp.spmatrix] = stencil,
+                      ) -> sp.csr_matrix:
+    """Sparse derivative along ``axes`` on the raveled lattice ``sizes``.
+
+    An axis listed twice is a second derivative, two distinct axes a mixed
+    one; ``one_d(n, h, order)`` supplies the 1-D matrices.
+    """
+    return kron_axes(sizes, {ax: one_d(sizes[ax], spacings[ax], k)
+                             for ax, k in Counter(axes).items()})
+
+
+def _derivative(values: np.ndarray, spacings: Sequence[float],
+                axes: Sequence[int]) -> np.ndarray:
+    for ax, k in Counter(axes).items():
+        values = apply_stencil(values, spacings[ax], k, ax)
+    return values
 
 
 def diff(f: GridFn, *, t_order: int = 0, x: Sequence[int] = ()) -> GridFn:
@@ -344,35 +408,16 @@ def diff(f: GridFn, *, t_order: int = 0, x: Sequence[int] = ()) -> GridFn:
             raise ValueError(f"spatial axis {a} out of range for dim={g.dim}")
     if t_order == 0 and not x:
         return f
-    v = f.values
-    taxis = g.dim  # time is the last axis
-    if len(x) == 2:
-        i, j = x
-        if i == j:
-            v = _d2(v, g.hs[i], i)
-        else:
-            v = _d1(_d1(v, g.hs[i], i), g.hs[j], j)
-    elif len(x) == 1:
-        v = _d1(v, g.hs[x[0]], x[0])
-    if t_order == 1:
-        v = _d1(v, g.tau, taxis)
-    elif t_order == 2:
-        v = _d2(v, g.tau, taxis)
-    return GridFn(g, SPACE_TIME, v)
+    # time is the last axis
+    return GridFn(g, SPACE_TIME, _derivative(f.values, g.spacings, x + (g.dim,) * t_order))
 
 
 def slice_diff(grid: Grid, slice_values: np.ndarray, x: Sequence[int]) -> np.ndarray:
     """Spatial stencil derivative of a single slice (same stencils as diff)."""
-    v = np.asarray(slice_values, dtype=float)
     x = tuple(int(a) for a in x)
-    if len(x) == 1:
-        return _d1(v, grid.hs[x[0]], x[0])
-    if len(x) == 2:
-        i, j = x
-        if i == j:
-            return _d2(v, grid.hs[i], i)
-        return _d1(_d1(v, grid.hs[i], i), grid.hs[j], j)
-    raise ValueError("x must name one or two spatial axes")
+    if len(x) not in (1, 2):
+        raise ValueError("x must name one or two spatial axes")
+    return _derivative(np.asarray(slice_values, dtype=float), grid.hs, x)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import CoeffSet, apply_operator_slice
+from .coefficients import CoeffSet, apply_operator, operator_terms
 from .grid import (
     SPATIAL_SLICE,
     SPACE_TIME,
     Face,
     Grid,
     GridFn,
+    derivative_matrix,
+    diff,
     face_quad_weights,
+    kron_axes,
     norm,
 )
 from .models import CaseEnsemble, ManufacturedCase
@@ -157,109 +160,34 @@ class ReconstructionResult:
     rel_err_g: Optional[float] = None
 
 
-# -- stencil matrices (identical weights to grid.diff) ----------------------
-
-
-def _d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1] = -0.5
-        m[i, i + 1] = 0.5
-    m[0, 0], m[0, 1], m[0, 2] = -1.5, 2.0, -0.5
-    m[n - 1, n - 3], m[n - 1, n - 2], m[n - 1, n - 1] = 0.5, -2.0, 1.5
-    return (m / h).tocsr()
-
-
-def _d2_matrix(n: int, h: float) -> sp.csr_matrix:
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1], m[i, i], m[i, i + 1] = 1.0, -2.0, 1.0
-    m[0, 0], m[0, 1], m[0, 2], m[0, 3] = 2.0, -5.0, 4.0, -1.0
-    m[n - 1, n - 1], m[n - 1, n - 2], m[n - 1, n - 3], m[n - 1, n - 4] = \
-        2.0, -5.0, 4.0, -1.0
-    return (m / h**2).tocsr()
-
-
-def _axis_op(grid: Grid, mats: dict[int, sp.spmatrix]) -> sp.csr_matrix:
-    """Kron chain over (spatial axes..., time) with identities where absent."""
-    sizes = [*grid.nx, grid.nt]
-    out = None
-    for ax, n in enumerate(sizes):
-        m = mats.get(ax, sp.identity(n, format="csr"))
-        out = m if out is None else sp.kron(out, m, format="csr")
-    return out.tocsr()
-
-
-def _derivative_op(grid: Grid, t_order: int = 0, x: Sequence[int] = ()) -> sp.csr_matrix:
-    taxis = grid.dim
-    mats: dict[int, sp.spmatrix] = {}
-    x = tuple(x)
-    if len(x) == 2 and x[0] == x[1]:
-        mats[x[0]] = _d2_matrix(grid.nx[x[0]], grid.hs[x[0]])
-    else:
-        for ax in x:
-            mats[ax] = _d1_matrix(grid.nx[ax], grid.hs[ax])
-    op = _axis_op(grid, mats)
-    if t_order == 1:
-        op = _axis_op(grid, {taxis: _d1_matrix(grid.nt, grid.tau)}) @ op
-    elif t_order == 2:
-        op = _axis_op(grid, {taxis: _d2_matrix(grid.nt, grid.tau)}) @ op
-    return op.tocsr()
+# -- sparse operators on the raveled space-time state ------------------------
 
 
 def _operator_matrix(kind: str, c: CoeffSet) -> sp.csr_matrix:
     g = c.grid
-    d = g.dim
-    if kind in ("A", "B"):
-        m2 = c.a2 if kind == "A" else c.b2
-        m1 = c.a1 if kind == "A" else c.b1
-        m0 = c.a0 if kind == "A" else c.b0
-        out = sp.diags(m0.ravel()).tocsr()
-        for i in range(d):
-            out = out + sp.diags(m1[i].ravel()) @ _derivative_op(g, x=(i,))
-            for j in range(d):
-                out = out + sp.diags(m2[i, j].ravel()) @ _derivative_op(g, x=(i, j))
-        return out.tocsr()
-    if kind == "A0":
-        n = int(np.prod(g.shape))
-        out = sp.csr_matrix((n, n))
-        for gidx, coef in c.b_gamma.items():
-            axes = tuple(ax for ax, order in enumerate(gidx) for _ in range(order))
-            out = out + sp.diags(coef.ravel()) @ _derivative_op(g, x=axes)
-        return out.tocsr()
-    raise ValueError(kind)
+    n = int(np.prod(g.shape))
+    out = sp.csr_matrix((n, n))
+    for coef, axes in operator_terms(kind, c):
+        out = out + sp.diags(coef.ravel()) @ derivative_matrix(g.shape, g.spacings, axes)
+    return out.tocsr()
 
 
-def _trace_selector(grid: Grid, face: Face) -> sp.csr_matrix:
-    n = int(np.prod(grid.shape))
-    idx_grids = np.meshgrid(*[np.arange(k) for k in grid.shape], indexing="ij")
-    fixed = 0 if face.side == 0 else grid.nx[face.axis] - 1
-    mask = idx_grids[face.axis] == fixed
-    rows = np.flatnonzero(mask.ravel())
-    return sp.csr_matrix(
-        (np.ones(rows.size), (np.arange(rows.size), rows)),
-        shape=(rows.size, n),
-    )
-
-
-def _slice_selector(grid: Grid, it: int) -> sp.csr_matrix:
-    n = int(np.prod(grid.shape))
-    idx_grids = np.meshgrid(*[np.arange(k) for k in grid.shape], indexing="ij")
-    mask = idx_grids[grid.dim] == it
-    rows = np.flatnonzero(mask.ravel())
-    return sp.csr_matrix(
-        (np.ones(rows.size), (np.arange(rows.size), rows)),
-        shape=(rows.size, n),
-    )
+def _selector(grid: Grid, axis: int, index: int) -> sp.csr_matrix:
+    """Rows picking the nodes at ``index`` along ``axis``, ordered like
+    ``np.take(values, index, axis)`` (a face trace or a time slice)."""
+    n = grid.shape[axis]
+    row = sp.csr_matrix(([1.0], ([0], [index])), shape=(1, n))
+    return kron_axes(grid.shape, {axis: row})
 
 
 def _conormal_op(grid: Grid, m2: np.ndarray, face: Face) -> sp.csr_matrix:
     """Trace of the conormal derivative as a sparse operator on states."""
-    sel = _trace_selector(grid, face)
+    sel = _selector(grid, face.axis, face.side * (grid.nx[face.axis] - 1))
     sign = 1.0 if face.side == 1 else -1.0
     out = None
     for j in range(grid.dim):
-        term = sel @ sp.diags(m2[face.axis, j].ravel()) @ _derivative_op(grid, x=(j,))
+        term = (sel @ sp.diags(m2[face.axis, j].ravel())
+                @ derivative_matrix(grid.shape, grid.spacings, (j,)))
         out = term if out is None else out + term
     return (sign * out).tocsr()
 
@@ -288,12 +216,11 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
         right = sp.csr_matrix((rows, dim_x - col_offset - width))
         return sp.hstack([left, mat, right], format="csr")
 
-    dt_op = _derivative_op(g, t_order=1)
+    dt_op = derivative_matrix(g.shape, g.spacings, (g.dim,))
     a_mat = _operator_matrix("A", c)
     b_mat = _operator_matrix("B", c)
     a0_mat = _operator_matrix("A0", c)
-    spread = sp.kron(sp.identity(n_sp, format="csr"),
-                     sp.csr_matrix(np.ones((g.nt, 1))), format="csr")
+    spread = kron_axes(g.shape, {g.dim: sp.csr_matrix(np.ones((g.nt, 1)))})
 
     st_w = g.st_weights.ravel()
     sp_w = g.space_weights.ravel()
@@ -318,7 +245,7 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
     for key, block_off, with_dt in (("u", off_u, False), ("v", off_v, False),
                                     ("ut", off_u, True), ("vt", off_v, True)):
         for face in sorted(g.gamma):
-            sel = _trace_selector(g, face)
+            sel = _selector(g, face.axis, face.side * (g.nx[face.axis] - 1))
             op = sel @ dt_op if with_dt else sel
             L = embed(op, block_off, n_st)
             w = face_quad_weights(g, face).ravel()
@@ -326,7 +253,7 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
                                  data.traces[key][face].ravel(), w,
                                  cfg.omega_gamma))
 
-    sel0 = _slice_selector(g, g.it0)
+    sel0 = _selector(g, g.dim, g.it0)
     Lu0 = embed(sel0, off_u, n_st)
     blocks.append(_Block("slice_u", Lu0, Lu0.T.tocsr(), data.u0.ravel(), sp_w,
                          cfg.omega_slice))
@@ -516,8 +443,6 @@ def direct_formula_oracle(case: ManufacturedCase) -> tuple[GridFn, GridFn]:
     cases this reproduces the stored profiles to roundoff, while on
     analytic-mode cases the stencil truncation shows up at second order.
     """
-    from .grid import diff as _diff
-
     g = case.grid
     it0 = g.it0
     src = case.sources
@@ -526,14 +451,14 @@ def direct_formula_oracle(case: ManufacturedCase) -> tuple[GridFn, GridFn]:
         if floor < src.q_min:
             raise ValueError(f"|{name}(., t0)| = {floor:.3g} below the floor "
                              f"{src.q_min}; recovery hypothesis violated")
-    u0 = case.u.values[..., it0]
+    c = case.coeffs
     v0 = case.v.values[..., it0]
-    ut0 = _diff(case.u, t_order=1).values[..., it0]
-    vt0 = _diff(case.v, t_order=1).values[..., it0]
-    f = (ut0 + apply_operator_slice("A", g, u0, case.coeffs, it0)
-         - case.coeffs.c0[..., it0] * v0) / src.q1[..., it0]
-    gg = (vt0 - apply_operator_slice("B", g, v0, case.coeffs, it0)
-          - apply_operator_slice("A0", g, u0, case.coeffs, it0)) / src.q2[..., it0]
+    ut0 = diff(case.u, t_order=1).values[..., it0]
+    vt0 = diff(case.v, t_order=1).values[..., it0]
+    f = (ut0 + apply_operator("A", case.u, c).values[..., it0]
+         - c.c0[..., it0] * v0) / src.q1[..., it0]
+    gg = (vt0 - apply_operator("B", case.v, c).values[..., it0]
+          - apply_operator("A0", case.u, c).values[..., it0]) / src.q2[..., it0]
     return GridFn(g, SPATIAL_SLICE, f), GridFn(g, SPATIAL_SLICE, gg)
 
 
@@ -677,10 +602,8 @@ def verify_thm2(case: ManufacturedCase) -> EstimateSidePair:
     }
     u0 = GridFn(g, SPATIAL_SLICE, case.data.u0)
     v0 = GridFn(g, SPATIAL_SLICE, case.data.v0)
-    from .grid import diff as _diff
-
-    ut = _diff(case.u, t_order=1)
-    vt = _diff(case.v, t_order=1)
+    ut = diff(case.u, t_order=1)
+    vt = diff(case.v, t_order=1)
     rhs = {
         "u0_H2": norm(u0, "H2_slice"),
         "v0_H2": norm(v0, "H2_slice"),

@@ -30,9 +30,10 @@ from .coefficients import (
     NonlinearCoeffs,
     SourceFactors,
     apply_operator,
+    operator_terms,
     sample_spatial,
 )
-from .grid import SPACE_TIME, Face, Grid, GridFn, diff, face_values
+from .grid import SPACE_TIME, Face, Grid, GridFn, derivative_matrix, diff, face_values
 
 __all__ = [
     "CaseData",
@@ -476,39 +477,31 @@ def _neumann_d1(n: int, h: float) -> sp.csr_matrix:
     return (m / h).tocsr()
 
 
-def _operator_matrix(grid: Grid, kind: str, coeffs: CoeffSet, it: int) -> sp.csr_matrix:
-    """Sparse A(t) or B(t) with mirror-point homogeneous Neumann closure.
+def _mirror_stencil(n: int, h: float, order: int) -> sp.csr_matrix:
+    return _neumann_d1(n, h) if order == 1 else _neumann_d2(n, h)
 
-    Only diagonal principal parts are supported; mixed second derivatives
-    have no clean mirror closure and the manufactured experiments never
-    need them.
+
+def _slice_operators(kind: str, coeffs: CoeffSet) -> list[sp.csr_matrix]:
+    """Sparse A(t), B(t) or A0(t) on every time slice, mirror closure.
+
+    Only diagonal principal parts are supported in A and B; mixed second
+    derivatives have no clean mirror closure there and the manufactured
+    experiments never need them.
     """
-    m2 = coeffs.a2 if kind == "A" else coeffs.b2
-    m1 = coeffs.a1 if kind == "A" else coeffs.b1
-    m0 = coeffs.a0 if kind == "A" else coeffs.b0
-    d = grid.dim
-    for i in range(d):
-        for j in range(d):
-            if i != j and np.max(np.abs(m2[i, j])) > 0:
-                raise ValueError(
-                    "picard_solve supports diagonal principal coefficients only"
-                )
+    grid = coeffs.grid
+    terms = operator_terms(kind, coeffs)
+    if kind != "A0" and any(len(set(axes)) == 2 and np.any(coef) for coef, axes in terms):
+        raise ValueError("picard_solve supports diagonal principal coefficients only")
+    ops = [(coef, derivative_matrix(grid.nx, grid.hs, axes, one_d=_mirror_stencil))
+           for coef, axes in terms]
     nsp = int(np.prod(grid.nx))
-    out = sp.diags(m0[..., it].ravel(), format="csr")
-    for ax in range(d):
-        d2 = _neumann_d2(grid.nx[ax], grid.hs[ax])
-        d1 = _neumann_d1(grid.nx[ax], grid.hs[ax])
-        if d == 1:
-            op2, op1 = d2, d1
-        elif ax == 0:
-            op2 = sp.kron(d2, sp.identity(grid.nx[1]), format="csr")
-            op1 = sp.kron(d1, sp.identity(grid.nx[1]), format="csr")
-        else:
-            op2 = sp.kron(sp.identity(grid.nx[0]), d2, format="csr")
-            op1 = sp.kron(sp.identity(grid.nx[0]), d1, format="csr")
-        out = out + sp.diags(m2[ax, ax, ..., it].ravel()) @ op2
-        out = out + sp.diags(m1[ax, ..., it].ravel()) @ op1
-    return out.tocsr()
+    mats = []
+    for it in range(grid.nt):
+        acc = sp.csr_matrix((nsp, nsp))
+        for coef, op in ops:
+            acc = acc + sp.diags(coef[..., it].ravel()) @ op
+        mats.append(acc.tocsr())
+    return mats
 
 
 def picard_solve(terminal_u: np.ndarray, initial_v: np.ndarray,
@@ -530,9 +523,9 @@ def picard_solve(terminal_u: np.ndarray, initial_v: np.ndarray,
     terminal_u = np.asarray(terminal_u, dtype=float).reshape(grid.space_shape)
     initial_v = np.asarray(initial_v, dtype=float).reshape(grid.space_shape)
 
-    a_mats = [_operator_matrix(grid, "A", coeffs, it) for it in range(nt)]
-    b_mats = [_operator_matrix(grid, "B", coeffs, it) for it in range(nt)]
-    a0_mats = _a0_matrices(grid, coeffs)
+    a_mats = _slice_operators("A", coeffs)
+    b_mats = _slice_operators("B", coeffs)
+    a0_mats = _slice_operators("A0", coeffs)
     eye = sp.identity(nsp, format="csr")
     solve_u = [spla.factorized((eye / tau - a_mats[it]).tocsc())
                for it in range(nt - 1)]
@@ -592,31 +585,6 @@ def picard_solve(terminal_u: np.ndarray, initial_v: np.ndarray,
     return PicardResult(u=u_fn, v=v_fn, converged=converged, diverged=diverged,
                         iterations=it_count, residual_history=res_hist,
                         update_history=upd_hist, message=msg)
-
-
-def _a0_matrices(grid: Grid, coeffs: CoeffSet) -> list[sp.csr_matrix]:
-    nsp = int(np.prod(grid.nx))
-    mats = []
-    d = grid.dim
-    for it in range(grid.nt):
-        acc = sp.csr_matrix((nsp, nsp))
-        for gidx, coef in coeffs.b_gamma.items():
-            op = sp.identity(nsp, format="csr")
-            for ax, order in enumerate(gidx):
-                if order == 0:
-                    continue
-                base = _neumann_d2(grid.nx[ax], grid.hs[ax]) if order == 2 \
-                    else _neumann_d1(grid.nx[ax], grid.hs[ax])
-                if d == 1:
-                    stencil = base
-                elif ax == 0:
-                    stencil = sp.kron(base, sp.identity(grid.nx[1]), format="csr")
-                else:
-                    stencil = sp.kron(sp.identity(grid.nx[0]), base, format="csr")
-                op = op @ stencil
-            acc = acc + sp.diags(coef[..., it].ravel()) @ op
-        mats.append(acc.tocsr())
-    return mats
 
 
 def _scheme_residual(u, v, a_mats, b_mats, a0_mats, c0, Fv, Gv, tau) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .coefficients import CoeffSet
-from .grid import SPACE_TIME, Grid, GridFn
+from .grid import SPACE_TIME, Grid, GridFn, apply_stencil
 
 __all__ = [
     "EtaFn",
@@ -401,9 +401,7 @@ def _complex_step_dphi(bundle: WeightBundle, axis: int) -> np.ndarray:
 
 
 def _stencil_dphi(bundle: WeightBundle, axis: int) -> np.ndarray:
-    from .grid import _d1
-
-    return _d1(bundle.phi_interior, bundle.grid.hs[axis], axis)
+    return apply_stencil(bundle.phi_interior, bundle.grid.hs[axis], 1, axis)
 
 
 def _xi_maximizer_errors(m: int, s: float, c2: float) -> tuple[float, float]:

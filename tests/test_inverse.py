@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from mfglab import inverse
 from mfglab.basis import SeparableField, Term
-from mfglab.coefficients import CoeffRecipe
-from mfglab.grid import build_grid
+from mfglab.coefficients import CoeffRecipe, CoeffSet, apply_operator
+from mfglab.grid import SPACE_TIME, GridFn, build_grid, derivative_matrix, diff, face_values
 from mfglab.models import mms_case_ensemble, mms_linear
 from mfglab.inverse import (
     InverseData,
@@ -241,3 +242,90 @@ def test_thm2_constant_with_drift():
     rep = thm2_constant(ens, refine=True)
     assert math.isfinite(rep.max_ratio) and rep.max_ratio > 0
     assert rep.drift is not None and math.isfinite(rep.drift)
+
+
+# -- sparse assembly against the field operators -----------------------------
+
+
+def random_coeffs(g, rng):
+    """Every term of A, B and A0 switched on, off-diagonal principal parts
+    included (2D), b_gamma of orders 0, 1 and 2."""
+    d, sh = g.dim, g.shape
+    a2 = rng.uniform(-0.3, 0.3, (d, d, *sh))
+    a2 = 0.5 * (a2 + np.swapaxes(a2, 0, 1))
+    b2 = rng.uniform(-0.3, 0.3, (d, d, *sh))
+    b2 = 0.5 * (b2 + np.swapaxes(b2, 0, 1))
+    for i in range(d):
+        a2[i, i] += 1.0
+        b2[i, i] += 1.0
+    keys = [(0,), (1,), (2,)] if d == 1 else \
+        [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    return CoeffSet(g, a2, b2, rng.standard_normal((d, *sh)),
+                    rng.standard_normal((d, *sh)), rng.standard_normal(sh),
+                    rng.standard_normal(sh), rng.standard_normal(sh),
+                    {k: rng.standard_normal(sh) for k in keys})
+
+
+@pytest.mark.parametrize("dims,gamma", [((1.0,), ["x-", "x+"]),
+                                        ((1.0, 2.0), ["x1+", "x2-"])],
+                         ids=["1d", "2d"])
+def test_assembled_operators_match_field_operators(dims, gamma):
+    nx = (9,) if len(dims) == 1 else (9, 11)
+    g = build_grid(dims, 1.0, nx, 9, gamma)
+    rng = np.random.default_rng(11)
+    c = random_coeffs(g, rng)
+    u = GridFn(g, SPACE_TIME, rng.standard_normal(g.shape))
+
+    def close(assembled, field):
+        ref = field.ravel()
+        return np.max(np.abs(assembled - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    for kind in ("A", "B", "A0"):
+        assert close(inverse._operator_matrix(kind, c) @ u.values.ravel(),
+                     apply_operator(kind, u, c).values), kind
+    dt = derivative_matrix(g.shape, g.spacings, (g.dim,))
+    assert close(dt @ u.values.ravel(), diff(u, t_order=1).values)
+
+    for face in g.all_faces():
+        sel = inverse._selector(g, face.axis, face.side * (g.nx[face.axis] - 1))
+        assert np.array_equal(sel @ u.values.ravel(),
+                              face_values(g, u.values, face).ravel())
+    sel0 = inverse._selector(g, g.dim, g.it0)
+    assert np.array_equal(sel0 @ u.values.ravel(), u.values[..., g.it0].ravel())
+
+
+def discrete_case_2d():
+    g = build_grid((1.0, 2.0), 1.0, (9, 9), 9, ["x1+", "x2-"])
+    recipe = CoeffRecipe(a1=[0.3, -0.2], b1=[0.1, 0.2], a0=0.4, b0=-0.3, c0=0.5,
+                         b_gamma={(0, 0): 0.3, (1, 0): 0.1, (1, 1): 0.2, (0, 2): 0.2})
+    case = mms_case_ensemble(
+        5, 1, g, recipe,
+        lambda x1, x2: 1.0 + 0.2 * np.cos(np.pi * x1),
+        lambda x1, x2: 1.0 - 0.2 * np.cos(np.pi * x2 / 2.0),
+        max_modes=2, t_degree=2, amplitude=1.0, q_min=0.02,
+    ).cases[0]
+    return case, case.sources.f, case.sources.g
+
+
+@pytest.mark.parametrize("build", [lambda: build_case(n=17), lambda: build_case(n=33),
+                                   discrete_case_2d],
+                         ids=["1d-17", "1d-33", "2d-9"])
+def test_true_state_zeroes_pde_and_data_blocks(build):
+    """On a discrete-mode case the true (u, v, f, g) leaves the PDE blocks at
+    roundoff and the value traces and slices exactly zero.  The conormal
+    rows are left out: the cosine states do not satisfy their one-sided
+    stencils."""
+    case, f, gg = build()
+    blocks, _ = inverse._build_blocks(make_inverse_data(case, 0.0, 0), TUNED)
+    x = np.concatenate([case.u.values.ravel(), case.v.values.ravel(),
+                        f.ravel(), gg.ravel()])
+    by_name = {blk.name: blk for blk in blocks}
+    for name in ("pde_u", "pde_v"):
+        blk = by_name[name]
+        scale = np.max(abs(blk.L) @ np.abs(x))
+        assert np.max(np.abs(blk.L @ x - blk.b)) <= 1e-12 * scale, name
+    exact = [n for n in by_name if n.startswith(("trace_u_", "trace_v_", "slice_"))]
+    assert len(exact) == 2 * len(case.grid.gamma) + 2
+    for name in exact:
+        blk = by_name[name]
+        assert np.array_equal(blk.L @ x, blk.b), name
