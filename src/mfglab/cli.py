@@ -189,7 +189,7 @@ def _recon_config(inv: dict[str, Any], beta: float) -> ReconstructionConfig:
     return ReconstructionConfig(
         omega_pde=float(inv["omega_pde"]), omega_gamma=float(inv["omega_gamma"]),
         omega_slice=float(inv["omega_slice"]), omega_bc=float(inv["omega_bc"]),
-        beta=beta, tol=float(inv["tol"]), maxiter=int(inv["maxiter"]),
+        beta=beta, tol=float(inv["tol"]),
     )
 
 
@@ -228,8 +228,12 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
             ) if grid.dim == 1 else (),
         ),
     ]
+    s = res.singular_values
     summary = {"rel_err_f": res.rel_err_f, "rel_err_g": res.rel_err_g,
-               "converged": res.converged, "flags": res.flags}
+               "converged": res.converged, "flags": res.flags,
+               "normal_residual": res.normal_residual,
+               "s_max": float(s[0]), "s_min": float(s[-1]),
+               "ridge_damped": int(np.sum(s * s < float(inv["beta"])))}
     return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
 
 
@@ -261,6 +265,7 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
         "slope_spread": rep.slope_spread,
         "per_seed_slopes": {str(k): v for k, v in rep.per_seed_slopes.items()},
         "excluded": [list(e) for e in rep.excluded],
+        "max_normal_residual": max(r.normal_residual for r in rep.rows),
     }
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary,
                      extra_json={"slope": slope_payload})
@@ -364,7 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,6 +57,7 @@ _SECTIONS: dict[str, Any] = {
     "inverse": {"delta": None, "deltas": None, "seeds": None, "beta": None,
                 "beta_scale": None, "omega_pde": None, "omega_gamma": None,
                 "omega_slice": None, "omega_bc": None, "tol": None,
+                # accepted so that older configs still load; has no effect
                 "maxiter": None, "noisy_slices": None},
     "statedet": {"epsilons": None, "refine": None},
     "nonlinear": {"a": None, "kappa": None, "p": None, "amplitude": None,
@@ -102,8 +103,7 @@ _DEFAULTS: dict[str, Any] = {
     "inverse": {"delta": 0.0, "deltas": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
                 "seeds": [0, 1, 2], "beta": 1e-10, "beta_scale": 1.0,
                 "omega_pde": 1.0, "omega_gamma": 10.0, "omega_slice": 10.0,
-                "omega_bc": 0.0, "tol": 1e-10, "maxiter": 200,
-                "noisy_slices": False},
+                "omega_bc": 0.0, "tol": 1e-6, "noisy_slices": False},
     "statedet": {"epsilons": None, "refine": True},
     "nonlinear": {"a": "1", "kappa": "0.5", "p": "0.2", "amplitude": 1.0,
                   "seed": 5},

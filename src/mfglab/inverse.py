@@ -10,13 +10,15 @@ The mixed-direction system never needs a well-posed direct solver this way.
 
 Solving the quadratic is numerically delicate: with the default ridge
 beta = 1e-10 the normal matrix has a condition number beyond double
-precision, and plain (even LU-preconditioned) conjugate gradients on it
-stalls orders of magnitude above the optimum.  The minimizer is therefore
-computed by variable projection (states eliminated through one sparse
-factorization, the small source system solved by SVD of the reduced
-residual matrix) and then polished by conjugate-gradient iterations on the
-full normal operator, applied matrix-free block by block with a fixed
-Jacobi preconditioner.
+precision.  The minimizer is therefore computed by variable projection
+(Golub and Pereyra): the states are eliminated through one sparse
+factorization of their normal block, and the small reduced source system
+is solved through its SVD, where the ridge acts as the Tikhonov filter
+s / (s^2 + beta).  None of that depends on the data, the noise seed or
+beta, so it is built once as a ``SourceReduction`` and shared by every
+solve on the same system; a solve is one vector elimination, the filter
+and one back-solve for the states.  ``converged`` reports whether the
+relative normal-equation residual at the result meets ``tol``.
 
 A slice formula evaluated at t0 provides an independent oracle, and noise
 sweeps fit the log-log slope of the error against the data perturbation.
@@ -24,11 +26,14 @@ sweeps fit the log-log slope of the error against the data perturbation.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -53,11 +58,13 @@ __all__ = [
     "InverseData",
     "ReconstructionConfig",
     "ReconstructionResult",
+    "SourceReduction",
     "StabilityReport",
     "Thm2Report",
     "direct_formula_oracle",
     "make_inverse_data",
     "reconstruct",
+    "reduce_sources",
     "stability_sweep",
     "thm2_constant",
     "verify_thm2",
@@ -121,11 +128,13 @@ def make_inverse_data(case: ManufacturedCase, delta: float, seed: int, *,
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Penalty weights and solver knobs for the all-at-once least squares.
+    """Penalty weights, ridge and optimality tolerance of the least squares.
 
     ``omega_bc`` weighs the homogeneous-conormal rows on the whole boundary;
     zero (the default) reproduces the bare objective, while the stability
     experiments switch it on since the hypothesis is exact model knowledge.
+    ``tol`` bounds the relative normal-equation residual a result must meet
+    to count as converged.
     """
 
     omega_pde: float = 1.0
@@ -133,9 +142,7 @@ class ReconstructionConfig:
     omega_slice: float = 10.0
     omega_bc: float = 0.0
     beta: float = 1e-10
-    tol: float = 1e-10
-    maxiter: int = 200
-    record_every: int = 10
+    tol: float = 1e-6
 
     def __post_init__(self):
         if self.omega_pde <= 0:
@@ -146,18 +153,29 @@ class ReconstructionConfig:
 
 @dataclass
 class ReconstructionResult:
+    """Minimizer of the quadratic with its optimality measures.
+
+    ``normal_residual`` is ||A^T (A x - b) + beta W z|| / ||A^T b|| at the
+    result, with A, b the weighted rows and data, z the sources and W their
+    quadrature weights; ``converged`` is ``normal_residual <= tol``.
+    ``singular_values`` is the descending spectrum of the reduced source
+    matrix in W-scaled coordinates (a source's norm there is its L2 norm).
+    The solve is direct, so ``iterations`` is always 0.
+    """
+
     f_hat: GridFn
     g_hat: GridFn
     u_hat: GridFn
     v_hat: GridFn
     objective: float
     objective_terms: dict[str, float]
-    objective_history: list[float]
-    iterations: int
+    normal_residual: float
     converged: bool
+    singular_values: np.ndarray
     flags: list[str] = field(default_factory=list)
     rel_err_f: Optional[float] = None
     rel_err_g: Optional[float] = None
+    iterations: int = 0
 
 
 # -- sparse operators on the raveled space-time state ------------------------
@@ -192,23 +210,34 @@ def _conormal_op(grid: Grid, m2: np.ndarray, face: Face) -> sp.csr_matrix:
     return (sign * out).tocsr()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Block:
+    """Rows ``L x`` of one objective term, weighted ``omega * m`` per row and
+    fitted to the observation ``obs`` names (zero when ``obs`` is None)."""
+
     name: str
     L: sp.csr_matrix
-    Lt: sp.csr_matrix
-    b: np.ndarray
     m: np.ndarray
     omega: float
+    obs: Optional[tuple[str, Optional[Face]]] = None
+
+    def rhs(self, data: InverseData) -> np.ndarray:
+        if self.obs is None:
+            return np.zeros(self.L.shape[0])
+        key, face = self.obs
+        arr = getattr(data, key) if face is None else data.traces[key][face]
+        return np.asarray(arr, dtype=float).ravel()
 
 
 def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_Block], int]:
+    """All rows of the objective except the ridge, which has no state
+    columns and enters the reduced source system in closed form."""
     g = data.grid
     c = data.coeffs
     n_st = int(np.prod(g.shape))
     n_sp = int(np.prod(g.space_shape))
     dim_x = 2 * n_st + 2 * n_sp
-    off_u, off_v, off_f, off_g = 0, n_st, 2 * n_st, 2 * n_st + n_sp
+    off_u, off_v = 0, n_st
 
     def embed(mat: sp.spmatrix, col_offset: int, width: int) -> sp.csr_matrix:
         rows = mat.shape[0]
@@ -232,199 +261,210 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
          -sp.diags(data.q1.ravel()) @ spread, sp.csr_matrix((n_st, n_sp))],
         format="csr",
     )
-    blocks.append(_Block("pde_u", pde_u, pde_u.T.tocsr(),
-                         np.zeros(n_st), st_w, cfg.omega_pde))
+    blocks.append(_Block("pde_u", pde_u, st_w, cfg.omega_pde))
     pde_v = sp.hstack(
         [-a0_mat, dt_op - b_mat, sp.csr_matrix((n_st, n_sp)),
          -sp.diags(data.q2.ravel()) @ spread],
         format="csr",
     )
-    blocks.append(_Block("pde_v", pde_v, pde_v.T.tocsr(),
-                         np.zeros(n_st), st_w, cfg.omega_pde))
+    blocks.append(_Block("pde_v", pde_v, st_w, cfg.omega_pde))
 
     for key, block_off, with_dt in (("u", off_u, False), ("v", off_v, False),
                                     ("ut", off_u, True), ("vt", off_v, True)):
         for face in sorted(g.gamma):
             sel = _selector(g, face.axis, face.side * (g.nx[face.axis] - 1))
             op = sel @ dt_op if with_dt else sel
-            L = embed(op, block_off, n_st)
-            w = face_quad_weights(g, face).ravel()
-            blocks.append(_Block(f"trace_{key}_{face.label()}", L, L.T.tocsr(),
-                                 data.traces[key][face].ravel(), w,
-                                 cfg.omega_gamma))
+            blocks.append(_Block(f"trace_{key}_{face.label()}",
+                                 embed(op, block_off, n_st),
+                                 face_quad_weights(g, face).ravel(),
+                                 cfg.omega_gamma, (key, face)))
 
     sel0 = _selector(g, g.dim, g.it0)
-    Lu0 = embed(sel0, off_u, n_st)
-    blocks.append(_Block("slice_u", Lu0, Lu0.T.tocsr(), data.u0.ravel(), sp_w,
-                         cfg.omega_slice))
-    Lv0 = embed(sel0, off_v, n_st)
-    blocks.append(_Block("slice_v", Lv0, Lv0.T.tocsr(), data.v0.ravel(), sp_w,
-                         cfg.omega_slice))
+    blocks.append(_Block("slice_u", embed(sel0, off_u, n_st), sp_w,
+                         cfg.omega_slice, ("u0", None)))
+    blocks.append(_Block("slice_v", embed(sel0, off_v, n_st), sp_w,
+                         cfg.omega_slice, ("v0", None)))
 
     if cfg.omega_bc > 0:
         for face in g.all_faces():
             w = face_quad_weights(g, face).ravel()
             for offs, nm, m2 in ((off_u, "bc_u", c.a2), (off_v, "bc_v", c.b2)):
-                op = _conormal_op(g, m2, face)
-                L = embed(op, offs, n_st)
-                blocks.append(_Block(f"{nm}_{face.label()}", L, L.T.tocsr(),
-                                     np.zeros(op.shape[0]), w, cfg.omega_bc))
-
-    if cfg.beta > 0:
-        Rf = embed(sp.identity(n_sp, format="csr"), off_f, n_sp)
-        blocks.append(_Block("ridge_f", Rf, Rf.T.tocsr(), np.zeros(n_sp), sp_w,
-                             cfg.beta))
-        Rg = embed(sp.identity(n_sp, format="csr"), off_g, n_sp)
-        blocks.append(_Block("ridge_g", Rg, Rg.T.tocsr(), np.zeros(n_sp), sp_w,
-                             cfg.beta))
+                blocks.append(_Block(f"{nm}_{face.label()}",
+                                     embed(_conormal_op(g, m2, face), offs, n_st),
+                                     w, cfg.omega_bc))
     return blocks, dim_x
 
 
-def _objective(blocks: list[_Block], x: np.ndarray) -> tuple[float, dict[str, float]]:
-    terms: dict[str, float] = {}
-    for blk in blocks:
-        r = blk.L @ x - blk.b
-        terms[blk.name] = blk.omega * float(np.dot(r, blk.m * r))
-    return float(sum(terms.values())), terms
+# -- variable projection: reduce once, solve per data and ridge ---------------
+
+# entries of the dense reduced source matrix (8 bytes each) allowed
+_DENSE_LIMIT = 2.5e8
+# source columns eliminated per multi-right-hand-side state solve
+_CHUNK = 32
 
 
-def _varpro_solve(blocks: list[_Block], dim_x: int, n_state: int) -> np.ndarray:
-    """States eliminated exactly, sources by SVD of the reduced matrix.
+def _system_key(data: InverseData, cfg: ReconstructionConfig) -> dict[str, object]:
+    """Everything the rows of the objective depend on, by name."""
 
-    Stable at ridge levels far below what the assembled normal matrix can
-    represent (the tiny singular values live in the small dense reduced
-    problem, where LAPACK resolves them).
+    def digest(*arrays: np.ndarray) -> str:
+        h = hashlib.sha256()
+        for arr in arrays:
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        return h.hexdigest()
+
+    c = data.coeffs
+    orders = sorted(c.b_gamma)
+    return {
+        "grid": data.grid,
+        "coefficients": (tuple(orders), digest(c.a2, c.b2, c.a1, c.b1, c.a0, c.b0,
+                                               c.c0, *(c.b_gamma[k] for k in orders))),
+        "q": digest(data.q1, data.q2),
+        "omega": (cfg.omega_pde, cfg.omega_gamma, cfg.omega_slice, cfg.omega_bc),
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class SourceReduction:
+    """The part of a reconstruction that no data, noise seed or ridge changes.
+
+    With the weighted rows split by columns into the state block ``ay`` and
+    the source block ``az``, it holds the sparse LU of ``ay^T ay`` and the
+    projected source matrix R0 = (I - ay (ay^T ay)^-1 ay^T) az W^-1/2 in
+    factored form: R0 = q @ u @ diag(s) @ vt (economic QR, then the SVD of
+    the small triangular factor).  W is the quadrature weight of (f, g), so
+    ``s`` is the spectrum with respect to the L2 norm of the sources.  Built
+    by ``reduce_sources`` for one grid, coefficient set, q1/q2 and omega
+    weights (``key``); ``reconstruct`` refuses it for any other system.
     """
-    As, bs = [], []
-    for blk in blocks:
-        sw = np.sqrt(blk.omega * blk.m)
-        As.append(sp.diags(sw) @ blk.L)
-        bs.append(sw * blk.b)
-    A = sp.vstack(As).tocsr()
-    b = np.concatenate(bs)
-    n_src = dim_x - n_state
-    if A.shape[0] * n_src > 2.5e8:
+
+    key: dict[str, object]
+    blocks: tuple[_Block, ...]
+    sqrt_w: np.ndarray
+    ay: sp.csc_matrix
+    az: sp.csc_matrix
+    lu: spla.SuperLU
+    source_w: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+
+def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduction:
+    """Eliminate the states from the source columns once.
+
+    Reads the grid, coefficients and q1/q2 of ``data`` and the omega weights
+    of ``cfg``; the observations and ``cfg.beta`` are not used.  An oversized
+    problem raises MemoryError with its size before any dense allocation; a
+    failed factorization raises as well.
+    """
+    blocks, dim_x = _build_blocks(data, cfg)
+    n_state = 2 * int(np.prod(data.grid.shape))
+    sqrt_w = np.concatenate([np.sqrt(blk.omega * blk.m) for blk in blocks])
+    A = sp.diags(sqrt_w) @ sp.vstack([blk.L for blk in blocks], format="csr")
+    rows, n_src = A.shape[0], dim_x - n_state
+    if rows * n_src > _DENSE_LIMIT:
         raise MemoryError(
-            f"dense reduced matrix would need {A.shape[0]}x{n_src} entries"
-        )
-    Ay = A[:, :n_state].tocsc()
-    Az = A[:, n_state:].toarray()
-    luK = spla.splu((Ay.T @ Ay).tocsc())
+            f"reduced source matrix would be dense {rows} rows x {n_src} sources "
+            f"= {rows * n_src:.3g} entries ({8e-9 * rows * n_src:.1f} GB), "
+            f"above the {_DENSE_LIMIT:.3g}-entry limit")
+    ay = A[:, :n_state].tocsc()
+    az = A[:, n_state:].tocsc()
+    # ay^T ay is symmetric positive definite: diagonal pivots are stable, and
+    # a symmetric ordering fills less than COLAMD (at 97^2, 6.4M against 8.0M
+    # factor entries, and 3.8M against 5.5M on a 13^3 2D grid)
+    lu = spla.splu((ay.T @ ay).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    source_w = np.tile(data.grid.space_weights.ravel(), 2)
+    # Fortran order lets the QR below overwrite R0 with its orthonormal factor
+    r0 = np.empty((rows, n_src), order="F")
+    for j in range(0, n_src, _CHUNK):
+        cols = az[:, j:j + _CHUNK]
+        r0[:, j:j + _CHUNK] = cols.toarray() - ay @ lu.solve((ay.T @ cols).toarray())
+    r0 /= np.sqrt(source_w)
+    q, t = sla.qr(r0, mode="economic", overwrite_a=True)
+    u, s, vt = np.linalg.svd(t)
+    return SourceReduction(key=_system_key(data, cfg), blocks=tuple(blocks),
+                           sqrt_w=sqrt_w, ay=ay, az=az, lu=lu, source_w=source_w,
+                           q=q, u=u, s=s, vt=vt)
 
-    def eliminate(cols: np.ndarray) -> np.ndarray:
-        return cols - Ay @ luK.solve(np.asarray(Ay.T @ cols))
 
-    R = eliminate(Az)
-    r0 = eliminate(b.reshape(-1, 1))[:, 0]
-    z, _, _, _ = np.linalg.lstsq(R, r0, rcond=None)
-    y = luK.solve(np.asarray(Ay.T @ (b - Az @ z)))
-    return np.concatenate([y, z])
+def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
+    """Tikhonov filter s / (s^2 + beta); at beta = 0 the pseudo-inverse with
+    the cut-off of ``np.linalg.lstsq(rcond=None)``."""
+    if beta > 0:
+        return s / (s * s + beta)
+    keep = s > np.finfo(float).eps * max(rows, s.size) * s[0]
+    out = np.zeros_like(s)
+    out[keep] = 1.0 / s[keep]
+    return out
 
 
 def reconstruct(data: InverseData, cfg: ReconstructionConfig,
-                truth: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ReconstructionResult:
-    """Minimize the all-at-once quadratic.
+                truth: Optional[tuple[np.ndarray, np.ndarray]] = None, *,
+                reduction: Optional[SourceReduction] = None) -> ReconstructionResult:
+    """Minimize the all-at-once quadratic by variable projection.
 
-    Variable projection computes the minimizer; conjugate gradients on the
-    normal operator (matrix-free over the blocks, Jacobi preconditioner)
-    then polish until the relative normal residual meets ``tol`` or the
-    iteration budget runs out.  The recorded objective is non-increasing.
-    If the state elimination fails the CG stage runs from zero and the
-    result is flagged; hitting ``maxiter`` flags non-convergence without
-    raising.
+    ``reduction`` (from ``reduce_sources`` on the same grid, coefficients,
+    q1/q2 and omega weights; ValueError otherwise) skips the elimination, so
+    many solves on one system share it; without it one is built here.  The
+    sources come from the filtered SVD of the reduced system, the states
+    from one back-solve, and the result records its relative normal
+    residual; a result above ``tol`` is flagged, not raised.
     """
     flags: list[str] = []
     if cfg.beta == 0.0 and data.delta > 0.0:
         flags.append("beta=0 with noisy data: ridge-free fit is ill-advised")
-    blocks, dim_x = _build_blocks(data, cfg)
+    red = reduce_sources(data, cfg) if reduction is None else reduction
+    key = _system_key(data, cfg)
+    stale = [name for name in key if key[name] != red.key[name]]
+    if stale:
+        raise ValueError("the reduction was built for a different "
+                         + ", ".join(stale) + " than this reconstruction's")
+
+    ay, az, lu = red.ay, red.az, red.lu
+    b = red.sqrt_w * np.concatenate([blk.rhs(data) for blk in red.blocks])
+    ayt_b = ay.T @ b
+    b_perp = b - ay @ lu.solve(ayt_b)
+    phi = _filter(red.s, cfg.beta, b.size)
+    z = (red.vt.T @ (phi * (red.u.T @ (red.q.T @ b_perp)))) / np.sqrt(red.source_w)
+    y = lu.solve(ay.T @ (b - az @ z))
+    res = ay @ y + az @ z - b
+
+    grad = np.linalg.norm(np.concatenate(
+        [ay.T @ res, az.T @ res + cfg.beta * red.source_w * z]))
+    scale = np.linalg.norm(np.concatenate([ayt_b, az.T @ b]))
+    normal_residual = float(grad / scale if scale > 0 else grad)
+    converged = normal_residual <= cfg.tol
+    if not converged:
+        flags.append(f"normal residual {normal_residual:.3g} above tol {cfg.tol:g}")
+
+    terms: dict[str, float] = {}
+    start = 0
+    for blk in red.blocks:
+        part = res[start:start + blk.L.shape[0]]
+        terms[blk.name] = float(np.dot(part, part))
+        start += blk.L.shape[0]
     g = data.grid
     n_st = int(np.prod(g.shape))
     n_sp = int(np.prod(g.space_shape))
-    n_state = 2 * n_st
-
-    converged = False
-    try:
-        x = _varpro_solve(blocks, dim_x, n_state)
-        converged = True
-    except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
-        flags.append(f"state elimination failed ({exc}); CG from zero")
-        x = np.zeros(dim_x)
-
-    def normal_apply(p: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(p)
-        for blk in blocks:
-            out += blk.omega * (blk.Lt @ (blk.m * (blk.L @ p)))
-        return out
-
-    rhs = np.zeros(dim_x)
-    diag = np.zeros(dim_x)
-    for blk in blocks:
-        rhs += blk.omega * (blk.Lt @ (blk.m * blk.b))
-        diag += blk.omega * (blk.L.multiply(blk.L).T @ blk.m)
-    diag[diag <= 0] = 1.0
-    rhs_norm = float(np.linalg.norm(rhs))
-
-    history: list[float] = [_objective(blocks, x)[0]]
-    r = rhs - normal_apply(x)
-    it = 0
-    if rhs_norm > 0.0 and float(np.linalg.norm(r)) > cfg.tol * rhs_norm:
-        z = r / diag
-        p = z.copy()
-        rz = float(np.dot(r, z))
-        x_best = x.copy()
-        j_best = history[0]
-        while it < cfg.maxiter:
-            it += 1
-            q = normal_apply(p)
-            pq = float(np.dot(p, q))
-            if pq <= 0:
-                flags.append(f"curvature {pq:.3g} <= 0 at iteration {it}; stopping")
-                break
-            alpha = rz / pq
-            x += alpha * p
-            r -= alpha * q
-            if it % cfg.record_every == 0:
-                j_now = _objective(blocks, x)[0]
-                if j_now <= j_best:
-                    j_best, x_best = j_now, x.copy()
-                history.append(min(j_now, history[-1]))
-            if float(np.linalg.norm(r)) <= cfg.tol * rhs_norm:
-                converged = True
-                break
-            z = r / diag
-            rz_new = float(np.dot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        # keep the best visited point: CG minimizes the energy norm, and at
-        # extreme conditioning the raw objective can wiggle at roundoff level
-        if _objective(blocks, x)[0] > j_best:
-            x = x_best
-    else:
-        converged = True
-
-    objective, terms = _objective(blocks, x)
-    if history[-1] != objective:
-        history.append(min(objective, history[-1]))
-
-    u_hat = GridFn(g, SPACE_TIME, x[:n_st].reshape(g.shape))
-    v_hat = GridFn(g, SPACE_TIME, x[n_st:2 * n_st].reshape(g.shape))
-    f_hat = GridFn(g, SPATIAL_SLICE, x[2 * n_st:2 * n_st + n_sp].reshape(g.space_shape))
-    g_hat = GridFn(g, SPATIAL_SLICE, x[2 * n_st + n_sp:].reshape(g.space_shape))
+    if cfg.beta > 0:
+        for name, part in (("ridge_f", slice(0, n_sp)), ("ridge_g", slice(n_sp, None))):
+            terms[name] = cfg.beta * float(np.dot(z[part], red.source_w[part] * z[part]))
 
     result = ReconstructionResult(
-        f_hat=f_hat, g_hat=g_hat, u_hat=u_hat, v_hat=v_hat,
-        objective=objective, objective_terms=terms,
-        objective_history=history, iterations=it, converged=converged,
-        flags=flags,
+        f_hat=GridFn(g, SPATIAL_SLICE, z[:n_sp].reshape(g.space_shape)),
+        g_hat=GridFn(g, SPATIAL_SLICE, z[n_sp:].reshape(g.space_shape)),
+        u_hat=GridFn(g, SPACE_TIME, y[:n_st].reshape(g.shape)),
+        v_hat=GridFn(g, SPACE_TIME, y[n_st:].reshape(g.shape)),
+        objective=float(sum(terms.values())), objective_terms=terms,
+        normal_residual=normal_residual, converged=converged,
+        singular_values=red.s.copy(), flags=flags,
     )
     if truth is not None:
         f_true, g_true = truth
-        result.rel_err_f = _rel_l2(g, f_hat.values, f_true)
-        result.rel_err_g = _rel_l2(g, g_hat.values, g_true)
-    if not converged:
-        result.flags.append(
-            f"not converged in {cfg.maxiter} CG iterations (tol {cfg.tol})"
-        )
+        result.rel_err_f = _rel_l2(g, result.f_hat.values, f_true)
+        result.rel_err_g = _rel_l2(g, result.g_hat.values, g_true)
     return result
 
 
@@ -475,6 +515,7 @@ class StabilityRow:
     err_total: float
     beta: float
     converged: bool
+    normal_residual: float
 
 
 @dataclass(frozen=True)
@@ -501,8 +542,10 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     For every (delta, seed) fresh noise is drawn, the reconstruction run,
     and e(delta) = ||f_err|| + ||g_err|| recorded; the pooled log-log fit
     gives the slope and r^2, with per-seed fits reported as mean and spread.
-    Non-converged reconstructions are excluded and listed.  The grid must
-    have at least 4 positive deltas spanning two decades.
+    Reconstructions whose normal residual misses ``cfg.tol`` are excluded
+    and listed.  The grid must have at least 4 positive deltas spanning two
+    decades.  Every solve shares one ``SourceReduction``: the system is
+    the same, only the data and the ridge change.
 
     By default the interior snapshots stay exact and only the lateral
     traces are perturbed: white noise on a slice enters the recovery
@@ -524,20 +567,19 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
 
     rows: list[StabilityRow] = []
     excluded: list[tuple[float, int]] = []
+    reduction: Optional[SourceReduction] = None
     for delta in deltas:
         beta = float(beta_rule(delta))
-        run_cfg = ReconstructionConfig(
-            omega_pde=base.omega_pde, omega_gamma=base.omega_gamma,
-            omega_slice=base.omega_slice, omega_bc=base.omega_bc, beta=beta,
-            tol=base.tol, maxiter=base.maxiter, record_every=base.record_every,
-        )
+        run_cfg = dataclasses.replace(base, beta=beta)
         for seed in seeds:
             data = make_inverse_data(case, delta, seed, noisy_slices=noisy_slices)
-            res = reconstruct(data, run_cfg)
+            if reduction is None:
+                reduction = reduce_sources(data, run_cfg)
+            res = reconstruct(data, run_cfg, reduction=reduction)
             err_f = _abs_l2(g, res.f_hat.values - truth[0])
             err_g = _abs_l2(g, res.g_hat.values - truth[1])
             row = StabilityRow(delta, int(seed), err_f, err_g, err_f + err_g,
-                               beta, res.converged)
+                               beta, res.converged, res.normal_residual)
             rows.append(row)
             if not res.converged:
                 excluded.append((delta, int(seed)))

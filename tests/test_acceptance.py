@@ -44,7 +44,7 @@ from mfglab.weights import WeightParams, build_eta, check_weight_identities, eva
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 TUNED = ReconstructionConfig(omega_pde=10.0, omega_gamma=1.0,
                              omega_slice=1000.0, omega_bc=1000.0,
-                             beta=1e-10, maxiter=60)
+                             beta=1e-10)
 
 
 def _report(num: int, desc: str, elapsed: float, limit: float) -> None:

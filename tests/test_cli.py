@@ -91,6 +91,26 @@ def test_sweep_outputs(tmp_path):
     assert set(slope) == {"slope", "intercept", "r2", "seeds"}
 
 
+def test_legacy_maxiter_key_has_no_effect(tmp_path):
+    hashes = []
+    for maxiter in (20, 200):
+        cfg = tmp_path / f"r{maxiter}.yaml"
+        cfg.write_text(
+            "experiment: reconstruct\n"
+            "grid: {nx: [17], nt: 17, gamma: [x-, x+]}\n"
+            "ensemble: {seed: 3, n: 1, max_modes: 2, t_degree: 2}\n"
+            "sources: {q_min: 0.02}\n"
+            f"inverse: {{delta: 1.0e-2, beta: 1.0e-4, maxiter: {maxiter}}}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / f"out{maxiter}"
+        assert run_cli(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["converged"] is True
+        hashes.append(report["output_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_even_nt_config_fails_with_code_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("experiment: verify-weights\ngrid: {nt: 16}\n",
