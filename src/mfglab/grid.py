@@ -463,28 +463,11 @@ def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
         return math.sqrt(float(np.sum(g.st_weights * f.values**2)))
 
     if kind in ("H21_Q", "H21_interior"):
-        parts = [f.values]
-        parts += [diff(f, x=(i,)).values for i in range(g.dim)]
-        parts += [
-            diff(f, x=(i, j)).values for i in range(g.dim) for j in range(g.dim)
-        ]
-        parts.append(diff(f, t_order=1).values)
+        parts = h21_parts(f)
         if kind == "H21_Q":
             w = g.st_weights
             return math.sqrt(sum(float(np.sum(w * p * p)) for p in parts))
-        if eps is None or not 0.0 < eps < g.T / 2.0:
-            raise ValueError("H21_interior needs eps in (0, T/2)")
-        sel = _interior_time_mask(g, eps)
-        idx = np.nonzero(sel)[0]
-        if idx.size < 2:
-            raise ValueError(f"eps={eps} leaves fewer than 2 time nodes")
-        wt = _trapezoid_weights(idx.size, g.tau)
-        w = np.multiply.outer(g.space_weights, wt)
-        total = 0.0
-        for p in parts:
-            sub = np.take(p, idx, axis=g.dim)
-            total += _fsum_quad(w * sub * sub)
-        return math.sqrt(total)
+        return math.sqrt(h21_interior_sq(g, parts, eps))
 
     # D_gamma
     dt = diff(f, t_order=1).values
@@ -496,6 +479,36 @@ def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
             integ = integ + face_values(g, gr, face) ** 2
         total += float(np.sum(face_quad_weights(g, face) * integ))
     return math.sqrt(total)
+
+
+def h21_parts(f: GridFn) -> list[np.ndarray]:
+    """The fields whose squares make up the H^{2,1} norms: the value, the
+    gradient, every second spatial derivative and the time derivative."""
+    g = f.grid
+    parts = [f.values]
+    parts += [diff(f, x=(i,)).values for i in range(g.dim)]
+    parts += [
+        diff(f, x=(i, j)).values for i in range(g.dim) for j in range(g.dim)
+    ]
+    parts.append(diff(f, t_order=1).values)
+    return parts
+
+
+def h21_interior_sq(grid: Grid, parts: Sequence[np.ndarray],
+                    eps: float | None) -> float:
+    """Squared ``H21_interior`` norm from the :func:`h21_parts` of a field:
+    the time integration runs over the nodes inside [eps, T-eps]."""
+    if eps is None or not 0.0 < eps < grid.T / 2.0:
+        raise ValueError("H21_interior needs eps in (0, T/2)")
+    idx = np.nonzero(_interior_time_mask(grid, eps))[0]
+    if idx.size < 2:
+        raise ValueError(f"eps={eps} leaves fewer than 2 time nodes")
+    w = np.multiply.outer(grid.space_weights, _trapezoid_weights(idx.size, grid.tau))
+    total = 0.0
+    for p in parts:
+        sub = np.take(p, idx, axis=grid.dim)
+        total += _fsum_quad(w * sub * sub)
+    return total
 
 
 def _interior_time_mask(grid: Grid, eps: float) -> np.ndarray:

@@ -80,8 +80,12 @@ class CaseRecipe:
     q_min: float = 0.1
     q_mode: Literal["discrete", "analytic"] = "discrete"
 
-    def build(self, grid: Grid, q_min: Optional[float] = None) -> "ManufacturedCase":
-        coeffs = self.coeff_recipe.sample(grid)
+    def build(self, grid: Grid, q_min: Optional[float] = None,
+              coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
+        """Sample the case on ``grid``; ``coeffs``, when given, is this
+        recipe's coefficient set already sampled there (shared, not copied)."""
+        if coeffs is None:
+            coeffs = self.coeff_recipe.sample(grid)
         return mms_linear(
             self.u_field, self.v_field, coeffs,
             sample_spatial(grid, self.f_spec), sample_spatial(grid, self.g_spec),
@@ -107,8 +111,10 @@ class ManufacturedCase:
     q_mode: str
     recipe: Optional[CaseRecipe] = None
 
-    def resample(self, grid: Grid) -> "ManufacturedCase":
-        """Rebuild on another grid of the same domain.
+    def resample(self, grid: Grid,
+                 coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
+        """Rebuild on another grid of the same domain (``coeffs`` as in
+        :meth:`CaseRecipe.build`).
 
         The t0 modulation floor is relaxed to machine level here: it was
         enforced where the case was drawn, and refined sampling may dip
@@ -118,7 +124,7 @@ class ManufacturedCase:
             raise ValueError("case has no recipe attached; cannot resample")
         if not grid.same_domain(self.grid):
             raise ValueError("resampling grid must share the domain")
-        return self.recipe.build(grid, q_min=1e-12)
+        return self.recipe.build(grid, q_min=1e-12, coeffs=coeffs)
 
     def scaled(self, c: float) -> "ManufacturedCase":
         """Same case with all states, sources and data scaled by c (the
@@ -344,7 +350,16 @@ class CaseEnsemble:
         return len(self.cases)
 
     def resample(self, grid: Grid) -> "CaseEnsemble":
-        return CaseEnsemble(self.seed, tuple(c.resample(grid) for c in self.cases))
+        """Rebuild every case on ``grid``; cases drawn from one coefficient
+        recipe share one sampled coefficient set, as when they were drawn."""
+        cases = []
+        recipe = coeffs = None
+        for c in self.cases:
+            if c.recipe is not None and c.recipe.coeff_recipe is not recipe:
+                recipe = c.recipe.coeff_recipe
+                coeffs = recipe.sample(grid)
+            cases.append(c.resample(grid, coeffs=coeffs))
+        return CaseEnsemble(self.seed, tuple(cases))
 
 
 def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
@@ -354,6 +369,7 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
                       max_attempts: int = 400) -> CaseEnsemble:
     """Draw manufactured cases until ``n`` satisfy the t0 modulation floor."""
     rng = np.random.default_rng(seed)
+    coeffs = coeff_recipe.sample(grid)
     cases = []
     attempts = 0
     while len(cases) < n:
@@ -370,7 +386,7 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
         rec = CaseRecipe(u_field, v_field, coeff_recipe, f_spec, g_spec,
                          q_min=q_min, q_mode=q_mode)
         try:
-            cases.append(rec.build(grid))
+            cases.append(rec.build(grid, coeffs=coeffs))
         except MmsRejected:
             continue
     return CaseEnsemble(seed, tuple(cases))

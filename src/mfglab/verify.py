@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .basis import SeparableField, random_cosine_field
-from .coefficients import CoeffRecipe, CoeffSet, SourceFactors
+from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
 from .grid import SPACE_TIME, SPATIAL_SLICE, Grid, GridFn, diff, norm
 from .models import CaseEnsemble, residual
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
@@ -73,10 +73,32 @@ class EstimateSidePair:
         return self.lhs > 0.0 and self.rhs <= ZERO_RHS_FLOOR
 
 
-def _wsq(arr: np.ndarray, bundle: WeightBundle, m: int, lam_power: int = 0,
-         scalar: float = 1.0) -> float:
-    w = bundle.grid.st_weights
-    return scalar * float(np.sum(w * arr * arr * bundle.weight_factor(m, lam_power)))
+class _Part(NamedTuple):
+    """One weighted square: ``pre = st_weights * a * a`` with its weight
+    powers; on a bundle it is ``sum(pre * weight_factor(m, lam_power))``."""
+
+    pre: np.ndarray
+    m: int
+    lam_power: int = 0
+
+
+def _part(arr: np.ndarray, grid: Grid, m: int, lam_power: int = 0) -> _Part:
+    # operand order of st_weights * a * a * factor, so the weighted integral
+    # rounds exactly as when it is written out in one expression
+    return _Part(grid.st_weights * arr * arr, m, lam_power)
+
+
+def _weighted(parts: Sequence[_Part], bundle: WeightBundle, factors: dict,
+              scalar: float = 1.0) -> float:
+    """Sum of the parts' weighted integrals; ``factors`` memoizes the
+    bundle's weight factors by (m, lam_power)."""
+    total = 0
+    for pre, m, k in parts:
+        wf = factors.get((m, k))
+        if wf is None:
+            wf = factors[(m, k)] = bundle.weight_factor(m, k)
+        total += scalar * float(np.sum(pre * wf))
+    return total
 
 
 def _d_gamma_sq(f: GridFn) -> float:
@@ -87,12 +109,10 @@ def _h2_slice_sq(grid: Grid, slice_vals: np.ndarray) -> float:
     return norm(GridFn(grid, SPATIAL_SLICE, slice_vals), "H2_slice") ** 2
 
 
-def _d0_sq(u: GridFn, v: GridFn) -> float:
-    """Full data functional: gamma data of (u, v) and their time derivatives
-    plus the squared H2 norms of the two t0 slices."""
+def _d0_sq(u: GridFn, v: GridFn, ut: GridFn, vt: GridFn) -> float:
+    """Full data functional: gamma data of (u, v) and of their time
+    derivatives (ut, vt) plus the squared H2 norms of the two t0 slices."""
     g = u.grid
-    ut = diff(u, t_order=1)
-    vt = diff(v, t_order=1)
     return (
         _d_gamma_sq(u) + _d_gamma_sq(v) + _d_gamma_sq(ut) + _d_gamma_sq(vt)
         + _h2_slice_sq(g, u.values[..., g.it0])
@@ -100,40 +120,31 @@ def _d0_sq(u: GridFn, v: GridFn) -> float:
     )
 
 
-def _first_side_lhs(u: GridFn, bundle: WeightBundle, prefix: str = "") -> dict[str, float]:
+def _first_side_lhs(u: GridFn, prefix: str = "") -> dict[str, tuple[_Part, ...]]:
     """Backward-equation energy block: |ut|^2 + |uxx|^2 + (s lam phi)^2|grad|^2
     + (s lam phi)^4 |u|^2, all under the normalized weight."""
     g = u.grid
-    terms = {
-        prefix + "ut": _wsq(diff(u, t_order=1).values, bundle, 0),
-        prefix + "uxx": sum(
-            _wsq(diff(u, x=(i, j)).values, bundle, 0)
-            for i in range(g.dim) for j in range(g.dim)
-        ),
-        prefix + "grad": sum(
-            _wsq(diff(u, x=(i,)).values, bundle, 2, lam_power=2)
-            for i in range(g.dim)
-        ),
-        prefix + "val": _wsq(u.values, bundle, 4, lam_power=4),
+    return {
+        prefix + "ut": (_part(diff(u, t_order=1).values, g, 0),),
+        prefix + "uxx": tuple(_part(diff(u, x=(i, j)).values, g, 0)
+                              for i in range(g.dim) for j in range(g.dim)),
+        prefix + "grad": tuple(_part(diff(u, x=(i,)).values, g, 2, lam_power=2)
+                               for i in range(g.dim)),
+        prefix + "val": (_part(u.values, g, 4, lam_power=4),),
     }
-    return terms
 
 
-def _second_side_lhs(v: GridFn, bundle: WeightBundle, prefix: str = "") -> dict[str, float]:
+def _second_side_lhs(v: GridFn, prefix: str = "") -> dict[str, tuple[_Part, ...]]:
     """Forward-equation energy block with one inverse weight power on the
     top-order terms."""
     g = v.grid
     return {
-        prefix + "vt": _wsq(diff(v, t_order=1).values, bundle, -1),
-        prefix + "vxx": sum(
-            _wsq(diff(v, x=(i, j)).values, bundle, -1)
-            for i in range(g.dim) for j in range(g.dim)
-        ),
-        prefix + "grad": sum(
-            _wsq(diff(v, x=(i,)).values, bundle, 1, lam_power=2)
-            for i in range(g.dim)
-        ),
-        prefix + "val": _wsq(v.values, bundle, 3, lam_power=4),
+        prefix + "vt": (_part(diff(v, t_order=1).values, g, -1),),
+        prefix + "vxx": tuple(_part(diff(v, x=(i, j)).values, g, -1)
+                              for i in range(g.dim) for j in range(g.dim)),
+        prefix + "grad": tuple(_part(diff(v, x=(i,)).values, g, 1, lam_power=2)
+                               for i in range(g.dim)),
+        prefix + "val": (_part(v.values, g, 3, lam_power=4),),
     }
 
 
@@ -149,6 +160,121 @@ def _check_consistency(u: GridFn, v: GridFn, F: GridFn, G: GridFn,
             )
 
 
+@dataclass(frozen=True)
+class _InstanceTerms:
+    """Everything of one inequality instance that does not depend on (lam, s).
+
+    Each lhs/rhs term is a sum of weighted squares; ``data`` holds the
+    unweighted data functionals (they take the bundle's ``data_scale``);
+    the energy-slice kinds keep the squared time derivative on the t0 slice
+    that forms their left side.
+    """
+
+    kind: str
+    lhs: dict[str, tuple[_Part, ...]]
+    rhs: dict[str, tuple[_Part, ...]]
+    data: dict[str, float]
+    slice_sq: Optional[np.ndarray] = None
+
+
+def _instance_terms(kind: str, u: Optional[GridFn], v: Optional[GridFn],
+                    F: Optional[GridFn], G: Optional[GridFn], coeffs: CoeffSet,
+                    sources: Optional[SourceFactors]) -> _InstanceTerms:
+    if kind not in ESTIMATE_KINDS:
+        raise ValueError(f"unknown estimate kind {kind!r}")
+
+    if kind == "LEMMA1":
+        if u is None:
+            raise ValueError("LEMMA1 needs u")
+        op = diff(u, t_order=1).values + apply_operator("A", u, coeffs).values
+        return _InstanceTerms(kind, _first_side_lhs(u),
+                              {"op": (_part(op, u.grid, 1),)},
+                              {"Du2": _d_gamma_sq(u)})
+
+    if kind == "LEMMA2":
+        if v is None:
+            raise ValueError("LEMMA2 needs v")
+        op = diff(v, t_order=1).values - apply_operator("B", v, coeffs).values
+        return _InstanceTerms(kind, _second_side_lhs(v),
+                              {"op": (_part(op, v.grid, 0),)},
+                              {"Dv2": _d_gamma_sq(v)})
+
+    if kind == "THM3":
+        if any(x is None for x in (u, v, F, G)):
+            raise ValueError("THM3 needs (u, v, F, G)")
+        _check_consistency(u, v, F, G, coeffs)
+        g = u.grid
+        return _InstanceTerms(
+            kind, _first_side_lhs(u, "u_") | _second_side_lhs(v, "v_"),
+            {"F": (_part(F.values, g, 1),), "G": (_part(G.values, g, 0),)},
+            {"Du2": _d_gamma_sq(u), "Dv2": _d_gamma_sq(v)},
+        )
+
+    if kind == "LEMMA4":
+        if any(x is None for x in (u, v, F, G)):
+            raise ValueError("LEMMA4 needs (u, v, F, G)")
+        _check_consistency(u, v, F, G, coeffs)
+        g = u.grid
+        y = diff(u, t_order=1)
+        z = diff(v, t_order=1)
+        return _InstanceTerms(
+            kind, _first_side_lhs(y, "ut_") | _second_side_lhs(z, "vt_"),
+            {"Ft": (_part(diff(F, t_order=1).values, g, 1),),
+             "F": (_part(F.values, g, 1),),
+             "Gt": (_part(diff(G, t_order=1).values, g, 0),),
+             "G": (_part(G.values, g, 0),)},
+            {"D02": _d0_sq(u, v, y, z)},
+        )
+
+    # energy-slice kinds
+    if sources is None:
+        raise ValueError(f"{kind} needs the factorized sources")
+    if u is None or v is None:
+        raise ValueError(f"{kind} needs u and v")
+    g = u.grid
+    ut = diff(u, t_order=1)
+    vt = diff(v, t_order=1)
+    f_ext = np.broadcast_to(sources.f[..., None], g.shape)
+    g_ext = np.broadcast_to(sources.g[..., None], g.shape)
+    dt0 = (ut if kind == "ENERGY_3_8" else vt).values[..., g.it0]
+    return _InstanceTerms(
+        kind, {},
+        {"f": (_part(f_ext, g, 1),), "g": (_part(g_ext, g, 0),)},
+        {"D02": _d0_sq(u, v, ut, vt)},
+        slice_sq=dt0**2,
+    )
+
+
+def _evaluate_terms(terms: _InstanceTerms, bundle: WeightBundle,
+                    factors: dict) -> EstimateSidePair:
+    """Both sides of one instance on one bundle; ``factors`` is the cell's
+    weight-factor memo, shared by every instance evaluated on ``bundle``."""
+    ds = bundle.data_scale
+    if terms.slice_sq is None:
+        lhs = {name: _weighted(parts, bundle, factors)
+               for name, parts in terms.lhs.items()}
+        scalar = 1.0
+    else:
+        g = bundle.grid
+        s = bundle.params.s
+        if s <= 0:
+            raise ValueError("energy-slice kinds need s > 0")
+        w_t0 = bundle.w_slice(g.it0)
+        if terms.kind == "ENERGY_3_8":
+            phi_t0 = bundle.phi_slice(g.it0)
+            val = float(np.sum(g.space_weights * s * phi_t0 * terms.slice_sq * w_t0))
+            scalar = 1.0 / s
+        else:
+            val = float(np.sum(g.space_weights * terms.slice_sq * w_t0))
+            scalar = s**-0.5
+        lhs = {"slice": val}
+    rhs = {name: _weighted(parts, bundle, factors, scalar)
+           for name, parts in terms.rhs.items()}
+    rhs |= {name: ds * d for name, d in terms.data.items()}
+    return EstimateSidePair(kind=terms.kind, params=bundle.params,
+                            lhs_terms=lhs, rhs_terms=rhs)
+
+
 def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
                       F: Optional[GridFn], G: Optional[GridFn],
                       coeffs: CoeffSet, bundle: WeightBundle,
@@ -162,100 +288,8 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     Every unweighted data term carries the bundle's ``data_scale`` so that
     ratios are independent of the weight normalization.
     """
-    if kind not in ESTIMATE_KINDS:
-        raise ValueError(f"unknown estimate kind {kind!r}")
-    ds = bundle.data_scale
-
-    if kind == "LEMMA1":
-        if u is None:
-            raise ValueError("LEMMA1 needs u")
-        from .coefficients import apply_operator
-
-        op = diff(u, t_order=1).values + apply_operator("A", u, coeffs).values
-        return EstimateSidePair(
-            kind=kind, params=bundle.params,
-            lhs_terms=_first_side_lhs(u, bundle),
-            rhs_terms={"op": _wsq(op, bundle, 1), "Du2": ds * _d_gamma_sq(u)},
-        )
-
-    if kind == "LEMMA2":
-        if v is None:
-            raise ValueError("LEMMA2 needs v")
-        from .coefficients import apply_operator
-
-        op = diff(v, t_order=1).values - apply_operator("B", v, coeffs).values
-        return EstimateSidePair(
-            kind=kind, params=bundle.params,
-            lhs_terms=_second_side_lhs(v, bundle),
-            rhs_terms={"op": _wsq(op, bundle, 0), "Dv2": ds * _d_gamma_sq(v)},
-        )
-
-    if kind == "THM3":
-        if any(x is None for x in (u, v, F, G)):
-            raise ValueError("THM3 needs (u, v, F, G)")
-        _check_consistency(u, v, F, G, coeffs)
-        lhs = _first_side_lhs(u, bundle, "u_") | _second_side_lhs(v, bundle, "v_")
-        rhs = {
-            "F": _wsq(F.values, bundle, 1),
-            "G": _wsq(G.values, bundle, 0),
-            "Du2": ds * _d_gamma_sq(u),
-            "Dv2": ds * _d_gamma_sq(v),
-        }
-        return EstimateSidePair(kind=kind, params=bundle.params,
-                                lhs_terms=lhs, rhs_terms=rhs)
-
-    if kind == "LEMMA4":
-        if any(x is None for x in (u, v, F, G)):
-            raise ValueError("LEMMA4 needs (u, v, F, G)")
-        _check_consistency(u, v, F, G, coeffs)
-        y = diff(u, t_order=1)
-        z = diff(v, t_order=1)
-        lhs = _first_side_lhs(y, bundle, "ut_") | _second_side_lhs(z, bundle, "vt_")
-        rhs = {
-            "Ft": _wsq(diff(F, t_order=1).values, bundle, 1),
-            "F": _wsq(F.values, bundle, 1),
-            "Gt": _wsq(diff(G, t_order=1).values, bundle, 0),
-            "G": _wsq(G.values, bundle, 0),
-            "D02": ds * _d0_sq(u, v),
-        }
-        return EstimateSidePair(kind=kind, params=bundle.params,
-                                lhs_terms=lhs, rhs_terms=rhs)
-
-    # energy-slice kinds
-    if sources is None:
-        raise ValueError(f"{kind} needs the factorized sources")
-    if u is None or v is None:
-        raise ValueError(f"{kind} needs u and v")
-    g = u.grid
-    s = bundle.params.s
-    if s <= 0:
-        raise ValueError("energy-slice kinds need s > 0")
-    it0 = g.it0
-    w_t0 = bundle.w_slice(it0)
-    phi_t0 = bundle.phi_slice(it0)
-    f_ext = np.broadcast_to(sources.f[..., None], g.shape)
-    g_ext = np.broadcast_to(sources.g[..., None], g.shape)
-
-    if kind == "ENERGY_3_8":
-        ut0 = diff(u, t_order=1).values[..., it0]
-        lhs_val = float(np.sum(g.space_weights * s * phi_t0 * ut0**2 * w_t0))
-        rhs = {
-            "f": _wsq(f_ext, bundle, 1, scalar=1.0 / s),
-            "g": _wsq(g_ext, bundle, 0, scalar=1.0 / s),
-            "D02": ds * _d0_sq(u, v),
-        }
-        return EstimateSidePair(kind=kind, params=bundle.params,
-                                lhs_terms={"slice": lhs_val}, rhs_terms=rhs)
-
-    vt0 = diff(v, t_order=1).values[..., it0]
-    lhs_val = float(np.sum(g.space_weights * vt0**2 * w_t0))
-    rhs = {
-        "f": _wsq(f_ext, bundle, 1, scalar=s**-0.5),
-        "g": _wsq(g_ext, bundle, 0, scalar=s**-0.5),
-        "D02": ds * _d0_sq(u, v),
-    }
-    return EstimateSidePair(kind=kind, params=bundle.params,
-                            lhs_terms={"slice": lhs_val}, rhs_terms=rhs)
+    return _evaluate_terms(_instance_terms(kind, u, v, F, G, coeffs, sources),
+                           bundle, {})
 
 
 def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
@@ -268,8 +302,9 @@ def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
     g = w.grid
     cum = cumulative_trapezoid(w.values, dx=g.tau, axis=g.dim, initial=0.0)
     inner = cum - cum[..., g.it0][..., None]
-    lhs = _wsq(inner, bundle, p)
-    rhs = _wsq(w.values, bundle, p - 1, lam_power=-1)
+    factors: dict = {}
+    lhs = _weighted((_part(inner, g, p),), bundle, factors)
+    rhs = _weighted((_part(w.values, g, p - 1, lam_power=-1),), bundle, factors)
     return EstimateSidePair(
         kind=f"LEMMA3(p={p})", params=bundle.params,
         lhs_terms={"antiderivative": lhs}, rhs_terms={"field": rhs},
@@ -392,17 +427,18 @@ EnsembleLike = Union[FunctionEnsemble, CaseEnsemble]
 
 
 def _iter_instances(kind: str, ensemble: EnsembleLike, coeffs: CoeffSet):
-    """Yield (member_index, u, v, F, G, sources) suitable for the kind."""
+    """Yield the (lam, s)-independent terms of each member, in order."""
     if isinstance(ensemble, CaseEnsemble):
-        for i, case in enumerate(ensemble.cases):
-            yield i, case.u, case.v, case.F, case.G, case.sources
+        for case in ensemble.cases:
+            yield _instance_terms(kind, case.u, case.v, case.F, case.G, coeffs,
+                                  case.sources)
         return
-    for i, m in enumerate(ensemble.members):
+    for m in ensemble.members:
         if kind in ("THM3", "LEMMA4"):
             F, G = residual("linear", m.u, m.v, coeffs=coeffs)
         else:
             F = G = None
-        yield i, m.u, m.v, F, G, None
+        yield _instance_terms(kind, m.u, m.v, F, G, coeffs, None)
 
 
 def _sweep(kind: str, ensemble: EnsembleLike, lam_grid, s_grid,
@@ -415,11 +451,11 @@ def _sweep(kind: str, ensemble: EnsembleLike, lam_grid, s_grid,
     for lam in lam_grid:
         for s in s_grid:
             bundle = eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
+            factors: dict = {}
             best = 0.0
             bad = False
-            for i, u, v, F, G, sources in instances:
-                pair = evaluate_estimate(kind, u, v, F, G, coeffs, bundle,
-                                         sources=sources)
+            for i, terms in enumerate(instances):
+                pair = _evaluate_terms(terms, bundle, factors)
                 lhs, rhs, ratio = pair.lhs, pair.rhs, pair.ratio
                 if not (math.isfinite(lhs) and math.isfinite(rhs)):
                     bad = True

@@ -5,7 +5,7 @@ import pytest
 
 from mfglab.basis import SeparableField, Term, random_cosine_field
 from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs
-from mfglab.grid import build_grid
+from mfglab.grid import build_grid, norm
 from mfglab.models import make_nonlinear_pair
 from mfglab.statedet import NonlinearRecipe, thm1_experiment, thm4_experiment
 from mfglab.verify import EnsembleMember, FunctionEnsemble, generate_ensemble
@@ -23,6 +23,18 @@ def test_curve_non_increasing_per_member():
         assert len(curve) == len(EPS_GRID)
         assert all(curve[k] >= curve[k + 1] for k in range(len(curve) - 1))
     assert math.isfinite(rep.c_max)
+
+
+def test_curve_equals_per_eps_norms():
+    # one set of derivative parts per member serves every eps exactly
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    ens = generate_ensemble(4, 3, g)
+    rep = thm1_experiment(ens, COUPLED, EPS_GRID, refine=False)
+    assert len(rep.rows) == 3 * len(EPS_GRID)
+    for row in rep.rows:
+        m = ens.members[row.member]
+        assert row.lhs == (norm(m.u, "H21_interior", eps=row.eps)
+                           + norm(m.v, "H21_interior", eps=row.eps))
 
 
 def test_zero_members_excluded():

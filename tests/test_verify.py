@@ -1,19 +1,25 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import mfglab.coefficients
+import mfglab.grid
+import mfglab.models
+import mfglab.verify
 from mfglab.coefficients import CoeffRecipe
-from mfglab.grid import GridFn, build_grid
-from mfglab.models import residual
+from mfglab.grid import GridFn, build_grid, diff, norm
+from mfglab.models import mms_case_ensemble, residual
 from mfglab.verify import (
+    ESTIMATE_KINDS,
     EstimateSidePair,
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
     lemma3_check,
 )
-from mfglab.weights import WeightParams, build_eta, eval_weight_bundle
+from mfglab.weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 
@@ -206,3 +212,135 @@ def test_refinement_drift_recorded():
     rep = estimate_constant("THM3", ens, [1.0], [8.0], COUPLED, g, refine=True)
     assert rep.drift is not None and math.isfinite(rep.drift)
     assert rep.c_emp_refined is not None
+
+
+# ---------------------------------------------------------------------------
+# a sweep evaluates each member's (lam, s)-independent terms once
+
+
+COUPLED_2D = CoeffRecipe(c0=0.5, b_gamma={(0, 0): 0.3, (2, 0): 0.2, (0, 2): 0.2})
+ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
+LAMS = (0.5, 1.0)
+S_VALUES = (0.5, 1.0, 4.0, 8.0)
+
+
+def sweep_inputs(kind, dim=1, members=3):
+    """(ensemble, recipe, grid, per-member (u, v, F, G, sources))."""
+    if dim == 1:
+        g = build_grid(1.0, 1.0, 17, 17, ["x-", "x+"])
+        recipe = COUPLED
+    else:
+        g = build_grid((1.0, 2.0), 1.0, (9, 9), 9, ["x1+"])
+        recipe = COUPLED_2D
+    if kind in ENERGY_KINDS:
+        cases = mms_case_ensemble(
+            21, members, g, recipe,
+            lambda x: 1.0 + 0.3 * np.cos(np.pi * x),
+            lambda x: 1.0 - 0.3 * np.cos(np.pi * x),
+            q_min=0.05,
+        )
+        inputs = [(c.u, c.v, c.F, c.G, c.sources) for c in cases.cases]
+        return cases, recipe, g, inputs
+    ens = generate_ensemble(7, members, g, max_modes=2, t_degree=2)
+    coeffs = recipe.sample(g)
+    inputs = [(m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs), None)
+              for m in ens.members]
+    return ens, recipe, g, inputs
+
+
+@pytest.mark.parametrize("kind,dim", [(k, 1) for k in ESTIMATE_KINDS] + [("THM3", 2)])
+def test_sweep_rows_equal_standalone_evaluations(kind, dim):
+    ens, recipe, g, inputs = sweep_inputs(kind, dim)
+    rep = estimate_constant(kind, ens, LAMS, S_VALUES, recipe, g, refine=False)
+    coeffs = recipe.sample(g)
+    eta = build_eta(g, coeffs)
+    assert len(rep.rows) == len(LAMS) * len(S_VALUES) * len(inputs)
+    for row in rep.rows:
+        bundle = eval_weight_bundle(eta, WeightParams(lam=row.lam, s=row.s), g)
+        u, v, F, G, sources = inputs[row.member]
+        pair = evaluate_estimate(kind, u, v, F, G, coeffs, bundle, sources=sources)
+        assert (row.lhs, row.rhs, row.ratio) == (pair.lhs, pair.rhs, pair.ratio)
+
+
+def direct_thm3(u, v, F, G, bundle):
+    """Both THM3 sides written out term by term, each weight factor built
+    where it is used (the formula of the estimate, in the lab's operand and
+    summation order)."""
+    g = u.grid
+    w = g.st_weights
+
+    def wsq(a, m, k=0):
+        return float(np.sum(w * a * a * bundle.weight_factor(m, k)))
+
+    def side(f, m_top, m_grad, m_val):
+        return [
+            wsq(diff(f, t_order=1).values, m_top),
+            sum(wsq(diff(f, x=(i, j)).values, m_top)
+                for i in range(g.dim) for j in range(g.dim)),
+            sum(wsq(diff(f, x=(i,)).values, m_grad, 2) for i in range(g.dim)),
+            wsq(f.values, m_val, 4),
+        ]
+
+    ds = bundle.data_scale
+    lhs = sum(side(u, 0, 2, 4) + side(v, -1, 1, 3))
+    rhs = sum([wsq(F.values, 1), wsq(G.values, 0),
+               ds * norm(u, "D_gamma") ** 2, ds * norm(v, "D_gamma") ** 2])
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_thm3_equals_direct_formula(dim):
+    ens, recipe, g, inputs = sweep_inputs("THM3", dim, members=2)
+    coeffs = recipe.sample(g)
+    eta = build_eta(g, coeffs)
+    for lam, s in ((0.5, 1.0), (1.0, 8.0)):
+        bundle = eval_weight_bundle(eta, WeightParams(lam=lam, s=s), g)
+        # the shifted normalization makes data_scale != 1
+        for b in (bundle, bundle.with_alpha_max(bundle.alpha_max + 0.07)):
+            for u, v, F, G, _ in inputs:
+                pair = evaluate_estimate("THM3", u, v, F, G, coeffs, b)
+                assert (pair.lhs, pair.rhs) == direct_thm3(u, v, F, G, b)
+
+
+def counting(monkeypatch, counts, owners, name):
+    """Count the calls of ``name`` made through any of the owner modules."""
+    orig = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return orig(*args, **kwargs)
+
+    for mod in owners:
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+
+
+@pytest.mark.parametrize("kind", ESTIMATE_KINDS)
+def test_sweep_work_independent_of_cell_count(kind, monkeypatch):
+    modules = [mfglab.grid, mfglab.verify, mfglab.coefficients, mfglab.models]
+    counts = Counter()
+    counting(monkeypatch, counts, modules, "diff")
+    counting(monkeypatch, counts, [mfglab.models, mfglab.verify], "residual")
+    counting(monkeypatch, counts,
+             [mfglab.coefficients, mfglab.models, mfglab.verify], "apply_operator")
+    factor_calls = []
+    weight_factor = WeightBundle.weight_factor
+
+    def counted_factor(self, m=0, lam_power=0):
+        factor_calls.append((self.params, m, lam_power))
+        return weight_factor(self, m, lam_power)
+
+    monkeypatch.setattr(WeightBundle, "weight_factor", counted_factor)
+
+    ens, recipe, g, _ = sweep_inputs(kind)
+    per_sweep = []
+    for lams, s_values in (((1.0,), (1.0,)), (LAMS, S_VALUES)):
+        counts.clear()
+        factor_calls.clear()
+        estimate_constant(kind, ens, lams, s_values, recipe, g, refine=False)
+        per_sweep.append(dict(counts))
+        # at most one weight factor per distinct (m, lam_power) in each cell
+        assert len(factor_calls) == len(set(factor_calls))
+        assert len({c[0] for c in factor_calls}) == len(lams) * len(s_values)
+    assert per_sweep[0]["diff"] > 0
+    assert per_sweep[0] == per_sweep[1]
