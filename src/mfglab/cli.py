@@ -26,12 +26,11 @@ from .inverse import (
 from .models import make_nonlinear_pair, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report
 from .statedet import thm1_experiment, thm4_experiment
-from .verify import ESTIMATE_KINDS, estimate_constant, generate_ensemble, lemma3_check
+from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, estimate_constant,
+                     generate_ensemble, lemma3_check)
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
 __all__ = ["main", "run"]
-
-ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -116,21 +115,24 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
     wspec = cfg.section("weights")
     refine = bool(est["refine"])
 
-    fn_ens = case_ens = None
+    def sweep(group, build_ensemble):
+        if not group:
+            return {}
+        return dict(zip(group, estimate_constant(
+            group, build_ensemble(), wspec["lambdas"], wspec["s_values"],
+            recipe, grid, refine=refine)))
+
+    # one sweep call per ensemble: the energy-slice kinds run on manufactured
+    # cases, every other kind on the function ensemble
+    fn_kinds = list(dict.fromkeys(k for k in kinds if k not in ENERGY_KINDS))
+    case_kinds = list(dict.fromkeys(k for k in kinds if k in ENERGY_KINDS))
+    reports = sweep(fn_kinds, lambda: _build_function_ensemble(cfg, grid))
+    reports |= sweep(case_kinds, lambda: _build_case_ensemble(cfg, grid, recipe))
     rows = []
     const_rows = []
     summary: dict[str, Any] = {}
     for kind in kinds:
-        if kind in ENERGY_KINDS:
-            if case_ens is None:
-                case_ens = _build_case_ensemble(cfg, grid, recipe)
-            ens = case_ens
-        else:
-            if fn_ens is None:
-                fn_ens = _build_function_ensemble(cfg, grid)
-            ens = fn_ens
-        rep = estimate_constant(kind, ens, wspec["lambdas"], wspec["s_values"],
-                                recipe, grid, refine=refine)
+        rep = reports[kind]
         for row in rep.rows:
             rows.append((row.kind, row.lam, row.s, row.member, row.lhs,
                          row.rhs, row.ratio))

@@ -427,8 +427,40 @@ NORM_KINDS = ("L2_Q", "L2_slice", "H2_slice", "H21_Q", "H21_interior", "D_gamma"
 
 
 def _fsum_quad(weighted_terms: np.ndarray) -> float:
-    # correctly rounded sum: keeps nested-interval norms exactly monotone
-    return math.fsum(weighted_terms.ravel().tolist())
+    """Correctly rounded sum, equal to ``math.fsum`` bit for bit; it keeps
+    nested-interval norms exactly monotone.
+
+    Vectorized error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation, part I", SIAM J. Sci. Comput. 2008): with
+    ``max|r| < 2**e`` and ``sigma = 2**(ceil(log2(n + 2)) + e)``, the split
+    ``q = (sigma + r) - sigma``, ``r - q`` is exact and ``sum(q)`` is exact in
+    any order.  Each round leaves a remainder smaller by about
+    ``53 - log2(n)`` bits; ``math.fsum`` then rounds the few exact partial
+    sums, plus whatever remainder the exponent guard leaves, once.
+    """
+    r = np.ravel(weighted_terms)
+    top = float(np.max(np.abs(r))) if r.size else 0.0
+    if not math.isfinite(top):
+        # inf, nan: fsum's own special-value rules and errors
+        return math.fsum(r.tolist())
+    if top == 0.0:
+        # only signed zeros: fsum decides the sign of an all-zero sum
+        return math.fsum([-0.0] if np.signbit(r).all() else [0.0])
+    partials = []
+    while top:
+        r = r[r != 0.0]
+        e = math.frexp(top)[1]
+        k = (r.size + 1).bit_length()  # ceil(log2(n + 2))
+        if e < -960 or k + e > 1023:
+            # sigma would leave the normal range: fsum takes the rest as is
+            partials += r.tolist()
+            break
+        sigma = math.ldexp(1.0, k + e)
+        q = (sigma + r) - sigma
+        partials.append(float(np.sum(q)))
+        r = r - q
+        top = float(np.max(np.abs(r)))
+    return math.fsum(partials)
 
 
 def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:

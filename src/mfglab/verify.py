@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .basis import SeparableField, random_cosine_field
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
@@ -37,6 +36,8 @@ __all__ = [
 ]
 
 ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_9")
+# the midpoint-slice kinds: their right side needs the factorized sources
+ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
 
 ZERO_RHS_FLOOR = 0.0
 
@@ -109,17 +110,6 @@ def _h2_slice_sq(grid: Grid, slice_vals: np.ndarray) -> float:
     return norm(GridFn(grid, SPATIAL_SLICE, slice_vals), "H2_slice") ** 2
 
 
-def _d0_sq(u: GridFn, v: GridFn, ut: GridFn, vt: GridFn) -> float:
-    """Full data functional: gamma data of (u, v) and of their time
-    derivatives (ut, vt) plus the squared H2 norms of the two t0 slices."""
-    g = u.grid
-    return (
-        _d_gamma_sq(u) + _d_gamma_sq(v) + _d_gamma_sq(ut) + _d_gamma_sq(vt)
-        + _h2_slice_sq(g, u.values[..., g.it0])
-        + _h2_slice_sq(g, v.values[..., g.it0])
-    )
-
-
 def _first_side_lhs(u: GridFn, prefix: str = "") -> dict[str, tuple[_Part, ...]]:
     """Backward-equation energy block: |ut|^2 + |uxx|^2 + (s lam phi)^2|grad|^2
     + (s lam phi)^4 |u|^2, all under the normalized weight."""
@@ -160,6 +150,79 @@ def _check_consistency(u: GridFn, v: GridFn, F: GridFn, G: GridFn,
             )
 
 
+_SYSTEM_KINDS = ("THM3", "LEMMA4")
+
+# the unweighted data functionals on each kind's right side: D_gamma^2 of u
+# and of v, and D0^2 (both of them, D_gamma^2 of u_t and v_t and the squared
+# H2 norms of the two t0 slices)
+_DATA_TERMS = {"LEMMA1": ("Du2",), "LEMMA2": ("Dv2",), "THM3": ("Du2", "Dv2"),
+               "LEMMA4": ("D02",), "ENERGY_3_8": ("D02",), "ENERGY_3_9": ("D02",)}
+
+
+def _require(kind: str, u, v, F, G, sources) -> None:
+    if kind not in ESTIMATE_KINDS:
+        raise ValueError(f"unknown estimate kind {kind!r}")
+    if kind == "LEMMA1" and u is None:
+        raise ValueError("LEMMA1 needs u")
+    if kind == "LEMMA2" and v is None:
+        raise ValueError("LEMMA2 needs v")
+    if kind in _SYSTEM_KINDS and any(x is None for x in (u, v, F, G)):
+        raise ValueError(f"{kind} needs (u, v, F, G)")
+    if kind in ENERGY_KINDS:
+        if sources is None:
+            raise ValueError(f"{kind} needs the factorized sources")
+        if u is None or v is None:
+            raise ValueError(f"{kind} needs u and v")
+
+
+def _data_functionals(u: Optional[GridFn], v: Optional[GridFn],
+                      keys: set[str]) -> dict[str, float]:
+    data: dict[str, float] = {}
+    if keys & {"Du2", "D02"}:
+        data["Du2"] = _d_gamma_sq(u)
+    if keys & {"Dv2", "D02"}:
+        data["Dv2"] = _d_gamma_sq(v)
+    if "D02" in keys:
+        g = u.grid
+        data["D02"] = (
+            data["Du2"] + data["Dv2"]
+            + _d_gamma_sq(diff(u, t_order=1)) + _d_gamma_sq(diff(v, t_order=1))
+            + _h2_slice_sq(g, u.values[..., g.it0])
+            + _h2_slice_sq(g, v.values[..., g.it0])
+        )
+    return data
+
+
+@dataclass
+class _Member:
+    """One instance on one grid, shared by every kind swept over it: the
+    states, the sources F, G and their factors, and the data functionals.
+
+    A sweep drops F and G once no later kind reads them."""
+
+    u: Optional[GridFn]
+    v: Optional[GridFn]
+    F: Optional[GridFn]
+    G: Optional[GridFn]
+    sources: Optional[SourceFactors]
+    data: dict[str, float]
+
+
+def _member(kinds: Sequence[str], u: Optional[GridFn], v: Optional[GridFn],
+            F: Optional[GridFn], G: Optional[GridFn], coeffs: CoeffSet,
+            sources: Optional[SourceFactors], *,
+            derived: bool = False) -> _Member:
+    """Validate one instance for ``kinds`` and compute its data functionals;
+    F and G are checked against the residual of (u, v) for the system kinds
+    unless they were ``derived`` from it."""
+    for kind in kinds:
+        _require(kind, u, v, F, G, sources)
+    if not derived and any(k in _SYSTEM_KINDS for k in kinds):
+        _check_consistency(u, v, F, G, coeffs)
+    keys = {key for kind in kinds for key in _DATA_TERMS[kind]}
+    return _Member(u, v, F, G, sources, _data_functionals(u, v, keys))
+
+
 @dataclass(frozen=True)
 class _InstanceTerms:
     """Everything of one inequality instance that does not depend on (lam, s).
@@ -177,44 +240,29 @@ class _InstanceTerms:
     slice_sq: Optional[np.ndarray] = None
 
 
-def _instance_terms(kind: str, u: Optional[GridFn], v: Optional[GridFn],
-                    F: Optional[GridFn], G: Optional[GridFn], coeffs: CoeffSet,
-                    sources: Optional[SourceFactors]) -> _InstanceTerms:
-    if kind not in ESTIMATE_KINDS:
-        raise ValueError(f"unknown estimate kind {kind!r}")
+def _instance_terms(kind: str, m: _Member, coeffs: CoeffSet) -> _InstanceTerms:
+    u, v, F, G = m.u, m.v, m.F, m.G
+    data = {key: m.data[key] for key in _DATA_TERMS[kind]}
 
     if kind == "LEMMA1":
-        if u is None:
-            raise ValueError("LEMMA1 needs u")
         op = diff(u, t_order=1).values + apply_operator("A", u, coeffs).values
         return _InstanceTerms(kind, _first_side_lhs(u),
-                              {"op": (_part(op, u.grid, 1),)},
-                              {"Du2": _d_gamma_sq(u)})
+                              {"op": (_part(op, u.grid, 1),)}, data)
 
     if kind == "LEMMA2":
-        if v is None:
-            raise ValueError("LEMMA2 needs v")
         op = diff(v, t_order=1).values - apply_operator("B", v, coeffs).values
         return _InstanceTerms(kind, _second_side_lhs(v),
-                              {"op": (_part(op, v.grid, 0),)},
-                              {"Dv2": _d_gamma_sq(v)})
+                              {"op": (_part(op, v.grid, 0),)}, data)
 
+    g = u.grid
     if kind == "THM3":
-        if any(x is None for x in (u, v, F, G)):
-            raise ValueError("THM3 needs (u, v, F, G)")
-        _check_consistency(u, v, F, G, coeffs)
-        g = u.grid
         return _InstanceTerms(
             kind, _first_side_lhs(u, "u_") | _second_side_lhs(v, "v_"),
             {"F": (_part(F.values, g, 1),), "G": (_part(G.values, g, 0),)},
-            {"Du2": _d_gamma_sq(u), "Dv2": _d_gamma_sq(v)},
+            data,
         )
 
     if kind == "LEMMA4":
-        if any(x is None for x in (u, v, F, G)):
-            raise ValueError("LEMMA4 needs (u, v, F, G)")
-        _check_consistency(u, v, F, G, coeffs)
-        g = u.grid
         y = diff(u, t_order=1)
         z = diff(v, t_order=1)
         return _InstanceTerms(
@@ -223,24 +271,18 @@ def _instance_terms(kind: str, u: Optional[GridFn], v: Optional[GridFn],
              "F": (_part(F.values, g, 1),),
              "Gt": (_part(diff(G, t_order=1).values, g, 0),),
              "G": (_part(G.values, g, 0),)},
-            {"D02": _d0_sq(u, v, y, z)},
+            data,
         )
 
     # energy-slice kinds
-    if sources is None:
-        raise ValueError(f"{kind} needs the factorized sources")
-    if u is None or v is None:
-        raise ValueError(f"{kind} needs u and v")
-    g = u.grid
-    ut = diff(u, t_order=1)
-    vt = diff(v, t_order=1)
+    sources = m.sources
     f_ext = np.broadcast_to(sources.f[..., None], g.shape)
     g_ext = np.broadcast_to(sources.g[..., None], g.shape)
-    dt0 = (ut if kind == "ENERGY_3_8" else vt).values[..., g.it0]
+    dt0 = diff(u if kind == "ENERGY_3_8" else v, t_order=1).values[..., g.it0]
     return _InstanceTerms(
         kind, {},
         {"f": (_part(f_ext, g, 1),), "g": (_part(g_ext, g, 0),)},
-        {"D02": _d0_sq(u, v, ut, vt)},
+        data,
         slice_sq=dt0**2,
     )
 
@@ -288,8 +330,8 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     Every unweighted data term carries the bundle's ``data_scale`` so that
     ratios are independent of the weight normalization.
     """
-    return _evaluate_terms(_instance_terms(kind, u, v, F, G, coeffs, sources),
-                           bundle, {})
+    member = _member((kind,), u, v, F, G, coeffs, sources)
+    return _evaluate_terms(_instance_terms(kind, member, coeffs), bundle, {})
 
 
 def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
@@ -300,7 +342,10 @@ def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
     if p < 0:
         raise ValueError("p must be >= 0")
     g = w.grid
-    cum = cumulative_trapezoid(w.values, dx=g.tau, axis=g.dim, initial=0.0)
+    # cumulative trapezoid rule along time, starting from 0 at the first node
+    y = w.values
+    steps = np.cumsum(g.tau * (y[..., 1:] + y[..., :-1]) / 2.0, axis=g.dim)
+    cum = np.concatenate((np.zeros_like(y[..., :1]), steps), axis=g.dim)
     inner = cum - cum[..., g.it0][..., None]
     factors: dict = {}
     lhs = _weighted((_part(inner, g, p),), bundle, factors)
@@ -426,28 +471,33 @@ class VerificationReport:
 EnsembleLike = Union[FunctionEnsemble, CaseEnsemble]
 
 
-def _iter_instances(kind: str, ensemble: EnsembleLike, coeffs: CoeffSet):
-    """Yield the (lam, s)-independent terms of each member, in order."""
+def _members(kinds: Sequence[str], ensemble: EnsembleLike,
+             coeffs: CoeffSet) -> list[_Member]:
+    """Every instance of the ensemble on its grid, built once for all kinds;
+    a function-ensemble member takes its residual as sources F, G when a
+    system kind needs them."""
     if isinstance(ensemble, CaseEnsemble):
-        for case in ensemble.cases:
-            yield _instance_terms(kind, case.u, case.v, case.F, case.G, coeffs,
-                                  case.sources)
-        return
+        return [_member(kinds, c.u, c.v, c.F, c.G, coeffs, c.sources)
+                for c in ensemble.cases]
+    system = any(k in _SYSTEM_KINDS for k in kinds)
+    out = []
     for m in ensemble.members:
-        if kind in ("THM3", "LEMMA4"):
-            F, G = residual("linear", m.u, m.v, coeffs=coeffs)
-        else:
-            F = G = None
-        yield _instance_terms(kind, m.u, m.v, F, G, coeffs, None)
+        F, G = residual("linear", m.u, m.v, coeffs=coeffs) if system else (None, None)
+        out.append(_member(kinds, m.u, m.v, F, G, coeffs, None, derived=True))
+    return out
 
 
-def _sweep(kind: str, ensemble: EnsembleLike, lam_grid, s_grid,
-           coeffs: CoeffSet, grid: Grid) -> tuple[list[EstimateRow], dict, list]:
-    eta = build_eta(grid, coeffs)
+def _sweep(kind: str, members: list[_Member], coeffs: CoeffSet, eta,
+           lam_grid, s_grid, grid: Grid, *,
+           last_source_reader: bool) -> tuple[list[EstimateRow], dict, list]:
+    instances = []
+    for m in members:
+        instances.append(_instance_terms(kind, m, coeffs))
+        if last_source_reader:
+            m.F = m.G = None  # freed member by member, so they never add to the terms
     rows: list[EstimateRow] = []
     cell_max: dict[tuple[float, float], float] = {}
     invalid: list[tuple[float, float]] = []
-    instances = list(_iter_instances(kind, ensemble, coeffs))
     for lam in lam_grid:
         for s in s_grid:
             bundle = eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
@@ -466,6 +516,20 @@ def _sweep(kind: str, ensemble: EnsembleLike, lam_grid, s_grid,
             if bad:
                 invalid.append((lam, s))
     return rows, cell_max, invalid
+
+
+def _grid_sweeps(kinds: Sequence[str], ensemble: EnsembleLike, lam_grid,
+                 s_grid, coeff_recipe: CoeffRecipe,
+                 grid: Grid) -> list[tuple[list[EstimateRow], dict, list]]:
+    """Sweep every kind on one grid.  The coefficients, the weight base and
+    the members are built once; each kind's terms live only for its sweep."""
+    coeffs = coeff_recipe.sample(grid)
+    eta = build_eta(grid, coeffs)
+    members = _members(kinds, ensemble, coeffs)
+    last = max((i for i, k in enumerate(kinds) if k in _SYSTEM_KINDS), default=-1)
+    return [_sweep(kind, members, coeffs, eta, lam_grid, s_grid, grid,
+                   last_source_reader=(i == last))
+            for i, kind in enumerate(kinds)]
 
 
 def _stabilization(lam_grid, s_grid, cell_max) -> tuple[dict, Optional[float]]:
@@ -487,24 +551,41 @@ def _stabilization(lam_grid, s_grid, cell_max) -> tuple[dict, Optional[float]]:
     return s0, lam0
 
 
-def estimate_constant(kind: str, ensemble: EnsembleLike,
+def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
                       lam_grid: Sequence[float], s_grid: Sequence[float],
                       coeff_recipe: CoeffRecipe, grid: Grid, *,
-                      refine: bool = True) -> VerificationReport:
+                      refine: bool = True
+                      ) -> Union[VerificationReport, tuple[VerificationReport, ...]]:
     """Sweep the large parameters over the ensemble and report the constant.
 
+    ``kind`` is one estimate kind, which gives one report, or a sequence of
+    kinds swept over the same ensemble, which gives one report per kind in
+    that order; the per-grid work (coefficients, weight base, refined
+    ensemble, sources, data functionals) is then done once for all of them.
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
     (closed-form members and coefficients are resampled exactly) and the
     drift of the constant is recorded.
     """
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if len(ensemble) == 0:
         raise ValueError("ensemble must be non-empty")
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
-    coeffs = coeff_recipe.sample(grid)
-    rows, cell_max, invalid = _sweep(kind, ensemble, lam_grid, s_grid, coeffs, grid)
+    sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid, coeff_recipe, grid)
+    fine_sweeps = [None] * len(kinds)
+    if refine:
+        fine = grid.refined(2)
+        fine_sweeps = _grid_sweeps(kinds, ensemble.resample(fine), lam_grid,
+                                   s_grid, coeff_recipe, fine)
+    reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)
+                    for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
+    return reports[0] if isinstance(kind, str) else reports
+
+
+def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep) -> VerificationReport:
+    rows, cell_max, invalid = sweep
     valid_vals = [v for c, v in cell_max.items() if c not in invalid]
     c_emp = max(valid_vals) if valid_vals else math.inf
     med = float(np.median(valid_vals)) if valid_vals else math.inf
@@ -513,12 +594,8 @@ def estimate_constant(kind: str, ensemble: EnsembleLike,
     s0, lam0 = _stabilization(lam_grid, s_grid, cell_max)
 
     drift = c_fine = None
-    if refine:
-        fine = grid.refined(2)
-        fine_coeffs = coeff_recipe.sample(fine)
-        fine_ens = ensemble.resample(fine)
-        _, fine_cells, fine_invalid = _sweep(kind, fine_ens, lam_grid, s_grid,
-                                             fine_coeffs, fine)
+    if fine_sweep is not None:
+        _, fine_cells, fine_invalid = fine_sweep
         fine_vals = [v for c, v in fine_cells.items() if c not in fine_invalid]
         c_fine = max(fine_vals) if fine_vals else math.inf
         drift = c_fine / c_emp if c_emp > 0 else math.inf

@@ -5,6 +5,7 @@ import pytest
 
 from mfglab.grid import (
     GridFn,
+    _fsum_quad,
     build_grid,
     diff,
     face_quad_weights,
@@ -142,6 +143,56 @@ def test_h21_interior_monotone_in_eps():
     eps_grid = [0.05, 0.1, 0.2, 0.3, 0.4]
     vals = [norm(f, "H21_interior", eps=e) for e in eps_grid]
     assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def exact_sum_inputs():
+    """Fixed-seed arrays: sizes 1 to 20k, exponent spreads up to 1e+-300,
+    cancellation, zeros, subnormals."""
+    rng = np.random.default_rng(2008)
+    for i, spread in enumerate([0, 1, 16, 50, 150, 300] * 12):
+        n = int(rng.integers(1, 20_000 if i % 6 == 0 else 400))
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
+        if i % 3 == 1:
+            a[rng.integers(0, n, n // 3 + 1)] = 0.0
+        if i % 4 == 2:
+            a = np.concatenate([a, -a[: n // 2]])  # exact cancellation
+        yield a
+    yield rng.standard_normal((33, 17)) ** 2 * 1e-3  # a 2-D quadrature array
+    yield np.array([5e-324, 5e-324, -1e-320, 2.5e-308])
+    yield np.full(1000, 5e-324)
+    yield rng.standard_normal(500) * 1e-310
+    yield np.array([1e308, 1e307, -1e308])
+    yield np.array([1e300, -1e300, 1e-300])
+    for zeros in (np.zeros(7), -np.zeros(7), np.array([0.0, -0.0]), np.zeros(0)):
+        yield zeros
+
+
+def crafted_ties():
+    """Sums that land on or next to a rounding tie of 1."""
+    for k in range(-8, 9):
+        yield np.array([1.0, 2.0**-53 * k, 2.0**-60])
+        yield np.array([1.0, 2.0**-53 * k, -(2.0**-60)])
+        yield np.array([1.0, 2.0**-53, 2.0**-106 * k, 2.0**-200])
+
+
+def test_exact_sum_equals_fsum_bitwise():
+    for a in [*exact_sum_inputs(), *crafted_ties()]:
+        assert same_float(_fsum_quad(a), math.fsum(a.ravel().tolist())), a
+
+
+def test_exact_sum_special_values_as_fsum():
+    assert math.isnan(_fsum_quad(np.array([1.0, np.nan])))
+    assert _fsum_quad(np.array([np.inf, 1.0, 5.0])) == math.inf
+    for a, err in ((np.array([np.inf, -np.inf]), ValueError),
+                   (np.array([1e308, 1e308, -1e308]), OverflowError)):
+        with pytest.raises(err):
+            math.fsum(a.tolist())
+        with pytest.raises(err):
+            _fsum_quad(a)
 
 
 def test_h21_interior_eps_validation():

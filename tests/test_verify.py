@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfglab
 import mfglab.coefficients
 import mfglab.grid
 import mfglab.models
@@ -95,9 +100,13 @@ def test_consistency_guard():
     g, coeffs, ens, bundle = setup(n=17)
     m = ens.members[0]
     F, G = residual("linear", m.u, m.v, coeffs=coeffs)
-    bad = GridFn(g, "space-time", F.values + 1.0)
-    with pytest.raises(ValueError, match="residual"):
-        evaluate_estimate("THM3", m.u, m.v, bad, G, coeffs, bundle)
+    bad_F = GridFn(g, "space-time", F.values + 1.0)
+    bad_G = GridFn(g, "space-time", G.values * (1.0 + 1e-6))
+    for kind in ("THM3", "LEMMA4"):
+        with pytest.raises(ValueError, match="F is not the residual"):
+            evaluate_estimate(kind, m.u, m.v, bad_F, G, coeffs, bundle)
+        with pytest.raises(ValueError, match="G is not the residual"):
+            evaluate_estimate(kind, m.u, m.v, F, bad_G, coeffs, bundle)
 
 
 def test_lemma4_and_single_sided_kinds_run():
@@ -157,6 +166,28 @@ def test_lemma3_brute_force_cross_check(p):
     lhs_bf, rhs_bf = brute_force_lemma3(w, p, bundle)
     assert abs(pair.lhs - lhs_bf) <= 1e-10 * max(lhs_bf, 1e-30)
     assert abs(pair.rhs - rhs_bf) <= 1e-10 * max(rhs_bf, 1e-30)
+
+
+def test_lemma3_antiderivative_is_scipy_cumulative_trapezoid():
+    from scipy.integrate import cumulative_trapezoid
+
+    g = build_grid((1.0, 2.0), 1.0, (7, 9), 11, ["x1+"])
+    bundle = eval_weight_bundle(build_eta(g), WeightParams(lam=1.0, s=4.0), g)
+    w = GridFn(g, "space-time", np.random.default_rng(4).normal(size=g.shape))
+    cum = cumulative_trapezoid(w.values, dx=g.tau, axis=g.dim, initial=0.0)
+    inner = cum - cum[..., g.it0][..., None]
+    lhs = float(np.sum(g.st_weights * inner * inner * bundle.weight_factor(1)))
+    assert lemma3_check(w, 1, bundle).lhs == lhs
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, mfglab; print('scipy.integrate' in sys.modules)"
+    src = str(Path(mfglab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_lemma3_constant_reproducible_pin():
@@ -302,6 +333,25 @@ def test_thm3_equals_direct_formula(dim):
                 assert (pair.lhs, pair.rhs) == direct_thm3(u, v, F, G, b)
 
 
+@pytest.mark.parametrize("kind", ["LEMMA4", "ENERGY_3_8", "ENERGY_3_9"])
+def test_d0_data_term_equals_direct_formula(kind):
+    ens, recipe, g, inputs = sweep_inputs(kind, members=2)
+    coeffs = recipe.sample(g)
+    eta = build_eta(g, coeffs)
+    bundle = eval_weight_bundle(eta, WeightParams(lam=1.0, s=1.0), g)
+    bundle = bundle.with_alpha_max(bundle.alpha_max + 0.07)  # data_scale != 1
+
+    def h2_t0(f):
+        return norm(GridFn(g, "spatial-slice", f.values[..., g.it0]), "H2_slice") ** 2
+
+    for u, v, F, G, sources in inputs:
+        pair = evaluate_estimate(kind, u, v, F, G, coeffs, bundle, sources=sources)
+        d0 = sum([norm(f, "D_gamma") ** 2 for f in
+                  (u, v, diff(u, t_order=1), diff(v, t_order=1))]
+                 + [h2_t0(u), h2_t0(v)])
+        assert pair.rhs_terms["D02"] == bundle.data_scale * d0
+
+
 def counting(monkeypatch, counts, owners, name):
     """Count the calls of ``name`` made through any of the owner modules."""
     orig = getattr(owners[0], name)
@@ -344,3 +394,55 @@ def test_sweep_work_independent_of_cell_count(kind, monkeypatch):
         assert len({c[0] for c in factor_calls}) == len(lams) * len(s_values)
     assert per_sweep[0]["diff"] > 0
     assert per_sweep[0] == per_sweep[1]
+
+
+# ---------------------------------------------------------------------------
+# one sweep call for several kinds does the per-grid work once
+
+
+FN_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4")
+
+
+@pytest.mark.parametrize("kinds", [FN_KINDS, ENERGY_KINDS])
+def test_multi_kind_reports_equal_one_kind_calls(kinds):
+    ens, recipe, g, _ = sweep_inputs(kinds[0])
+    together = estimate_constant(kinds, ens, LAMS, S_VALUES, recipe, g)
+    assert len(together) == len(kinds)
+    for kind, rep in zip(kinds, together):
+        alone = estimate_constant(kind, ens, LAMS, S_VALUES, recipe, g)
+        assert rep.kind == kind and rep.drift is not None
+        assert rep == alone  # rows, cell_max, c_emp, drift and the rest
+
+
+@pytest.mark.parametrize("kinds", [FN_KINDS, ENERGY_KINDS])
+def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, counts, [mfglab.models, mfglab.verify], "residual")
+    for cls, name in ((mfglab.basis.SeparableField, "sample"),
+                      (mfglab.models.CaseEnsemble, "resample"),
+                      (CoeffRecipe, "sample")):
+        orig = getattr(cls, name)
+
+        def counted(*args, _orig=orig, _key=f"{cls.__name__}.{name}", **kwargs):
+            counts[_key] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    ens, recipe, g, _ = sweep_inputs(kinds[0])
+    per_call = []
+    for group in (kinds[-1:], kinds):  # the last kind reads the sources
+        counts.clear()
+        estimate_constant(group, ens, LAMS, S_VALUES, recipe, g, refine=True)
+        per_call.append(dict(counts))
+    assert per_call[0] == per_call[1]
+    n = len(ens)
+    # each grid: one coefficient sample; the refined grid: one resample of
+    # the ensemble (a case samples its coefficients and takes the residual
+    # as its sources there); function-ensemble members: one residual each
+    if kinds == ENERGY_KINDS:
+        assert per_call[1] == {"CoeffRecipe.sample": 3, "CaseEnsemble.resample": 1,
+                               "SeparableField.sample": 2 * n, "residual": n}
+    else:
+        assert per_call[1] == {"CoeffRecipe.sample": 2,
+                               "SeparableField.sample": 2 * n, "residual": 2 * n}
