@@ -235,7 +235,8 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
                "converged": res.converged, "flags": res.flags,
                "normal_residual": res.normal_residual,
                "s_max": float(s[0]), "s_min": float(s[-1]),
-               "ridge_damped": int(np.sum(s * s < float(inv["beta"])))}
+               "ridge_damped": int(np.sum(s * s < float(inv["beta"]))),
+               "timings": res.timings}
     return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
 
 
@@ -268,6 +269,7 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
         "per_seed_slopes": {str(k): v for k, v in rep.per_seed_slopes.items()},
         "excluded": [list(e) for e in rep.excluded],
         "max_normal_residual": max(r.normal_residual for r in rep.rows),
+        "timings": rep.timings,
     }
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary,
                      extra_json={"slope": slope_payload})

@@ -11,14 +11,16 @@ The mixed-direction system never needs a well-posed direct solver this way.
 Solving the quadratic is numerically delicate: with the default ridge
 beta = 1e-10 the normal matrix has a condition number beyond double
 precision.  The minimizer is therefore computed by variable projection
-(Golub and Pereyra): the states are eliminated through one sparse
-factorization of their normal block, and the small reduced source system
-is solved through its SVD, where the ridge acts as the Tikhonov filter
-s / (s^2 + beta).  None of that depends on the data, the noise seed or
-beta, so it is built once as a ``SourceReduction`` and shared by every
-solve on the same system; a solve is one vector elimination, the filter
-and one back-solve for the states.  ``converged`` reports whether the
-relative normal-equation residual at the result meets ``tol``.
+(Golub and Pereyra): the states are eliminated through one Cholesky
+factorization of their normal block, which couples time levels at most two
+apart and is factored level by level in dense blocks, and the small
+reduced source system is solved through its SVD, where the ridge acts as
+the Tikhonov filter s / (s^2 + beta).  None of that depends on the data,
+the noise seed or beta, so it is built once as a ``SourceReduction`` and
+shared by every solve on the same system; a solve is one vector
+elimination, the filter and one back-solve for the states.  ``converged``
+reports whether the relative normal-equation residual at the result meets
+``tol``.
 
 A slice formula evaluated at t0 provides an independent oracle, and noise
 sweeps fit the log-log slope of the error against the data perturbation.
@@ -29,13 +31,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .coefficients import CoeffSet, apply_operator, operator_terms
 from .grid import (
@@ -162,7 +165,9 @@ class ReconstructionResult:
     quadrature weights; ``converged`` is ``normal_residual <= tol``.
     ``singular_values`` is the descending spectrum of the reduced source
     matrix in W-scaled coordinates (a source's norm there is its L2 norm).
-    The solve is direct, so ``iterations`` is always 0.
+    The solve is direct, so ``iterations`` is always 0.  ``timings`` holds
+    the stage seconds of the ``SourceReduction`` used (of its build, wherever
+    that happened) and ``solve_s``, the seconds of this solve.
     """
 
     f_hat: GridFn
@@ -178,6 +183,7 @@ class ReconstructionResult:
     rel_err_f: Optional[float] = None
     rel_err_g: Optional[float] = None
     iterations: int = 0
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 # -- sparse operators on the raveled space-time state ------------------------
@@ -297,9 +303,119 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
     return blocks, dim_x
 
 
+# -- the state factor: block Cholesky, level by level in time -----------------
+
+
+class _LevelCholesky:
+    """Cholesky factor ``K = L L^T`` of a sparse symmetric positive definite
+    matrix whose unknowns come in levels of ``b`` and that couples levels at
+    most two apart (the states ordered time level by time level: the time
+    derivative is a 3-point stencil and every other row acts within one
+    level).
+
+    ``L`` has the same block bandwidth.  Only the dense blocks ``L_kk`` and
+    ``L_{k,k-1}`` are stored, 2 b^2 entries per level; ``L_{k,k-2}`` is
+    applied as ``K_{k,k-2} L_{k-2,k-2}^-T`` from the sparse block of ``K``,
+    which is diagonal except next to the one-sided end stencils.  All dense
+    work goes through SciPy's BLAS and LAPACK: NumPy ships its own OpenBLAS
+    thread pool, and alternating the two pools on small blocks costs each
+    call milliseconds.  Every BLAS call works in place (``overwrite_*``) on
+    F-contiguous b x b or b x m blocks.
+    """
+
+    def __init__(self, k: sp.spmatrix, b: int):
+        n = k.shape[0]
+        if k.shape != (n, n) or b <= 0 or n % b:
+            raise ValueError(f"a {k.shape} matrix does not split into levels of {b}")
+        k = sp.csr_matrix(k)
+        k.sum_duplicates()
+        row = np.repeat(np.arange(n), np.diff(k.indptr))
+        reach = int(np.max(np.abs(row // b - k.indices // b), initial=0))
+        if reach > 2:
+            raise ValueError(f"the matrix couples levels {reach} apart; the level "
+                             f"Cholesky factor admits at most 2")
+        self.b, self.nt = b, n // b
+        self.diag = np.empty((b, b, self.nt), order="F")   # L_kk
+        self.sub = np.empty((b, b, self.nt), order="F")    # L_{k,k-1} at k
+        # K_{k,k-2} at k: its diagonal, and the rest where it has one
+        self.far_diag = np.zeros((b, self.nt))
+        self.far_rest: dict[int, sp.csr_matrix] = {}
+        for lev in range(self.nt):
+            lo = max(lev - 2, 0)
+            seg = slice(k.indptr[lev * b], k.indptr[(lev + 1) * b])
+            # this level's rows of K, from level lo to the diagonal, dense
+            band = np.zeros((b, (lev + 1 - lo) * b), order="F")
+            keep = k.indices[seg] < (lev + 1) * b
+            band[row[seg][keep] - lev * b, k.indices[seg][keep] - lo * b] = k.data[seg][keep]
+            lkk = self.diag[:, :, lev]
+            lkk[...] = band[:, -b:]
+            if lev >= 2:
+                far = band[:, :b]
+                self.far_diag[:, lev] = np.diagonal(far)
+                rest = far - np.diag(self.far_diag[:, lev])
+                if rest.any():
+                    self.far_rest[lev] = sp.csr_matrix(rest)
+                # x = L_{k,k-2} = K_{k,k-2} L_{k-2,k-2}^-T, used and dropped
+                x = blas.dtrsm(1.0, self.diag[:, :, lev - 2], far, side=1,
+                               lower=1, trans_a=1, overwrite_b=1)
+                blas.dsyrk(-1.0, x, 1.0, lkk, lower=1, overwrite_c=1)
+            if lev >= 1:
+                c = band[:, -2 * b:-b]
+                if lev >= 2:
+                    blas.dgemm(-1.0, x, self.sub[:, :, lev - 1], 1.0, c,
+                               trans_b=1, overwrite_c=1)
+                blas.dtrsm(1.0, self.diag[:, :, lev - 1], c, side=1, lower=1,
+                           trans_a=1, overwrite_b=1)
+                self.sub[:, :, lev] = c
+                blas.dsyrk(-1.0, c, 1.0, lkk, lower=1, overwrite_c=1)
+            _, info = lapack.dpotrf(lkk, lower=1, clean=0, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"matrix is not positive definite: the Cholesky factor breaks "
+                    f"down at level {lev} (LAPACK dpotrf info {info})")
+
+    def _far(self, lev: int, w: np.ndarray, trans: bool = False) -> np.ndarray:
+        """``K_{lev,lev-2} @ w``, or ``K_{lev,lev-2}^T @ w``."""
+        out = self.far_diag[:, lev:lev + 1] * w
+        rest = self.far_rest.get(lev)
+        if rest is not None:
+            out += (rest.T if trans else rest) @ w
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``K^-1 rhs`` for one vector or the columns of a matrix."""
+        b, nt = self.b, self.nt
+        rhs = np.asarray(rhs, dtype=float)
+        m = 1 if rhs.ndim == 1 else rhs.shape[1]
+        # y[:, :, k] is the F-contiguous b x m block of level k; a copy, since
+        # the solve works in place
+        y = np.array(rhs.reshape(nt, b, m).transpose(1, 2, 0), order="F")
+        for lev in range(nt):
+            yk = y[:, :, lev]
+            if lev >= 1:
+                blas.dgemm(-1.0, self.sub[:, :, lev], y[:, :, lev - 1], 1.0, yk,
+                           overwrite_c=1)
+            if lev >= 2:
+                w = blas.dtrsm(1.0, self.diag[:, :, lev - 2], y[:, :, lev - 2],
+                               lower=1, trans_a=1)
+                yk -= self._far(lev, w)
+            blas.dtrsm(1.0, self.diag[:, :, lev], yk, lower=1, overwrite_b=1)
+        for lev in range(nt - 1, -1, -1):
+            xk = y[:, :, lev]
+            if lev + 1 < nt:
+                blas.dgemm(-1.0, self.sub[:, :, lev + 1], y[:, :, lev + 1], 1.0, xk,
+                           trans_a=1, overwrite_c=1)
+            if lev + 2 < nt:
+                w = np.asfortranarray(self._far(lev + 2, y[:, :, lev + 2], trans=True))
+                xk -= blas.dtrsm(1.0, self.diag[:, :, lev], w, lower=1, overwrite_b=1)
+            blas.dtrsm(1.0, self.diag[:, :, lev], xk, lower=1, trans_a=1,
+                       overwrite_b=1)
+        return y.transpose(2, 0, 1).reshape(rhs.shape)
+
+
 # -- variable projection: reduce once, solve per data and ridge ---------------
 
-# entries of the dense reduced source matrix (8 bytes each) allowed
+# entries of the dense state factor and reduced source matrix (8 bytes each)
 _DENSE_LIMIT = 2.5e8
 # source columns eliminated per multi-right-hand-side state solve
 _CHUNK = 32
@@ -330,13 +446,17 @@ class SourceReduction:
     """The part of a reconstruction that no data, noise seed or ridge changes.
 
     With the weighted rows split by columns into the state block ``ay`` and
-    the source block ``az``, it holds the sparse LU of ``ay^T ay`` and the
-    projected source matrix R0 = (I - ay (ay^T ay)^-1 ay^T) az W^-1/2 in
-    factored form: R0 = q @ u @ diag(s) @ vt (economic QR, then the SVD of
-    the small triangular factor).  W is the quadrature weight of (f, g), so
-    ``s`` is the spectrum with respect to the L2 norm of the sources.  Built
-    by ``reduce_sources`` for one grid, coefficient set, q1/q2 and omega
-    weights (``key``); ``reconstruct`` refuses it for any other system.
+    the source block ``az``, it holds the level-by-level Cholesky factor of
+    ``ay^T ay`` (``chol``; the columns of ``ay`` are ordered time level by
+    time level, see ``_level_order``) and the projected source matrix
+    R0 = (I - ay (ay^T ay)^-1 ay^T) az W^-1/2 in factored form:
+    R0 = q @ u @ diag(s) @ vt (economic QR, then the SVD of the small
+    triangular factor).  W is the quadrature weight of (f, g), so ``s`` is
+    the spectrum with respect to the L2 norm of the sources.  Built by
+    ``reduce_sources`` for one grid, coefficient set, q1/q2 and omega weights
+    (``key``); ``reconstruct`` refuses it for any other system.  ``timings``
+    holds the seconds its stages took: ``assemble_s``, ``factor_s``,
+    ``eliminate_s`` and ``qr_svd_s``.
     """
 
     key: dict[str, object]
@@ -344,12 +464,20 @@ class SourceReduction:
     sqrt_w: np.ndarray
     ay: sp.csc_matrix
     az: sp.csc_matrix
-    lu: spla.SuperLU
+    chol: _LevelCholesky
     source_w: np.ndarray
     q: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
+    timings: dict[str, float]
+
+
+def _level_order(grid: Grid) -> np.ndarray:
+    """Column permutation from (u, v) stacked, each raveled (space, time), to
+    time level by time level, each level (u, v), each raveled in space."""
+    n_sp = int(np.prod(grid.space_shape))
+    return np.arange(2 * n_sp * grid.nt).reshape(2, n_sp, grid.nt).transpose(2, 0, 1).ravel()
 
 
 def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduction:
@@ -357,38 +485,53 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
 
     Reads the grid, coefficients and q1/q2 of ``data`` and the omega weights
     of ``cfg``; the observations and ``cfg.beta`` are not used.  An oversized
-    problem raises MemoryError with its size before any dense allocation; a
-    failed factorization raises as well.
+    problem raises MemoryError with the sizes of the dense state factor and
+    of the reduced source matrix before either is allocated; a matrix that
+    is not positive definite raises LinAlgError.
     """
+    timings: dict[str, float] = {}
+    lap = time.perf_counter()
+
+    def stage(name: str) -> None:
+        nonlocal lap
+        now = time.perf_counter()
+        timings[name] = now - lap
+        lap = now
+
+    g = data.grid
     blocks, dim_x = _build_blocks(data, cfg)
-    n_state = 2 * int(np.prod(data.grid.shape))
-    sqrt_w = np.concatenate([np.sqrt(blk.omega * blk.m) for blk in blocks])
-    A = sp.diags(sqrt_w) @ sp.vstack([blk.L for blk in blocks], format="csr")
-    rows, n_src = A.shape[0], dim_x - n_state
-    if rows * n_src > _DENSE_LIMIT:
+    n_state = 2 * int(np.prod(g.shape))
+    level = 2 * int(np.prod(g.space_shape))
+    rows = sum(blk.L.shape[0] for blk in blocks)
+    n_src = dim_x - n_state
+    n_factor, n_dense = 2 * level * n_state, rows * n_src
+    if n_factor + n_dense > _DENSE_LIMIT:
         raise MemoryError(
-            f"reduced source matrix would be dense {rows} rows x {n_src} sources "
-            f"= {rows * n_src:.3g} entries ({8e-9 * rows * n_src:.1f} GB), "
+            f"state factor 2 x {level}^2 x {g.nt} levels = {n_factor:.3g} entries "
+            f"plus reduced source matrix {rows} rows x {n_src} sources = "
+            f"{n_dense:.3g} entries ({8e-9 * (n_factor + n_dense):.1f} GB), "
             f"above the {_DENSE_LIMIT:.3g}-entry limit")
-    ay = A[:, :n_state].tocsc()
-    az = A[:, n_state:].tocsc()
-    # ay^T ay is symmetric positive definite: diagonal pivots are stable, and
-    # a symmetric ordering fills less than COLAMD (at 97^2, 6.4M against 8.0M
-    # factor entries, and 3.8M against 5.5M on a 13^3 2D grid)
-    lu = spla.splu((ay.T @ ay).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    source_w = np.tile(data.grid.space_weights.ravel(), 2)
+    sqrt_w = np.concatenate([np.sqrt(blk.omega * blk.m) for blk in blocks])
+    A = (sp.diags(sqrt_w) @ sp.vstack([blk.L for blk in blocks], format="csr")).tocsc()
+    ay = A[:, _level_order(g)]
+    az = A[:, n_state:]
+    stage("assemble_s")
+    chol = _LevelCholesky(ay.T @ ay, level)
+    stage("factor_s")
+    source_w = np.tile(g.space_weights.ravel(), 2)
     # Fortran order lets the QR below overwrite R0 with its orthonormal factor
     r0 = np.empty((rows, n_src), order="F")
     for j in range(0, n_src, _CHUNK):
         cols = az[:, j:j + _CHUNK]
-        r0[:, j:j + _CHUNK] = cols.toarray() - ay @ lu.solve((ay.T @ cols).toarray())
+        r0[:, j:j + _CHUNK] = cols.toarray() - ay @ chol.solve((ay.T @ cols).toarray())
     r0 /= np.sqrt(source_w)
+    stage("eliminate_s")
     q, t = sla.qr(r0, mode="economic", overwrite_a=True)
     u, s, vt = np.linalg.svd(t)
+    stage("qr_svd_s")
     return SourceReduction(key=_system_key(data, cfg), blocks=tuple(blocks),
-                           sqrt_w=sqrt_w, ay=ay, az=az, lu=lu, source_w=source_w,
-                           q=q, u=u, s=s, vt=vt)
+                           sqrt_w=sqrt_w, ay=ay, az=az, chol=chol, source_w=source_w,
+                           q=q, u=u, s=s, vt=vt, timings=timings)
 
 
 def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
@@ -418,19 +561,20 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     if cfg.beta == 0.0 and data.delta > 0.0:
         flags.append("beta=0 with noisy data: ridge-free fit is ill-advised")
     red = reduce_sources(data, cfg) if reduction is None else reduction
+    solve_start = time.perf_counter()
     key = _system_key(data, cfg)
     stale = [name for name in key if key[name] != red.key[name]]
     if stale:
         raise ValueError("the reduction was built for a different "
                          + ", ".join(stale) + " than this reconstruction's")
 
-    ay, az, lu = red.ay, red.az, red.lu
+    ay, az, chol = red.ay, red.az, red.chol
     b = red.sqrt_w * np.concatenate([blk.rhs(data) for blk in red.blocks])
     ayt_b = ay.T @ b
-    b_perp = b - ay @ lu.solve(ayt_b)
+    b_perp = b - ay @ chol.solve(ayt_b)
     phi = _filter(red.s, cfg.beta, b.size)
     z = (red.vt.T @ (phi * (red.u.T @ (red.q.T @ b_perp)))) / np.sqrt(red.source_w)
-    y = lu.solve(ay.T @ (b - az @ z))
+    y = chol.solve(ay.T @ (b - az @ z))
     res = ay @ y + az @ z - b
 
     grad = np.linalg.norm(np.concatenate(
@@ -454,14 +598,17 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
         for name, part in (("ridge_f", slice(0, n_sp)), ("ridge_g", slice(n_sp, None))):
             terms[name] = cfg.beta * float(np.dot(z[part], red.source_w[part] * z[part]))
 
+    states = np.empty_like(y)
+    states[_level_order(g)] = y
     result = ReconstructionResult(
         f_hat=GridFn(g, SPATIAL_SLICE, z[:n_sp].reshape(g.space_shape)),
         g_hat=GridFn(g, SPATIAL_SLICE, z[n_sp:].reshape(g.space_shape)),
-        u_hat=GridFn(g, SPACE_TIME, y[:n_st].reshape(g.shape)),
-        v_hat=GridFn(g, SPACE_TIME, y[n_st:].reshape(g.shape)),
+        u_hat=GridFn(g, SPACE_TIME, states[:n_st].reshape(g.shape)),
+        v_hat=GridFn(g, SPACE_TIME, states[n_st:].reshape(g.shape)),
         objective=float(sum(terms.values())), objective_terms=terms,
         normal_residual=normal_residual, converged=converged,
         singular_values=red.s.copy(), flags=flags,
+        timings={**red.timings, "solve_s": time.perf_counter() - solve_start},
     )
     if truth is not None:
         f_true, g_true = truth
@@ -532,6 +679,7 @@ class StabilityReport:
     slope_mean: float
     slope_spread: float
     excluded: tuple[tuple[float, int], ...]
+    timings: dict[str, float]
 
 
 def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
@@ -547,7 +695,8 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     Reconstructions whose normal residual misses ``cfg.tol`` are excluded
     and listed.  The grid must have at least 4 positive deltas spanning two
     decades.  Every solve shares one ``SourceReduction``: the system is
-    the same, only the data and the ridge change.
+    the same, only the data and the ridge change.  ``timings`` holds the
+    reduction's stage seconds and ``solve_s`` summed over the solves.
 
     By default the interior snapshots stay exact and only the lateral
     traces are perturbed: white noise on a slice enters the recovery
@@ -570,6 +719,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     rows: list[StabilityRow] = []
     excluded: list[tuple[float, int]] = []
     reduction: Optional[SourceReduction] = None
+    solve_s = 0.0
     for delta in deltas:
         beta = float(beta_rule(delta))
         run_cfg = dataclasses.replace(base, beta=beta)
@@ -578,6 +728,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
             if reduction is None:
                 reduction = reduce_sources(data, run_cfg)
             res = reconstruct(data, run_cfg, reduction=reduction)
+            solve_s += res.timings["solve_s"]
             err_f = _abs_l2(g, res.f_hat.values - truth[0])
             err_g = _abs_l2(g, res.g_hat.values - truth[1])
             row = StabilityRow(delta, int(seed), err_f, err_g, err_f + err_g,
@@ -609,6 +760,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
         slope_mean=float(np.mean(vals)) if vals else math.nan,
         slope_spread=float(np.max(vals) - np.min(vals)) if vals else math.nan,
         excluded=tuple(excluded),
+        timings={**reduction.timings, "solve_s": solve_s},
     )
 
 

@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .coefficients import CoeffSet
 from .grid import SPACE_TIME, Grid, GridFn, apply_stencil
@@ -404,15 +403,33 @@ def _stencil_dphi(bundle: WeightBundle, axis: int) -> np.ndarray:
     return apply_stencil(bundle.phi_interior, bundle.grid.hs[axis], 1, axis)
 
 
+def _golden_max(fun, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Maximizer of a unimodal ``fun`` on [lo, hi] and its value, by golden
+    section search until the bracket is at most ``xatol`` wide."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    steps = max(0, math.ceil(math.log(xatol / (hi - lo)) / math.log(shrink)))
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = fun(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
 def _xi_maximizer_errors(m: int, s: float, c2: float) -> tuple[float, float]:
     xi_star = m / (2.0 * s * c2)
     max_star = xi_star**m * math.exp(-m)
 
-    def neg(x):
-        return -(x**m) * math.exp(-2.0 * s * c2 * x)
+    def fun(x):
+        return (x**m) * math.exp(-2.0 * s * c2 * x)
 
-    res = minimize_scalar(neg, bounds=(0.0, 20.0 * xi_star), method="bounded",
-                          options={"xatol": xi_star * 1e-12})
-    loc_err = abs(res.x - xi_star) / xi_star
-    val_err = abs(-res.fun - max_star) / max_star
+    x, val = _golden_max(fun, 0.0, 20.0 * xi_star, xi_star * 1e-12)
+    loc_err = abs(x - xi_star) / xi_star
+    val_err = abs(val - max_star) / max_star
     return float(loc_err), float(val_err)

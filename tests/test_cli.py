@@ -111,6 +111,34 @@ def test_legacy_maxiter_key_has_no_effect(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+@pytest.mark.parametrize("experiment,inverse", [
+    ("reconstruct", "{delta: 1.0e-2, beta: 1.0e-4}"),
+    ("stability-sweep", "{deltas: [1.0e-3, 1.0e-2, 3.0e-2, 1.0e-1], seeds: [0, 1, 2],"
+                        " omega_bc: 1000.0, omega_slice: 1000.0, omega_gamma: 1.0,"
+                        " omega_pde: 10.0}"),
+])
+def test_inverse_stage_timings_outside_output_hash(tmp_path, experiment, inverse):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        f"experiment: {experiment}\n"
+        "grid: {nx: [17], nt: 17, gamma: [x-, x+]}\n"
+        "ensemble: {seed: 3, n: 1, max_modes: 2, t_degree: 2}\n"
+        "sources: {q_min: 0.02}\n"
+        f"inverse: {inverse}\n",
+        encoding="utf-8",
+    )
+    reports = []
+    for name in ("o1", "o2"):
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for report in reports:
+        timings = report["summary"]["timings"]
+        assert set(timings) == {"assemble_s", "factor_s", "eliminate_s", "qr_svd_s",
+                                "solve_s"}
+        assert all(v >= 0.0 for v in timings.values())
+    assert reports[0]["output_hash"] == reports[1]["output_hash"]
+
+
 def test_even_nt_config_fails_with_code_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("experiment: verify-weights\ngrid: {nt: 16}\n",

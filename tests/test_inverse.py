@@ -196,6 +196,23 @@ def test_oversized_reduction_raises_with_size(monkeypatch):
         reconstruct(make_inverse_data(case, 0.0, 0), TUNED)
 
 
+def test_factor_alone_trips_size_guard_before_factoring(monkeypatch):
+    case, f, gg = build_case(n=17)
+    data = make_inverse_data(case, 0.0, 0)
+    blocks, _ = inverse._build_blocks(data, TUNED)
+    r0_entries = sum(blk.L.shape[0] for blk in blocks) * 2 * f.size
+    factor_entries = 2 * (2 * f.size) ** 2 * case.grid.nt
+    # the reduced source matrix fits, the factor on top of it does not
+    monkeypatch.setattr(inverse, "_DENSE_LIMIT", r0_entries + factor_entries - 1)
+
+    def factor(*args):
+        raise AssertionError("factored before the size check")
+
+    monkeypatch.setattr(inverse, "_LevelCholesky", factor)
+    with pytest.raises(MemoryError, match=r"state factor 2 x 34\^2 x 17 levels .* 34 sources"):
+        inverse.reduce_sources(data, TUNED)
+
+
 def test_q_scaling_halves_recovered_factor():
     case, f, gg = build_case(n=17)
     data = make_inverse_data(case, 0.0, 0)
@@ -429,3 +446,58 @@ def test_true_state_zeroes_pde_and_data_blocks(build):
     for name in exact:
         blk = by_name[name]
         assert np.array_equal(blk.L @ x, rhs[name]), name
+
+
+# -- the level-by-level Cholesky factor of the state block --------------------
+
+
+def random_system(dims, omega_bc):
+    """A reduction on a random coefficient set (every operator term on) with
+    random modulations; the rows need no observations."""
+    nx = (17,) if len(dims) == 1 else (7, 6)
+    nt = 17 if len(dims) == 1 else 9
+    gamma = ["x-", "x+"] if len(dims) == 1 else ["x1+", "x2-"]
+    g = build_grid(dims, 1.0, nx, nt, gamma)
+    rng = np.random.default_rng(5)
+    data = InverseData(g, random_coeffs(g, rng), {}, None, None,
+                       1.0 + 0.2 * rng.standard_normal(g.shape),
+                       1.0 + 0.2 * rng.standard_normal(g.shape), 0.0, 0)
+    return inverse.reduce_sources(data, dataclasses.replace(TUNED, omega_bc=omega_bc))
+
+
+@pytest.mark.parametrize("omega_bc", [0.0, 1000.0])
+@pytest.mark.parametrize("dims", [(1.0,), (1.0, 2.0)], ids=["1d-17", "2d-7x6x9"])
+def test_level_cholesky_solves_as_spsolve(dims, omega_bc):
+    """The relative residual ||K x - r|| / (||K|| ||x||) of the factor's
+    solves, and of their difference to SuperLU's, is at roundoff."""
+    import scipy.sparse.linalg as spla
+
+    red = random_system(dims, omega_bc)
+    k = (red.ay.T @ red.ay).tocsc()
+    k_norm = spla.norm(k, 1)
+    rng = np.random.default_rng(6)
+    for rhs in (rng.standard_normal(k.shape[0]), rng.standard_normal((k.shape[0], 5))):
+        x = red.chol.solve(rhs)
+        x_ref = spla.spsolve(k, rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(k @ x - rhs) <= 1e-12 * k_norm * np.linalg.norm(x)
+        assert np.linalg.norm(k @ (x - x_ref)) <= 1e-12 * k_norm * np.linalg.norm(x_ref)
+
+
+def test_level_cholesky_refuses_wider_time_coupling():
+    b, levels = 3, 6
+    k = sp.lil_matrix(4.0 * sp.eye(b * levels))
+    k[1, 3 * b + 1] = k[3 * b + 1, 1] = 1.0
+    with pytest.raises(ValueError, match="couples levels 3 apart"):
+        inverse._LevelCholesky(k.tocsr(), b)
+    with pytest.raises(ValueError, match="levels of 4"):
+        inverse._LevelCholesky(sp.eye(b * levels, format="csr"), 4)
+
+
+def test_level_cholesky_rejects_indefinite_matrix():
+    red = random_system((1.0,), 0.0)
+    k = (red.ay.T @ red.ay).tolil()
+    b = red.chol.b
+    k[3 * b + 2, 3 * b + 2] = -1.0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite.*level 3"):
+        inverse._LevelCholesky(k.tocsr(), b)
