@@ -33,7 +33,6 @@ from .models import (
     make_nonlinear_pair,
     mms_case_ensemble,
     mms_linear,
-    picard_solve,
     residual,
 )
 from .statedet import CepsReport, NonlinearRecipe, thm1_experiment, thm4_experiment

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -135,9 +135,11 @@ class SeparableField:
             out += term.coeff * fn * np.multiply.outer(ft, tfac**term.tpow)
         return out
 
-    def max_abs_face_dx(self, grid: Grid, face: Face) -> float:
-        """Max absolute exact normal-direction derivative on a face."""
-        d = self.dx(face.axis)
+    def max_abs_face_dx(self, grid: Grid, face: Face,
+                        axis: Optional[int] = None) -> float:
+        """Max absolute exact derivative along ``axis`` on a face (default:
+        the face normal)."""
+        d = self.dx(face.axis if axis is None else axis)
         if not d.terms:
             return 0.0
         return float(np.max(np.abs(d.sample_face(grid, face))))

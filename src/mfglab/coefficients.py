@@ -19,7 +19,6 @@ import numpy as np
 from .grid import (
     BOUNDARY_TRACE,
     SPACE_TIME,
-    Face,
     Grid,
     GridFn,
     diff,
@@ -314,17 +313,10 @@ def conormal(f: GridFn, c: CoeffSet, which: str = "A") -> GridFn:
     traces = {}
     for face in g.all_faces():
         sign = 1.0 if face.side == 1 else -1.0
-        acc = np.zeros(_trace_shape(g, face))
-        for j in range(g.dim):
-            acc += face_values(g, m2[face.axis, j], face) * face_values(g, grads[j], face)
-        traces[face] = sign * acc
+        traces[face] = sign * sum(face_values(g, m2[face.axis, j], face)
+                                  * face_values(g, grads[j], face)
+                                  for j in range(g.dim))
     return GridFn(g, BOUNDARY_TRACE, traces)
-
-
-def _trace_shape(g: Grid, face: Face) -> tuple[int, ...]:
-    if g.dim == 1:
-        return (g.nt,)
-    return (g.nx[1 - face.axis], g.nt)
 
 
 def coefficient_bound(c: CoeffSet) -> float:

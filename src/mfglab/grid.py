@@ -8,9 +8,8 @@ spatial axes first and time last, ``values[ix, (iy,), it]``.
 The stencil weights are written here and only here, in :func:`stencil`.
 Field derivatives apply those 1-D matrices along an axis
 (:func:`apply_stencil`); least-squares assembly embeds the same matrices in
-the raveled space-time lattice (:func:`derivative_matrix`).  The only other
-closure in the package is the mirror-point one of the experimental
-alternating solver in ``models``.
+the raveled space-time lattice (:func:`derivative_matrix`).  There is no
+other closure in the package.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -29,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -368,15 +367,13 @@ def kron_axes(sizes: Sequence[int], factors: Mapping[int, sp.spmatrix]) -> sp.cs
 
 
 def derivative_matrix(sizes: Sequence[int], spacings: Sequence[float],
-                      axes: Sequence[int],
-                      one_d: Callable[[int, float, int], sp.spmatrix] = stencil,
-                      ) -> sp.csr_matrix:
+                      axes: Sequence[int]) -> sp.csr_matrix:
     """Sparse derivative along ``axes`` on the raveled lattice ``sizes``.
 
     An axis listed twice is a second derivative, two distinct axes a mixed
-    one; ``one_d(n, h, order)`` supplies the 1-D matrices.
+    one; the 1-D matrices are those of :func:`stencil`.
     """
-    return kron_axes(sizes, {ax: one_d(sizes[ax], spacings[ax], k)
+    return kron_axes(sizes, {ax: stencil(sizes[ax], spacings[ax], k)
                              for ax, k in Counter(axes).items()})
 
 

@@ -9,9 +9,9 @@ Hamilton-Jacobi-type backward equation to a transport-diffusion forward
 equation.  The mixed time directions make the direct initial/terminal value
 problem awkward, so all quantitative experiments consume manufactured cases:
 states built from the cosine basis, sources defined as exact residuals, and
-data extracted from the states.  A damped alternating-sweep solver is
-included as a clearly experimental extra; divergence is a reported outcome,
-not a bug.
+data extracted from the states.  No forward solver is included: the results
+concern given solutions, and the inverse builds its states from its own
+least-squares rows.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import SeparableField, random_cosine_field
 from .coefficients import (
@@ -30,10 +28,9 @@ from .coefficients import (
     NonlinearCoeffs,
     SourceFactors,
     apply_operator,
-    operator_terms,
     sample_spatial,
 )
-from .grid import SPACE_TIME, Face, Grid, GridFn, derivative_matrix, diff, face_values
+from .grid import SPACE_TIME, Face, Grid, GridFn, diff, face_values
 
 __all__ = [
     "CaseData",
@@ -42,12 +39,10 @@ __all__ = [
     "ManufacturedCase",
     "MmsRejected",
     "NonlinearPair",
-    "PicardResult",
     "analytic_linear_residuals",
     "make_nonlinear_pair",
     "mms_case_ensemble",
     "mms_linear",
-    "picard_solve",
     "residual",
 ]
 
@@ -228,32 +223,30 @@ def analytic_linear_residuals(u_field: SeparableField, v_field: SeparableField,
     return ru, rv
 
 
+def max_exact_conormal(fld: SeparableField, m2: np.ndarray, grid: Grid,
+                       face: Face) -> float:
+    """Bound sum_j max|m2[axis, j]| * max|d_j fld| of the exact conormal of
+    ``fld`` on ``face``, with the coefficients read on that face."""
+    worst = 0.0
+    for j in range(grid.dim):
+        coef = float(np.max(np.abs(face_values(grid, m2[face.axis, j], face))))
+        if coef != 0.0:
+            worst += coef * fld.max_abs_face_dx(grid, face, j)
+    return worst
+
+
 def _check_conormal_exact(fld: SeparableField, coeffs: CoeffSet, which: str,
                           name: str) -> None:
     g = coeffs.grid
     m2 = coeffs.a2 if which == "A" else coeffs.b2
     for face in g.all_faces():
-        worst = 0.0
-        for j in range(g.dim):
-            coef = float(np.max(np.abs(face_values(g, m2[face.axis, j], face))))
-            if coef == 0.0:
-                continue
-            worst += coef * fld.max_abs_face_dx(g, face) if j == face.axis else \
-                coef * _max_abs_face_tangential_dx(fld, g, face, j)
+        worst = max_exact_conormal(fld, m2, g, face)
         if worst > CONORMAL_TOL:
             raise MmsRejected(
                 f"conormal of {name} on {face.label()} reaches {worst:.3g} "
                 f"(need <= {CONORMAL_TOL}); use cosine states with diagonal "
                 f"principal coefficients"
             )
-
-
-def _max_abs_face_tangential_dx(fld: SeparableField, g: Grid, face: Face,
-                                j: int) -> float:
-    d = fld.dx(j)
-    if not d.terms:
-        return 0.0
-    return float(np.max(np.abs(d.sample_face(g, face))))
 
 
 def extract_case_data(grid: Grid, u: GridFn, v: GridFn) -> CaseData:
@@ -459,163 +452,3 @@ def make_nonlinear_pair(u1_field, v1_field, u2_field, v2_field,
                          u2_field=u2_field, v2_field=v2_field,
                          F1=F1, G1=G1, F2=F2, G2=G2, m1=m1)
 
-
-# ---------------------------------------------------------------------------
-# experimental alternating solver
-
-
-@dataclass
-class PicardResult:
-    u: GridFn
-    v: GridFn
-    converged: bool
-    diverged: bool
-    iterations: int
-    residual_history: list[float]
-    update_history: list[float]
-    message: str = ""
-
-
-def _neumann_d2(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    m = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    m[0, 1] = 2.0
-    m[-1, -2] = 2.0
-    return (m / h**2).tocsr()
-
-
-def _neumann_d1(n: int, h: float) -> sp.csr_matrix:
-    off = np.full(n - 1, 0.5)
-    m = sp.diags([-off, off], [-1, 1], format="lil")
-    m[0, 1] = 0.0       # mirror node: derivative vanishes on the face
-    m[-1, -2] = 0.0
-    return (m / h).tocsr()
-
-
-def _mirror_stencil(n: int, h: float, order: int) -> sp.csr_matrix:
-    return _neumann_d1(n, h) if order == 1 else _neumann_d2(n, h)
-
-
-def _slice_operators(kind: str, coeffs: CoeffSet) -> list[sp.csr_matrix]:
-    """Sparse A(t), B(t) or A0(t) on every time slice, mirror closure.
-
-    Only diagonal principal parts are supported in A and B; mixed second
-    derivatives have no clean mirror closure there and the manufactured
-    experiments never need them.
-    """
-    grid = coeffs.grid
-    terms = operator_terms(kind, coeffs)
-    if kind != "A0" and any(len(set(axes)) == 2 and np.any(coef) for coef, axes in terms):
-        raise ValueError("picard_solve supports diagonal principal coefficients only")
-    ops = [(coef, derivative_matrix(grid.nx, grid.hs, axes, one_d=_mirror_stencil))
-           for coef, axes in terms]
-    nsp = int(np.prod(grid.nx))
-    mats = []
-    for it in range(grid.nt):
-        acc = sp.csr_matrix((nsp, nsp))
-        for coef, op in ops:
-            acc = acc + sp.diags(coef[..., it].ravel()) @ op
-        mats.append(acc.tocsr())
-    return mats
-
-
-def picard_solve(terminal_u: np.ndarray, initial_v: np.ndarray,
-                 F: GridFn, G: GridFn, coeffs: CoeffSet, *,
-                 damping: float = 1.0, maxiter: int = 50,
-                 tol: float = 1e-10) -> PicardResult:
-    """Damped alternating solve of the coupled system (experimental).
-
-    Sweeps alternate an implicit-Euler backward march for u (terminal data,
-    current v frozen) with an implicit-Euler forward march for v (initial
-    data, fresh u frozen), then average with the damping factor.  Returns
-    when the relative update drops below ``tol``; a residual rebound of 10x
-    over its running minimum is reported as divergence (the coupled problem
-    carries no well-posedness guarantee).
-    """
-    grid = coeffs.grid
-    nsp = int(np.prod(grid.nx))
-    nt, tau = grid.nt, grid.tau
-    terminal_u = np.asarray(terminal_u, dtype=float).reshape(grid.space_shape)
-    initial_v = np.asarray(initial_v, dtype=float).reshape(grid.space_shape)
-
-    a_mats = _slice_operators("A", coeffs)
-    b_mats = _slice_operators("B", coeffs)
-    a0_mats = _slice_operators("A0", coeffs)
-    eye = sp.identity(nsp, format="csr")
-    solve_u = [spla.factorized((eye / tau - a_mats[it]).tocsc())
-               for it in range(nt - 1)]
-    solve_v = [spla.factorized((eye / tau - b_mats[it]).tocsc())
-               for it in range(1, nt)]
-
-    Fv = F.values.reshape(nsp, nt)
-    Gv = G.values.reshape(nsp, nt)
-    c0 = coeffs.c0.reshape(nsp, nt)
-
-    u = np.zeros((nsp, nt))
-    v = np.zeros((nsp, nt))
-    u[:, -1] = terminal_u.ravel()
-    v[:, 0] = initial_v.ravel()
-
-    res_hist: list[float] = []
-    upd_hist: list[float] = []
-    res_min = np.inf
-    converged = diverged = False
-    it_count = 0
-    msg = ""
-    for sweep in range(1, maxiter + 1):
-        it_count = sweep
-        u_old, v_old = u.copy(), v.copy()
-        # backward march: (I/tau - A_n) u_n = u_{n+1}/tau - c0 v_n - F_n
-        u_new = u.copy()
-        for n in range(nt - 2, -1, -1):
-            rhs = u_new[:, n + 1] / tau - c0[:, n] * v[:, n] - Fv[:, n]
-            u_new[:, n] = solve_u[n](rhs)
-        u = (1.0 - damping) * u + damping * u_new
-        u[:, -1] = terminal_u.ravel()
-        # forward march: (I/tau - B_{n+1}) v_{n+1} = v_n/tau + A0 u_{n+1} + G_{n+1}
-        v_new = v.copy()
-        for n in range(nt - 1):
-            rhs = v_new[:, n] / tau + a0_mats[n + 1] @ u[:, n + 1] + Gv[:, n + 1]
-            v_new[:, n + 1] = solve_v[n](rhs)
-        v = (1.0 - damping) * v + damping * v_new
-        v[:, 0] = initial_v.ravel()
-
-        res = _scheme_residual(u, v, a_mats, b_mats, a0_mats, c0, Fv, Gv, tau)
-        res_hist.append(res)
-        upd = _rel_update(u, u_old, v, v_old)
-        upd_hist.append(upd)
-        if not np.isfinite(res) or res > 10.0 * res_min:
-            diverged = True
-            msg = (f"scheme residual {res:.3g} exceeds 10x its minimum "
-                   f"{res_min:.3g} at sweep {sweep}")
-            break
-        res_min = min(res_min, res)
-        if upd < tol:
-            converged = True
-            break
-    if not converged and not diverged:
-        msg = f"no convergence in {maxiter} sweeps (last update {upd_hist[-1]:.3g})"
-    u_fn = GridFn(grid, SPACE_TIME, u.reshape(grid.shape))
-    v_fn = GridFn(grid, SPACE_TIME, v.reshape(grid.shape))
-    return PicardResult(u=u_fn, v=v_fn, converged=converged, diverged=diverged,
-                        iterations=it_count, residual_history=res_hist,
-                        update_history=upd_hist, message=msg)
-
-
-def _scheme_residual(u, v, a_mats, b_mats, a0_mats, c0, Fv, Gv, tau) -> float:
-    nt = u.shape[1]
-    total = 0.0
-    for n in range(nt - 1):
-        ru = (u[:, n + 1] - u[:, n]) / tau + a_mats[n] @ u[:, n] \
-            - c0[:, n] * v[:, n] - Fv[:, n]
-        rv = (v[:, n + 1] - v[:, n]) / tau - b_mats[n + 1] @ v[:, n + 1] \
-            - a0_mats[n + 1] @ u[:, n + 1] - Gv[:, n + 1]
-        total += float(np.sum(ru * ru) + np.sum(rv * rv))
-    return float(np.sqrt(total * tau))
-
-
-def _rel_update(u, u_old, v, v_old) -> float:
-    num = np.sqrt(np.sum((u - u_old) ** 2) + np.sum((v - v_old) ** 2))
-    den = np.sqrt(np.sum(u * u) + np.sum(v * v))
-    return float(num / den) if den > 0 else float(num)

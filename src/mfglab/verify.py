@@ -20,7 +20,7 @@ import numpy as np
 from .basis import SeparableField, random_cosine_field
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
 from .grid import SPACE_TIME, SPATIAL_SLICE, Grid, GridFn, diff, norm
-from .models import CaseEnsemble, residual
+from .models import CaseEnsemble, max_exact_conormal, residual
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
 __all__ = [
@@ -396,22 +396,10 @@ class FunctionEnsemble:
     def max_exact_conormal(self, coeffs: CoeffSet) -> float:
         """Largest exact conormal trace over members and faces (should sit at
         roundoff for cosine states with diagonal principal parts)."""
-        worst = 0.0
-        for m in self.members:
-            for fld, m2 in ((m.u_field, coeffs.a2), (m.v_field, coeffs.b2)):
-                for face in self.grid.all_faces():
-                    acc = 0.0
-                    for j in range(self.grid.dim):
-                        coef = float(np.max(np.abs(m2[face.axis, j])))
-                        if coef == 0.0:
-                            continue
-                        d = fld.dx(j)
-                        if d.terms:
-                            acc += coef * float(
-                                np.max(np.abs(d.sample_face(self.grid, face)))
-                            )
-                    worst = max(worst, acc)
-        return worst
+        return max((max_exact_conormal(fld, m2, self.grid, face)
+                    for m in self.members
+                    for fld, m2 in ((m.u_field, coeffs.a2), (m.v_field, coeffs.b2))
+                    for face in self.grid.all_faces()), default=0.0)
 
 
 def generate_ensemble(seed: int, n: int, grid: Grid, max_modes: int = 3,

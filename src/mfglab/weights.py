@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import CoeffSet
-from .grid import SPACE_TIME, Grid, GridFn, apply_stencil
+from .grid import SPACE_TIME, Grid, GridFn, apply_stencil, face_values
 
 __all__ = [
     "EtaFn",
@@ -48,8 +48,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EtaFn:
-    """Affine spatial base of the weights: 1 + x/L toward the observation
-    face (or mirrored).  ``grad`` is the constant gradient vector."""
+    """Affine spatial base of the weights: 1 + x/L toward a high observation
+    face, 2 - x/L toward a low one.  ``grad`` is the constant gradient vector."""
 
     grid: Grid
     values: np.ndarray
@@ -122,13 +122,10 @@ def _admissibility_violations(grid: Grid, eta: EtaFn,
         sign = 1.0 if face.side == 1 else -1.0
         for name, m2 in _principal_matrices(grid, coeffs):
             # conormal of the affine eta: sign * sum_j m2[face.axis, j] * grad_j
-            acc = np.zeros((1,))
             if coeffs is None:
                 val = sign * eta.grad[face.axis]
                 worst = float(val)
             else:
-                from .grid import face_values
-
                 acc = np.zeros_like(face_values(grid, m2[0, 0], face))
                 for j in range(grid.dim):
                     acc = acc + face_values(grid, m2[face.axis, j], face) * eta.grad[j]

@@ -12,7 +12,6 @@ from mfglab.models import (
     make_nonlinear_pair,
     mms_case_ensemble,
     mms_linear,
-    picard_solve,
     residual,
 )
 
@@ -147,56 +146,6 @@ def test_case_ensemble_deterministic_and_resample():
     fine = e1.resample(g.refined(2))
     assert fine.cases[0].grid.nx == (33,)
     assert fine.cases[0].u_field == e1.cases[0].u_field
-
-
-def test_picard_decoupled_matches_single_solve():
-    g = build_grid(1.0, 1.0, 33, 33, ["x+"])
-    coeffs = CoeffRecipe().sample(g)
-    X, T = g.meshes()
-    F = GridFn(g, "space-time", np.cos(np.pi * X) * (1 + T))
-    G = GridFn(g, "space-time", np.cos(2 * np.pi * X) * (2 - T))
-    uT = np.cos(np.pi * g.xs[0])
-    v0 = np.cos(2 * np.pi * g.xs[0])
-    res = picard_solve(uT, v0, F, G, coeffs, maxiter=10, tol=1e-10)
-    assert res.converged and not res.diverged
-    assert res.iterations <= 2
-    assert res.residual_history[-1] <= 1e-10
-    # second run from the converged data reproduces bit-identically
-    res2 = picard_solve(uT, v0, F, G, coeffs, maxiter=10, tol=1e-10)
-    assert np.array_equal(res.u.values, res2.u.values)
-
-
-def test_picard_weak_coupling_converges():
-    g = build_grid(1.0, 1.0, 33, 33, ["x+"])
-    coeffs = CoeffRecipe(c0=0.1, b_gamma={(0,): 0.1}).sample(g)
-    X, T = g.meshes()
-    F = GridFn(g, "space-time", np.cos(np.pi * X) * (1 + T))
-    G = GridFn(g, "space-time", np.cos(2 * np.pi * X) * (2 - T))
-    res = picard_solve(np.cos(np.pi * g.xs[0]), np.cos(2 * np.pi * g.xs[0]),
-                       F, G, coeffs, maxiter=40, tol=1e-10)
-    assert res.converged
-    assert res.residual_history[-1] <= 1e-8
-
-
-def test_picard_strong_feedback_diverges():
-    g = build_grid(1.0, 1.0, 33, 33, ["x+"])
-    coeffs = CoeffRecipe(c0=50.0, b_gamma={(0,): 50.0}).sample(g)
-    X, T = g.meshes()
-    F = GridFn(g, "space-time", np.cos(np.pi * X) * (1 + T))
-    G = GridFn(g, "space-time", np.cos(2 * np.pi * X) * (2 - T))
-    res = picard_solve(np.cos(np.pi * g.xs[0]), np.cos(2 * np.pi * g.xs[0]),
-                       F, G, coeffs, maxiter=40)
-    assert res.diverged and not res.converged
-    assert "residual" in res.message
-
-
-def test_picard_rejects_mixed_principal():
-    g = build_grid((1.0, 1.0), 1.0, (9, 9), 9, ["x1+"])
-    coeffs = CoeffRecipe(a2=[[1.0, 0.2], [0.2, 1.0]]).sample(g)
-    F = GridFn(g, "space-time", np.zeros(g.shape))
-    with pytest.raises(ValueError, match="diagonal"):
-        picard_solve(np.zeros(g.space_shape), np.zeros(g.space_shape),
-                     F, F, coeffs)
 
 
 def test_nonlinear_pair_bounds_monotone():

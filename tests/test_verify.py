@@ -182,7 +182,8 @@ def test_lemma3_antiderivative_is_scipy_cumulative_trapezoid():
 
 def test_import_leaves_scipy_integrate_unloaded():
     code = ("import sys, mfglab; "
-            "print(any(m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')))")
+            "print(any(m in sys.modules for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg')))")
     src = str(Path(mfglab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
