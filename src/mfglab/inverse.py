@@ -13,12 +13,15 @@ beta = 1e-10 the normal matrix has a condition number beyond double
 precision.  The minimizer is therefore computed by variable projection
 (Golub and Pereyra): the states are eliminated through one Cholesky
 factorization of their normal block, which couples time levels at most two
-apart and is factored level by level in dense blocks, and the small
-reduced source system is solved through its SVD, where the ridge acts as
-the Tikhonov filter s / (s^2 + beta).  None of that depends on the data,
-the noise seed or beta, so it is built once as a ``SourceReduction`` and
-shared by every solve on the same system; a solve is one vector
-elimination, the filter and one back-solve for the states.  ``converged``
+apart and is factored level by level in dense blocks.  The projected source
+columns are QR-factored with their orthogonal factor left in compact WY
+form (LAPACK ``dgeqrt``; Schreiber and Van Loan 1989), and the small
+triangular factor is solved through its SVD, where the ridge acts as the
+Tikhonov filter s / (s^2 + beta).  None of that depends on the data, the
+noise seed or beta, so it is built once as a ``SourceReduction`` and shared
+by every solve on the same system; a solve is one vector elimination, Q^T
+applied from the reflectors (``dgemqrt``), the filter and one back-solve
+for the states.  ``converged``
 reports whether the relative normal-equation residual at the result meets
 ``tol``.
 
@@ -198,22 +201,26 @@ def _operator_matrix(kind: str, c: CoeffSet) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def _selector(grid: Grid, axis: int, index: int) -> sp.csr_matrix:
-    """Rows picking the nodes at ``index`` along ``axis``, ordered like
+def _node_index(grid: Grid, axis: int, index: int) -> np.ndarray:
+    """Raveled indices of the nodes at ``index`` along ``axis``, ordered like
     ``np.take(values, index, axis)`` (a face trace or a time slice)."""
-    n = grid.shape[axis]
-    row = sp.csr_matrix(([1.0], ([0], [index])), shape=(1, n))
-    return kron_axes(grid.shape, {axis: row})
+    return np.take(np.arange(math.prod(grid.shape)).reshape(grid.shape),
+                   index, axis=axis).ravel()
 
 
-def _conormal_op(grid: Grid, m2: np.ndarray, face: Face) -> sp.csr_matrix:
-    """Trace of the conormal derivative as a sparse operator on states."""
-    sel = _selector(grid, face.axis, face.side * (grid.nx[face.axis] - 1))
+def _face_index(grid: Grid, face: Face) -> np.ndarray:
+    return _node_index(grid, face.axis, face.side * (grid.nx[face.axis] - 1))
+
+
+def _conormal_op(grid: Grid, m2: np.ndarray, face: Face,
+                 dx: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """Trace of the conormal derivative as a sparse operator on states;
+    ``dx[j]`` is the derivative matrix along axis j."""
+    rows = _face_index(grid, face)
     sign = 1.0 if face.side == 1 else -1.0
     out = None
     for j in range(grid.dim):
-        term = (sel @ sp.diags(m2[face.axis, j].ravel())
-                @ derivative_matrix(grid.shape, grid.spacings, (j,)))
+        term = sp.diags(m2[face.axis, j].ravel()[rows]) @ dx[j][rows]
         out = term if out is None else out + term
     return (sign * out).tocsr()
 
@@ -247,13 +254,13 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
     dim_x = 2 * n_st + 2 * n_sp
     off_u, off_v = 0, n_st
 
-    def embed(mat: sp.spmatrix, col_offset: int, width: int) -> sp.csr_matrix:
-        rows = mat.shape[0]
-        left = sp.csr_matrix((rows, col_offset))
-        right = sp.csr_matrix((rows, dim_x - col_offset - width))
-        return sp.hstack([left, mat, right], format="csr")
+    def embed(mat: sp.csr_matrix, col_offset: int) -> sp.csr_matrix:
+        """``mat`` as the rows of the columns from ``col_offset`` on."""
+        return sp.csr_matrix((mat.data, mat.indices + col_offset, mat.indptr),
+                             shape=(mat.shape[0], dim_x))
 
     dt_op = derivative_matrix(g.shape, g.spacings, (g.dim,))
+    eye = sp.identity(n_st, format="csr")
     a_mat = _operator_matrix("A", c)
     b_mat = _operator_matrix("B", c)
     a0_mat = _operator_matrix("A0", c)
@@ -280,25 +287,25 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
     for key, block_off, with_dt in (("u", off_u, False), ("v", off_v, False),
                                     ("ut", off_u, True), ("vt", off_v, True)):
         for face in sorted(g.gamma):
-            sel = _selector(g, face.axis, face.side * (g.nx[face.axis] - 1))
-            op = sel @ dt_op if with_dt else sel
+            op = (dt_op if with_dt else eye)[_face_index(g, face)]
             blocks.append(_Block(f"trace_{key}_{face.label()}",
-                                 embed(op, block_off, n_st),
+                                 embed(op, block_off),
                                  face_quad_weights(g, face).ravel(),
                                  cfg.omega_gamma, (key, face)))
 
-    sel0 = _selector(g, g.dim, g.it0)
-    blocks.append(_Block("slice_u", embed(sel0, off_u, n_st), sp_w,
+    sel0 = eye[_node_index(g, g.dim, g.it0)]
+    blocks.append(_Block("slice_u", embed(sel0, off_u), sp_w,
                          cfg.omega_slice, ("u0", None)))
-    blocks.append(_Block("slice_v", embed(sel0, off_v, n_st), sp_w,
+    blocks.append(_Block("slice_v", embed(sel0, off_v), sp_w,
                          cfg.omega_slice, ("v0", None)))
 
     if cfg.omega_bc > 0:
+        dx = [derivative_matrix(g.shape, g.spacings, (j,)) for j in range(g.dim)]
         for face in g.all_faces():
             w = face_quad_weights(g, face).ravel()
             for offs, nm, m2 in ((off_u, "bc_u", c.a2), (off_v, "bc_v", c.b2)):
                 blocks.append(_Block(f"{nm}_{face.label()}",
-                                     embed(_conormal_op(g, m2, face), offs, n_st),
+                                     embed(_conormal_op(g, m2, face, dx), offs),
                                      w, cfg.omega_bc))
     return blocks, dim_x
 
@@ -387,9 +394,18 @@ class _LevelCholesky:
         b, nt = self.b, self.nt
         rhs = np.asarray(rhs, dtype=float)
         m = 1 if rhs.ndim == 1 else rhs.shape[1]
-        # y[:, :, k] is the F-contiguous b x m block of level k; a copy, since
-        # the solve works in place
         y = np.array(rhs.reshape(nt, b, m).transpose(1, 2, 0), order="F")
+        return self.solve_levels(y).transpose(2, 0, 1).reshape(rhs.shape)
+
+    def solve_levels(self, y: np.ndarray) -> np.ndarray:
+        """``K^-1`` applied in place to ``m`` right-hand sides held level by
+        level: ``y`` is an F-ordered (b, m, nt) array whose ``y[:, :, k]`` is
+        their F-contiguous b x m block of level k.  Returns ``y``."""
+        b, nt = self.b, self.nt
+        if y.ndim != 3 or (y.shape[0], y.shape[2]) != (b, nt) \
+                or not y.flags.f_contiguous or y.dtype != np.float64:
+            raise ValueError(f"expected an F-ordered float ({b}, m, {nt}) array, "
+                             f"got {y.dtype} {y.shape}")
         for lev in range(nt):
             yk = y[:, :, lev]
             if lev >= 1:
@@ -410,15 +426,18 @@ class _LevelCholesky:
                 xk -= blas.dtrsm(1.0, self.diag[:, :, lev], w, lower=1, overwrite_b=1)
             blas.dtrsm(1.0, self.diag[:, :, lev], xk, lower=1, trans_a=1,
                        overwrite_b=1)
-        return y.transpose(2, 0, 1).reshape(rhs.shape)
+        return y
 
 
 # -- variable projection: reduce once, solve per data and ridge ---------------
 
 # entries of the dense state factor and reduced source matrix (8 bytes each)
 _DENSE_LIMIT = 2.5e8
-# source columns eliminated per multi-right-hand-side state solve
+# source columns eliminated per multi-right-hand-side state solve; 64
+# measured 5% more peak memory on a cold 97^2 reconstruction
 _CHUNK = 32
+# block size of the compact-WY QR of the reduced source matrix
+_QR_BLOCK = 32
 
 
 def _system_key(data: InverseData, cfg: ReconstructionConfig) -> dict[str, object]:
@@ -450,13 +469,17 @@ class SourceReduction:
     ``ay^T ay`` (``chol``; the columns of ``ay`` are ordered time level by
     time level, see ``_level_order``) and the projected source matrix
     R0 = (I - ay (ay^T ay)^-1 ay^T) az W^-1/2 in factored form:
-    R0 = q @ u @ diag(s) @ vt (economic QR, then the SVD of the small
-    triangular factor).  W is the quadrature weight of (f, g), so ``s`` is
-    the spectrum with respect to the L2 norm of the sources.  Built by
-    ``reduce_sources`` for one grid, coefficient set, q1/q2 and omega weights
-    (``key``); ``reconstruct`` refuses it for any other system.  ``timings``
-    holds the seconds its stages took: ``assemble_s``, ``factor_s``,
-    ``eliminate_s`` and ``qr_svd_s``.
+    R0 = Q @ u @ diag(s) @ vt.  Q is never formed: it is kept in compact WY
+    form, the Householder vectors below the diagonal of ``reflectors`` (the
+    rows x sources output of LAPACK ``dgeqrt``, whose upper triangle is the
+    factor the SVD ``u @ diag(s) @ vt`` is taken of) and the block reflector
+    factors ``t``; ``reconstruct`` applies Q^T to its data with ``dgemqrt``.
+    W is the quadrature weight of (f, g), so ``s`` is the spectrum with
+    respect to the L2 norm of the sources.  Built by ``reduce_sources`` for
+    one grid, coefficient set, q1/q2 and omega weights (``key``);
+    ``reconstruct`` refuses it for any other system.  ``timings`` holds the
+    seconds its stages took: ``assemble_s``, ``factor_s``, ``eliminate_s``
+    and ``qr_svd_s``.
     """
 
     key: dict[str, object]
@@ -466,7 +489,8 @@ class SourceReduction:
     az: sp.csc_matrix
     chol: _LevelCholesky
     source_w: np.ndarray
-    q: np.ndarray
+    reflectors: np.ndarray
+    t: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
@@ -519,19 +543,36 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     chol = _LevelCholesky(ay.T @ ay, level)
     stage("factor_s")
     source_w = np.tile(g.space_weights.ravel(), 2)
-    # Fortran order lets the QR below overwrite R0 with its orthonormal factor
+    # R0 column chunk by column chunk: the right-hand sides ay^T az[:, J] are
+    # scattered straight into the level layout of ``solve_levels`` and the
+    # eliminated states subtracted in place, so at most two chunk-sized
+    # temporaries, x and ay @ x, are alive.  Fortran order lets the QR below
+    # factor R0 where it lies.
+    ayt_az = (ay.T @ az).tocsc()
     r0 = np.empty((rows, n_src), order="F")
     for j in range(0, n_src, _CHUNK):
-        cols = az[:, j:j + _CHUNK]
-        r0[:, j:j + _CHUNK] = cols.toarray() - ay @ chol.solve((ay.T @ cols).toarray())
+        m = min(_CHUNK, n_src - j)
+        seg = slice(ayt_az.indptr[j], ayt_az.indptr[j + m])
+        node = ayt_az.indices[seg]
+        col = np.repeat(np.arange(m), np.diff(ayt_az.indptr[j:j + m + 1]))
+        y = np.zeros((level, m, g.nt), order="F")
+        y[node % level, col, node // level] = ayt_az.data[seg]
+        x = chol.solve_levels(y).transpose(2, 0, 1).reshape(n_state, m)
+        del y
+        az[:, j:j + m].toarray(out=r0[:, j:j + m])
+        r0[:, j:j + m] -= ay @ x
     r0 /= np.sqrt(source_w)
     stage("eliminate_s")
-    q, t = sla.qr(r0, mode="economic", overwrite_a=True)
-    u, s, vt = np.linalg.svd(t)
+    reflectors, t, info = lapack.dgeqrt(min(_QR_BLOCK, n_src), r0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeqrt info {info}")
+    u, s, vt = sla.svd(np.triu(reflectors[:n_src]), overwrite_a=True,
+                       check_finite=False)
     stage("qr_svd_s")
     return SourceReduction(key=_system_key(data, cfg), blocks=tuple(blocks),
                            sqrt_w=sqrt_w, ay=ay, az=az, chol=chol, source_w=source_w,
-                           q=q, u=u, s=s, vt=vt, timings=timings)
+                           reflectors=reflectors, t=t, u=u, s=s, vt=vt,
+                           timings=timings)
 
 
 def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
@@ -572,14 +613,21 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     b = red.sqrt_w * np.concatenate([blk.rhs(data) for blk in red.blocks])
     ayt_b = ay.T @ b
     b_perp = b - ay @ chol.solve(ayt_b)
+    # Q^T b_perp from the compact WY form, then the filtered SVD; every
+    # dense product goes through SciPy's BLAS, like the factor's
+    qt_b, info = lapack.dgemqrt(red.reflectors, red.t, b_perp[:, None],
+                                side="L", trans="T", overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgemqrt info {info}")
     phi = _filter(red.s, cfg.beta, b.size)
-    z = (red.vt.T @ (phi * (red.u.T @ (red.q.T @ b_perp)))) / np.sqrt(red.source_w)
+    coef = phi * blas.dgemv(1.0, red.u, qt_b[:red.s.size, 0], trans=1)
+    z = blas.dgemv(1.0, red.vt, coef, trans=1) / np.sqrt(red.source_w)
     y = chol.solve(ay.T @ (b - az @ z))
     res = ay @ y + az @ z - b
 
-    grad = np.linalg.norm(np.concatenate(
+    grad = blas.dnrm2(np.concatenate(
         [ay.T @ res, az.T @ res + cfg.beta * red.source_w * z]))
-    scale = np.linalg.norm(np.concatenate([ayt_b, az.T @ b]))
+    scale = blas.dnrm2(np.concatenate([ayt_b, az.T @ b]))
     normal_residual = float(grad / scale if scale > 0 else grad)
     converged = normal_residual <= cfg.tol
     if not converged:
@@ -589,14 +637,14 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     start = 0
     for blk in red.blocks:
         part = res[start:start + blk.L.shape[0]]
-        terms[blk.name] = float(np.dot(part, part))
+        terms[blk.name] = float(blas.ddot(part, part))
         start += blk.L.shape[0]
     g = data.grid
     n_st = int(np.prod(g.shape))
     n_sp = int(np.prod(g.space_shape))
     if cfg.beta > 0:
         for name, part in (("ridge_f", slice(0, n_sp)), ("ridge_g", slice(n_sp, None))):
-            terms[name] = cfg.beta * float(np.dot(z[part], red.source_w[part] * z[part]))
+            terms[name] = cfg.beta * float(blas.ddot(z[part], red.source_w[part] * z[part]))
 
     states = np.empty_like(y)
     states[_level_order(g)] = y

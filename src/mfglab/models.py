@@ -342,11 +342,15 @@ class CaseEnsemble:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def resample(self, grid: Grid) -> "CaseEnsemble":
+    def resample(self, grid: Grid,
+                 sampled: Optional[tuple[CoeffRecipe, CoeffSet]] = None
+                 ) -> "CaseEnsemble":
         """Rebuild every case on ``grid``; cases drawn from one coefficient
-        recipe share one sampled coefficient set, as when they were drawn."""
+        recipe share one sampled coefficient set, as when they were drawn.
+        ``sampled``, a recipe with its coefficient set already sampled on
+        ``grid``, serves the cases drawn from that very recipe object."""
         cases = []
-        recipe = coeffs = None
+        recipe, coeffs = sampled if sampled is not None else (None, None)
         for c in self.cases:
             if c.recipe is not None and c.recipe.coeff_recipe is not recipe:
                 recipe = c.recipe.coeff_recipe

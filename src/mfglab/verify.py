@@ -507,11 +507,11 @@ def _sweep(kind: str, members: list[_Member], coeffs: CoeffSet, eta,
 
 
 def _grid_sweeps(kinds: Sequence[str], ensemble: EnsembleLike, lam_grid,
-                 s_grid, coeff_recipe: CoeffRecipe,
+                 s_grid, coeffs: CoeffSet,
                  grid: Grid) -> list[tuple[list[EstimateRow], dict, list]]:
-    """Sweep every kind on one grid.  The coefficients, the weight base and
-    the members are built once; each kind's terms live only for its sweep."""
-    coeffs = coeff_recipe.sample(grid)
+    """Sweep every kind on one grid, with ``coeffs`` sampled there.  The
+    weight base and the members are built once; each kind's terms live only
+    for its sweep."""
     eta = build_eta(grid, coeffs)
     members = _members(kinds, ensemble, coeffs)
     last = max((i for i, k in enumerate(kinds) if k in _SYSTEM_KINDS), default=-1)
@@ -561,12 +561,15 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
         raise ValueError("ensemble must be non-empty")
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
-    sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid, coeff_recipe, grid)
+    sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid,
+                          coeff_recipe.sample(grid), grid)
     fine_sweeps = [None] * len(kinds)
     if refine:
         fine = grid.refined(2)
-        fine_sweeps = _grid_sweeps(kinds, ensemble.resample(fine), lam_grid,
-                                   s_grid, coeff_recipe, fine)
+        fine_coeffs = coeff_recipe.sample(fine)
+        fine_ens = (ensemble.resample(fine, (coeff_recipe, fine_coeffs))
+                    if isinstance(ensemble, CaseEnsemble) else ensemble.resample(fine))
+        fine_sweeps = _grid_sweeps(kinds, fine_ens, lam_grid, s_grid, fine_coeffs, fine)
     reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)
                     for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
     return reports[0] if isinstance(kind, str) else reports

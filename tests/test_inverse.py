@@ -401,12 +401,12 @@ def test_assembled_operators_match_field_operators(dims, gamma):
     dt = derivative_matrix(g.shape, g.spacings, (g.dim,))
     assert close(dt @ u.values.ravel(), diff(u, t_order=1).values)
 
+    # the raveled node indices the trace and slice rows are cut with
     for face in g.all_faces():
-        sel = inverse._selector(g, face.axis, face.side * (g.nx[face.axis] - 1))
-        assert np.array_equal(sel @ u.values.ravel(),
-                              face_values(g, u.values, face).ravel())
-    sel0 = inverse._selector(g, g.dim, g.it0)
-    assert np.array_equal(sel0 @ u.values.ravel(), u.values[..., g.it0].ravel())
+        assert np.array_equal(u.values.ravel()[inverse._face_index(g, face)],
+                              face_values(g, u.values, face).ravel()), face
+    assert np.array_equal(u.values.ravel()[inverse._node_index(g, g.dim, g.it0)],
+                          u.values[..., g.it0].ravel())
 
 
 def discrete_case_2d():
@@ -451,18 +451,27 @@ def test_true_state_zeroes_pde_and_data_blocks(build):
 # -- the level-by-level Cholesky factor of the state block --------------------
 
 
-def random_system(dims, omega_bc):
-    """A reduction on a random coefficient set (every operator term on) with
-    random modulations; the rows need no observations."""
+def random_data(dims):
+    """Random coefficients (every operator term on), modulations and
+    observations on a 1D 17^2 or a 2D 7 x 6 x 9 grid."""
     nx = (17,) if len(dims) == 1 else (7, 6)
     nt = 17 if len(dims) == 1 else 9
     gamma = ["x-", "x+"] if len(dims) == 1 else ["x1+", "x2-"]
     g = build_grid(dims, 1.0, nx, nt, gamma)
     rng = np.random.default_rng(5)
-    data = InverseData(g, random_coeffs(g, rng), {}, None, None,
-                       1.0 + 0.2 * rng.standard_normal(g.shape),
-                       1.0 + 0.2 * rng.standard_normal(g.shape), 0.0, 0)
-    return inverse.reduce_sources(data, dataclasses.replace(TUNED, omega_bc=omega_bc))
+    coeffs = random_coeffs(g, rng)
+    q1, q2 = (1.0 + 0.2 * rng.standard_normal(g.shape) for _ in range(2))
+    traces = {key: {face: rng.standard_normal(face_values(g, q1, face).shape)
+                    for face in sorted(g.gamma)}
+              for key in inverse.TRACE_KEYS}
+    u0, v0 = (rng.standard_normal(g.space_shape) for _ in range(2))
+    return InverseData(g, coeffs, traces, u0, v0, q1, q2, 0.0, 0)
+
+
+def random_system(dims, omega_bc):
+    """A reduction of ``random_data``'s system."""
+    return inverse.reduce_sources(random_data(dims),
+                                  dataclasses.replace(TUNED, omega_bc=omega_bc))
 
 
 @pytest.mark.parametrize("omega_bc", [0.0, 1000.0])
@@ -501,3 +510,84 @@ def test_level_cholesky_rejects_indefinite_matrix():
     k[3 * b + 2, 3 * b + 2] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite.*level 3"):
         inverse._LevelCholesky(k.tocsr(), b)
+
+
+def level_layout(rhs, b, nt):
+    """The (b, m, nt) F-ordered level layout of ``solve_levels``."""
+    return np.array(rhs.reshape(nt, b, -1).transpose(1, 2, 0), order="F")
+
+
+@pytest.mark.parametrize("dims", [(1.0,), (1.0, 2.0)], ids=["1d-17", "2d-7x6x9"])
+def test_level_solve_in_place_equals_solve(dims):
+    chol = random_system(dims, 1000.0).chol
+    n = chol.b * chol.nt
+    rng = np.random.default_rng(8)
+    for m in (1, 5):
+        rhs = rng.standard_normal((n, m))
+        y = level_layout(rhs, chol.b, chol.nt)
+        out = chol.solve_levels(y)
+        assert out is y
+        assert np.array_equal(out.transpose(2, 0, 1).reshape(n, m), chol.solve(rhs))
+    with pytest.raises(ValueError, match="F-ordered"):
+        chol.solve_levels(np.ascontiguousarray(y))
+
+
+def explicit_q_reference(red, data, beta):
+    """Singular values and sources of the reduced problem, with the explicit
+    orthonormal factor of R0 built from ``red.ay``, ``red.az`` and ``red.chol``."""
+    ay, az, chol = red.ay, red.az, red.chol
+    r0 = (az.toarray() - ay @ chol.solve((ay.T @ az).toarray())) / np.sqrt(red.source_w)
+    q, r = np.linalg.qr(r0)
+    u, s, vt = np.linalg.svd(r)
+    b = red.sqrt_w * np.concatenate([blk.rhs(data) for blk in red.blocks])
+    b_perp = b - ay @ chol.solve(ay.T @ b)
+    phi = inverse._filter(s, beta, b.size)
+    return s, (vt.T @ (phi * (u.T @ (q.T @ b_perp)))) / np.sqrt(red.source_w)
+
+
+@pytest.mark.parametrize("dims", [(1.0,), (1.0, 2.0)], ids=["1d-17", "2d-7x6x9"])
+def test_reduction_matches_explicit_q_reference(dims):
+    data = random_data(dims)
+    cfg = dataclasses.replace(TUNED, beta=1e-4)
+    red = inverse.reduce_sources(data, cfg)
+    s_ref, z_ref = explicit_q_reference(red, data, cfg.beta)
+    assert np.max(np.abs(red.s - s_ref)) <= 1e-10 * s_ref[0]
+    res = reconstruct(data, cfg, reduction=red)
+    z = np.concatenate([res.f_hat.values.ravel(), res.g_hat.values.ravel()])
+    assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+
+
+@pytest.mark.parametrize("dims", [(1.0,), (1.0, 2.0)], ids=["1d-17", "2d-7x6x9"])
+def test_reduction_holds_only_the_reflectors_at_full_height(dims):
+    red = random_system(dims, 1000.0)
+    full = (red.ay.shape[0], red.az.shape[1])
+    tall = [f.name for f in dataclasses.fields(red)
+            if isinstance(getattr(red, f.name), np.ndarray)
+            and getattr(red, f.name).shape == full]
+    assert tall == ["reflectors"]
+    assert red.t.shape == (min(inverse._QR_BLOCK, full[1]), full[1])
+
+
+def test_reduction_and_solve_use_only_scipy_blas(monkeypatch):
+    """NumPy and SciPy each bring their own BLAS thread pool; the solver keeps
+    to SciPy's, so it must not reach NumPy's SVD or norms."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("NumPy linear algebra called")
+
+    case, f, gg = build_case(n=17)
+    data = make_inverse_data(case, 0.01, 0)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    res = reconstruct(data, dataclasses.replace(TUNED, beta=1e-4), truth=(f, gg))
+    assert res.converged
+
+
+def test_clean_recovery_without_ridge_or_conormal_rows():
+    """The ill-conditioned envelope: at 65^2 without ridge or conormal rows
+    the smallest reduced singular value is about 1e-4 of the largest.
+    Measured 6.8e-8 and 2.0e-10."""
+    case, f, gg = build_case(n=65)
+    cfg = dataclasses.replace(TUNED, omega_bc=0.0, beta=0.0)
+    res = reconstruct(make_inverse_data(case, 0.0, 0), cfg, truth=(f, gg))
+    assert res.rel_err_f <= 1e-6
+    assert res.rel_err_g <= 1e-6

@@ -440,10 +440,10 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
     assert per_call[0] == per_call[1]
     n = len(ens)
     # each grid: one coefficient sample; the refined grid: one resample of
-    # the ensemble (a case samples its coefficients and takes the residual
-    # as its sources there); function-ensemble members: one residual each
+    # the ensemble (its cases share that grid's sample and take the residual
+    # as their sources there); function-ensemble members: one residual each
     if kinds == ENERGY_KINDS:
-        assert per_call[1] == {"CoeffRecipe.sample": 3, "CaseEnsemble.resample": 1,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "CaseEnsemble.resample": 1,
                                "SeparableField.sample": 2 * n, "residual": n}
     else:
         assert per_call[1] == {"CoeffRecipe.sample": 2,
