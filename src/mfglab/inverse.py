@@ -13,15 +13,18 @@ beta = 1e-10 the normal matrix has a condition number beyond double
 precision.  The minimizer is therefore computed by variable projection
 (Golub and Pereyra): the states are eliminated through one Cholesky
 factorization of their normal block, which couples time levels at most two
-apart and is factored level by level in dense blocks.  The projected source
-columns are QR-factored with their orthogonal factor left in compact WY
-form (LAPACK ``dgeqrt``; Schreiber and Van Loan 1989), and the small
-triangular factor is solved through its SVD, where the ridge acts as the
-Tikhonov filter s / (s^2 + beta).  None of that depends on the data, the
-noise seed or beta, so it is built once as a ``SourceReduction`` and shared
-by every solve on the same system; a solve is one vector elimination, Q^T
-applied from the reflectors (``dgemqrt``), the filter and one back-solve
-for the states.  ``converged``
+apart and is factored level by level in dense blocks, each diagonal block
+kept inverted so that every triangular solve is a multiply.  The source
+columns are eliminated in chunks, with the rows ordered by the first time
+level they touch so that each level's states update one contiguous row
+range.  The projected source columns are QR-factored with their orthogonal
+factor left in compact WY form (LAPACK ``dgeqrt``; Schreiber and Van Loan
+1989), and the small triangular factor is solved through its SVD, where
+the ridge acts as the Tikhonov filter s / (s^2 + beta).  None of that
+depends on the data, the noise seed or beta, so it is built once as a
+``SourceReduction`` and shared by every solve on the same system; a solve
+is one vector elimination, Q^T applied from the reflectors (``dgemqrt``),
+the filter and one back-solve for the states.  ``converged``
 reports whether the relative normal-equation residual at the result meets
 ``tol``.
 
@@ -192,12 +195,30 @@ class ReconstructionResult:
 # -- sparse operators on the raveled space-time state ------------------------
 
 
-def _operator_matrix(kind: str, c: CoeffSet) -> sp.csr_matrix:
+def _derivative_cache(g: Grid) -> Callable[[Sequence[int]], sp.csr_matrix]:
+    """``derivative_matrix`` on the raveled space-time lattice of ``g``, each
+    distinct derivative built once however often it is asked for."""
+    built: dict[tuple[int, ...], sp.csr_matrix] = {}
+
+    def deriv(axes: Sequence[int]) -> sp.csr_matrix:
+        key = tuple(sorted(axes))
+        if key not in built:
+            built[key] = derivative_matrix(g.shape, g.spacings, key)
+        return built[key]
+
+    return deriv
+
+
+def _operator_matrix(kind: str, c: CoeffSet,
+                     deriv: Optional[Callable[[Sequence[int]], sp.csr_matrix]] = None
+                     ) -> sp.csr_matrix:
     g = c.grid
+    if deriv is None:
+        deriv = _derivative_cache(g)
     n = int(np.prod(g.shape))
     out = sp.csr_matrix((n, n))
     for coef, axes in operator_terms(kind, c):
-        out = out + sp.diags(coef.ravel()) @ derivative_matrix(g.shape, g.spacings, axes)
+        out = out + sp.diags(coef.ravel()) @ deriv(axes)
     return out.tocsr()
 
 
@@ -259,11 +280,12 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
         return sp.csr_matrix((mat.data, mat.indices + col_offset, mat.indptr),
                              shape=(mat.shape[0], dim_x))
 
-    dt_op = derivative_matrix(g.shape, g.spacings, (g.dim,))
+    deriv = _derivative_cache(g)
+    dt_op = deriv((g.dim,))
     eye = sp.identity(n_st, format="csr")
-    a_mat = _operator_matrix("A", c)
-    b_mat = _operator_matrix("B", c)
-    a0_mat = _operator_matrix("A0", c)
+    a_mat = _operator_matrix("A", c, deriv)
+    b_mat = _operator_matrix("B", c, deriv)
+    a0_mat = _operator_matrix("A0", c, deriv)
     spread = kron_axes(g.shape, {g.dim: sp.csr_matrix(np.ones((g.nt, 1)))})
 
     st_w = g.st_weights.ravel()
@@ -300,7 +322,7 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
                          cfg.omega_slice, ("v0", None)))
 
     if cfg.omega_bc > 0:
-        dx = [derivative_matrix(g.shape, g.spacings, (j,)) for j in range(g.dim)]
+        dx = [deriv((j,)) for j in range(g.dim)]
         for face in g.all_faces():
             w = face_quad_weights(g, face).ravel()
             for offs, nm, m2 in ((off_u, "bc_u", c.a2), (off_v, "bc_v", c.b2)):
@@ -318,16 +340,22 @@ class _LevelCholesky:
     matrix whose unknowns come in levels of ``b`` and that couples levels at
     most two apart (the states ordered time level by time level: the time
     derivative is a 3-point stencil and every other row acts within one
-    level).
+    level), held in inverse form.
 
-    ``L`` has the same block bandwidth.  Only the dense blocks ``L_kk`` and
-    ``L_{k,k-1}`` are stored, 2 b^2 entries per level; ``L_{k,k-2}`` is
+    ``L`` has the same block bandwidth.  Only the inverted diagonal blocks
+    ``L_kk^-1`` (LAPACK ``dpotrf``, then ``dtrtri`` in place; lower triangle)
+    and ``L_{k,k-1}`` are stored, 2 b^2 entries per level; ``L_{k,k-2}`` is
     applied as ``K_{k,k-2} L_{k-2,k-2}^-T`` from the sparse block of ``K``,
-    which is diagonal except next to the one-sided end stencils.  All dense
-    work goes through SciPy's BLAS and LAPACK: NumPy ships its own OpenBLAS
-    thread pool, and alternating the two pools on small blocks costs each
-    call milliseconds.  Every BLAS call works in place (``overwrite_*``) on
-    F-contiguous b x b or b x m blocks.
+    which is diagonal except next to the one-sided end stencils.  With the
+    diagonal blocks inverted, every triangular solve of the factorization and
+    of ``solve_levels`` is a triangular multiply (``dtrmm``, or ``dtrmv`` for
+    one right-hand side), which OpenBLAS runs several times faster than
+    ``dtrsm`` on these block sizes; the accuracy is that of triangular
+    inversion (Du Croz and Higham 1992).  All dense work goes through
+    SciPy's BLAS and LAPACK: NumPy ships its own OpenBLAS thread pool, and
+    alternating the two pools on small blocks costs each call milliseconds.
+    Every BLAS call works in place (``overwrite_*``) on F-contiguous b x b or
+    b x m blocks.
     """
 
     def __init__(self, k: sp.spmatrix, b: int):
@@ -342,52 +370,60 @@ class _LevelCholesky:
             raise ValueError(f"the matrix couples levels {reach} apart; the level "
                              f"Cholesky factor admits at most 2")
         self.b, self.nt = b, n // b
-        self.diag = np.empty((b, b, self.nt), order="F")   # L_kk
-        self.sub = np.empty((b, b, self.nt), order="F")    # L_{k,k-1} at k
+        self.diag = np.zeros((b, b, self.nt), order="F")   # L_kk^-1
+        self.sub = np.zeros((b, b, self.nt), order="F")    # L_{k,k-1} at k
         # K_{k,k-2} at k: its diagonal, and the rest where it has one
         self.far_diag = np.zeros((b, self.nt))
         self.far_rest: dict[int, sp.csr_matrix] = {}
+        self._scatter(k, row)
+        del row
+        x = np.empty((b, b), order="F")   # L_{k,k-2} of one level at a time
+        on_diag = np.arange(b)
         for lev in range(self.nt):
-            lo = max(lev - 2, 0)
-            seg = slice(k.indptr[lev * b], k.indptr[(lev + 1) * b])
-            # this level's rows of K, from level lo to the diagonal, dense
-            band = np.zeros((b, (lev + 1 - lo) * b), order="F")
-            keep = k.indices[seg] < (lev + 1) * b
-            band[row[seg][keep] - lev * b, k.indices[seg][keep] - lo * b] = k.data[seg][keep]
             lkk = self.diag[:, :, lev]
-            lkk[...] = band[:, -b:]
             if lev >= 2:
-                far = band[:, :b]
-                self.far_diag[:, lev] = np.diagonal(far)
-                rest = far - np.diag(self.far_diag[:, lev])
-                if rest.any():
-                    self.far_rest[lev] = sp.csr_matrix(rest)
-                # x = L_{k,k-2} = K_{k,k-2} L_{k-2,k-2}^-T, used and dropped
-                x = blas.dtrsm(1.0, self.diag[:, :, lev - 2], far, side=1,
-                               lower=1, trans_a=1, overwrite_b=1)
+                rest = self.far_rest.get(lev)
+                if rest is None:
+                    x.fill(0.0)
+                else:
+                    rest.toarray(out=x)
+                x[on_diag, on_diag] += self.far_diag[:, lev]
+                blas.dtrmm(1.0, self.diag[:, :, lev - 2], x, side=1, lower=1,
+                           trans_a=1, overwrite_b=1)
                 blas.dsyrk(-1.0, x, 1.0, lkk, lower=1, overwrite_c=1)
             if lev >= 1:
-                c = band[:, -2 * b:-b]
+                c = self.sub[:, :, lev]
                 if lev >= 2:
                     blas.dgemm(-1.0, x, self.sub[:, :, lev - 1], 1.0, c,
                                trans_b=1, overwrite_c=1)
-                blas.dtrsm(1.0, self.diag[:, :, lev - 1], c, side=1, lower=1,
+                blas.dtrmm(1.0, self.diag[:, :, lev - 1], c, side=1, lower=1,
                            trans_a=1, overwrite_b=1)
-                self.sub[:, :, lev] = c
                 blas.dsyrk(-1.0, c, 1.0, lkk, lower=1, overwrite_c=1)
             _, info = lapack.dpotrf(lkk, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                _, info = lapack.dtrtri(lkk, lower=1, overwrite_c=1)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"matrix is not positive definite: the Cholesky factor breaks "
-                    f"down at level {lev} (LAPACK dpotrf info {info})")
+                    f"down at level {lev} (LAPACK info {info})")
 
-    def _far(self, lev: int, w: np.ndarray, trans: bool = False) -> np.ndarray:
-        """``K_{lev,lev-2} @ w``, or ``K_{lev,lev-2}^T @ w``."""
-        out = self.far_diag[:, lev:lev + 1] * w
-        rest = self.far_rest.get(lev)
-        if rest is not None:
-            out += (rest.T if trans else rest) @ w
-        return out
+    def _scatter(self, k: sp.csr_matrix, row: np.ndarray) -> None:
+        """The lower block triangle of ``k`` (``row`` the row of each stored
+        entry) straight into the slots its factor blocks are formed in."""
+        b = self.b
+        gap = row // b - k.indices // b
+        at, r, c = row // b, row % b, k.indices % b
+        for off, dest in ((0, self.diag), (1, self.sub)):
+            sel = gap == off
+            dest[r[sel], c[sel], at[sel]] = k.data[sel]
+        far = gap == 2
+        sel = far & (r == c)
+        self.far_diag[r[sel], at[sel]] = k.data[sel]
+        far &= r != c
+        for lev in np.unique(at[far]):
+            sel = far & (at == lev)
+            self.far_rest[int(lev)] = sp.csr_matrix((k.data[sel], (r[sel], c[sel])),
+                                                   shape=(b, b))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``K^-1 rhs`` for one vector or the columns of a matrix."""
@@ -406,26 +442,51 @@ class _LevelCholesky:
                 or not y.flags.f_contiguous or y.dtype != np.float64:
             raise ValueError(f"expected an F-ordered float ({b}, m, {nt}) array, "
                              f"got {y.dtype} {y.shape}")
+        m = y.shape[1]
+        # out -= op(a) @ x and x = op(tril(a)) @ x, in place; level 2 for one
+        # right-hand side, where it beats dtrmm
+        if m == 1:
+            def sub_mul(a, x, out, trans=0):
+                blas.dgemv(-1.0, a, x[:, 0], 1.0, out[:, 0], trans=trans,
+                           overwrite_y=1)
+
+            def tri_mul(a, x, trans=0):
+                blas.dtrmv(a, x[:, 0], lower=1, trans=trans, overwrite_x=1)
+        else:
+            def sub_mul(a, x, out, trans=0):
+                blas.dgemm(-1.0, a, x, 1.0, out, trans_a=trans, overwrite_c=1)
+
+            def tri_mul(a, x, trans=0):
+                blas.dtrmm(1.0, a, x, lower=1, trans_a=trans, overwrite_b=1)
+
+        w = np.empty((b, m), order="F")
         for lev in range(nt):
             yk = y[:, :, lev]
             if lev >= 1:
-                blas.dgemm(-1.0, self.sub[:, :, lev], y[:, :, lev - 1], 1.0, yk,
-                           overwrite_c=1)
+                sub_mul(self.sub[:, :, lev], y[:, :, lev - 1], yk)
             if lev >= 2:
-                w = blas.dtrsm(1.0, self.diag[:, :, lev - 2], y[:, :, lev - 2],
-                               lower=1, trans_a=1)
-                yk -= self._far(lev, w)
-            blas.dtrsm(1.0, self.diag[:, :, lev], yk, lower=1, overwrite_b=1)
+                # L_{k,k-2} y_{k-2} = K_{k,k-2} (L_{k-2,k-2}^-T y_{k-2})
+                w[...] = y[:, :, lev - 2]
+                tri_mul(self.diag[:, :, lev - 2], w, trans=1)
+                rest = self.far_rest.get(lev)
+                if rest is not None:
+                    yk -= rest @ w
+                w *= self.far_diag[:, lev, None]
+                yk -= w
+            tri_mul(self.diag[:, :, lev], yk)
         for lev in range(nt - 1, -1, -1):
             xk = y[:, :, lev]
             if lev + 1 < nt:
-                blas.dgemm(-1.0, self.sub[:, :, lev + 1], y[:, :, lev + 1], 1.0, xk,
-                           trans_a=1, overwrite_c=1)
+                sub_mul(self.sub[:, :, lev + 1], y[:, :, lev + 1], xk, trans=1)
             if lev + 2 < nt:
-                w = np.asfortranarray(self._far(lev + 2, y[:, :, lev + 2], trans=True))
-                xk -= blas.dtrsm(1.0, self.diag[:, :, lev], w, lower=1, overwrite_b=1)
-            blas.dtrsm(1.0, self.diag[:, :, lev], xk, lower=1, trans_a=1,
-                       overwrite_b=1)
+                # L_{k+2,k}^T x_{k+2} = L_{k,k}^-1 (K_{k+2,k}^T x_{k+2})
+                np.multiply(y[:, :, lev + 2], self.far_diag[:, lev + 2, None], out=w)
+                rest = self.far_rest.get(lev + 2)
+                if rest is not None:
+                    w += rest.T @ y[:, :, lev + 2]
+                tri_mul(self.diag[:, :, lev], w)
+                xk -= w
+            tri_mul(self.diag[:, :, lev], xk, trans=1)
         return y
 
 
@@ -433,9 +494,10 @@ class _LevelCholesky:
 
 # entries of the dense state factor and reduced source matrix (8 bytes each)
 _DENSE_LIMIT = 2.5e8
-# source columns eliminated per multi-right-hand-side state solve; 64
-# measured 5% more peak memory on a cold 97^2 reconstruction
-_CHUNK = 32
+# source columns eliminated per multi-right-hand-side state solve; against
+# 64, 96 measured a 5-15% faster elimination at 65^2 and 97^2 for 5 MB more
+# peak memory at 97^2, and 194 a 10% faster one for 15 MB more
+_CHUNK = 96
 # block size of the compact-WY QR of the reduced source matrix
 _QR_BLOCK = 32
 
@@ -469,11 +531,15 @@ class SourceReduction:
     ``ay^T ay`` (``chol``; the columns of ``ay`` are ordered time level by
     time level, see ``_level_order``) and the projected source matrix
     R0 = (I - ay (ay^T ay)^-1 ay^T) az W^-1/2 in factored form:
-    R0 = Q @ u @ diag(s) @ vt.  Q is never formed: it is kept in compact WY
-    form, the Householder vectors below the diagonal of ``reflectors`` (the
-    rows x sources output of LAPACK ``dgeqrt``, whose upper triangle is the
-    factor the SVD ``u @ diag(s) @ vt`` is taken of) and the block reflector
-    factors ``t``; ``reconstruct`` applies Q^T to its data with ``dgemqrt``.
+    P R0 = Q @ u @ diag(s) @ vt, where P puts the rows in ``row_order``
+    (stably by the first time level they touch, see ``_level_rows``; ``ay``,
+    ``az``, ``sqrt_w`` and ``blocks`` keep the block row order).  Q is never
+    formed: it is kept in compact WY form, the Householder vectors below the
+    diagonal of ``reflectors`` (the rows x sources output of LAPACK
+    ``dgeqrt``, whose upper triangle is the factor the SVD
+    ``u @ diag(s) @ vt`` is taken of) and the block reflector factors ``t``;
+    ``reconstruct`` applies Q^T to its data, permuted by ``row_order``, with
+    ``dgemqrt``.
     W is the quadrature weight of (f, g), so ``s`` is the spectrum with
     respect to the L2 norm of the sources.  Built by ``reduce_sources`` for
     one grid, coefficient set, q1/q2 and omega weights (``key``);
@@ -489,6 +555,7 @@ class SourceReduction:
     az: sp.csc_matrix
     chol: _LevelCholesky
     source_w: np.ndarray
+    row_order: np.ndarray
     reflectors: np.ndarray
     t: np.ndarray
     u: np.ndarray
@@ -502,6 +569,31 @@ def _level_order(grid: Grid) -> np.ndarray:
     time level by time level, each level (u, v), each raveled in space."""
     n_sp = int(np.prod(grid.space_shape))
     return np.arange(2 * n_sp * grid.nt).reshape(2, n_sp, grid.nt).transpose(2, 0, 1).ravel()
+
+
+def _level_rows(ay: sp.csc_matrix,
+                b: int) -> tuple[np.ndarray, list[tuple[int, int, sp.csc_matrix]]]:
+    """Rows of ``ay`` (columns in levels of ``b``) ordered stably by the first
+    level they touch, rows without state entries last, so that the columns
+    of level k touch one contiguous range of rows: those whose first level
+    is k - 2 to k.  Returns the row order and, per level, that range
+    ``lo, hi`` with the level's block of ``ay[order]`` in it."""
+    nt = ay.shape[1] // b
+    first = np.full(ay.shape[0], nt)
+    np.minimum.at(first, ay.indices, np.repeat(np.arange(ay.shape[1]) // b,
+                                               np.diff(ay.indptr)))
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    at = rank[ay.indices]
+    blocks = []
+    for lev in range(nt):
+        ptr = ay.indptr[lev * b:(lev + 1) * b + 1]
+        rows = at[ptr[0]:ptr[-1]]
+        lo, hi = int(rows.min()), int(rows.max()) + 1
+        blocks.append((lo, hi, sp.csc_matrix((ay.data[ptr[0]:ptr[-1]], rows - lo,
+                                              ptr - ptr[0]), shape=(hi - lo, b))))
+    return order, blocks
 
 
 def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduction:
@@ -543,24 +635,29 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     chol = _LevelCholesky(ay.T @ ay, level)
     stage("factor_s")
     source_w = np.tile(g.space_weights.ravel(), 2)
-    # R0 column chunk by column chunk: the right-hand sides ay^T az[:, J] are
-    # scattered straight into the level layout of ``solve_levels`` and the
-    # eliminated states subtracted in place, so at most two chunk-sized
-    # temporaries, x and ay @ x, are alive.  Fortran order lets the QR below
-    # factor R0 where it lies.
+    # R0 = az - ay K^-1 ay^T az, chunk by chunk of source columns, in the
+    # level row order: the right-hand sides ay^T az[:, J] are scattered
+    # straight into the level layout of ``solve_levels`` and solved in place,
+    # and each level's states are subtracted from its own contiguous rows.
+    # Fortran order lets the QR below factor R0 where it lies.
+    row_order, level_rows = _level_rows(ay, level)
     ayt_az = (ay.T @ az).tocsc()
     r0 = np.empty((rows, n_src), order="F")
+    az[row_order].toarray(out=r0)
+    y = np.empty((level, min(_CHUNK, n_src), g.nt), order="F")
     for j in range(0, n_src, _CHUNK):
         m = min(_CHUNK, n_src - j)
+        if m != y.shape[1]:
+            y = np.empty((level, m, g.nt), order="F")
+        y.fill(0.0)
         seg = slice(ayt_az.indptr[j], ayt_az.indptr[j + m])
         node = ayt_az.indices[seg]
         col = np.repeat(np.arange(m), np.diff(ayt_az.indptr[j:j + m + 1]))
-        y = np.zeros((level, m, g.nt), order="F")
         y[node % level, col, node // level] = ayt_az.data[seg]
-        x = chol.solve_levels(y).transpose(2, 0, 1).reshape(n_state, m)
-        del y
-        az[:, j:j + m].toarray(out=r0[:, j:j + m])
-        r0[:, j:j + m] -= ay @ x
+        chol.solve_levels(y)
+        for lev, (lo, hi, blk) in enumerate(level_rows):
+            r0[lo:hi, j:j + m] -= blk @ y[:, :, lev]
+    del y
     r0 /= np.sqrt(source_w)
     stage("eliminate_s")
     reflectors, t, info = lapack.dgeqrt(min(_QR_BLOCK, n_src), r0, overwrite_a=1)
@@ -571,8 +668,8 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     stage("qr_svd_s")
     return SourceReduction(key=_system_key(data, cfg), blocks=tuple(blocks),
                            sqrt_w=sqrt_w, ay=ay, az=az, chol=chol, source_w=source_w,
-                           reflectors=reflectors, t=t, u=u, s=s, vt=vt,
-                           timings=timings)
+                           row_order=row_order, reflectors=reflectors, t=t,
+                           u=u, s=s, vt=vt, timings=timings)
 
 
 def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
@@ -615,7 +712,7 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     b_perp = b - ay @ chol.solve(ayt_b)
     # Q^T b_perp from the compact WY form, then the filtered SVD; every
     # dense product goes through SciPy's BLAS, like the factor's
-    qt_b, info = lapack.dgemqrt(red.reflectors, red.t, b_perp[:, None],
+    qt_b, info = lapack.dgemqrt(red.reflectors, red.t, b_perp[red.row_order, None],
                                 side="L", trans="T", overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dgemqrt info {info}")

@@ -493,6 +493,60 @@ def test_level_cholesky_solves_as_spsolve(dims, omega_bc):
         assert np.linalg.norm(k @ (x - x_ref)) <= 1e-12 * k_norm * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("omega_bc", [0.0, 1000.0])
+@pytest.mark.parametrize("dims", [(1.0,), (1.0, 2.0)], ids=["1d-17", "2d-7x6x9"])
+def test_vector_solve_matches_matrix_column(dims, omega_bc):
+    """One right-hand side takes the level-2 kernels, several the level-3
+    ones; both give the same solution to roundoff."""
+    chol = random_system(dims, omega_bc).chol
+    rhs = np.random.default_rng(9).standard_normal((chol.b * chol.nt, 4))
+    cols = chol.solve(rhs)
+    for j in range(rhs.shape[1]):
+        x = chol.solve(rhs[:, j])
+        assert np.linalg.norm(x - cols[:, j]) <= 1e-13 * np.linalg.norm(cols[:, j])
+
+
+@pytest.mark.parametrize("omega_bc", [0.0, 1000.0])
+@pytest.mark.parametrize("dims", [(1.0,), (1.0, 2.0)], ids=["1d-17", "2d-7x6x9"])
+def test_level_rows_hold_each_level_in_one_range(dims, omega_bc):
+    """In the elimination's row order the state columns of level k touch
+    only the rows whose first level is k - 2 to k, one contiguous range;
+    rows without state entries come last (one is appended here)."""
+    red = random_system(dims, omega_bc)
+    b, nt = red.chol.b, red.chol.nt
+    ay = sp.vstack([red.ay, sp.csc_matrix((1, red.ay.shape[1]))], format="csc")
+    order, level_rows = inverse._level_rows(ay, b)
+    assert order[-1] == ay.shape[0] - 1
+    assert np.array_equal(order[:-1], red.row_order)
+    permuted = ay[order].tocsc()
+    touched = [np.unique(permuted[:, k * b:(k + 1) * b].indices) for k in range(nt)]
+    first = np.full(ay.shape[0], nt)
+    for k in range(nt - 1, -1, -1):
+        first[touched[k]] = k
+    assert np.all(np.diff(first) >= 0)
+    assert first[-1] == nt and np.all(first[:-1] < nt)
+    for k, (lo, hi, blk) in enumerate(level_rows):
+        assert lo == touched[k][0] and hi == touched[k][-1] + 1
+        assert np.all((k - 2 <= first[lo:hi]) & (first[lo:hi] <= k)), k
+        assert (blk != permuted[lo:hi, k * b:(k + 1) * b]).nnz == 0, k
+
+
+def test_factor_and_solves_never_call_dtrsm(monkeypatch):
+    """The factor keeps its diagonal blocks inverted, so every triangular
+    solve is a multiply."""
+    from scipy.linalg import blas
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dtrsm called")
+
+    monkeypatch.setattr(blas, "dtrsm", refuse)
+    case, f, gg = build_case(n=17)
+    data = make_inverse_data(case, 0.01, 0)
+    cfg = dataclasses.replace(TUNED, beta=1e-4)
+    res = reconstruct(data, cfg, truth=(f, gg), reduction=inverse.reduce_sources(data, cfg))
+    assert res.converged
+
+
 def test_level_cholesky_refuses_wider_time_coupling():
     b, levels = 3, 6
     k = sp.lil_matrix(4.0 * sp.eye(b * levels))
