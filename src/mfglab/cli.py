@@ -26,7 +26,7 @@ from .inverse import (
 from .models import make_nonlinear_pair, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report
 from .statedet import thm1_experiment, thm4_experiment
-from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, estimate_constant,
+from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, SWEEP_SPANS, estimate_constant,
                      generate_ensemble, lemma3_check)
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
@@ -114,13 +114,16 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
             raise ConfigError(f"unknown estimate kind {kind!r}")
     wspec = cfg.section("weights")
     refine = bool(est["refine"])
+    timings = dict.fromkeys(SWEEP_SPANS, 0.0)
 
     def sweep(group, build_ensemble):
         if not group:
             return {}
-        return dict(zip(group, estimate_constant(
-            group, build_ensemble(), wspec["lambdas"], wspec["s_values"],
-            recipe, grid, refine=refine)))
+        reports = estimate_constant(group, build_ensemble(), wspec["lambdas"],
+                                    wspec["s_values"], recipe, grid, refine=refine)
+        for span, seconds in reports[0].timings.items():
+            timings[span] += seconds
+        return dict(zip(group, reports))
 
     # one sweep call per ensemble: the energy-slice kinds run on manufactured
     # cases, every other kind on the function ensemble
@@ -156,7 +159,8 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
         ResultTable("constants", ("kind", "lambda", "s0_emp", "c_emp", "drift"),
                     tuple(const_rows), plot_worthy=False),
     ]
-    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
+    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary,
+                     timings=timings)
 
 
 def _run_lemma3(cfg: ExperimentConfig) -> RunReport:

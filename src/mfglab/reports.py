@@ -58,6 +58,8 @@ class RunReport:
     summary: dict[str, Any] = field(default_factory=dict)
     extra_json: dict[str, dict[str, Any]] = field(default_factory=dict)
     wall_time_s: float = 0.0
+    # seconds per named stage; written to report.json outside output_hash
+    timings: dict[str, float] = field(default_factory=dict)
 
     def versions(self) -> dict[str, str]:
         import platform
@@ -139,6 +141,7 @@ def emit_report(report: RunReport, out_dir: str) -> dict[str, str]:
         },
         "versions": report.versions(),
         "wall_time_s": report.wall_time_s,
+        "timings": report.timings,
         "output_hash": hasher.hexdigest(),
     }
     report_path = out / "report.json"

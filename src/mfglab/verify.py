@@ -12,8 +12,9 @@ evidence, a ratio that blows up is a finding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+import time
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,32 +75,42 @@ class EstimateSidePair:
         return self.lhs > 0.0 and self.rhs <= ZERO_RHS_FLOOR
 
 
-class _Part(NamedTuple):
-    """One weighted square: ``pre = st_weights * a * a`` with its weight
-    powers; on a bundle it is ``sum(pre * weight_factor(m, lam_power))``."""
+class _Cells:
+    """The (lam, s) cells of one grid sweep: one weight bundle per cell and,
+    on first use, one (cells x N) stack of weight factors per distinct
+    (m, lam_power), shared by every member and kind swept on the grid.
 
-    pre: np.ndarray
-    m: int
-    lam_power: int = 0
+    ``timings`` accumulates the sweep's seconds under ``members_s``,
+    ``terms_s`` and ``sums_s`` (see ``estimate_constant``).
+    """
+
+    def __init__(self, bundles: Sequence[WeightBundle],
+                 timings: Optional[dict[str, float]] = None):
+        self.bundles = tuple(bundles)
+        self.timings = _new_timings() if timings is None else timings
+        self._stacks: dict[tuple[int, int], np.ndarray] = {}
+
+    def sums(self, pre: np.ndarray, m: int, lam_power: int) -> np.ndarray:
+        """``sum(pre * weight_factor(m, lam_power))`` on every cell.
+
+        Each stack row is one cell's factor, raveled, so its row sum is the
+        same pairwise sum over the same products as ``np.sum(pre * wf)``
+        and equal to it bit for bit (a dot product would not be).
+        """
+        stack = self._stacks.get((m, lam_power))
+        if stack is None:
+            stack = np.empty((len(self.bundles), pre.size))
+            for row, bundle in zip(stack, self.bundles):
+                row[:] = bundle.weight_factor(m, lam_power).ravel()
+            self._stacks[(m, lam_power)] = stack
+        return (pre.reshape(1, -1) * stack).sum(axis=1)
 
 
-def _part(arr: np.ndarray, grid: Grid, m: int, lam_power: int = 0) -> _Part:
-    # operand order of st_weights * a * a * factor, so the weighted integral
-    # rounds exactly as when it is written out in one expression
-    return _Part(grid.st_weights * arr * arr, m, lam_power)
+SWEEP_SPANS = ("members_s", "terms_s", "sums_s")
 
 
-def _weighted(parts: Sequence[_Part], bundle: WeightBundle, factors: dict,
-              scalar: float = 1.0) -> float:
-    """Sum of the parts' weighted integrals; ``factors`` memoizes the
-    bundle's weight factors by (m, lam_power)."""
-    total = 0
-    for pre, m, k in parts:
-        wf = factors.get((m, k))
-        if wf is None:
-            wf = factors[(m, k)] = bundle.weight_factor(m, k)
-        total += scalar * float(np.sum(pre * wf))
-    return total
+def _new_timings() -> dict[str, float]:
+    return dict.fromkeys(SWEEP_SPANS, 0.0)
 
 
 def _d_gamma_sq(f: GridFn) -> float:
@@ -110,32 +121,55 @@ def _h2_slice_sq(grid: Grid, slice_vals: np.ndarray) -> float:
     return norm(GridFn(grid, SPATIAL_SLICE, slice_vals), "H2_slice") ** 2
 
 
-def _first_side_lhs(u: GridFn, prefix: str = "") -> dict[str, tuple[_Part, ...]]:
+# A weighted square is named by (field, m, lam_power): its integral on a
+# bundle is sum(st_weights * a * a * weight_factor(m, lam_power)).  The field
+# is a path (base, *steps), base one of "u", "v", "F", "G" and each step one
+# derivative (t_order, x axes), or a composite: "opA" = u_t + A u,
+# "opB" = v_t - B v, "f" and "g" = the source profiles constant in time.
+_DT = (1, ())
+
+
+def _first_side_lhs(path: tuple, prefix: str, dim: int) -> dict[str, tuple]:
     """Backward-equation energy block: |ut|^2 + |uxx|^2 + (s lam phi)^2|grad|^2
     + (s lam phi)^4 |u|^2, all under the normalized weight."""
-    g = u.grid
     return {
-        prefix + "ut": (_part(diff(u, t_order=1).values, g, 0),),
-        prefix + "uxx": tuple(_part(diff(u, x=(i, j)).values, g, 0)
-                              for i in range(g.dim) for j in range(g.dim)),
-        prefix + "grad": tuple(_part(diff(u, x=(i,)).values, g, 2, lam_power=2)
-                               for i in range(g.dim)),
-        prefix + "val": (_part(u.values, g, 4, lam_power=4),),
+        prefix + "ut": ((path + (_DT,), 0, 0),),
+        prefix + "uxx": tuple((path + ((0, (i, j)),), 0, 0)
+                              for i in range(dim) for j in range(dim)),
+        prefix + "grad": tuple((path + ((0, (i,)),), 2, 2) for i in range(dim)),
+        prefix + "val": ((path, 4, 4),),
     }
 
 
-def _second_side_lhs(v: GridFn, prefix: str = "") -> dict[str, tuple[_Part, ...]]:
+def _second_side_lhs(path: tuple, prefix: str, dim: int) -> dict[str, tuple]:
     """Forward-equation energy block with one inverse weight power on the
     top-order terms."""
-    g = v.grid
     return {
-        prefix + "vt": (_part(diff(v, t_order=1).values, g, -1),),
-        prefix + "vxx": tuple(_part(diff(v, x=(i, j)).values, g, -1)
-                              for i in range(g.dim) for j in range(g.dim)),
-        prefix + "grad": tuple(_part(diff(v, x=(i,)).values, g, 1, lam_power=2)
-                               for i in range(g.dim)),
-        prefix + "val": (_part(v.values, g, 3, lam_power=4),),
+        prefix + "vt": ((path + (_DT,), -1, 0),),
+        prefix + "vxx": tuple((path + ((0, (i, j)),), -1, 0)
+                              for i in range(dim) for j in range(dim)),
+        prefix + "grad": tuple((path + ((0, (i,)),), 1, 2) for i in range(dim)),
+        prefix + "val": ((path, 3, 4),),
     }
+
+
+def _kind_terms(kind: str, dim: int) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """The weighted squares of each lhs and rhs term of ``kind``; the
+    energy-slice kinds' left side is the t0 slice, outside this table."""
+    u, v, F, G = ("u",), ("v",), ("F",), ("G",)
+    if kind == "LEMMA1":
+        return _first_side_lhs(u, "", dim), {"op": (("opA", 1, 0),)}
+    if kind == "LEMMA2":
+        return _second_side_lhs(v, "", dim), {"op": (("opB", 0, 0),)}
+    if kind == "THM3":
+        return (_first_side_lhs(u, "u_", dim) | _second_side_lhs(v, "v_", dim),
+                {"F": ((F, 1, 0),), "G": ((G, 0, 0),)})
+    if kind == "LEMMA4":
+        return (_first_side_lhs(u + (_DT,), "ut_", dim)
+                | _second_side_lhs(v + (_DT,), "vt_", dim),
+                {"Ft": ((F + (_DT,), 1, 0),), "F": ((F, 1, 0),),
+                 "Gt": ((G + (_DT,), 0, 0),), "G": ((G, 0, 0),)})
+    return {}, {"f": (("f", 1, 0),), "g": (("g", 0, 0),)}
 
 
 def _check_consistency(u: GridFn, v: GridFn, F: GridFn, G: GridFn,
@@ -175,37 +209,66 @@ def _require(kind: str, u, v, F, G, sources) -> None:
             raise ValueError(f"{kind} needs u and v")
 
 
-def _data_functionals(u: Optional[GridFn], v: Optional[GridFn],
-                      keys: set[str]) -> dict[str, float]:
-    data: dict[str, float] = {}
-    if keys & {"Du2", "D02"}:
-        data["Du2"] = _d_gamma_sq(u)
-    if keys & {"Dv2", "D02"}:
-        data["Dv2"] = _d_gamma_sq(v)
-    if "D02" in keys:
-        g = u.grid
-        data["D02"] = (
-            data["Du2"] + data["Dv2"]
-            + _d_gamma_sq(diff(u, t_order=1)) + _d_gamma_sq(diff(v, t_order=1))
-            + _h2_slice_sq(g, u.values[..., g.it0])
-            + _h2_slice_sq(g, v.values[..., g.it0])
-        )
-    return data
-
-
 @dataclass
 class _Member:
     """One instance on one grid, shared by every kind swept over it: the
-    states, the sources F, G and their factors, and the data functionals.
-
-    A sweep drops F and G once no later kind reads them."""
+    states, the sources F, G and their factors, the data functionals, and a
+    memo of the derived fields and of each weighted square's sums over the
+    cells of the one sweep it belongs to.  The memo lives as long as the
+    member, so kinds share derivative stacks and weighted squares (THM3's
+    left side is LEMMA1's and LEMMA2's; u_t and v_t serve LEMMA1, LEMMA2,
+    LEMMA4 and D0), and a sweep that drops the member drops its arrays."""
 
     u: Optional[GridFn]
     v: Optional[GridFn]
     F: Optional[GridFn]
     G: Optional[GridFn]
     sources: Optional[SourceFactors]
-    data: dict[str, float]
+    coeffs: CoeffSet
+    data: dict[str, float] = field(default_factory=dict)
+    fields: dict[tuple, GridFn] = field(default_factory=dict)
+    sums: dict[tuple, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def grid(self) -> Grid:
+        return (self.u if self.u is not None else self.v).grid
+
+    def fn(self, path: tuple) -> GridFn:
+        """The field at ``path``: a base state or source, then derivatives."""
+        if len(path) == 1:
+            return getattr(self, path[0])
+        f = self.fields.get(path)
+        if f is None:
+            t_order, x = path[-1]
+            f = self.fields[path] = diff(self.fn(path[:-1]), t_order=t_order, x=x)
+        return f
+
+    def _values(self, key) -> np.ndarray:
+        if key == "opA":
+            return (self.fn(("u", _DT)).values
+                    + apply_operator("A", self.u, self.coeffs).values)
+        if key == "opB":
+            return (self.fn(("v", _DT)).values
+                    - apply_operator("B", self.v, self.coeffs).values)
+        if key in ("f", "g"):
+            profile = getattr(self.sources, key)
+            return np.broadcast_to(profile[..., None], self.grid.shape)
+        return self.fn(key).values
+
+    def weighted(self, cells: _Cells, key, m: int, lam_power: int) -> np.ndarray:
+        """The weighted square (key, m, lam_power) on every cell."""
+        vec = self.sums.get((key, m, lam_power))
+        if vec is None:
+            start = time.perf_counter()
+            a = self._values(key)
+            # operand order of st_weights * a * a * factor, so the weighted
+            # integral rounds exactly as when it is written out in one expression
+            pre = self.grid.st_weights * a * a
+            mid = time.perf_counter()
+            vec = self.sums[(key, m, lam_power)] = cells.sums(pre, m, lam_power)
+            cells.timings["terms_s"] += mid - start
+            cells.timings["sums_s"] += time.perf_counter() - mid
+        return vec
 
 
 def _member(kinds: Sequence[str], u: Optional[GridFn], v: Optional[GridFn],
@@ -219,102 +282,69 @@ def _member(kinds: Sequence[str], u: Optional[GridFn], v: Optional[GridFn],
         _require(kind, u, v, F, G, sources)
     if not derived and any(k in _SYSTEM_KINDS for k in kinds):
         _check_consistency(u, v, F, G, coeffs)
+    m = _Member(u, v, F, G, sources, coeffs)
     keys = {key for kind in kinds for key in _DATA_TERMS[kind]}
-    return _Member(u, v, F, G, sources, _data_functionals(u, v, keys))
+    if keys & {"Du2", "D02"}:
+        m.data["Du2"] = _d_gamma_sq(u)
+    if keys & {"Dv2", "D02"}:
+        m.data["Dv2"] = _d_gamma_sq(v)
+    if "D02" in keys:
+        g = u.grid
+        m.data["D02"] = (
+            m.data["Du2"] + m.data["Dv2"]
+            + _d_gamma_sq(m.fn(("u", _DT))) + _d_gamma_sq(m.fn(("v", _DT)))
+            + _h2_slice_sq(g, u.values[..., g.it0])
+            + _h2_slice_sq(g, v.values[..., g.it0])
+        )
+    return m
 
 
-@dataclass(frozen=True)
-class _InstanceTerms:
-    """Everything of one inequality instance that does not depend on (lam, s).
-
-    Each lhs/rhs term is a sum of weighted squares; ``data`` holds the
-    unweighted data functionals (they take the bundle's ``data_scale``);
-    the energy-slice kinds keep the squared time derivative on the t0 slice
-    that forms their left side.
-    """
-
-    kind: str
-    lhs: dict[str, tuple[_Part, ...]]
-    rhs: dict[str, tuple[_Part, ...]]
-    data: dict[str, float]
-    slice_sq: Optional[np.ndarray] = None
-
-
-def _instance_terms(kind: str, m: _Member, coeffs: CoeffSet) -> _InstanceTerms:
-    u, v, F, G = m.u, m.v, m.F, m.G
+def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
+    """Both sides of one instance on every cell.  Each weighted square is
+    summed over all cells at once (or read from the member's memo); the
+    cell's terms then add its entries in term order."""
+    lhs_spec, rhs_spec = _kind_terms(kind, m.grid.dim)
+    lhs_vecs = {name: [m.weighted(cells, *p) for p in parts]
+                for name, parts in lhs_spec.items()}
+    rhs_vecs = {name: [m.weighted(cells, *p) for p in parts]
+                for name, parts in rhs_spec.items()}
     data = {key: m.data[key] for key in _DATA_TERMS[kind]}
+    start = time.perf_counter()
+    g = m.grid
+    if kind in ENERGY_KINDS:
+        dt = m.fn(("u" if kind == "ENERGY_3_8" else "v", _DT))
+        slice_sq = dt.values[..., g.it0] ** 2
 
-    if kind == "LEMMA1":
-        op = diff(u, t_order=1).values + apply_operator("A", u, coeffs).values
-        return _InstanceTerms(kind, _first_side_lhs(u),
-                              {"op": (_part(op, u.grid, 1),)}, data)
+    def total(vecs, c, scalar=1.0):
+        out = 0
+        for vec in vecs:
+            out += scalar * float(vec[c])
+        return out
 
-    if kind == "LEMMA2":
-        op = diff(v, t_order=1).values - apply_operator("B", v, coeffs).values
-        return _InstanceTerms(kind, _second_side_lhs(v),
-                              {"op": (_part(op, v.grid, 0),)}, data)
-
-    g = u.grid
-    if kind == "THM3":
-        return _InstanceTerms(
-            kind, _first_side_lhs(u, "u_") | _second_side_lhs(v, "v_"),
-            {"F": (_part(F.values, g, 1),), "G": (_part(G.values, g, 0),)},
-            data,
-        )
-
-    if kind == "LEMMA4":
-        y = diff(u, t_order=1)
-        z = diff(v, t_order=1)
-        return _InstanceTerms(
-            kind, _first_side_lhs(y, "ut_") | _second_side_lhs(z, "vt_"),
-            {"Ft": (_part(diff(F, t_order=1).values, g, 1),),
-             "F": (_part(F.values, g, 1),),
-             "Gt": (_part(diff(G, t_order=1).values, g, 0),),
-             "G": (_part(G.values, g, 0),)},
-            data,
-        )
-
-    # energy-slice kinds
-    sources = m.sources
-    f_ext = np.broadcast_to(sources.f[..., None], g.shape)
-    g_ext = np.broadcast_to(sources.g[..., None], g.shape)
-    dt0 = diff(u if kind == "ENERGY_3_8" else v, t_order=1).values[..., g.it0]
-    return _InstanceTerms(
-        kind, {},
-        {"f": (_part(f_ext, g, 1),), "g": (_part(g_ext, g, 0),)},
-        data,
-        slice_sq=dt0**2,
-    )
-
-
-def _evaluate_terms(terms: _InstanceTerms, bundle: WeightBundle,
-                    factors: dict) -> EstimateSidePair:
-    """Both sides of one instance on one bundle; ``factors`` is the cell's
-    weight-factor memo, shared by every instance evaluated on ``bundle``."""
-    ds = bundle.data_scale
-    if terms.slice_sq is None:
-        lhs = {name: _weighted(parts, bundle, factors)
-               for name, parts in terms.lhs.items()}
-        scalar = 1.0
-    else:
-        g = bundle.grid
-        s = bundle.params.s
-        if s <= 0:
-            raise ValueError("energy-slice kinds need s > 0")
-        w_t0 = bundle.w_slice(g.it0)
-        if terms.kind == "ENERGY_3_8":
-            phi_t0 = bundle.phi_slice(g.it0)
-            val = float(np.sum(g.space_weights * s * phi_t0 * terms.slice_sq * w_t0))
-            scalar = 1.0 / s
+    pairs = []
+    for c, bundle in enumerate(cells.bundles):
+        if kind in ENERGY_KINDS:
+            s = bundle.params.s
+            if s <= 0:
+                raise ValueError("energy-slice kinds need s > 0")
+            w_t0 = bundle.w_slice(g.it0)
+            if kind == "ENERGY_3_8":
+                phi_t0 = bundle.phi_slice(g.it0)
+                val = float(np.sum(g.space_weights * s * phi_t0 * slice_sq * w_t0))
+                scalar = 1.0 / s
+            else:
+                val = float(np.sum(g.space_weights * slice_sq * w_t0))
+                scalar = s**-0.5
+            lhs = {"slice": val}
         else:
-            val = float(np.sum(g.space_weights * terms.slice_sq * w_t0))
-            scalar = s**-0.5
-        lhs = {"slice": val}
-    rhs = {name: _weighted(parts, bundle, factors, scalar)
-           for name, parts in terms.rhs.items()}
-    rhs |= {name: ds * d for name, d in terms.data.items()}
-    return EstimateSidePair(kind=terms.kind, params=bundle.params,
-                            lhs_terms=lhs, rhs_terms=rhs)
+            lhs = {name: total(vecs, c) for name, vecs in lhs_vecs.items()}
+            scalar = 1.0
+        rhs = {name: total(vecs, c, scalar) for name, vecs in rhs_vecs.items()}
+        rhs |= {name: bundle.data_scale * d for name, d in data.items()}
+        pairs.append(EstimateSidePair(kind=kind, params=bundle.params,
+                                      lhs_terms=lhs, rhs_terms=rhs))
+    cells.timings["sums_s"] += time.perf_counter() - start
+    return pairs
 
 
 def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
@@ -328,10 +358,11 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     (checked); the energy-slice kinds additionally need the factorized
     ``sources`` since their right side is written in the spatial profiles.
     Every unweighted data term carries the bundle's ``data_scale`` so that
-    ratios are independent of the weight normalization.
+    ratios are independent of the weight normalization.  This is the sweep's
+    own path, for one member on one cell.
     """
     member = _member((kind,), u, v, F, G, coeffs, sources)
-    return _evaluate_terms(_instance_terms(kind, member, coeffs), bundle, {})
+    return _pairs(kind, member, _Cells((bundle,)))[0]
 
 
 def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
@@ -347,9 +378,10 @@ def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
     steps = np.cumsum(g.tau * (y[..., 1:] + y[..., :-1]) / 2.0, axis=g.dim)
     cum = np.concatenate((np.zeros_like(y[..., :1]), steps), axis=g.dim)
     inner = cum - cum[..., g.it0][..., None]
-    factors: dict = {}
-    lhs = _weighted((_part(inner, g, p),), bundle, factors)
-    rhs = _weighted((_part(w.values, g, p - 1, lam_power=-1),), bundle, factors)
+    # the operand order of the sweeps' weighted squares
+    lhs = float(np.sum(g.st_weights * inner * inner * bundle.weight_factor(p)))
+    rhs = float(np.sum(g.st_weights * w.values * w.values
+                       * bundle.weight_factor(p - 1, lam_power=-1)))
     return EstimateSidePair(
         kind=f"LEMMA3(p={p})", params=bundle.params,
         lhs_terms={"antiderivative": lhs}, rhs_terms={"field": rhs},
@@ -451,6 +483,7 @@ class VerificationReport:
     invalid: tuple[tuple[float, float], ...]
     drift: Optional[float] = None
     c_emp_refined: Optional[float] = None
+    timings: dict[str, float] = field(default_factory=_new_timings, compare=False)
 
     def max_ratio(self) -> float:
         return self.c_emp
@@ -459,65 +492,66 @@ class VerificationReport:
 EnsembleLike = Union[FunctionEnsemble, CaseEnsemble]
 
 
-def _members(kinds: Sequence[str], ensemble: EnsembleLike,
-             coeffs: CoeffSet) -> list[_Member]:
-    """Every instance of the ensemble on its grid, built once for all kinds;
-    a function-ensemble member takes its residual as sources F, G when a
-    system kind needs them."""
-    if isinstance(ensemble, CaseEnsemble):
-        return [_member(kinds, c.u, c.v, c.F, c.G, coeffs, c.sources)
-                for c in ensemble.cases]
-    system = any(k in _SYSTEM_KINDS for k in kinds)
-    out = []
-    for m in ensemble.members:
-        F, G = residual("linear", m.u, m.v, coeffs=coeffs) if system else (None, None)
-        out.append(_member(kinds, m.u, m.v, F, G, coeffs, None, derived=True))
-    return out
+def _members(kinds: Sequence[str], ensemble: EnsembleLike, coeffs: CoeffSet,
+             timings: dict[str, float]) -> Iterator[_Member]:
+    """The instances of the ensemble on its grid, built one at a time; a
+    function-ensemble member takes its residual as sources F, G (built
+    whatever the kinds, so adding a kind never adds member work)."""
+    for inst in (ensemble.cases if isinstance(ensemble, CaseEnsemble)
+                 else ensemble.members):
+        start = time.perf_counter()
+        if isinstance(inst, EnsembleMember):
+            F, G = residual("linear", inst.u, inst.v, coeffs=coeffs)
+            member = _member(kinds, inst.u, inst.v, F, G, coeffs, None, derived=True)
+        else:
+            member = _member(kinds, inst.u, inst.v, inst.F, inst.G, coeffs,
+                             inst.sources)
+        timings["members_s"] += time.perf_counter() - start
+        yield member
 
 
-def _sweep(kind: str, members: list[_Member], coeffs: CoeffSet, eta,
-           lam_grid, s_grid, grid: Grid, *,
-           last_source_reader: bool) -> tuple[list[EstimateRow], dict, list]:
-    instances = []
-    for m in members:
-        instances.append(_instance_terms(kind, m, coeffs))
-        if last_source_reader:
-            m.F = m.G = None  # freed member by member, so they never add to the terms
-    rows: list[EstimateRow] = []
-    cell_max: dict[tuple[float, float], float] = {}
-    invalid: list[tuple[float, float]] = []
-    for lam in lam_grid:
-        for s in s_grid:
-            bundle = eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
-            factors: dict = {}
+def _grid_sweeps(kinds: Sequence[str], ensemble: EnsembleLike, lam_grid,
+                 s_grid, coeffs: CoeffSet, grid: Grid,
+                 timings: dict[str, float]) -> list[tuple[list[EstimateRow], dict, list]]:
+    """Sweep every kind on one grid, with ``coeffs`` sampled there.
+
+    Member-major: the weight base and every cell's bundle are built once,
+    then each member is built in turn, every kind runs on it over all cells,
+    and only its (lhs, rhs, ratio) per kind and cell are kept; its arrays
+    are dropped before the next member.  Peak memory therefore grows with
+    cells x distinct weight powers x grid nodes (the weight-factor stacks;
+    about 7.5 MB at 129^2 for 8 cells and the 7 powers of LEMMA1, LEMMA2,
+    THM3 and LEMMA4), not with the member count.
+    """
+    start = time.perf_counter()
+    eta = build_eta(grid, coeffs)
+    cell_keys = [(lam, s) for lam in lam_grid for s in s_grid]
+    cells = _Cells([eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
+                    for lam, s in cell_keys], timings)
+    timings["sums_s"] += time.perf_counter() - start
+    # values[kind][cell] holds one (lhs, rhs, ratio) per member
+    values = [[[] for _ in cell_keys] for _ in kinds]
+    for member in _members(kinds, ensemble, coeffs, timings):
+        for per_cell, kind in zip(values, kinds):
+            for out, pair in zip(per_cell, _pairs(kind, member, cells)):
+                out.append((pair.lhs, pair.rhs, pair.ratio))
+    sweeps = []
+    for kind, per_cell in zip(kinds, values):
+        rows: list[EstimateRow] = []
+        cell_max: dict[tuple[float, float], float] = {}
+        invalid: list[tuple[float, float]] = []
+        for (lam, s), members in zip(cell_keys, per_cell):
             best = 0.0
-            bad = False
-            for i, terms in enumerate(instances):
-                pair = _evaluate_terms(terms, bundle, factors)
-                lhs, rhs, ratio = pair.lhs, pair.rhs, pair.ratio
-                if not (math.isfinite(lhs) and math.isfinite(rhs)):
-                    bad = True
+            for i, (lhs, rhs, ratio) in enumerate(members):
                 rows.append(EstimateRow(kind, lam, s, i, lhs, rhs, ratio))
                 if math.isfinite(ratio):
                     best = max(best, ratio)
             cell_max[(lam, s)] = best
-            if bad:
+            if not all(math.isfinite(lhs) and math.isfinite(rhs)
+                       for lhs, rhs, _ in members):
                 invalid.append((lam, s))
-    return rows, cell_max, invalid
-
-
-def _grid_sweeps(kinds: Sequence[str], ensemble: EnsembleLike, lam_grid,
-                 s_grid, coeffs: CoeffSet,
-                 grid: Grid) -> list[tuple[list[EstimateRow], dict, list]]:
-    """Sweep every kind on one grid, with ``coeffs`` sampled there.  The
-    weight base and the members are built once; each kind's terms live only
-    for its sweep."""
-    eta = build_eta(grid, coeffs)
-    members = _members(kinds, ensemble, coeffs)
-    last = max((i for i, k in enumerate(kinds) if k in _SYSTEM_KINDS), default=-1)
-    return [_sweep(kind, members, coeffs, eta, lam_grid, s_grid, grid,
-                   last_source_reader=(i == last))
-            for i, kind in enumerate(kinds)]
+        sweeps.append((rows, cell_max, invalid))
+    return sweeps
 
 
 def _stabilization(lam_grid, s_grid, cell_max) -> tuple[dict, Optional[float]]:
@@ -548,34 +582,46 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
 
     ``kind`` is one estimate kind, which gives one report, or a sequence of
     kinds swept over the same ensemble, which gives one report per kind in
-    that order; the per-grid work (coefficients, weight base, refined
-    ensemble, sources, data functionals) is then done once for all of them.
+    that order; the per-grid work (coefficients, weight base, bundles and
+    weight factors of every cell, refined ensemble) and each member's work
+    (sources, data functionals, derivative stacks, weighted squares) is then
+    done once for all of them.
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
     (closed-form members and coefficients are resampled exactly) and the
     drift of the constant is recorded.
+
+    Each report's ``timings`` holds the seconds of the whole call, summed
+    over both grids and shared by every kind of the call: ``members_s``
+    builds the members (residual sources, consistency check, data
+    functionals), ``terms_s`` their derivative stacks and weighted squares,
+    ``sums_s`` the bundles, weight-factor stacks and the sums over cells.
+    They are not compared between reports.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if len(ensemble) == 0:
         raise ValueError("ensemble must be non-empty")
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
+    timings = _new_timings()
     sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid,
-                          coeff_recipe.sample(grid), grid)
+                          coeff_recipe.sample(grid), grid, timings)
     fine_sweeps = [None] * len(kinds)
     if refine:
         fine = grid.refined(2)
         fine_coeffs = coeff_recipe.sample(fine)
         fine_ens = (ensemble.resample(fine, (coeff_recipe, fine_coeffs))
                     if isinstance(ensemble, CaseEnsemble) else ensemble.resample(fine))
-        fine_sweeps = _grid_sweeps(kinds, fine_ens, lam_grid, s_grid, fine_coeffs, fine)
-    reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)
+        fine_sweeps = _grid_sweeps(kinds, fine_ens, lam_grid, s_grid, fine_coeffs,
+                                   fine, timings)
+    reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep, timings)
                     for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
     return reports[0] if isinstance(kind, str) else reports
 
 
-def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep) -> VerificationReport:
+def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep,
+            timings: dict[str, float]) -> VerificationReport:
     rows, cell_max, invalid = sweep
     valid_vals = [v for c, v in cell_max.items() if c not in invalid]
     c_emp = max(valid_vals) if valid_vals else math.inf
@@ -595,5 +641,5 @@ def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep) -> VerificationRepor
         kind=kind, lam_grid=lam_grid, s_grid=s_grid, rows=tuple(rows),
         cell_max=cell_max, c_emp=c_emp, s0_emp=s0, lam0_emp=lam0,
         flagged=flagged, invalid=tuple(invalid), drift=drift,
-        c_emp_refined=c_fine,
+        c_emp_refined=c_fine, timings=timings,
     )

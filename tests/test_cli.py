@@ -189,3 +189,26 @@ def test_float_formatting_round_trip():
     assert fmt_value(True) == "true"
     assert float(fmt_value(1 / 3)) == 1 / 3
     assert fmt_value(1e-07) == "1e-07"
+
+
+def test_sweep_timings_outside_output_hash(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "experiment: verify-carleman\n"
+        "grid: {nx: [17], nt: 17, gamma: [x-, x+]}\n"
+        "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
+        "sources: {q_min: 0.02}\n"
+        "weights: {lambdas: [1.0], s_values: [0.5, 1.0]}\n"
+        "estimates: {kinds: [THM3, ENERGY_3_8], refine: true}\n",
+        encoding="utf-8",
+    )
+    reports = []
+    for name in ("o1", "o2"):
+        assert run_cli(["verify-carleman", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for report in reports:
+        timings = report["timings"]
+        assert set(timings) == {"members_s", "terms_s", "sums_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= report["wall_time_s"]
+    assert reports[0]["output_hash"] == reports[1]["output_hash"]
