@@ -170,21 +170,21 @@ def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
     ens = _build_function_ensemble(cfg, grid)
     eta = build_eta(grid, coeffs)
     wspec = cfg.section("weights")
+    # one bundle per (lam, s) cell, shared by every p
+    cells = [(float(lam), float(s),
+              eval_weight_bundle(eta, WeightParams(lam=float(lam), s=float(s)), grid))
+             for lam in wspec["lambdas"] for s in wspec["s_values"]]
     rows = []
     summary = {}
     for p in cfg.section("lemma3")["p_values"]:
         p = int(p)
         c_emp = 0.0
-        for lam in wspec["lambdas"]:
-            for s in wspec["s_values"]:
-                bundle = eval_weight_bundle(
-                    eta, WeightParams(lam=float(lam), s=float(s)), grid)
-                for i, member in enumerate(ens.members):
-                    pair = lemma3_check(member.u, p, bundle)
-                    rows.append((p, float(lam), float(s), i, pair.lhs,
-                                 pair.rhs, pair.ratio))
-                    if np.isfinite(pair.ratio):
-                        c_emp = max(c_emp, pair.ratio)
+        for lam, s, bundle in cells:
+            for i, member in enumerate(ens.members):
+                pair = lemma3_check(member.u, p, bundle)
+                rows.append((p, lam, s, i, pair.lhs, pair.rhs, pair.ratio))
+                if np.isfinite(pair.ratio):
+                    c_emp = max(c_emp, pair.ratio)
         summary[f"c_emp_p{p}"] = c_emp
     table = ResultTable("lemma3", ("p", "lambda", "s", "member", "lhs", "rhs",
                                    "ratio"), tuple(rows))
@@ -296,7 +296,7 @@ def _run_state_det(cfg: ExperimentConfig) -> RunReport:
         "excluded_members": list(rep.excluded),
     }
     return RunReport(cfg.experiment, cfg.resolved, [_ceps_table(rep)],
-                     summary=summary)
+                     summary=summary, timings=rep.timings)
 
 
 def _run_nonlinear_diff(cfg: ExperimentConfig) -> RunReport:

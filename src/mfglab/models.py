@@ -17,7 +17,7 @@ least-squares rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Union
+from typing import Callable, Iterable, Iterator, Literal, Optional, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "make_nonlinear_pair",
     "mms_case_ensemble",
     "mms_linear",
+    "resampled_cases",
     "residual",
 ]
 
@@ -342,21 +343,25 @@ class CaseEnsemble:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def resample(self, grid: Grid,
-                 sampled: Optional[tuple[CoeffRecipe, CoeffSet]] = None
-                 ) -> "CaseEnsemble":
-        """Rebuild every case on ``grid``; cases drawn from one coefficient
-        recipe share one sampled coefficient set, as when they were drawn.
-        ``sampled``, a recipe with its coefficient set already sampled on
-        ``grid``, serves the cases drawn from that very recipe object."""
-        cases = []
-        recipe, coeffs = sampled if sampled is not None else (None, None)
-        for c in self.cases:
-            if c.recipe is not None and c.recipe.coeff_recipe is not recipe:
-                recipe = c.recipe.coeff_recipe
-                coeffs = recipe.sample(grid)
-            cases.append(c.resample(grid, coeffs=coeffs))
-        return CaseEnsemble(self.seed, tuple(cases))
+
+def resampled_cases(cases: Iterable[ManufacturedCase], grid: Grid,
+                    sampled: Optional[tuple[CoeffRecipe, CoeffSet]] = None
+                    ) -> Iterator[ManufacturedCase]:
+    """Each case rebuilt on ``grid`` only when it is asked for, so a caller
+    that drops one case before it takes the next holds one at a time.
+
+    Cases drawn from one coefficient recipe share one coefficient set sampled
+    on ``grid``, as when they were drawn.  ``sampled``, a recipe with its
+    coefficient set already sampled on ``grid``, serves the cases drawn from
+    that very recipe object; any other recipe is sampled when its run of
+    cases starts.
+    """
+    recipe, coeffs = sampled if sampled is not None else (None, None)
+    for c in cases:
+        if c.recipe is not None and c.recipe.coeff_recipe is not recipe:
+            recipe = c.recipe.coeff_recipe
+            coeffs = recipe.sample(grid)
+        yield c.resample(grid, coeffs=coeffs)
 
 
 def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,

@@ -12,12 +12,13 @@ the difference with coefficients bounded by the pair's sup norms.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoeffRecipe, NonlinearCoeffs, sample_field
+from .coefficients import CoeffRecipe, CoeffSet, NonlinearCoeffs, sample_field
 from .grid import (
     SPACE_TIME,
     Grid,
@@ -31,7 +32,7 @@ from .grid import (
     norm,
 )
 from .models import NonlinearPair, make_nonlinear_pair, residual
-from .verify import FunctionEnsemble
+from .verify import EnsembleMember, FunctionEnsemble
 
 __all__ = [
     "CepsReport",
@@ -81,6 +82,7 @@ class CepsReport:
     excluded: tuple[int, ...]
     drift: Optional[float] = None
     extras: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     def member_curve(self, member: int) -> list[float]:
         return [r.ratio for r in self.rows if r.member == member]
@@ -140,6 +142,26 @@ def _validate_eps_grid(grid: Grid, eps_grid: Sequence[float]) -> tuple[float, ..
     return tuple(out)
 
 
+def _thm1_sweep(members: Iterable[EnsembleMember], coeffs: CoeffSet,
+                eps_t: tuple[float, ...]
+                ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
+    """Rows, excluded members and per-eps maxima over ``members``, all on
+    the grid of ``coeffs``; each member's sources are dropped with it."""
+    rows: list[CepsRow] = []
+    excluded: list[int] = []
+    per_eps: dict[float, float] = {e: 0.0 for e in eps_t}
+    for i, m in enumerate(members):
+        rhs = _state_rhs(m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs))
+        if rhs < RHS_FLOOR:
+            excluded.append(i)
+            continue
+        for eps, lhs in zip(eps_t, _interior_curve(m.u, m.v, eps_t)):
+            ratio = lhs / rhs
+            rows.append(CepsRow(eps, i, lhs, rhs, ratio))
+            per_eps[eps] = max(per_eps[eps], ratio)
+    return rows, excluded, per_eps
+
+
 def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
                     eps_grid: Sequence[float], *,
                     refine: bool = True) -> CepsReport:
@@ -150,38 +172,30 @@ def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
     the left side shrinks with eps by set inclusion, so each member's ratio
     curve is non-increasing in eps exactly.  Members with a right side at
     numerical zero are excluded (0/0).  The curve is recomputed once on the
-    doubled grid when ``refine`` is set.
+    doubled grid when ``refine`` is set; there each member is resampled from
+    its closed form just before it is used and dropped after, so that pass
+    holds one refined member at a time.  ``timings`` holds the seconds of the
+    coarse pass (``coarse_s``) and, when refined, of the refined pass
+    (``refined_s``).
     """
     grid = ensemble.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
-
-    def run(ens: FunctionEnsemble, g: Grid):
-        coeffs = coeff_recipe.sample(g)
-        rows: list[CepsRow] = []
-        excluded: list[int] = []
-        per_eps: dict[float, float] = {e: 0.0 for e in eps_t}
-        for i, m in enumerate(ens.members):
-            F, G = residual("linear", m.u, m.v, coeffs=coeffs)
-            rhs = _state_rhs(m.u, m.v, F, G)
-            if rhs < RHS_FLOOR:
-                excluded.append(i)
-                continue
-            for eps, lhs in zip(eps_t, _interior_curve(m.u, m.v, eps_t)):
-                ratio = lhs / rhs
-                rows.append(CepsRow(eps, i, lhs, rhs, ratio))
-                per_eps[eps] = max(per_eps[eps], ratio)
-        return rows, excluded, per_eps
-
-    rows, excluded, per_eps = run(ensemble, grid)
+    start = time.perf_counter()
+    rows, excluded, per_eps = _thm1_sweep(ensemble.members,
+                                          coeff_recipe.sample(grid), eps_t)
+    timings = {"coarse_s": time.perf_counter() - start}
     drift = None
     if refine:
+        start = time.perf_counter()
         fine = grid.refined(2)
-        _, _, per_eps_fine = run(ensemble.resample(fine), fine)
+        _, _, per_eps_fine = _thm1_sweep((m.resample(fine) for m in ensemble.members),
+                                         coeff_recipe.sample(fine), eps_t)
+        timings["refined_s"] = time.perf_counter() - start
         coarse_max = max(per_eps.values())
         fine_max = max(per_eps_fine.values())
         drift = fine_max / coarse_max if coarse_max > 0 else math.inf
     return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
-                      excluded=tuple(excluded), drift=drift)
+                      excluded=tuple(excluded), drift=drift, timings=timings)
 
 
 def _pair_m2(pair: NonlinearPair) -> float:

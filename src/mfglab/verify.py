@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import SeparableField, random_cosine_field
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
 from .grid import SPACE_TIME, SPATIAL_SLICE, Grid, GridFn, diff, norm
-from .models import CaseEnsemble, max_exact_conormal, residual
+from .models import (CaseEnsemble, ManufacturedCase, max_exact_conormal,
+                     resampled_cases, residual)
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
 __all__ = [
@@ -399,6 +400,14 @@ class EnsembleMember:
     u: GridFn
     v: GridFn
 
+    def resample(self, grid: Grid) -> "EnsembleMember":
+        """Rebuild on another grid of the same domain (the closed-form fields
+        are sampled there exactly)."""
+        if not grid.same_domain(self.u.grid):
+            raise ValueError("resampling grid must share the domain")
+        return EnsembleMember(self.u_field, self.v_field,
+                              self.u_field.sample(grid), self.v_field.sample(grid))
+
 
 @dataclass(frozen=True)
 class FunctionEnsemble:
@@ -413,17 +422,6 @@ class FunctionEnsemble:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def resample(self, grid: Grid) -> "FunctionEnsemble":
-        if not grid.same_domain(self.grid):
-            raise ValueError("resampling grid must share the domain")
-        members = tuple(
-            EnsembleMember(m.u_field, m.v_field,
-                           m.u_field.sample(grid), m.v_field.sample(grid))
-            for m in self.members
-        )
-        return FunctionEnsemble(self.seed, grid, self.max_modes, self.t_degree,
-                                self.amplitude, members)
 
     def max_exact_conormal(self, coeffs: CoeffSet) -> float:
         """Largest exact conormal trace over members and faces (should sit at
@@ -490,38 +488,45 @@ class VerificationReport:
 
 
 EnsembleLike = Union[FunctionEnsemble, CaseEnsemble]
+Instance = Union[EnsembleMember, ManufacturedCase]
 
 
-def _members(kinds: Sequence[str], ensemble: EnsembleLike, coeffs: CoeffSet,
-             timings: dict[str, float]) -> Iterator[_Member]:
-    """The instances of the ensemble on its grid, built one at a time; a
-    function-ensemble member takes its residual as sources F, G (built
-    whatever the kinds, so adding a kind never adds member work)."""
-    for inst in (ensemble.cases if isinstance(ensemble, CaseEnsemble)
-                 else ensemble.members):
+def _members(kinds: Sequence[str], instances: Iterable[Instance],
+             coeffs: CoeffSet, timings: dict[str, float]) -> Iterator[_Member]:
+    """The sweep members of ``instances`` (all on the grid of ``coeffs``),
+    built one at a time; a function-ensemble member takes its residual as
+    sources F, G (built whatever the kinds, so adding a kind never adds
+    member work)."""
+    for inst in instances:
         start = time.perf_counter()
         if isinstance(inst, EnsembleMember):
-            F, G = residual("linear", inst.u, inst.v, coeffs=coeffs)
-            member = _member(kinds, inst.u, inst.v, F, G, coeffs, None, derived=True)
+            member = _member(kinds, inst.u, inst.v,
+                             *residual("linear", inst.u, inst.v, coeffs=coeffs),
+                             coeffs, None, derived=True)
         else:
             member = _member(kinds, inst.u, inst.v, inst.F, inst.G, coeffs,
                              inst.sources)
         timings["members_s"] += time.perf_counter() - start
         yield member
+        # let go of this instance before ``instances`` builds the next one
+        del inst, member
 
 
-def _grid_sweeps(kinds: Sequence[str], ensemble: EnsembleLike, lam_grid,
+def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
                  s_grid, coeffs: CoeffSet, grid: Grid,
                  timings: dict[str, float]) -> list[tuple[list[EstimateRow], dict, list]]:
-    """Sweep every kind on one grid, with ``coeffs`` sampled there.
+    """Sweep every kind over ``instances`` on one grid, with ``coeffs``
+    sampled there.
 
     Member-major: the weight base and every cell's bundle are built once,
     then each member is built in turn, every kind runs on it over all cells,
     and only its (lhs, rhs, ratio) per kind and cell are kept; its arrays
-    are dropped before the next member.  Peak memory therefore grows with
-    cells x distinct weight powers x grid nodes (the weight-factor stacks;
-    about 7.5 MB at 129^2 for 8 cells and the 7 powers of LEMMA1, LEMMA2,
-    THM3 and LEMMA4), not with the member count.
+    are dropped before the next member is built.  ``instances`` may build
+    each one on demand (the refined pass does), so no grid holds more than
+    one member at a time.  Peak memory therefore grows with cells x distinct
+    weight powers x grid nodes (the weight-factor stacks; about 7.5 MB at
+    129^2 for 8 cells and the 7 powers of LEMMA1, LEMMA2, THM3 and LEMMA4),
+    not with the member count.
     """
     start = time.perf_counter()
     eta = build_eta(grid, coeffs)
@@ -531,10 +536,11 @@ def _grid_sweeps(kinds: Sequence[str], ensemble: EnsembleLike, lam_grid,
     timings["sums_s"] += time.perf_counter() - start
     # values[kind][cell] holds one (lhs, rhs, ratio) per member
     values = [[[] for _ in cell_keys] for _ in kinds]
-    for member in _members(kinds, ensemble, coeffs, timings):
+    for member in _members(kinds, instances, coeffs, timings):
         for per_cell, kind in zip(values, kinds):
             for out, pair in zip(per_cell, _pairs(kind, member, cells)):
                 out.append((pair.lhs, pair.rhs, pair.ratio))
+        del member  # its arrays go before the next member is built
     sweeps = []
     for kind, per_cell in zip(kinds, values):
         rows: list[EstimateRow] = []
@@ -583,14 +589,16 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     ``kind`` is one estimate kind, which gives one report, or a sequence of
     kinds swept over the same ensemble, which gives one report per kind in
     that order; the per-grid work (coefficients, weight base, bundles and
-    weight factors of every cell, refined ensemble) and each member's work
+    weight factors of every cell) and each member's work
     (sources, data functionals, derivative stacks, weighted squares) is then
     done once for all of them.
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
-    (closed-form members and coefficients are resampled exactly) and the
-    drift of the constant is recorded.
+    and the drift of the constant is recorded.  There each member is
+    resampled from its closed form (exactly) just before it is swept and
+    dropped after, and cases drawn from ``coeff_recipe`` share its one
+    sample on that grid.
 
     Each report's ``timings`` holds the seconds of the whole call, summed
     over both grids and shared by every kind of the call: ``members_s``
@@ -605,16 +613,18 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
     timings = _new_timings()
-    sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid,
+    is_cases = isinstance(ensemble, CaseEnsemble)
+    instances = ensemble.cases if is_cases else ensemble.members
+    sweeps = _grid_sweeps(kinds, instances, lam_grid, s_grid,
                           coeff_recipe.sample(grid), grid, timings)
     fine_sweeps = [None] * len(kinds)
     if refine:
         fine = grid.refined(2)
         fine_coeffs = coeff_recipe.sample(fine)
-        fine_ens = (ensemble.resample(fine, (coeff_recipe, fine_coeffs))
-                    if isinstance(ensemble, CaseEnsemble) else ensemble.resample(fine))
-        fine_sweeps = _grid_sweeps(kinds, fine_ens, lam_grid, s_grid, fine_coeffs,
-                                   fine, timings)
+        fine_instances = (resampled_cases(instances, fine, (coeff_recipe, fine_coeffs))
+                          if is_cases else (m.resample(fine) for m in instances))
+        fine_sweeps = _grid_sweeps(kinds, fine_instances, lam_grid, s_grid,
+                                   fine_coeffs, fine, timings)
     reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep, timings)
                     for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
     return reports[0] if isinstance(kind, str) else reports

@@ -212,3 +212,48 @@ def test_sweep_timings_outside_output_hash(tmp_path):
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings.values()) <= report["wall_time_s"]
     assert reports[0]["output_hash"] == reports[1]["output_hash"]
+
+
+def test_state_det_timings_outside_output_hash(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "experiment: state-det\n"
+        "grid: {nx: [17], nt: 17, gamma: [x+]}\n"
+        "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
+        "statedet: {epsilons: [0.2], refine: true}\n",
+        encoding="utf-8",
+    )
+    reports = []
+    for name in ("o1", "o2"):
+        assert run_cli(["state-det", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for report in reports:
+        timings = report["timings"]
+        assert set(timings) == {"coarse_s", "refined_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= report["wall_time_s"]
+    assert reports[0]["output_hash"] == reports[1]["output_hash"]
+
+
+def test_lemma3_builds_each_cell_bundle_once(monkeypatch):
+    import mfglab.cli
+    from mfglab.cli import run
+    from mfglab.config import load_config
+
+    calls = []
+    eval_bundle = mfglab.cli.eval_weight_bundle
+
+    def counted(eta, params, grid):
+        calls.append(params)
+        return eval_bundle(eta, params, grid)
+
+    monkeypatch.setattr(mfglab.cli, "eval_weight_bundle", counted)
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "lemma3.yaml"))
+    report = run(config)
+    wspec, ens = config.section("weights"), config.section("ensemble")
+    cells = [(float(lam), float(s)) for lam in wspec["lambdas"] for s in wspec["s_values"]]
+    assert len(calls) == len(cells) == 8  # not once per p as well
+    # rows stay p-major, then (lam, s), then member
+    assert [row[:4] for row in report.tables[0].rows] == [
+        (p, lam, s, i) for p in config.section("lemma3")["p_values"]
+        for lam, s in cells for i in range(ens["n"])]

@@ -143,9 +143,9 @@ def test_case_ensemble_deterministic_and_resample():
     assert len(e1) == 4
     for a, b in zip(e1.cases, e2.cases):
         assert np.array_equal(a.u.values, b.u.values)
-    fine = e1.resample(g.refined(2))
-    assert fine.cases[0].grid.nx == (33,)
-    assert fine.cases[0].u_field == e1.cases[0].u_field
+    fine = e1.cases[0].resample(g.refined(2))
+    assert fine.grid.nx == (33,)
+    assert fine.u_field == e1.cases[0].u_field
 
 
 def test_nonlinear_pair_bounds_monotone():

@@ -18,6 +18,7 @@ from mfglab.grid import GridFn, build_grid, diff, norm
 from mfglab.models import mms_case_ensemble, residual
 from mfglab.verify import (
     ESTIMATE_KINDS,
+    EnsembleMember,
     EstimateSidePair,
     estimate_constant,
     evaluate_estimate,
@@ -421,7 +422,8 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
     counts = Counter()
     counting(monkeypatch, counts, [mfglab.models, mfglab.verify], "residual")
     for cls, name in ((mfglab.basis.SeparableField, "sample"),
-                      (mfglab.models.CaseEnsemble, "resample"),
+                      (mfglab.models.ManufacturedCase, "resample"),
+                      (EnsembleMember, "resample"),
                       (CoeffRecipe, "sample")):
         orig = getattr(cls, name)
 
@@ -439,14 +441,14 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
         per_call.append(dict(counts))
     assert per_call[0] == per_call[1]
     n = len(ens)
-    # each grid: one coefficient sample; the refined grid: one resample of
-    # the ensemble (its cases share that grid's sample and take the residual
-    # as their sources there); function-ensemble members: one residual each
+    # each grid: one coefficient sample; the refined grid: one resample per
+    # member (cases share that grid's sample and take the residual as their
+    # sources there); function-ensemble members: one residual each
     if kinds == ENERGY_KINDS:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "CaseEnsemble.resample": 1,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "ManufacturedCase.resample": n,
                                "SeparableField.sample": 2 * n, "residual": n}
     else:
-        assert per_call[1] == {"CoeffRecipe.sample": 2,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "EnsembleMember.resample": n,
                                "SeparableField.sample": 2 * n, "residual": 2 * n}
 
 
