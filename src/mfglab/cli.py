@@ -239,9 +239,9 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
                "converged": res.converged, "flags": res.flags,
                "normal_residual": res.normal_residual,
                "s_max": float(s[0]), "s_min": float(s[-1]),
-               "ridge_damped": int(np.sum(s * s < float(inv["beta"]))),
-               "timings": res.timings}
-    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
+               "ridge_damped": int(np.sum(s * s < float(inv["beta"])))}
+    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary,
+                     timings=res.timings)
 
 
 def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
@@ -267,16 +267,19 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
         "slope": rep.slope, "intercept": rep.intercept, "r2": rep.r2,
         "seeds": list(rep.seeds),
     }
+    s = rep.singular_values
+    betas = {r.delta: r.beta for r in rep.rows}
     summary = {
         "slope": rep.slope, "r2": rep.r2, "slope_mean": rep.slope_mean,
         "slope_spread": rep.slope_spread,
         "per_seed_slopes": {str(k): v for k, v in rep.per_seed_slopes.items()},
         "excluded": [list(e) for e in rep.excluded],
         "max_normal_residual": max(r.normal_residual for r in rep.rows),
-        "timings": rep.timings,
+        "s_max": float(s[0]), "s_min": float(s[-1]),
+        "ridge_damped": {repr(d): int(np.sum(s * s < beta)) for d, beta in betas.items()},
     }
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary,
-                     extra_json={"slope": slope_payload})
+                     extra_json={"slope": slope_payload}, timings=rep.timings)
 
 
 def _ceps_table(rep) -> ResultTable:

@@ -22,11 +22,14 @@ factor left in compact WY form (LAPACK ``dgeqrt``; Schreiber and Van Loan
 1989), and the small triangular factor is solved through its SVD, where
 the ridge acts as the Tikhonov filter s / (s^2 + beta).  None of that
 depends on the data, the noise seed or beta, so it is built once as a
-``SourceReduction`` and shared by every solve on the same system; a solve
-is one vector elimination, Q^T applied from the reflectors (``dgemqrt``),
-the filter and one back-solve for the states.  ``converged``
-reports whether the relative normal-equation residual at the result meets
-``tol``.
+``SourceReduction`` and shared by every solve on the same system.  A
+solve is one elimination of the data, Q^T applied from the reflectors
+(``dgemqrt``), the filter and one back-solve for the states; it takes a
+block of data columns, each with its own ridge, and runs every stage once
+on the whole block, so the stability sweep solves all its (delta, seed)
+data sets in one call while ``reconstruct`` passes one column.
+``converged`` reports whether the relative normal-equation residual at the
+result meets ``tol``.
 
 A slice formula evaluated at t0 provides an independent oracle, and noise
 sweeps fit the log-log slope of the error against the data perturbation.
@@ -34,7 +37,6 @@ sweeps fit the log-log slope of the error against the data perturbation.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import time
@@ -427,11 +429,18 @@ class _LevelCholesky:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``K^-1 rhs`` for one vector or the columns of a matrix."""
-        b, nt = self.b, self.nt
         rhs = np.asarray(rhs, dtype=float)
-        m = 1 if rhs.ndim == 1 else rhs.shape[1]
-        y = np.array(rhs.reshape(nt, b, m).transpose(1, 2, 0), order="F")
-        return self.solve_levels(y).transpose(2, 0, 1).reshape(rhs.shape)
+        return self.from_levels(self.solve_levels(self.to_levels(rhs))).reshape(rhs.shape)
+
+    def to_levels(self, x: np.ndarray) -> np.ndarray:
+        """A copy of one vector or the m columns of ``x`` in the layout of
+        ``solve_levels``."""
+        m = 1 if x.ndim == 1 else x.shape[1]
+        return np.array(x.reshape(self.nt, self.b, m).transpose(1, 2, 0), order="F")
+
+    def from_levels(self, y: np.ndarray) -> np.ndarray:
+        """The (b nt) x m matrix whose columns ``y`` holds level by level."""
+        return y.transpose(2, 0, 1).reshape(self.b * self.nt, y.shape[1])
 
     def solve_levels(self, y: np.ndarray) -> np.ndarray:
         """``K^-1`` applied in place to ``m`` right-hand sides held level by
@@ -683,6 +692,95 @@ def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
     return out
 
 
+def _weighted_rhs(red: SourceReduction, data: InverseData, cfg: ReconstructionConfig,
+                  out: np.ndarray) -> None:
+    """Write the weighted observations of ``data`` for the rows of ``red``
+    into the vector ``out``, after checking that ``red`` was built for the
+    system of ``data`` and ``cfg`` (ValueError naming what differs)."""
+    key = _system_key(data, cfg)
+    stale = [name for name in key if key[name] != red.key[name]]
+    if stale:
+        raise ValueError("the reduction was built for a different "
+                         + ", ".join(stale) + " than this reconstruction's")
+    np.concatenate([blk.rhs(data) for blk in red.blocks], out=out)
+    out *= red.sqrt_w
+
+
+def _solve(red: SourceReduction, b: np.ndarray, betas: Sequence[float]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimizers of the reduced system for the m columns of ``b``.
+
+    ``b`` is a C-ordered rows x m block of weighted observations (block row
+    order, see ``_weighted_rhs``; SciPy's sparse products take and give C
+    order); column j is solved with the ridge ``betas[j]``.  Every stage
+    runs once on the whole block: the two state solves take all m
+    right-hand sides at once (level 3 BLAS), Q^T is applied with one
+    ``dgemqrt`` and each column gets its own Tikhonov filter.  With one
+    column every dense product is level 2, as in
+    ``_LevelCholesky.solve_levels``, so a single solve keeps the arithmetic
+    of a vector solve.  At most three rows x m blocks are alive at once.
+    Returns the sources (sources x m), the states (states x m, level
+    order), the residuals ``A x - b`` (rows x m, block row order) and the
+    relative normal residual of each column.
+    """
+    m = b.shape[1]
+    ay, az, chol = red.ay, red.az, red.chol
+
+    def mul_t(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """a^T x through SciPy's BLAS, like every dense product here."""
+        if m == 1:
+            return blas.dgemv(1.0, a, x[:, 0], trans=1)[:, None]
+        return blas.dgemm(1.0, a, x, trans_a=1)
+
+    # ||A^T b|| of each column scales its normal residual
+    x = ay.T @ b
+    azt_b = az.T @ b
+    scale = np.array([blas.dnrm2(np.concatenate((x[:, j], azt_b[:, j])))
+                      for j in range(m)])
+    del azt_b
+    # b - ay K^-1 ay^T b; each state block is rebound as soon as it is
+    # converted, so at most two of them are alive at a time
+    x = chol.to_levels(x)
+    x = chol.from_levels(chol.solve_levels(x))
+    b_perp = ay @ x
+    del x
+    np.subtract(b, b_perp, out=b_perp)
+    # Q^T of it in the QR's row order, from the compact WY form.  ``dgemqrt``
+    # works in F order; permuted column by column into an F block, the data
+    # need no second copy ("clip" clips nothing, ``row_order`` being a
+    # permutation, but unlike the default it lets ``take`` write in place)
+    qt_b = np.empty(b.shape, order="F")
+    for j in range(m):
+        np.take(b_perp[:, j], red.row_order, out=qt_b[:, j], mode="clip")
+    del b_perp
+    qt_b, info = lapack.dgemqrt(red.reflectors, red.t, qt_b, side="L", trans="T",
+                                overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgemqrt info {info}")
+    coef = mul_t(red.u, qt_b[:red.s.size])
+    del qt_b
+    coef *= np.column_stack([_filter(red.s, beta, b.shape[0]) for beta in betas])
+    z = mul_t(red.vt, coef)
+    z /= np.sqrt(red.source_w)[:, None]
+    # the states for these sources, and the residual at (states, sources)
+    x = az @ z
+    np.subtract(b, x, out=x)
+    y = ay.T @ x
+    del x
+    y = chol.to_levels(y)
+    y = chol.from_levels(chol.solve_levels(y))
+    res = ay @ y
+    for j in range(m):   # column by column: no third rows x m block
+        res[:, j] += az @ z[:, j]
+    res -= b
+    # the normal-equation vector at the result, one column at a time
+    grad = np.array([blas.dnrm2(np.concatenate(
+        (ay.T @ res[:, j], az.T @ res[:, j] + betas[j] * red.source_w * z[:, j])))
+        for j in range(m)])
+    normal = np.divide(grad, scale, out=grad, where=scale > 0)
+    return z, y, res, normal
+
+
 def reconstruct(data: InverseData, cfg: ReconstructionConfig,
                 truth: Optional[tuple[np.ndarray, np.ndarray]] = None, *,
                 reduction: Optional[SourceReduction] = None) -> ReconstructionResult:
@@ -700,32 +798,11 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
         flags.append("beta=0 with noisy data: ridge-free fit is ill-advised")
     red = reduce_sources(data, cfg) if reduction is None else reduction
     solve_start = time.perf_counter()
-    key = _system_key(data, cfg)
-    stale = [name for name in key if key[name] != red.key[name]]
-    if stale:
-        raise ValueError("the reduction was built for a different "
-                         + ", ".join(stale) + " than this reconstruction's")
-
-    ay, az, chol = red.ay, red.az, red.chol
-    b = red.sqrt_w * np.concatenate([blk.rhs(data) for blk in red.blocks])
-    ayt_b = ay.T @ b
-    b_perp = b - ay @ chol.solve(ayt_b)
-    # Q^T b_perp from the compact WY form, then the filtered SVD; every
-    # dense product goes through SciPy's BLAS, like the factor's
-    qt_b, info = lapack.dgemqrt(red.reflectors, red.t, b_perp[red.row_order, None],
-                                side="L", trans="T", overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgemqrt info {info}")
-    phi = _filter(red.s, cfg.beta, b.size)
-    coef = phi * blas.dgemv(1.0, red.u, qt_b[:red.s.size, 0], trans=1)
-    z = blas.dgemv(1.0, red.vt, coef, trans=1) / np.sqrt(red.source_w)
-    y = chol.solve(ay.T @ (b - az @ z))
-    res = ay @ y + az @ z - b
-
-    grad = blas.dnrm2(np.concatenate(
-        [ay.T @ res, az.T @ res + cfg.beta * red.source_w * z]))
-    scale = blas.dnrm2(np.concatenate([ayt_b, az.T @ b]))
-    normal_residual = float(grad / scale if scale > 0 else grad)
+    b = np.empty((red.sqrt_w.size, 1))
+    _weighted_rhs(red, data, cfg, b[:, 0])
+    z, y, res, normal = _solve(red, b, [cfg.beta])
+    z, y, res = z[:, 0], y[:, 0], res[:, 0]
+    normal_residual = float(normal[0])
     converged = normal_residual <= cfg.tol
     if not converged:
         flags.append(f"normal residual {normal_residual:.3g} above tol {cfg.tol:g}")
@@ -814,6 +891,14 @@ class StabilityRow:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Rows, pooled and per-seed log-log fits of a noise sweep.
+
+    ``singular_values`` is the descending spectrum of the reduced source
+    matrix that every solve of the sweep shared (W-scaled, as in
+    ``ReconstructionResult``).  ``timings`` holds that reduction's stage
+    seconds and ``solve_s``, the seconds of the batched solves.
+    """
+
     rows: tuple[StabilityRow, ...]
     slope: float
     intercept: float
@@ -824,7 +909,8 @@ class StabilityReport:
     slope_mean: float
     slope_spread: float
     excluded: tuple[tuple[float, int], ...]
-    timings: dict[str, float]
+    singular_values: np.ndarray = field(compare=False)
+    timings: dict[str, float] = field(compare=False)
 
 
 def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
@@ -834,14 +920,22 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
                     noisy_slices: bool = False) -> StabilityReport:
     """Noise sweep measuring the error-vs-noise slope.
 
-    For every (delta, seed) fresh noise is drawn, the reconstruction run,
-    and e(delta) = ||f_err|| + ||g_err|| recorded; the pooled log-log fit
-    gives the slope and r^2, with per-seed fits reported as mean and spread.
-    Reconstructions whose normal residual misses ``cfg.tol`` are excluded
-    and listed.  The grid must have at least 4 positive deltas spanning two
-    decades.  Every solve shares one ``SourceReduction``: the system is
-    the same, only the data and the ridge change.  ``timings`` holds the
-    reduction's stage seconds and ``solve_s`` summed over the solves.
+    For every (delta, seed) fresh noise is drawn, the reconstruction run
+    with the ridge ``beta_rule(delta)``, and e(delta) = ||f_err|| +
+    ||g_err|| recorded; the pooled log-log fit gives the slope and r^2,
+    with per-seed fits reported as mean and spread.  Reconstructions whose
+    normal residual misses ``cfg.tol`` are excluded and listed.  The grid
+    must have at least 4 positive deltas spanning two decades.
+
+    The system is the same for every (delta, seed), only the data and the
+    ridge change, so one ``SourceReduction`` serves them all and the data
+    sets are solved together: each pair's observation package is built,
+    checked against the reduction, written as one column of a rows x m
+    block and dropped, and each block of up to ``_CHUNK`` columns goes
+    through one batched solve (two multi-column state solves, one Q^T
+    application, a filter per column).  A sweep row therefore agrees with
+    a standalone ``reconstruct`` of the same data to roundoff, not bit for
+    bit.
 
     By default the interior snapshots stay exact and only the lateral
     traces are perturbed: white noise on a slice enters the recovery
@@ -860,27 +954,32 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     base = cfg or ReconstructionConfig()
     truth = (case.sources.f, case.sources.g)
     g = case.grid
+    n_sp = int(np.prod(g.space_shape))
+    pairs = [(delta, float(beta_rule(delta)), int(seed))
+             for delta in deltas for seed in seeds]
 
     rows: list[StabilityRow] = []
     excluded: list[tuple[float, int]] = []
-    reduction: Optional[SourceReduction] = None
+    # the reduction reads no observation, so clean data build it
+    reduction = reduce_sources(make_inverse_data(case, 0.0, 0), base)
     solve_s = 0.0
-    for delta in deltas:
-        beta = float(beta_rule(delta))
-        run_cfg = dataclasses.replace(base, beta=beta)
-        for seed in seeds:
+    for start in range(0, len(pairs), _CHUNK):
+        batch = pairs[start:start + _CHUNK]
+        b = np.empty((reduction.sqrt_w.size, len(batch)))
+        for j, (delta, _, seed) in enumerate(batch):
             data = make_inverse_data(case, delta, seed, noisy_slices=noisy_slices)
-            if reduction is None:
-                reduction = reduce_sources(data, run_cfg)
-            res = reconstruct(data, run_cfg, reduction=reduction)
-            solve_s += res.timings["solve_s"]
-            err_f = _abs_l2(g, res.f_hat.values - truth[0])
-            err_g = _abs_l2(g, res.g_hat.values - truth[1])
-            row = StabilityRow(delta, int(seed), err_f, err_g, err_f + err_g,
-                               beta, res.converged, res.normal_residual)
-            rows.append(row)
-            if not res.converged:
-                excluded.append((delta, int(seed)))
+            _weighted_rhs(reduction, data, base, b[:, j])
+        lap = time.perf_counter()
+        z, _, _, normal = _solve(reduction, b, [beta for _, beta, _ in batch])
+        solve_s += time.perf_counter() - lap
+        for (delta, beta, seed), zj, nr in zip(batch, z.T, normal):
+            err_f = _abs_l2(g, zj[:n_sp].reshape(g.space_shape) - truth[0])
+            err_g = _abs_l2(g, zj[n_sp:].reshape(g.space_shape) - truth[1])
+            converged = bool(nr <= base.tol)
+            rows.append(StabilityRow(delta, seed, err_f, err_g, err_f + err_g,
+                                     beta, converged, float(nr)))
+            if not converged:
+                excluded.append((delta, seed))
 
     used = [r for r in rows if r.converged]
     if len(used) < 4:
@@ -905,6 +1004,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
         slope_mean=float(np.mean(vals)) if vals else math.nan,
         slope_spread=float(np.max(vals) - np.min(vals)) if vals else math.nan,
         excluded=tuple(excluded),
+        singular_values=reduction.s.copy(),
         timings={**reduction.timings, "solve_s": solve_s},
     )
 

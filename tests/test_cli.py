@@ -132,10 +132,12 @@ def test_inverse_stage_timings_outside_output_hash(tmp_path, experiment, inverse
         assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         reports.append(json.loads((tmp_path / name / "report.json").read_text()))
     for report in reports:
-        timings = report["summary"]["timings"]
+        timings = report["timings"]
         assert set(timings) == {"assemble_s", "factor_s", "eliminate_s", "qr_svd_s",
                                 "solve_s"}
         assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= report["wall_time_s"]
+        assert "timings" not in report["summary"]
     assert reports[0]["output_hash"] == reports[1]["output_hash"]
 
 

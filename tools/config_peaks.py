@@ -1,14 +1,15 @@
-"""Peak memory and wall time of each lab config, each in a fresh interpreter.
+"""Peak memory and wall time of each shipped config, each in a fresh interpreter.
 
     python tools/config_peaks.py [CHECKOUT_DIR]
 
-Runs each non-inverse config in ``configs/`` (the six that
-``compare_lab_hashes.py`` lists) through the CLI of the checkout (default:
-this one), one process per config, and prints the peak resident set size
-(``ru_maxrss`` of that process) with the run's ``wall_time_s`` from its
-``report.json``.  The first line is a process that only imports the
-library, which every config's peak includes.  It only reports: the exit code
-is 0 whatever a run does.
+Runs each config in ``configs/`` (the six lab configs that
+``compare_lab_hashes.py`` lists, then the two inverse configs
+``reconstruct_clean`` and ``stability_sweep``) through the CLI of the
+checkout (default: this one), one process per config, and prints the peak
+resident set size (``ru_maxrss`` of that process) with the run's
+``wall_time_s`` from its ``report.json``.  The first line is a process that
+only imports the library, which every config's peak includes.  It only
+reports: the exit code is 0 whatever a run does.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from pathlib import Path
 import yaml
 
 from compare_lab_hashes import LAB_CONFIGS
+
+INVERSE_CONFIGS = ("reconstruct_clean", "stability_sweep")
 
 
 def peak_rss_mb(argv: list[str], root: Path) -> tuple[float, int, str]:
@@ -42,12 +45,12 @@ def peak_rss_mb(argv: list[str], root: Path) -> tuple[float, int, str]:
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     rss, code, err = peak_rss_mb([sys.executable, "-c", "import mfglab.cli"], root)
-    print(f"{'imports only':16s} peak {rss:7.1f} MB"
+    print(f"{'imports only':17s} peak {rss:7.1f} MB"
           + ("" if code == 0 else f"  failed ({err})"))
-    for name in LAB_CONFIGS:
+    for name in LAB_CONFIGS + INVERSE_CONFIGS:
         config = root / "configs" / f"{name}.yaml"
         if not config.exists():
-            print(f"{name:16s} missing")
+            print(f"{name:17s} missing")
             continue
         experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
         with tempfile.TemporaryDirectory() as out:
@@ -55,10 +58,10 @@ def main(argv: list[str]) -> int:
                 [sys.executable, "-m", "mfglab", experiment, "--config",
                  str(config), "--out", out], root)
             if code != 0:
-                print(f"{name:16s} peak {rss:7.1f} MB  failed ({err})")
+                print(f"{name:17s} peak {rss:7.1f} MB  failed ({err})")
                 continue
             wall = json.loads((Path(out) / "report.json").read_text())["wall_time_s"]
-        print(f"{name:16s} peak {rss:7.1f} MB  wall {wall:6.3f} s")
+        print(f"{name:17s} peak {rss:7.1f} MB  wall {wall:6.3f} s")
     return 0
 
 
