@@ -6,6 +6,7 @@ from .coefficients import (
     CoeffRecipe,
     CoeffSet,
     NonlinearCoeffs,
+    NonlinearRecipe,
     SourceFactors,
     apply_operator,
     check_ellipticity,
@@ -35,7 +36,7 @@ from .models import (
     mms_linear,
     residual,
 )
-from .statedet import CepsReport, NonlinearRecipe, thm1_experiment, thm4_experiment
+from .statedet import CepsReport, thm1_experiment, thm4_experiment
 from .verify import (
     EstimateSidePair,
     FunctionEnsemble,

@@ -23,7 +23,7 @@ from .inverse import (
     reconstruct,
     stability_sweep,
 )
-from .models import make_nonlinear_pair, mms_case_ensemble
+from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report
 from .statedet import thm1_experiment, thm4_experiment
 from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, SWEEP_SPANS, estimate_constant,
@@ -95,13 +95,8 @@ def _inverse_case(cfg: ExperimentConfig, grid, recipe):
     fields = cfg.case_fields()
     if fields is None:
         return _build_case_ensemble(cfg, grid, recipe, n=1).cases[0]
-    from .coefficients import sample_spatial
-    from .models import mms_linear
-
     f_spec, g_spec, q_min = cfg.source_specs()
-    return mms_linear(fields[0], fields[1], recipe.sample(grid),
-                      sample_spatial(grid, f_spec), sample_spatial(grid, g_spec),
-                      q_min=q_min)
+    return CaseRecipe(*fields, recipe, f_spec, g_spec, q_min=q_min).build(grid)
 
 
 def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:

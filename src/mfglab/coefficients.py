@@ -29,6 +29,7 @@ __all__ = [
     "CoeffRecipe",
     "CoeffSet",
     "NonlinearCoeffs",
+    "NonlinearRecipe",
     "SourceFactors",
     "apply_operator",
     "check_ellipticity",
@@ -170,6 +171,18 @@ class CoeffRecipe:
             b_gamma={g: sample_field(grid, s) for g, s in dict(self.b_gamma).items()},
             chi=self.chi,
         )
+
+
+@dataclass(frozen=True)
+class NonlinearRecipe:
+    """Grid-independent nonlinear coefficient description."""
+
+    a: FieldSpec = 1.0
+    kappa: FieldSpec = 0.0
+    p: FieldSpec = 0.0
+
+    def sample(self, grid: Grid) -> NonlinearCoeffs:
+        return NonlinearCoeffs.sample(grid, self.a, self.kappa, self.p)
 
 
 @dataclass(frozen=True)

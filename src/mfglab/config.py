@@ -15,10 +15,9 @@ from typing import Any, Optional
 
 import yaml
 
-from .coefficients import CoeffRecipe
+from .coefficients import CoeffRecipe, NonlinearRecipe
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
-from .statedet import NonlinearRecipe
 
 __all__ = ["ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config"]
 
@@ -36,34 +35,6 @@ EXPERIMENTS = (
 class ConfigError(ValueError):
     pass
 
-
-# key tree: dict -> nested keys; OPEN marks free-form string-keyed mappings
-OPEN = "__open__"
-
-_SECTIONS: dict[str, Any] = {
-    "experiment": None,
-    "grid": {"lengths": None, "T": None, "nx": None, "nt": None, "gamma": None},
-    "coefficients": {
-        "a": None, "b": None, "a_lower": None, "b_lower": None,
-        "a0": None, "b0": None, "c0": None, "coupling": OPEN, "chi": None,
-    },
-    "weights": {"lambdas": None, "s_values": None},
-    "ensemble": {"seed": None, "n": None, "max_modes": None, "t_degree": None,
-                 "amplitude": None},
-    "sources": {"f": None, "g": None, "q_min": None},
-    "case": {"u": None, "v": None},
-    "estimates": {"kinds": None, "refine": None},
-    "lemma3": {"p_values": None},
-    "inverse": {"delta": None, "deltas": None, "seeds": None, "beta": None,
-                "beta_scale": None, "omega_pde": None, "omega_gamma": None,
-                "omega_slice": None, "omega_bc": None, "tol": None,
-                # accepted so that older configs still load; has no effect
-                "maxiter": None, "noisy_slices": None},
-    "statedet": {"epsilons": None, "refine": None},
-    "nonlinear": {"a": None, "kappa": None, "p": None, "amplitude": None,
-                  "seed": None},
-    "output": {"dir": None},
-}
 
 _ALLOWED: dict[str, tuple[str, ...]] = {
     "verify-weights": ("experiment", "grid", "coefficients", "weights", "output"),
@@ -109,6 +80,18 @@ _DEFAULTS: dict[str, Any] = {
                   "seed": 5},
     "output": {"dir": "out"},
 }
+
+
+# key tree: dict -> nested keys; OPEN marks free-form string-keyed mappings
+OPEN = "__open__"
+
+_SECTIONS: dict[str, Any] = {
+    "experiment": None,
+    **{name: dict.fromkeys(keys) for name, keys in _DEFAULTS.items()},
+}
+_SECTIONS["coefficients"]["coupling"] = OPEN
+# accepted so that older configs still load; has no effect
+_SECTIONS["inverse"]["maxiter"] = None
 
 
 def _collect_unknown(cfg: Any, allowed: Any, prefix: str, bad: list[str]) -> None:

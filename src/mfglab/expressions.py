@@ -5,203 +5,124 @@ operators ``+ - * / ^`` (with ``^`` binding tightest, right associative);
 functions ``sin``, ``cos``, ``exp``; numeric literals.  Expressions compile
 to vectorized callables over coordinate arrays, which keeps config files
 self-contained and language neutral.
+
+Python's own parser reads an expression once ``^`` is spelled ``**``; the
+tree it returns is then held to a whitelist of nodes, so anything outside
+the grammar (attributes, subscripts, other calls, other literals) is
+refused before it can run.  Every power is evaluated with ``np.power`` and
+every literal as a float.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_spacetime", "compile_spatial", "parse"]
+__all__ = ["ExpressionError", "compile_spacetime", "compile_spatial"]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
+_ALPHABET = re.compile(r"[\w\s.+\-*/^()]*", re.ASCII)
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_VARS = ("x", "x1", "x2", "t")
+_VARS = {"x": "x1", "x1": "x1", "x2": "x2", "t": "t"}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# names the compiled code can see: no builtins, only the grammar's functions
+_GLOBALS = {"__builtins__": {}, "power": np.power, **_FUNCS}
 
 
 class ExpressionError(ValueError):
     pass
 
 
-def _tokenize(src: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"bad character at position {pos}: {src[pos:]!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
+class _PowerCalls(ast.NodeTransformer):
+    """``a ** b`` becomes ``power(a, b)``, so that every power is NumPy's:
+    Python's float power returns complex numbers or raises on overflow, and
+    NumPy's ``**`` takes shortcuts for some scalar exponents."""
 
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.src!r}, got {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"trailing input {val!r} in {self.src!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        sign = 1
-        while self.peek() in (("op", "-"), ("op", "+")):
-            _, op = self.next()
-            if op == "-":
-                sign = -sign
-        node = self.power()
-        return ("neg", node) if sign < 0 else node
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", float(val))
-        if kind == "ident":
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val in _VARS:
-                return ("var", "x1" if val == "x" else val)
-            raise ExpressionError(
-                f"unknown identifier {val!r} (allowed: x, x1, x2, t, sin, cos, exp)"
-            )
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
+    def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
             return node
-        raise ExpressionError(f"unexpected token {val!r} in {self.src!r}")
+        call = ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+        return ast.copy_location(call, node)
 
 
-def parse(src: str):
-    return _Parser(src).parse()
+def _allowed(node: ast.AST, text: str) -> bool:
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _BINOPS)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.UAdd, ast.USub))
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+                and len(node.args) == 1 and not node.keywords)
+    if isinstance(node, ast.Constant):
+        return bool(_NUMBER.fullmatch(text[node.col_offset:node.end_col_offset]))
+    return isinstance(node, (ast.operator, ast.unaryop, ast.expr_context))
 
 
-def _eval(node, env):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "var":
-        if node[1] not in env:
-            raise ExpressionError(f"variable {node[1]!r} not available here")
-        return env[node[1]]
-    if tag == "neg":
-        return -_eval(node[1], env)
-    if tag == "call":
-        return _FUNCS[node[1]](_eval(node[2], env))
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if tag == "+":
-        return a + b
-    if tag == "-":
-        return a - b
-    if tag == "*":
-        return a * b
-    if tag == "/":
-        return a / b
-    if tag == "^":
-        return np.power(a, b)
-    raise ExpressionError(f"bad node {tag!r}")
-
-
-def _free_vars(node, acc=None):
-    acc = set() if acc is None else acc
-    if node[0] == "var":
-        acc.add(node[1])
-    elif node[0] in ("neg",):
-        _free_vars(node[1], acc)
-    elif node[0] == "call":
-        _free_vars(node[2], acc)
-    elif node[0] in "+-*/^":
-        _free_vars(node[1], acc)
-        _free_vars(node[2], acc)
-    return acc
+def _compile(src: str, dim: int):
+    """Code object of ``src`` and the set of coordinates it reads; ``x2``
+    is refused on a 1D grid."""
+    if not _ALPHABET.fullmatch(src):
+        raise ExpressionError(
+            f"{src!r} has a character outside letters, digits, _ . + - * / ^ ( )")
+    if "**" in src:
+        raise ExpressionError(f"{src!r}: write powers with ^, not **")
+    # one line of ASCII: the nodes' byte offsets index it directly
+    text = " ".join(src.split()).replace("^", "**")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {src!r}: {exc.msg}") from None
+    called = set()
+    used = set()
+    for node in ast.walk(tree.body):  # breadth first: a call before its name
+        if isinstance(node, ast.Name):
+            if id(node) in called:
+                continue
+            if node.id not in _VARS:
+                raise ExpressionError(
+                    f"unknown identifier {node.id!r} "
+                    "(allowed: x, x1, x2, t, sin, cos, exp)")
+            used.add(_VARS[node.id])
+        elif not _allowed(node, text):
+            raise ExpressionError(f"{text[node.col_offset:node.end_col_offset]!r} "
+                                  f"is outside the grammar in {src!r}")
+        elif isinstance(node, ast.Call):
+            called.add(id(node.func))
+        elif isinstance(node, ast.Constant):
+            node.value = float(text[node.col_offset:node.end_col_offset])
+    if dim == 1 and "x2" in used:
+        raise ExpressionError(f"{src!r} uses x2 on a 1D grid")
+    lowered = ast.fix_missing_locations(_PowerCalls().visit(tree))
+    return compile(lowered, "<expression>", "eval"), used
 
 
 def compile_spacetime(src: str, dim: int) -> Callable[..., np.ndarray]:
     """Compile to f(x1, [x2,] t) over coordinate arrays."""
-    node = parse(str(src))
-    used = _free_vars(node)
-    if dim == 1 and "x2" in used:
-        raise ExpressionError(f"{src!r} uses x2 on a 1D grid")
+    code, _ = _compile(str(src), dim)
 
     def fn(*coords):
-        env = {"x1": coords[0], "t": coords[-1]}
+        env = {"x": coords[0], "x1": coords[0], "t": coords[-1]}
         if dim == 2:
             env["x2"] = coords[1]
-        return np.asarray(_eval(node, env), dtype=float)
+        return np.asarray(eval(code, _GLOBALS, env), dtype=float)
 
     return fn
 
 
 def compile_spatial(src: str, dim: int) -> Callable[..., np.ndarray]:
     """Compile to f(x1, [x2]); rejects expressions mentioning t."""
-    node = parse(str(src))
-    used = _free_vars(node)
+    code, used = _compile(str(src), dim)
     if "t" in used:
         raise ExpressionError(f"{src!r} must be spatial (no t)")
-    if dim == 1 and "x2" in used:
-        raise ExpressionError(f"{src!r} uses x2 on a 1D grid")
 
     def fn(*coords):
-        env = {"x1": coords[0]}
+        env = {"x": coords[0], "x1": coords[0]}
         if dim == 2:
             env["x2"] = coords[1]
-        return np.asarray(_eval(node, env), dtype=float)
+        return np.asarray(eval(code, _GLOBALS, env), dtype=float)
 
     return fn

@@ -48,7 +48,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .coefficients import CoeffSet, apply_operator, operator_terms
+from .coefficients import CoeffSet, operator_terms
 from .grid import (
     SPATIAL_SLICE,
     SPACE_TIME,
@@ -61,7 +61,7 @@ from .grid import (
     kron_axes,
     norm,
 )
-from .models import CaseEnsemble, ManufacturedCase, resampled_cases
+from .models import CaseEnsemble, ManufacturedCase, residual, resampled_cases
 from .verify import EstimateSidePair
 from .weights import WeightParams
 
@@ -849,10 +849,10 @@ def _rel_l2(grid: Grid, approx: np.ndarray, exact: np.ndarray) -> float:
 def direct_formula_oracle(case: ManufacturedCase) -> tuple[GridFn, GridFn]:
     """Slice-formula recovery of (f, g) from the full state (oracle only).
 
-    Evaluates the system at t0 and divides by the modulations there; the
-    signs invert the implemented residuals exactly, so on discrete-mode
-    cases this reproduces the stored profiles to roundoff, while on
-    analytic-mode cases the stencil truncation shows up at second order.
+    Takes the linear residual of the state at t0 and divides by the
+    modulations there, so on discrete-mode cases this reproduces the stored
+    profiles to roundoff, while on analytic-mode cases the stencil
+    truncation shows up at second order.
     """
     g = case.grid
     it0 = g.it0
@@ -862,14 +862,9 @@ def direct_formula_oracle(case: ManufacturedCase) -> tuple[GridFn, GridFn]:
         if floor < src.q_min:
             raise ValueError(f"|{name}(., t0)| = {floor:.3g} below the floor "
                              f"{src.q_min}; recovery hypothesis violated")
-    c = case.coeffs
-    v0 = case.v.values[..., it0]
-    ut0 = diff(case.u, t_order=1).values[..., it0]
-    vt0 = diff(case.v, t_order=1).values[..., it0]
-    f = (ut0 + apply_operator("A", case.u, c).values[..., it0]
-         - c.c0[..., it0] * v0) / src.q1[..., it0]
-    gg = (vt0 - apply_operator("B", case.v, c).values[..., it0]
-          - apply_operator("A0", case.u, c).values[..., it0]) / src.q2[..., it0]
+    ru, rv = residual("linear", case.u, case.v, coeffs=case.coeffs)
+    f = ru.values[..., it0] / src.q1[..., it0]
+    gg = rv.values[..., it0] / src.q2[..., it0]
     return GridFn(g, SPATIAL_SLICE, f), GridFn(g, SPATIAL_SLICE, gg)
 
 
@@ -1016,10 +1011,14 @@ def _abs_l2(grid: Grid, arr: np.ndarray) -> float:
 def _loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     lx = np.log(np.asarray(xs))
     ly = np.log(np.asarray(ys))
-    slope, intercept = np.polyfit(lx, ly, 1)
+    # least squares in closed form from centred sums: no LAPACK or BLAS call
+    dx = lx - np.mean(lx)
+    dy = ly - np.mean(ly)
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    intercept = np.mean(ly) - slope * np.mean(lx)
     pred = slope * lx + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), float(r2)
 

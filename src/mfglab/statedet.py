@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoeffRecipe, CoeffSet, NonlinearCoeffs, sample_field
+from .coefficients import CoeffRecipe, CoeffSet, NonlinearRecipe
 from .grid import (
     SPACE_TIME,
     Grid,
@@ -37,30 +37,12 @@ from .verify import EnsembleMember, FunctionEnsemble
 __all__ = [
     "CepsReport",
     "CepsRow",
-    "NonlinearRecipe",
     "thm1_experiment",
     "thm4_experiment",
     "trace_data_norms",
 ]
 
 RHS_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class NonlinearRecipe:
-    """Grid-independent nonlinear coefficient description."""
-
-    a: object = 1.0
-    kappa: object = 0.0
-    p: object = 0.0
-
-    def sample(self, grid: Grid) -> NonlinearCoeffs:
-        return NonlinearCoeffs(
-            grid=grid,
-            a=sample_field(grid, self.a),
-            kappa=sample_field(grid, self.kappa),
-            p=sample_field(grid, self.p),
-        )
 
 
 @dataclass(frozen=True)
@@ -142,24 +124,43 @@ def _validate_eps_grid(grid: Grid, eps_grid: Sequence[float]) -> tuple[float, ..
     return tuple(out)
 
 
-def _thm1_sweep(members: Iterable[EnsembleMember], coeffs: CoeffSet,
-                eps_t: tuple[float, ...]
-                ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
-    """Rows, excluded members and per-eps maxima over ``members``, all on
-    the grid of ``coeffs``; each member's sources are dropped with it."""
+def _eps_sweep(states: Iterable[tuple[GridFn, GridFn, GridFn, GridFn]],
+               eps_t: tuple[float, ...]
+               ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
+    """Rows, excluded indices and per-eps maxima over (u, v, F, G) tuples,
+    states ``u, v`` with sources ``F, G``.  The sources are dropped once the
+    right side is taken and the states once the left sides are, so a lazy
+    ``states`` holds one tuple at a time."""
     rows: list[CepsRow] = []
     excluded: list[int] = []
     per_eps: dict[float, float] = {e: 0.0 for e in eps_t}
-    for i, m in enumerate(members):
-        rhs = _state_rhs(m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs))
-        if rhs < RHS_FLOOR:
+    # a counter, not enumerate: enumerate's result tuple would keep the last
+    # tuple alive while the next one is drawn
+    i = 0
+    for u, v, F, G in states:
+        rhs = _state_rhs(u, v, F, G)
+        del F, G
+        curve = _interior_curve(u, v, eps_t) if rhs >= RHS_FLOOR else None
+        del u, v
+        if curve is None:
             excluded.append(i)
-            continue
-        for eps, lhs in zip(eps_t, _interior_curve(m.u, m.v, eps_t)):
-            ratio = lhs / rhs
-            rows.append(CepsRow(eps, i, lhs, rhs, ratio))
-            per_eps[eps] = max(per_eps[eps], ratio)
+        else:
+            for eps, lhs in zip(eps_t, curve):
+                ratio = lhs / rhs
+                rows.append(CepsRow(eps, i, lhs, rhs, ratio))
+                per_eps[eps] = max(per_eps[eps], ratio)
+        i += 1
     return rows, excluded, per_eps
+
+
+def _thm1_sweep(members: Iterable[EnsembleMember], coeffs: CoeffSet,
+                eps_t: tuple[float, ...]
+                ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
+    """:func:`_eps_sweep` over ``members`` with their linear residuals as
+    sources, all on the grid of ``coeffs``; each residual is computed just
+    before its member is swept."""
+    return _eps_sweep(((m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs))
+                       for m in members), eps_t)
 
 
 def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
@@ -235,25 +236,12 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
     grid = pair.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
 
-    def run(p: NonlinearPair, g: Grid):
-        du = GridFn(g, SPACE_TIME, p.u1.values - p.u2.values)
-        dv = GridFn(g, SPACE_TIME, p.v1.values - p.v2.values)
-        dF = GridFn(g, SPACE_TIME, p.F1.values - p.F2.values)
-        dG = GridFn(g, SPACE_TIME, p.G1.values - p.G2.values)
-        rhs = _state_rhs(du, dv, dF, dG)
-        rows: list[CepsRow] = []
-        excluded: list[int] = []
-        per_eps: dict[float, float] = {e: 0.0 for e in eps_t}
-        if rhs < RHS_FLOOR:
-            excluded.append(0)
-        else:
-            for eps, lhs in zip(eps_t, _interior_curve(du, dv, eps_t)):
-                ratio = lhs / rhs
-                rows.append(CepsRow(eps, 0, lhs, rhs, ratio))
-                per_eps[eps] = max(per_eps[eps], ratio)
-        return rows, excluded, per_eps
+    def differences(p: NonlinearPair):
+        return [tuple(GridFn(p.grid, SPACE_TIME, a.values - b.values)
+                      for a, b in ((p.u1, p.u2), (p.v1, p.v2), (p.F1, p.F2),
+                                   (p.G1, p.G2)))]
 
-    rows, excluded, per_eps = run(pair, grid)
+    rows, excluded, per_eps = _eps_sweep(differences(pair), eps_t)
     drift = None
     if refine:
         if nl_recipe is None:
@@ -262,7 +250,7 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
         fine_pair = make_nonlinear_pair(pair.u1_field, pair.v1_field,
                                         pair.u2_field, pair.v2_field,
                                         nl_recipe.sample(fine))
-        _, _, per_eps_fine = run(fine_pair, fine)
+        _, _, per_eps_fine = _eps_sweep(differences(fine_pair), eps_t)
         coarse_max = max(per_eps.values())
         drift = (max(per_eps_fine.values()) / coarse_max
                  if coarse_max > 0 else math.inf)

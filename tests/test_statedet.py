@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mfglab.basis import SeparableField, Term, random_cosine_field
-from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs
+from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs, NonlinearRecipe
 from mfglab.grid import build_grid, norm
 from mfglab.models import make_nonlinear_pair
-from mfglab.statedet import NonlinearRecipe, thm1_experiment, thm4_experiment
+from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import EnsembleMember, FunctionEnsemble, generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})

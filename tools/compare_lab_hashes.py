@@ -1,13 +1,16 @@
-"""Compare the output_hash of the six lab configs between two checkouts.
+"""Compare the output_hash of the shipped configs between two checkouts.
 
     python tools/compare_lab_hashes.py BASE_DIR HEAD_DIR
 
-Runs each non-inverse config in ``configs/`` (verify_weights,
-verify_carleman, lemma3, energy_slices, state_det, nonlinear_diff) with the
+Runs each config in ``configs/`` (the six lab configs verify_weights,
+verify_carleman, lemma3, energy_slices, state_det and nonlinear_diff, then
+the two inverse configs reconstruct_clean and stability_sweep) with the
 library of each checkout, in its own interpreter, and prints one line per
-config saying whether the hashes agree.  It only reports: the exit code is
-0 whatever differs or fails, because an intended numeric change moves a
-hash too.
+config saying whether the hashes agree.  The stability sweep's hash is
+reproducible only at a fixed OpenBLAS thread count (threaded OpenBLAS picks
+other kernels); both checkouts run in this one environment, so the
+comparison holds.  It only reports: the exit code is 0 whatever differs or
+fails, because an intended numeric change moves a hash too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import yaml
 
 LAB_CONFIGS = ("verify_weights", "verify_carleman", "lemma3", "energy_slices",
                "state_det", "nonlinear_diff")
+INVERSE_CONFIGS = ("reconstruct_clean", "stability_sweep")
 
 
 def output_hash(root: Path, name: str) -> str:
@@ -44,12 +48,13 @@ def output_hash(root: Path, name: str) -> str:
 def main(argv: list[str]) -> int:
     base, head = (Path(a).resolve() for a in argv)
     differ = 0
-    for name in LAB_CONFIGS:
+    names = LAB_CONFIGS + INVERSE_CONFIGS
+    for name in names:
         old, new = output_hash(base, name), output_hash(head, name)
         same = old == new
         differ += not same
-        print(f"{name:16s} {'same' if same else 'DIFFERS'}  base {old}  head {new}")
-    print(f"{differ} of {len(LAB_CONFIGS)} output_hash values differ")
+        print(f"{name:17s} {'same' if same else 'DIFFERS'}  base {old}  head {new}")
+    print(f"{differ} of {len(names)} output_hash values differ")
     return 0
 
 

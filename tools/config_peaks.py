@@ -2,9 +2,8 @@
 
     python tools/config_peaks.py [CHECKOUT_DIR]
 
-Runs each config in ``configs/`` (the six lab configs that
-``compare_lab_hashes.py`` lists, then the two inverse configs
-``reconstruct_clean`` and ``stability_sweep``) through the CLI of the
+Runs each config in ``configs/`` (the six lab configs and the two inverse
+configs that ``compare_lab_hashes.py`` lists) through the CLI of the
 checkout (default: this one), one process per config, and prints the peak
 resident set size (``ru_maxrss`` of that process) with the run's
 ``wall_time_s`` from its ``report.json``.  The first line is a process that
@@ -23,9 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from compare_lab_hashes import LAB_CONFIGS
-
-INVERSE_CONFIGS = ("reconstruct_clean", "stability_sweep")
+from compare_lab_hashes import INVERSE_CONFIGS, LAB_CONFIGS
 
 
 def peak_rss_mb(argv: list[str], root: Path) -> tuple[float, int, str]:
