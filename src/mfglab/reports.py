@@ -62,6 +62,9 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def versions(self) -> dict[str, str]:
+        """Library versions and the OpenBLAS thread count, on which the
+        inverse hashes depend (threaded OpenBLAS takes other kernels)."""
+        import os
         import platform
 
         import numpy
@@ -74,6 +77,7 @@ class RunReport:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
+            "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         }
 
 

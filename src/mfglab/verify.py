@@ -77,34 +77,67 @@ class EstimateSidePair:
 
 
 class _Cells:
-    """The (lam, s) cells of one grid sweep: one weight bundle per cell and,
-    on first use, one (cells x N) stack of weight factors per distinct
-    (m, lam_power), shared by every member and kind swept on the grid.
+    """The ``count`` (lam, s) cells of one grid sweep, shared by every member
+    and kind swept on the grid: each cell's ``params`` and ``data_scale``,
+    its weight and phi on the t0 slice when ``kinds`` has an energy-slice
+    kind (``w_t0``, ``phi_t0``), and one (count x N) stack per
+    (m, lam_power) that the weighted squares of ``kinds`` read, whose rows
+    are the cells' weight factors, raveled.
+
+    ``bundles`` may build each cell's bundle on demand: a bundle writes its
+    row of every stack and is dropped before the next one is built, so the
+    cells never hold more than the stacks plus one bundle's cached arrays.
+    A bundle the caller holds is only read.
 
     ``timings`` accumulates the sweep's seconds under ``members_s``,
     ``terms_s`` and ``sums_s`` (see ``estimate_constant``).
     """
 
-    def __init__(self, bundles: Sequence[WeightBundle],
-                 timings: Optional[dict[str, float]] = None):
-        self.bundles = tuple(bundles)
+    def __init__(self, kinds: Sequence[str], bundles: Iterable[WeightBundle],
+                 count: int, grid: Grid, timings: Optional[dict[str, float]] = None):
         self.timings = _new_timings() if timings is None else timings
-        self._stacks: dict[tuple[int, int], np.ndarray] = {}
+        self.params: list[WeightParams] = []
+        self.data_scale: list[float] = []
+        self.w_t0: list[np.ndarray] = []
+        self.phi_t0: list[np.ndarray] = []
+        powers = {(m, lam_power) for kind in kinds
+                  for spec in _kind_terms(kind, grid.dim)
+                  for parts in spec.values() for _, m, lam_power in parts}
+        size = math.prod(grid.shape)
+        # one block per power: rows allocated one by one fragment the heap
+        self._stacks = {p: np.empty((count, size)) for p in sorted(powers)}
+        slices = any(k in ENERGY_KINDS for k in kinds)
+        # no enumerate: its cached result tuple would hold the last bundle
+        # while the next one is built
+        for bundle in bundles:
+            c = len(self.params)
+            self.params.append(bundle.params)
+            self.data_scale.append(bundle.data_scale)
+            if slices:
+                self.w_t0.append(bundle.w_slice(grid.it0))
+                self.phi_t0.append(bundle.phi_slice(grid.it0))
+            for (m, lam_power), stack in self._stacks.items():
+                stack[c] = bundle.weight_factor(m, lam_power).ravel()
+            del bundle  # its cached arrays go before the next bundle is built
+        if len(self.params) != count:
+            raise ValueError(f"expected {count} bundles, got {len(self.params)}")
+        self._buf = np.empty(size)
 
     def sums(self, pre: np.ndarray, m: int, lam_power: int) -> np.ndarray:
         """``sum(pre * weight_factor(m, lam_power))`` on every cell.
 
-        Each stack row is one cell's factor, raveled, so its row sum is the
-        same pairwise sum over the same products as ``np.sum(pre * wf)``
-        and equal to it bit for bit (a dot product would not be).
+        Each row's products go through one reused N-length buffer and are
+        summed there: the same pairwise sum over the same contiguous products
+        as ``np.sum(pre * wf)``, equal to it bit for bit (a dot product would
+        not be).
         """
-        stack = self._stacks.get((m, lam_power))
-        if stack is None:
-            stack = np.empty((len(self.bundles), pre.size))
-            for row, bundle in zip(stack, self.bundles):
-                row[:] = bundle.weight_factor(m, lam_power).ravel()
-            self._stacks[(m, lam_power)] = stack
-        return (pre.reshape(1, -1) * stack).sum(axis=1)
+        pre = pre.ravel()
+        stack = self._stacks[(m, lam_power)]
+        out = np.empty(len(stack))
+        for c, row in enumerate(stack):
+            np.multiply(pre, row, out=self._buf)
+            out[c] = self._buf.sum()
+        return out
 
 
 SWEEP_SPANS = ("members_s", "terms_s", "sums_s")
@@ -171,6 +204,11 @@ def _kind_terms(kind: str, dim: int) -> tuple[dict[str, tuple], dict[str, tuple]
                 {"Ft": ((F + (_DT,), 1, 0),), "F": ((F, 1, 0),),
                  "Gt": ((G + (_DT,), 0, 0),), "G": ((G, 0, 0),)})
     return {}, {"f": (("f", 1, 0),), "g": (("g", 0, 0),)}
+
+
+def _require_slice_s(kinds: Sequence[str], s_values: Iterable[float]) -> None:
+    if any(k in ENERGY_KINDS for k in kinds) and any(s <= 0 for s in s_values):
+        raise ValueError("energy-slice kinds need s > 0")
 
 
 def _check_consistency(u: GridFn, v: GridFn, F: GridFn, G: GridFn,
@@ -323,14 +361,12 @@ def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
         return out
 
     pairs = []
-    for c, bundle in enumerate(cells.bundles):
+    for c, params in enumerate(cells.params):
         if kind in ENERGY_KINDS:
-            s = bundle.params.s
-            if s <= 0:
-                raise ValueError("energy-slice kinds need s > 0")
-            w_t0 = bundle.w_slice(g.it0)
+            s = params.s
+            w_t0 = cells.w_t0[c]
             if kind == "ENERGY_3_8":
-                phi_t0 = bundle.phi_slice(g.it0)
+                phi_t0 = cells.phi_t0[c]
                 val = float(np.sum(g.space_weights * s * phi_t0 * slice_sq * w_t0))
                 scalar = 1.0 / s
             else:
@@ -341,8 +377,8 @@ def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
             lhs = {name: total(vecs, c) for name, vecs in lhs_vecs.items()}
             scalar = 1.0
         rhs = {name: total(vecs, c, scalar) for name, vecs in rhs_vecs.items()}
-        rhs |= {name: bundle.data_scale * d for name, d in data.items()}
-        pairs.append(EstimateSidePair(kind=kind, params=bundle.params,
+        rhs |= {name: cells.data_scale[c] * d for name, d in data.items()}
+        pairs.append(EstimateSidePair(kind=kind, params=params,
                                       lhs_terms=lhs, rhs_terms=rhs))
     cells.timings["sums_s"] += time.perf_counter() - start
     return pairs
@@ -362,8 +398,9 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     ratios are independent of the weight normalization.  This is the sweep's
     own path, for one member on one cell.
     """
+    _require_slice_s((kind,), (bundle.params.s,))
     member = _member((kind,), u, v, F, G, coeffs, sources)
-    return _pairs(kind, member, _Cells((bundle,)))[0]
+    return _pairs(kind, member, _Cells((kind,), (bundle,), 1, bundle.grid))[0]
 
 
 def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
@@ -518,21 +555,25 @@ def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
     """Sweep every kind over ``instances`` on one grid, with ``coeffs``
     sampled there.
 
-    Member-major: the weight base and every cell's bundle are built once,
-    then each member is built in turn, every kind runs on it over all cells,
-    and only its (lhs, rhs, ratio) per kind and cell are kept; its arrays
-    are dropped before the next member is built.  ``instances`` may build
-    each one on demand (the refined pass does), so no grid holds more than
-    one member at a time.  Peak memory therefore grows with cells x distinct
-    weight powers x grid nodes (the weight-factor stacks; about 7.5 MB at
+    Member-major: the weight base is built once, and each cell's bundle
+    once, just before it writes its row of the weight-factor stacks; it is
+    dropped before the next cell's is built.  Then each member is built in
+    turn, every kind runs on it over all cells, and only its
+    (lhs, rhs, ratio) per kind and cell are kept; its arrays are dropped
+    before the next member is built.  ``instances`` may build each one on
+    demand (the refined pass does), so no grid holds more than one bundle
+    or one member at a time.  Peak memory is therefore the stacks, which
+    grow with cells x distinct weight powers x grid nodes (about 7.5 MB at
     129^2 for 8 cells and the 7 powers of LEMMA1, LEMMA2, THM3 and LEMMA4),
-    not with the member count.
+    plus one bundle or one member, and the sums over cells reduce through
+    one N-length buffer; neither the bundles nor the member count add to it.
     """
     start = time.perf_counter()
     eta = build_eta(grid, coeffs)
     cell_keys = [(lam, s) for lam in lam_grid for s in s_grid]
-    cells = _Cells([eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
-                    for lam, s in cell_keys], timings)
+    bundles = (eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
+               for lam, s in cell_keys)
+    cells = _Cells(kinds, bundles, len(cell_keys), grid, timings)
     timings["sums_s"] += time.perf_counter() - start
     # values[kind][cell] holds one (lhs, rhs, ratio) per member
     values = [[[] for _ in cell_keys] for _ in kinds]
@@ -612,6 +653,7 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
         raise ValueError("ensemble must be non-empty")
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
+    _require_slice_s(kinds, s_grid)
     timings = _new_timings()
     is_cases = isinstance(ensemble, CaseEnsemble)
     instances = ensemble.cases if is_cases else ensemble.members

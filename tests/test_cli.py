@@ -175,6 +175,21 @@ def test_emit_report_refuses_empty():
         emit_report(RunReport("x", {}, []), "/tmp/whatever")
 
 
+def test_openblas_threads_recorded_outside_output_hash(tmp_path, monkeypatch):
+    report = RunReport("x", {}, [ResultTable("t", ("a",), ((1.0,),))])
+    seen = []
+    for threads in ("3", None):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / str(threads)
+        written = json.loads(Path(emit_report(report, str(out))["report.json"]).read_text())
+        seen.append((written["versions"]["openblas_threads"], written["output_hash"]))
+    assert [v for v, _ in seen] == ["3", "unset"]
+    assert seen[0][1] == seen[1][1]
+
+
 def test_emit_report_unwritable_dir(tmp_path):
     table = ResultTable("t", ("a",), ((1.0,),))
     report = RunReport("x", {}, [table])

@@ -1,9 +1,12 @@
 """The refined pass of a sweep builds each member on the doubled grid just
 before it is swept: its rows equal a sweep over members built on that grid
-directly, and its memory does not grow with the member count."""
+directly, and its memory does not grow with the member count.  A sweep also
+holds one weight bundle at a time, so its memory beyond the weight-factor
+stacks does not grow with the cell count."""
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -129,3 +132,57 @@ def test_refined_peak_independent_of_member_count(experiment):
     one_member = member_bytes(instances(ens)[0].resample(g.refined(2)))
     # building the whole refined ensemble would add ten members' arrays
     assert peaks[1] - peaks[0] < 2 * one_member
+
+
+# ---------------------------------------------------------------------------
+# a sweep holds one weight bundle at a time
+
+# the (m, lam_power) weight factors that LEMMA1 and THM3 read: (0, 0),
+# (2, 2), (4, 4) and (1, 0) on the u side, (-1, 0), (1, 2) and (3, 4) on the v side
+FN_POWERS = 7
+
+
+def test_sweep_memory_beyond_stacks_independent_of_cell_count():
+    g = build_grid(1.0, 1.0, 65, 65, ["x+"])
+    ens = ensemble(FN_KINDS, 1, g)
+    grid_array = g.st_weights.nbytes
+    beyond_stacks = []
+    for s_grid in ((0.5, 1.0), (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)):
+        peak = traced_peak(lambda: estimate_constant(
+            FN_KINDS, ens, LAMS, s_grid, COUPLED, g, refine=False))
+        beyond_stacks.append(peak - len(s_grid) * FN_POWERS * grid_array)
+    # holding every cell's bundle, or a cells x N product, would add
+    # several grid arrays per cell
+    assert beyond_stacks[1] - beyond_stacks[0] < 3 * grid_array
+
+
+@pytest.mark.parametrize("kinds", [FN_KINDS, ENERGY_KINDS])
+def test_sweep_drops_each_bundle_before_building_the_next(kinds, monkeypatch):
+    g = build_grid(1.0, 1.0, 17, 17, ["x-", "x+"])
+    built = []
+    alive_at_build, alive_at_members = [], []
+
+    def alive():
+        return sum(ref() is not None for ref in built)
+
+    orig_bundle = mfglab.verify.eval_weight_bundle
+
+    def recorded_bundle(*args, **kwargs):
+        alive_at_build.append(alive())
+        bundle = orig_bundle(*args, **kwargs)
+        built.append(weakref.ref(bundle))
+        return bundle
+
+    orig_members = mfglab.verify._members
+
+    def recorded_members(*args, **kwargs):
+        alive_at_members.append(alive())  # the stacks exist by now
+        return orig_members(*args, **kwargs)
+
+    monkeypatch.setattr(mfglab.verify, "eval_weight_bundle", recorded_bundle)
+    monkeypatch.setattr(mfglab.verify, "_members", recorded_members)
+    estimate_constant(kinds, ensemble(kinds, 2, g), LAMS, S_VALUES, COUPLED, g,
+                      refine=True)
+    assert len(built) == 2 * len(LAMS) * len(S_VALUES)
+    assert alive_at_build == [0] * len(built)
+    assert alive_at_members == [0, 0]

@@ -296,6 +296,31 @@ def test_sweep_rows_equal_standalone_evaluations(kind, dim):
         assert (row.lhs, row.rhs, row.ratio) == (pair.lhs, pair.rhs, pair.ratio)
 
 
+@pytest.mark.parametrize("kind", ENERGY_KINDS)
+def test_energy_kinds_reject_zero_s_before_any_member(kind, monkeypatch):
+    ens, recipe, g, inputs = sweep_inputs(kind)
+    built = Counter()
+
+    def counted(name):
+        orig = getattr(mfglab.verify, name)
+
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(mfglab.verify, name, wrapper)
+
+    counted("_member")
+    counted("eval_weight_bundle")
+    with pytest.raises(ValueError, match="energy-slice kinds need s > 0"):
+        estimate_constant(kind, ens, LAMS, (1.0, 0.0), recipe, g, refine=False)
+    coeffs = recipe.sample(g)
+    bundle = eval_weight_bundle(build_eta(g, coeffs), WeightParams(lam=1.0, s=0.0), g)
+    u, v, F, G, sources = inputs[0]
+    with pytest.raises(ValueError, match="energy-slice kinds need s > 0"):
+        evaluate_estimate(kind, u, v, F, G, coeffs, bundle, sources=sources)
+    assert built == Counter()
+
+
 def direct_thm3(u, v, F, G, bundle):
     """Both THM3 sides written out term by term, each weight factor built
     where it is used (the formula of the estimate, in the lab's operand and

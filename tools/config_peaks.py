@@ -1,14 +1,23 @@
 """Peak memory and wall time of each shipped config, each in a fresh interpreter.
 
-    python tools/config_peaks.py [CHECKOUT_DIR]
+    python tools/config_peaks.py [[BASE_DIR] HEAD_DIR]
 
 Runs each config in ``configs/`` (the six lab configs and the two inverse
-configs that ``compare_lab_hashes.py`` lists) through the CLI of the
-checkout (default: this one), one process per config, and prints the peak
-resident set size (``ru_maxrss`` of that process) with the run's
-``wall_time_s`` from its ``report.json``.  The first line is a process that
-only imports the library, which every config's peak includes.  It only
-reports: the exit code is 0 whatever a run does.
+configs that ``compare_lab_hashes.py`` lists) through the CLI of a checkout
+(default: this one), one process per config, and prints the peak resident
+set size (``ru_maxrss`` of that process) with the run's ``wall_time_s`` from
+its ``report.json``.  The first line is a process that only imports the
+library, which every config's peak includes.
+
+Given two checkouts, it prints each config's peak in both and the change
+from BASE_DIR to HEAD_DIR; the two runs of a config alternate which
+checkout goes first.
+
+Every process reads its bytecode from one temporary ``PYTHONPYCACHEPREFIX``,
+warmed first by running each checkout's configs once unmeasured.  A process
+that compiles its modules (under ``PYTHONDONTWRITEBYTECODE=1`` with a stale
+or missing ``__pycache__``) peaks 1-2 MB higher, which would hide what the
+code itself holds.  It only reports: the exit code is 0 whatever a run does.
 """
 
 from __future__ import annotations
@@ -19,16 +28,20 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import yaml
 
 from compare_lab_hashes import INVERSE_CONFIGS, LAB_CONFIGS
 
+IMPORTS = "imports only"
 
-def peak_rss_mb(argv: list[str], root: Path) -> tuple[float, int, str]:
+
+def peak_rss_mb(argv: list[str], root: Path,
+                env: dict[str, str]) -> tuple[float, int, str]:
     """Run ``argv`` with the checkout's library; return its own ru_maxrss in
     MB, its exit code and the last line of its standard error."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(env, PYTHONPATH=str(root / "src"))
     with subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True) as proc:
         err = proc.stderr.read()
@@ -39,26 +52,55 @@ def peak_rss_mb(argv: list[str], root: Path) -> tuple[float, int, str]:
     return usage.ru_maxrss / 1024.0, proc.returncode, last  # Linux: KiB
 
 
+def run_config(root: Path, name: str, env: dict[str, str]):
+    """Peak MB and wall seconds of one config of ``root`` (``IMPORTS``: a
+    process that imports the library), or a string saying why there are none."""
+    if name == IMPORTS:
+        rss, code, err = peak_rss_mb([sys.executable, "-c", "import mfglab.cli"],
+                                     root, env)
+        return (rss, None) if code == 0 else f"failed ({err})"
+    config = root / "configs" / f"{name}.yaml"
+    if not config.exists():
+        return "missing"
+    experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
+    with tempfile.TemporaryDirectory() as out:
+        rss, code, err = peak_rss_mb(
+            [sys.executable, "-m", "mfglab", experiment, "--config", str(config),
+             "--out", out], root, env)
+        if code != 0:
+            return f"failed ({err})"
+        return rss, json.loads((Path(out) / "report.json").read_text())["wall_time_s"]
+
+
+def fmt(result) -> str:
+    if isinstance(result, str):
+        return result
+    rss, wall = result
+    return f"{rss:7.1f} MB" + ("" if wall is None else f"  wall {wall:6.3f} s")
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    rss, code, err = peak_rss_mb([sys.executable, "-c", "import mfglab.cli"], root)
-    print(f"{'imports only':17s} peak {rss:7.1f} MB"
-          + ("" if code == 0 else f"  failed ({err})"))
-    for name in LAB_CONFIGS + INVERSE_CONFIGS:
-        config = root / "configs" / f"{name}.yaml"
-        if not config.exists():
-            print(f"{name:17s} missing")
-            continue
-        experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
-        with tempfile.TemporaryDirectory() as out:
-            rss, code, err = peak_rss_mb(
-                [sys.executable, "-m", "mfglab", experiment, "--config",
-                 str(config), "--out", out], root)
-            if code != 0:
-                print(f"{name:17s} peak {rss:7.1f} MB  failed ({err})")
+    roots = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parents[1]]
+    base: Optional[Path] = roots[0] if len(roots) == 2 else None
+    head = roots[-1]
+    names = (IMPORTS,) + LAB_CONFIGS + INVERSE_CONFIGS
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+        warm = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        for root in roots:
+            for name in names:
+                run_config(root, name, warm)
+        for i, name in enumerate(names):
+            if base is None:
+                print(f"{name:17s} peak {fmt(run_config(head, name, env))}")
                 continue
-            wall = json.loads((Path(out) / "report.json").read_text())["wall_time_s"]
-        print(f"{name:17s} peak {rss:7.1f} MB  wall {wall:6.3f} s")
+            order = (base, head) if i % 2 == 0 else (head, base)
+            results = {root: run_config(root, name, env) for root in order}
+            old, new = results[base], results[head]
+            line = f"{name:17s} base {fmt(old)}  head {fmt(new)}"
+            if not isinstance(old, str) and not isinstance(new, str):
+                line += f"  delta {new[0] - old[0]:+5.1f} MB"
+            print(line)
     return 0
 
 
