@@ -5,7 +5,8 @@ equation (operator ``B``) through a zeroth-order factor ``c0`` one way and a
 full second-order operator ``A0`` the other way.  This module samples the
 coefficient fields on a grid, lists the terms of each operator once
 (:func:`operator_terms`), applies the operators with the shared stencils,
-checks uniform ellipticity and evaluates the size surrogate used to report
+builds the discrete conormal operator of the boundary hypothesis, checks
+uniform ellipticity and evaluates the size surrogate used to report
 empirical constants against.
 """
 
@@ -15,19 +16,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import (
     BOUNDARY_TRACE,
     SPACE_TIME,
+    Face,
     Grid,
     GridFn,
+    derivative_matrix,
     diff,
     face_values,
+    node_index,
 )
 
 __all__ = [
     "CoeffRecipe",
     "CoeffSet",
+    "MmsRejected",
     "NonlinearCoeffs",
     "NonlinearRecipe",
     "SourceFactors",
@@ -35,11 +41,16 @@ __all__ = [
     "check_ellipticity",
     "coefficient_bound",
     "conormal",
+    "conormal_operator",
     "sample_field",
     "sample_spatial",
 ]
 
 FieldSpec = Union[float, int, Callable[..., np.ndarray]]
+
+
+class MmsRejected(ValueError):
+    """Manufactured case violates a hypothesis (vanishing q at t0, etc.)."""
 
 
 def sample_field(grid: Grid, spec: FieldSpec) -> np.ndarray:
@@ -221,7 +232,8 @@ class SourceFactors:
     """Factorized sources: space-time modulations q1, q2 and spatial profiles f, g.
 
     The modulations must be bounded away from zero on the t0 slice, which is
-    what makes the spatial profiles recoverable from slice data.
+    what makes the spatial profiles recoverable from slice data; a package
+    that dips below ``q_min`` there raises ``MmsRejected``.
     """
 
     grid: Grid
@@ -242,12 +254,15 @@ class SourceFactors:
             if arr.shape != self.grid.space_shape:
                 raise ValueError(f"{name} must have shape {self.grid.space_shape}")
             object.__setattr__(self, name, arr)
-        it0 = self.grid.it0
         for name in ("q1", "q2"):
-            slice_min = float(np.min(np.abs(getattr(self, name)[..., it0])))
-            if slice_min < self.q_min:
-                raise ValueError(
-                    f"|{name}(., t0)| dips to {slice_min:.3g} < q_min={self.q_min}"
+            at_t0 = np.abs(getattr(self, name)[..., self.grid.it0])
+            floor = float(np.min(at_t0))
+            if floor < self.q_min:
+                worst = tuple(int(i) for i in np.unravel_index(np.argmin(at_t0),
+                                                               self.grid.space_shape))
+                raise MmsRejected(
+                    f"|{name}(., t0)| = {floor:.3g} < q_min={self.q_min} at node "
+                    f"{worst}; redraw the state recipe"
                 )
 
 
@@ -309,8 +324,12 @@ def apply_operator(kind: str, f: GridFn, c: CoeffSet) -> GridFn:
     return GridFn(f.grid, SPACE_TIME, out)
 
 
-def conormal(f: GridFn, c: CoeffSet, which: str = "A") -> GridFn:
-    """Conormal derivative sum_ij a_ij (d_j f) nu_i on every boundary face.
+def conormal_operator(c: CoeffSet, which: str, face: Face,
+                      dx: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """Conormal derivative sum_j m_ij (d_j u) nu_i of A (``which`` "A", m = a2)
+    or B ("B", m = b2) on ``face``, as a sparse operator from the raveled
+    space-time state to the trace ordered like ``face_values(...).ravel()``;
+    ``dx[j]`` is the ``derivative_matrix`` along axis j.
 
     Gradients use the shared stencils (one-sided in the face-normal
     direction), so on sampled fields this is accurate to second order, not
@@ -318,18 +337,29 @@ def conormal(f: GridFn, c: CoeffSet, which: str = "A") -> GridFn:
     """
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
+    g = c.grid
+    m2 = c.a2 if which == "A" else c.b2
+    rows = face_values(g, node_index(g), face).ravel()
+    sign = 1.0 if face.side == 1 else -1.0
+    out = None
+    for j in range(g.dim):
+        term = sp.diags(m2[face.axis, j].ravel()[rows]) @ dx[j][rows]
+        out = term if out is None else out + term
+    return (sign * out).tocsr()
+
+
+def conormal(f: GridFn, c: CoeffSet, which: str = "A") -> GridFn:
+    """Conormal derivative of ``f`` on every boundary face: the traces of
+    :func:`conormal_operator` applied to its values."""
     if f.kind != SPACE_TIME:
         raise ValueError("conormal requires a space-time field")
     g = f.grid
-    m2 = c.a2 if which == "A" else c.b2
-    grads = [diff(f, x=(j,)).values for j in range(g.dim)]
-    traces = {}
-    for face in g.all_faces():
-        sign = 1.0 if face.side == 1 else -1.0
-        traces[face] = sign * sum(face_values(g, m2[face.axis, j], face)
-                                  * face_values(g, grads[j], face)
-                                  for j in range(g.dim))
-    return GridFn(g, BOUNDARY_TRACE, traces)
+    dx = [derivative_matrix(g.shape, g.spacings, (j,)) for j in range(g.dim)]
+    flat = f.values.ravel()
+    return GridFn(g, BOUNDARY_TRACE, {
+        face: (conormal_operator(c, which, face, dx) @ flat).reshape(
+            face_values(g, f.values, face).shape)
+        for face in g.all_faces()})
 
 
 def coefficient_bound(c: CoeffSet) -> float:

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .coefficients import CoeffRecipe, NonlinearRecipe
+from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
 
@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"grid: {exc}") from exc
 
     def coeff_recipe(self) -> CoeffRecipe:
+        """The coefficient recipe; on the config grid both principal parts must
+        be symmetric with least eigenvalue at least ``chi`` at every node."""
         spec = self.section("coefficients")
         dim = len(self.section("grid")["lengths"])
 
@@ -177,12 +179,21 @@ class ExperimentConfig:
             if sum(gidx) > 2:
                 raise ConfigError(f"coupling key {key!r} exceeds total order 2")
             coupling[gidx] = st(expr)
-        return CoeffRecipe(
+        recipe = CoeffRecipe(
             a2=matrix(spec["a"]), b2=matrix(spec["b"]),
             a1=vector(spec["a_lower"]), b1=vector(spec["b_lower"]),
             a0=st(spec["a0"]), b0=st(spec["b0"]), c0=st(spec["c0"]),
             b_gamma=coupling, chi=float(spec["chi"]),
         )
+        try:
+            least = check_ellipticity(recipe.sample(self.build_grid()))
+        except ValueError as exc:
+            raise ConfigError(f"coefficients: {exc}") from exc
+        if least < recipe.chi:
+            raise ConfigError(
+                f"coefficients: least eigenvalue of the principal parts is "
+                f"{least:.6g} < chi={recipe.chi:g}")
+        return recipe
 
     def nonlinear_recipe(self) -> NonlinearRecipe:
         spec = self.section("nonlinear")

@@ -307,6 +307,13 @@ def face_values(grid: Grid, values: np.ndarray, face: Face) -> np.ndarray:
     return np.take(values, idx, axis=face.axis)
 
 
+def node_index(grid: Grid) -> np.ndarray:
+    """The raveled index of every space-time node, in the grid's shape:
+    restricted like a field (``face_values``, a time slice) and raveled, it
+    gives the indices of those nodes in the order of that restriction."""
+    return np.arange(math.prod(grid.shape)).reshape(grid.shape)
+
+
 def face_quad_weights(grid: Grid, face: Face, with_time: bool = True) -> np.ndarray:
     """Trapezoid weights for integrating a trace over the face (x time)."""
     if grid.dim == 1:

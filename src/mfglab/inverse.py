@@ -37,7 +37,6 @@ sweeps fit the log-log slope of the error against the data perturbation.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -48,17 +47,20 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .coefficients import CoeffSet, operator_terms
+from .coefficients import CoeffSet, conormal_operator, operator_terms
 from .grid import (
     SPATIAL_SLICE,
     SPACE_TIME,
     Face,
     Grid,
     GridFn,
+    apply_stencil,
     derivative_matrix,
     diff,
     face_quad_weights,
+    face_values,
     kron_axes,
+    node_index,
     norm,
 )
 from .models import CaseEnsemble, ManufacturedCase, residual, resampled_cases
@@ -101,12 +103,17 @@ class InverseData:
 
 def make_inverse_data(case: ManufacturedCase, delta: float, seed: int, *,
                       noisy_slices: bool = False) -> InverseData:
-    """Extract the observation package and contaminate it with noise.
+    """Read the observation package off the case states and contaminate it
+    with noise.
 
+    The traces are the restrictions of u and v to the faces of gamma and
+    the time stencil of each, which equals the restriction of
+    ``diff(u, t_order=1)`` bit for bit; the snapshots are the states at t0.
     Each data array independently receives i.i.d. Gaussian noise with
     standard deviation ``delta`` times its own max amplitude (in particular
     the time-derivative traces are noised directly, not obtained by
-    differentiating noisy traces).  The draw order is fixed, so a seed pins
+    differentiating noisy traces).  The draw order is fixed (``TRACE_KEYS``,
+    each over the sorted faces of gamma, then u0 and v0), so a seed pins
     the noise.  By default the two interior snapshots stay exact and only
     the lateral data are perturbed, as in the stability sweep and the
     config default: white noise on a snapshot enters the recovery through
@@ -115,24 +122,24 @@ def make_inverse_data(case: ManufacturedCase, delta: float, seed: int, *,
     if delta < 0:
         raise ValueError("delta must be >= 0")
     rng = np.random.default_rng(seed)
+    g = case.grid
 
     def noisy(arr: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arr, dtype=float)
-        if delta == 0.0:
-            return arr.copy()
         scale = delta * float(np.max(np.abs(arr)))
-        return arr + rng.normal(0.0, scale, size=arr.shape) if scale > 0 \
-            else arr.copy()
+        return arr + rng.normal(0.0, scale, size=arr.shape) if scale > 0 else arr
 
-    traces = {
-        key: {face: noisy(case.data.traces[key][face])
-              for face in sorted(case.data.traces[key])}
-        for key in TRACE_KEYS
-    }
-    u0 = noisy(case.data.u0) if noisy_slices else case.data.u0.copy()
-    v0 = noisy(case.data.v0) if noisy_slices else case.data.v0.copy()
+    clean: dict[str, dict[Face, np.ndarray]] = {}
+    for key, state in (("u", case.u), ("v", case.v)):
+        clean[key] = {face: face_values(g, state.values, face) for face in sorted(g.gamma)}
+        clean[key + "t"] = {face: apply_stencil(trace, g.tau, 1, -1)
+                            for face, trace in clean[key].items()}
+    traces = {key: {face: noisy(trace) for face, trace in clean[key].items()}
+              for key in TRACE_KEYS}
+    u0, v0 = (state.values[..., g.it0].copy() for state in (case.u, case.v))
+    if noisy_slices:
+        u0, v0 = noisy(u0), noisy(v0)
     return InverseData(
-        grid=case.grid, coeffs=case.coeffs, traces=traces,
+        grid=g, coeffs=case.coeffs, traces=traces,
         u0=u0, v0=v0,
         q1=case.sources.q1.copy(), q2=case.sources.q2.copy(),
         delta=float(delta), seed=int(seed),
@@ -174,8 +181,8 @@ class ReconstructionResult:
     ``singular_values`` is the descending spectrum of the reduced source
     matrix in W-scaled coordinates (a source's norm there is its L2 norm).
     The solve is direct, so ``iterations`` is always 0.  ``timings`` holds
-    the stage seconds of the ``SourceReduction`` used (of its build, wherever
-    that happened) and ``solve_s``, the seconds of this solve.
+    the stage seconds of the ``SourceReduction`` built for it and
+    ``solve_s``, the seconds of the solve.
     """
 
     f_hat: GridFn
@@ -224,30 +231,6 @@ def _operator_matrix(kind: str, c: CoeffSet,
     return out.tocsr()
 
 
-def _node_index(grid: Grid, axis: int, index: int) -> np.ndarray:
-    """Raveled indices of the nodes at ``index`` along ``axis``, ordered like
-    ``np.take(values, index, axis)`` (a face trace or a time slice)."""
-    return np.take(np.arange(math.prod(grid.shape)).reshape(grid.shape),
-                   index, axis=axis).ravel()
-
-
-def _face_index(grid: Grid, face: Face) -> np.ndarray:
-    return _node_index(grid, face.axis, face.side * (grid.nx[face.axis] - 1))
-
-
-def _conormal_op(grid: Grid, m2: np.ndarray, face: Face,
-                 dx: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
-    """Trace of the conormal derivative as a sparse operator on states;
-    ``dx[j]`` is the derivative matrix along axis j."""
-    rows = _face_index(grid, face)
-    sign = 1.0 if face.side == 1 else -1.0
-    out = None
-    for j in range(grid.dim):
-        term = sp.diags(m2[face.axis, j].ravel()[rows]) @ dx[j][rows]
-        out = term if out is None else out + term
-    return (sign * out).tocsr()
-
-
 @dataclass(frozen=True, eq=False)
 class _Block:
     """Rows ``L x`` of one objective term, weighted ``omega * m`` per row and
@@ -293,6 +276,7 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
     st_w = g.st_weights.ravel()
     sp_w = g.space_weights.ravel()
 
+    nodes = node_index(g)
     blocks: list[_Block] = []
 
     pde_u = sp.hstack(
@@ -311,13 +295,13 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
     for key, block_off, with_dt in (("u", off_u, False), ("v", off_v, False),
                                     ("ut", off_u, True), ("vt", off_v, True)):
         for face in sorted(g.gamma):
-            op = (dt_op if with_dt else eye)[_face_index(g, face)]
+            op = (dt_op if with_dt else eye)[face_values(g, nodes, face).ravel()]
             blocks.append(_Block(f"trace_{key}_{face.label()}",
                                  embed(op, block_off),
                                  face_quad_weights(g, face).ravel(),
                                  cfg.omega_gamma, (key, face)))
 
-    sel0 = eye[_node_index(g, g.dim, g.it0)]
+    sel0 = eye[nodes[..., g.it0].ravel()]
     blocks.append(_Block("slice_u", embed(sel0, off_u), sp_w,
                          cfg.omega_slice, ("u0", None)))
     blocks.append(_Block("slice_v", embed(sel0, off_v), sp_w,
@@ -327,9 +311,9 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
         dx = [deriv((j,)) for j in range(g.dim)]
         for face in g.all_faces():
             w = face_quad_weights(g, face).ravel()
-            for offs, nm, m2 in ((off_u, "bc_u", c.a2), (off_v, "bc_v", c.b2)):
+            for offs, nm, which in ((off_u, "bc_u", "A"), (off_v, "bc_v", "B")):
                 blocks.append(_Block(f"{nm}_{face.label()}",
-                                     embed(_conormal_op(g, m2, face, dx), offs),
+                                     embed(conormal_operator(c, which, face, dx), offs),
                                      w, cfg.omega_bc))
     return blocks, dim_x
 
@@ -511,26 +495,6 @@ _CHUNK = 96
 _QR_BLOCK = 32
 
 
-def _system_key(data: InverseData, cfg: ReconstructionConfig) -> dict[str, object]:
-    """Everything the rows of the objective depend on, by name."""
-
-    def digest(*arrays: np.ndarray) -> str:
-        h = hashlib.sha256()
-        for arr in arrays:
-            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        return h.hexdigest()
-
-    c = data.coeffs
-    orders = sorted(c.b_gamma)
-    return {
-        "grid": data.grid,
-        "coefficients": (tuple(orders), digest(c.a2, c.b2, c.a1, c.b1, c.a0, c.b0,
-                                               c.c0, *(c.b_gamma[k] for k in orders))),
-        "q": digest(data.q1, data.q2),
-        "omega": (cfg.omega_pde, cfg.omega_gamma, cfg.omega_slice, cfg.omega_bc),
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class SourceReduction:
     """The part of a reconstruction that no data, noise seed or ridge changes.
@@ -551,13 +515,11 @@ class SourceReduction:
     ``dgemqrt``.
     W is the quadrature weight of (f, g), so ``s`` is the spectrum with
     respect to the L2 norm of the sources.  Built by ``reduce_sources`` for
-    one grid, coefficient set, q1/q2 and omega weights (``key``);
-    ``reconstruct`` refuses it for any other system.  ``timings`` holds the
-    seconds its stages took: ``assemble_s``, ``factor_s``, ``eliminate_s``
-    and ``qr_svd_s``.
+    one grid, coefficient set, q1/q2 and omega weights, it serves any data
+    and ridge on that system.  ``timings`` holds the seconds its stages took:
+    ``assemble_s``, ``factor_s``, ``eliminate_s`` and ``qr_svd_s``.
     """
 
-    key: dict[str, object]
     blocks: tuple[_Block, ...]
     sqrt_w: np.ndarray
     ay: sp.csc_matrix
@@ -675,10 +637,9 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     u, s, vt = sla.svd(np.triu(reflectors[:n_src]), overwrite_a=True,
                        check_finite=False)
     stage("qr_svd_s")
-    return SourceReduction(key=_system_key(data, cfg), blocks=tuple(blocks),
-                           sqrt_w=sqrt_w, ay=ay, az=az, chol=chol, source_w=source_w,
-                           row_order=row_order, reflectors=reflectors, t=t,
-                           u=u, s=s, vt=vt, timings=timings)
+    return SourceReduction(blocks=tuple(blocks), sqrt_w=sqrt_w, ay=ay, az=az, chol=chol,
+                           source_w=source_w, row_order=row_order,
+                           reflectors=reflectors, t=t, u=u, s=s, vt=vt, timings=timings)
 
 
 def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
@@ -692,16 +653,9 @@ def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
     return out
 
 
-def _weighted_rhs(red: SourceReduction, data: InverseData, cfg: ReconstructionConfig,
-                  out: np.ndarray) -> None:
+def _weighted_rhs(red: SourceReduction, data: InverseData, out: np.ndarray) -> None:
     """Write the weighted observations of ``data`` for the rows of ``red``
-    into the vector ``out``, after checking that ``red`` was built for the
-    system of ``data`` and ``cfg`` (ValueError naming what differs)."""
-    key = _system_key(data, cfg)
-    stale = [name for name in key if key[name] != red.key[name]]
-    if stale:
-        raise ValueError("the reduction was built for a different "
-                         + ", ".join(stale) + " than this reconstruction's")
+    into the vector ``out``."""
     np.concatenate([blk.rhs(data) for blk in red.blocks], out=out)
     out *= red.sqrt_w
 
@@ -782,24 +736,22 @@ def _solve(red: SourceReduction, b: np.ndarray, betas: Sequence[float]
 
 
 def reconstruct(data: InverseData, cfg: ReconstructionConfig,
-                truth: Optional[tuple[np.ndarray, np.ndarray]] = None, *,
-                reduction: Optional[SourceReduction] = None) -> ReconstructionResult:
+                truth: Optional[tuple[np.ndarray, np.ndarray]] = None
+                ) -> ReconstructionResult:
     """Minimize the all-at-once quadratic by variable projection.
 
-    ``reduction`` (from ``reduce_sources`` on the same grid, coefficients,
-    q1/q2 and omega weights; ValueError otherwise) skips the elimination, so
-    many solves on one system share it; without it one is built here.  The
-    sources come from the filtered SVD of the reduced system, the states
-    from one back-solve, and the result records its relative normal
-    residual; a result above ``tol`` is flagged, not raised.
+    The states are eliminated by ``reduce_sources``, the sources come from
+    the filtered SVD of the reduced system, the states from one back-solve,
+    and the result records its relative normal residual; a result above
+    ``tol`` is flagged, not raised.
     """
     flags: list[str] = []
     if cfg.beta == 0.0 and data.delta > 0.0:
         flags.append("beta=0 with noisy data: ridge-free fit is ill-advised")
-    red = reduce_sources(data, cfg) if reduction is None else reduction
+    red = reduce_sources(data, cfg)
     solve_start = time.perf_counter()
     b = np.empty((red.sqrt_w.size, 1))
-    _weighted_rhs(red, data, cfg, b[:, 0])
+    _weighted_rhs(red, data, b[:, 0])
     z, y, res, normal = _solve(red, b, [cfg.beta])
     z, y, res = z[:, 0], y[:, 0], res[:, 0]
     normal_residual = float(normal[0])
@@ -850,18 +802,14 @@ def direct_formula_oracle(case: ManufacturedCase) -> tuple[GridFn, GridFn]:
     """Slice-formula recovery of (f, g) from the full state (oracle only).
 
     Takes the linear residual of the state at t0 and divides by the
-    modulations there, so on discrete-mode cases this reproduces the stored
-    profiles to roundoff, while on analytic-mode cases the stencil
-    truncation shows up at second order.
+    modulations there (``SourceFactors`` keeps them above ``q_min``), so on
+    discrete-mode cases this reproduces the stored profiles to roundoff,
+    while on analytic-mode cases the stencil truncation shows up at second
+    order.
     """
     g = case.grid
     it0 = g.it0
     src = case.sources
-    for name, q in (("q1", src.q1), ("q2", src.q2)):
-        floor = float(np.min(np.abs(q[..., it0])))
-        if floor < src.q_min:
-            raise ValueError(f"|{name}(., t0)| = {floor:.3g} below the floor "
-                             f"{src.q_min}; recovery hypothesis violated")
     ru, rv = residual("linear", case.u, case.v, coeffs=case.coeffs)
     f = ru.values[..., it0] / src.q1[..., it0]
     gg = rv.values[..., it0] / src.q2[..., it0]
@@ -925,10 +873,9 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     The system is the same for every (delta, seed), only the data and the
     ridge change, so one ``SourceReduction`` serves them all and the data
     sets are solved together: each pair's observation package is built,
-    checked against the reduction, written as one column of a rows x m
-    block and dropped, and each block of up to ``_CHUNK`` columns goes
-    through one batched solve (two multi-column state solves, one Q^T
-    application, a filter per column).  A sweep row therefore agrees with
+    written as one column of a rows x m block and dropped, and each block of
+    up to ``_CHUNK`` columns goes through one batched solve (two
+    multi-column state solves, one Q^T application, a filter per column).  A sweep row therefore agrees with
     a standalone ``reconstruct`` of the same data to roundoff, not bit for
     bit.
 
@@ -963,7 +910,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
         b = np.empty((reduction.sqrt_w.size, len(batch)))
         for j, (delta, _, seed) in enumerate(batch):
             data = make_inverse_data(case, delta, seed, noisy_slices=noisy_slices)
-            _weighted_rhs(reduction, data, base, b[:, j])
+            _weighted_rhs(reduction, data, b[:, j])
         lap = time.perf_counter()
         z, _, _, normal = _solve(reduction, b, [beta for _, beta, _ in batch])
         solve_s += time.perf_counter() - lap
@@ -1038,8 +985,8 @@ def verify_thm2(case: ManufacturedCase) -> EstimateSidePair:
         "f": _abs_l2(g, case.sources.f),
         "g": _abs_l2(g, case.sources.g),
     }
-    u0 = GridFn(g, SPATIAL_SLICE, case.data.u0)
-    v0 = GridFn(g, SPATIAL_SLICE, case.data.v0)
+    u0 = GridFn(g, SPATIAL_SLICE, case.u.values[..., g.it0])
+    v0 = GridFn(g, SPATIAL_SLICE, case.v.values[..., g.it0])
     ut = diff(case.u, t_order=1)
     vt = diff(case.v, t_order=1)
     rhs = {

@@ -8,10 +8,10 @@ with homogeneous conormal data; the nonlinear model couples a
 Hamilton-Jacobi-type backward equation to a transport-diffusion forward
 equation.  The mixed time directions make the direct initial/terminal value
 problem awkward, so all quantitative experiments consume manufactured cases:
-states built from the cosine basis, sources defined as exact residuals, and
-data extracted from the states.  No forward solver is included: the results
-concern given solutions, and the inverse builds its states from its own
-least-squares rows.
+states built from the cosine basis and sources defined as exact residuals;
+the inverse reads its observations off the states.  No forward solver is
+included: the results concern given solutions, and the inverse builds its
+states from its own least-squares rows.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .basis import SeparableField, random_cosine_field
 from .coefficients import (
     CoeffRecipe,
     CoeffSet,
+    MmsRejected,
     NonlinearCoeffs,
     SourceFactors,
     apply_operator,
@@ -33,7 +34,6 @@ from .coefficients import (
 from .grid import SPACE_TIME, Face, Grid, GridFn, diff, face_values
 
 __all__ = [
-    "CaseData",
     "CaseEnsemble",
     "CaseRecipe",
     "ManufacturedCase",
@@ -48,20 +48,6 @@ __all__ = [
 ]
 
 CONORMAL_TOL = 1e-10
-
-
-class MmsRejected(ValueError):
-    """Manufactured case violates a hypothesis (vanishing q at t0, etc.)."""
-
-
-@dataclass(frozen=True)
-class CaseData:
-    """Observation package: gamma traces of u, v and their time derivatives
-    over (0, T), plus the two interior slices at t0."""
-
-    traces: dict[str, dict[Face, np.ndarray]]
-    u0: np.ndarray
-    v0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,7 +78,8 @@ class CaseRecipe:
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exactly consistent state/source/data package for the linear system."""
+    """Exactly consistent states and sources of the linear system; the
+    observations are read from the states (``inverse.make_inverse_data``)."""
 
     grid: Grid
     coeffs: CoeffSet
@@ -103,7 +90,6 @@ class ManufacturedCase:
     F: GridFn
     G: GridFn
     sources: SourceFactors
-    data: CaseData
     q_mode: str
     recipe: Optional[CaseRecipe] = None
 
@@ -123,25 +109,19 @@ class ManufacturedCase:
         return self.recipe.build(grid, q_min=1e-12, coeffs=coeffs)
 
     def scaled(self, c: float) -> "ManufacturedCase":
-        """Same case with all states, sources and data scaled by c (the
+        """Same case with all states and sources scaled by c (the
         factorization keeps q fixed and scales f, g)."""
         src = self.sources
         scaled_sources = SourceFactors(
             grid=self.grid, q1=src.q1, q2=src.q2, f=c * src.f, g=c * src.g,
             q_min=src.q_min,
         )
-        data = CaseData(
-            traces={k: {f: c * a for f, a in d.items()}
-                    for k, d in self.data.traces.items()},
-            u0=c * self.data.u0,
-            v0=c * self.data.v0,
-        )
         return ManufacturedCase(
             grid=self.grid, coeffs=self.coeffs,
             u=self.u.scaled(c), v=self.v.scaled(c),
             u_field=self.u_field.scaled(c), v_field=self.v_field.scaled(c),
             F=self.F.scaled(c), G=self.G.scaled(c),
-            sources=scaled_sources, data=data, q_mode=self.q_mode,
+            sources=scaled_sources, q_mode=self.q_mode,
         )
 
 
@@ -250,23 +230,6 @@ def _check_conormal_exact(fld: SeparableField, coeffs: CoeffSet, which: str,
             )
 
 
-def extract_case_data(grid: Grid, u: GridFn, v: GridFn) -> CaseData:
-    """Gamma traces of (u, v, d_t u, d_t v) plus the t0 slices."""
-    ut = diff(u, t_order=1)
-    vt = diff(v, t_order=1)
-    traces: dict[str, dict[Face, np.ndarray]] = {}
-    for key, fn in (("u", u), ("v", v), ("ut", ut), ("vt", vt)):
-        traces[key] = {
-            face: face_values(grid, fn.values, face).copy()
-            for face in sorted(grid.gamma)
-        }
-    return CaseData(
-        traces=traces,
-        u0=u.values[..., grid.it0].copy(),
-        v0=v.values[..., grid.it0].copy(),
-    )
-
-
 def mms_linear(u_field: SeparableField, v_field: SeparableField,
                coeffs: CoeffSet, f: np.ndarray, g: np.ndarray, *,
                q_min: float = 0.1,
@@ -282,8 +245,8 @@ def mms_linear(u_field: SeparableField, v_field: SeparableField,
     of the slice-formula recovery need (in discrete mode that recovery is
     exact by construction and has no order to measure).
 
-    Cases whose modulations dip below ``q_min`` at t0, or whose f or g
-    vanishes somewhere, are rejected.
+    Cases whose modulations dip below ``q_min`` at t0 (checked by
+    ``SourceFactors``), or whose f or g vanishes somewhere, are rejected.
     """
     grid = coeffs.grid
     f = np.asarray(f, dtype=float)
@@ -310,15 +273,6 @@ def mms_linear(u_field: SeparableField, v_field: SeparableField,
 
     q1 = F_arr / f[..., None]
     q2 = G_arr / g[..., None]
-    it0 = grid.it0
-    for name, q in (("q1", q1), ("q2", q2)):
-        floor = float(np.min(np.abs(q[..., it0])))
-        if floor < q_min:
-            worst = np.unravel_index(np.argmin(np.abs(q[..., it0])), grid.space_shape)
-            raise MmsRejected(
-                f"|{name}(., t0)| = {floor:.3g} < q_min={q_min} at node {worst}; "
-                f"redraw the state recipe"
-            )
     sources = SourceFactors(grid=grid, q1=q1, q2=q2, f=f, g=g, q_min=q_min)
     return ManufacturedCase(
         grid=grid, coeffs=coeffs, u=u, v=v,
@@ -326,7 +280,6 @@ def mms_linear(u_field: SeparableField, v_field: SeparableField,
         F=GridFn(grid, SPACE_TIME, q1 * f[..., None]),
         G=GridFn(grid, SPACE_TIME, q2 * g[..., None]),
         sources=sources,
-        data=extract_case_data(grid, u, v),
         q_mode=q_mode,
         recipe=recipe,
     )

@@ -149,6 +149,15 @@ def test_even_nt_config_fails_with_code_2(tmp_path, capsys):
     assert "nt" in capsys.readouterr().err
 
 
+def test_backward_parabolic_config_fails_with_code_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("experiment: verify-weights\ncoefficients: {a: [['-1']]}\n",
+                   encoding="utf-8")
+    assert run_cli(["verify-weights", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "least eigenvalue of the principal parts is -1 < chi=1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_keys_fail(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("experiment: verify-weights\nnot_a_key: 1\n",

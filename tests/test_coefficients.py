@@ -3,6 +3,7 @@ import pytest
 
 from mfglab.coefficients import (
     CoeffRecipe,
+    MmsRejected,
     NonlinearCoeffs,
     SourceFactors,
     apply_operator,
@@ -149,6 +150,6 @@ def test_nonlinear_coeffs_positive_diffusion():
 def test_source_factors_floor_enforced():
     g = grid_1d(nx=9, nt=9)
     ones = np.ones(g.shape)
-    with pytest.raises(ValueError, match="q_min"):
+    with pytest.raises(MmsRejected, match=r"\|q1\(\., t0\)\| = 0\.01 < q_min=0\.1 at node \(0,\)"):
         SourceFactors(grid=g, q1=0.01 * ones, q2=ones,
                       f=np.ones(g.space_shape), g=np.ones(g.space_shape))

@@ -60,6 +60,31 @@ def test_bad_coupling_key(tmp_path):
         cfg.coeff_recipe()
 
 
+def coefficients_config(tmp_path, coefficients, grid=None):
+    p = tmp_path / "coef.yaml"
+    text = f"experiment: verify-carleman\ncoefficients: {coefficients}\n"
+    if grid is not None:
+        text += f"grid: {grid}\n"
+    p.write_text(text, encoding="utf-8")
+    return load_config(str(p), experiment="verify-carleman")
+
+
+def test_principal_part_below_chi_refused(tmp_path):
+    with pytest.raises(ConfigError, match=r"least eigenvalue .* is 0\.5 < chi=1"):
+        coefficients_config(tmp_path, "{a: [['0.5']]}").coeff_recipe()
+    assert coefficients_config(tmp_path, "{a: [['0.5']], chi: 0.5}").coeff_recipe().chi == 0.5
+    # backward-parabolic principal part
+    with pytest.raises(ConfigError, match=r"is -1 < chi=1"):
+        coefficients_config(tmp_path, "{b: [['-1']]}").coeff_recipe()
+
+
+def test_asymmetric_principal_part_refused(tmp_path):
+    cfg = coefficients_config(tmp_path, "{a: [['1', '0.5'], ['0.25', '1']]}",
+                              grid="{lengths: [1.0, 1.0], nx: [9, 9], nt: 9, gamma: [x1+]}")
+    with pytest.raises(ConfigError, match="symmetric"):
+        cfg.coeff_recipe()
+
+
 def test_overrides_applied():
     cfg = load_config(None, experiment="state-det",
                       overrides={"ensemble.seed": 99, "output.dir": "/tmp/zz"})

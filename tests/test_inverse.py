@@ -8,7 +8,15 @@ import scipy.sparse as sp
 from mfglab import inverse
 from mfglab.basis import SeparableField, Term
 from mfglab.coefficients import CoeffRecipe, CoeffSet, apply_operator
-from mfglab.grid import SPACE_TIME, GridFn, build_grid, derivative_matrix, diff, face_values
+from mfglab.grid import (
+    SPACE_TIME,
+    GridFn,
+    build_grid,
+    derivative_matrix,
+    diff,
+    face_values,
+    node_index,
+)
 from mfglab.models import mms_case_ensemble, mms_linear
 from mfglab.inverse import (
     InverseData,
@@ -50,13 +58,29 @@ def build_case(n=33, gamma=("x-", "x+"), q_mode="discrete"):
     return case, f, gg
 
 
-def test_clean_data_bit_exact():
-    case, _, _ = build_case(n=17)
+def state_traces(case):
+    """The face restrictions on gamma of the states and of their time
+    derivatives, by trace key."""
+    g = case.grid
+    states = {"u": case.u, "v": case.v,
+              "ut": diff(case.u, t_order=1), "vt": diff(case.v, t_order=1)}
+    return {key: {face: face_values(g, fn.values, face) for face in sorted(g.gamma)}
+            for key, fn in states.items()}
+
+
+@pytest.mark.parametrize("build", [lambda: build_case(n=17), lambda: discrete_case_2d()],
+                         ids=["1d", "2d"])
+def test_clean_data_bit_exact(build):
+    case, _, _ = build()
     data = make_inverse_data(case, 0.0, 0)
-    for key in ("u", "v", "ut", "vt"):
+    want = state_traces(case)
+    assert list(data.traces) == list(inverse.TRACE_KEYS)
+    for key in inverse.TRACE_KEYS:
+        assert list(data.traces[key]) == sorted(case.grid.gamma)
         for face, arr in data.traces[key].items():
-            assert np.array_equal(arr, case.data.traces[key][face])
-    assert np.array_equal(data.u0, case.data.u0)
+            assert np.array_equal(arr, want[key][face]), (key, face)
+    assert np.array_equal(data.u0, case.u.values[..., case.grid.it0])
+    assert np.array_equal(data.v0, case.v.values[..., case.grid.it0])
 
 
 def test_noise_reproducible_and_seed_dependent():
@@ -80,17 +104,19 @@ def test_noise_std_matches_target():
     delta = 0.01
     data = make_inverse_data(case, delta, 3)
     face = sorted(case.grid.gamma)[0]
-    diff = data.traces["u"][face] - case.data.traces["u"][face]
-    target = delta * np.max(np.abs(case.data.traces["u"][face]))
-    assert abs(np.std(diff) - target) <= 0.1 * target
+    clean = face_values(case.grid, case.u.values, face)
+    noise = data.traces["u"][face] - clean
+    target = delta * np.max(np.abs(clean))
+    assert abs(np.std(noise) - target) <= 0.1 * target
 
 
 def test_noisy_slices_switch():
     case, _, _ = build_case(n=17)
+    u0 = case.u.values[..., case.grid.it0]
     data = make_inverse_data(case, 0.05, 1, noisy_slices=False)
-    assert np.array_equal(data.u0, case.data.u0)
+    assert np.array_equal(data.u0, u0)
     data2 = make_inverse_data(case, 0.05, 1, noisy_slices=True)
-    assert not np.array_equal(data2.u0, case.data.u0)
+    assert not np.array_equal(data2.u0, u0)
 
 
 def test_reconstruct_clean_data_accurate():
@@ -175,18 +201,6 @@ def test_beta_zero_matches_lstsq():
     x_ls = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
     x = solution(reconstruct(data, cfg))
     assert np.linalg.norm(x - x_ls) <= 1e-10 * np.linalg.norm(x_ls)
-
-
-def test_reduction_refused_for_another_system():
-    case, f, gg = build_case(n=17)
-    data = make_inverse_data(case, 0.0, 0)
-    red = inverse.reduce_sources(data, TUNED)
-    reconstruct(data, dataclasses.replace(TUNED, beta=1e-3), reduction=red)
-    other_q = dataclasses.replace(data, q1=2.0 * data.q1)
-    with pytest.raises(ValueError, match="q"):
-        reconstruct(other_q, TUNED, reduction=red)
-    with pytest.raises(ValueError, match="omega"):
-        reconstruct(data, dataclasses.replace(TUNED, omega_bc=10.0), reduction=red)
 
 
 def test_oversized_reduction_raises_with_size(monkeypatch):
@@ -446,10 +460,11 @@ def test_assembled_operators_match_field_operators(dims, gamma):
     assert close(dt @ u.values.ravel(), diff(u, t_order=1).values)
 
     # the raveled node indices the trace and slice rows are cut with
+    nodes = node_index(g)
     for face in g.all_faces():
-        assert np.array_equal(u.values.ravel()[inverse._face_index(g, face)],
+        assert np.array_equal(u.values.ravel()[face_values(g, nodes, face).ravel()],
                               face_values(g, u.values, face).ravel()), face
-    assert np.array_equal(u.values.ravel()[inverse._node_index(g, g.dim, g.it0)],
+    assert np.array_equal(u.values.ravel()[nodes[..., g.it0].ravel()],
                           u.values[..., g.it0].ravel())
 
 
@@ -587,7 +602,7 @@ def test_factor_and_solves_never_call_dtrsm(monkeypatch):
     case, f, gg = build_case(n=17)
     data = make_inverse_data(case, 0.01, 0)
     cfg = dataclasses.replace(TUNED, beta=1e-4)
-    res = reconstruct(data, cfg, truth=(f, gg), reduction=inverse.reduce_sources(data, cfg))
+    res = reconstruct(data, cfg, truth=(f, gg))
     assert res.converged
 
 
@@ -650,7 +665,7 @@ def test_reduction_matches_explicit_q_reference(dims):
     red = inverse.reduce_sources(data, cfg)
     s_ref, z_ref = explicit_q_reference(red, data, cfg.beta)
     assert np.max(np.abs(red.s - s_ref)) <= 1e-10 * s_ref[0]
-    res = reconstruct(data, cfg, reduction=red)
+    res = reconstruct(data, cfg)
     z = np.concatenate([res.f_hat.values.ravel(), res.g_hat.values.ravel()])
     assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
 
@@ -680,11 +695,11 @@ def test_reduction_and_solve_use_only_scipy_blas(monkeypatch):
     assert res.converged
 
 
-def noisy_block(red, data, cfg, m):
+def noisy_block(red, data, m):
     """m weighted data columns for ``red``: those of ``data`` plus
     independent noise of 10 % of their largest entry on every row."""
     b = np.empty((red.sqrt_w.size, m))
-    inverse._weighted_rhs(red, data, cfg, b[:, 0])
+    inverse._weighted_rhs(red, data, b[:, 0])
     rng = np.random.default_rng(11)
     b[:, 1:] = b[:, :1] + 0.1 * np.max(np.abs(b[:, 0])) * rng.standard_normal((b.shape[0], m - 1))
     return b
@@ -701,7 +716,7 @@ def test_batched_solve_equals_single_column_solves(dims, omega_bc):
     cfg = dataclasses.replace(TUNED, omega_bc=omega_bc)
     red = inverse.reduce_sources(data, cfg)
     betas = [0.0, 1e-10, 1e-6, 1e-3, 1e-1]
-    b = noisy_block(red, data, cfg, len(betas))
+    b = noisy_block(red, data, len(betas))
     z, y, res, normal = inverse._solve(red, b, betas)
     assert z.shape == (red.az.shape[1], len(betas)) and y.shape == (red.ay.shape[1], len(betas))
     for j, beta in enumerate(betas):

@@ -4,11 +4,13 @@
 
 Runs each config in ``configs/`` (the six lab configs verify_weights,
 verify_carleman, lemma3, energy_slices, state_det and nonlinear_diff, then
-the two inverse configs reconstruct_clean and stability_sweep) with the
-library of each checkout, in its own interpreter, and prints one line per
-config saying whether the hashes agree.  The stability sweep's hash is
-reproducible only at a fixed OpenBLAS thread count (threaded OpenBLAS picks
-other kernels); both checkouts run in this one environment, so the
+the two inverse configs reconstruct_clean and stability_sweep), and then
+the benchmark's ``perfbench/configs/inverse_cold.yaml`` as it is, at two
+``--seed`` values (a noisy reconstruct with the conormal rows on random
+cases, where reconstruct_clean is noise-free), with the library of each
+checkout, in its own interpreter, and prints one line per run saying
+whether the hashes agree.  The inverse hashes are reproducible only
+at a fixed OpenBLAS thread count (threaded OpenBLAS picks other kernels); both checkouts run in this one environment, so the
 comparison holds, and the last line gives the thread count that each
 checkout's ``report.json`` records (``OPENBLAS_NUM_THREADS``, or "unset";
 "not recorded" by a checkout that predates the record).  It only reports:
@@ -31,12 +33,19 @@ import yaml
 LAB_CONFIGS = ("verify_weights", "verify_carleman", "lemma3", "energy_slices",
                "state_det", "nonlinear_diff")
 INVERSE_CONFIGS = ("reconstruct_clean", "stability_sweep")
+COLD_SEEDS = (1, 2)
+
+# (label, config path under the checkout, extra command-line arguments)
+RUNS = [(name, f"configs/{name}.yaml", ()) for name in LAB_CONFIGS + INVERSE_CONFIGS] \
+    + [(f"inverse_cold@{seed}", "perfbench/configs/inverse_cold.yaml",
+        ("--seed", str(seed))) for seed in COLD_SEEDS]
 
 
-def output_hash(root: Path, name: str) -> tuple[str, Optional[str]]:
-    """The config's output_hash (or why there is none) and the OpenBLAS
+def output_hash(root: Path, config_path: str,
+                extra: tuple[str, ...]) -> tuple[str, Optional[str]]:
+    """The run's output_hash (or why there is none) and the OpenBLAS
     thread count its report.json records."""
-    config = root / "configs" / f"{name}.yaml"
+    config = root / config_path
     if not config.exists():
         return "missing", None
     experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
@@ -44,7 +53,7 @@ def output_hash(root: Path, name: str) -> tuple[str, Optional[str]]:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "mfglab", experiment, "--config", str(config),
-             "--out", out],
+             "--out", out, *extra],
             cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             return f"failed ({proc.stderr.strip().splitlines()[-1:]})", None
@@ -56,19 +65,18 @@ def output_hash(root: Path, name: str) -> tuple[str, Optional[str]]:
 def main(argv: list[str]) -> int:
     roots = {"base": Path(argv[0]).resolve(), "head": Path(argv[1]).resolve()}
     differ = 0
-    names = LAB_CONFIGS + INVERSE_CONFIGS
     threads: dict[str, set[str]] = {side: set() for side in roots}
-    for name in names:
+    for name, config_path, extra in RUNS:
         hashes = {}
         for side, root in roots.items():
-            hashes[side], recorded = output_hash(root, name)
+            hashes[side], recorded = output_hash(root, config_path, extra)
             if recorded is not None:
                 threads[side].add(recorded)
         same = hashes["base"] == hashes["head"]
         differ += not same
         print(f"{name:17s} {'same' if same else 'DIFFERS'}  "
               f"base {hashes['base']}  head {hashes['head']}")
-    print(f"{differ} of {len(names)} output_hash values differ")
+    print(f"{differ} of {len(RUNS)} output_hash values differ")
     print("OpenBLAS threads: " + ", ".join(
         f"{side} {' / '.join(sorted(seen)) or 'no report'}"
         for side, seen in threads.items()))
