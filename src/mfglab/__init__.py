@@ -11,7 +11,6 @@ from .coefficients import (
     apply_operator,
     check_ellipticity,
     coefficient_bound,
-    conormal,
 )
 from .grid import Face, Grid, GridFn, build_grid, diff, norm, parse_face
 from .inverse import (

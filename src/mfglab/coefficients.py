@@ -19,12 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import (
-    BOUNDARY_TRACE,
     SPACE_TIME,
     Face,
     Grid,
     GridFn,
-    derivative_matrix,
     diff,
     face_values,
     node_index,
@@ -40,7 +38,6 @@ __all__ = [
     "apply_operator",
     "check_ellipticity",
     "coefficient_bound",
-    "conormal",
     "conormal_operator",
     "sample_field",
     "sample_spatial",
@@ -346,20 +343,6 @@ def conormal_operator(c: CoeffSet, which: str, face: Face,
         term = sp.diags(m2[face.axis, j].ravel()[rows]) @ dx[j][rows]
         out = term if out is None else out + term
     return (sign * out).tocsr()
-
-
-def conormal(f: GridFn, c: CoeffSet, which: str = "A") -> GridFn:
-    """Conormal derivative of ``f`` on every boundary face: the traces of
-    :func:`conormal_operator` applied to its values."""
-    if f.kind != SPACE_TIME:
-        raise ValueError("conormal requires a space-time field")
-    g = f.grid
-    dx = [derivative_matrix(g.shape, g.spacings, (j,)) for j in range(g.dim)]
-    flat = f.values.ravel()
-    return GridFn(g, BOUNDARY_TRACE, {
-        face: (conormal_operator(c, which, face, dx) @ flat).reshape(
-            face_values(g, f.values, face).shape)
-        for face in g.all_faces()})
 
 
 def coefficient_bound(c: CoeffSet) -> float:

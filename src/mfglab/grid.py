@@ -7,7 +7,8 @@ spatial axes first and time last, ``values[ix, (iy,), it]``.
 
 The stencil weights are written here and only here, in :func:`stencil`.
 Field derivatives apply those 1-D matrices along an axis
-(:func:`apply_stencil`); least-squares assembly embeds the same matrices in
+(:func:`apply_stencil`), and on the faces of gamma through
+:func:`gamma_jets`; least-squares assembly embeds the same matrices in
 the raveled space-time lattice (:func:`derivative_matrix`).  There is no
 other closure in the package.
 
@@ -35,6 +36,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "Face",
+    "FaceJet",
     "Grid",
     "GridFn",
     "NORM_KINDS",
@@ -42,6 +44,7 @@ __all__ = [
     "diff",
     "face_quad_weights",
     "face_values",
+    "gamma_jets",
     "norm",
     "parse_face",
 ]
@@ -230,56 +233,33 @@ def build_grid(
 # field kinds
 SPACE_TIME = "space-time"
 SPATIAL_SLICE = "spatial-slice"
-BOUNDARY_TRACE = "boundary-trace"
 
 
 @dataclass(frozen=True)
 class GridFn:
     """A scalar field sampled on a grid.
 
-    ``kind`` selects the node set: the full space-time lattice, one spatial
-    slice, or per-face boundary traces over time (``values`` is then a
-    mapping face -> array).  Values must be finite.
+    ``kind`` selects the node set: the full space-time lattice or one
+    spatial slice.  Values must be finite.  Traces on the faces of gamma are
+    not fields of their own: :func:`gamma_jets` reads them off a space-time
+    field.
     """
 
     grid: Grid
     kind: str
-    values: Union[np.ndarray, Mapping[Face, np.ndarray]]
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.kind == SPACE_TIME:
-            v = np.asarray(self.values, dtype=float)
-            if v.shape != self.grid.shape:
-                raise ValueError(f"expected shape {self.grid.shape}, got {v.shape}")
-            _require_finite(v)
-            object.__setattr__(self, "values", v)
-        elif self.kind == SPATIAL_SLICE:
-            v = np.asarray(self.values, dtype=float)
-            if v.shape != self.grid.space_shape:
-                raise ValueError(
-                    f"expected shape {self.grid.space_shape}, got {v.shape}"
-                )
-            _require_finite(v)
-            object.__setattr__(self, "values", v)
-        elif self.kind == BOUNDARY_TRACE:
-            out = {}
-            for face, arr in dict(self.values).items():
-                face = parse_face(face)
-                arr = np.asarray(arr, dtype=float)
-                want = _face_shape(self.grid, face)
-                if arr.shape != want:
-                    raise ValueError(
-                        f"trace on {face.label()} must have shape {want}, got {arr.shape}"
-                    )
-                _require_finite(arr)
-                out[face] = arr
-            object.__setattr__(self, "values", out)
-        else:
+        shapes = {SPACE_TIME: self.grid.shape, SPATIAL_SLICE: self.grid.space_shape}
+        if self.kind not in shapes:
             raise ValueError(f"unknown GridFn kind {self.kind!r}")
+        v = np.asarray(self.values, dtype=float)
+        if v.shape != shapes[self.kind]:
+            raise ValueError(f"expected shape {shapes[self.kind]}, got {v.shape}")
+        _require_finite(v)
+        object.__setattr__(self, "values", v)
 
     def scaled(self, c: float) -> "GridFn":
-        if self.kind == BOUNDARY_TRACE:
-            return GridFn(self.grid, self.kind, {f: c * a for f, a in self.values.items()})
         return GridFn(self.grid, self.kind, c * self.values)
 
 
@@ -292,13 +272,6 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
     return w
-
-
-def _face_shape(grid: Grid, face: Face) -> tuple[int, ...]:
-    if grid.dim == 1:
-        return (grid.nt,)
-    tang = 1 - face.axis
-    return (grid.nx[tang], grid.nt)
 
 
 def face_values(grid: Grid, values: np.ndarray, face: Face) -> np.ndarray:
@@ -314,15 +287,13 @@ def node_index(grid: Grid) -> np.ndarray:
     return np.arange(math.prod(grid.shape)).reshape(grid.shape)
 
 
-def face_quad_weights(grid: Grid, face: Face, with_time: bool = True) -> np.ndarray:
+def face_quad_weights(grid: Grid, face: Face) -> np.ndarray:
     """Trapezoid weights for integrating a trace over the face (x time)."""
     if grid.dim == 1:
         # a face is a single point; surface measure is the counting measure
-        return grid.time_weights if with_time else np.array(1.0)
+        return grid.time_weights
     tang = 1 - face.axis
     wt = _trapezoid_weights(grid.nx[tang], grid.hs[tang])
-    if not with_time:
-        return wt
     return np.multiply.outer(wt, grid.time_weights)
 
 
@@ -425,6 +396,48 @@ def slice_diff(grid: Grid, slice_values: np.ndarray, x: Sequence[int]) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# faces of gamma
+
+
+class FaceJet(NamedTuple):
+    """A space-time field on one face: its trace ``value``, the trace's time
+    derivative ``dt`` and the spatial gradient ``grad`` (one array per axis),
+    each shaped like the trace."""
+
+    value: np.ndarray
+    dt: np.ndarray
+    grad: tuple[np.ndarray, ...]
+
+
+def gamma_jets(grid: Grid, values: np.ndarray) -> dict[Face, FaceJet]:
+    """The :class:`FaceJet` of a space-time array on each face of gamma, in
+    sorted face order: the only place a derivative is taken on a face.
+
+    Each entry equals the face of the matching :func:`diff` bit for bit.
+    The time and tangential derivatives apply the stencil to the trace; the
+    normal derivative applies the stencil's end row to the nodes next to the
+    face, summed in row order from 0.0 like the sparse product.
+    """
+    jets = {}
+    for face in sorted(grid.gamma):
+        value = face_values(grid, values, face)
+        grad = []
+        for ax in range(grid.dim):
+            if ax != face.axis:
+                # the trace keeps the other spatial axis first
+                grad.append(apply_stencil(value, grid.hs[ax], 1, 0))
+                continue
+            m = stencil(grid.nx[ax], grid.hs[ax], 1)
+            row = 0 if face.side == 0 else grid.nx[ax] - 1
+            normal = 0.0
+            for k in range(m.indptr[row], m.indptr[row + 1]):
+                normal = normal + m.data[k] * np.take(values, m.indices[k], axis=ax)
+            grad.append(normal)
+        jets[face] = FaceJet(value, apply_stencil(value, grid.tau, 1, -1), tuple(grad))
+    return jets
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 NORM_KINDS = ("L2_Q", "L2_slice", "H2_slice", "H21_Q", "H21_interior", "D_gamma")
@@ -506,13 +519,11 @@ def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
         return math.sqrt(h21_interior_sq(g, parts, eps))
 
     # D_gamma
-    dt = diff(f, t_order=1).values
-    grads = [diff(f, x=(i,)).values for i in range(g.dim)]
     total = 0.0
-    for face in sorted(g.gamma):
-        integ = face_values(g, dt, face) ** 2 + face_values(g, f.values, face) ** 2
-        for gr in grads:
-            integ = integ + face_values(g, gr, face) ** 2
+    for face, jet in gamma_jets(g, f.values).items():
+        integ = jet.dt ** 2 + jet.value ** 2
+        for gr in jet.grad:
+            integ = integ + gr ** 2
         total += float(np.sum(face_quad_weights(g, face) * integ))
     return math.sqrt(total)
 

@@ -54,11 +54,11 @@ from .grid import (
     Face,
     Grid,
     GridFn,
-    apply_stencil,
     derivative_matrix,
     diff,
     face_quad_weights,
     face_values,
+    gamma_jets,
     kron_axes,
     node_index,
     norm,
@@ -106,9 +106,9 @@ def make_inverse_data(case: ManufacturedCase, delta: float, seed: int, *,
     """Read the observation package off the case states and contaminate it
     with noise.
 
-    The traces are the restrictions of u and v to the faces of gamma and
-    the time stencil of each, which equals the restriction of
-    ``diff(u, t_order=1)`` bit for bit; the snapshots are the states at t0.
+    The traces of u and v and of their time derivatives are the ``value``
+    and ``dt`` of :func:`~mfglab.grid.gamma_jets` on the faces of gamma; the
+    snapshots are the states at t0.
     Each data array independently receives i.i.d. Gaussian noise with
     standard deviation ``delta`` times its own max amplitude (in particular
     the time-derivative traces are noised directly, not obtained by
@@ -130,9 +130,9 @@ def make_inverse_data(case: ManufacturedCase, delta: float, seed: int, *,
 
     clean: dict[str, dict[Face, np.ndarray]] = {}
     for key, state in (("u", case.u), ("v", case.v)):
-        clean[key] = {face: face_values(g, state.values, face) for face in sorted(g.gamma)}
-        clean[key + "t"] = {face: apply_stencil(trace, g.tau, 1, -1)
-                            for face, trace in clean[key].items()}
+        jets = gamma_jets(g, state.values)
+        clean[key] = {face: jet.value for face, jet in jets.items()}
+        clean[key + "t"] = {face: jet.dt for face, jet in jets.items()}
     traces = {key: {face: noisy(trace) for face, trace in clean[key].items()}
               for key in TRACE_KEYS}
     u0, v0 = (state.values[..., g.it0].copy() for state in (case.u, case.v))

@@ -25,7 +25,7 @@ from .grid import (
     GridFn,
     diff,
     face_quad_weights,
-    face_values,
+    gamma_jets,
     h21_interior_sq,
     h21_parts,
     n_interior_slices,
@@ -79,17 +79,13 @@ def trace_data_norms(f: GridFn) -> tuple[float, float]:
     """Observation norms on gamma: the H1-in-time trace norm of the values
     and the space-time trace norm of the gradient."""
     g = f.grid
-    dt = diff(f, t_order=1).values
-    grads = [diff(f, x=(i,)).values for i in range(g.dim)]
     h1_sq = 0.0
     grad_sq = 0.0
-    for face in sorted(g.gamma):
+    for face, jet in gamma_jets(g, f.values).items():
         w = face_quad_weights(g, face)
-        fv = face_values(g, f.values, face)
-        ft = face_values(g, dt, face)
+        fv, ft = jet.value, jet.dt
         h1_sq += float(np.sum(w * (fv * fv + ft * ft)))
-        for gr in grads:
-            gv = face_values(g, gr, face)
+        for gv in jet.grad:
             grad_sq += float(np.sum(w * gv * gv))
     return math.sqrt(h1_sq), math.sqrt(grad_sq)
 

@@ -10,9 +10,11 @@ from mfglab.grid import (
     diff,
     face_quad_weights,
     face_values,
+    gamma_jets,
     norm,
     parse_face,
 )
+from mfglab.statedet import trace_data_norms
 
 
 def grid_1d(nx=65, nt=65, gamma=("x+",)):
@@ -233,6 +235,45 @@ def test_face_values_and_weights_2d():
     w = face_quad_weights(g, face)
     # tangential axis has length 2 -> weights sum to 2, time to T=1
     assert abs(w.sum() - 2.0 * 1.0) < 1e-12
+
+
+ALL_FACES_1D = ("x-", "x+")
+ALL_FACES_2D = ("x1-", "x1+", "x2-", "x2+")
+
+
+# 9x17 on 1x2 has equal steps; 9x13 also tells the two spatial steps apart
+@pytest.mark.parametrize("lengths,nx,gamma", [(1.0, 5, ALL_FACES_1D),
+                                              (1.0, 33, ALL_FACES_1D),
+                                              ((1.0, 2.0), (9, 17), ALL_FACES_2D),
+                                              ((1.0, 2.0), (9, 13), ALL_FACES_2D)])
+def test_gamma_jets_equal_faces_of_diff(lengths, nx, gamma):
+    g = build_grid(lengths, 1.0, nx, 9, gamma)
+    f = GridFn(g, "space-time", np.random.default_rng(16).normal(size=g.shape))
+    dt = diff(f, t_order=1).values
+    grads = [diff(f, x=(i,)).values for i in range(g.dim)]
+    jets = gamma_jets(g, f.values)
+    assert list(jets) == sorted(g.gamma)
+    for face, jet in jets.items():
+        assert np.array_equal(jet.value, face_values(g, f.values, face))
+        assert np.array_equal(jet.dt, face_values(g, dt, face))
+        assert len(jet.grad) == g.dim
+        for gv, gr in zip(jet.grad, grads):
+            assert np.array_equal(gv, face_values(g, gr, face))
+    # the whole-field formulas the face functionals replaced
+    d_gamma = 0.0
+    h1_sq = grad_sq = 0.0
+    for face in sorted(g.gamma):
+        w = face_quad_weights(g, face)
+        fv, ft = face_values(g, f.values, face), face_values(g, dt, face)
+        integ = ft ** 2 + fv ** 2
+        h1_sq += float(np.sum(w * (fv * fv + ft * ft)))
+        for gr in grads:
+            gv = face_values(g, gr, face)
+            integ = integ + gv ** 2
+            grad_sq += float(np.sum(w * gv * gv))
+        d_gamma += float(np.sum(w * integ))
+    assert norm(f, "D_gamma") == math.sqrt(d_gamma)
+    assert trace_data_norms(f) == (math.sqrt(h1_sq), math.sqrt(grad_sq))
 
 
 def test_refined_grid():
