@@ -14,7 +14,8 @@ precision.  The minimizer is therefore computed by variable projection
 (Golub and Pereyra): the states are eliminated through one Cholesky
 factorization of their normal block, which couples time levels at most two
 apart and is factored level by level in dense blocks, each diagonal block
-kept inverted so that every triangular solve is a multiply.  The source
+kept inverted so that every triangular solve is a multiply, and two levels'
+inverse triangles packed into one square block.  The source
 columns are eliminated in chunks, with the rows ordered by the first time
 level they touch so that each level's states update one contiguous row
 range.  The projected source columns are QR-factored with their orthogonal
@@ -232,22 +233,33 @@ def _operator_matrix(kind: str, c: CoeffSet,
 
 
 @dataclass(frozen=True, eq=False)
-class _Block:
-    """Rows ``L x`` of one objective term, weighted ``omega * m`` per row and
-    fitted to the observation ``obs`` names (zero when ``obs`` is None)."""
+class _Term:
+    """One objective term as a solve reads it: ``m.size`` rows, weighted
+    ``omega * m`` per row and fitted to the observation ``obs`` names (zero
+    when ``obs`` is None)."""
 
     name: str
-    L: sp.csr_matrix
     m: np.ndarray
     omega: float
     obs: Optional[tuple[str, Optional[Face]]] = None
 
     def rhs(self, data: InverseData) -> np.ndarray:
         if self.obs is None:
-            return np.zeros(self.L.shape[0])
+            return np.zeros(self.m.size)
         key, face = self.obs
         arr = getattr(data, key) if face is None else data.traces[key][face]
         return np.asarray(arr, dtype=float).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class _Block(_Term):
+    """One objective term with its rows ``L x``."""
+
+    L: sp.csr_matrix = field(kw_only=True)
+
+    def term(self) -> _Term:
+        """The term without ``L``."""
+        return _Term(self.name, self.m, self.omega, self.obs)
 
 
 def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_Block], int]:
@@ -284,41 +296,45 @@ def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_B
          -sp.diags(data.q1.ravel()) @ spread, sp.csr_matrix((n_st, n_sp))],
         format="csr",
     )
-    blocks.append(_Block("pde_u", pde_u, st_w, cfg.omega_pde))
+    blocks.append(_Block("pde_u", st_w, cfg.omega_pde, L=pde_u))
     pde_v = sp.hstack(
         [-a0_mat, dt_op - b_mat, sp.csr_matrix((n_st, n_sp)),
          -sp.diags(data.q2.ravel()) @ spread],
         format="csr",
     )
-    blocks.append(_Block("pde_v", pde_v, st_w, cfg.omega_pde))
+    blocks.append(_Block("pde_v", st_w, cfg.omega_pde, L=pde_v))
 
     for key, block_off, with_dt in (("u", off_u, False), ("v", off_v, False),
                                     ("ut", off_u, True), ("vt", off_v, True)):
         for face in sorted(g.gamma):
             op = (dt_op if with_dt else eye)[face_values(g, nodes, face).ravel()]
             blocks.append(_Block(f"trace_{key}_{face.label()}",
-                                 embed(op, block_off),
                                  face_quad_weights(g, face).ravel(),
-                                 cfg.omega_gamma, (key, face)))
+                                 cfg.omega_gamma, (key, face), L=embed(op, block_off)))
 
     sel0 = eye[nodes[..., g.it0].ravel()]
-    blocks.append(_Block("slice_u", embed(sel0, off_u), sp_w,
-                         cfg.omega_slice, ("u0", None)))
-    blocks.append(_Block("slice_v", embed(sel0, off_v), sp_w,
-                         cfg.omega_slice, ("v0", None)))
+    blocks.append(_Block("slice_u", sp_w, cfg.omega_slice, ("u0", None),
+                         L=embed(sel0, off_u)))
+    blocks.append(_Block("slice_v", sp_w, cfg.omega_slice, ("v0", None),
+                         L=embed(sel0, off_v)))
 
     if cfg.omega_bc > 0:
         dx = [deriv((j,)) for j in range(g.dim)]
         for face in g.all_faces():
             w = face_quad_weights(g, face).ravel()
             for offs, nm, which in ((off_u, "bc_u", "A"), (off_v, "bc_v", "B")):
-                blocks.append(_Block(f"{nm}_{face.label()}",
-                                     embed(conormal_operator(c, which, face, dx), offs),
-                                     w, cfg.omega_bc))
+                blocks.append(_Block(f"{nm}_{face.label()}", w, cfg.omega_bc,
+                                     L=embed(conormal_operator(c, which, face, dx), offs)))
     return blocks, dim_x
 
 
 # -- the state factor: block Cholesky, level by level in time -----------------
+
+
+def _factor_blocks(nt: int) -> tuple[int, int]:
+    """The b x b blocks of the level factor of ``nt`` levels: packed inverse
+    triangle slots and sub-diagonal blocks."""
+    return (nt + 1) // 2, nt - 1
 
 
 class _LevelCholesky:
@@ -329,19 +345,30 @@ class _LevelCholesky:
     level), held in inverse form.
 
     ``L`` has the same block bandwidth.  Only the inverted diagonal blocks
-    ``L_kk^-1`` (LAPACK ``dpotrf``, then ``dtrtri`` in place; lower triangle)
-    and ``L_{k,k-1}`` are stored, 2 b^2 entries per level; ``L_{k,k-2}`` is
-    applied as ``K_{k,k-2} L_{k-2,k-2}^-T`` from the sparse block of ``K``,
-    which is diagonal except next to the one-sided end stencils.  With the
-    diagonal blocks inverted, every triangular solve of the factorization and
-    of ``solve_levels`` is a triangular multiply (``dtrmm``, or ``dtrmv`` for
-    one right-hand side), which OpenBLAS runs several times faster than
-    ``dtrsm`` on these block sizes; the accuracy is that of triangular
-    inversion (Du Croz and Higham 1992).  All dense work goes through
-    SciPy's BLAS and LAPACK: NumPy ships its own OpenBLAS thread pool, and
-    alternating the two pools on small blocks costs each call milliseconds.
-    Every BLAS call works in place (``overwrite_*``) on F-contiguous b x b or
-    b x m blocks.
+    ``L_kk^-1`` (LAPACK ``dpotrf``, then ``dtrtri``; lower triangular) and
+    ``L_{k,k-1}`` are stored; ``L_{k,k-2}`` is applied as
+    ``K_{k,k-2} L_{k-2,k-2}^-T`` from the sparse block of ``K``, which is
+    diagonal except next to the one-sided end stencils.  The inverse
+    triangles share their b x b blocks two levels to a slot, as in
+    rectangular full packed storage (Gustavson, Wasniewski, Dongarra and
+    Langou 2010): slot j of ``tri`` holds level 2j in its strict lower
+    triangle and level 2j + 1, transposed, in its strict upper one, and
+    ``tri_diag`` holds the diagonal of every level, written into the slot's
+    diagonal just before that level is used (so a solve writes to the
+    factor too).  An odd level is factored, inverted and applied as an
+    upper triangle, with the transpose flag flipped.  With ``L_{k,k-1}``
+    from level 1 on and the diagonal of each ``K_{k,k-2}``, the factor holds
+    (ceil(nt / 2) + nt - 1) b^2 + 2 b nt entries (``_factor_blocks``), at
+    most 1.5 b^2 + 2 b per level.  With the diagonal blocks inverted, every
+    triangular solve of the factorization and of ``solve_levels`` is a
+    triangular multiply (``dtrmm``, or ``dtrmv`` for one right-hand side),
+    which OpenBLAS runs several times faster than ``dtrsm`` on these block
+    sizes; the accuracy is that of triangular inversion (Du Croz and Higham
+    1992).  All dense
+    work goes through SciPy's BLAS and LAPACK: NumPy ships its own OpenBLAS
+    thread pool, and alternating the two pools on small blocks costs each
+    call milliseconds.  Every BLAS call works in place (``overwrite_*``) on
+    F-contiguous b x b or b x m blocks.
     """
 
     def __init__(self, k: sp.spmatrix, b: int):
@@ -349,24 +376,30 @@ class _LevelCholesky:
         if k.shape != (n, n) or b <= 0 or n % b:
             raise ValueError(f"a {k.shape} matrix does not split into levels of {b}")
         k = sp.csr_matrix(k)
-        k.sum_duplicates()
-        row = np.repeat(np.arange(n), np.diff(k.indptr))
-        reach = int(np.max(np.abs(row // b - k.indices // b), initial=0))
+        k.sum_duplicates()   # sorts each row's columns too
+        # the reach of each row is that of its first or its last column
+        rows = np.flatnonzero(np.diff(k.indptr))
+        ends = np.concatenate((k.indices[k.indptr[rows]],
+                               k.indices[k.indptr[rows + 1] - 1]))
+        reach = int(np.max(np.abs(np.tile(rows // b, 2) - ends // b), initial=0))
         if reach > 2:
             raise ValueError(f"the matrix couples levels {reach} apart; the level "
                              f"Cholesky factor admits at most 2")
         self.b, self.nt = b, n // b
-        self.diag = np.zeros((b, b, self.nt), order="F")   # L_kk^-1
-        self.sub = np.zeros((b, b, self.nt), order="F")    # L_{k,k-1} at k
+        slots, subs = _factor_blocks(self.nt)
+        self.tri = np.zeros((b, b, slots), order="F")   # L_kk^-1, two levels a slot
+        self.tri_diag = np.zeros((b, self.nt))          # the diagonal of each
+        self.sub = np.zeros((b, b, subs), order="F")    # L_{k,k-1} at k - 1
         # K_{k,k-2} at k: its diagonal, and the rest where it has one
         self.far_diag = np.zeros((b, self.nt))
         self.far_rest: dict[int, sp.csr_matrix] = {}
-        self._scatter(k, row)
-        del row
+        self._slot_diag = self.tri.reshape(b * b, slots, order="F")[::b + 1]   # a view
+        self._scatter(k)
         x = np.empty((b, b), order="F")   # L_{k,k-2} of one level at a time
         on_diag = np.arange(b)
         for lev in range(self.nt):
-            lkk = self.diag[:, :, lev]
+            j, odd = divmod(lev, 2)
+            updates = []
             if lev >= 2:
                 rest = self.far_rest.get(lev)
                 if rest is None:
@@ -374,42 +407,73 @@ class _LevelCholesky:
                 else:
                     rest.toarray(out=x)
                 x[on_diag, on_diag] += self.far_diag[:, lev]
-                blas.dtrmm(1.0, self.diag[:, :, lev - 2], x, side=1, lower=1,
-                           trans_a=1, overwrite_b=1)
-                blas.dsyrk(-1.0, x, 1.0, lkk, lower=1, overwrite_c=1)
+                self._tri_mul(lev - 2, x, trans=1, side=1)
+                updates.append(x)
             if lev >= 1:
-                c = self.sub[:, :, lev]
+                c = self.sub[:, :, lev - 1]
                 if lev >= 2:
-                    blas.dgemm(-1.0, x, self.sub[:, :, lev - 1], 1.0, c,
+                    blas.dgemm(-1.0, x, self.sub[:, :, lev - 2], 1.0, c,
                                trans_b=1, overwrite_c=1)
-                blas.dtrmm(1.0, self.diag[:, :, lev - 1], c, side=1, lower=1,
-                           trans_a=1, overwrite_b=1)
-                blas.dsyrk(-1.0, c, 1.0, lkk, lower=1, overwrite_c=1)
-            _, info = lapack.dpotrf(lkk, lower=1, clean=0, overwrite_a=1)
+                self._tri_mul(lev - 1, c, trans=1, side=1)
+                updates.append(c)
+            # K_kk is factored and inverted where ``_scatter`` put it: its
+            # strict lower triangle in the slot's lower triangle, or for an
+            # odd level, transposed, in the upper one, which LAPACK then
+            # factors as U = L^T and inverts to L^-T.  Its diagonal goes in
+            # only now, as the level before an odd one shares the slot.
+            lkk = self.tri[:, :, j]
+            self._slot_diag[:, j] = self.tri_diag[:, lev]
+            for upd in updates:
+                blas.dsyrk(-1.0, upd, 1.0, lkk, lower=1 - odd, overwrite_c=1)
+            _, info = lapack.dpotrf(lkk, lower=1 - odd, clean=0, overwrite_a=1)
             if info == 0:
-                _, info = lapack.dtrtri(lkk, lower=1, overwrite_c=1)
+                _, info = lapack.dtrtri(lkk, lower=1 - odd, overwrite_c=1)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"matrix is not positive definite: the Cholesky factor breaks "
                     f"down at level {lev} (LAPACK info {info})")
+            self.tri_diag[:, lev] = self._slot_diag[:, j]
 
-    def _scatter(self, k: sp.csr_matrix, row: np.ndarray) -> None:
-        """The lower block triangle of ``k`` (``row`` the row of each stored
-        entry) straight into the slots its factor blocks are formed in."""
+    def _scatter(self, k: sp.csr_matrix) -> None:
+        """The lower block triangle of ``k`` straight into the slots its
+        factor blocks are formed in, one level of rows at a time: the strict
+        lower triangle of ``K_kk`` into its packed slot (transposed for an
+        odd level), its diagonal into ``tri_diag``, ``K_{k,k-1}`` into
+        ``sub`` and ``K_{k,k-2}`` into ``far_diag`` and ``far_rest``."""
         b = self.b
-        gap = row // b - k.indices // b
-        at, r, c = row // b, row % b, k.indices % b
-        for off, dest in ((0, self.diag), (1, self.sub)):
-            sel = gap == off
-            dest[r[sel], c[sel], at[sel]] = k.data[sel]
-        far = gap == 2
-        sel = far & (r == c)
-        self.far_diag[r[sel], at[sel]] = k.data[sel]
-        far &= r != c
-        for lev in np.unique(at[far]):
-            sel = far & (at == lev)
-            self.far_rest[int(lev)] = sp.csr_matrix((k.data[sel], (r[sel], c[sel])),
+        for lev in range(self.nt):
+            ptr = k.indptr[lev * b:(lev + 1) * b + 1]
+            r = np.repeat(np.arange(b), np.diff(ptr))
+            col, data = k.indices[ptr[0]:ptr[-1]], k.data[ptr[0]:ptr[-1]]
+            gap, c = lev - col // b, col % b
+            sel = (gap == 0) & (r > c)
+            slot_row, slot_col = (c, r) if lev % 2 else (r, c)
+            self.tri[slot_row[sel], slot_col[sel], lev // 2] = data[sel]
+            sel = (gap == 0) & (r == c)
+            self.tri_diag[r[sel], lev] = data[sel]
+            if lev >= 1:
+                sel = gap == 1
+                self.sub[r[sel], c[sel], lev - 1] = data[sel]
+            far = gap == 2
+            sel = far & (r == c)
+            self.far_diag[r[sel], lev] = data[sel]
+            far &= r != c
+            if far.any():
+                self.far_rest[lev] = sp.csr_matrix((data[far], (r[far], c[far])),
                                                    shape=(b, b))
+
+    def _tri_mul(self, lev: int, x: np.ndarray, trans: int = 0, side: int = 0) -> None:
+        """``x = op(L_kk^-1) x`` (``side`` 0) or ``x op(L_kk^-1)`` (1) in place
+        for level ``lev``, op the transpose when ``trans`` is 1; one column
+        multiplied from the left goes through ``dtrmv``."""
+        j, odd = divmod(lev, 2)
+        self._slot_diag[:, j] = self.tri_diag[:, lev]
+        a = self.tri[:, :, j]
+        if side == 0 and x.shape[1] == 1:
+            blas.dtrmv(a, x[:, 0], lower=1 - odd, trans=trans ^ odd, overwrite_x=1)
+        else:
+            blas.dtrmm(1.0, a, x, side=side, lower=1 - odd, trans_a=trans ^ odd,
+                       overwrite_b=1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``K^-1 rhs`` for one vector or the columns of a matrix."""
@@ -436,50 +500,45 @@ class _LevelCholesky:
             raise ValueError(f"expected an F-ordered float ({b}, m, {nt}) array, "
                              f"got {y.dtype} {y.shape}")
         m = y.shape[1]
-        # out -= op(a) @ x and x = op(tril(a)) @ x, in place; level 2 for one
-        # right-hand side, where it beats dtrmm
+        # out -= op(a) @ x in place; level 2 for one right-hand side, where it
+        # beats dgemm (``_tri_mul`` makes the same choice)
         if m == 1:
             def sub_mul(a, x, out, trans=0):
                 blas.dgemv(-1.0, a, x[:, 0], 1.0, out[:, 0], trans=trans,
                            overwrite_y=1)
-
-            def tri_mul(a, x, trans=0):
-                blas.dtrmv(a, x[:, 0], lower=1, trans=trans, overwrite_x=1)
         else:
             def sub_mul(a, x, out, trans=0):
                 blas.dgemm(-1.0, a, x, 1.0, out, trans_a=trans, overwrite_c=1)
 
-            def tri_mul(a, x, trans=0):
-                blas.dtrmm(1.0, a, x, lower=1, trans_a=trans, overwrite_b=1)
-
+        tri_mul = self._tri_mul
         w = np.empty((b, m), order="F")
         for lev in range(nt):
             yk = y[:, :, lev]
             if lev >= 1:
-                sub_mul(self.sub[:, :, lev], y[:, :, lev - 1], yk)
+                sub_mul(self.sub[:, :, lev - 1], y[:, :, lev - 1], yk)
             if lev >= 2:
                 # L_{k,k-2} y_{k-2} = K_{k,k-2} (L_{k-2,k-2}^-T y_{k-2})
                 w[...] = y[:, :, lev - 2]
-                tri_mul(self.diag[:, :, lev - 2], w, trans=1)
+                tri_mul(lev - 2, w, trans=1)
                 rest = self.far_rest.get(lev)
                 if rest is not None:
                     yk -= rest @ w
                 w *= self.far_diag[:, lev, None]
                 yk -= w
-            tri_mul(self.diag[:, :, lev], yk)
+            tri_mul(lev, yk)
         for lev in range(nt - 1, -1, -1):
             xk = y[:, :, lev]
             if lev + 1 < nt:
-                sub_mul(self.sub[:, :, lev + 1], y[:, :, lev + 1], xk, trans=1)
+                sub_mul(self.sub[:, :, lev], y[:, :, lev + 1], xk, trans=1)
             if lev + 2 < nt:
                 # L_{k+2,k}^T x_{k+2} = L_{k,k}^-1 (K_{k+2,k}^T x_{k+2})
                 np.multiply(y[:, :, lev + 2], self.far_diag[:, lev + 2, None], out=w)
                 rest = self.far_rest.get(lev + 2)
                 if rest is not None:
                     w += rest.T @ y[:, :, lev + 2]
-                tri_mul(self.diag[:, :, lev], w)
+                tri_mul(lev, w)
                 xk -= w
-            tri_mul(self.diag[:, :, lev], xk, trans=1)
+            tri_mul(lev, xk, trans=1)
         return y
 
 
@@ -487,8 +546,10 @@ class _LevelCholesky:
 
 # entries of the dense state factor and reduced source matrix (8 bytes each)
 _DENSE_LIMIT = 2.5e8
-# source columns eliminated per multi-right-hand-side state solve; against
-# 64, 96 measured a 5-15% faster elimination at 65^2 and 97^2 for 5 MB more
+# the most source columns eliminated per multi-right-hand-side state solve;
+# the sources split into as few chunks as that allows, of near-equal width
+# (65, 65, 64 at 97^2).  Measured with the remainder as the last chunk, 96
+# against 64 gave a 5-15% faster elimination at 65^2 and 97^2 for 5 MB more
 # peak memory at 97^2, and 194 a 10% faster one for 15 MB more
 _CHUNK = 96
 # block size of the compact-WY QR of the reduced source matrix
@@ -512,7 +573,8 @@ class SourceReduction:
     ``dgeqrt``, whose upper triangle is the factor the SVD
     ``u @ diag(s) @ vt`` is taken of) and the block reflector factors ``t``;
     ``reconstruct`` applies Q^T to its data, permuted by ``row_order``, with
-    ``dgemqrt``.
+    ``dgemqrt``.  ``blocks`` keeps each objective term's name, row count,
+    weights and observation key, which is all a solve reads of it.
     W is the quadrature weight of (f, g), so ``s`` is the spectrum with
     respect to the L2 norm of the sources.  Built by ``reduce_sources`` for
     one grid, coefficient set, q1/q2 and omega weights, it serves any data
@@ -520,7 +582,7 @@ class SourceReduction:
     ``assemble_s``, ``factor_s``, ``eliminate_s`` and ``qr_svd_s``.
     """
 
-    blocks: tuple[_Block, ...]
+    blocks: tuple[_Term, ...]
     sqrt_w: np.ndarray
     ay: sp.csc_matrix
     az: sp.csc_matrix
@@ -589,12 +651,15 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     blocks, dim_x = _build_blocks(data, cfg)
     n_state = 2 * int(np.prod(g.shape))
     level = 2 * int(np.prod(g.space_shape))
-    rows = sum(blk.L.shape[0] for blk in blocks)
+    rows = sum(blk.m.size for blk in blocks)
     n_src = dim_x - n_state
-    n_factor, n_dense = 2 * level * n_state, rows * n_src
+    slots, subs = _factor_blocks(g.nt)
+    n_factor = (slots + subs) * level**2 + 2 * level * g.nt
+    n_dense = rows * n_src
     if n_factor + n_dense > _DENSE_LIMIT:
         raise MemoryError(
-            f"state factor 2 x {level}^2 x {g.nt} levels = {n_factor:.3g} entries "
+            f"state factor ({slots} packed + {subs} sub) x {level}^2 blocks and "
+            f"2 x {level} x {g.nt} diagonals = {n_factor:.3g} entries "
             f"plus reduced source matrix {rows} rows x {n_src} sources = "
             f"{n_dense:.3g} entries ({8e-9 * (n_factor + n_dense):.1f} GB), "
             f"above the {_DENSE_LIMIT:.3g}-entry limit")
@@ -602,6 +667,8 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     A = (sp.diags(sqrt_w) @ sp.vstack([blk.L for blk in blocks], format="csr")).tocsc()
     ay = A[:, _level_order(g)]
     az = A[:, n_state:]
+    del A
+    blocks = tuple(blk.term() for blk in blocks)
     stage("assemble_s")
     chol = _LevelCholesky(ay.T @ ay, level)
     stage("factor_s")
@@ -610,25 +677,27 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     # level row order: the right-hand sides ay^T az[:, J] are scattered
     # straight into the level layout of ``solve_levels`` and solved in place,
     # and each level's states are subtracted from its own contiguous rows.
-    # Fortran order lets the QR below factor R0 where it lies.
+    # The chunks are as even as ``_CHUNK`` allows, and each is a view of one
+    # buffer.  Fortran order lets the QR below factor R0 where it lies.
     row_order, level_rows = _level_rows(ay, level)
     ayt_az = (ay.T @ az).tocsc()
     r0 = np.empty((rows, n_src), order="F")
     az[row_order].toarray(out=r0)
-    y = np.empty((level, min(_CHUNK, n_src), g.nt), order="F")
-    for j in range(0, n_src, _CHUNK):
-        m = min(_CHUNK, n_src - j)
-        if m != y.shape[1]:
-            y = np.empty((level, m, g.nt), order="F")
+    chunks = -(-n_src // _CHUNK)
+    edges = [n_src * i // chunks for i in range(chunks + 1)]
+    buf = np.empty(level * -(-n_src // chunks) * g.nt)
+    for j, end in zip(edges, edges[1:]):
+        m = end - j
+        y = buf[:level * m * g.nt].reshape((level, m, g.nt), order="F")
         y.fill(0.0)
-        seg = slice(ayt_az.indptr[j], ayt_az.indptr[j + m])
+        seg = slice(ayt_az.indptr[j], ayt_az.indptr[end])
         node = ayt_az.indices[seg]
-        col = np.repeat(np.arange(m), np.diff(ayt_az.indptr[j:j + m + 1]))
+        col = np.repeat(np.arange(m), np.diff(ayt_az.indptr[j:end + 1]))
         y[node % level, col, node // level] = ayt_az.data[seg]
         chol.solve_levels(y)
         for lev, (lo, hi, blk) in enumerate(level_rows):
-            r0[lo:hi, j:j + m] -= blk @ y[:, :, lev]
-    del y
+            r0[lo:hi, j:end] -= blk @ y[:, :, lev]
+    del y, buf, ayt_az, level_rows
     r0 /= np.sqrt(source_w)
     stage("eliminate_s")
     reflectors, t, info = lapack.dgeqrt(min(_QR_BLOCK, n_src), r0, overwrite_a=1)
@@ -637,7 +706,7 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     u, s, vt = sla.svd(np.triu(reflectors[:n_src]), overwrite_a=True,
                        check_finite=False)
     stage("qr_svd_s")
-    return SourceReduction(blocks=tuple(blocks), sqrt_w=sqrt_w, ay=ay, az=az, chol=chol,
+    return SourceReduction(blocks=blocks, sqrt_w=sqrt_w, ay=ay, az=az, chol=chol,
                            source_w=source_w, row_order=row_order,
                            reflectors=reflectors, t=t, u=u, s=s, vt=vt, timings=timings)
 
@@ -762,9 +831,9 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     terms: dict[str, float] = {}
     start = 0
     for blk in red.blocks:
-        part = res[start:start + blk.L.shape[0]]
+        part = res[start:start + blk.m.size]
         terms[blk.name] = float(blas.ddot(part, part))
-        start += blk.L.shape[0]
+        start += blk.m.size
     g = data.grid
     n_st = int(np.prod(g.shape))
     n_sp = int(np.prod(g.space_shape))
