@@ -24,21 +24,24 @@ from .inverse import (
     stability_sweep,
 )
 from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
-from .reports import ResultTable, RunReport, emit_report
+from .reports import ResultTable, RunReport, emit_report, recording, stage
 from .statedet import thm1_experiment, thm4_experiment
-from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, SWEEP_SPANS, estimate_constant,
-                     generate_ensemble, lemma3_check)
+from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, estimate_constant, generate_ensemble,
+                     lemma3_check)
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
 __all__ = ["main", "run"]
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Execute the configured experiment and return its report (no file IO)."""
+    """Execute the configured experiment and return its report (no file IO),
+    with the seconds of the driver's stages in ``timings``."""
     start = time.perf_counter()
     driver = _DRIVERS[config.experiment]
-    report = driver(config)
+    with recording() as timings:
+        report = driver(config)
     report.wall_time_s = time.perf_counter() - start
+    report.timings = timings
     return report
 
 
@@ -109,15 +112,12 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
             raise ConfigError(f"unknown estimate kind {kind!r}")
     wspec = cfg.section("weights")
     refine = bool(est["refine"])
-    timings = dict.fromkeys(SWEEP_SPANS, 0.0)
 
     def sweep(group, build_ensemble):
         if not group:
             return {}
         reports = estimate_constant(group, build_ensemble(), wspec["lambdas"],
                                     wspec["s_values"], recipe, grid, refine=refine)
-        for span, seconds in reports[0].timings.items():
-            timings[span] += seconds
         return dict(zip(group, reports))
 
     # one sweep call per ensemble: the energy-slice kinds run on manufactured
@@ -154,8 +154,7 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
         ResultTable("constants", ("kind", "lambda", "s0_emp", "c_emp", "drift"),
                     tuple(const_rows), plot_worthy=False),
     ]
-    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary,
-                     timings=timings)
+    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
 
 
 def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
@@ -166,21 +165,23 @@ def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
     eta = build_eta(grid, coeffs)
     wspec = cfg.section("weights")
     # one bundle per (lam, s) cell, shared by every p
-    cells = [(float(lam), float(s),
-              eval_weight_bundle(eta, WeightParams(lam=float(lam), s=float(s)), grid))
-             for lam in wspec["lambdas"] for s in wspec["s_values"]]
+    with stage("bundles_s"):
+        cells = [(float(lam), float(s),
+                  eval_weight_bundle(eta, WeightParams(lam=float(lam), s=float(s)), grid))
+                 for lam in wspec["lambdas"] for s in wspec["s_values"]]
     rows = []
     summary = {}
-    for p in cfg.section("lemma3")["p_values"]:
-        p = int(p)
-        c_emp = 0.0
-        for lam, s, bundle in cells:
-            for i, member in enumerate(ens.members):
-                pair = lemma3_check(member.u, p, bundle)
-                rows.append((p, lam, s, i, pair.lhs, pair.rhs, pair.ratio))
-                if np.isfinite(pair.ratio):
-                    c_emp = max(c_emp, pair.ratio)
-        summary[f"c_emp_p{p}"] = c_emp
+    with stage("checks_s"):
+        for p in cfg.section("lemma3")["p_values"]:
+            p = int(p)
+            c_emp = 0.0
+            for lam, s, bundle in cells:
+                for i, member in enumerate(ens.members):
+                    pair = lemma3_check(member.u, p, bundle)
+                    rows.append((p, lam, s, i, pair.lhs, pair.rhs, pair.ratio))
+                    if np.isfinite(pair.ratio):
+                        c_emp = max(c_emp, pair.ratio)
+            summary[f"c_emp_p{p}"] = c_emp
     table = ResultTable("lemma3", ("p", "lambda", "s", "member", "lhs", "rhs",
                                    "ratio"), tuple(rows))
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary)
@@ -235,8 +236,7 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
                "normal_residual": res.normal_residual,
                "s_max": float(s[0]), "s_min": float(s[-1]),
                "ridge_damped": int(np.sum(s * s < float(inv["beta"])))}
-    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary,
-                     timings=res.timings)
+    return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
 
 
 def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
@@ -274,7 +274,7 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
         "ridge_damped": {repr(d): int(np.sum(s * s < beta)) for d, beta in betas.items()},
     }
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary,
-                     extra_json={"slope": slope_payload}, timings=rep.timings)
+                     extra_json={"slope": slope_payload})
 
 
 def _ceps_table(rep) -> ResultTable:
@@ -294,7 +294,7 @@ def _run_state_det(cfg: ExperimentConfig) -> RunReport:
         "excluded_members": list(rep.excluded),
     }
     return RunReport(cfg.experiment, cfg.resolved, [_ceps_table(rep)],
-                     summary=summary, timings=rep.timings)
+                     summary=summary)
 
 
 def _run_nonlinear_diff(cfg: ExperimentConfig) -> RunReport:

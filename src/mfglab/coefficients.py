@@ -292,8 +292,8 @@ def operator_terms(kind: str, c: CoeffSet) -> list[tuple[np.ndarray, tuple[int, 
     The operator is the sum over the terms of coefficient times the spatial
     derivative along ``axes`` (empty: the field itself; an axis listed
     twice: its second derivative).  This is the one statement of the
-    operator formula; field application, least-squares assembly and the
-    alternating solver all sum over it.
+    operator formula; field application, the closed-form residuals
+    of ``models`` and the inverse's least-squares assembly all sum over it.
     """
     if kind in ("A", "B"):
         m2 = c.a2 if kind == "A" else c.b2

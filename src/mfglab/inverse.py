@@ -39,7 +39,6 @@ sweeps fit the log-log slope of the error against the data perturbation.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -65,6 +64,7 @@ from .grid import (
     norm,
 )
 from .models import CaseEnsemble, ManufacturedCase, residual, resampled_cases
+from .reports import stage
 from .verify import EstimateSidePair
 from .weights import WeightParams
 
@@ -181,9 +181,7 @@ class ReconstructionResult:
     quadrature weights; ``converged`` is ``normal_residual <= tol``.
     ``singular_values`` is the descending spectrum of the reduced source
     matrix in W-scaled coordinates (a source's norm there is its L2 norm).
-    The solve is direct, so ``iterations`` is always 0.  ``timings`` holds
-    the stage seconds of the ``SourceReduction`` built for it and
-    ``solve_s``, the seconds of the solve.
+    The solve is direct, so ``iterations`` is always 0.
     """
 
     f_hat: GridFn
@@ -199,7 +197,6 @@ class ReconstructionResult:
     rel_err_f: Optional[float] = None
     rel_err_g: Optional[float] = None
     iterations: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 # -- sparse operators on the raveled space-time state ------------------------
@@ -578,8 +575,7 @@ class SourceReduction:
     W is the quadrature weight of (f, g), so ``s`` is the spectrum with
     respect to the L2 norm of the sources.  Built by ``reduce_sources`` for
     one grid, coefficient set, q1/q2 and omega weights, it serves any data
-    and ridge on that system.  ``timings`` holds the seconds its stages took:
-    ``assemble_s``, ``factor_s``, ``eliminate_s`` and ``qr_svd_s``.
+    and ridge on that system.
     """
 
     blocks: tuple[_Term, ...]
@@ -594,7 +590,6 @@ class SourceReduction:
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
-    timings: dict[str, float]
 
 
 def _level_order(grid: Grid) -> np.ndarray:
@@ -636,79 +631,72 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     of ``cfg``; the observations and ``cfg.beta`` are not used.  An oversized
     problem raises MemoryError with the sizes of the dense state factor and
     of the reduced source matrix before either is allocated; a matrix that
-    is not positive definite raises LinAlgError.
+    is not positive definite raises LinAlgError.  Inside
+    ``reports.recording`` its stages are timed as ``assemble_s``,
+    ``factor_s``, ``eliminate_s`` and ``qr_svd_s``.
     """
-    timings: dict[str, float] = {}
-    lap = time.perf_counter()
-
-    def stage(name: str) -> None:
-        nonlocal lap
-        now = time.perf_counter()
-        timings[name] = now - lap
-        lap = now
-
-    g = data.grid
-    blocks, dim_x = _build_blocks(data, cfg)
-    n_state = 2 * int(np.prod(g.shape))
-    level = 2 * int(np.prod(g.space_shape))
-    rows = sum(blk.m.size for blk in blocks)
-    n_src = dim_x - n_state
-    slots, subs = _factor_blocks(g.nt)
-    n_factor = (slots + subs) * level**2 + 2 * level * g.nt
-    n_dense = rows * n_src
-    if n_factor + n_dense > _DENSE_LIMIT:
-        raise MemoryError(
-            f"state factor ({slots} packed + {subs} sub) x {level}^2 blocks and "
-            f"2 x {level} x {g.nt} diagonals = {n_factor:.3g} entries "
-            f"plus reduced source matrix {rows} rows x {n_src} sources = "
-            f"{n_dense:.3g} entries ({8e-9 * (n_factor + n_dense):.1f} GB), "
-            f"above the {_DENSE_LIMIT:.3g}-entry limit")
-    sqrt_w = np.concatenate([np.sqrt(blk.omega * blk.m) for blk in blocks])
-    A = (sp.diags(sqrt_w) @ sp.vstack([blk.L for blk in blocks], format="csr")).tocsc()
-    ay = A[:, _level_order(g)]
-    az = A[:, n_state:]
-    del A
-    blocks = tuple(blk.term() for blk in blocks)
-    stage("assemble_s")
-    chol = _LevelCholesky(ay.T @ ay, level)
-    stage("factor_s")
-    source_w = np.tile(g.space_weights.ravel(), 2)
-    # R0 = az - ay K^-1 ay^T az, chunk by chunk of source columns, in the
-    # level row order: the right-hand sides ay^T az[:, J] are scattered
-    # straight into the level layout of ``solve_levels`` and solved in place,
-    # and each level's states are subtracted from its own contiguous rows.
-    # The chunks are as even as ``_CHUNK`` allows, and each is a view of one
-    # buffer.  Fortran order lets the QR below factor R0 where it lies.
-    row_order, level_rows = _level_rows(ay, level)
-    ayt_az = (ay.T @ az).tocsc()
-    r0 = np.empty((rows, n_src), order="F")
-    az[row_order].toarray(out=r0)
-    chunks = -(-n_src // _CHUNK)
-    edges = [n_src * i // chunks for i in range(chunks + 1)]
-    buf = np.empty(level * -(-n_src // chunks) * g.nt)
-    for j, end in zip(edges, edges[1:]):
-        m = end - j
-        y = buf[:level * m * g.nt].reshape((level, m, g.nt), order="F")
-        y.fill(0.0)
-        seg = slice(ayt_az.indptr[j], ayt_az.indptr[end])
-        node = ayt_az.indices[seg]
-        col = np.repeat(np.arange(m), np.diff(ayt_az.indptr[j:end + 1]))
-        y[node % level, col, node // level] = ayt_az.data[seg]
-        chol.solve_levels(y)
-        for lev, (lo, hi, blk) in enumerate(level_rows):
-            r0[lo:hi, j:end] -= blk @ y[:, :, lev]
-    del y, buf, ayt_az, level_rows
-    r0 /= np.sqrt(source_w)
-    stage("eliminate_s")
-    reflectors, t, info = lapack.dgeqrt(min(_QR_BLOCK, n_src), r0, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgeqrt info {info}")
-    u, s, vt = sla.svd(np.triu(reflectors[:n_src]), overwrite_a=True,
-                       check_finite=False)
-    stage("qr_svd_s")
+    with stage("assemble_s"):
+        g = data.grid
+        blocks, dim_x = _build_blocks(data, cfg)
+        n_state = 2 * int(np.prod(g.shape))
+        level = 2 * int(np.prod(g.space_shape))
+        rows = sum(blk.m.size for blk in blocks)
+        n_src = dim_x - n_state
+        slots, subs = _factor_blocks(g.nt)
+        n_factor = (slots + subs) * level**2 + 2 * level * g.nt
+        n_dense = rows * n_src
+        if n_factor + n_dense > _DENSE_LIMIT:
+            raise MemoryError(
+                f"state factor ({slots} packed + {subs} sub) x {level}^2 blocks and "
+                f"2 x {level} x {g.nt} diagonals = {n_factor:.3g} entries "
+                f"plus reduced source matrix {rows} rows x {n_src} sources = "
+                f"{n_dense:.3g} entries ({8e-9 * (n_factor + n_dense):.1f} GB), "
+                f"above the {_DENSE_LIMIT:.3g}-entry limit")
+        sqrt_w = np.concatenate([np.sqrt(blk.omega * blk.m) for blk in blocks])
+        A = (sp.diags(sqrt_w) @ sp.vstack([blk.L for blk in blocks], format="csr")).tocsc()
+        ay = A[:, _level_order(g)]
+        az = A[:, n_state:]
+        del A
+        blocks = tuple(blk.term() for blk in blocks)
+    with stage("factor_s"):
+        chol = _LevelCholesky(ay.T @ ay, level)
+    with stage("eliminate_s"):
+        source_w = np.tile(g.space_weights.ravel(), 2)
+        # R0 = az - ay K^-1 ay^T az, chunk by chunk of source columns, in the
+        # level row order: the right-hand sides ay^T az[:, J] are scattered
+        # straight into the level layout of ``solve_levels`` and solved in place,
+        # and each level's states are subtracted from its own contiguous rows.
+        # The chunks are as even as ``_CHUNK`` allows, and each is a view of one
+        # buffer.  Fortran order lets the QR below factor R0 where it lies.
+        row_order, level_rows = _level_rows(ay, level)
+        ayt_az = (ay.T @ az).tocsc()
+        r0 = np.empty((rows, n_src), order="F")
+        az[row_order].toarray(out=r0)
+        chunks = -(-n_src // _CHUNK)
+        edges = [n_src * i // chunks for i in range(chunks + 1)]
+        buf = np.empty(level * -(-n_src // chunks) * g.nt)
+        for j, end in zip(edges, edges[1:]):
+            m = end - j
+            y = buf[:level * m * g.nt].reshape((level, m, g.nt), order="F")
+            y.fill(0.0)
+            seg = slice(ayt_az.indptr[j], ayt_az.indptr[end])
+            node = ayt_az.indices[seg]
+            col = np.repeat(np.arange(m), np.diff(ayt_az.indptr[j:end + 1]))
+            y[node % level, col, node // level] = ayt_az.data[seg]
+            chol.solve_levels(y)
+            for lev, (lo, hi, blk) in enumerate(level_rows):
+                r0[lo:hi, j:end] -= blk @ y[:, :, lev]
+        del y, buf, ayt_az, level_rows
+        r0 /= np.sqrt(source_w)
+    with stage("qr_svd_s"):
+        reflectors, t, info = lapack.dgeqrt(min(_QR_BLOCK, n_src), r0, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dgeqrt info {info}")
+        u, s, vt = sla.svd(np.triu(reflectors[:n_src]), overwrite_a=True,
+                           check_finite=False)
     return SourceReduction(blocks=blocks, sqrt_w=sqrt_w, ay=ay, az=az, chol=chol,
                            source_w=source_w, row_order=row_order,
-                           reflectors=reflectors, t=t, u=u, s=s, vt=vt, timings=timings)
+                           reflectors=reflectors, t=t, u=u, s=s, vt=vt)
 
 
 def _filter(s: np.ndarray, beta: float, rows: int) -> np.ndarray:
@@ -812,37 +800,38 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     The states are eliminated by ``reduce_sources``, the sources come from
     the filtered SVD of the reduced system, the states from one back-solve,
     and the result records its relative normal residual; a result above
-    ``tol`` is flagged, not raised.
+    ``tol`` is flagged, not raised.  Inside ``reports.recording`` the solve
+    after the reduction's stages is timed as ``solve_s``.
     """
     flags: list[str] = []
     if cfg.beta == 0.0 and data.delta > 0.0:
         flags.append("beta=0 with noisy data: ridge-free fit is ill-advised")
     red = reduce_sources(data, cfg)
-    solve_start = time.perf_counter()
-    b = np.empty((red.sqrt_w.size, 1))
-    _weighted_rhs(red, data, b[:, 0])
-    z, y, res, normal = _solve(red, b, [cfg.beta])
-    z, y, res = z[:, 0], y[:, 0], res[:, 0]
-    normal_residual = float(normal[0])
-    converged = normal_residual <= cfg.tol
-    if not converged:
-        flags.append(f"normal residual {normal_residual:.3g} above tol {cfg.tol:g}")
+    with stage("solve_s"):
+        b = np.empty((red.sqrt_w.size, 1))
+        _weighted_rhs(red, data, b[:, 0])
+        z, y, res, normal = _solve(red, b, [cfg.beta])
+        z, y, res = z[:, 0], y[:, 0], res[:, 0]
+        normal_residual = float(normal[0])
+        converged = normal_residual <= cfg.tol
+        if not converged:
+            flags.append(f"normal residual {normal_residual:.3g} above tol {cfg.tol:g}")
 
-    terms: dict[str, float] = {}
-    start = 0
-    for blk in red.blocks:
-        part = res[start:start + blk.m.size]
-        terms[blk.name] = float(blas.ddot(part, part))
-        start += blk.m.size
-    g = data.grid
-    n_st = int(np.prod(g.shape))
-    n_sp = int(np.prod(g.space_shape))
-    if cfg.beta > 0:
-        for name, part in (("ridge_f", slice(0, n_sp)), ("ridge_g", slice(n_sp, None))):
-            terms[name] = cfg.beta * float(blas.ddot(z[part], red.source_w[part] * z[part]))
+        terms: dict[str, float] = {}
+        start = 0
+        for blk in red.blocks:
+            part = res[start:start + blk.m.size]
+            terms[blk.name] = float(blas.ddot(part, part))
+            start += blk.m.size
+        g = data.grid
+        n_st = int(np.prod(g.shape))
+        n_sp = int(np.prod(g.space_shape))
+        if cfg.beta > 0:
+            for name, part in (("ridge_f", slice(0, n_sp)), ("ridge_g", slice(n_sp, None))):
+                terms[name] = cfg.beta * float(blas.ddot(z[part], red.source_w[part] * z[part]))
 
-    states = np.empty_like(y)
-    states[_level_order(g)] = y
+        states = np.empty_like(y)
+        states[_level_order(g)] = y
     result = ReconstructionResult(
         f_hat=GridFn(g, SPATIAL_SLICE, z[:n_sp].reshape(g.space_shape)),
         g_hat=GridFn(g, SPATIAL_SLICE, z[n_sp:].reshape(g.space_shape)),
@@ -851,7 +840,6 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
         objective=float(sum(terms.values())), objective_terms=terms,
         normal_residual=normal_residual, converged=converged,
         singular_values=red.s.copy(), flags=flags,
-        timings={**red.timings, "solve_s": time.perf_counter() - solve_start},
     )
     if truth is not None:
         f_true, g_true = truth
@@ -907,8 +895,7 @@ class StabilityReport:
 
     ``singular_values`` is the descending spectrum of the reduced source
     matrix that every solve of the sweep shared (W-scaled, as in
-    ``ReconstructionResult``).  ``timings`` holds that reduction's stage
-    seconds and ``solve_s``, the seconds of the batched solves.
+    ``ReconstructionResult``).
     """
 
     rows: tuple[StabilityRow, ...]
@@ -922,7 +909,6 @@ class StabilityReport:
     slope_spread: float
     excluded: tuple[tuple[float, int], ...]
     singular_values: np.ndarray = field(compare=False)
-    timings: dict[str, float] = field(compare=False)
 
 
 def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
@@ -946,7 +932,8 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     up to ``_CHUNK`` columns goes through one batched solve (two
     multi-column state solves, one Q^T application, a filter per column).  A sweep row therefore agrees with
     a standalone ``reconstruct`` of the same data to roundoff, not bit for
-    bit.
+    bit.  Inside ``reports.recording`` the batched solves are timed together
+    as ``solve_s``, after the reduction's stages.
 
     By default the interior snapshots stay exact and only the lateral
     traces are perturbed: white noise on a slice enters the recovery
@@ -973,16 +960,14 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     excluded: list[tuple[float, int]] = []
     # the reduction reads no observation, so clean data build it
     reduction = reduce_sources(make_inverse_data(case, 0.0, 0), base)
-    solve_s = 0.0
     for start in range(0, len(pairs), _CHUNK):
         batch = pairs[start:start + _CHUNK]
         b = np.empty((reduction.sqrt_w.size, len(batch)))
         for j, (delta, _, seed) in enumerate(batch):
             data = make_inverse_data(case, delta, seed, noisy_slices=noisy_slices)
             _weighted_rhs(reduction, data, b[:, j])
-        lap = time.perf_counter()
-        z, _, _, normal = _solve(reduction, b, [beta for _, beta, _ in batch])
-        solve_s += time.perf_counter() - lap
+        with stage("solve_s"):
+            z, _, _, normal = _solve(reduction, b, [beta for _, beta, _ in batch])
         for (delta, beta, seed), zj, nr in zip(batch, z.T, normal):
             err_f = _abs_l2(g, zj[:n_sp].reshape(g.space_shape) - truth[0])
             err_g = _abs_l2(g, zj[n_sp:].reshape(g.space_shape) - truth[1])
@@ -1016,7 +1001,6 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
         slope_spread=float(np.max(vals) - np.min(vals)) if vals else math.nan,
         excluded=tuple(excluded),
         singular_values=reduction.s.copy(),
-        timings={**reduction.timings, "solve_s": solve_s},
     )
 
 

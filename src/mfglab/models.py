@@ -29,6 +29,7 @@ from .coefficients import (
     NonlinearCoeffs,
     SourceFactors,
     apply_operator,
+    operator_terms,
     sample_spatial,
 )
 from .grid import SPACE_TIME, Face, Grid, GridFn, diff, face_values
@@ -184,23 +185,14 @@ def analytic_linear_residuals(u_field: SeparableField, v_field: SeparableField,
     from the stencil residual by the stencil truncation error only.
     """
     g = coeffs.grid
-    d = g.dim
-    u = u_field.sample(g).values
-    v = v_field.sample(g).values
-    ru = u_field.dt().sample(g).values + coeffs.a0 * u - coeffs.c0 * v
-    rv = v_field.dt().sample(g).values - coeffs.b0 * v
-    for i in range(d):
-        ru = ru + coeffs.a1[i] * u_field.dx(i).sample(g).values
-        rv = rv - coeffs.b1[i] * v_field.dx(i).sample(g).values
-        for j in range(d):
-            ru = ru + coeffs.a2[i, j] * u_field.dx(i).dx(j).sample(g).values
-            rv = rv - coeffs.b2[i, j] * v_field.dx(i).dx(j).sample(g).values
-    for gidx, coef in coeffs.b_gamma.items():
-        dfld = u_field
-        for ax, order in enumerate(gidx):
-            for _ in range(order):
-                dfld = dfld.dx(ax)
-        rv = rv - coef * dfld.sample(g).values
+
+    def apply(kind: str, fld: SeparableField) -> np.ndarray:
+        return sum(coef * fld.derivative(x=axes).sample(g).values
+                   for coef, axes in operator_terms(kind, coeffs))
+
+    ru = (u_field.dt().sample(g).values + apply("A", u_field)
+          - coeffs.c0 * v_field.sample(g).values)
+    rv = v_field.dt().sample(g).values - apply("B", v_field) - apply("A0", u_field)
     return ru, rv
 
 

@@ -4,17 +4,57 @@ Numbers are written in shortest round-trip decimal form with a '.' decimal
 separator, independent of locale; rows are emitted in a fixed order.  Two
 runs from the same config and seed therefore produce byte-identical tables,
 and the run report carries a content hash over all emitted tables.
+
+Stage seconds are recorded apart from the results: ``recording`` collects
+them for a run, and the library opens a ``stage`` for each step it times.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
-__all__ = ["ResultTable", "RunReport", "emit_report", "fmt_value"]
+__all__ = ["ResultTable", "RunReport", "emit_report", "fmt_value", "recording",
+           "stage"]
+
+# the stage seconds of the run being recorded; None outside ``recording``
+_TIMINGS: ContextVar[Optional[dict[str, float]]] = ContextVar("timings", default=None)
+
+
+class recording:
+    """``with recording() as timings``: every ``stage`` run inside the block
+    adds its seconds to ``timings``.  A nested recording keeps its own, and
+    the outer one resumes when it exits."""
+
+    def __enter__(self) -> dict[str, float]:
+        self._token = _TIMINGS.set({})
+        return _TIMINGS.get()
+
+    def __exit__(self, *exc) -> None:
+        _TIMINGS.reset(self._token)
+
+
+class stage:
+    """``with stage(name)``: add the seconds of the block to ``name`` in the
+    run being recorded; outside ``recording`` only run the block.  A class,
+    not a ``@contextmanager`` generator: a span costs less than half."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        timings = _TIMINGS.get()
+        if timings is not None:
+            seconds = time.perf_counter() - self.start
+            timings[self.name] = timings.get(self.name, 0.0) + seconds
 
 
 def fmt_value(x: Any) -> str:

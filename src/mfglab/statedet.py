@@ -12,7 +12,6 @@ the difference with coefficients bounded by the pair's sup norms.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .grid import (
     norm,
 )
 from .models import NonlinearPair, make_nonlinear_pair, residual
+from .reports import stage
 from .verify import EnsembleMember, FunctionEnsemble
 
 __all__ = [
@@ -64,7 +64,6 @@ class CepsReport:
     excluded: tuple[int, ...]
     drift: Optional[float] = None
     extras: dict[str, float] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     def member_curve(self, member: int) -> list[float]:
         return [r.ratio for r in self.rows if r.member == member]
@@ -171,28 +170,26 @@ def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
     numerical zero are excluded (0/0).  The curve is recomputed once on the
     doubled grid when ``refine`` is set; there each member is resampled from
     its closed form just before it is used and dropped after, so that pass
-    holds one refined member at a time.  ``timings`` holds the seconds of the
-    coarse pass (``coarse_s``) and, when refined, of the refined pass
-    (``refined_s``).
+    holds one refined member at a time.  Inside ``reports.recording`` the
+    coarse pass is timed as the stage ``coarse_s`` and the refined pass as
+    ``refined_s``.
     """
     grid = ensemble.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
-    start = time.perf_counter()
-    rows, excluded, per_eps = _thm1_sweep(ensemble.members,
-                                          coeff_recipe.sample(grid), eps_t)
-    timings = {"coarse_s": time.perf_counter() - start}
+    with stage("coarse_s"):
+        rows, excluded, per_eps = _thm1_sweep(ensemble.members,
+                                              coeff_recipe.sample(grid), eps_t)
     drift = None
     if refine:
-        start = time.perf_counter()
-        fine = grid.refined(2)
-        _, _, per_eps_fine = _thm1_sweep((m.resample(fine) for m in ensemble.members),
-                                         coeff_recipe.sample(fine), eps_t)
-        timings["refined_s"] = time.perf_counter() - start
+        with stage("refined_s"):
+            fine = grid.refined(2)
+            _, _, per_eps_fine = _thm1_sweep((m.resample(fine) for m in ensemble.members),
+                                             coeff_recipe.sample(fine), eps_t)
         coarse_max = max(per_eps.values())
         fine_max = max(per_eps_fine.values())
         drift = fine_max / coarse_max if coarse_max > 0 else math.inf
     return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
-                      excluded=tuple(excluded), drift=drift, timings=timings)
+                      excluded=tuple(excluded), drift=drift)
 
 
 def _pair_m2(pair: NonlinearPair) -> float:
@@ -228,6 +225,8 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
     source-difference norms plus the difference observation norms; the
     coefficient bounds m1 (states) and m2 (difference system) are reported
     in ``extras``.  Refinement needs the nonlinear coefficient recipe.
+    Inside ``reports.recording`` the two passes are timed as the stages
+    ``coarse_s`` and ``refined_s``, as in ``thm1_experiment``.
     """
     grid = pair.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
@@ -237,16 +236,18 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
                       for a, b in ((p.u1, p.u2), (p.v1, p.v2), (p.F1, p.F2),
                                    (p.G1, p.G2)))]
 
-    rows, excluded, per_eps = _eps_sweep(differences(pair), eps_t)
+    with stage("coarse_s"):
+        rows, excluded, per_eps = _eps_sweep(differences(pair), eps_t)
     drift = None
     if refine:
         if nl_recipe is None:
             raise ValueError("refinement needs the nonlinear coefficient recipe")
-        fine = grid.refined(2)
-        fine_pair = make_nonlinear_pair(pair.u1_field, pair.v1_field,
-                                        pair.u2_field, pair.v2_field,
-                                        nl_recipe.sample(fine))
-        _, _, per_eps_fine = _eps_sweep(differences(fine_pair), eps_t)
+        with stage("refined_s"):
+            fine = grid.refined(2)
+            fine_pair = make_nonlinear_pair(pair.u1_field, pair.v1_field,
+                                            pair.u2_field, pair.v2_field,
+                                            nl_recipe.sample(fine))
+            _, _, per_eps_fine = _eps_sweep(differences(fine_pair), eps_t)
         coarse_max = max(per_eps.values())
         drift = (max(per_eps_fine.values()) / coarse_max
                  if coarse_max > 0 else math.inf)

@@ -12,7 +12,6 @@ evidence, a ratio that blows up is a finding.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -23,6 +22,7 @@ from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
 from .grid import SPACE_TIME, SPATIAL_SLICE, Grid, GridFn, diff, norm
 from .models import (CaseEnsemble, ManufacturedCase, max_exact_conormal,
                      resampled_cases, residual)
+from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
 __all__ = [
@@ -88,14 +88,10 @@ class _Cells:
     row of every stack and is dropped before the next one is built, so the
     cells never hold more than the stacks plus one bundle's cached arrays.
     A bundle the caller holds is only read.
-
-    ``timings`` accumulates the sweep's seconds under ``members_s``,
-    ``terms_s`` and ``sums_s`` (see ``estimate_constant``).
     """
 
     def __init__(self, kinds: Sequence[str], bundles: Iterable[WeightBundle],
-                 count: int, grid: Grid, timings: Optional[dict[str, float]] = None):
-        self.timings = _new_timings() if timings is None else timings
+                 count: int, grid: Grid):
         self.params: list[WeightParams] = []
         self.data_scale: list[float] = []
         self.w_t0: list[np.ndarray] = []
@@ -138,13 +134,6 @@ class _Cells:
             np.multiply(pre, row, out=self._buf)
             out[c] = self._buf.sum()
         return out
-
-
-SWEEP_SPANS = ("members_s", "terms_s", "sums_s")
-
-
-def _new_timings() -> dict[str, float]:
-    return dict.fromkeys(SWEEP_SPANS, 0.0)
 
 
 def _d_gamma_sq(f: GridFn) -> float:
@@ -298,15 +287,13 @@ class _Member:
         """The weighted square (key, m, lam_power) on every cell."""
         vec = self.sums.get((key, m, lam_power))
         if vec is None:
-            start = time.perf_counter()
-            a = self._values(key)
-            # operand order of st_weights * a * a * factor, so the weighted
-            # integral rounds exactly as when it is written out in one expression
-            pre = self.grid.st_weights * a * a
-            mid = time.perf_counter()
-            vec = self.sums[(key, m, lam_power)] = cells.sums(pre, m, lam_power)
-            cells.timings["terms_s"] += mid - start
-            cells.timings["sums_s"] += time.perf_counter() - mid
+            with stage("terms_s"):
+                a = self._values(key)
+                # operand order of st_weights * a * a * factor, so the weighted
+                # integral rounds exactly as when it is written out in one expression
+                pre = self.grid.st_weights * a * a
+            with stage("sums_s"):
+                vec = self.sums[(key, m, lam_power)] = cells.sums(pre, m, lam_power)
         return vec
 
 
@@ -348,11 +335,6 @@ def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
     rhs_vecs = {name: [m.weighted(cells, *p) for p in parts]
                 for name, parts in rhs_spec.items()}
     data = {key: m.data[key] for key in _DATA_TERMS[kind]}
-    start = time.perf_counter()
-    g = m.grid
-    if kind in ENERGY_KINDS:
-        dt = m.fn(("u" if kind == "ENERGY_3_8" else "v", _DT))
-        slice_sq = dt.values[..., g.it0] ** 2
 
     def total(vecs, c, scalar=1.0):
         out = 0
@@ -360,27 +342,31 @@ def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
             out += scalar * float(vec[c])
         return out
 
-    pairs = []
-    for c, params in enumerate(cells.params):
+    with stage("sums_s"):
+        g = m.grid
         if kind in ENERGY_KINDS:
-            s = params.s
-            w_t0 = cells.w_t0[c]
-            if kind == "ENERGY_3_8":
-                phi_t0 = cells.phi_t0[c]
-                val = float(np.sum(g.space_weights * s * phi_t0 * slice_sq * w_t0))
-                scalar = 1.0 / s
+            dt = m.fn(("u" if kind == "ENERGY_3_8" else "v", _DT))
+            slice_sq = dt.values[..., g.it0] ** 2
+        pairs = []
+        for c, params in enumerate(cells.params):
+            if kind in ENERGY_KINDS:
+                s = params.s
+                w_t0 = cells.w_t0[c]
+                if kind == "ENERGY_3_8":
+                    phi_t0 = cells.phi_t0[c]
+                    val = float(np.sum(g.space_weights * s * phi_t0 * slice_sq * w_t0))
+                    scalar = 1.0 / s
+                else:
+                    val = float(np.sum(g.space_weights * slice_sq * w_t0))
+                    scalar = s**-0.5
+                lhs = {"slice": val}
             else:
-                val = float(np.sum(g.space_weights * slice_sq * w_t0))
-                scalar = s**-0.5
-            lhs = {"slice": val}
-        else:
-            lhs = {name: total(vecs, c) for name, vecs in lhs_vecs.items()}
-            scalar = 1.0
-        rhs = {name: total(vecs, c, scalar) for name, vecs in rhs_vecs.items()}
-        rhs |= {name: cells.data_scale[c] * d for name, d in data.items()}
-        pairs.append(EstimateSidePair(kind=kind, params=params,
-                                      lhs_terms=lhs, rhs_terms=rhs))
-    cells.timings["sums_s"] += time.perf_counter() - start
+                lhs = {name: total(vecs, c) for name, vecs in lhs_vecs.items()}
+                scalar = 1.0
+            rhs = {name: total(vecs, c, scalar) for name, vecs in rhs_vecs.items()}
+            rhs |= {name: cells.data_scale[c] * d for name, d in data.items()}
+            pairs.append(EstimateSidePair(kind=kind, params=params,
+                                          lhs_terms=lhs, rhs_terms=rhs))
     return pairs
 
 
@@ -518,10 +504,6 @@ class VerificationReport:
     invalid: tuple[tuple[float, float], ...]
     drift: Optional[float] = None
     c_emp_refined: Optional[float] = None
-    timings: dict[str, float] = field(default_factory=_new_timings, compare=False)
-
-    def max_ratio(self) -> float:
-        return self.c_emp
 
 
 EnsembleLike = Union[FunctionEnsemble, CaseEnsemble]
@@ -529,29 +511,28 @@ Instance = Union[EnsembleMember, ManufacturedCase]
 
 
 def _members(kinds: Sequence[str], instances: Iterable[Instance],
-             coeffs: CoeffSet, timings: dict[str, float]) -> Iterator[_Member]:
+             coeffs: CoeffSet) -> Iterator[_Member]:
     """The sweep members of ``instances`` (all on the grid of ``coeffs``),
     built one at a time; a function-ensemble member takes its residual as
     sources F, G (built whatever the kinds, so adding a kind never adds
     member work)."""
     for inst in instances:
-        start = time.perf_counter()
-        if isinstance(inst, EnsembleMember):
-            member = _member(kinds, inst.u, inst.v,
-                             *residual("linear", inst.u, inst.v, coeffs=coeffs),
-                             coeffs, None, derived=True)
-        else:
-            member = _member(kinds, inst.u, inst.v, inst.F, inst.G, coeffs,
-                             inst.sources)
-        timings["members_s"] += time.perf_counter() - start
+        with stage("members_s"):
+            if isinstance(inst, EnsembleMember):
+                member = _member(kinds, inst.u, inst.v,
+                                 *residual("linear", inst.u, inst.v, coeffs=coeffs),
+                                 coeffs, None, derived=True)
+            else:
+                member = _member(kinds, inst.u, inst.v, inst.F, inst.G, coeffs,
+                                 inst.sources)
         yield member
         # let go of this instance before ``instances`` builds the next one
         del inst, member
 
 
 def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
-                 s_grid, coeffs: CoeffSet, grid: Grid,
-                 timings: dict[str, float]) -> list[tuple[list[EstimateRow], dict, list]]:
+                 s_grid, coeffs: CoeffSet,
+                 grid: Grid) -> list[tuple[list[EstimateRow], dict, list]]:
     """Sweep every kind over ``instances`` on one grid, with ``coeffs``
     sampled there.
 
@@ -568,16 +549,15 @@ def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
     plus one bundle or one member, and the sums over cells reduce through
     one N-length buffer; neither the bundles nor the member count add to it.
     """
-    start = time.perf_counter()
-    eta = build_eta(grid, coeffs)
-    cell_keys = [(lam, s) for lam in lam_grid for s in s_grid]
-    bundles = (eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
-               for lam, s in cell_keys)
-    cells = _Cells(kinds, bundles, len(cell_keys), grid, timings)
-    timings["sums_s"] += time.perf_counter() - start
+    with stage("sums_s"):
+        eta = build_eta(grid, coeffs)
+        cell_keys = [(lam, s) for lam in lam_grid for s in s_grid]
+        bundles = (eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
+                   for lam, s in cell_keys)
+        cells = _Cells(kinds, bundles, len(cell_keys), grid)
     # values[kind][cell] holds one (lhs, rhs, ratio) per member
     values = [[[] for _ in cell_keys] for _ in kinds]
-    for member in _members(kinds, instances, coeffs, timings):
+    for member in _members(kinds, instances, coeffs):
         for per_cell, kind in zip(values, kinds):
             for out, pair in zip(per_cell, _pairs(kind, member, cells)):
                 out.append((pair.lhs, pair.rhs, pair.ratio))
@@ -641,12 +621,11 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     dropped after, and cases drawn from ``coeff_recipe`` share its one
     sample on that grid.
 
-    Each report's ``timings`` holds the seconds of the whole call, summed
-    over both grids and shared by every kind of the call: ``members_s``
-    builds the members (residual sources, consistency check, data
-    functionals), ``terms_s`` their derivative stacks and weighted squares,
-    ``sums_s`` the bundles, weight-factor stacks and the sums over cells.
-    They are not compared between reports.
+    Inside ``reports.recording`` the call adds its seconds, summed over both
+    grids and every kind, to three stages: ``members_s`` builds the members
+    (residual sources, consistency check, data functionals), ``terms_s``
+    their derivative stacks and weighted squares, ``sums_s`` the bundles,
+    weight-factor stacks and the sums over cells.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if len(ensemble) == 0:
@@ -654,11 +633,10 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
     _require_slice_s(kinds, s_grid)
-    timings = _new_timings()
     is_cases = isinstance(ensemble, CaseEnsemble)
     instances = ensemble.cases if is_cases else ensemble.members
     sweeps = _grid_sweeps(kinds, instances, lam_grid, s_grid,
-                          coeff_recipe.sample(grid), grid, timings)
+                          coeff_recipe.sample(grid), grid)
     fine_sweeps = [None] * len(kinds)
     if refine:
         fine = grid.refined(2)
@@ -666,14 +644,13 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
         fine_instances = (resampled_cases(instances, fine, (coeff_recipe, fine_coeffs))
                           if is_cases else (m.resample(fine) for m in instances))
         fine_sweeps = _grid_sweeps(kinds, fine_instances, lam_grid, s_grid,
-                                   fine_coeffs, fine, timings)
-    reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep, timings)
+                                   fine_coeffs, fine)
+    reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)
                     for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
     return reports[0] if isinstance(kind, str) else reports
 
 
-def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep,
-            timings: dict[str, float]) -> VerificationReport:
+def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep) -> VerificationReport:
     rows, cell_max, invalid = sweep
     valid_vals = [v for c, v in cell_max.items() if c not in invalid]
     c_emp = max(valid_vals) if valid_vals else math.inf
@@ -693,5 +670,5 @@ def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep,
         kind=kind, lam_grid=lam_grid, s_grid=s_grid, rows=tuple(rows),
         cell_max=cell_max, c_emp=c_emp, s0_emp=s0, lam0_emp=lam0,
         flagged=flagged, invalid=tuple(invalid), drift=drift,
-        c_emp_refined=c_fine, timings=timings,
+        c_emp_refined=c_fine,
     )

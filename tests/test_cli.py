@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from mfglab.cli import main
-from mfglab.reports import ResultTable, RunReport, emit_report
+from mfglab.reports import ResultTable, RunReport, emit_report, recording, stage
 
 SMALL_GRID = "grid: {nx: [17], nt: 17}\n"
 
@@ -259,6 +259,60 @@ def test_state_det_timings_outside_output_hash(tmp_path):
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings.values()) <= report["wall_time_s"]
     assert reports[0]["output_hash"] == reports[1]["output_hash"]
+
+
+@pytest.mark.parametrize("experiment,sections,stages", [
+    ("lemma3", "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
+               "weights: {lambdas: [1.0], s_values: [8.0, 16.0]}\n"
+               "lemma3: {p_values: [0, 1]}\n", {"bundles_s", "checks_s"}),
+    ("nonlinear-diff", "statedet: {epsilons: [0.2], refine: true}\n",
+     {"coarse_s", "refined_s"}),
+])
+def test_stage_timings_outside_output_hash(tmp_path, experiment, sections, stages):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"experiment: {experiment}\n"
+                   "grid: {nx: [17], nt: 17, gamma: [x+]}\n" + sections,
+                   encoding="utf-8")
+    reports = []
+    for name in ("o1", "o2"):
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for report in reports:
+        timings = report["timings"]
+        assert set(timings) == stages
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= report["wall_time_s"]
+        assert not set(report["summary"]) & (stages | {"timings"})
+    assert reports[0]["output_hash"] == reports[1]["output_hash"]
+
+
+def test_stage_outside_recording_only_runs_its_block():
+    ran = []
+    with stage("a_s"):
+        ran.append("a_s")
+    with recording() as timings:
+        pass
+    assert ran == ["a_s"]
+    assert timings == {}
+
+
+def test_nested_recording_restores_the_outer_one():
+    with recording() as outer:
+        with stage("a_s"):
+            pass
+        with pytest.raises(RuntimeError):
+            with recording() as inner:
+                with stage("b_s"):
+                    raise RuntimeError("inside the inner recording")
+        with stage("a_s"):
+            pass
+        with stage("c_s"):
+            pass
+    with stage("d_s"):
+        pass
+    assert set(outer) == {"a_s", "c_s"}
+    assert set(inner) == {"b_s"}
+    assert all(v >= 0.0 for v in (*outer.values(), *inner.values()))
 
 
 def test_lemma3_builds_each_cell_bundle_once(monkeypatch):

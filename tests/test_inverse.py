@@ -28,6 +28,7 @@ from mfglab.inverse import (
     thm2_constant,
     verify_thm2,
 )
+from mfglab.reports import recording
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 
@@ -127,6 +128,15 @@ def test_reconstruct_clean_data_accurate():
     assert res.rel_err_g <= 1e-2
     # consistent data: the pde block sits at solver-tolerance level
     assert res.objective_terms["pde_u"] <= 1e-6
+
+
+def test_reconstruct_records_its_stages():
+    case, _, _ = build_case(n=17)
+    with recording() as timings:
+        reconstruct(make_inverse_data(case, 0.0, 0), TUNED)
+    assert set(timings) == {"assemble_s", "factor_s", "eliminate_s", "qr_svd_s",
+                            "solve_s"}
+    assert all(v >= 0.0 for v in timings.values())
 
 
 def assembled(data, cfg):

@@ -5,9 +5,9 @@
 Runs each config in ``configs/`` (the six lab configs and the two inverse
 configs that ``compare_lab_hashes.py`` lists) through the CLI of a checkout
 (default: this one), one process per config, and prints the peak resident
-set size (``ru_maxrss`` of that process) with the run's ``wall_time_s`` from
-its ``report.json``.  The first line is a process that only imports the
-library, which every config's peak includes.
+set size (``ru_maxrss`` of that process) with the run's ``wall_time_s`` and
+its stage ``timings`` from its ``report.json``.  The first line is a
+process that only imports the library, which every config's peak includes.
 
 Given two checkouts, it prints each config's peak in both and the change
 from BASE_DIR to HEAD_DIR; the two runs of a config alternate which
@@ -53,12 +53,13 @@ def peak_rss_mb(argv: list[str], root: Path,
 
 
 def run_config(root: Path, name: str, env: dict[str, str]):
-    """Peak MB and wall seconds of one config of ``root`` (``IMPORTS``: a
-    process that imports the library), or a string saying why there are none."""
+    """Peak MB, wall seconds and stage seconds of one config of ``root``
+    (``IMPORTS``: a process that imports the library), or a string saying why
+    there are none."""
     if name == IMPORTS:
         rss, code, err = peak_rss_mb([sys.executable, "-c", "import mfglab.cli"],
                                      root, env)
-        return (rss, None) if code == 0 else f"failed ({err})"
+        return (rss, None, {}) if code == 0 else f"failed ({err})"
     config = root / "configs" / f"{name}.yaml"
     if not config.exists():
         return "missing"
@@ -69,14 +70,20 @@ def run_config(root: Path, name: str, env: dict[str, str]):
              "--out", out], root, env)
         if code != 0:
             return f"failed ({err})"
-        return rss, json.loads((Path(out) / "report.json").read_text())["wall_time_s"]
+        report = json.loads((Path(out) / "report.json").read_text())
+        return rss, report["wall_time_s"], report.get("timings", {})
 
 
 def fmt(result) -> str:
     if isinstance(result, str):
         return result
-    rss, wall = result
-    return f"{rss:7.1f} MB" + ("" if wall is None else f"  wall {wall:6.3f} s")
+    rss, wall, timings = result
+    text = f"{rss:7.1f} MB"
+    if wall is not None:
+        text += f"  wall {wall:6.3f} s"
+    if timings:
+        text += " (" + ", ".join(f"{k} {v:.3f} s" for k, v in sorted(timings.items())) + ")"
+    return text
 
 
 def main(argv: list[str]) -> int:
