@@ -17,17 +17,12 @@ import numpy as np
 
 from .basis import random_cosine_field
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, load_config
-from .inverse import (
-    ReconstructionConfig,
-    make_inverse_data,
-    reconstruct,
-    stability_sweep,
-)
+from .inverse import make_inverse_data, reconstruct, stability_sweep
 from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report, recording, stage
 from .statedet import thm1_experiment, thm4_experiment
 from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, estimate_constant, generate_ensemble,
-                     lemma3_check)
+                     lemma3_check, lemma3_factors)
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
 __all__ = ["main", "run"]
@@ -176,8 +171,9 @@ def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
             p = int(p)
             c_emp = 0.0
             for lam, s, bundle in cells:
+                factors = lemma3_factors(p, bundle)
                 for i, member in enumerate(ens.members):
-                    pair = lemma3_check(member.u, p, bundle)
+                    pair = lemma3_check(member.u, p, bundle, factors)
                     rows.append((p, lam, s, i, pair.lhs, pair.rhs, pair.ratio))
                     if np.isfinite(pair.ratio):
                         c_emp = max(c_emp, pair.ratio)
@@ -185,14 +181,6 @@ def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
     table = ResultTable("lemma3", ("p", "lambda", "s", "member", "lhs", "rhs",
                                    "ratio"), tuple(rows))
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary)
-
-
-def _recon_config(inv: dict[str, Any], beta: float) -> ReconstructionConfig:
-    return ReconstructionConfig(
-        omega_pde=float(inv["omega_pde"]), omega_gamma=float(inv["omega_gamma"]),
-        omega_slice=float(inv["omega_slice"]), omega_bc=float(inv["omega_bc"]),
-        beta=beta, tol=float(inv["tol"]),
-    )
 
 
 def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
@@ -203,8 +191,8 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
     delta = float(inv["delta"])
     data = make_inverse_data(case, delta, int(inv["seeds"][0]),
                              noisy_slices=bool(inv["noisy_slices"]))
-    res = reconstruct(data, _recon_config(inv, float(inv["beta"])),
-                      truth=(case.sources.f, case.sources.g))
+    recon = cfg.reconstruction
+    res = reconstruct(data, recon, truth=(case.sources.f, case.sources.g))
     metrics = [
         ("rel_err_f", res.rel_err_f),
         ("rel_err_g", res.rel_err_g),
@@ -212,7 +200,7 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
         ("iterations", res.iterations),
         ("converged", res.converged),
         ("delta", delta),
-        ("beta", float(inv["beta"])),
+        ("beta", recon.beta),
     ]
     metrics += sorted((f"objective_{k}", v) for k, v in res.objective_terms.items())
     tables = [
@@ -235,7 +223,7 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
                "converged": res.converged, "flags": res.flags,
                "normal_residual": res.normal_residual,
                "s_max": float(s[0]), "s_min": float(s[-1]),
-               "ridge_damped": int(np.sum(s * s < float(inv["beta"])))}
+               "ridge_damped": int(np.sum(s * s < recon.beta))}
     return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
 
 
@@ -245,9 +233,9 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
     case = _inverse_case(cfg, grid, recipe)
     inv = cfg.section("inverse")
     beta_scale = float(inv["beta_scale"])
+    # the sweep replaces the configured beta by beta_rule(delta)
     rep = stability_sweep(
-        case, [float(d) for d in inv["deltas"]],
-        _recon_config(inv, float(inv["beta"])),
+        case, [float(d) for d in inv["deltas"]], cfg.reconstruction,
         seeds=[int(s) for s in inv["seeds"]],
         beta_rule=lambda d: beta_scale * d * d,
         noisy_slices=bool(inv["noisy_slices"]),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (
     SPACE_TIME,
@@ -326,12 +325,14 @@ def conormal_operator(c: CoeffSet, which: str, face: Face,
     """Conormal derivative sum_j m_ij (d_j u) nu_i of A (``which`` "A", m = a2)
     or B ("B", m = b2) on ``face``, as a sparse operator from the raveled
     space-time state to the trace ordered like ``face_values(...).ravel()``;
-    ``dx[j]`` is the ``derivative_matrix`` along axis j.
+    ``dx[j]`` is the ``inverse.derivative_matrix`` along axis j.
 
     Gradients use the shared stencils (one-sided in the face-normal
     direction), so on sampled fields this is accurate to second order, not
     exact.
     """
+    import scipy.sparse as sp  # only the inverse assembly builds this operator
+
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
     g = c.grid

@@ -9,7 +9,7 @@ published table can be traced back to its exact inputs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -18,6 +18,7 @@ import yaml
 from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
+from .inverse import ReconstructionConfig, load_scipy
 
 __all__ = ["ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config"]
 
@@ -121,10 +122,15 @@ def _merge(defaults: Any, override: Any) -> Any:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully resolved experiment configuration."""
+    """Validated, fully resolved experiment configuration.
+
+    ``reconstruction`` holds the penalties, ridge and tolerance of the
+    ``inverse`` section of an inverse experiment (None otherwise).
+    """
 
     experiment: str
     resolved: dict[str, Any]
+    reconstruction: Optional[ReconstructionConfig] = None
 
     def section(self, name: str) -> dict[str, Any]:
         return self.resolved[name]
@@ -329,4 +335,15 @@ def load_config(path: Optional[str], experiment: Optional[str] = None,
     problems = _validate_values(exp, resolved)
     if problems:
         raise ConfigError("invalid config values: " + "; ".join(problems))
-    return ExperimentConfig(experiment=exp, resolved=resolved)
+    reconstruction = None
+    if "inverse" in resolved:
+        inv = resolved["inverse"]
+        try:
+            reconstruction = ReconstructionConfig(
+                **{f.name: float(inv[f.name]) for f in fields(ReconstructionConfig)})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"inverse: {exc}") from exc
+        # the solver's SciPy modules load with the config, not in the run
+        load_scipy()
+    return ExperimentConfig(experiment=exp, resolved=resolved,
+                            reconstruction=reconstruction)

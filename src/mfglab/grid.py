@@ -5,12 +5,13 @@ acts on fields sampled on a :class:`Grid`.  The grid is a uniform tensor
 product of 1 or 2 spatial axes and one time axis; field arrays carry the
 spatial axes first and time last, ``values[ix, (iy,), it]``.
 
-The stencil weights are written here and only here, in :func:`stencil`.
-Field derivatives apply those 1-D matrices along an axis
+The stencil weights are written here and only here, in :func:`stencil`,
+as the first, interior and last rows of a 1-D derivative.  Field
+derivatives apply those rows along an axis by slicing
 (:func:`apply_stencil`), and on the faces of gamma through
-:func:`gamma_jets`; least-squares assembly embeds the same matrices in
-the raveled space-time lattice (:func:`derivative_matrix`).  There is no
-other closure in the package.
+:func:`gamma_jets`; the inverse solver's least-squares assembly builds
+sparse matrices from the same rows (``inverse.derivative_matrix``).  There
+is no other closure in the package.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -29,10 +30,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Face",
@@ -301,12 +301,26 @@ def face_quad_weights(grid: Grid, face: Face) -> np.ndarray:
 # stencils
 
 
+class Stencil(NamedTuple):
+    """The rows of a 1-D derivative, each weight divided by ``h**order``.
+
+    ``first`` acts on the first ``len(first)`` nodes and ``last`` on the
+    last ``len(last)``; every interior node i takes ``weight`` times node
+    ``i + offset`` for the ``(offset, weight)`` pairs of ``interior``.  Each
+    row lists its weights in node order.
+    """
+
+    first: tuple[float, ...]
+    interior: tuple[tuple[int, float], ...]
+    last: tuple[float, ...]
+
+
 @lru_cache(maxsize=128)
-def stencil(n: int, h: float, order: int) -> sp.csr_matrix:
-    """Sparse 1-D derivative of ``order`` 1 or 2 on ``n`` nodes of spacing ``h``.
+def stencil(h: float, order: int) -> Stencil:
+    """Rows of the 1-D derivative of ``order`` 1 or 2 at node spacing ``h``.
 
     Central weights in the interior, second-order one-sided weights at both
-    ends.  The matrix is cached and shared by every caller: do not mutate it.
+    ends.
     """
     if order == 1:
         interior = {-1: -0.5, 1: 0.5}
@@ -316,43 +330,65 @@ def stencil(n: int, h: float, order: int) -> sp.csr_matrix:
         first, last = (2.0, -5.0, 4.0, -1.0), (-1.0, 4.0, -5.0, 2.0)
     else:
         raise ValueError(f"stencil order must be 1 or 2, got {order}")
-    m = sp.diags(list(interior.values()), list(interior), shape=(n, n), format="lil")
-    m[0, :len(first)] = first
-    m[n - 1, n - len(last):] = last
-    m = m.tocsr()
-    m.data /= h**order  # true division, like np.gradient's end weights
-    return m
+    scale = h**order  # true division, like np.gradient's end weights
+    return Stencil(tuple(w / scale for w in first),
+                   tuple((off, w / scale) for off, w in interior.items()),
+                   tuple(w / scale for w in last))
+
+
+@lru_cache(maxsize=128)
+def _end_weights(h: float, order: int) -> tuple[np.ndarray, ...]:
+    """Per node of the end rows (both have the same length), its weight in
+    the first and in the last row as a 2 x 1 column."""
+    rows = stencil(h, order)
+    columns = tuple(np.array([[a], [b]]) for a, b in zip(rows.first, rows.last))
+    for col in columns:
+        col.flags.writeable = False  # cached and shared by every caller
+    return columns
+
+
+def _sum_terms(dst: np.ndarray, terms: Sequence[tuple[np.ndarray, float]],
+               scratch: np.ndarray) -> None:
+    """``dst = sum(x * w for x, w in terms)``, added in order."""
+    (x, w), *rest = terms
+    np.multiply(x, w, out=dst)
+    for x, w in rest:
+        np.multiply(x, w, out=scratch)
+        dst += scratch
 
 
 def apply_stencil(values: np.ndarray, h: float, order: int, axis: int) -> np.ndarray:
-    """Derivative of ``order`` along ``axis`` of an array of any rank."""
-    moved = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = moved.shape[0]
-    out = stencil(n, h, order) @ moved.reshape(n, -1)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    """Derivative of ``order`` along ``axis`` of an array of any rank.
 
-
-def kron_axes(sizes: Sequence[int], factors: Mapping[int, sp.spmatrix]) -> sp.csr_matrix:
-    """Embed 1-D factors in the raveled (C-order) lattice of shape ``sizes``.
-
-    ``factors[axis]`` acts along that axis (it may be rectangular, e.g. a
-    row selecting one node); every other axis gets the identity.
+    Each node sums its row's products in node order, starting from 0.0, as
+    a sparse matrix-vector product sums a row, so the result equals the
+    derivative matrix times the raveled array bit for bit, signed zeros
+    included.  The output is laid out like that product: C order with
+    ``axis`` moved to the front.
     """
-    out = sp.identity(1, format="csr")
-    for ax, n in enumerate(sizes):
-        out = sp.kron(out, factors.get(ax, sp.identity(n, format="csr")), format="csr")
-    return out
-
-
-def derivative_matrix(sizes: Sequence[int], spacings: Sequence[float],
-                      axes: Sequence[int]) -> sp.csr_matrix:
-    """Sparse derivative along ``axes`` on the raveled lattice ``sizes``.
-
-    An axis listed twice is a second derivative, two distinct axes a mixed
-    one; the 1-D matrices are those of :func:`stencil`.
-    """
-    return kron_axes(sizes, {ax: stencil(sizes[ax], spacings[ax], k)
-                             for ax, k in Counter(axes).items()})
+    x = np.asarray(values, dtype=float)
+    n = x.shape[axis]
+    rows = stencil(h, order)
+    width = len(rows.first)
+    if n <= width:
+        raise ValueError(f"a derivative of order {order} needs more than "
+                         f"{width} nodes along the axis, got {n}")
+    a = axis % x.ndim
+    moved = np.ascontiguousarray(x.transpose(a, *range(a), *range(a + 1, x.ndim)))
+    src = moved.reshape(n, -1)
+    out = np.empty(moved.shape)
+    dst = out.reshape(n, -1)
+    scratch = np.empty((n - 2, src.shape[1]))
+    _sum_terms(dst[1:-1], [(src[1 + off:n - 1 + off], w) for off, w in rows.interior],
+               scratch)
+    # the first and the last row at once: node k of each end row, paired
+    step = n - width
+    _sum_terms(dst[::n - 1], [(src[k:k + step + 1:step], w)
+                              for k, w in enumerate(_end_weights(h, order))],
+               scratch[:2])
+    # 0.0 + s is s, but -0.0 turns into +0.0 as in a sum started from 0.0
+    out += 0.0
+    return out.transpose(*range(1, a + 1), 0, *range(a + 1, x.ndim))
 
 
 def _derivative(values: np.ndarray, spacings: Sequence[float],
@@ -416,7 +452,7 @@ def gamma_jets(grid: Grid, values: np.ndarray) -> dict[Face, FaceJet]:
     Each entry equals the face of the matching :func:`diff` bit for bit.
     The time and tangential derivatives apply the stencil to the trace; the
     normal derivative applies the stencil's end row to the nodes next to the
-    face, summed in row order from 0.0 like the sparse product.
+    face, summed in node order from 0.0 like :func:`apply_stencil`.
     """
     jets = {}
     for face in sorted(grid.gamma):
@@ -427,11 +463,12 @@ def gamma_jets(grid: Grid, values: np.ndarray) -> dict[Face, FaceJet]:
                 # the trace keeps the other spatial axis first
                 grad.append(apply_stencil(value, grid.hs[ax], 1, 0))
                 continue
-            m = stencil(grid.nx[ax], grid.hs[ax], 1)
-            row = 0 if face.side == 0 else grid.nx[ax] - 1
+            rows = stencil(grid.hs[ax], 1)
+            end, start = ((rows.first, 0) if face.side == 0
+                          else (rows.last, grid.nx[ax] - len(rows.last)))
             normal = 0.0
-            for k in range(m.indptr[row], m.indptr[row + 1]):
-                normal = normal + m.data[k] * np.take(values, m.indices[k], axis=ax)
+            for k, w in enumerate(end):
+                normal = normal + w * np.take(values, start + k, axis=ax)
             grad.append(normal)
         jets[face] = FaceJet(value, apply_stencil(value, grid.tau, 1, -1), tuple(grad))
     return jets

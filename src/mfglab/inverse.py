@@ -39,13 +39,15 @@ sweeps fit the log-log slope of the error against the data perturbation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+
+# SciPy is imported inside the functions that use it: ``import mfglab``
+# imports this module, and the lab experiments need no SciPy submodule.
+# ``config.load_config`` imports them for an inverse experiment (``load_scipy``).
 
 from .coefficients import CoeffSet, conormal_operator, operator_terms
 from .grid import (
@@ -54,14 +56,13 @@ from .grid import (
     Face,
     Grid,
     GridFn,
-    derivative_matrix,
     diff,
     face_quad_weights,
     face_values,
     gamma_jets,
-    kron_axes,
     node_index,
     norm,
+    stencil,
 )
 from .models import CaseEnsemble, ManufacturedCase, residual, resampled_cases
 from .reports import stage
@@ -166,10 +167,14 @@ class ReconstructionConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.omega_pde <= 0:
-            raise ValueError("omega_pde must be positive")
-        if min(self.omega_gamma, self.omega_slice, self.omega_bc, self.beta) < 0:
-            raise ValueError("penalty weights must be >= 0")
+        # written so that a nan fails every comparison
+        if not 0 < self.omega_pde < math.inf:
+            raise ValueError("omega_pde must be positive and finite")
+        if not all(0 <= w < math.inf for w in (self.omega_gamma, self.omega_slice,
+                                                self.omega_bc, self.beta)):
+            raise ValueError("penalty weights must be finite and >= 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -202,6 +207,52 @@ class ReconstructionResult:
 # -- sparse operators on the raveled space-time state ------------------------
 
 
+def load_scipy() -> None:
+    """Import the SciPy modules of the solver, so that the first solve's
+    timed stages do not include their import."""
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
+def kron_axes(sizes: Sequence[int], factors: Mapping[int, sp.spmatrix]) -> sp.csr_matrix:
+    """Embed 1-D factors in the raveled (C-order) lattice of shape ``sizes``.
+
+    ``factors[axis]`` acts along that axis (it may be rectangular, e.g. a
+    row selecting one node); every other axis gets the identity.
+    """
+    import scipy.sparse as sp
+
+    out = sp.identity(1, format="csr")
+    for ax, n in enumerate(sizes):
+        out = sp.kron(out, factors.get(ax, sp.identity(n, format="csr")), format="csr")
+    return out
+
+
+def _stencil_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
+    """The rows of ``grid.stencil(h, order)`` as an n x n sparse matrix."""
+    import scipy.sparse as sp
+
+    rows = stencil(h, order)
+    m = sp.diags([w for _, w in rows.interior], [off for off, _ in rows.interior],
+                 shape=(n, n), format="lil")
+    m[0, :len(rows.first)] = rows.first
+    m[n - 1, n - len(rows.last):] = rows.last
+    return m.tocsr()
+
+
+def derivative_matrix(sizes: Sequence[int], spacings: Sequence[float],
+                      axes: Sequence[int]) -> sp.csr_matrix:
+    """Sparse derivative along ``axes`` on the raveled lattice ``sizes``.
+
+    An axis listed twice is a second derivative, two distinct axes a mixed
+    one.  The 1-D factors hold the rows of ``grid.stencil``: along one axis
+    the product with a raveled array equals ``grid.apply_stencil`` bit for
+    bit.
+    """
+    return kron_axes(sizes, {ax: _stencil_matrix(sizes[ax], spacings[ax], k)
+                             for ax, k in Counter(axes).items()})
+
+
 def _derivative_cache(g: Grid) -> Callable[[Sequence[int]], sp.csr_matrix]:
     """``derivative_matrix`` on the raveled space-time lattice of ``g``, each
     distinct derivative built once however often it is asked for."""
@@ -219,6 +270,8 @@ def _derivative_cache(g: Grid) -> Callable[[Sequence[int]], sp.csr_matrix]:
 def _operator_matrix(kind: str, c: CoeffSet,
                      deriv: Optional[Callable[[Sequence[int]], sp.csr_matrix]] = None
                      ) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     g = c.grid
     if deriv is None:
         deriv = _derivative_cache(g)
@@ -262,6 +315,8 @@ class _Block(_Term):
 def _build_blocks(data: InverseData, cfg: ReconstructionConfig) -> tuple[list[_Block], int]:
     """All rows of the objective except the ridge, which has no state
     columns and enters the reduced source system in closed form."""
+    import scipy.sparse as sp
+
     g = data.grid
     c = data.coeffs
     n_st = int(np.prod(g.shape))
@@ -369,6 +424,9 @@ class _LevelCholesky:
     """
 
     def __init__(self, k: sp.spmatrix, b: int):
+        import scipy.sparse as sp
+        from scipy.linalg import blas, lapack
+
         n = k.shape[0]
         if k.shape != (n, n) or b <= 0 or n % b:
             raise ValueError(f"a {k.shape} matrix does not split into levels of {b}")
@@ -437,6 +495,8 @@ class _LevelCholesky:
         lower triangle of ``K_kk`` into its packed slot (transposed for an
         odd level), its diagonal into ``tri_diag``, ``K_{k,k-1}`` into
         ``sub`` and ``K_{k,k-2}`` into ``far_diag`` and ``far_rest``."""
+        import scipy.sparse as sp
+
         b = self.b
         for lev in range(self.nt):
             ptr = k.indptr[lev * b:(lev + 1) * b + 1]
@@ -463,6 +523,8 @@ class _LevelCholesky:
         """``x = op(L_kk^-1) x`` (``side`` 0) or ``x op(L_kk^-1)`` (1) in place
         for level ``lev``, op the transpose when ``trans`` is 1; one column
         multiplied from the left goes through ``dtrmv``."""
+        from scipy.linalg import blas
+
         j, odd = divmod(lev, 2)
         self._slot_diag[:, j] = self.tri_diag[:, lev]
         a = self.tri[:, :, j]
@@ -491,6 +553,8 @@ class _LevelCholesky:
         """``K^-1`` applied in place to ``m`` right-hand sides held level by
         level: ``y`` is an F-ordered (b, m, nt) array whose ``y[:, :, k]`` is
         their F-contiguous b x m block of level k.  Returns ``y``."""
+        from scipy.linalg import blas
+
         b, nt = self.b, self.nt
         if y.ndim != 3 or (y.shape[0], y.shape[2]) != (b, nt) \
                 or not y.flags.f_contiguous or y.dtype != np.float64:
@@ -606,6 +670,8 @@ def _level_rows(ay: sp.csc_matrix,
     of level k touch one contiguous range of rows: those whose first level
     is k - 2 to k.  Returns the row order and, per level, that range
     ``lo, hi`` with the level's block of ``ay[order]`` in it."""
+    import scipy.sparse as sp
+
     nt = ay.shape[1] // b
     first = np.full(ay.shape[0], nt)
     np.minimum.at(first, ay.indices, np.repeat(np.arange(ay.shape[1]) // b,
@@ -635,6 +701,10 @@ def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduct
     ``reports.recording`` its stages are timed as ``assemble_s``,
     ``factor_s``, ``eliminate_s`` and ``qr_svd_s``.
     """
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    from scipy.linalg import lapack
+
     with stage("assemble_s"):
         g = data.grid
         blocks, dim_x = _build_blocks(data, cfg)
@@ -734,6 +804,8 @@ def _solve(red: SourceReduction, b: np.ndarray, betas: Sequence[float]
     order), the residuals ``A x - b`` (rows x m, block row order) and the
     relative normal residual of each column.
     """
+    from scipy.linalg import blas, lapack
+
     m = b.shape[1]
     ay, az, chol = red.ay, red.az, red.chol
 
@@ -803,6 +875,8 @@ def reconstruct(data: InverseData, cfg: ReconstructionConfig,
     ``tol`` is flagged, not raised.  Inside ``reports.recording`` the solve
     after the reduction's stages is timed as ``solve_s``.
     """
+    from scipy.linalg import blas
+
     flags: list[str] = []
     if cfg.beta == 0.0 and data.delta > 0.0:
         flags.append("beta=0 with noisy data: ridge-free fit is ill-advised")

@@ -12,6 +12,7 @@ evidence, a ratio that blows up is a finding.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -35,6 +36,7 @@ __all__ = [
     "evaluate_estimate",
     "generate_ensemble",
     "lemma3_check",
+    "lemma3_factors",
 ]
 
 ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_9")
@@ -389,13 +391,27 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     return _pairs(kind, member, _Cells((kind,), (bundle,), 1, bundle.grid))[0]
 
 
-def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
+def lemma3_factors(p: int, bundle: WeightBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The weight factors of :func:`lemma3_check` on one cell: power ``p``
+    for the antiderivative, one power and one power of lambda lower for the
+    field."""
+    return bundle.weight_factor(p), bundle.weight_factor(p - 1, lam_power=-1)
+
+
+def lemma3_check(w: GridFn, p: int, bundle: WeightBundle,
+                 factors: Optional[tuple[np.ndarray, np.ndarray]] = None
+                 ) -> EstimateSidePair:
     """Integral-operator estimate: the weighted time antiderivative from t0
-    against the weighted field itself, one weight power lower."""
+    against the weighted field itself, one weight power lower.
+
+    ``factors`` is ``lemma3_factors(p, bundle)``; a caller that checks many
+    fields on one cell builds it once and passes it to each check.
+    """
     if w.kind != SPACE_TIME:
         raise ValueError("lemma3_check requires a space-time field")
     if p < 0:
         raise ValueError("p must be >= 0")
+    lhs_factor, rhs_factor = lemma3_factors(p, bundle) if factors is None else factors
     g = w.grid
     # cumulative trapezoid rule along time, starting from 0 at the first node
     y = w.values
@@ -403,9 +419,8 @@ def lemma3_check(w: GridFn, p: int, bundle: WeightBundle) -> EstimateSidePair:
     cum = np.concatenate((np.zeros_like(y[..., :1]), steps), axis=g.dim)
     inner = cum - cum[..., g.it0][..., None]
     # the operand order of the sweeps' weighted squares
-    lhs = float(np.sum(g.st_weights * inner * inner * bundle.weight_factor(p)))
-    rhs = float(np.sum(g.st_weights * w.values * w.values
-                       * bundle.weight_factor(p - 1, lam_power=-1)))
+    lhs = float(np.sum(g.st_weights * inner * inner * lhs_factor))
+    rhs = float(np.sum(g.st_weights * w.values * w.values * rhs_factor))
     return EstimateSidePair(
         kind=f"LEMMA3(p={p})", params=bundle.params,
         lhs_terms={"antiderivative": lhs}, rhs_terms={"field": rhs},
@@ -654,7 +669,8 @@ def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep) -> VerificationRepor
     rows, cell_max, invalid = sweep
     valid_vals = [v for c, v in cell_max.items() if c not in invalid]
     c_emp = max(valid_vals) if valid_vals else math.inf
-    med = float(np.median(valid_vals)) if valid_vals else math.inf
+    # statistics, not np.median, whose first call imports numpy.ma (20 ms)
+    med = statistics.median(valid_vals) if valid_vals else math.inf
     flagged = tuple(c for c, v in cell_max.items()
                     if c not in invalid and med > 0 and v > 10.0 * med)
     s0, lam0 = _stabilization(lam_grid, s_grid, cell_max)

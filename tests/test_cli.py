@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,3 +340,66 @@ def test_lemma3_builds_each_cell_bundle_once(monkeypatch):
     assert [row[:4] for row in report.tables[0].rows] == [
         (p, lam, s, i) for p in config.section("lemma3")["p_values"]
         for lam, s in cells for i in range(ens["n"])]
+
+
+def test_lemma3_builds_each_weight_factor_once_per_cell(monkeypatch):
+    from mfglab.cli import run
+    from mfglab.config import load_config
+    from mfglab.weights import WeightBundle
+
+    calls = []
+    weight_factor = WeightBundle.weight_factor
+
+    def counted(self, m=0, lam_power=0):
+        calls.append((self.params, m, lam_power))
+        return weight_factor(self, m, lam_power)
+
+    monkeypatch.setattr(WeightBundle, "weight_factor", counted)
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "lemma3.yaml"))
+    run(config)
+    # 8 cells x 3 powers x (antiderivative, field), not once per member too
+    assert len(calls) == len(set(calls)) == 48
+
+
+@pytest.mark.parametrize("experiment", ["reconstruct", "stability-sweep"])
+def test_bad_inverse_penalty_fails_with_code_2_before_the_case(tmp_path, capsys,
+                                                               monkeypatch, experiment):
+    import mfglab.cli
+
+    built = []
+    monkeypatch.setattr(mfglab.cli, "_inverse_case", lambda *args: built.append(args))
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"experiment: {experiment}\ninverse: {{omega_pde: -1.0}}\n",
+                   encoding="utf-8")
+    assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error: inverse: omega_pde must be positive" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_lab_runs_import_no_scipy_submodule(tmp_path):
+    """SciPy's sparse and linear-algebra modules load only for an inverse
+    experiment, when its config is loaded."""
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import json, sys
+import mfglab, mfglab.cli
+from mfglab.config import load_config
+heavy = ("scipy.sparse", "scipy.linalg")
+seen = {"import": [m for m in heavy if m in sys.modules]}
+mfglab.cli.run(load_config(sys.argv[1], overrides={"output.dir": sys.argv[2]}))
+seen["lemma3"] = [m for m in heavy if m in sys.modules]
+load_config(sys.argv[3])
+seen["inverse config"] = [m for m in ("mfglab.inverse", *heavy) if m in sys.modules]
+from mfglab import reconstruct
+print(json.dumps(seen))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "configs" / "lemma3.yaml"),
+         str(tmp_path), str(root / "configs" / "reconstruct_clean.yaml")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == {"import": [], "lemma3": [],
+                               "inverse config": ["mfglab.inverse", "scipy.sparse",
+                                                  "scipy.linalg"]}

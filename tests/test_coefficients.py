@@ -11,7 +11,8 @@ from mfglab.coefficients import (
     coefficient_bound,
     conormal_operator,
 )
-from mfglab.grid import GridFn, build_grid, derivative_matrix, face_values, parse_face
+from mfglab.grid import GridFn, build_grid, face_values, parse_face
+from mfglab.inverse import derivative_matrix
 
 
 def grid_1d(nx=33, nt=33):

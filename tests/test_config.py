@@ -134,3 +134,33 @@ def test_case_needs_both_states(tmp_path):
 def test_case_defaults_to_random_draw():
     cfg = load_config(None, experiment="stability-sweep")
     assert cfg.case_fields() is None
+
+
+def test_inverse_section_builds_its_reconstruction_config_once():
+    from pathlib import Path
+
+    from mfglab.inverse import ReconstructionConfig
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = load_config(str(configs / "reconstruct_clean.yaml"))
+    assert cfg.reconstruction == ReconstructionConfig(
+        omega_pde=10.0, omega_gamma=1.0, omega_slice=1000.0, omega_bc=1000.0,
+        beta=1e-10, tol=1e-6)
+    assert load_config(str(configs / "lemma3.yaml")).reconstruction is None
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("omega_bc: -1.0", "penalty weights must be finite and >= 0"),
+    ("omega_gamma: .inf", "penalty weights must be finite"),
+    ("beta: .nan", "penalty weights must be finite"),
+    ("omega_pde: .nan", "omega_pde must be positive and finite"),
+    ("tol: -1.0", "tol must be positive and finite"),
+    ("tol: [1]", "float"),
+    ("beta: abc", "could not convert"),
+])
+def test_bad_inverse_values_are_config_errors(tmp_path, entry, message):
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"experiment: reconstruct\ninverse: {{{entry}}}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as err:
+        load_config(str(p))
+    assert str(err.value).startswith("inverse: ")

@@ -6,6 +6,7 @@ import pytest
 from mfglab.grid import (
     GridFn,
     _fsum_quad,
+    apply_stencil,
     build_grid,
     diff,
     face_quad_weights,
@@ -14,6 +15,7 @@ from mfglab.grid import (
     norm,
     parse_face,
 )
+from mfglab.inverse import derivative_matrix
 from mfglab.statedet import trace_data_norms
 
 
@@ -281,3 +283,46 @@ def test_refined_grid():
     f = g.refined(2)
     assert f.nx == (129,) and f.nt == 129
     assert f.gamma == g.gamma
+
+
+# n = 5: the end rows of the second derivative reach across the interior
+@pytest.mark.parametrize("n", [5, 6, 65])
+@pytest.mark.parametrize("order", [1, 2])
+def test_apply_stencil_equals_derivative_matrix_bit_for_bit(n, order):
+    """Values and signs of zero equal the sparse product's, on every axis of
+    1-D to 3-D arrays, on C-ordered and non-contiguous inputs."""
+    rng = np.random.default_rng(10 * n + order)
+    h = 1.0 / (n - 1)
+
+    def with_zeros(shape):
+        # about a third of the entries +0.0 or -0.0, so that some rows have
+        # only -0.0 products, which a sum started from 0.0 turns into +0.0
+        x = rng.normal(size=shape)
+        zero = rng.random(shape) < 0.35
+        x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        return x
+
+    cube = with_zeros((n, 4, n))
+    cases = [with_zeros((n,)), with_zeros((n, 3)), with_zeros((3, n)),
+             with_zeros((n, 3, 4)), with_zeros((3, n, 4)), with_zeros((4, 3, n)),
+             with_zeros((3, n)).T,   # a transposed view
+             cube[:, 0, :],          # a face trace
+             np.zeros((n, 3)), -np.zeros((n, 3))]
+    for x in cases:
+        assert x.dtype == float
+        for axis in range(x.ndim):
+            if x.shape[axis] != n:
+                continue
+            dm = derivative_matrix(x.shape, (h,) * x.ndim, (axis,) * order)
+            want = (dm @ x.ravel()).reshape(x.shape)
+            for ax in (axis, axis - x.ndim):
+                got = apply_stencil(x, h, order, ax)
+                assert np.array_equal(got, want), (x.shape, ax)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (x.shape, ax)
+
+
+def test_apply_stencil_needs_more_nodes_than_an_end_row():
+    with pytest.raises(ValueError, match="more than 4 nodes"):
+        apply_stencil(np.ones((4, 3)), 0.1, 2, 0)
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        apply_stencil(np.ones(9), 0.1, 3, 0)

@@ -12,7 +12,6 @@ from mfglab.grid import (
     SPACE_TIME,
     GridFn,
     build_grid,
-    derivative_matrix,
     diff,
     face_values,
     node_index,
@@ -21,6 +20,7 @@ from mfglab.models import mms_case_ensemble, mms_linear
 from mfglab.inverse import (
     InverseData,
     ReconstructionConfig,
+    derivative_matrix,
     direct_formula_oracle,
     make_inverse_data,
     reconstruct,

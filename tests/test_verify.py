@@ -24,6 +24,7 @@ from mfglab.verify import (
     evaluate_estimate,
     generate_ensemble,
     lemma3_check,
+    lemma3_factors,
 )
 from mfglab.weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -179,6 +180,17 @@ def test_lemma3_antiderivative_is_scipy_cumulative_trapezoid():
     inner = cum - cum[..., g.it0][..., None]
     lhs = float(np.sum(g.st_weights * inner * inner * bundle.weight_factor(1)))
     assert lemma3_check(w, 1, bundle).lhs == lhs
+
+
+def test_lemma3_check_with_shared_factors_is_unchanged():
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    bundle = eval_weight_bundle(build_eta(g), WeightParams(lam=2.0, s=8.0), g)
+    rng = np.random.default_rng(19)
+    for p in (0, 1, 2):
+        factors = lemma3_factors(p, bundle)
+        for _ in range(2):
+            w = GridFn(g, "space-time", rng.normal(size=g.shape))
+            assert lemma3_check(w, p, bundle, factors) == lemma3_check(w, p, bundle)
 
 
 def test_import_leaves_scipy_integrate_unloaded():

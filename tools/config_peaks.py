@@ -6,8 +6,11 @@ Runs each config in ``configs/`` (the six lab configs and the two inverse
 configs that ``compare_lab_hashes.py`` lists) through the CLI of a checkout
 (default: this one), one process per config, and prints the peak resident
 set size (``ru_maxrss`` of that process) with the run's ``wall_time_s`` and
-its stage ``timings`` from its ``report.json``.  The first line is a
-process that only imports the library, which every config's peak includes.
+its stage ``timings`` from its ``report.json``.  The first two lines are
+floors: a process that only imports the library ("imports only"), and one
+that also imports the SciPy modules of the inverse solver ("imports +
+inverse"), as ``load_config`` does for an inverse config.  A lab config's
+peak includes the first floor, an inverse config's peak the second.
 
 Given two checkouts, it prints each config's peak in both and the change
 from BASE_DIR to HEAD_DIR; the two runs of a config alternate which
@@ -35,6 +38,10 @@ import yaml
 from compare_lab_hashes import INVERSE_CONFIGS, LAB_CONFIGS
 
 IMPORTS = "imports only"
+IMPORTS_INVERSE = "imports + inverse"
+# the code each floor process runs
+FLOORS = {IMPORTS: "import mfglab.cli",
+          IMPORTS_INVERSE: "import mfglab.cli, scipy.linalg, scipy.sparse"}
 
 
 def peak_rss_mb(argv: list[str], root: Path,
@@ -54,11 +61,10 @@ def peak_rss_mb(argv: list[str], root: Path,
 
 def run_config(root: Path, name: str, env: dict[str, str]):
     """Peak MB, wall seconds and stage seconds of one config of ``root``
-    (``IMPORTS``: a process that imports the library), or a string saying why
-    there are none."""
-    if name == IMPORTS:
-        rss, code, err = peak_rss_mb([sys.executable, "-c", "import mfglab.cli"],
-                                     root, env)
+    (a name in ``FLOORS``: the floor process), or a string saying why there
+    are none."""
+    if name in FLOORS:
+        rss, code, err = peak_rss_mb([sys.executable, "-c", FLOORS[name]], root, env)
         return (rss, None, {}) if code == 0 else f"failed ({err})"
     config = root / "configs" / f"{name}.yaml"
     if not config.exists():
@@ -90,7 +96,7 @@ def main(argv: list[str]) -> int:
     roots = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parents[1]]
     base: Optional[Path] = roots[0] if len(roots) == 2 else None
     head = roots[-1]
-    names = (IMPORTS,) + LAB_CONFIGS + INVERSE_CONFIGS
+    names = tuple(FLOORS) + LAB_CONFIGS + INVERSE_CONFIGS
     with tempfile.TemporaryDirectory() as prefix:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
         warm = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
