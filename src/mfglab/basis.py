@@ -107,32 +107,43 @@ class SeparableField:
             part = np.multiply.outer(part, self._axis_factor(term, a, xs[a]))
         return part
 
+    def _by_factor(self, grid: Grid) -> list[tuple[Term, np.ndarray]]:
+        """One term per distinct spatial factor (kinds, modes), in order of
+        first appearance, with the time profile that factor multiplies: the
+        sum of ``coeff * (t/T)**tpow`` over its terms, on the grid's times.
+        A field is then one outer product per spatial factor, not per term."""
+        tfac = grid.ts / self.T
+        groups: dict[tuple, tuple[Term, np.ndarray]] = {}
+        for term in self.terms:
+            key = (term.kinds, term.modes)
+            if key not in groups:
+                groups[key] = (term, np.zeros(grid.nt))
+            profile = groups[key][1]
+            profile += term.coeff * tfac**term.tpow
+        return list(groups.values())
+
     def sample(self, grid: Grid) -> GridFn:
         self._check_domain(grid)
         vals = np.zeros(grid.shape)
-        tfac = grid.ts / self.T
-        for term in self.terms:
-            sp = self._space_part(term, grid.xs)
-            vals += term.coeff * np.multiply.outer(sp, tfac**term.tpow)
+        for term, profile in self._by_factor(grid):
+            vals += np.multiply.outer(self._space_part(term, grid.xs), profile)
         return GridFn(grid, SPACE_TIME, vals)
 
     def sample_face(self, grid: Grid, face: Face) -> np.ndarray:
         """Exact trace on one boundary face, shaped like the face node set."""
         self._check_domain(grid)
         xval = self.lengths[face.axis] if face.side == 1 else 0.0
-        tfac = grid.ts / self.T
         if grid.dim == 1:
             out = np.zeros(grid.nt)
-            for term in self.terms:
-                fx = self._axis_factor(term, 0, np.asarray(xval))
-                out += term.coeff * float(fx) * tfac**term.tpow
+            for term, profile in self._by_factor(grid):
+                out += float(self._axis_factor(term, 0, np.asarray(xval))) * profile
             return out
         tang = 1 - face.axis
         out = np.zeros((grid.nx[tang], grid.nt))
-        for term in self.terms:
+        for term, profile in self._by_factor(grid):
             fn = float(self._axis_factor(term, face.axis, np.asarray(xval)))
             ft = self._axis_factor(term, tang, grid.xs[tang])
-            out += term.coeff * fn * np.multiply.outer(ft, tfac**term.tpow)
+            out += np.multiply.outer(fn * ft, profile)
         return out
 
     def max_abs_face_dx(self, grid: Grid, face: Face,

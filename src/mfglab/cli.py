@@ -116,7 +116,8 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
         return dict(zip(group, reports))
 
     # one sweep call per ensemble: the energy-slice kinds run on manufactured
-    # cases, every other kind on the function ensemble
+    # cases, every other kind on the function ensemble; the ensemble is built
+    # in the call, so the sweep can free it before its refined pass
     fn_kinds = list(dict.fromkeys(k for k in kinds if k not in ENERGY_KINDS))
     case_kinds = list(dict.fromkeys(k for k in kinds if k in ENERGY_KINDS))
     reports = sweep(fn_kinds, lambda: _build_function_ensemble(cfg, grid))
@@ -273,9 +274,11 @@ def _ceps_table(rep) -> ResultTable:
 def _run_state_det(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.build_grid()
     recipe = cfg.coeff_recipe()
-    ens = _build_function_ensemble(cfg, grid)
     sd = cfg.section("statedet")
-    rep = thm1_experiment(ens, recipe, cfg.epsilons(), refine=bool(sd["refine"]))
+    # no reference of our own: the experiment frees the coarse ensemble
+    # before its refined pass
+    rep = thm1_experiment(_build_function_ensemble(cfg, grid), recipe,
+                          cfg.epsilons(), refine=bool(sd["refine"]))
     summary = {
         "per_eps_max": {repr(k): v for k, v in rep.per_eps_max.items()},
         "drift": rep.drift,

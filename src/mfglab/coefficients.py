@@ -19,9 +19,11 @@ import numpy as np
 
 from .grid import (
     SPACE_TIME,
+    DiffMemo,
     Face,
     Grid,
     GridFn,
+    as_memo,
     diff,
     face_values,
     node_index,
@@ -308,16 +310,16 @@ def operator_terms(kind: str, c: CoeffSet) -> list[tuple[np.ndarray, tuple[int, 
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def apply_operator(kind: str, f: GridFn, c: CoeffSet) -> GridFn:
-    """Apply A, B, or the second-order coupling operator A0 to a field."""
-    if f.kind != SPACE_TIME:
-        raise ValueError("apply_operator requires a space-time field")
-    if f.grid is not c.grid and f.grid != c.grid:
+def apply_operator(kind: str, f: Union[GridFn, DiffMemo], c: CoeffSet) -> GridFn:
+    """Apply A, B, or the second-order coupling operator A0 to a field; the
+    derivatives are read through ``f`` when it is a :class:`DiffMemo`."""
+    m = as_memo(f)  # refuses a field that is not space-time
+    if m.grid is not c.grid and m.grid != c.grid:
         raise ValueError("field and coefficients live on different grids")
-    out = np.zeros(f.grid.shape)
+    out = np.zeros(m.grid.shape)
     for coef, axes in operator_terms(kind, c):
-        out += coef * diff(f, x=axes).values
-    return GridFn(f.grid, SPACE_TIME, out)
+        out += coef * m.diff(x=axes).values
+    return GridFn(m.grid, SPACE_TIME, out)
 
 
 def conormal_operator(c: CoeffSet, which: str, face: Face,

@@ -11,7 +11,9 @@ derivatives apply those rows along an axis by slicing
 (:func:`apply_stencil`), and on the faces of gamma through
 :func:`gamma_jets`; the inverse solver's least-squares assembly builds
 sparse matrices from the same rows (``inverse.derivative_matrix``).  There
-is no other closure in the package.
+is no other closure in the package.  A :class:`DiffMemo` keeps the
+derivatives taken of one field, so that code sharing it (a swept member's
+residual, operators and norms) takes each derivative once.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -35,11 +37,13 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "DiffMemo",
     "Face",
     "FaceJet",
     "Grid",
     "GridFn",
     "NORM_KINDS",
+    "as_memo",
     "build_grid",
     "diff",
     "face_quad_weights",
@@ -431,6 +435,51 @@ def slice_diff(grid: Grid, slice_values: np.ndarray, x: Sequence[int]) -> np.nda
     return _derivative(np.asarray(slice_values, dtype=float), grid.hs, x)
 
 
+class DiffMemo:
+    """A space-time field with every derivative taken of it so far, each
+    computed once.
+
+    ``memo.diff(t_order=..., x=...)`` is :func:`diff` of the field, taken on
+    first use and kept, as a memo of its own: a path of derivatives (u_t,
+    then the spatial derivatives of u_t) is a chain of ``diff`` calls, and
+    the values equal the chained :func:`diff` calls bit for bit.  A path is
+    kept as written: ``x=(0, 1)`` and ``x=(1, 0)`` apply the stencils in
+    other orders, so they are two entries.  The derivatives live as long as
+    the memo; a sweep builds one per member and drops it with the member.
+    """
+
+    __slots__ = ("fn", "_taken")
+
+    def __init__(self, fn: GridFn):
+        if fn.kind != SPACE_TIME:
+            raise ValueError("a derivative memo requires a space-time field")
+        self.fn = fn
+        self._taken: dict[tuple[int, tuple[int, ...]], DiffMemo] = {}
+
+    @property
+    def grid(self) -> Grid:
+        return self.fn.grid
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.fn.values
+
+    def diff(self, *, t_order: int = 0, x: Sequence[int] = ()) -> "DiffMemo":
+        key = (t_order, tuple(int(a) for a in x))
+        if key == (0, ()):
+            return self
+        node = self._taken.get(key)
+        if node is None:
+            node = self._taken[key] = DiffMemo(diff(self.fn, t_order=t_order, x=x))
+        return node
+
+
+def as_memo(f: Union[GridFn, DiffMemo]) -> DiffMemo:
+    """``f`` itself when it is a :class:`DiffMemo`, else a new memo of ``f``
+    (which then shares derivatives only within the caller)."""
+    return f if isinstance(f, DiffMemo) else DiffMemo(f)
+
+
 # ---------------------------------------------------------------------------
 # faces of gamma
 
@@ -565,16 +614,18 @@ def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
     return math.sqrt(total)
 
 
-def h21_parts(f: GridFn) -> list[np.ndarray]:
+def h21_parts(f: Union[GridFn, DiffMemo]) -> list[np.ndarray]:
     """The fields whose squares make up the H^{2,1} norms: the value, the
-    gradient, every second spatial derivative and the time derivative."""
-    g = f.grid
-    parts = [f.values]
-    parts += [diff(f, x=(i,)).values for i in range(g.dim)]
+    gradient, every second spatial derivative and the time derivative;
+    read through ``f``'s derivatives when it is a :class:`DiffMemo`."""
+    m = as_memo(f)
+    g = m.grid
+    parts = [m.values]
+    parts += [m.diff(x=(i,)).values for i in range(g.dim)]
     parts += [
-        diff(f, x=(i, j)).values for i in range(g.dim) for j in range(g.dim)
+        m.diff(x=(i, j)).values for i in range(g.dim) for j in range(g.dim)
     ]
-    parts.append(diff(f, t_order=1).values)
+    parts.append(m.diff(t_order=1).values)
     return parts
 
 

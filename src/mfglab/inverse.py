@@ -64,7 +64,8 @@ from .grid import (
     norm,
     stencil,
 )
-from .models import CaseEnsemble, ManufacturedCase, residual, resampled_cases
+from .models import (CaseEnsemble, ManufacturedCase, case_recipes, residual,
+                     resampled_cases)
 from .reports import stage
 from .verify import EstimateSidePair
 from .weights import WeightParams
@@ -1154,7 +1155,7 @@ def thm2_constant(cases: CaseEnsemble, *, refine: bool = True) -> Thm2Report:
     if refine:
         # each refined case is built just before it is used
         fine = cases.cases[0].grid.refined(2)
-        _, fine_best = run(resampled_cases(cases.cases, fine))
+        _, fine_best = run(resampled_cases(case_recipes(cases.cases), fine))
         drift = fine_best / best if best > 0 else math.inf
     return Thm2Report(rows=tuple(rows), max_ratio=best, drift=drift,
                       max_ratio_refined=fine_best)

@@ -32,7 +32,7 @@ from .coefficients import (
     operator_terms,
     sample_spatial,
 )
-from .grid import SPACE_TIME, Face, Grid, GridFn, diff, face_values
+from .grid import SPACE_TIME, DiffMemo, Face, Grid, GridFn, as_memo, face_values
 
 __all__ = [
     "CaseEnsemble",
@@ -41,6 +41,7 @@ __all__ = [
     "MmsRejected",
     "NonlinearPair",
     "analytic_linear_residuals",
+    "case_recipes",
     "make_nonlinear_pair",
     "mms_case_ensemble",
     "mms_linear",
@@ -76,6 +77,17 @@ class CaseRecipe:
             q_mode=self.q_mode, recipe=self,
         )
 
+    def resample(self, grid: Grid,
+                 coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
+        """Build the case drawn from this recipe on another grid (``coeffs``
+        as in :meth:`build`).
+
+        The t0 modulation floor is relaxed to machine level here: it was
+        enforced where the case was drawn, and refined sampling may dip
+        slightly between the accepted coarse nodes.
+        """
+        return self.build(grid, q_min=1e-12, coeffs=coeffs)
+
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -96,18 +108,11 @@ class ManufacturedCase:
 
     def resample(self, grid: Grid,
                  coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
-        """Rebuild on another grid of the same domain (``coeffs`` as in
-        :meth:`CaseRecipe.build`).
-
-        The t0 modulation floor is relaxed to machine level here: it was
-        enforced where the case was drawn, and refined sampling may dip
-        slightly between the accepted coarse nodes.
-        """
-        if self.recipe is None:
-            raise ValueError("case has no recipe attached; cannot resample")
+        """Rebuild on another grid of the same domain through
+        :meth:`CaseRecipe.resample`."""
         if not grid.same_domain(self.grid):
             raise ValueError("resampling grid must share the domain")
-        return self.recipe.build(grid, q_min=1e-12, coeffs=coeffs)
+        return _recipe_of(self).resample(grid, coeffs=coeffs)
 
     def scaled(self, c: float) -> "ManufacturedCase":
         """Same case with all states and sources scaled by c (the
@@ -126,7 +131,7 @@ class ManufacturedCase:
         )
 
 
-def residual(kind: str, u: GridFn, v: GridFn,
+def residual(kind: str, u: Union[GridFn, DiffMemo], v: Union[GridFn, DiffMemo],
              coeffs: Optional[CoeffSet] = None,
              nl: Optional[NonlinearCoeffs] = None) -> tuple[GridFn, GridFn]:
     """Discrete residual pair of the linear or nonlinear system.
@@ -136,45 +141,59 @@ def residual(kind: str, u: GridFn, v: GridFn,
                Rv = d_t v - lap(a v) - div(k v grad u),
     with the composite terms expanded by the product rule and every
     derivative (including those of the coefficient fields) taken with the
-    shared stencils.
+    shared stencils.  A state given as a :class:`DiffMemo` has its
+    derivatives read through it, so a caller that keeps the memo takes
+    none of them again.
     """
-    if u.kind != SPACE_TIME or v.kind != SPACE_TIME:
+    if kind not in ("linear", "nonlinear"):
+        raise ValueError(f"unknown residual kind {kind!r}")
+    if any(isinstance(f, GridFn) and f.kind != SPACE_TIME for f in (u, v)):
         raise ValueError("residual requires space-time fields")
+    u, v = as_memo(u), as_memo(v)
     g = u.grid
-    if kind == "linear":
-        if coeffs is None:
-            raise ValueError("linear residual needs a CoeffSet")
-        ru = diff(u, t_order=1).values + apply_operator("A", u, coeffs).values \
-            - coeffs.c0 * v.values
-        rv = diff(v, t_order=1).values - apply_operator("B", v, coeffs).values \
-            - apply_operator("A0", u, coeffs).values
-        return GridFn(g, SPACE_TIME, ru), GridFn(g, SPACE_TIME, rv)
     if kind == "nonlinear":
         if nl is None:
             raise ValueError("nonlinear residual needs NonlinearCoeffs")
-        d = g.dim
-        grad_u = [diff(u, x=(i,)).values for i in range(d)]
-        grad_v = [diff(v, x=(i,)).values for i in range(d)]
-        lap_u = sum(diff(u, x=(i, i)).values for i in range(d))
-        lap_v = sum(diff(v, x=(i, i)).values for i in range(d))
-        a_fn = GridFn(g, SPACE_TIME, nl.a)
-        k_fn = GridFn(g, SPACE_TIME, nl.kappa)
-        grad_a = [diff(a_fn, x=(i,)).values for i in range(d)]
-        lap_a = sum(diff(a_fn, x=(i, i)).values for i in range(d))
-        grad_k = [diff(k_fn, x=(i,)).values for i in range(d)]
-        gu_sq = sum(gi * gi for gi in grad_u)
-        ru = diff(u, t_order=1).values + nl.a * lap_u - 0.5 * nl.kappa * gu_sq \
-            + nl.p * v.values
-        # lap(a v) = a lap v + 2 grad a . grad v + v lap a
-        lap_av = nl.a * lap_v + 2.0 * sum(ga * gv for ga, gv in zip(grad_a, grad_v)) \
-            + v.values * lap_a
-        # div(k v grad u) = (k grad v + v grad k) . grad u + k v lap u
-        div_term = sum((nl.kappa * gv + v.values * gk) * gu
-                       for gv, gk, gu in zip(grad_v, grad_k, grad_u)) \
-            + nl.kappa * v.values * lap_u
-        rv = diff(v, t_order=1).values - lap_av - div_term
-        return GridFn(g, SPACE_TIME, ru), GridFn(g, SPACE_TIME, rv)
-    raise ValueError(f"unknown residual kind {kind!r}")
+        return _nonlinear_residual(u, v, nl, *_nonlinear_memos(nl))
+    if coeffs is None:
+        raise ValueError("linear residual needs a CoeffSet")
+    ru = u.diff(t_order=1).values + apply_operator("A", u, coeffs).values \
+        - coeffs.c0 * v.values
+    rv = v.diff(t_order=1).values - apply_operator("B", v, coeffs).values \
+        - apply_operator("A0", u, coeffs).values
+    return GridFn(g, SPACE_TIME, ru), GridFn(g, SPACE_TIME, rv)
+
+
+def _nonlinear_memos(nl: NonlinearCoeffs) -> tuple[DiffMemo, DiffMemo]:
+    """Derivative memos of the diffusion a and the Hamiltonian weight kappa."""
+    return tuple(DiffMemo(GridFn(nl.grid, SPACE_TIME, f)) for f in (nl.a, nl.kappa))
+
+
+def _nonlinear_residual(u: DiffMemo, v: DiffMemo, nl: NonlinearCoeffs,
+                        a: DiffMemo, kappa: DiffMemo) -> tuple[GridFn, GridFn]:
+    """The nonlinear pair of :func:`residual`, with ``a`` and ``kappa`` the
+    memos of ``nl.a`` and ``nl.kappa``."""
+    g = u.grid
+    d = g.dim
+    grad_u = [u.diff(x=(i,)).values for i in range(d)]
+    grad_v = [v.diff(x=(i,)).values for i in range(d)]
+    lap_u = sum(u.diff(x=(i, i)).values for i in range(d))
+    lap_v = sum(v.diff(x=(i, i)).values for i in range(d))
+    grad_a = [a.diff(x=(i,)).values for i in range(d)]
+    lap_a = sum(a.diff(x=(i, i)).values for i in range(d))
+    grad_k = [kappa.diff(x=(i,)).values for i in range(d)]
+    gu_sq = sum(gi * gi for gi in grad_u)
+    ru = u.diff(t_order=1).values + nl.a * lap_u - 0.5 * nl.kappa * gu_sq \
+        + nl.p * v.values
+    # lap(a v) = a lap v + 2 grad a . grad v + v lap a
+    lap_av = nl.a * lap_v + 2.0 * sum(ga * gv for ga, gv in zip(grad_a, grad_v)) \
+        + v.values * lap_a
+    # div(k v grad u) = (k grad v + v grad k) . grad u + k v lap u
+    div_term = sum((nl.kappa * gv + v.values * gk) * gu
+                   for gv, gk, gu in zip(grad_v, grad_k, grad_u)) \
+        + nl.kappa * v.values * lap_u
+    rv = v.diff(t_order=1).values - lap_av - div_term
+    return GridFn(g, SPACE_TIME, ru), GridFn(g, SPACE_TIME, rv)
 
 
 def analytic_linear_residuals(u_field: SeparableField, v_field: SeparableField,
@@ -289,11 +308,23 @@ class CaseEnsemble:
         return len(self.cases)
 
 
-def resampled_cases(cases: Iterable[ManufacturedCase], grid: Grid,
+def _recipe_of(case: ManufacturedCase) -> CaseRecipe:
+    if case.recipe is None:
+        raise ValueError("case has no recipe attached; cannot resample")
+    return case.recipe
+
+
+def case_recipes(cases: Iterable[ManufacturedCase]) -> list[CaseRecipe]:
+    """The recipe of each case, which is all a refined pass needs of it."""
+    return [_recipe_of(c) for c in cases]
+
+
+def resampled_cases(recipes: Iterable[CaseRecipe], grid: Grid,
                     sampled: Optional[tuple[CoeffRecipe, CoeffSet]] = None
                     ) -> Iterator[ManufacturedCase]:
-    """Each case rebuilt on ``grid`` only when it is asked for, so a caller
-    that drops one case before it takes the next holds one at a time.
+    """The case of each recipe (:meth:`CaseRecipe.resample`) built on
+    ``grid`` only when it is asked for, so a caller that drops one case
+    before it takes the next holds one at a time.
 
     Cases drawn from one coefficient recipe share one coefficient set sampled
     on ``grid``, as when they were drawn.  ``sampled``, a recipe with its
@@ -302,11 +333,11 @@ def resampled_cases(cases: Iterable[ManufacturedCase], grid: Grid,
     cases starts.
     """
     recipe, coeffs = sampled if sampled is not None else (None, None)
-    for c in cases:
-        if c.recipe is not None and c.recipe.coeff_recipe is not recipe:
-            recipe = c.recipe.coeff_recipe
+    for rec in recipes:
+        if rec.coeff_recipe is not recipe:
+            recipe = rec.coeff_recipe
             coeffs = recipe.sample(grid)
-        yield c.resample(grid, coeffs=coeffs)
+        yield rec.resample(grid, coeffs=coeffs)
 
 
 def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
@@ -345,8 +376,9 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
 
 @dataclass(frozen=True)
 class NonlinearPair:
-    """Two states of the nonlinear system with their residual sources and
-    the sup-norm bound of the pair."""
+    """Two states of the nonlinear system with their residual sources, the
+    sup-norm bound m1 of the pair and the bound m2 of the coefficients of
+    the difference system."""
 
     grid: Grid
     nl: NonlinearCoeffs
@@ -363,29 +395,55 @@ class NonlinearPair:
     F2: GridFn
     G2: GridFn
     m1: float
+    m2: float
 
 
-def _sup_norm_w2(u: GridFn) -> float:
+def _sup_norm_w2(u: DiffMemo) -> float:
     g = u.grid
     vals = [float(np.max(np.abs(u.values)))]
     for i in range(g.dim):
-        vals.append(float(np.max(np.abs(diff(u, x=(i,)).values))))
+        vals.append(float(np.max(np.abs(u.diff(x=(i,)).values))))
         for j in range(g.dim):
-            vals.append(float(np.max(np.abs(diff(u, x=(i, j)).values))))
+            vals.append(float(np.max(np.abs(u.diff(x=(i, j)).values))))
     return max(vals)
 
 
-def _sup_norm_w1(v: GridFn) -> float:
+def _sup_norm_w1(v: DiffMemo) -> float:
     g = v.grid
     vals = [float(np.max(np.abs(v.values)))]
     for i in range(g.dim):
-        vals.append(float(np.max(np.abs(diff(v, x=(i,)).values))))
+        vals.append(float(np.max(np.abs(v.diff(x=(i,)).values))))
     return max(vals)
+
+
+def _difference_bound(u1: DiffMemo, u2: DiffMemo, v2: DiffMemo,
+                      kappa: DiffMemo) -> float:
+    """Sup-norm bound on the difference-system coefficients, reported next to
+    the pair bound m1 (larger states force a larger constant)."""
+    g = u1.grid
+    d = g.dim
+    grad_k = [kappa.diff(x=(i,)).values for i in range(d)]
+    gu1 = [u1.diff(x=(i,)).values for i in range(d)]
+    gu2 = [u2.diff(x=(i,)).values for i in range(d)]
+    lap_u1 = sum(u1.diff(x=(i, i)).values for i in range(d))
+
+    sum_grad = np.sqrt(sum((kappa.values * (g1 + g2)) ** 2 for g1, g2 in zip(gu1, gu2)))
+    term1 = float(np.max(sum_grad))
+    inner = sum(gk * g1 for gk, g1 in zip(grad_k, gu1)) + kappa.values * lap_u1
+    term2 = float(np.max(np.abs(inner)))
+    kv2 = kappa.values * v2.values
+    term3 = float(np.max(np.abs(kv2)))
+    kv2_fn = DiffMemo(GridFn(g, SPACE_TIME, kv2))
+    grad_kv2 = np.sqrt(sum(kv2_fn.diff(x=(i,)).values ** 2 for i in range(d)))
+    term4 = float(np.max(grad_kv2))
+    return term1 + term2 + term3 + term4
 
 
 def make_nonlinear_pair(u1_field, v1_field, u2_field, v2_field,
                         nl: NonlinearCoeffs) -> NonlinearPair:
-    """Sample two manufactured nonlinear states and their residual sources."""
+    """Sample two manufactured nonlinear states, their residual sources and
+    the bounds m1 and m2.  Each derivative of a state or coefficient field
+    is taken once, through memos dropped when the pair is built."""
     grid = nl.grid
     for name, fld in (("u1", u1_field), ("v1", v1_field),
                       ("u2", u2_field), ("v2", v2_field)):
@@ -395,14 +453,15 @@ def make_nonlinear_pair(u1_field, v1_field, u2_field, v2_field,
                 raise MmsRejected(
                     f"normal derivative of {name} on {face.label()} is {worst:.3g}"
                 )
-    u1, v1 = u1_field.sample(grid), v1_field.sample(grid)
-    u2, v2 = u2_field.sample(grid), v2_field.sample(grid)
-    F1, G1 = residual("nonlinear", u1, v1, nl=nl)
-    F2, G2 = residual("nonlinear", u2, v2, nl=nl)
+    u1, v1, u2, v2 = (DiffMemo(fld.sample(grid))
+                      for fld in (u1_field, v1_field, u2_field, v2_field))
+    a, kappa = _nonlinear_memos(nl)
+    F1, G1 = _nonlinear_residual(u1, v1, nl, a, kappa)
+    F2, G2 = _nonlinear_residual(u2, v2, nl, a, kappa)
     m1 = max(_sup_norm_w2(u1) + _sup_norm_w1(v1),
              _sup_norm_w2(u2) + _sup_norm_w1(v2))
-    return NonlinearPair(grid=grid, nl=nl, u1=u1, v1=v1, u2=u2, v2=v2,
+    return NonlinearPair(grid=grid, nl=nl, u1=u1.fn, v1=v1.fn, u2=u2.fn, v2=v2.fn,
                          u1_field=u1_field, v1_field=v1_field,
                          u2_field=u2_field, v2_field=v2_field,
-                         F1=F1, G1=G1, F2=F2, G2=G2, m1=m1)
-
+                         F1=F1, G1=G1, F2=F2, G2=G2, m1=m1,
+                         m2=_difference_bound(u1, u2, v2, kappa))

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .coefficients import CoeffRecipe, CoeffSet, NonlinearRecipe
 from .grid import (
     SPACE_TIME,
+    DiffMemo,
     Grid,
     GridFn,
-    diff,
     face_quad_weights,
     gamma_jets,
     h21_interior_sq,
@@ -89,7 +89,8 @@ def trace_data_norms(f: GridFn) -> tuple[float, float]:
     return math.sqrt(h1_sq), math.sqrt(grad_sq)
 
 
-def _interior_curve(u: GridFn, v: GridFn, eps_grid: Sequence[float]) -> list[float]:
+def _interior_curve(u: DiffMemo, v: DiffMemo,
+                    eps_grid: Sequence[float]) -> list[float]:
     """Left sides ||u||_{H21_interior} + ||v||_{H21_interior} over the eps
     grid, from one set of derivative parts per state."""
     g = u.grid
@@ -119,12 +120,13 @@ def _validate_eps_grid(grid: Grid, eps_grid: Sequence[float]) -> tuple[float, ..
     return tuple(out)
 
 
-def _eps_sweep(states: Iterable[tuple[GridFn, GridFn, GridFn, GridFn]],
+def _eps_sweep(states: Iterable[tuple[DiffMemo, DiffMemo, GridFn, GridFn]],
                eps_t: tuple[float, ...]
                ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
     """Rows, excluded indices and per-eps maxima over (u, v, F, G) tuples,
-    states ``u, v`` with sources ``F, G``.  The sources are dropped once the
-    right side is taken and the states once the left sides are, so a lazy
+    states ``u, v`` given as derivative memos, with sources ``F, G``.  The
+    sources are dropped once the right side is taken and the states, with
+    every derivative in their memos, once the left sides are, so a lazy
     ``states`` holds one tuple at a time."""
     rows: list[CepsRow] = []
     excluded: list[int] = []
@@ -133,7 +135,7 @@ def _eps_sweep(states: Iterable[tuple[GridFn, GridFn, GridFn, GridFn]],
     # tuple alive while the next one is drawn
     i = 0
     for u, v, F, G in states:
-        rhs = _state_rhs(u, v, F, G)
+        rhs = _state_rhs(u.fn, v.fn, F, G)
         del F, G
         curve = _interior_curve(u, v, eps_t) if rhs >= RHS_FLOOR else None
         del u, v
@@ -148,14 +150,25 @@ def _eps_sweep(states: Iterable[tuple[GridFn, GridFn, GridFn, GridFn]],
     return rows, excluded, per_eps
 
 
+def _thm1_states(members: Iterable[EnsembleMember], coeffs: CoeffSet
+                 ) -> Iterator[tuple[DiffMemo, DiffMemo, GridFn, GridFn]]:
+    """Each member's states as derivative memos with its linear residuals,
+    computed through them, as sources; the memos go with the tuple."""
+    for m in members:
+        u, v = DiffMemo(m.u), DiffMemo(m.v)
+        yield (u, v, *residual("linear", u, v, coeffs=coeffs))
+        # let go of this member before ``members`` builds the next one
+        del m, u, v
+
+
 def _thm1_sweep(members: Iterable[EnsembleMember], coeffs: CoeffSet,
                 eps_t: tuple[float, ...]
                 ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
     """:func:`_eps_sweep` over ``members`` with their linear residuals as
     sources, all on the grid of ``coeffs``; each residual is computed just
-    before its member is swept."""
-    return _eps_sweep(((m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs))
-                       for m in members), eps_t)
+    before its member is swept, and the interior norms read the derivatives
+    the residual took."""
+    return _eps_sweep(_thm1_states(members, coeffs), eps_t)
 
 
 def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
@@ -168,52 +181,33 @@ def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
     the left side shrinks with eps by set inclusion, so each member's ratio
     curve is non-increasing in eps exactly.  Members with a right side at
     numerical zero are excluded (0/0).  The curve is recomputed once on the
-    doubled grid when ``refine`` is set; there each member is resampled from
-    its closed form just before it is used and dropped after, so that pass
-    holds one refined member at a time.  Inside ``reports.recording`` the
-    coarse pass is timed as the stage ``coarse_s`` and the refined pass as
-    ``refined_s``.
+    doubled grid when ``refine`` is set.  That pass keeps only each member's
+    two closed-form fields and lets go of the ensemble before it starts (so
+    a caller that keeps no reference of its own has the coarse arrays
+    freed); each member is resampled from its closed form just before it is
+    used and dropped after, so the pass holds one refined member at a time.
+    Inside ``reports.recording`` the coarse pass is timed as the stage
+    ``coarse_s`` and the refined pass as ``refined_s``.
     """
     grid = ensemble.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
+    forms = [(m.u_field, m.v_field) for m in ensemble.members]
     with stage("coarse_s"):
         rows, excluded, per_eps = _thm1_sweep(ensemble.members,
                                               coeff_recipe.sample(grid), eps_t)
+    del ensemble  # the coarse states go before the refined pass
     drift = None
     if refine:
         with stage("refined_s"):
             fine = grid.refined(2)
-            _, _, per_eps_fine = _thm1_sweep((m.resample(fine) for m in ensemble.members),
-                                             coeff_recipe.sample(fine), eps_t)
+            _, _, per_eps_fine = _thm1_sweep(
+                (EnsembleMember.sample(uf, vf, fine) for uf, vf in forms),
+                coeff_recipe.sample(fine), eps_t)
         coarse_max = max(per_eps.values())
         fine_max = max(per_eps_fine.values())
         drift = fine_max / coarse_max if coarse_max > 0 else math.inf
     return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
                       excluded=tuple(excluded), drift=drift)
-
-
-def _pair_m2(pair: NonlinearPair) -> float:
-    """Sup-norm bound on the difference-system coefficients, reported next to
-    the pair bound m1 (larger states force a larger constant)."""
-    g = pair.grid
-    d = g.dim
-    nl = pair.nl
-    k_fn = GridFn(g, SPACE_TIME, nl.kappa)
-    grad_k = [diff(k_fn, x=(i,)).values for i in range(d)]
-    gu1 = [diff(pair.u1, x=(i,)).values for i in range(d)]
-    gu2 = [diff(pair.u2, x=(i,)).values for i in range(d)]
-    lap_u1 = sum(diff(pair.u1, x=(i, i)).values for i in range(d))
-
-    sum_grad = np.sqrt(sum((nl.kappa * (g1 + g2)) ** 2 for g1, g2 in zip(gu1, gu2)))
-    term1 = float(np.max(sum_grad))
-    inner = sum(gk * g1 for gk, g1 in zip(grad_k, gu1)) + nl.kappa * lap_u1
-    term2 = float(np.max(np.abs(inner)))
-    kv2 = nl.kappa * pair.v2.values
-    term3 = float(np.max(np.abs(kv2)))
-    kv2_fn = GridFn(g, SPACE_TIME, kv2)
-    grad_kv2 = np.sqrt(sum(diff(kv2_fn, x=(i,)).values ** 2 for i in range(d)))
-    term4 = float(np.max(grad_kv2))
-    return term1 + term2 + term3 + term4
 
 
 def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
@@ -232,9 +226,10 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
     eps_t = _validate_eps_grid(grid, eps_grid)
 
     def differences(p: NonlinearPair):
-        return [tuple(GridFn(p.grid, SPACE_TIME, a.values - b.values)
-                      for a, b in ((p.u1, p.u2), (p.v1, p.v2), (p.F1, p.F2),
-                                   (p.G1, p.G2)))]
+        du, dv, dF, dG = (GridFn(p.grid, SPACE_TIME, a.values - b.values)
+                          for a, b in ((p.u1, p.u2), (p.v1, p.v2), (p.F1, p.F2),
+                                       (p.G1, p.G2)))
+        return [(DiffMemo(du), DiffMemo(dv), dF, dG)]
 
     with stage("coarse_s"):
         rows, excluded, per_eps = _eps_sweep(differences(pair), eps_t)
@@ -253,4 +248,4 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
                  if coarse_max > 0 else math.inf)
     return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
                       excluded=tuple(excluded), drift=drift,
-                      extras={"m1": pair.m1, "m2": _pair_m2(pair)})
+                      extras={"m1": pair.m1, "m2": pair.m2})

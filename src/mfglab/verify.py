@@ -20,8 +20,11 @@ import numpy as np
 
 from .basis import SeparableField, random_cosine_field
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
-from .grid import SPACE_TIME, SPATIAL_SLICE, Grid, GridFn, diff, norm
-from .models import (CaseEnsemble, ManufacturedCase, max_exact_conormal,
+from .grid import SPACE_TIME, SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
+# not called here: perfbench's tests check that the tracer rebinds
+# ``mfglab.verify.diff`` and puts it back
+from .grid import diff  # noqa: F401
+from .models import (CaseEnsemble, ManufacturedCase, case_recipes, max_exact_conormal,
                      resampled_cases, residual)
 from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
@@ -44,6 +47,9 @@ ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_
 ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
 
 ZERO_RHS_FLOOR = 0.0
+
+# a field of a sweep member, sampled or with the memo of its derivatives
+Field = Union[GridFn, DiffMemo]
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,12 @@ class _Cells:
 
         Each row's products go through one reused N-length buffer and are
         summed there: the same pairwise sum over the same contiguous products
-        as ``np.sum(pre * wf)``, equal to it bit for bit (a dot product would
-        not be).
+        as ``np.sum(pre * wf)``, equal to it bit for bit.  A BLAS product
+        would be faster (``stack @ pre`` about 5x at 8 x 16641) but its bits
+        depend on the OpenBLAS thread count (a 1-row product at 16641 nodes
+        differs between 1 and 2 threads) and on the number of rows (8-row
+        against 1-row calls), and so does ``np.einsum`` on the row count;
+        the lab's outputs must not.
         """
         pre = pre.ravel()
         stack = self._stacks[(m, lam_power)]
@@ -138,8 +148,8 @@ class _Cells:
         return out
 
 
-def _d_gamma_sq(f: GridFn) -> float:
-    return norm(f, "D_gamma") ** 2
+def _d_gamma_sq(f: DiffMemo) -> float:
+    return norm(f.fn, "D_gamma") ** 2
 
 
 def _h2_slice_sq(grid: Grid, slice_vals: np.ndarray) -> float:
@@ -202,7 +212,7 @@ def _require_slice_s(kinds: Sequence[str], s_values: Iterable[float]) -> None:
         raise ValueError("energy-slice kinds need s > 0")
 
 
-def _check_consistency(u: GridFn, v: GridFn, F: GridFn, G: GridFn,
+def _check_consistency(u: DiffMemo, v: DiffMemo, F: DiffMemo, G: DiffMemo,
                        coeffs: CoeffSet) -> None:
     ru, rv = residual("linear", u, v, coeffs=coeffs)
     for name, given, computed in (("F", F, ru), ("G", G, rv)):
@@ -242,35 +252,33 @@ def _require(kind: str, u, v, F, G, sources) -> None:
 @dataclass
 class _Member:
     """One instance on one grid, shared by every kind swept over it: the
-    states, the sources F, G and their factors, the data functionals, and a
-    memo of the derived fields and of each weighted square's sums over the
-    cells of the one sweep it belongs to.  The memo lives as long as the
-    member, so kinds share derivative stacks and weighted squares (THM3's
-    left side is LEMMA1's and LEMMA2's; u_t and v_t serve LEMMA1, LEMMA2,
-    LEMMA4 and D0), and a sweep that drops the member drops its arrays."""
+    states and the sources F, G, each a derivative memo, the sources'
+    factors, the data functionals, and a memo of each weighted square's sums
+    over the cells of the one sweep it belongs to.  The memos live as long
+    as the member, so the residual sources, the operators, the data
+    functionals and every kind share one derivative of each field along each
+    path (THM3's left side is LEMMA1's and LEMMA2's; u_t and v_t serve the
+    residual, LEMMA1, LEMMA2, LEMMA4 and D0), and a sweep that drops the
+    member drops its arrays."""
 
-    u: Optional[GridFn]
-    v: Optional[GridFn]
-    F: Optional[GridFn]
-    G: Optional[GridFn]
+    u: Optional[DiffMemo]
+    v: Optional[DiffMemo]
+    F: Optional[DiffMemo]
+    G: Optional[DiffMemo]
     sources: Optional[SourceFactors]
     coeffs: CoeffSet
     data: dict[str, float] = field(default_factory=dict)
-    fields: dict[tuple, GridFn] = field(default_factory=dict)
     sums: dict[tuple, np.ndarray] = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
         return (self.u if self.u is not None else self.v).grid
 
-    def fn(self, path: tuple) -> GridFn:
+    def fn(self, path: tuple) -> DiffMemo:
         """The field at ``path``: a base state or source, then derivatives."""
-        if len(path) == 1:
-            return getattr(self, path[0])
-        f = self.fields.get(path)
-        if f is None:
-            t_order, x = path[-1]
-            f = self.fields[path] = diff(self.fn(path[:-1]), t_order=t_order, x=x)
+        f = getattr(self, path[0])
+        for t_order, x in path[1:]:
+            f = f.diff(t_order=t_order, x=x)
         return f
 
     def _values(self, key) -> np.ndarray:
@@ -299,15 +307,17 @@ class _Member:
         return vec
 
 
-def _member(kinds: Sequence[str], u: Optional[GridFn], v: Optional[GridFn],
-            F: Optional[GridFn], G: Optional[GridFn], coeffs: CoeffSet,
+def _member(kinds: Sequence[str], u: Optional[Field], v: Optional[Field],
+            F: Optional[Field], G: Optional[Field], coeffs: CoeffSet,
             sources: Optional[SourceFactors], *,
             derived: bool = False) -> _Member:
     """Validate one instance for ``kinds`` and compute its data functionals;
     F and G are checked against the residual of (u, v) for the system kinds
-    unless they were ``derived`` from it."""
+    unless they were ``derived`` from it.  A field given as a
+    :class:`DiffMemo` becomes the member's memo as it is."""
     for kind in kinds:
         _require(kind, u, v, F, G, sources)
+    u, v, F, G = (None if f is None else as_memo(f) for f in (u, v, F, G))
     if not derived and any(k in _SYSTEM_KINDS for k in kinds):
         _check_consistency(u, v, F, G, coeffs)
     m = _Member(u, v, F, G, sources, coeffs)
@@ -438,13 +448,18 @@ class EnsembleMember:
     u: GridFn
     v: GridFn
 
+    @classmethod
+    def sample(cls, u_field: SeparableField, v_field: SeparableField,
+               grid: Grid) -> "EnsembleMember":
+        """The member of two closed-form fields, sampled on ``grid``."""
+        return cls(u_field, v_field, u_field.sample(grid), v_field.sample(grid))
+
     def resample(self, grid: Grid) -> "EnsembleMember":
         """Rebuild on another grid of the same domain (the closed-form fields
         are sampled there exactly)."""
         if not grid.same_domain(self.u.grid):
             raise ValueError("resampling grid must share the domain")
-        return EnsembleMember(self.u_field, self.v_field,
-                              self.u_field.sample(grid), self.v_field.sample(grid))
+        return EnsembleMember.sample(self.u_field, self.v_field, grid)
 
 
 @dataclass(frozen=True)
@@ -482,7 +497,7 @@ def generate_ensemble(seed: int, n: int, grid: Grid, max_modes: int = 3,
                                  amplitude)
         vf = random_cosine_field(rng, grid.lengths, grid.T, max_modes, t_degree,
                                  amplitude)
-        members.append(EnsembleMember(uf, vf, uf.sample(grid), vf.sample(grid)))
+        members.append(EnsembleMember.sample(uf, vf, grid))
     return FunctionEnsemble(seed, grid, max_modes, t_degree, amplitude,
                             tuple(members))
 
@@ -533,16 +548,16 @@ def _members(kinds: Sequence[str], instances: Iterable[Instance],
     member work)."""
     for inst in instances:
         with stage("members_s"):
+            u, v = DiffMemo(inst.u), DiffMemo(inst.v)
             if isinstance(inst, EnsembleMember):
-                member = _member(kinds, inst.u, inst.v,
-                                 *residual("linear", inst.u, inst.v, coeffs=coeffs),
+                member = _member(kinds, u, v,
+                                 *residual("linear", u, v, coeffs=coeffs),
                                  coeffs, None, derived=True)
             else:
-                member = _member(kinds, inst.u, inst.v, inst.F, inst.G, coeffs,
-                                 inst.sources)
+                member = _member(kinds, u, v, inst.F, inst.G, coeffs, inst.sources)
         yield member
         # let go of this instance before ``instances`` builds the next one
-        del inst, member
+        del inst, member, u, v
 
 
 def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
@@ -631,10 +646,13 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
-    and the drift of the constant is recorded.  There each member is
-    resampled from its closed form (exactly) just before it is swept and
-    dropped after, and cases drawn from ``coeff_recipe`` share its one
-    sample on that grid.
+    and the drift of the constant is recorded.  That pass keeps only the
+    closed forms (each member's two fields, each case's recipe) and lets go
+    of the ensemble before it starts, so a caller that passes the ensemble
+    on and keeps no reference of its own has the coarse arrays freed.  Each
+    member is resampled from its closed form (exactly) just before it is
+    swept and dropped after, and cases drawn from ``coeff_recipe`` share its
+    one sample on that grid.
 
     Inside ``reports.recording`` the call adds its seconds, summed over both
     grids and every kind, to three stages: ``members_s`` builds the members
@@ -650,14 +668,19 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     _require_slice_s(kinds, s_grid)
     is_cases = isinstance(ensemble, CaseEnsemble)
     instances = ensemble.cases if is_cases else ensemble.members
+    if refine:
+        forms = (case_recipes(instances) if is_cases
+                 else [(m.u_field, m.v_field) for m in instances])
     sweeps = _grid_sweeps(kinds, instances, lam_grid, s_grid,
                           coeff_recipe.sample(grid), grid)
+    del ensemble, instances  # the coarse states go before the refined pass
     fine_sweeps = [None] * len(kinds)
     if refine:
         fine = grid.refined(2)
         fine_coeffs = coeff_recipe.sample(fine)
-        fine_instances = (resampled_cases(instances, fine, (coeff_recipe, fine_coeffs))
-                          if is_cases else (m.resample(fine) for m in instances))
+        fine_instances = (resampled_cases(forms, fine, (coeff_recipe, fine_coeffs))
+                          if is_cases else (EnsembleMember.sample(uf, vf, fine)
+                                            for uf, vf in forms))
         fine_sweeps = _grid_sweeps(kinds, fine_instances, lam_grid, s_grid,
                                    fine_coeffs, fine)
     reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)

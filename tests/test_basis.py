@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mfglab.basis import SeparableField, Term, random_cosine_field
 from mfglab.grid import build_grid, diff, parse_face
@@ -49,3 +50,47 @@ def test_field_arithmetic():
     assert np.allclose(combo, a.sample(g).values - b.sample(g).values, atol=1e-14)
     assert np.allclose(a.scaled(3.0).sample(g).values, 3.0 * a.sample(g).values,
                        atol=1e-14)
+
+
+def closed_form(fld, coords, ts):
+    """Term-by-term value of a field at broadcast coordinates and times."""
+    out = 0.0
+    for t in fld.terms:
+        val = t.coeff * (ts / fld.T) ** t.tpow
+        for x, L, kind, k in zip(coords, fld.lengths, t.kinds, t.modes):
+            val = val * (np.cos if kind == "cos" else np.sin)(k * np.pi * x / L)
+        out = out + val
+    return out
+
+
+def repeated_terms_field(lengths, T):
+    """sin and cos factors, one mode under both kinds, and each spatial
+    factor carried by several terms, the repeats not next to each other."""
+    dim = len(lengths)
+    specs = [(("cos",) * dim, (1,) * dim), (("sin",) * dim, (2,) * dim),
+             (("sin",) * dim, (1,) * dim),
+             (("cos",) + ("sin",) * (dim - 1), (0,) + (3,) * (dim - 1))]
+    rng = np.random.default_rng(13)
+    terms = [Term(float(rng.uniform(-2.0, 2.0)), kinds, modes, p)
+             for p in (0, 2, 1, 3) for kinds, modes in specs]
+    return SeparableField(tuple(lengths), T, tuple(terms))
+
+
+@pytest.mark.parametrize("lengths,nx", [((1.0,), 33), ((1.0, 1.5), (9, 11))])
+def test_grouped_sampling_matches_closed_form(lengths, nx):
+    g = build_grid(lengths, 2.0, nx, 17, ["x1+"])
+    fld = repeated_terms_field(lengths, g.T)
+    fields = [fld, fld.dx(0), fld.dt(), fld - fld.scaled(0.5)]
+    for f in fields:
+        *xs, ts = g.meshes()
+        exact = closed_form(f, xs, ts)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(f.sample(g).values - exact)) <= 1e-14 * scale
+        for face in g.all_faces():
+            # the face coordinate, and the tangential nodes as a column
+            coords = [lengths[axis] * face.side if axis == face.axis
+                      else g.xs[axis][:, None] for axis in range(g.dim)]
+            exact_face = closed_form(f, coords, g.ts)
+            got = f.sample_face(g, face)
+            assert got.shape == exact_face.shape
+            assert np.max(np.abs(got - exact_face)) <= 1e-14 * scale

@@ -403,3 +403,36 @@ print(json.dumps(seen))
     assert json.loads(out) == {"import": [], "lemma3": [],
                                "inverse config": ["mfglab.inverse", "scipy.sparse",
                                                   "scipy.linalg"]}
+
+
+def test_lab_output_independent_of_openblas_thread_count(tmp_path):
+    """The lab's sums and sampling make no BLAS call, whose results change
+    with the OpenBLAS thread count: a verify-carleman run whose refined pass
+    sums over 129^2 nodes gives the same output_hash at 1 and at 2 threads.
+    One cell with a spread-out weight: a 1 x 16641 product ``stack @ pre``
+    then takes other bits at 2 threads, while an 8-row one, or one cell at
+    lambda 2, s 64 (a weight on few nodes), was seen to give equal bits."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "experiment: verify-carleman\n"
+        "grid: {nx: [65], nt: 65, gamma: [x+]}\n"
+        "coefficients: {c0: '1', coupling: {'0': '0.5', '2': '0.3'}}\n"
+        "ensemble: {seed: 7, n: 2}\n"
+        "weights: {lambdas: [1.0], s_values: [8.0]}\n"
+        "estimates: {kinds: [LEMMA1, THM3, LEMMA4], refine: true}\n",
+        encoding="utf-8",
+    )
+    hashes = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+        subprocess.run([sys.executable, "-m", "mfglab", "verify-carleman",
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        report = json.loads((out / "report.json").read_text())
+        assert report["versions"]["openblas_threads"] == threads
+        hashes.add(report["output_hash"])
+    assert len(hashes) == 1

@@ -1,0 +1,183 @@
+"""Each derivative of a swept member's fields is taken once, through the one
+derivative memo the member holds, and a refined pass frees the coarse
+ensemble before it builds its first member."""
+
+import gc
+import hashlib
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import mfglab.coefficients
+import mfglab.grid
+import mfglab.models
+import mfglab.statedet
+import mfglab.verify
+from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
+from mfglab.grid import DiffMemo, GridFn, build_grid, diff
+from mfglab.models import make_nonlinear_pair, mms_case_ensemble
+from mfglab.basis import random_cosine_field
+from mfglab.statedet import thm1_experiment
+from mfglab.verify import estimate_constant, generate_ensemble
+
+COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
+FN_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4")
+ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
+LAMS = (1.0,)
+S_VALUES = (0.5, 1.0)
+EPS_GRID = (0.1, 0.2)
+MODULES = (mfglab.grid, mfglab.coefficients, mfglab.models, mfglab.verify,
+           mfglab.statedet)
+
+
+def test_memo_equals_chained_diff_bit_for_bit():
+    g = build_grid((1.0, 1.5), 1.0, (9, 11), 9, ["x1+"])
+    f = GridFn(g, "space-time", np.random.default_rng(3).normal(size=g.shape))
+    memo = DiffMemo(f)
+    assert memo.diff() is memo
+    for t_order, x in ((1, ()), (0, (0,)), (0, (1, 1)), (0, (0, 1)), (0, (1, 0)),
+                       (2, ()), (1, (0, 0))):
+        node = memo.diff(t_order=t_order, x=x)
+        assert memo.diff(t_order=t_order, x=list(x)) is node  # taken once
+        assert np.array_equal(node.values, diff(f, t_order=t_order, x=x).values)
+    # a path: x-derivatives of the time derivative
+    chained = diff(diff(f, t_order=1), x=(0, 0))
+    assert np.array_equal(memo.diff(t_order=1).diff(x=(0, 0)).values, chained.values)
+    # the stencils in another order are another entry
+    assert memo.diff(x=(0, 1)) is not memo.diff(x=(1, 0))
+
+
+def test_memo_refuses_a_slice():
+    g = build_grid(1.0, 1.0, 9, 9, ["x+"])
+    with pytest.raises(ValueError, match="space-time"):
+        DiffMemo(GridFn(g, "spatial-slice", np.zeros(g.space_shape)))
+
+
+# ---------------------------------------------------------------------------
+# one swept member takes each (array, derivative path) once
+
+
+@pytest.fixture
+def stencil_calls(monkeypatch):
+    """(array content, t_order, x) of every ``grid.diff`` call that applies a
+    stencil, made through any module of the package."""
+    calls = []
+    orig = mfglab.grid.diff
+
+    def counted(f, *, t_order=0, x=()):
+        x = tuple(int(a) for a in x)
+        if t_order or x:
+            calls.append((hashlib.sha1(f.values.tobytes()).hexdigest(), t_order, x))
+        return orig(f, t_order=t_order, x=x)
+
+    for mod in MODULES:
+        for attr, val in list(vars(mod).items()):
+            if val is orig:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def assert_each_once(calls, expected):
+    repeats = {k: n for k, n in Counter(calls).items() if n > 1}
+    assert repeats == {}
+    assert len(calls) == expected
+
+
+def test_carleman_member_takes_each_derivative_once(stencil_calls):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    estimate_constant(FN_KINDS, generate_ensemble(7, 1, g), LAMS, S_VALUES,
+                      COUPLED, g, refine=False)
+    # the residual: u_t, u_x, u_xx, v_t, v_x, v_xx (the operators, the
+    # left sides, opA/opB and D0 read these); LEMMA4: the same six of u_t
+    # and v_t, then F_t and G_t
+    assert_each_once(stencil_calls, 14)
+
+
+def test_case_member_takes_each_derivative_once(stencil_calls):
+    g = build_grid(1.0, 1.0, 17, 17, ["x-", "x+"])
+    ens = mms_case_ensemble(21, 1, g, COUPLED, 1.0, 1.0, q_min=0.02)
+    stencil_calls.clear()  # drawing the case takes its own residual
+    estimate_constant(FN_KINDS + ENERGY_KINDS, ens, LAMS, S_VALUES, COUPLED, g,
+                      refine=False)
+    # the consistency check's residual, then LEMMA4's, as above
+    assert_each_once(stencil_calls, 14)
+
+
+def test_state_det_member_takes_each_derivative_once(stencil_calls):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    thm1_experiment(generate_ensemble(7, 1, g), COUPLED, EPS_GRID, refine=False)
+    # the residual's six; the interior norms read them
+    assert_each_once(stencil_calls, 6)
+
+
+def test_nonlinear_pair_takes_each_derivative_once(stencil_calls):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    rng = np.random.default_rng(5)
+    fields = [random_cosine_field(rng, g.lengths, g.T, 2, 2, 1.0) for _ in range(4)]
+    make_nonlinear_pair(*fields, NonlinearRecipe(a=1.0, kappa=0.5, p=0.2).sample(g))
+    # t, x and xx of each state; a_x, a_xx, kappa_x; (kappa v2)_x for m2
+    assert_each_once(stencil_calls, 4 * 3 + 3 + 1)
+
+
+# ---------------------------------------------------------------------------
+# the refined pass frees the coarse ensemble first
+
+
+def coarse_refs(ens):
+    """Weak references to every array a coarse member holds."""
+    refs = []
+    for inst in (ens.cases if hasattr(ens, "cases") else ens.members):
+        arrays = [inst.u.values, inst.v.values]
+        if hasattr(inst, "F"):
+            arrays += [inst.F.values, inst.G.values, inst.sources.q1, inst.sources.q2]
+        refs += [weakref.ref(a) for a in arrays]
+    return refs
+
+
+def alive_at_second_call(monkeypatch, module, name):
+    """Patch the generator or function ``module.name`` to record, at its
+    second call (the refined pass), how many coarse arrays are still alive."""
+    refs, alive = [], []
+    orig = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        if len(alive) < 2:
+            gc.collect()
+            alive.append(sum(r() is not None for r in refs))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return refs, alive
+
+
+@pytest.mark.parametrize("kinds", [FN_KINDS, ENERGY_KINDS])
+def test_estimate_constant_frees_coarse_ensemble_before_refined_pass(kinds,
+                                                                     monkeypatch):
+    g = build_grid(1.0, 1.0, 17, 17, ["x-", "x+"])
+    refs, alive = alive_at_second_call(monkeypatch, mfglab.verify, "_members")
+
+    def ensemble():
+        if kinds == ENERGY_KINDS:
+            ens = mms_case_ensemble(21, 3, g, COUPLED, 1.0, 1.0, q_min=0.02)
+        else:
+            ens = generate_ensemble(7, 3, g)
+        refs.extend(coarse_refs(ens))
+        return ens
+
+    estimate_constant(kinds, ensemble(), LAMS, S_VALUES, COUPLED, g, refine=True)
+    assert alive == [len(refs), 0]
+
+
+def test_thm1_frees_coarse_ensemble_before_refined_pass(monkeypatch):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    refs, alive = alive_at_second_call(monkeypatch, mfglab.statedet, "_thm1_states")
+
+    def ensemble():
+        ens = generate_ensemble(7, 3, g)
+        refs.extend(coarse_refs(ens))
+        return ens
+
+    thm1_experiment(ensemble(), COUPLED, EPS_GRID, refine=True)
+    assert alive == [len(refs), 0]

@@ -459,8 +459,8 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
     counts = Counter()
     counting(monkeypatch, counts, [mfglab.models, mfglab.verify], "residual")
     for cls, name in ((mfglab.basis.SeparableField, "sample"),
-                      (mfglab.models.ManufacturedCase, "resample"),
-                      (EnsembleMember, "resample"),
+                      (mfglab.models.CaseRecipe, "resample"),
+                      (EnsembleMember, "sample"),
                       (CoeffRecipe, "sample")):
         orig = getattr(cls, name)
 
@@ -478,14 +478,15 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
         per_call.append(dict(counts))
     assert per_call[0] == per_call[1]
     n = len(ens)
-    # each grid: one coefficient sample; the refined grid: one resample per
-    # member (cases share that grid's sample and take the residual as their
-    # sources there); function-ensemble members: one residual each
+    # each grid: one coefficient sample; the refined grid: one member built
+    # from its closed forms per member (cases share that grid's sample and
+    # take the residual as their sources there); function-ensemble members:
+    # one residual each
     if kinds == ENERGY_KINDS:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "ManufacturedCase.resample": n,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "CaseRecipe.resample": n,
                                "SeparableField.sample": 2 * n, "residual": n}
     else:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "EnsembleMember.resample": n,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "EnsembleMember.sample": n,
                                "SeparableField.sample": 2 * n, "residual": 2 * n}
 
 

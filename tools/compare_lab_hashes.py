@@ -13,20 +13,27 @@ whether the hashes agree.  The inverse hashes are reproducible only
 at a fixed OpenBLAS thread count (threaded OpenBLAS picks other kernels); both checkouts run in this one environment, so the
 comparison holds, and the last line gives the thread count that each
 checkout's ``report.json`` records (``OPENBLAS_NUM_THREADS``, or "unset";
-"not recorded" by a checkout that predates the record).  It only reports:
-the exit code is 0 whatever differs or fails, because an intended numeric
-change moves a hash too.
+"not recorded" by a checkout that predates the record).
+
+Under each run whose hashes differ it sizes the move: the largest relative
+change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables and
+the summary in ``report.json`` (naming the cell), and every other cell that
+differs: text, flags, an empty cell, a value that turns non-finite, or a
+cell only one side has.  A roundoff move then reads apart from a real one.
+It only reports: the exit code is 0 whatever differs or fails, because an
+intended numeric change moves a hash too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Iterator, Optional
 
 import yaml
 
@@ -41,13 +48,13 @@ RUNS = [(name, f"configs/{name}.yaml", ()) for name in LAB_CONFIGS + INVERSE_CON
         ("--seed", str(seed))) for seed in COLD_SEEDS]
 
 
-def output_hash(root: Path, config_path: str,
-                extra: tuple[str, ...]) -> tuple[str, Optional[str]]:
-    """The run's output_hash (or why there is none) and the OpenBLAS
-    thread count its report.json records."""
+def output_hash(root: Path, config_path: str, extra: tuple[str, ...]
+                ) -> tuple[str, Optional[str], Optional[dict[str, Any]]]:
+    """The run's output_hash (or why there is none), the OpenBLAS thread
+    count its report.json records and the parsed report.json."""
     config = root / config_path
     if not config.exists():
-        return "missing", None
+        return "missing", None, None
     experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -56,10 +63,57 @@ def output_hash(root: Path, config_path: str,
              "--out", out, *extra],
             cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            return f"failed ({proc.stderr.strip().splitlines()[-1:]})", None
+            return f"failed ({proc.stderr.strip().splitlines()[-1:]})", None, None
         report = json.loads((Path(out) / "report.json").read_text())
         threads = report["versions"].get("openblas_threads", "not recorded")
-        return report["output_hash"], threads
+        return report["output_hash"], threads, report
+
+
+def _leaves(name: str, obj: Any) -> Iterator[tuple[str, Any]]:
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(f"{name}.{key}", value)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(f"{name}[{i}]", value)
+    else:
+        yield name, obj
+
+
+def cells(report: dict[str, Any]) -> dict[str, Any]:
+    """Every table cell, named ``table[row].column``, and every summary
+    entry, named by its path, of a parsed report.json."""
+    out = {}
+    for table_name, table in report["tables"].items():
+        for i, row in enumerate(table["rows"]):
+            for column, value in zip(table["header"], row):
+                out[f"{table_name}[{i}].{column}"] = value
+    out.update(_leaves("summary", report["summary"]))
+    return out
+
+
+def _finite_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def size_move(base: dict[str, Any], head: dict[str, Any]
+              ) -> tuple[float, Optional[str], list[str]]:
+    """The largest relative change over the cells finite on both sides, the
+    cell it is in, and the names of the other cells that differ."""
+    old, new = cells(base), cells(head)
+    worst, where, other = 0.0, None, []
+    for name in list(old) + [n for n in new if n not in old]:
+        if name not in old or name not in new:
+            other.append(name)
+            continue
+        a, b = old[name], new[name]
+        if _finite_number(a) and _finite_number(b):
+            rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+            if rel > worst:
+                worst, where = rel, name
+        elif json.dumps(a) != json.dumps(b):  # NaN reads equal to NaN here
+            other.append(name)
+    return worst, where, other
 
 
 def main(argv: list[str]) -> int:
@@ -67,15 +121,22 @@ def main(argv: list[str]) -> int:
     differ = 0
     threads: dict[str, set[str]] = {side: set() for side in roots}
     for name, config_path, extra in RUNS:
-        hashes = {}
+        hashes, reports = {}, {}
         for side, root in roots.items():
-            hashes[side], recorded = output_hash(root, config_path, extra)
+            hashes[side], recorded, reports[side] = output_hash(root, config_path, extra)
             if recorded is not None:
                 threads[side].add(recorded)
         same = hashes["base"] == hashes["head"]
         differ += not same
         print(f"{name:17s} {'same' if same else 'DIFFERS'}  "
               f"base {hashes['base']}  head {hashes['head']}")
+        if not same and None not in reports.values():
+            worst, where, other = size_move(reports["base"], reports["head"])
+            print(f"{'':17s} largest relative change {worst:.3g}"
+                  + (f" ({where})" if where else ""))
+            if other:
+                shown = ", ".join(other[:5]) + (", ..." if len(other) > 5 else "")
+                print(f"{'':17s} {len(other)} non-numeric cells differ: {shown}")
     print(f"{differ} of {len(RUNS)} output_hash values differ")
     print("OpenBLAS threads: " + ", ".join(
         f"{side} {' / '.join(sorted(seen)) or 'no report'}"
