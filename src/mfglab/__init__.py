@@ -43,7 +43,7 @@ from .verify import (
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
-    lemma3_check,
+    lemma3_kind,
 )
 from .weights import (
     EtaFn,

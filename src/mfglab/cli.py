@@ -19,10 +19,10 @@ from .basis import random_cosine_field
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, load_config
 from .inverse import make_inverse_data, reconstruct, stability_sweep
 from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
-from .reports import ResultTable, RunReport, emit_report, recording, stage
+from .reports import ResultTable, RunReport, emit_report, recording
 from .statedet import thm1_experiment, thm4_experiment
 from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, estimate_constant, generate_ensemble,
-                     lemma3_check, lemma3_factors)
+                     lemma3_kind)
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
 __all__ = ["main", "run"]
@@ -156,29 +156,15 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
 def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.build_grid()
     recipe = cfg.coeff_recipe()
-    coeffs = recipe.sample(grid)
-    ens = _build_function_ensemble(cfg, grid)
-    eta = build_eta(grid, coeffs)
     wspec = cfg.section("weights")
-    # one bundle per (lam, s) cell, shared by every p
-    with stage("bundles_s"):
-        cells = [(float(lam), float(s),
-                  eval_weight_bundle(eta, WeightParams(lam=float(lam), s=float(s)), grid))
-                 for lam in wspec["lambdas"] for s in wspec["s_values"]]
-    rows = []
-    summary = {}
-    with stage("checks_s"):
-        for p in cfg.section("lemma3")["p_values"]:
-            p = int(p)
-            c_emp = 0.0
-            for lam, s, bundle in cells:
-                factors = lemma3_factors(p, bundle)
-                for i, member in enumerate(ens.members):
-                    pair = lemma3_check(member.u, p, bundle, factors)
-                    rows.append((p, lam, s, i, pair.lhs, pair.rhs, pair.ratio))
-                    if np.isfinite(pair.ratio):
-                        c_emp = max(c_emp, pair.ratio)
-            summary[f"c_emp_p{p}"] = c_emp
+    p_values = [int(p) for p in cfg.section("lemma3")["p_values"]]
+    # one sweep over every p, in p-major order like the table
+    reports = estimate_constant([lemma3_kind(p) for p in p_values],
+                                _build_function_ensemble(cfg, grid), wspec["lambdas"],
+                                wspec["s_values"], recipe, grid, refine=False)
+    rows = [(p, row.lam, row.s, row.member, row.lhs, row.rhs, row.ratio)
+            for p, rep in zip(p_values, reports) for row in rep.rows]
+    summary = {f"c_emp_p{p}": rep.c_emp for p, rep in zip(p_values, reports)}
     table = ResultTable("lemma3", ("p", "lambda", "s", "member", "lhs", "rhs",
                                    "ratio"), tuple(rows))
     return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary)
@@ -361,6 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config, experiment=args.experiment,
                              overrides=overrides)
+        if args.seed is not None and config.case_fields() is not None:
+            raise ConfigError("--seed has no effect: the config's explicit case "
+                              "states draw nothing from ensemble.seed")
         report = run(config)
         written = emit_report(report, config.section("output")["dir"])
     except ConfigError as exc:

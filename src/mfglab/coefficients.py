@@ -6,8 +6,8 @@ full second-order operator ``A0`` the other way.  This module samples the
 coefficient fields on a grid, lists the terms of each operator once
 (:func:`operator_terms`), applies the operators with the shared stencils,
 builds the discrete conormal operator of the boundary hypothesis, checks
-uniform ellipticity and evaluates the size surrogate used to report
-empirical constants against.
+uniform ellipticity and evaluates a size surrogate of the coefficients
+(:func:`coefficient_bound`, which no experiment reports yet).
 """
 
 from __future__ import annotations

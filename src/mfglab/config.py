@@ -255,6 +255,12 @@ class ExperimentConfig:
         return [float(e) for e in eps]
 
 
+# the lists a run sweeps over; an empty one would give an empty table
+_SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
+                ("estimates", "kinds"), ("lemma3", "p_values"),
+                ("statedet", "epsilons"))
+
+
 def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
     problems = []
     gspec = resolved.get("grid", {})
@@ -272,6 +278,9 @@ def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
             problems.append("weights.lambdas: entries must be positive")
         if any(float(s) < 0 for s in w["s_values"]):
             problems.append("weights.s_values: entries must be non-negative")
+    for section, key in _SWEEP_LISTS:
+        if section in resolved and resolved[section][key] == []:
+            problems.append(f"{section}.{key}: need at least one entry")
     if experiment == "lemma3":
         if any(int(p) < 0 for p in resolved["lemma3"]["p_values"]):
             problems.append("lemma3.p_values: entries must be >= 0")

@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import SeparableField, random_cosine_field
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
-from .grid import SPACE_TIME, SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
+from .grid import SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
 # not called here: perfbench's tests check that the tracer rebinds
 # ``mfglab.verify.diff`` and puts it back
 from .grid import diff  # noqa: F401
@@ -38,8 +39,7 @@ __all__ = [
     "estimate_constant",
     "evaluate_estimate",
     "generate_ensemble",
-    "lemma3_check",
-    "lemma3_factors",
+    "lemma3_kind",
 ]
 
 ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_9")
@@ -160,8 +160,22 @@ def _h2_slice_sq(grid: Grid, slice_vals: np.ndarray) -> float:
 # bundle is sum(st_weights * a * a * weight_factor(m, lam_power)).  The field
 # is a path (base, *steps), base one of "u", "v", "F", "G" and each step one
 # derivative (t_order, x axes), or a composite: "opA" = u_t + A u,
-# "opB" = v_t - B v, "f" and "g" = the source profiles constant in time.
+# "opB" = v_t - B v, "f" and "g" = the source profiles constant in time,
+# "Iu" = u's trapezoid antiderivative in time from t0.
 _DT = (1, ())
+
+
+def lemma3_kind(p: int) -> str:
+    """The sweep kind of the integral-operator estimate (Lemma 3) at weight
+    power ``p``: the weighted antiderivative of u from t0 at (s phi)^p
+    against u itself at (s phi)^(p-1) / lam."""
+    return f"LEMMA3(p={int(p)})"
+
+
+def _lemma3_power(kind: str) -> Optional[int]:
+    """``p`` of a :func:`lemma3_kind` name, None for any other kind."""
+    digits = kind.removeprefix("LEMMA3(p=").removesuffix(")")
+    return int(digits) if digits.isdecimal() and kind == lemma3_kind(digits) else None
 
 
 def _first_side_lhs(path: tuple, prefix: str, dim: int) -> dict[str, tuple]:
@@ -192,6 +206,9 @@ def _kind_terms(kind: str, dim: int) -> tuple[dict[str, tuple], dict[str, tuple]
     """The weighted squares of each lhs and rhs term of ``kind``; the
     energy-slice kinds' left side is the t0 slice, outside this table."""
     u, v, F, G = ("u",), ("v",), ("F",), ("G",)
+    p = _lemma3_power(kind)
+    if p is not None:
+        return {"antiderivative": (("Iu", p, 0),)}, {"field": ((u, p - 1, -1),)}
     if kind == "LEMMA1":
         return _first_side_lhs(u, "", dim), {"op": (("opA", 1, 0),)}
     if kind == "LEMMA2":
@@ -228,16 +245,17 @@ _SYSTEM_KINDS = ("THM3", "LEMMA4")
 
 # the unweighted data functionals on each kind's right side: D_gamma^2 of u
 # and of v, and D0^2 (both of them, D_gamma^2 of u_t and v_t and the squared
-# H2 norms of the two t0 slices)
+# H2 norms of the two t0 slices); Lemma 3 has none
 _DATA_TERMS = {"LEMMA1": ("Du2",), "LEMMA2": ("Dv2",), "THM3": ("Du2", "Dv2"),
                "LEMMA4": ("D02",), "ENERGY_3_8": ("D02",), "ENERGY_3_9": ("D02",)}
 
 
 def _require(kind: str, u, v, F, G, sources) -> None:
-    if kind not in ESTIMATE_KINDS:
+    lemma3 = _lemma3_power(kind) is not None
+    if kind not in ESTIMATE_KINDS and not lemma3:
         raise ValueError(f"unknown estimate kind {kind!r}")
-    if kind == "LEMMA1" and u is None:
-        raise ValueError("LEMMA1 needs u")
+    if (kind == "LEMMA1" or lemma3) and u is None:
+        raise ValueError(f"{kind} needs u")
     if kind == "LEMMA2" and v is None:
         raise ValueError("LEMMA2 needs v")
     if kind in _SYSTEM_KINDS and any(x is None for x in (u, v, F, G)):
@@ -291,7 +309,18 @@ class _Member:
         if key in ("f", "g"):
             profile = getattr(self.sources, key)
             return np.broadcast_to(profile[..., None], self.grid.shape)
+        if key == "Iu":
+            return self.antiderivative
         return self.fn(key).values
+
+    @cached_property
+    def antiderivative(self) -> np.ndarray:
+        """u's cumulative trapezoid rule in time, zero on the t0 slice; taken
+        once, since each Lemma 3 power reads it at its own weight power."""
+        g, y = self.grid, self.u.values
+        steps = np.cumsum(g.tau * (y[..., 1:] + y[..., :-1]) / 2.0, axis=g.dim)
+        cum = np.concatenate((np.zeros_like(y[..., :1]), steps), axis=g.dim)
+        return cum - cum[..., g.it0][..., None]
 
     def weighted(self, cells: _Cells, key, m: int, lam_power: int) -> np.ndarray:
         """The weighted square (key, m, lam_power) on every cell."""
@@ -321,7 +350,7 @@ def _member(kinds: Sequence[str], u: Optional[Field], v: Optional[Field],
     if not derived and any(k in _SYSTEM_KINDS for k in kinds):
         _check_consistency(u, v, F, G, coeffs)
     m = _Member(u, v, F, G, sources, coeffs)
-    keys = {key for kind in kinds for key in _DATA_TERMS[kind]}
+    keys = {key for kind in kinds for key in _DATA_TERMS.get(kind, ())}
     if keys & {"Du2", "D02"}:
         m.data["Du2"] = _d_gamma_sq(u)
     if keys & {"Dv2", "D02"}:
@@ -346,7 +375,7 @@ def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
                 for name, parts in lhs_spec.items()}
     rhs_vecs = {name: [m.weighted(cells, *p) for p in parts]
                 for name, parts in rhs_spec.items()}
-    data = {key: m.data[key] for key in _DATA_TERMS[kind]}
+    data = {key: m.data[key] for key in _DATA_TERMS.get(kind, ())}
 
     def total(vecs, c, scalar=1.0):
         out = 0
@@ -388,9 +417,10 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
                       sources: Optional[SourceFactors] = None) -> EstimateSidePair:
     """Evaluate one inequality instance.
 
-    The single-equation kinds use only u (LEMMA1) or v (LEMMA2); the system
-    kinds need (u, v, F, G) with the sources equal to the discrete residuals
-    (checked); the energy-slice kinds additionally need the factorized
+    The single-equation kinds use only u (LEMMA1 and every
+    :func:`lemma3_kind`) or v (LEMMA2); the system kinds need (u, v, F, G)
+    with the sources equal to the discrete residuals (checked); the
+    energy-slice kinds additionally need the factorized
     ``sources`` since their right side is written in the spatial profiles.
     Every unweighted data term carries the bundle's ``data_scale`` so that
     ratios are independent of the weight normalization.  This is the sweep's
@@ -399,42 +429,6 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     _require_slice_s((kind,), (bundle.params.s,))
     member = _member((kind,), u, v, F, G, coeffs, sources)
     return _pairs(kind, member, _Cells((kind,), (bundle,), 1, bundle.grid))[0]
-
-
-def lemma3_factors(p: int, bundle: WeightBundle) -> tuple[np.ndarray, np.ndarray]:
-    """The weight factors of :func:`lemma3_check` on one cell: power ``p``
-    for the antiderivative, one power and one power of lambda lower for the
-    field."""
-    return bundle.weight_factor(p), bundle.weight_factor(p - 1, lam_power=-1)
-
-
-def lemma3_check(w: GridFn, p: int, bundle: WeightBundle,
-                 factors: Optional[tuple[np.ndarray, np.ndarray]] = None
-                 ) -> EstimateSidePair:
-    """Integral-operator estimate: the weighted time antiderivative from t0
-    against the weighted field itself, one weight power lower.
-
-    ``factors`` is ``lemma3_factors(p, bundle)``; a caller that checks many
-    fields on one cell builds it once and passes it to each check.
-    """
-    if w.kind != SPACE_TIME:
-        raise ValueError("lemma3_check requires a space-time field")
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    lhs_factor, rhs_factor = lemma3_factors(p, bundle) if factors is None else factors
-    g = w.grid
-    # cumulative trapezoid rule along time, starting from 0 at the first node
-    y = w.values
-    steps = np.cumsum(g.tau * (y[..., 1:] + y[..., :-1]) / 2.0, axis=g.dim)
-    cum = np.concatenate((np.zeros_like(y[..., :1]), steps), axis=g.dim)
-    inner = cum - cum[..., g.it0][..., None]
-    # the operand order of the sweeps' weighted squares
-    lhs = float(np.sum(g.st_weights * inner * inner * lhs_factor))
-    rhs = float(np.sum(g.st_weights * w.values * w.values * rhs_factor))
-    return EstimateSidePair(
-        kind=f"LEMMA3(p={p})", params=bundle.params,
-        lhs_terms={"antiderivative": lhs}, rhs_terms={"field": rhs},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +538,16 @@ def _members(kinds: Sequence[str], instances: Iterable[Instance],
              coeffs: CoeffSet) -> Iterator[_Member]:
     """The sweep members of ``instances`` (all on the grid of ``coeffs``),
     built one at a time; a function-ensemble member takes its residual as
-    sources F, G (built whatever the kinds, so adding a kind never adds
-    member work)."""
+    sources F, G when a kind reads them (THM3, LEMMA4)."""
+    sources = any(k in _SYSTEM_KINDS for k in kinds)
     for inst in instances:
         with stage("members_s"):
             u, v = DiffMemo(inst.u), DiffMemo(inst.v)
             if isinstance(inst, EnsembleMember):
-                member = _member(kinds, u, v,
-                                 *residual("linear", u, v, coeffs=coeffs),
-                                 coeffs, None, derived=True)
+                F, G = (residual("linear", u, v, coeffs=coeffs) if sources
+                        else (None, None))
+                member = _member(kinds, u, v, F, G, coeffs, None, derived=True)
+                del F, G  # only the member holds them, so they go with it
             else:
                 member = _member(kinds, u, v, inst.F, inst.G, coeffs, inst.sources)
         yield member
@@ -637,7 +632,8 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
                       ) -> Union[VerificationReport, tuple[VerificationReport, ...]]:
     """Sweep the large parameters over the ensemble and report the constant.
 
-    ``kind`` is one estimate kind, which gives one report, or a sequence of
+    ``kind`` is one estimate kind (one of ``ESTIMATE_KINDS`` or a
+    :func:`lemma3_kind`), which gives one report, or a sequence of
     kinds swept over the same ensemble, which gives one report per kind in
     that order; the per-grid work (coefficients, weight base, bundles and
     weight factors of every cell) and each member's work

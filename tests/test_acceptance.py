@@ -37,7 +37,7 @@ from mfglab.verify import (
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
-    lemma3_check,
+    lemma3_kind,
 )
 from mfglab.weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
@@ -196,22 +196,16 @@ def test_criterion_04_lemma3(grid65):
     t0 = time.perf_counter()
     ens = generate_ensemble(11, 8, grid65, max_modes=3, t_degree=3,
                             amplitude=1.0)
-    eta = build_eta(grid65)
+    reports = estimate_constant([lemma3_kind(p) for p in (0, 1, 2)], ens,
+                                (1.0, 2.0), (8.0, 16.0, 32.0, 64.0), CoeffRecipe(),
+                                grid65, refine=False)
     c_emps = {}
-    for p in (0, 1, 2):
-        c_emp = 0.0
-        for lam in (1.0, 2.0):
-            for s in (8.0, 16.0, 32.0, 64.0):
-                bundle = eval_weight_bundle(
-                    eta, WeightParams(lam=lam, s=s), grid65)
-                for m in ens.members:
-                    pair = lemma3_check(m.u, p, bundle)
-                    assert pair.lhs <= max(c_emp, pair.ratio) * pair.rhs \
-                        or pair.rhs == 0.0
-                    if math.isfinite(pair.ratio):
-                        c_emp = max(c_emp, pair.ratio)
-        assert math.isfinite(c_emp) and c_emp > 0
-        c_emps[p] = c_emp
+    for p, rep in enumerate(reports):
+        assert len(rep.rows) == 2 * 4 * 8 and rep.invalid == ()
+        for row in rep.rows:
+            assert math.isfinite(row.ratio) and row.ratio <= rep.c_emp
+        assert math.isfinite(rep.c_emp) and rep.c_emp > 0
+        c_emps[p] = rep.c_emp
 
     # tiny-grid brute-force cross-check at 1e-10
     g9 = build_grid(1.0, 1.0, 9, 9, ["x+"])
@@ -219,7 +213,8 @@ def test_criterion_04_lemma3(grid65):
     rng = np.random.default_rng(0)
     w = GridFn(g9, "space-time", rng.normal(size=g9.shape))
     for p in (0, 1, 2):
-        pair = lemma3_check(w, p, b9)
+        pair = evaluate_estimate(lemma3_kind(p), w, None, None, None,
+                                 CoeffRecipe().sample(g9), b9)
         lhs_bf, rhs_bf = brute_force_lemma3(w, p, b9)
         assert abs(pair.lhs - lhs_bf) <= 1e-10 * max(lhs_bf, 1e-30)
         assert abs(pair.rhs - rhs_bf) <= 1e-10 * max(rhs_bf, 1e-30)

@@ -182,6 +182,34 @@ def test_seed_override_changes_outputs(tmp_path):
     assert (out1 / "ceps.csv").read_bytes() != (out2 / "ceps.csv").read_bytes()
 
 
+@pytest.mark.parametrize("experiment", ["reconstruct", "stability-sweep"])
+def test_seed_refused_when_the_config_gives_case_states(tmp_path, capsys, monkeypatch,
+                                                        experiment):
+    """``--seed`` overrides ``ensemble.seed``, from which explicit case states
+    draw nothing: it is refused there (exit code 2) before any run, and
+    accepted by a config that draws its case."""
+    import mfglab.cli
+
+    seeds = []
+
+    def fake_run(config):
+        seeds.append(config.section("ensemble")["seed"])
+        return RunReport(config.experiment, config.resolved,
+                         [ResultTable("t", ("a",), ((1.0,),))])
+
+    monkeypatch.setattr(mfglab.cli, "run", fake_run)
+    case = "case: {u: [[1.0, 1, 0]], v: [[2.0, 2, 0]]}\n"
+    for name, text in (("case", case), ("drawn", "")):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(f"experiment: {experiment}\n" + SMALL_GRID + text, encoding="utf-8")
+        code = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / name),
+                        "--seed", "2"])
+        assert code == (2 if name == "case" else 0)
+    assert "--seed has no effect" in capsys.readouterr().err
+    assert seeds == [2]
+    assert not (tmp_path / "case").exists()
+
+
 def test_emit_report_refuses_empty():
     with pytest.raises(ValueError, match="tables"):
         emit_report(RunReport("x", {}, []), "/tmp/whatever")
@@ -267,7 +295,7 @@ def test_state_det_timings_outside_output_hash(tmp_path):
 @pytest.mark.parametrize("experiment,sections,stages", [
     ("lemma3", "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
                "weights: {lambdas: [1.0], s_values: [8.0, 16.0]}\n"
-               "lemma3: {p_values: [0, 1]}\n", {"bundles_s", "checks_s"}),
+               "lemma3: {p_values: [0, 1]}\n", {"members_s", "terms_s", "sums_s"}),
     ("nonlinear-diff", "statedet: {epsilons: [0.2], refine: true}\n",
      {"coarse_s", "refined_s"}),
 ])
@@ -319,18 +347,18 @@ def test_nested_recording_restores_the_outer_one():
 
 
 def test_lemma3_builds_each_cell_bundle_once(monkeypatch):
-    import mfglab.cli
+    import mfglab.verify
     from mfglab.cli import run
     from mfglab.config import load_config
 
     calls = []
-    eval_bundle = mfglab.cli.eval_weight_bundle
+    eval_bundle = mfglab.verify.eval_weight_bundle
 
     def counted(eta, params, grid):
         calls.append(params)
         return eval_bundle(eta, params, grid)
 
-    monkeypatch.setattr(mfglab.cli, "eval_weight_bundle", counted)
+    monkeypatch.setattr(mfglab.verify, "eval_weight_bundle", counted)
     config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "lemma3.yaml"))
     report = run(config)
     wspec, ens = config.section("weights"), config.section("ensemble")

@@ -164,3 +164,24 @@ def test_bad_inverse_values_are_config_errors(tmp_path, entry, message):
     with pytest.raises(ConfigError, match=message) as err:
         load_config(str(p))
     assert str(err.value).startswith("inverse: ")
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("verify-carleman", "weights.lambdas"),
+    ("verify-carleman", "weights.s_values"),
+    ("verify-carleman", "estimates.kinds"),
+    ("lemma3", "lemma3.p_values"),
+    ("state-det", "statedet.epsilons"),
+])
+def test_empty_sweep_list_is_a_config_error(tmp_path, capsys, experiment, key):
+    from mfglab.cli import main
+
+    section, name = key.split(".")
+    p = tmp_path / "empty.yaml"
+    p.write_text(f"experiment: {experiment}\n{section}: {{{name}: []}}\n",
+                 encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key}: need at least one entry"):
+        load_config(str(p))
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

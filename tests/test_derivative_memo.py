@@ -2,6 +2,7 @@
 derivative memo the member holds, and a refined pass frees the coarse
 ensemble before it builds its first member."""
 
+import functools
 import gc
 import hashlib
 import weakref
@@ -20,7 +21,7 @@ from mfglab.grid import DiffMemo, GridFn, build_grid, diff
 from mfglab.models import make_nonlinear_pair, mms_case_ensemble
 from mfglab.basis import random_cosine_field
 from mfglab.statedet import thm1_experiment
-from mfglab.verify import estimate_constant, generate_ensemble
+from mfglab.verify import estimate_constant, generate_ensemble, lemma3_kind
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 FN_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4")
@@ -119,6 +120,26 @@ def test_nonlinear_pair_takes_each_derivative_once(stencil_calls):
     make_nonlinear_pair(*fields, NonlinearRecipe(a=1.0, kappa=0.5, p=0.2).sample(g))
     # t, x and xx of each state; a_x, a_xx, kappa_x; (kappa v2)_x for m2
     assert_each_once(stencil_calls, 4 * 3 + 3 + 1)
+
+
+def test_lemma3_sweep_takes_no_derivative(stencil_calls, monkeypatch):
+    prop = mfglab.verify._Member.antiderivative
+    taken = []
+
+    def counted(member):
+        taken.append(id(member))
+        return prop.func(member)
+
+    wrapped = functools.cached_property(counted)
+    wrapped.__set_name__(mfglab.verify._Member, "antiderivative")
+    monkeypatch.setattr(mfglab.verify._Member, "antiderivative", wrapped)
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    estimate_constant([lemma3_kind(p) for p in (0, 1, 2)], generate_ensemble(7, 3, g),
+                      LAMS, S_VALUES, COUPLED, g, refine=False)
+    # Lemma 3 reads u and its time antiderivative: no residual sources, no
+    # stencil, and each member's antiderivative once for all three powers
+    assert stencil_calls == []
+    assert len(taken) == 3
 
 
 # ---------------------------------------------------------------------------

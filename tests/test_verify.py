@@ -23,8 +23,7 @@ from mfglab.verify import (
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
-    lemma3_check,
-    lemma3_factors,
+    lemma3_kind,
 )
 from mfglab.weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -123,10 +122,17 @@ def test_lemma4_and_single_sided_kinds_run():
         assert all(v >= 0 for v in pair.rhs_terms.values())
 
 
+def lemma3_pair(w, p, bundle):
+    """Both sides of Lemma 3 for one field on one cell, through the sweep's
+    path (the coefficients are not read)."""
+    return evaluate_estimate(lemma3_kind(p), w, None, None, None,
+                             CoeffRecipe().sample(w.grid), bundle)
+
+
 def test_lemma3_zero_field():
     g, _, _, bundle = setup(n=17)
     z = GridFn(g, "space-time", np.zeros(g.shape))
-    pair = lemma3_check(z, 0, bundle)
+    pair = lemma3_pair(z, 0, bundle)
     assert pair.lhs == 0.0 and pair.rhs == 0.0
 
 
@@ -164,7 +170,7 @@ def test_lemma3_brute_force_cross_check(p):
     bundle = eval_weight_bundle(eta, WeightParams(lam=1.5, s=4.0), g)
     rng = np.random.default_rng(p)
     w = GridFn(g, "space-time", rng.normal(size=g.shape))
-    pair = lemma3_check(w, p, bundle)
+    pair = lemma3_pair(w, p, bundle)
     lhs_bf, rhs_bf = brute_force_lemma3(w, p, bundle)
     assert abs(pair.lhs - lhs_bf) <= 1e-10 * max(lhs_bf, 1e-30)
     assert abs(pair.rhs - rhs_bf) <= 1e-10 * max(rhs_bf, 1e-30)
@@ -179,18 +185,7 @@ def test_lemma3_antiderivative_is_scipy_cumulative_trapezoid():
     cum = cumulative_trapezoid(w.values, dx=g.tau, axis=g.dim, initial=0.0)
     inner = cum - cum[..., g.it0][..., None]
     lhs = float(np.sum(g.st_weights * inner * inner * bundle.weight_factor(1)))
-    assert lemma3_check(w, 1, bundle).lhs == lhs
-
-
-def test_lemma3_check_with_shared_factors_is_unchanged():
-    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    bundle = eval_weight_bundle(build_eta(g), WeightParams(lam=2.0, s=8.0), g)
-    rng = np.random.default_rng(19)
-    for p in (0, 1, 2):
-        factors = lemma3_factors(p, bundle)
-        for _ in range(2):
-            w = GridFn(g, "space-time", rng.normal(size=g.shape))
-            assert lemma3_check(w, p, bundle, factors) == lemma3_check(w, p, bundle)
+    assert lemma3_pair(w, 1, bundle).lhs == lhs
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -209,19 +204,23 @@ def test_lemma3_constant_reproducible_pin():
     # frozen empirical constant for this seed and sweep (deterministic)
     g = build_grid(1.0, 1.0, 65, 65, ["x+"])
     ens = generate_ensemble(11, 8, g, max_modes=3, t_degree=3, amplitude=1.0)
-    eta = build_eta(g)
     pins = {0: 0.005459447984838515, 1: 0.005464290779050294,
             2: 0.005469137408556098}
-    for p, pin in pins.items():
-        c_emp = 0.0
-        for lam in (1.0, 2.0):
-            for s in (8.0, 16.0, 32.0, 64.0):
-                bundle = eval_weight_bundle(eta, WeightParams(lam=lam, s=s), g)
-                for m in ens.members:
-                    r = lemma3_check(m.u, p, bundle).ratio
-                    if math.isfinite(r):
-                        c_emp = max(c_emp, r)
-        assert abs(c_emp - pin) <= 1e-9 * pin
+    reports = estimate_constant([lemma3_kind(p) for p in pins], ens, (1.0, 2.0),
+                                (8.0, 16.0, 32.0, 64.0), CoeffRecipe(), g, refine=False)
+    for (p, pin), rep in zip(pins.items(), reports):
+        assert rep.kind == f"LEMMA3(p={p})"
+        assert abs(rep.c_emp - pin) <= 1e-9 * pin
+
+
+def test_lemma3_kinds_refuse_bad_names():
+    g, coeffs, ens, bundle = setup(n=17)
+    u = ens.members[0].u
+    for kind in ("LEMMA3(p=-1)", "LEMMA3(p=01)", "LEMMA3", "LEMMA3(p=1"):
+        with pytest.raises(ValueError, match="unknown estimate kind"):
+            evaluate_estimate(kind, u, None, None, None, coeffs, bundle)
+    with pytest.raises(ValueError, match="needs u"):
+        evaluate_estimate(lemma3_kind(1), None, u, None, None, coeffs, bundle)
 
 
 def test_estimate_constant_report_fields():
@@ -539,7 +538,10 @@ def test_thm3_adds_no_derivative_work(monkeypatch):
         estimate_constant(group, ens, LAMS, S_VALUES, recipe, g, refine=True)
         per_call.append(dict(counts))
     assert per_call[0]["diff"] > 0
-    assert per_call[0] == per_call[1]
+    assert per_call[0]["diff"] == per_call[1]["diff"]
+    # the residual sources are built only for THM3, which reads F and G; they
+    # take the derivatives the left sides read
+    assert "residual" not in per_call[0] and per_call[1]["residual"] > 0
 
 
 def test_sweep_memory_independent_of_member_count():
