@@ -21,8 +21,6 @@ from .inverse import (
     make_inverse_data,
     reconstruct,
     stability_sweep,
-    thm2_constant,
-    verify_thm2,
 )
 from .models import (
     CaseEnsemble,

@@ -21,7 +21,7 @@ from .inverse import make_inverse_data, reconstruct, stability_sweep
 from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report, recording
 from .statedet import thm1_experiment, thm4_experiment
-from .verify import (ENERGY_KINDS, ESTIMATE_KINDS, estimate_constant, generate_ensemble,
+from .verify import (CASE_KINDS, ESTIMATE_KINDS, estimate_constant, generate_ensemble,
                      lemma3_kind)
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
@@ -115,11 +115,12 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
                                     wspec["s_values"], recipe, grid, refine=refine)
         return dict(zip(group, reports))
 
-    # one sweep call per ensemble: the energy-slice kinds run on manufactured
-    # cases, every other kind on the function ensemble; the ensemble is built
-    # in the call, so the sweep can free it before its refined pass
-    fn_kinds = list(dict.fromkeys(k for k in kinds if k not in ENERGY_KINDS))
-    case_kinds = list(dict.fromkeys(k for k in kinds if k in ENERGY_KINDS))
+    # one sweep call per ensemble: the kinds that read the factorized sources
+    # run on manufactured cases, every other kind on the function ensemble;
+    # the ensemble is built in the call, so the sweep can free it before its
+    # refined pass
+    fn_kinds = list(dict.fromkeys(k for k in kinds if k not in CASE_KINDS))
+    case_kinds = list(dict.fromkeys(k for k in kinds if k in CASE_KINDS))
     reports = sweep(fn_kinds, lambda: _build_function_ensemble(cfg, grid))
     reports |= sweep(case_kinds, lambda: _build_case_ensemble(cfg, grid, recipe))
     rows = []

@@ -258,11 +258,23 @@ class ExperimentConfig:
 # the lists a run sweeps over; an empty one would give an empty table
 _SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
                 ("estimates", "kinds"), ("lemma3", "p_values"),
-                ("statedet", "epsilons"))
+                ("statedet", "epsilons"), ("inverse", "deltas"), ("inverse", "seeds"))
 
 
 def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
     problems = []
+    # the well-formed sweep lists by dotted key; None keeps a computed default
+    lists: dict[str, list] = {}
+    for section, key in _SWEEP_LISTS:
+        value = resolved.get(section, {}).get(key)
+        if value is None:
+            continue
+        if not isinstance(value, list):
+            problems.append(f"{section}.{key}: must be a list")
+        elif not value:
+            problems.append(f"{section}.{key}: need at least one entry")
+        else:
+            lists[f"{section}.{key}"] = value
     gspec = resolved.get("grid", {})
     if "nt" in gspec and int(gspec["nt"]) % 2 == 0:
         problems.append(f"grid.nt: must be odd, got {gspec['nt']}")
@@ -272,24 +284,15 @@ def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
             problems.append("ensemble.seed: explicit seed required")
         if int(ens["n"]) < 1:
             problems.append("ensemble.n: need at least one member")
-    if "weights" in resolved:
-        w = resolved["weights"]
-        if any(float(l) <= 0 for l in w["lambdas"]):
-            problems.append("weights.lambdas: entries must be positive")
-        if any(float(s) < 0 for s in w["s_values"]):
-            problems.append("weights.s_values: entries must be non-negative")
-    for section, key in _SWEEP_LISTS:
-        if section in resolved and resolved[section][key] == []:
-            problems.append(f"{section}.{key}: need at least one entry")
-    if experiment == "lemma3":
-        if any(int(p) < 0 for p in resolved["lemma3"]["p_values"]):
-            problems.append("lemma3.p_values: entries must be >= 0")
+    if any(float(l) <= 0 for l in lists.get("weights.lambdas", ())):
+        problems.append("weights.lambdas: entries must be positive")
+    if any(float(s) < 0 for s in lists.get("weights.s_values", ())):
+        problems.append("weights.s_values: entries must be non-negative")
+    if any(int(p) < 0 for p in lists.get("lemma3.p_values", ())):
+        problems.append("lemma3.p_values: entries must be >= 0")
     if experiment in ("reconstruct", "stability-sweep"):
-        inv = resolved["inverse"]
-        if float(inv["delta"]) < 0:
+        if float(resolved["inverse"]["delta"]) < 0:
             problems.append("inverse.delta: must be >= 0")
-        if len(inv["seeds"]) < 1:
-            problems.append("inverse.seeds: need at least one seed")
     return problems
 
 

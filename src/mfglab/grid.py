@@ -188,13 +188,6 @@ class Grid:
             gamma=self.gamma,
         )
 
-    def same_domain(self, other: "Grid") -> bool:
-        return (
-            self.lengths == other.lengths
-            and self.T == other.T
-            and self.gamma == other.gamma
-        )
-
 
 def build_grid(
     lengths: Union[float, Sequence[float]],

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,19 +56,14 @@ from .grid import (
     Face,
     Grid,
     GridFn,
-    diff,
     face_quad_weights,
     face_values,
     gamma_jets,
     node_index,
-    norm,
     stencil,
 )
-from .models import (CaseEnsemble, ManufacturedCase, case_recipes, residual,
-                     resampled_cases)
+from .models import ManufacturedCase, residual
 from .reports import stage
-from .verify import EstimateSidePair
-from .weights import WeightParams
 
 __all__ = [
     "InverseData",
@@ -76,14 +71,11 @@ __all__ = [
     "ReconstructionResult",
     "SourceReduction",
     "StabilityReport",
-    "Thm2Report",
     "direct_formula_oracle",
     "make_inverse_data",
     "reconstruct",
     "reduce_sources",
     "stability_sweep",
-    "thm2_constant",
-    "verify_thm2",
 ]
 
 TRACE_KEYS = ("u", "v", "ut", "vt")
@@ -1096,66 +1088,3 @@ def _loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float,
     ss_tot = float(np.sum(dy ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), float(r2)
-
-
-# ---------------------------------------------------------------------------
-# stability-inequality check
-
-
-def verify_thm2(case: ManufacturedCase) -> EstimateSidePair:
-    """Source norms against slice-H2 norms plus the observation functionals.
-
-    The data terms enter at first power (root of the summed squares per
-    time-derivative order), keeping both sides of the same homogeneity.
-    """
-    g = case.grid
-    lhs = {
-        "f": _abs_l2(g, case.sources.f),
-        "g": _abs_l2(g, case.sources.g),
-    }
-    u0 = GridFn(g, SPATIAL_SLICE, case.u.values[..., g.it0])
-    v0 = GridFn(g, SPATIAL_SLICE, case.v.values[..., g.it0])
-    ut = diff(case.u, t_order=1)
-    vt = diff(case.v, t_order=1)
-    rhs = {
-        "u0_H2": norm(u0, "H2_slice"),
-        "v0_H2": norm(v0, "H2_slice"),
-        "data_k0": math.sqrt(norm(case.u, "D_gamma") ** 2
-                             + norm(case.v, "D_gamma") ** 2),
-        "data_k1": math.sqrt(norm(ut, "D_gamma") ** 2 + norm(vt, "D_gamma") ** 2),
-    }
-    return EstimateSidePair(kind="THM2", params=WeightParams(lam=1.0, s=0.0),
-                            lhs_terms=lhs, rhs_terms=rhs)
-
-
-@dataclass(frozen=True)
-class Thm2Report:
-    rows: tuple[tuple[int, float, float, float], ...]  # (member, lhs, rhs, ratio)
-    max_ratio: float
-    drift: Optional[float] = None
-    max_ratio_refined: Optional[float] = None
-
-
-def thm2_constant(cases: CaseEnsemble, *, refine: bool = True) -> Thm2Report:
-    """Max ratio of the stability inequality over a case ensemble, with the
-    refinement drift of the constant."""
-
-    def run(ens: Iterable[ManufacturedCase]):
-        rows = []
-        best = 0.0
-        for i, case in enumerate(ens):
-            pair = verify_thm2(case)
-            rows.append((i, pair.lhs, pair.rhs, pair.ratio))
-            if math.isfinite(pair.ratio):
-                best = max(best, pair.ratio)
-        return rows, best
-
-    rows, best = run(cases.cases)
-    drift = fine_best = None
-    if refine:
-        # each refined case is built just before it is used
-        fine = cases.cases[0].grid.refined(2)
-        _, fine_best = run(resampled_cases(case_recipes(cases.cases), fine))
-        drift = fine_best / best if best > 0 else math.inf
-    return Thm2Report(rows=tuple(rows), max_ratio=best, drift=drift,
-                      max_ratio_refined=fine_best)

@@ -106,14 +106,6 @@ class ManufacturedCase:
     q_mode: str
     recipe: Optional[CaseRecipe] = None
 
-    def resample(self, grid: Grid,
-                 coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
-        """Rebuild on another grid of the same domain through
-        :meth:`CaseRecipe.resample`."""
-        if not grid.same_domain(self.grid):
-            raise ValueError("resampling grid must share the domain")
-        return _recipe_of(self).resample(grid, coeffs=coeffs)
-
     def scaled(self, c: float) -> "ManufacturedCase":
         """Same case with all states and sources scaled by c (the
         factorization keeps q fixed and scales f, g)."""
@@ -308,15 +300,12 @@ class CaseEnsemble:
         return len(self.cases)
 
 
-def _recipe_of(case: ManufacturedCase) -> CaseRecipe:
-    if case.recipe is None:
-        raise ValueError("case has no recipe attached; cannot resample")
-    return case.recipe
-
-
 def case_recipes(cases: Iterable[ManufacturedCase]) -> list[CaseRecipe]:
     """The recipe of each case, which is all a refined pass needs of it."""
-    return [_recipe_of(c) for c in cases]
+    recipes = [c.recipe for c in cases]
+    if any(r is None for r in recipes):
+        raise ValueError("case has no recipe attached; cannot resample")
+    return recipes
 
 
 def resampled_cases(recipes: Iterable[CaseRecipe], grid: Grid,

@@ -31,6 +31,7 @@ from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
 __all__ = [
+    "CASE_KINDS",
     "ESTIMATE_KINDS",
     "EstimateRow",
     "EstimateSidePair",
@@ -42,9 +43,12 @@ __all__ = [
     "lemma3_kind",
 ]
 
-ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_9")
-# the midpoint-slice kinds: their right side needs the factorized sources
+ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_9",
+                  "THM2")
+# the midpoint-slice kinds
 ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
+# the kinds that read the factorized sources, so sweep manufactured cases
+CASE_KINDS = ENERGY_KINDS + ("THM2",)
 
 ZERO_RHS_FLOOR = 0.0
 
@@ -161,7 +165,9 @@ def _h2_slice_sq(grid: Grid, slice_vals: np.ndarray) -> float:
 # is a path (base, *steps), base one of "u", "v", "F", "G" and each step one
 # derivative (t_order, x axes), or a composite: "opA" = u_t + A u,
 # "opB" = v_t - B v, "f" and "g" = the source profiles constant in time,
-# "Iu" = u's trapezoid antiderivative in time from t0.
+# "Iu" = u's trapezoid antiderivative in time from t0.  THM2 (the source
+# stability estimate) weighs the profiles at s = 0, where every weight factor
+# is 1: its sides are T (|f|^2 + |g|^2) against D0^2.
 _DT = (1, ())
 
 
@@ -221,12 +227,16 @@ def _kind_terms(kind: str, dim: int) -> tuple[dict[str, tuple], dict[str, tuple]
                 | _second_side_lhs(v + (_DT,), "vt_", dim),
                 {"Ft": ((F + (_DT,), 1, 0),), "F": ((F, 1, 0),),
                  "Gt": ((G + (_DT,), 0, 0),), "G": ((G, 0, 0),)})
+    if kind == "THM2":
+        return {"f": (("f", 0, 0),), "g": (("g", 0, 0),)}, {}
     return {}, {"f": (("f", 1, 0),), "g": (("g", 0, 0),)}
 
 
-def _require_slice_s(kinds: Sequence[str], s_values: Iterable[float]) -> None:
+def _require_s(kinds: Sequence[str], s_values: Sequence[float]) -> None:
     if any(k in ENERGY_KINDS for k in kinds) and any(s <= 0 for s in s_values):
         raise ValueError("energy-slice kinds need s > 0")
+    if "THM2" in kinds and any(s != 0 for s in s_values):
+        raise ValueError("THM2 runs only at s = 0, where its norms are unweighted")
 
 
 def _check_consistency(u: DiffMemo, v: DiffMemo, F: DiffMemo, G: DiffMemo,
@@ -247,7 +257,8 @@ _SYSTEM_KINDS = ("THM3", "LEMMA4")
 # and of v, and D0^2 (both of them, D_gamma^2 of u_t and v_t and the squared
 # H2 norms of the two t0 slices); Lemma 3 has none
 _DATA_TERMS = {"LEMMA1": ("Du2",), "LEMMA2": ("Dv2",), "THM3": ("Du2", "Dv2"),
-               "LEMMA4": ("D02",), "ENERGY_3_8": ("D02",), "ENERGY_3_9": ("D02",)}
+               "LEMMA4": ("D02",), "ENERGY_3_8": ("D02",), "ENERGY_3_9": ("D02",),
+               "THM2": ("D02",)}
 
 
 def _require(kind: str, u, v, F, G, sources) -> None:
@@ -260,7 +271,7 @@ def _require(kind: str, u, v, F, G, sources) -> None:
         raise ValueError("LEMMA2 needs v")
     if kind in _SYSTEM_KINDS and any(x is None for x in (u, v, F, G)):
         raise ValueError(f"{kind} needs (u, v, F, G)")
-    if kind in ENERGY_KINDS:
+    if kind in CASE_KINDS:
         if sources is None:
             raise ValueError(f"{kind} needs the factorized sources")
         if u is None or v is None:
@@ -420,13 +431,13 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     The single-equation kinds use only u (LEMMA1 and every
     :func:`lemma3_kind`) or v (LEMMA2); the system kinds need (u, v, F, G)
     with the sources equal to the discrete residuals (checked); the
-    energy-slice kinds additionally need the factorized
-    ``sources`` since their right side is written in the spatial profiles.
+    energy-slice kinds (s > 0) and THM2 (s = 0) need u, v and the factorized
+    ``sources``, since their sides are written in the spatial profiles.
     Every unweighted data term carries the bundle's ``data_scale`` so that
     ratios are independent of the weight normalization.  This is the sweep's
     own path, for one member on one cell.
     """
-    _require_slice_s((kind,), (bundle.params.s,))
+    _require_s((kind,), (bundle.params.s,))
     member = _member((kind,), u, v, F, G, coeffs, sources)
     return _pairs(kind, member, _Cells((kind,), (bundle,), 1, bundle.grid))[0]
 
@@ -447,13 +458,6 @@ class EnsembleMember:
                grid: Grid) -> "EnsembleMember":
         """The member of two closed-form fields, sampled on ``grid``."""
         return cls(u_field, v_field, u_field.sample(grid), v_field.sample(grid))
-
-    def resample(self, grid: Grid) -> "EnsembleMember":
-        """Rebuild on another grid of the same domain (the closed-form fields
-        are sampled there exactly)."""
-        if not grid.same_domain(self.u.grid):
-            raise ValueError("resampling grid must share the domain")
-        return EnsembleMember.sample(self.u_field, self.v_field, grid)
 
 
 @dataclass(frozen=True)
@@ -639,6 +643,11 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     weight factors of every cell) and each member's work
     (sources, data functionals, derivative stacks, weighted squares) is then
     done once for all of them.
+    THM2 (Theorem 2, the source stability estimate) sweeps a case ensemble
+    at ``s = 0`` only, so its ratio T(|f|^2 + |g|^2) / D0^2 is in unweighted
+    norms.  The weight base is built even there, so THM2 is refused wherever
+    :func:`~mfglab.weights.build_eta` refuses the coefficients (strongly
+    skewed off-diagonal principal parts in 2D).
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
@@ -661,7 +670,7 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
         raise ValueError("ensemble must be non-empty")
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
-    _require_slice_s(kinds, s_grid)
+    _require_s(kinds, s_grid)
     is_cases = isinstance(ensemble, CaseEnsemble)
     instances = ensemble.cases if is_cases else ensemble.members
     if refine:

@@ -21,7 +21,6 @@ from mfglab.inverse import (
     make_inverse_data,
     reconstruct,
     stability_sweep,
-    thm2_constant,
 )
 from mfglab.models import (
     analytic_linear_residuals,
@@ -306,8 +305,11 @@ def test_criterion_08_energy_and_thm2(grid65_both, cases20):
         assert all(math.isfinite(r.ratio) for r in rep.rows)
         assert 0.5 <= rep.drift <= 2.0, (kind, rep.drift)
         details[kind] = rep.drift
-    t2 = thm2_constant(cases20, refine=True)
-    assert math.isfinite(t2.max_ratio) and t2.max_ratio > 0
+    # Theorem 2 is unweighted: the sweep's one s = 0 cell (measured: max
+    # ratio 0.00385, drift 0.9993)
+    t2 = estimate_constant("THM2", cases20, [1.0], [0.0], COUPLED, grid65_both,
+                           refine=True)
+    assert math.isfinite(t2.c_emp) and t2.c_emp > 0
     assert 0.5 <= t2.drift <= 2.0, t2.drift
     details["THM2"] = t2.drift
     _report(8, "drifts " + ", ".join(f"{k} {v:.3f}" for k, v in details.items()),

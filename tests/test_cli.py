@@ -144,6 +144,25 @@ def test_inverse_stage_timings_outside_output_hash(tmp_path, experiment, inverse
     assert reports[0]["output_hash"] == reports[1]["output_hash"]
 
 
+def test_thm2_runs_on_cases_at_s_zero_only(tmp_path, capsys):
+    """THM2 reads the factorized sources, so it sweeps the case ensemble, and
+    only at s = 0; the default s values are refused with THM2 named."""
+    cfg = tmp_path / "t.yaml"
+    body = ("experiment: verify-carleman\n" + SMALL_GRID
+            + "ensemble: {seed: 3, n: 3}\nestimates: {kinds: [THM2]}\n")
+    cfg.write_text(body + "weights: {s_values: [0.0]}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["verify-carleman", "--config", str(cfg), "--out", str(out)]) == 0
+    drift = json.loads((out / "report.json").read_text())["summary"]["THM2"]["drift"]
+    assert isinstance(drift, float) and drift > 0 and drift != float("inf")
+    capsys.readouterr()
+    cfg.write_text(body, encoding="utf-8")
+    assert run_cli(["verify-carleman", "--config", str(cfg),
+                    "--out", str(tmp_path / "refused")]) != 0
+    assert "THM2" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
 def test_even_nt_config_fails_with_code_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("experiment: verify-weights\ngrid: {nt: 16}\n",

@@ -172,16 +172,21 @@ def test_bad_inverse_values_are_config_errors(tmp_path, entry, message):
     ("verify-carleman", "estimates.kinds"),
     ("lemma3", "lemma3.p_values"),
     ("state-det", "statedet.epsilons"),
+    ("stability-sweep", "inverse.deltas"),
+    ("stability-sweep", "inverse.seeds"),
 ])
 def test_empty_sweep_list_is_a_config_error(tmp_path, capsys, experiment, key):
+    """An empty sweep list, or a scalar where the list goes, is a config
+    error (exit code 2) that names the key, and nothing is written."""
     from mfglab.cli import main
 
     section, name = key.split(".")
-    p = tmp_path / "empty.yaml"
-    p.write_text(f"experiment: {experiment}\n{section}: {{{name}: []}}\n",
-                 encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"{key}: need at least one entry"):
-        load_config(str(p))
-    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for value, message in (("[]", "need at least one entry"), ("2", "must be a list")):
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"experiment: {experiment}\n{section}: {{{name}: {value}}}\n",
+                     encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key}: {message}"):
+            load_config(str(p))
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"{key}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -25,8 +25,6 @@ from mfglab.inverse import (
     make_inverse_data,
     reconstruct,
     stability_sweep,
-    thm2_constant,
-    verify_thm2,
 )
 from mfglab.reports import recording
 
@@ -404,32 +402,6 @@ def test_sweep_rows_equal_standalone_reconstructions():
             assert abs(got - want) <= 1e-9 * want
         assert row.converged == res.converged
         assert max(row.normal_residual, res.normal_residual) <= 1e-9
-
-
-def test_thm2_ratio_scale_invariant():
-    case, _, _ = build_case(n=17)
-    base = verify_thm2(case)
-    scaled = verify_thm2(case.scaled(2.5))
-    assert abs(scaled.ratio - base.ratio) <= 1e-12 * base.ratio
-    assert abs(scaled.lhs - 2.5 * base.lhs) <= 1e-12 * scaled.lhs
-
-
-def test_thm2_whole_boundary_tightens_ratio():
-    case_one, _, _ = build_case(n=17, gamma=("x+",))
-    case_all, _, _ = build_case(n=17, gamma=("x-", "x+"))
-    one = verify_thm2(case_one)
-    both = verify_thm2(case_all)
-    assert both.rhs >= one.rhs
-    assert both.ratio <= one.ratio
-
-
-def test_thm2_constant_with_drift():
-    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    ens = mms_case_ensemble(13, 3, g, COUPLED, 1.0, 1.0, max_modes=2,
-                            t_degree=2, q_min=0.05)
-    rep = thm2_constant(ens, refine=True)
-    assert math.isfinite(rep.max_ratio) and rep.max_ratio > 0
-    assert rep.drift is not None and math.isfinite(rep.drift)
 
 
 # -- sparse assembly against the field operators -----------------------------

@@ -14,9 +14,11 @@ import mfglab.grid
 import mfglab.models
 import mfglab.verify
 from mfglab.coefficients import CoeffRecipe
-from mfglab.grid import GridFn, build_grid, diff, norm
-from mfglab.models import mms_case_ensemble, residual
+from mfglab.basis import SeparableField, Term
+from mfglab.grid import SPATIAL_SLICE, GridFn, build_grid, diff, norm
+from mfglab.models import mms_case_ensemble, mms_linear, residual
 from mfglab.verify import (
+    CASE_KINDS,
     ESTIMATE_KINDS,
     EnsembleMember,
     EstimateSidePair,
@@ -269,6 +271,11 @@ LAMS = (0.5, 1.0)
 S_VALUES = (0.5, 1.0, 4.0, 8.0)
 
 
+def s_values(kind):
+    """The s values a kind sweeps: THM2 is unweighted, so only s = 0."""
+    return (0.0,) if kind == "THM2" else S_VALUES
+
+
 def sweep_inputs(kind, dim=1, members=3):
     """(ensemble, recipe, grid, per-member (u, v, F, G, sources))."""
     if dim == 1:
@@ -277,11 +284,11 @@ def sweep_inputs(kind, dim=1, members=3):
     else:
         g = build_grid((1.0, 2.0), 1.0, (9, 9), 9, ["x1+"])
         recipe = COUPLED_2D
-    if kind in ENERGY_KINDS:
+    if kind in CASE_KINDS:
         cases = mms_case_ensemble(
             21, members, g, recipe,
-            lambda x: 1.0 + 0.3 * np.cos(np.pi * x),
-            lambda x: 1.0 - 0.3 * np.cos(np.pi * x),
+            lambda x, *_: 1.0 + 0.3 * np.cos(np.pi * x),
+            lambda x, *_: 1.0 - 0.3 * np.cos(np.pi * x),
             q_min=0.05,
         )
         inputs = [(c.u, c.v, c.F, c.G, c.sources) for c in cases.cases]
@@ -296,10 +303,10 @@ def sweep_inputs(kind, dim=1, members=3):
 @pytest.mark.parametrize("kind,dim", [(k, 1) for k in ESTIMATE_KINDS] + [("THM3", 2)])
 def test_sweep_rows_equal_standalone_evaluations(kind, dim):
     ens, recipe, g, inputs = sweep_inputs(kind, dim)
-    rep = estimate_constant(kind, ens, LAMS, S_VALUES, recipe, g, refine=False)
+    rep = estimate_constant(kind, ens, LAMS, s_values(kind), recipe, g, refine=False)
     coeffs = recipe.sample(g)
     eta = build_eta(g, coeffs)
-    assert len(rep.rows) == len(LAMS) * len(S_VALUES) * len(inputs)
+    assert len(rep.rows) == len(LAMS) * len(s_values(kind)) * len(inputs)
     for row in rep.rows:
         bundle = eval_weight_bundle(eta, WeightParams(lam=row.lam, s=row.s), g)
         u, v, F, G, sources = inputs[row.member]
@@ -307,9 +314,12 @@ def test_sweep_rows_equal_standalone_evaluations(kind, dim):
         assert (row.lhs, row.rhs, row.ratio) == (pair.lhs, pair.rhs, pair.ratio)
 
 
-@pytest.mark.parametrize("kind", ENERGY_KINDS)
+@pytest.mark.parametrize("kind", CASE_KINDS)
 def test_energy_kinds_reject_zero_s_before_any_member(kind, monkeypatch):
+    """The energy-slice kinds refuse s = 0, and THM2 any s but 0."""
     ens, recipe, g, inputs = sweep_inputs(kind)
+    bad_s, message = ((1.0, "THM2 runs only at s = 0") if kind == "THM2"
+                      else (0.0, "energy-slice kinds need s > 0"))
     built = Counter()
 
     def counted(name):
@@ -322,12 +332,13 @@ def test_energy_kinds_reject_zero_s_before_any_member(kind, monkeypatch):
 
     counted("_member")
     counted("eval_weight_bundle")
-    with pytest.raises(ValueError, match="energy-slice kinds need s > 0"):
-        estimate_constant(kind, ens, LAMS, (1.0, 0.0), recipe, g, refine=False)
+    with pytest.raises(ValueError, match=message):
+        estimate_constant(kind, ens, LAMS, (1.0 - bad_s, bad_s), recipe, g,
+                          refine=False)
     coeffs = recipe.sample(g)
-    bundle = eval_weight_bundle(build_eta(g, coeffs), WeightParams(lam=1.0, s=0.0), g)
+    bundle = eval_weight_bundle(build_eta(g, coeffs), WeightParams(lam=1.0, s=bad_s), g)
     u, v, F, G, sources = inputs[0]
-    with pytest.raises(ValueError, match="energy-slice kinds need s > 0"):
+    with pytest.raises(ValueError, match=message):
         evaluate_estimate(kind, u, v, F, G, coeffs, bundle, sources=sources)
     assert built == Counter()
 
@@ -391,6 +402,78 @@ def test_d0_data_term_equals_direct_formula(kind):
         assert pair.rhs_terms["D02"] == bundle.data_scale * d0
 
 
+# ---------------------------------------------------------------------------
+# Theorem 2: the source profiles against the data, unweighted (s = 0)
+
+
+def thm2_case(gamma=("x-", "x+")):
+    """One manufactured case with explicit states, at 17^2."""
+    g = build_grid(1.0, 1.0, 17, 17, list(gamma))
+    u = SeparableField((1.0,), 1.0, (Term(1.0, ("cos",), (1,), 0),
+                                     Term(1.0, ("cos",), (1,), 1),
+                                     Term(0.5, ("cos",), (2,), 2)))
+    v = SeparableField((1.0,), 1.0, (Term(2.0, ("cos",), (2,), 0),
+                                     Term(-1.0, ("cos",), (2,), 1),
+                                     Term(0.4, ("cos",), (1,), 3)))
+    x = g.xs[0]
+    return mms_linear(u, v, COUPLED.sample(g), 1.0 + 0.3 * np.cos(np.pi * x),
+                      1.0 - 0.3 * np.cos(np.pi * x), q_min=0.05)
+
+
+def thm2_pair(case):
+    """Both THM2 sides of one case, on the s = 0 cell of its grid."""
+    g = case.grid
+    bundle = eval_weight_bundle(build_eta(g, case.coeffs), WeightParams(lam=1.0, s=0.0), g)
+    return evaluate_estimate("THM2", case.u, case.v, case.F, case.G, case.coeffs,
+                             bundle, sources=case.sources)
+
+
+def test_thm2_ratio_scale_invariant():
+    base = thm2_pair(thm2_case())
+    scaled = thm2_pair(thm2_case().scaled(2.5))
+    assert abs(scaled.ratio - base.ratio) <= 1e-12 * base.ratio
+    # both sides are squared norms
+    assert abs(scaled.lhs - 2.5**2 * base.lhs) <= 1e-12 * scaled.lhs
+
+
+def test_thm2_whole_boundary_tightens_ratio():
+    one = thm2_pair(thm2_case(gamma=("x+",)))
+    both = thm2_pair(thm2_case(gamma=("x-", "x+")))
+    assert both.rhs >= one.rhs
+    assert both.ratio <= one.ratio
+
+
+def test_thm2_sweep_with_drift():
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    ens = mms_case_ensemble(13, 3, g, COUPLED, 1.0, 1.0, max_modes=2,
+                            t_degree=2, q_min=0.05)
+    rep = estimate_constant("THM2", ens, [1.0], [0.0], COUPLED, g, refine=True)
+    assert math.isfinite(rep.c_emp) and rep.c_emp > 0
+    assert rep.drift is not None and math.isfinite(rep.drift)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_thm2_equals_direct_formula(dim):
+    """T (|f|^2 + |g|^2) against D0^2: the slices' squared H2 norms and
+    D_gamma^2 of u, v, u_t and v_t."""
+    _, recipe, g, inputs = sweep_inputs("THM2", dim, members=2)
+    coeffs = recipe.sample(g)
+    bundle = eval_weight_bundle(build_eta(g, coeffs), WeightParams(lam=1.0, s=0.0), g)
+
+    def slice_sq(values, kind):
+        return norm(GridFn(g, SPATIAL_SLICE, values), kind) ** 2
+
+    for u, v, F, G, sources in inputs:
+        pair = evaluate_estimate("THM2", u, v, F, G, coeffs, bundle, sources=sources)
+        lhs = g.T * (slice_sq(sources.f, "L2_slice") + slice_sq(sources.g, "L2_slice"))
+        rhs = (sum(norm(f, "D_gamma") ** 2
+                   for f in (u, v, diff(u, t_order=1), diff(v, t_order=1)))
+               + slice_sq(u.values[..., g.it0], "H2_slice")
+               + slice_sq(v.values[..., g.it0], "H2_slice"))
+        assert abs(pair.lhs - lhs) <= 1e-12 * lhs
+        assert abs(pair.rhs - rhs) <= 1e-12 * rhs
+
+
 def counting(monkeypatch, counts, owners, name):
     """Count the calls of ``name`` made through any of the owner modules."""
     orig = getattr(owners[0], name)
@@ -423,14 +506,15 @@ def test_sweep_work_independent_of_cell_count(kind, monkeypatch):
 
     ens, recipe, g, _ = sweep_inputs(kind)
     per_sweep = []
-    for lams, s_values in (((1.0,), (1.0,)), (LAMS, S_VALUES)):
+    one_s = (0.0,) if kind == "THM2" else (1.0,)
+    for lams, s_grid in (((1.0,), one_s), (LAMS, s_values(kind))):
         counts.clear()
         factor_calls.clear()
-        estimate_constant(kind, ens, lams, s_values, recipe, g, refine=False)
+        estimate_constant(kind, ens, lams, s_grid, recipe, g, refine=False)
         per_sweep.append(dict(counts))
         # at most one weight factor per distinct (m, lam_power) in each cell
         assert len(factor_calls) == len(set(factor_calls))
-        assert len({c[0] for c in factor_calls}) == len(lams) * len(s_values)
+        assert len({c[0] for c in factor_calls}) == len(lams) * len(s_grid)
     assert per_sweep[0]["diff"] > 0
     assert per_sweep[0] == per_sweep[1]
 

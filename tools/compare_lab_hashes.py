@@ -2,18 +2,19 @@
 
     python tools/compare_lab_hashes.py BASE_DIR HEAD_DIR
 
-Runs each config in ``configs/`` (the six lab configs verify_weights,
-verify_carleman, lemma3, energy_slices, state_det and nonlinear_diff, then
-the two inverse configs reconstruct_clean and stability_sweep), and then
-the benchmark's ``perfbench/configs/inverse_cold.yaml`` as it is, at two
-``--seed`` values (a noisy reconstruct with the conormal rows on random
+Runs each config in ``configs/`` (first the lab configs, then those of an
+inverse experiment, each group in file-name order; the groups are read from
+each file's ``experiment`` key, so a new config joins without an edit), and
+then the benchmark's ``perfbench/configs/inverse_cold.yaml`` as it is, at
+two ``--seed`` values (a noisy reconstruct with the conormal rows on random
 cases, where reconstruct_clean is noise-free), with the library of each
 checkout, in its own interpreter, and prints one line per run saying
-whether the hashes agree.  The inverse hashes are reproducible only
-at a fixed OpenBLAS thread count (threaded OpenBLAS picks other kernels); both checkouts run in this one environment, so the
-comparison holds, and the last line gives the thread count that each
-checkout's ``report.json`` records (``OPENBLAS_NUM_THREADS``, or "unset";
-"not recorded" by a checkout that predates the record).
+whether the hashes agree.  The inverse hashes are reproducible only at a
+fixed OpenBLAS thread count (threaded OpenBLAS picks other kernels); both
+checkouts run in this one environment, so the comparison holds, and the
+last line gives the thread count that each checkout's ``report.json``
+records (``OPENBLAS_NUM_THREADS``, or "unset"; "not recorded" by a checkout
+that predates the record).
 
 Under each run whose hashes differ it sizes the move: the largest relative
 change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables and
@@ -37,9 +38,15 @@ from typing import Any, Iterator, Optional
 
 import yaml
 
-LAB_CONFIGS = ("verify_weights", "verify_carleman", "lemma3", "energy_slices",
-               "state_det", "nonlinear_diff")
-INVERSE_CONFIGS = ("reconstruct_clean", "stability_sweep")
+INVERSE_EXPERIMENTS = ("reconstruct", "stability-sweep")
+# the experiment of each shipped config of this checkout, by file name
+_EXPERIMENTS = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))["experiment"]
+                for path in sorted((Path(__file__).resolve().parents[1] / "configs")
+                                   .glob("*.yaml"))}
+LAB_CONFIGS = tuple(name for name, exp in _EXPERIMENTS.items()
+                    if exp not in INVERSE_EXPERIMENTS)
+INVERSE_CONFIGS = tuple(name for name, exp in _EXPERIMENTS.items()
+                        if exp in INVERSE_EXPERIMENTS)
 COLD_SEEDS = (1, 2)
 
 # (label, config path under the checkout, extra command-line arguments)

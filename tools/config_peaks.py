@@ -2,11 +2,11 @@
 
     python tools/config_peaks.py [[BASE_DIR] HEAD_DIR]
 
-Runs each config in ``configs/`` (the six lab configs and the two inverse
-configs that ``compare_lab_hashes.py`` lists) through the CLI of a checkout
-(default: this one), one process per config, and prints the peak resident
-set size (``ru_maxrss`` of that process) with the run's ``wall_time_s`` and
-its stage ``timings`` from its ``report.json``.  The first two lines are
+Runs each config in ``configs/`` (the lab configs and the inverse configs
+that ``compare_lab_hashes.py`` reads from that directory) through the CLI
+of a checkout (default: this one), one process per config, and prints the
+peak resident set size (``ru_maxrss`` of that process) with the run's
+``wall_time_s`` and its stage ``timings`` from its ``report.json``.  The first two lines are
 floors: a process that only imports the library ("imports only"), and one
 that also imports the SciPy modules of the inverse solver ("imports +
 inverse"), as ``load_config`` does for an inverse config.  A lab config's
