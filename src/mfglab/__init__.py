@@ -10,7 +10,6 @@ from .coefficients import (
     SourceFactors,
     apply_operator,
     check_ellipticity,
-    coefficient_bound,
 )
 from .grid import Face, Grid, GridFn, build_grid, diff, norm, parse_face
 from .inverse import (

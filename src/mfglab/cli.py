@@ -21,8 +21,7 @@ from .inverse import make_inverse_data, reconstruct, stability_sweep
 from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report, recording
 from .statedet import thm1_experiment, thm4_experiment
-from .verify import (CASE_KINDS, ESTIMATE_KINDS, estimate_constant, generate_ensemble,
-                     lemma3_kind)
+from .verify import CASE_KINDS, estimate_constant, generate_ensemble
 from .weights import WeightParams, build_eta, check_weight_identities, eval_weight_bundle
 
 __all__ = ["main", "run"]
@@ -101,10 +100,7 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.build_grid()
     recipe = cfg.coeff_recipe()
     est = cfg.section("estimates")
-    kinds = [str(k).upper() for k in est["kinds"]]
-    for kind in kinds:
-        if kind not in ESTIMATE_KINDS:
-            raise ConfigError(f"unknown estimate kind {kind!r}")
+    kinds = est["kinds"]  # canonical names, checked when the config loaded
     wspec = cfg.section("weights")
     refine = bool(est["refine"])
 
@@ -152,23 +148,6 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
                     tuple(const_rows), plot_worthy=False),
     ]
     return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
-
-
-def _run_lemma3(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
-    recipe = cfg.coeff_recipe()
-    wspec = cfg.section("weights")
-    p_values = [int(p) for p in cfg.section("lemma3")["p_values"]]
-    # one sweep over every p, in p-major order like the table
-    reports = estimate_constant([lemma3_kind(p) for p in p_values],
-                                _build_function_ensemble(cfg, grid), wspec["lambdas"],
-                                wspec["s_values"], recipe, grid, refine=False)
-    rows = [(p, row.lam, row.s, row.member, row.lhs, row.rhs, row.ratio)
-            for p, rep in zip(p_values, reports) for row in rep.rows]
-    summary = {f"c_emp_p{p}": rep.c_emp for p, rep in zip(p_values, reports)}
-    table = ResultTable("lemma3", ("p", "lambda", "s", "member", "lhs", "rhs",
-                                   "ratio"), tuple(rows))
-    return RunReport(cfg.experiment, cfg.resolved, [table], summary=summary)
 
 
 def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
@@ -303,7 +282,6 @@ def _run_nonlinear_diff(cfg: ExperimentConfig) -> RunReport:
 _DRIVERS = {
     "verify-weights": _run_verify_weights,
     "verify-carleman": _run_verify_carleman,
-    "lemma3": _run_lemma3,
     "reconstruct": _run_reconstruct,
     "stability-sweep": _run_stability_sweep,
     "state-det": _run_state_det,
@@ -312,7 +290,6 @@ _DRIVERS = {
 
 _SEED_SLOT = {
     "verify-carleman": ("ensemble", "seed"),
-    "lemma3": ("ensemble", "seed"),
     "reconstruct": ("ensemble", "seed"),
     "stability-sweep": ("ensemble", "seed"),
     "state-det": ("ensemble", "seed"),

@@ -5,9 +5,8 @@ equation (operator ``B``) through a zeroth-order factor ``c0`` one way and a
 full second-order operator ``A0`` the other way.  This module samples the
 coefficient fields on a grid, lists the terms of each operator once
 (:func:`operator_terms`), applies the operators with the shared stencils,
-builds the discrete conormal operator of the boundary hypothesis, checks
-uniform ellipticity and evaluates a size surrogate of the coefficients
-(:func:`coefficient_bound`, which no experiment reports yet).
+builds the discrete conormal operator of the boundary hypothesis and checks
+uniform ellipticity.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .grid import (
     Grid,
     GridFn,
     as_memo,
-    diff,
     face_values,
     node_index,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "SourceFactors",
     "apply_operator",
     "check_ellipticity",
-    "coefficient_bound",
     "conormal_operator",
     "sample_field",
     "sample_spatial",
@@ -346,31 +343,3 @@ def conormal_operator(c: CoeffSet, which: str, face: Face,
         term = sp.diags(m2[face.axis, j].ravel()[rows]) @ dx[j][rows]
         out = term if out is None else out + term
     return (sign * out).tocsr()
-
-
-def coefficient_bound(c: CoeffSet) -> float:
-    """Discrete surrogate of the coefficient-size constant.
-
-    Principal fields contribute their max absolute value plus the max
-    absolute value of each stencil first derivative (a C1-norm stand-in);
-    lower-order and coupling fields contribute their max absolute value.
-    """
-    g = c.grid
-    d = g.dim
-    total = 0.0
-    for m in (c.a2, c.b2):
-        for i in range(d):
-            for j in range(d):
-                fn = GridFn(g, SPACE_TIME, m[i, j])
-                total += float(np.max(np.abs(fn.values)))
-                total += float(np.max(np.abs(diff(fn, t_order=1).values)))
-                for ax in range(d):
-                    total += float(np.max(np.abs(diff(fn, x=(ax,)).values)))
-    for v in (c.a1, c.b1):
-        for k in range(d):
-            total += float(np.max(np.abs(v[k])))
-    total += float(np.max(np.abs(c.a0)))
-    total += float(np.max(np.abs(c.b0)))
-    for arr in c.b_gamma.values():
-        total += float(np.max(np.abs(arr)))
-    return total

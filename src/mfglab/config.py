@@ -19,13 +19,13 @@ from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
 from .inverse import ReconstructionConfig, load_scipy
+from .verify import _canonical_kind, _require_s
 
 __all__ = ["ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config"]
 
 EXPERIMENTS = (
     "verify-weights",
     "verify-carleman",
-    "lemma3",
     "reconstruct",
     "stability-sweep",
     "state-det",
@@ -41,8 +41,6 @@ _ALLOWED: dict[str, tuple[str, ...]] = {
     "verify-weights": ("experiment", "grid", "coefficients", "weights", "output"),
     "verify-carleman": ("experiment", "grid", "coefficients", "weights",
                         "ensemble", "sources", "estimates", "output"),
-    "lemma3": ("experiment", "grid", "coefficients", "weights", "ensemble",
-               "lemma3", "output"),
     "reconstruct": ("experiment", "grid", "coefficients", "ensemble", "sources",
                     "case", "inverse", "output"),
     "stability-sweep": ("experiment", "grid", "coefficients", "ensemble",
@@ -71,7 +69,6 @@ _DEFAULTS: dict[str, Any] = {
     # None draws a random admissible case from the ensemble stream instead
     "case": {"u": None, "v": None},
     "estimates": {"kinds": ["THM3"], "refine": True},
-    "lemma3": {"p_values": [0, 1, 2]},
     "inverse": {"delta": 0.0, "deltas": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
                 "seeds": [0, 1, 2], "beta": 1e-10, "beta_scale": 1.0,
                 "omega_pde": 1.0, "omega_gamma": 10.0, "omega_slice": 10.0,
@@ -257,8 +254,8 @@ class ExperimentConfig:
 
 # the lists a run sweeps over; an empty one would give an empty table
 _SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
-                ("estimates", "kinds"), ("lemma3", "p_values"),
-                ("statedet", "epsilons"), ("inverse", "deltas"), ("inverse", "seeds"))
+                ("estimates", "kinds"), ("statedet", "epsilons"), ("inverse", "deltas"),
+                ("inverse", "seeds"))
 
 
 def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
@@ -288,8 +285,21 @@ def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
         problems.append("weights.lambdas: entries must be positive")
     if any(float(s) < 0 for s in lists.get("weights.s_values", ())):
         problems.append("weights.s_values: entries must be non-negative")
-    if any(int(p) < 0 for p in lists.get("lemma3.p_values", ())):
-        problems.append("lemma3.p_values: entries must be >= 0")
+    # estimate kinds by their canonical names, checked against the s values
+    # with the sweep's own rules, so a sweep that cannot run fails here
+    names = lists.get("estimates.kinds", [])
+    kinds = []
+    for name in names:
+        try:
+            kinds.append(_canonical_kind(name))
+        except ValueError as exc:
+            problems.append(f"estimates.kinds: {exc}")
+    if names and len(kinds) == len(names):
+        resolved["estimates"]["kinds"] = kinds
+        try:
+            _require_s(kinds, [float(s) for s in lists.get("weights.s_values", ())])
+        except ValueError as exc:
+            problems.append(f"weights.s_values: {exc}")
     if experiment in ("reconstruct", "stability-sweep"):
         if float(resolved["inverse"]["delta"]) < 0:
             problems.append("inverse.delta: must be >= 0")

@@ -184,6 +184,15 @@ def _lemma3_power(kind: str) -> Optional[int]:
     return int(digits) if digits.isdecimal() and kind == lemma3_kind(digits) else None
 
 
+def _canonical_kind(name: str) -> str:
+    """The estimate kind that ``name`` spells in any letter case: one of
+    ``ESTIMATE_KINDS`` or a :func:`lemma3_kind`."""
+    kind = str(name).upper().replace("LEMMA3(P=", "LEMMA3(p=")
+    if kind in ESTIMATE_KINDS or _lemma3_power(kind) is not None:
+        return kind
+    raise ValueError(f"unknown estimate kind {name!r}")
+
+
 def _first_side_lhs(path: tuple, prefix: str, dim: int) -> dict[str, tuple]:
     """Backward-equation energy block: |ut|^2 + |uxx|^2 + (s lam phi)^2|grad|^2
     + (s lam phi)^4 |u|^2, all under the normalized weight."""

@@ -158,9 +158,18 @@ def test_thm2_runs_on_cases_at_s_zero_only(tmp_path, capsys):
     capsys.readouterr()
     cfg.write_text(body, encoding="utf-8")
     assert run_cli(["verify-carleman", "--config", str(cfg),
-                    "--out", str(tmp_path / "refused")]) != 0
+                    "--out", str(tmp_path / "refused")]) == 2
     assert "THM2" in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
+
+
+def test_lemma3_subcommand_is_gone(capsys):
+    """Lemma 3 runs as verify-carleman kinds, so ``mfglab lemma3`` is an
+    argparse error (exit code 2)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["lemma3", "--config", "configs/lemma3.yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lemma3'" in capsys.readouterr().err
 
 
 def test_even_nt_config_fails_with_code_2(tmp_path, capsys):
@@ -312,9 +321,10 @@ def test_state_det_timings_outside_output_hash(tmp_path):
 
 
 @pytest.mark.parametrize("experiment,sections,stages", [
-    ("lemma3", "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
-               "weights: {lambdas: [1.0], s_values: [8.0, 16.0]}\n"
-               "lemma3: {p_values: [0, 1]}\n", {"members_s", "terms_s", "sums_s"}),
+    ("verify-carleman", "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
+                        "weights: {lambdas: [1.0], s_values: [8.0, 16.0]}\n"
+                        "estimates: {kinds: [LEMMA3(p=0), LEMMA3(p=1)], refine: false}\n",
+     {"members_s", "terms_s", "sums_s"}),
     ("nonlinear-diff", "statedet: {epsilons: [0.2], refine: true}\n",
      {"coarse_s", "refined_s"}),
 ])
@@ -383,9 +393,9 @@ def test_lemma3_builds_each_cell_bundle_once(monkeypatch):
     wspec, ens = config.section("weights"), config.section("ensemble")
     cells = [(float(lam), float(s)) for lam in wspec["lambdas"] for s in wspec["s_values"]]
     assert len(calls) == len(cells) == 8  # not once per p as well
-    # rows stay p-major, then (lam, s), then member
+    # rows stay kind-major, then (lam, s), then member
     assert [row[:4] for row in report.tables[0].rows] == [
-        (p, lam, s, i) for p in config.section("lemma3")["p_values"]
+        (kind, lam, s, i) for kind in config.section("estimates")["kinds"]
         for lam, s in cells for i in range(ens["n"])]
 
 

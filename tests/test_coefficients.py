@@ -8,7 +8,6 @@ from mfglab.coefficients import (
     SourceFactors,
     apply_operator,
     check_ellipticity,
-    coefficient_bound,
     conormal_operator,
 )
 from mfglab.grid import GridFn, build_grid, face_values, parse_face
@@ -123,31 +122,6 @@ def test_conormal_2d_diagonal_scaled():
     # cosine in x2 only: x1 faces see a11 * d1 f = 0 exactly
     for lab in ("x1-", "x1+"):
         assert np.max(np.abs(tr[parse_face(lab)])) < 1e-12
-
-
-def test_coefficient_bound_identity():
-    g = grid_1d()
-    c = laplacian_coeffs(g)
-    assert abs(coefficient_bound(c) - 2.0) < 1e-12
-    g2 = build_grid((1.0, 1.0), 1.0, (9, 9), 9, ["x1+"])
-    c2 = laplacian_coeffs(g2)
-    assert abs(coefficient_bound(c2) - 4.0) < 1e-12
-
-
-def test_coefficient_bound_additive_in_b0():
-    g = grid_1d()
-    base = coefficient_bound(laplacian_coeffs(g))
-    bumped = coefficient_bound(CoeffRecipe(b0=3.0).sample(g))
-    assert abs(bumped - base - 3.0) < 1e-12
-
-
-def test_coefficient_bound_derivative_term():
-    g = grid_1d(nx=129)
-    c = CoeffRecipe(a2=[[lambda x, t: 2 + np.sin(np.pi * x)]]).sample(g)
-    got = coefficient_bound(c)
-    # contribution max|2+sin| + max|pi cos| + identity b-part (1)
-    expect = 3.0 + np.pi + 1.0
-    assert abs(got - expect) < 2e-3
 
 
 def test_nonlinear_coeffs_positive_diffusion():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mfglab.config import ConfigError, load_config
@@ -34,7 +36,7 @@ def test_even_nt_named_in_error(tmp_path):
 
 def test_experiment_mismatch(tmp_path):
     p = tmp_path / "exp.yaml"
-    p.write_text("experiment: lemma3\n", encoding="utf-8")
+    p.write_text("experiment: verify-carleman\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="subcommand"):
         load_config(str(p), experiment="verify-weights")
 
@@ -105,6 +107,72 @@ def test_unknown_experiment():
         load_config(None, experiment="frobnicate")
 
 
+def test_lemma3_experiment_is_unknown(tmp_path, capsys):
+    """Lemma 3 runs as verify-carleman kinds; the experiment is gone."""
+    from mfglab.cli import main
+
+    p = tmp_path / "old.yaml"
+    p.write_text("experiment: lemma3\nlemma3: {p_values: [0, 1, 2]}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown experiment 'lemma3'"):
+        load_config(str(p))
+    assert main(["verify-carleman", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def carleman_config(tmp_path, kinds, s_values=None):
+    p = tmp_path / "kinds.yaml"
+    text = f"experiment: verify-carleman\nestimates: {{kinds: {json.dumps(kinds)}}}\n"
+    if s_values is not None:
+        text += f"weights: {{s_values: {s_values}}}\n"
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
+def test_estimate_kinds_resolve_to_their_canonical_names(tmp_path):
+    p = carleman_config(tmp_path, ["lemma3(p=1)", "thm3", "Energy_3_8", "LEMMA3(P=2)"])
+    assert load_config(str(p)).section("estimates")["kinds"] == [
+        "LEMMA3(p=1)", "THM3", "ENERGY_3_8", "LEMMA3(p=2)"]
+
+
+@pytest.mark.parametrize("kind", ["THM9", "LEMMA3", "LEMMA3(p=-1)", "LEMMA3(p=01)"])
+def test_unknown_estimate_kind_is_a_config_error_at_load(tmp_path, capsys, kind):
+    from mfglab.cli import main
+
+    p = carleman_config(tmp_path, ["THM3", kind])
+    with pytest.raises(ConfigError, match=r"estimates.kinds: unknown estimate kind"):
+        load_config(str(p))
+    assert main(["verify-carleman", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert kind in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kinds,s_values,message", [
+    (["ENERGY_3_8", "THM2"], "[0.0, 8.0]", "energy-slice kinds need s > 0"),
+    (["ENERGY_3_8", "THM2"], "[8.0]", "THM2 runs only at s = 0"),
+    (["ENERGY_3_9"], "[0.0, 8.0]", "energy-slice kinds need s > 0"),
+    (["THM3", "THM2"], "[0.0, 8.0]", "THM2 runs only at s = 0"),
+])
+def test_kinds_refused_at_their_s_values_at_load(tmp_path, capsys, monkeypatch,
+                                                 kinds, s_values, message):
+    """The sweep's own s rules run when the config loads: a kind list that
+    no s list can serve (THM2 next to an energy kind), energy kinds at
+    s <= 0 and THM2 at s != 0 are config errors (exit code 2), before any
+    ensemble is drawn and with nothing written."""
+    import mfglab.cli
+
+    drawn = []
+    monkeypatch.setattr(mfglab.cli, "_build_case_ensemble", lambda *a: drawn.append(a))
+    p = carleman_config(tmp_path, kinds, s_values)
+    with pytest.raises(ConfigError, match=f"weights.s_values: {message}"):
+        load_config(str(p))
+    assert mfglab.cli.main(["verify-carleman", "--config", str(p),
+                            "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert drawn == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_explicit_case_terms(tmp_path):
     p = tmp_path / "case.yaml"
     p.write_text(
@@ -170,7 +238,6 @@ def test_bad_inverse_values_are_config_errors(tmp_path, entry, message):
     ("verify-carleman", "weights.lambdas"),
     ("verify-carleman", "weights.s_values"),
     ("verify-carleman", "estimates.kinds"),
-    ("lemma3", "lemma3.p_values"),
     ("state-det", "statedet.epsilons"),
     ("stability-sweep", "inverse.deltas"),
     ("stability-sweep", "inverse.seeds"),

@@ -1,6 +1,9 @@
 """Every shipped example config must load, validate and name a known
 experiment; the cheap ones also run end to end."""
 
+import csv
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,28 @@ def test_nonlinear_example_runs_small(tmp_path):
     small.write_text(yaml.safe_dump(base), encoding="utf-8")
     assert cli_main(["nonlinear-diff", "--config", str(small),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def test_lemma3_example_runs_small_as_verify_carleman(tmp_path):
+    """Lemma 3 ships as a verify-carleman config: one carleman.csv row per
+    (kind, lambda, s, member), every ratio finite, one summary entry per
+    weight power."""
+    base = yaml.safe_load((CONFIG_DIR / "lemma3.yaml").read_text())
+    base["grid"]["nx"] = [17]
+    base["grid"]["nt"] = 17
+    base["ensemble"]["n"] = 2
+    small = tmp_path / "small.yaml"
+    small.write_text(yaml.safe_dump(base), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["verify-carleman", "--config", str(small), "--out", str(out)]) == 0
+    with open(out / "carleman.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    kinds = ["LEMMA3(p=0)", "LEMMA3(p=1)", "LEMMA3(p=2)"]
+    w = base["weights"]
+    assert [(r["kind"], float(r["lambda"]), float(r["s"]), int(r["member"]))
+            for r in rows] == [(k, float(lam), float(s), i) for k in kinds
+                               for lam in w["lambdas"] for s in w["s_values"]
+                               for i in range(2)]
+    assert all(math.isfinite(float(r["ratio"])) for r in rows)
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert sorted(summary) == kinds

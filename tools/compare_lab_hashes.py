@@ -9,12 +9,13 @@ then the benchmark's ``perfbench/configs/inverse_cold.yaml`` as it is, at
 two ``--seed`` values (a noisy reconstruct with the conormal rows on random
 cases, where reconstruct_clean is noise-free), with the library of each
 checkout, in its own interpreter, and prints one line per run saying
-whether the hashes agree.  The inverse hashes are reproducible only at a
-fixed OpenBLAS thread count (threaded OpenBLAS picks other kernels); both
-checkouts run in this one environment, so the comparison holds, and the
-last line gives the thread count that each checkout's ``report.json``
-records (``OPENBLAS_NUM_THREADS``, or "unset"; "not recorded" by a checkout
-that predates the record).
+whether the hashes agree, and naming both ``experiment`` keys when the two
+checkouts run the config under different ones.  The inverse hashes are
+reproducible only at a fixed OpenBLAS thread count (threaded OpenBLAS picks
+other kernels); both checkouts run in this one environment, so the
+comparison holds, and the last line gives the thread count that each
+checkout's ``report.json`` records (``OPENBLAS_NUM_THREADS``, or "unset";
+"not recorded" by a checkout that predates the record).
 
 Under each run whose hashes differ it sizes the move: the largest relative
 change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables and
@@ -39,8 +40,17 @@ from typing import Any, Iterator, Optional
 import yaml
 
 INVERSE_EXPERIMENTS = ("reconstruct", "stability-sweep")
+
+
+def experiment_of(config: Path) -> Optional[str]:
+    """The ``experiment`` key of a config file, None when there is no file."""
+    if not config.exists():
+        return None
+    return yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
+
+
 # the experiment of each shipped config of this checkout, by file name
-_EXPERIMENTS = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))["experiment"]
+_EXPERIMENTS = {path.stem: experiment_of(path)
                 for path in sorted((Path(__file__).resolve().parents[1] / "configs")
                                    .glob("*.yaml"))}
 LAB_CONFIGS = tuple(name for name, exp in _EXPERIMENTS.items()
@@ -60,9 +70,9 @@ def output_hash(root: Path, config_path: str, extra: tuple[str, ...]
     """The run's output_hash (or why there is none), the OpenBLAS thread
     count its report.json records and the parsed report.json."""
     config = root / config_path
-    if not config.exists():
+    experiment = experiment_of(config)
+    if experiment is None:
         return "missing", None, None
-    experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.run(
@@ -135,8 +145,14 @@ def main(argv: list[str]) -> int:
                 threads[side].add(recorded)
         same = hashes["base"] == hashes["head"]
         differ += not same
+        # a config moved to another experiment writes other tables, so its
+        # cells differ by name rather than by value
+        experiments = {side: experiment_of(root / config_path)
+                       for side, root in roots.items()}
+        moved = (f"  experiment base {experiments['base']} head {experiments['head']}"
+                 if experiments["base"] != experiments["head"] else "")
         print(f"{name:17s} {'same' if same else 'DIFFERS'}  "
-              f"base {hashes['base']}  head {hashes['head']}")
+              f"base {hashes['base']}  head {hashes['head']}{moved}")
         if not same and None not in reports.values():
             worst, where, other = size_move(reports["base"], reports["head"])
             print(f"{'':17s} largest relative change {worst:.3g}"

@@ -33,9 +33,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
-from compare_lab_hashes import INVERSE_CONFIGS, LAB_CONFIGS
+from compare_lab_hashes import INVERSE_CONFIGS, LAB_CONFIGS, experiment_of
 
 IMPORTS = "imports only"
 IMPORTS_INVERSE = "imports + inverse"
@@ -67,9 +65,9 @@ def run_config(root: Path, name: str, env: dict[str, str]):
         rss, code, err = peak_rss_mb([sys.executable, "-c", FLOORS[name]], root, env)
         return (rss, None, {}) if code == 0 else f"failed ({err})"
     config = root / "configs" / f"{name}.yaml"
-    if not config.exists():
+    experiment = experiment_of(config)
+    if experiment is None:
         return "missing"
-    experiment = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
     with tempfile.TemporaryDirectory() as out:
         rss, code, err = peak_rss_mb(
             [sys.executable, "-m", "mfglab", experiment, "--config", str(config),
