@@ -1,9 +1,9 @@
 """Configuration-driven experiment runner.
 
 One subcommand per experiment; each loads a YAML config (or pure defaults),
-runs deterministically, prints a short summary and persists report.json,
-one CSV per result table and a whitespace-column .dat per figure-worthy
-table.
+runs deterministically, prints a short summary and persists one CSV per
+result table, the experiment's JSON extras (``slope.json``, ``bounds.json``)
+and report.json.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
         ResultTable("carleman", ("kind", "lambda", "s", "member", "lhs", "rhs",
                                  "ratio"), tuple(rows)),
         ResultTable("constants", ("kind", "lambda", "s0_emp", "c_emp", "drift"),
-                    tuple(const_rows), plot_worthy=False),
+                    tuple(const_rows)),
     ]
     return RunReport(cfg.experiment, cfg.resolved, tables, summary=summary)
 
@@ -171,8 +171,7 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
     ]
     metrics += sorted((f"objective_{k}", v) for k, v in res.objective_terms.items())
     tables = [
-        ResultTable("reconstruct", ("metric", "value"), tuple(metrics),
-                    plot_worthy=False),
+        ResultTable("reconstruct", ("metric", "value"), tuple(metrics)),
         ResultTable(
             "profiles",
             ("x", "f_true", "f_hat", "g_true", "g_hat"),

@@ -958,7 +958,7 @@ class StabilityRow:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Rows, pooled and per-seed log-log fits of a noise sweep.
+    """Rows, pooled log-log fit and per-seed slopes of a noise sweep.
 
     ``singular_values`` is the descending spectrum of the reduced source
     matrix that every solve of the sweep shared (W-scaled, as in
@@ -971,7 +971,6 @@ class StabilityReport:
     r2: float
     seeds: tuple[int, ...]
     per_seed_slopes: dict[int, float]
-    per_seed_r2: dict[int, float]
     slope_mean: float
     slope_spread: float
     excluded: tuple[tuple[float, int], ...]
@@ -1051,19 +1050,16 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
         [r.delta for r in used], [r.err_total for r in used]
     )
     per_slope: dict[int, float] = {}
-    per_r2: dict[int, float] = {}
     for seed in seeds:
         pts = [r for r in used if r.seed == seed]
         if len(pts) >= 2:
-            s_i, _, r2_i = _loglog_fit([r.delta for r in pts],
-                                       [r.err_total for r in pts])
-            per_slope[int(seed)] = s_i
-            per_r2[int(seed)] = r2_i
+            per_slope[int(seed)] = _loglog_fit([r.delta for r in pts],
+                                               [r.err_total for r in pts])[0]
     vals = list(per_slope.values())
     return StabilityReport(
         rows=tuple(rows), slope=slope, intercept=intercept, r2=r2,
         seeds=tuple(int(s) for s in seeds),
-        per_seed_slopes=per_slope, per_seed_r2=per_r2,
+        per_seed_slopes=per_slope,
         slope_mean=float(np.mean(vals)) if vals else math.nan,
         slope_spread=float(np.max(vals) - np.min(vals)) if vals else math.nan,
         excluded=tuple(excluded),

@@ -329,11 +329,15 @@ def resampled_cases(recipes: Iterable[CaseRecipe], grid: Grid,
         yield rec.resample(grid, coeffs=coeffs)
 
 
+# draws before mms_case_ensemble gives up on its t0 modulation floor
+_MAX_ATTEMPTS = 400
+
+
 def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
                       f_spec, g_spec, *, max_modes: int = 3, t_degree: int = 3,
                       amplitude: float = 1.0, q_min: float = 0.1,
-                      q_mode: Literal["discrete", "analytic"] = "discrete",
-                      max_attempts: int = 400) -> CaseEnsemble:
+                      q_mode: Literal["discrete", "analytic"] = "discrete"
+                      ) -> CaseEnsemble:
     """Draw manufactured cases until ``n`` satisfy the t0 modulation floor."""
     rng = np.random.default_rng(seed)
     coeffs = coeff_recipe.sample(grid)
@@ -341,9 +345,9 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
     attempts = 0
     while len(cases) < n:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > _MAX_ATTEMPTS:
             raise MmsRejected(
-                f"could not draw {n} admissible cases in {max_attempts} attempts "
+                f"could not draw {n} admissible cases in {_MAX_ATTEMPTS} attempts "
                 f"(q_min={q_min} too strict for this recipe?)"
             )
         u_field = random_cosine_field(rng, grid.lengths, grid.T, max_modes,

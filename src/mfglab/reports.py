@@ -1,9 +1,12 @@
-"""Deterministic result emission: CSV, whitespace-column .dat, report.json.
+"""Deterministic result emission: one CSV per table, JSON extras, report.json.
 
 Numbers are written in shortest round-trip decimal form with a '.' decimal
 separator, independent of locale; rows are emitted in a fixed order.  Two
-runs from the same config and seed therefore produce byte-identical tables,
-and the run report carries a content hash over all emitted tables.
+runs from the same config and seed therefore produce byte-identical tables.
+A run writes one ``<table>.csv`` per table, one ``<name>.json`` per extra
+(``slope.json``, ``bounds.json``) and ``report.json``, which repeats the
+table rows and carries ``output_hash``: a sha256 over each other file's
+name and text, in emission order.
 
 Stage seconds are recorded apart from the results: ``recording`` collects
 them for a run, and the library opens a ``stage`` for each step it times.
@@ -72,21 +75,11 @@ class ResultTable:
     name: str                      # file stem, e.g. "carleman"
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
-    plot_worthy: bool = True       # also emit a .dat companion
 
     def csv_text(self) -> str:
         lines = [",".join(self.header)]
         for row in self.rows:
             lines.append(",".join(fmt_value(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-    def dat_text(self) -> str:
-        cols = [self.header] + [tuple(fmt_value(v) for v in row)
-                                for row in self.rows]
-        widths = [max(len(r[i]) for r in cols) for i in range(len(self.header))]
-        lines = ["# " + "  ".join(h.ljust(w) for h, w in zip(self.header, widths))]
-        for row in cols[1:]:
-            lines.append("  " + "  ".join(v.ljust(w) for v, w in zip(row, widths)))
         return "\n".join(lines) + "\n"
 
 
@@ -134,7 +127,8 @@ def _json_default(obj):
 
 
 def emit_report(report: RunReport, out_dir: str) -> dict[str, str]:
-    """Write all tables and the run report; returns name -> path.
+    """Write one CSV per table, the JSON extras and report.json; returns
+    name -> path.
 
     The output directory is validated with a probe write before anything is
     emitted, so a bad destination never leaves partial results.
@@ -159,13 +153,6 @@ def emit_report(report: RunReport, out_dir: str) -> dict[str, str]:
         written[f"{table.name}.csv"] = str(csv_path)
         hasher.update(f"{table.name}.csv".encode())
         hasher.update(text.encode())
-        if table.plot_worthy:
-            dat_path = out / f"{table.name}.dat"
-            dtext = table.dat_text()
-            dat_path.write_text(dtext, encoding="utf-8", newline="")
-            written[f"{table.name}.dat"] = str(dat_path)
-            hasher.update(f"{table.name}.dat".encode())
-            hasher.update(dtext.encode())
     for name, payload in sorted(report.extra_json.items()):
         text = json.dumps(payload, indent=2, sort_keys=True,
                           default=_json_default) + "\n"

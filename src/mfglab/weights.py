@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -289,7 +289,6 @@ class IdentityCheck:
     value: float
     tol: Optional[float]
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -310,8 +309,7 @@ class WeightIdentityReport:
         raise KeyError(name)
 
 
-def check_weight_identities(bundle: WeightBundle,
-                            m_values: Sequence[int] = (1, 2, 3, 4)) -> WeightIdentityReport:
+def check_weight_identities(bundle: WeightBundle) -> WeightIdentityReport:
     """Verify the pointwise weight identities used throughout the estimates.
 
     Checks, node-wise on interior time slices:
@@ -323,7 +321,7 @@ def check_weight_identities(bundle: WeightBundle,
     * the singular-factor bound ell^2 (s phi)^p / (4 s h) <= (C/lam)(s phi)^(p-1)
       for p in {0, 1, 2}, reporting the empirical C;
     * sup exp(lam eta)/h finite (reported);
-    * the maximizer of xi^m exp(-2 s C2 xi) sits at m/(2 s C2).
+    * the maximizer of xi^m exp(-2 s C2 xi) sits at m/(2 s C2), m = 1..4.
     """
     g = bundle.grid
     lam, s = bundle.params.lam, bundle.params.s
@@ -350,8 +348,7 @@ def check_weight_identities(bundle: WeightBundle,
         serr = float(np.max(np.abs(stencil - exact))) / denom
         stol = (lam * abs(bundle.eta.grad[ax]) * g.hs[ax]) ** 2
         checks.append(IdentityCheck(f"dphi_stencil_x{ax + 1}", serr, stol,
-                                    serr <= stol,
-                                    note="second-order stencil residual"))
+                                    serr <= stol))
 
     ell = bundle.ell_interior
     ell_prime = g.T - 2.0 * g.ts[1:-1]
@@ -360,8 +357,7 @@ def check_weight_identities(bundle: WeightBundle,
     c_analytic = g.T * math.exp(-lam * bundle.eta.eta_min)
     checks.append(IdentityCheck("dtphi_quadratic_bound", c_emp,
                                 c_analytic * (1.0 + 1e-12),
-                                c_emp <= c_analytic * (1.0 + 1e-12),
-                                note=f"analytic bound {c_analytic:.6g}"))
+                                c_emp <= c_analytic * (1.0 + 1e-12)))
 
     if s > 0.0:
         h = bundle.h_field[..., None]
@@ -378,12 +374,11 @@ def check_weight_identities(bundle: WeightBundle,
 
     if s > 0.0:
         c2 = float(np.min(bundle.h_field))
-        for m in m_values:
+        for m in (1, 2, 3, 4):
             loc_err, val_err = _xi_maximizer_errors(m, s, c2)
             worst = max(loc_err, val_err)
             checks.append(IdentityCheck(f"xi_maximizer_m{m}", worst, 1e-6,
-                                        worst <= 1e-6,
-                                        note=f"loc {loc_err:.2e} val {val_err:.2e}"))
+                                        worst <= 1e-6))
 
     return WeightIdentityReport(tuple(checks))
 

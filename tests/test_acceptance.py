@@ -333,8 +333,9 @@ def test_criterion_09_determinism(tmp_path):
         assert cli_main(["verify-carleman", "--config", str(cfg),
                          "--out", str(out)]) == 0
         outs.append(out)
-    for name in ("carleman.csv", "constants.csv", "carleman.dat"):
+    for name in ("carleman.csv", "constants.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert not list(outs[0].glob("*.dat"))
 
     cfg2 = tmp_path / "w.yaml"
     cfg2.write_text("experiment: verify-weights\ngrid: {nx: [17], nt: 17}\n",

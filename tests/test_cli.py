@@ -24,7 +24,7 @@ def test_verify_weights_smoke(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "verify-weights"
     assert report["summary"]["all_passed"] is True
-    assert (out / "weights.csv").exists() and (out / "weights.dat").exists()
+    assert (out / "weights.csv").exists() and not (out / "weights.dat").exists()
     # config echo carries filled-in defaults
     assert report["config"]["weights"]["lambdas"] == [1.0, 2.0]
 
@@ -41,8 +41,9 @@ def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert run_cli(["verify-carleman", "--config", str(cfg), "--out", str(out1)]) == 0
     assert run_cli(["verify-carleman", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("carleman.csv", "carleman.dat", "constants.csv"):
+    for name in ("carleman.csv", "constants.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert not list(out1.glob("*.dat"))
     h1 = json.loads((out1 / "report.json").read_text())["output_hash"]
     h2 = json.loads((out2 / "report.json").read_text())["output_hash"]
     assert h1 == h2

@@ -2,6 +2,7 @@
 experiment; the cheap ones also run end to end."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -25,11 +26,24 @@ def test_example_config_loads(path):
         cfg.coeff_recipe()
 
 
+def assert_emitted(out: Path, names: list[str]) -> None:
+    """``out`` holds exactly ``names`` and report.json, and the report's
+    output_hash is the sha256 over each of ``names`` and its text, in
+    emission order."""
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["report.json"])
+    hasher = hashlib.sha256()
+    for name in names:
+        hasher.update(name.encode())
+        hasher.update((out / name).read_bytes())
+    report = json.loads((out / "report.json").read_text())
+    assert report["output_hash"] == hasher.hexdigest()
+
+
 def test_weights_example_runs(tmp_path):
     path = CONFIG_DIR / "verify_weights.yaml"
     assert cli_main(["verify-weights", "--config", str(path),
                      "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "weights.csv").exists()
+    assert_emitted(tmp_path, ["weights.csv"])
 
 
 def test_nonlinear_example_runs_small(tmp_path):
@@ -41,6 +55,7 @@ def test_nonlinear_example_runs_small(tmp_path):
     small.write_text(yaml.safe_dump(base), encoding="utf-8")
     assert cli_main(["nonlinear-diff", "--config", str(small),
                      "--out", str(tmp_path / "out")]) == 0
+    assert_emitted(tmp_path / "out", ["ceps.csv", "bounds.json"])
 
 
 def test_lemma3_example_runs_small_as_verify_carleman(tmp_path):

@@ -9,8 +9,9 @@ then the benchmark's ``perfbench/configs/inverse_cold.yaml`` as it is, at
 two ``--seed`` values (a noisy reconstruct with the conormal rows on random
 cases, where reconstruct_clean is noise-free), with the library of each
 checkout, in its own interpreter, and prints one line per run saying
-whether the hashes agree, and naming both ``experiment`` keys when the two
-checkouts run the config under different ones.  The inverse hashes are
+whether the hashes agree, naming both ``experiment`` keys when the two
+checkouts run the config under different ones, and naming each emitted
+file that only one checkout writes.  The inverse hashes are
 reproducible only at a fixed OpenBLAS thread count (threaded OpenBLAS picks
 other kernels); both checkouts run in this one environment, so the
 comparison holds, and the last line gives the thread count that each
@@ -21,7 +22,9 @@ Under each run whose hashes differ it sizes the move: the largest relative
 change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables and
 the summary in ``report.json`` (naming the cell), and every other cell that
 differs: text, flags, an empty cell, a value that turns non-finite, or a
-cell only one side has.  A roundoff move then reads apart from a real one.
+cell only one side has; or it says that no table or summary cell differs,
+when the hash moves for the emitted files alone.  A roundoff move then
+reads apart from a real one, and a file-set change apart from both.
 It only reports: the exit code is 0 whatever differs or fails, because an
 intended numeric change moves a hash too.
 """
@@ -66,13 +69,14 @@ RUNS = [(name, f"configs/{name}.yaml", ()) for name in LAB_CONFIGS + INVERSE_CON
 
 
 def output_hash(root: Path, config_path: str, extra: tuple[str, ...]
-                ) -> tuple[str, Optional[str], Optional[dict[str, Any]]]:
+                ) -> tuple[str, Optional[str], Optional[dict[str, Any]], set[str]]:
     """The run's output_hash (or why there is none), the OpenBLAS thread
-    count its report.json records and the parsed report.json."""
+    count its report.json records, the parsed report.json and the names of
+    the files the run wrote."""
     config = root / config_path
     experiment = experiment_of(config)
     if experiment is None:
-        return "missing", None, None
+        return "missing", None, None, set()
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.run(
@@ -80,10 +84,12 @@ def output_hash(root: Path, config_path: str, extra: tuple[str, ...]
              "--out", out, *extra],
             cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            return f"failed ({proc.stderr.strip().splitlines()[-1:]})", None, None
+            return (f"failed ({proc.stderr.strip().splitlines()[-1:]})", None, None,
+                    set())
+        files = {path.name for path in Path(out).iterdir()}
         report = json.loads((Path(out) / "report.json").read_text())
         threads = report["versions"].get("openblas_threads", "not recorded")
-        return report["output_hash"], threads, report
+        return report["output_hash"], threads, report, files
 
 
 def _leaves(name: str, obj: Any) -> Iterator[tuple[str, Any]]:
@@ -138,9 +144,10 @@ def main(argv: list[str]) -> int:
     differ = 0
     threads: dict[str, set[str]] = {side: set() for side in roots}
     for name, config_path, extra in RUNS:
-        hashes, reports = {}, {}
+        hashes, reports, files = {}, {}, {}
         for side, root in roots.items():
-            hashes[side], recorded, reports[side] = output_hash(root, config_path, extra)
+            hashes[side], recorded, reports[side], files[side] = output_hash(
+                root, config_path, extra)
             if recorded is not None:
                 threads[side].add(recorded)
         same = hashes["base"] == hashes["head"]
@@ -151,12 +158,19 @@ def main(argv: list[str]) -> int:
                        for side, root in roots.items()}
         moved = (f"  experiment base {experiments['base']} head {experiments['head']}"
                  if experiments["base"] != experiments["head"] else "")
+        only = "".join(
+            f"  only {side} writes {', '.join(sorted(files[side] - files[rival]))}"
+            for side, rival in (("base", "head"), ("head", "base"))
+            if files[side] - files[rival])
         print(f"{name:17s} {'same' if same else 'DIFFERS'}  "
-              f"base {hashes['base']}  head {hashes['head']}{moved}")
+              f"base {hashes['base']}  head {hashes['head']}{moved}{only}")
         if not same and None not in reports.values():
             worst, where, other = size_move(reports["base"], reports["head"])
-            print(f"{'':17s} largest relative change {worst:.3g}"
-                  + (f" ({where})" if where else ""))
+            if where is None and not other:
+                print(f"{'':17s} no table or summary cell differs")
+            else:
+                print(f"{'':17s} largest relative change {worst:.3g}"
+                      + (f" ({where})" if where else ""))
             if other:
                 shown = ", ".join(other[:5]) + (", ..." if len(other) > 5 else "")
                 print(f"{'':17s} {len(other)} non-numeric cells differ: {shown}")
