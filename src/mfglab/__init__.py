@@ -49,7 +49,6 @@ from .weights import (
     build_eta,
     check_weight_identities,
     eval_weight_bundle,
-    weighted_integral,
 )
 
 __version__ = "0.1.0"

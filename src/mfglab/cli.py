@@ -198,12 +198,11 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
     recipe = cfg.coeff_recipe()
     case = _inverse_case(cfg, grid, recipe)
     inv = cfg.section("inverse")
-    beta_scale = float(inv["beta_scale"])
-    # the sweep replaces the configured beta by beta_rule(delta)
+    # the sweep replaces the configured beta by beta_scale * delta^2
     rep = stability_sweep(
         case, [float(d) for d in inv["deltas"]], cfg.reconstruction,
         seeds=[int(s) for s in inv["seeds"]],
-        beta_rule=lambda d: beta_scale * d * d,
+        beta_scale=float(inv["beta_scale"]),
         noisy_slices=bool(inv["noisy_slices"]),
     )
     rows = tuple(

@@ -980,12 +980,12 @@ class StabilityReport:
 def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
                     cfg: Optional[ReconstructionConfig] = None, *,
                     seeds: Sequence[int] = (0, 1, 2),
-                    beta_rule: Callable[[float], float] = lambda d: d * d,
+                    beta_scale: float = 1.0,
                     noisy_slices: bool = False) -> StabilityReport:
     """Noise sweep measuring the error-vs-noise slope.
 
     For every (delta, seed) fresh noise is drawn, the reconstruction run
-    with the ridge ``beta_rule(delta)``, and e(delta) = ||f_err|| +
+    with the ridge ``beta_scale * delta^2``, and e(delta) = ||f_err|| +
     ||g_err|| recorded; the pooled log-log fit gives the slope and r^2,
     with per-seed fits reported as mean and spread.  Reconstructions whose
     normal residual misses ``cfg.tol`` are excluded and listed.  The grid
@@ -1019,7 +1019,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     truth = (case.sources.f, case.sources.g)
     g = case.grid
     n_sp = int(np.prod(g.space_shape))
-    pairs = [(delta, float(beta_rule(delta)), int(seed))
+    pairs = [(delta, float(beta_scale * delta * delta), int(seed))
              for delta in deltas for seed in seeds]
 
     rows: list[StabilityRow] = []

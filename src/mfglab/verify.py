@@ -25,8 +25,8 @@ from .grid import SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
 # not called here: perfbench's tests check that the tracer rebinds
 # ``mfglab.verify.diff`` and puts it back
 from .grid import diff  # noqa: F401
-from .models import (CaseEnsemble, ManufacturedCase, case_recipes, max_exact_conormal,
-                     resampled_cases, residual)
+from .models import (CaseEnsemble, ManufacturedCase, case_recipes, resampled_cases,
+                     residual)
 from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -82,19 +82,14 @@ class EstimateSidePair:
             return math.inf
         return self.lhs / self.rhs
 
-    @property
-    def violation_candidate(self) -> bool:
-        """Positive left side against a vanishing right side."""
-        return self.lhs > 0.0 and self.rhs <= ZERO_RHS_FLOOR
-
 
 class _Cells:
     """The ``count`` (lam, s) cells of one grid sweep, shared by every member
-    and kind swept on the grid: each cell's ``params`` and ``data_scale``,
-    its weight and phi on the t0 slice when ``kinds`` has an energy-slice
-    kind (``w_t0``, ``phi_t0``), and one (count x N) stack per
-    (m, lam_power) that the weighted squares of ``kinds`` read, whose rows
-    are the cells' weight factors, raveled.
+    and kind swept on the grid: each cell's ``params``, its weight and phi
+    on the t0 slice when ``kinds`` has an energy-slice kind (``w_t0``,
+    ``phi_t0``, copies of the bundle's interior slices), and one (count x N)
+    stack per (m, lam_power) that the weighted squares of ``kinds`` read,
+    whose rows are the cells' weight factors, raveled.
 
     ``bundles`` may build each cell's bundle on demand: a bundle writes its
     row of every stack and is dropped before the next one is built, so the
@@ -105,7 +100,6 @@ class _Cells:
     def __init__(self, kinds: Sequence[str], bundles: Iterable[WeightBundle],
                  count: int, grid: Grid):
         self.params: list[WeightParams] = []
-        self.data_scale: list[float] = []
         self.w_t0: list[np.ndarray] = []
         self.phi_t0: list[np.ndarray] = []
         powers = {(m, lam_power) for kind in kinds
@@ -120,10 +114,9 @@ class _Cells:
         for bundle in bundles:
             c = len(self.params)
             self.params.append(bundle.params)
-            self.data_scale.append(bundle.data_scale)
             if slices:
-                self.w_t0.append(bundle.w_slice(grid.it0))
-                self.phi_t0.append(bundle.phi_slice(grid.it0))
+                self.w_t0.append(bundle.w_interior[..., grid.it0 - 1].copy())
+                self.phi_t0.append(bundle.phi_interior[..., grid.it0 - 1].copy())
             for (m, lam_power), stack in self._stacks.items():
                 stack[c] = bundle.weight_factor(m, lam_power).ravel()
             del bundle  # its cached arrays go before the next bundle is built
@@ -425,7 +418,7 @@ def _pairs(kind: str, m: _Member, cells: _Cells) -> list[EstimateSidePair]:
                 lhs = {name: total(vecs, c) for name, vecs in lhs_vecs.items()}
                 scalar = 1.0
             rhs = {name: total(vecs, c, scalar) for name, vecs in rhs_vecs.items()}
-            rhs |= {name: cells.data_scale[c] * d for name, d in data.items()}
+            rhs |= data
             pairs.append(EstimateSidePair(kind=kind, params=params,
                                           lhs_terms=lhs, rhs_terms=rhs))
     return pairs
@@ -442,9 +435,8 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     with the sources equal to the discrete residuals (checked); the
     energy-slice kinds (s > 0) and THM2 (s = 0) need u, v and the factorized
     ``sources``, since their sides are written in the spatial profiles.
-    Every unweighted data term carries the bundle's ``data_scale`` so that
-    ratios are independent of the weight normalization.  This is the sweep's
-    own path, for one member on one cell.
+    The data terms on gamma are unweighted.  This is the sweep's own path,
+    for one member on one cell.
     """
     _require_s((kind,), (bundle.params.s,))
     member = _member((kind,), u, v, F, G, coeffs, sources)
@@ -482,14 +474,6 @@ class FunctionEnsemble:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def max_exact_conormal(self, coeffs: CoeffSet) -> float:
-        """Largest exact conormal trace over members and faces (should sit at
-        roundoff for cosine states with diagonal principal parts)."""
-        return max((max_exact_conormal(fld, m2, self.grid, face)
-                    for m in self.members
-                    for fld, m2 in ((m.u_field, coeffs.a2), (m.v_field, coeffs.b2))
-                    for face in self.grid.all_faces()), default=0.0)
 
 
 def generate_ensemble(seed: int, n: int, grid: Grid, max_modes: int = 3,

@@ -16,9 +16,8 @@ order -10^2), so all integrals use the normalized weight
 
     W(x, t) = exp(2 s (alpha(x, t) - alpha_max)) in (0, 1],
 
-together with a ``data_scale`` factor applied to unweighted data terms; both
-sides of every inequality then sit in the same currency and ratios are
-independent of the normalization constant.
+with alpha_max the maximum of alpha over the interior time slices, so W
+peaks at exactly 1.  Data terms on gamma stay unweighted.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoeffSet
-from .grid import SPACE_TIME, Grid, GridFn, apply_stencil, face_values
+from .grid import Grid, apply_stencil, face_values
 
 __all__ = [
     "EtaFn",
@@ -42,7 +41,6 @@ __all__ = [
     "build_eta",
     "check_weight_identities",
     "eval_weight_bundle",
-    "weighted_integral",
 ]
 
 
@@ -163,18 +161,12 @@ class WeightParams:
 
 @dataclass(frozen=True)
 class WeightBundle:
-    """Sampled weight family with a fixed normalization constant.
-
-    ``alpha_max`` defaults to the true maximum of alpha over interior time
-    slices, making the normalized weight peak at exactly 1.  ``data_scale``
-    compensates unweighted data terms when a non-default normalization is
-    used, so inequality ratios never depend on the choice.
-    """
+    """Sampled weight family, normalized at the maximum of alpha over the
+    interior time slices (``alpha_max``), where the weight is exactly 1."""
 
     eta: EtaFn
     params: WeightParams
     grid: Grid
-    alpha_max: float
 
     @cached_property
     def exp_lam_eta(self) -> np.ndarray:
@@ -200,40 +192,14 @@ class WeightBundle:
         return -self.h_field[..., None] / self.ell_interior
 
     @cached_property
-    def alpha_true_max(self) -> float:
+    def alpha_max(self) -> float:
         return float(np.max(self.alpha_interior))
-
-    @cached_property
-    def data_scale(self) -> float:
-        return math.exp(2.0 * self.params.s * (self.alpha_true_max - self.alpha_max))
 
     @cached_property
     def w_interior(self) -> np.ndarray:
         if self.params.s == 0.0:
             return np.ones_like(self.alpha_interior)
         return np.exp(2.0 * self.params.s * (self.alpha_interior - self.alpha_max))
-
-    @cached_property
-    def w_norm(self) -> np.ndarray:
-        """Normalized weight on the full grid; endpoint slices hold the limit
-        value (0 for s > 0, 1 in the degenerate s = 0 case)."""
-        w = np.empty(self.grid.shape)
-        w[..., 1:-1] = self.w_interior
-        w[..., 0] = w[..., -1] = 1.0 if self.params.s == 0.0 else 0.0
-        return w
-
-    def phi_slice(self, it: int) -> np.ndarray:
-        if it <= 0 or it >= self.grid.nt - 1:
-            raise ValueError("phi is singular at the endpoint slices")
-        return self.exp_lam_eta / self.grid.ell[it]
-
-    def w_slice(self, it: int) -> np.ndarray:
-        if it <= 0 or it >= self.grid.nt - 1:
-            return np.full(self.grid.space_shape, 1.0 if self.params.s == 0.0 else 0.0)
-        if self.params.s == 0.0:
-            return np.ones(self.grid.space_shape)
-        alpha = -self.h_field / self.grid.ell[it]
-        return np.exp(2.0 * self.params.s * (alpha - self.alpha_max))
 
     def weight_factor(self, m: int = 0, lam_power: int = 0) -> np.ndarray:
         """(s phi)^m * lam^k * W on the full grid, zero at the endpoint slices
@@ -251,32 +217,16 @@ class WeightBundle:
         out[..., 1:-1] = sphi**m * lam**lam_power * self.w_interior
         return out
 
-    def with_alpha_max(self, alpha_max: float) -> "WeightBundle":
-        return WeightBundle(eta=self.eta, params=self.params, grid=self.grid,
-                            alpha_max=alpha_max)
-
 
 def eval_weight_bundle(eta: EtaFn, params: WeightParams, grid: Grid) -> WeightBundle:
-    """Build the weight bundle, normalized at the true maximum of alpha."""
+    """The weight bundle of ``eta`` on ``grid``, refused when eta lives on
+    another grid or exp(2 lam max eta) overflows."""
     if eta.grid != grid:
         raise ValueError("eta was built on a different grid")
     top = 2.0 * params.lam * eta.eta_max
     if top > 700.0:
         raise ValueError(f"lam={params.lam} overflows exp(2 lam max eta)")
-    probe = WeightBundle(eta=eta, params=params, grid=grid, alpha_max=0.0)
-    return WeightBundle(eta=eta, params=params, grid=grid,
-                        alpha_max=probe.alpha_true_max)
-
-
-def weighted_integral(f: GridFn, bundle: WeightBundle, m: int = 0,
-                      lam_power: int = 0) -> float:
-    """Integral of f^2 (s phi)^m lam^k W over the space-time cylinder."""
-    if f.kind != SPACE_TIME:
-        raise ValueError("weighted_integral requires a space-time field")
-    if f.grid != bundle.grid:
-        raise ValueError("field and bundle live on different grids")
-    integrand = f.values**2 * bundle.weight_factor(m, lam_power)
-    return float(np.sum(f.grid.st_weights * integrand))
+    return WeightBundle(eta=eta, params=params, grid=grid)
 
 
 # ---------------------------------------------------------------------------

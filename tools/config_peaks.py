@@ -8,9 +8,10 @@ of a checkout (default: this one), one process per config, and prints the
 peak resident set size (``ru_maxrss`` of that process) with the run's
 ``wall_time_s`` and its stage ``timings`` from its ``report.json``.  The first two lines are
 floors: a process that only imports the library ("imports only"), and one
-that also imports the SciPy modules of the inverse solver ("imports +
-inverse"), as ``load_config`` does for an inverse config.  A lab config's
-peak includes the first floor, an inverse config's peak the second.
+that also imports the SciPy modules of the inverse solver through
+``mfglab.inverse.load_scipy`` ("imports + inverse"), as ``load_config``
+does for an inverse config.  A lab config's peak includes the first
+floor, an inverse config's peak the second.
 
 Given two checkouts, it prints each config's peak in both and the change
 from BASE_DIR to HEAD_DIR; the two runs of a config alternate which
@@ -39,7 +40,8 @@ IMPORTS = "imports only"
 IMPORTS_INVERSE = "imports + inverse"
 # the code each floor process runs
 FLOORS = {IMPORTS: "import mfglab.cli",
-          IMPORTS_INVERSE: "import mfglab.cli, scipy.linalg, scipy.sparse"}
+          IMPORTS_INVERSE: ("import mfglab.cli, mfglab.inverse; "
+                            "mfglab.inverse.load_scipy()")}
 
 
 def peak_rss_mb(argv: list[str], root: Path,
