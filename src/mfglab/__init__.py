@@ -22,7 +22,6 @@ from .inverse import (
     stability_sweep,
 )
 from .models import (
-    CaseEnsemble,
     CaseRecipe,
     ManufacturedCase,
     MmsRejected,
@@ -35,7 +34,6 @@ from .models import (
 from .statedet import CepsReport, thm1_experiment, thm4_experiment
 from .verify import (
     EstimateSidePair,
-    FunctionEnsemble,
     VerificationReport,
     estimate_constant,
     evaluate_estimate,

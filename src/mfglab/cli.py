@@ -67,23 +67,18 @@ def _run_verify_weights(cfg: ExperimentConfig) -> RunReport:
                      summary={"all_passed": all_passed, "checks": len(rows)})
 
 
-def _build_function_ensemble(cfg: ExperimentConfig, grid):
+def _build_ensemble(cfg: ExperimentConfig, grid, recipe=None, n=None) -> tuple:
+    """The ``ensemble`` section's draw on ``grid``: its function pairs, or
+    the manufactured cases of ``recipe`` when one is given; ``n`` overrides
+    the section's size."""
     ens = cfg.section("ensemble")
-    return generate_ensemble(int(ens["seed"]), int(ens["n"]), grid,
-                             max_modes=int(ens["max_modes"]),
-                             t_degree=int(ens["t_degree"]),
-                             amplitude=float(ens["amplitude"]))
-
-
-def _build_case_ensemble(cfg: ExperimentConfig, grid, recipe, n=None):
-    ens = cfg.section("ensemble")
+    args = (int(ens["seed"]), int(ens["n"] if n is None else n), grid)
+    shape = dict(max_modes=int(ens["max_modes"]), t_degree=int(ens["t_degree"]),
+                 amplitude=float(ens["amplitude"]))
+    if recipe is None:
+        return generate_ensemble(*args, **shape)
     f_spec, g_spec, q_min = cfg.source_specs()
-    return mms_case_ensemble(
-        int(ens["seed"]), int(n if n is not None else ens["n"]), grid, recipe,
-        f_spec, g_spec, max_modes=int(ens["max_modes"]),
-        t_degree=int(ens["t_degree"]), amplitude=float(ens["amplitude"]),
-        q_min=q_min,
-    )
+    return mms_case_ensemble(*args, recipe, f_spec, g_spec, q_min=q_min, **shape)
 
 
 def _inverse_case(cfg: ExperimentConfig, grid, recipe):
@@ -91,7 +86,7 @@ def _inverse_case(cfg: ExperimentConfig, grid, recipe):
     states when given, a seeded random admissible draw otherwise."""
     fields = cfg.case_fields()
     if fields is None:
-        return _build_case_ensemble(cfg, grid, recipe, n=1).cases[0]
+        return _build_ensemble(cfg, grid, recipe, n=1)[0]
     f_spec, g_spec, q_min = cfg.source_specs()
     return CaseRecipe(*fields, recipe, f_spec, g_spec, q_min=q_min).build(grid)
 
@@ -117,8 +112,8 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
     # refined pass
     fn_kinds = list(dict.fromkeys(k for k in kinds if k not in CASE_KINDS))
     case_kinds = list(dict.fromkeys(k for k in kinds if k in CASE_KINDS))
-    reports = sweep(fn_kinds, lambda: _build_function_ensemble(cfg, grid))
-    reports |= sweep(case_kinds, lambda: _build_case_ensemble(cfg, grid, recipe))
+    reports = sweep(fn_kinds, lambda: _build_ensemble(cfg, grid))
+    reports |= sweep(case_kinds, lambda: _build_ensemble(cfg, grid, recipe))
     rows = []
     const_rows = []
     summary: dict[str, Any] = {}
@@ -241,8 +236,8 @@ def _run_state_det(cfg: ExperimentConfig) -> RunReport:
     sd = cfg.section("statedet")
     # no reference of our own: the experiment frees the coarse ensemble
     # before its refined pass
-    rep = thm1_experiment(_build_function_ensemble(cfg, grid), recipe,
-                          cfg.epsilons(), refine=bool(sd["refine"]))
+    rep = thm1_experiment(_build_ensemble(cfg, grid), recipe, grid, cfg.epsilons(),
+                          refine=bool(sd["refine"]))
     summary = {
         "per_eps_max": {repr(k): v for k, v in rep.per_eps_max.items()},
         "drift": rep.drift,

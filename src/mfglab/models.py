@@ -17,7 +17,8 @@ states from its own least-squares rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Optional, Union
+from itertools import islice
+from typing import Callable, Iterator, Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,17 +36,15 @@ from .coefficients import (
 from .grid import SPACE_TIME, DiffMemo, Face, Grid, GridFn, as_memo, face_values
 
 __all__ = [
-    "CaseEnsemble",
     "CaseRecipe",
     "ManufacturedCase",
     "MmsRejected",
     "NonlinearPair",
     "analytic_linear_residuals",
-    "case_recipes",
+    "cosine_pairs",
     "make_nonlinear_pair",
     "mms_case_ensemble",
     "mms_linear",
-    "resampled_cases",
     "residual",
 ]
 
@@ -77,10 +76,9 @@ class CaseRecipe:
             q_mode=self.q_mode, recipe=self,
         )
 
-    def resample(self, grid: Grid,
-                 coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
-        """Build the case drawn from this recipe on another grid (``coeffs``
-        as in :meth:`build`).
+    def rebuild(self, grid: Grid, coeffs: CoeffSet) -> "ManufacturedCase":
+        """The case drawn from this recipe, built on another grid with
+        ``coeffs`` as in :meth:`build`.
 
         The t0 modulation floor is relaxed to machine level here: it was
         enforced where the case was drawn, and refined sampling may dip
@@ -288,45 +286,18 @@ def mms_linear(u_field: SeparableField, v_field: SeparableField,
     )
 
 
-@dataclass(frozen=True)
-class CaseEnsemble:
-    """Deterministic family of manufactured cases (redraws included in the
-    seeded stream, so a seed pins the accepted members)."""
-
-    seed: int
-    cases: tuple[ManufacturedCase, ...]
-
-    def __len__(self) -> int:
-        return len(self.cases)
-
-
-def case_recipes(cases: Iterable[ManufacturedCase]) -> list[CaseRecipe]:
-    """The recipe of each case, which is all a refined pass needs of it."""
-    recipes = [c.recipe for c in cases]
-    if any(r is None for r in recipes):
-        raise ValueError("case has no recipe attached; cannot resample")
-    return recipes
-
-
-def resampled_cases(recipes: Iterable[CaseRecipe], grid: Grid,
-                    sampled: Optional[tuple[CoeffRecipe, CoeffSet]] = None
-                    ) -> Iterator[ManufacturedCase]:
-    """The case of each recipe (:meth:`CaseRecipe.resample`) built on
-    ``grid`` only when it is asked for, so a caller that drops one case
-    before it takes the next holds one at a time.
-
-    Cases drawn from one coefficient recipe share one coefficient set sampled
-    on ``grid``, as when they were drawn.  ``sampled``, a recipe with its
-    coefficient set already sampled on ``grid``, serves the cases drawn from
-    that very recipe object; any other recipe is sampled when its run of
-    cases starts.
-    """
-    recipe, coeffs = sampled if sampled is not None else (None, None)
-    for rec in recipes:
-        if rec.coeff_recipe is not recipe:
-            recipe = rec.coeff_recipe
-            coeffs = recipe.sample(grid)
-        yield rec.resample(grid, coeffs=coeffs)
+def cosine_pairs(seed: int, grid: Grid, max_modes: int = 3, t_degree: int = 3,
+                 amplitude: float = 1.0
+                 ) -> Iterator[tuple[SeparableField, SeparableField]]:
+    """The seeded stream of closed-form state pairs ``(u_field, v_field)``
+    that every ensemble draws from, in draw order.  Each field is a
+    :func:`~mfglab.basis.random_cosine_field`: cosine modes 0..``max_modes``
+    per axis times time monomials of degree 0..``t_degree``, with
+    coefficients uniform in [-amplitude, amplitude]."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield tuple(random_cosine_field(rng, grid.lengths, grid.T, max_modes,
+                                        t_degree, amplitude) for _ in range(2))
 
 
 # draws before mms_case_ensemble gives up on its t0 modulation floor
@@ -337,30 +308,28 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
                       f_spec, g_spec, *, max_modes: int = 3, t_degree: int = 3,
                       amplitude: float = 1.0, q_min: float = 0.1,
                       q_mode: Literal["discrete", "analytic"] = "discrete"
-                      ) -> CaseEnsemble:
-    """Draw manufactured cases until ``n`` satisfy the t0 modulation floor."""
-    rng = np.random.default_rng(seed)
+                      ) -> tuple[ManufacturedCase, ...]:
+    """The first ``n`` admissible cases built from :func:`cosine_pairs`:
+    a pair whose case :meth:`CaseRecipe.build` rejects (t0 modulation floor,
+    conormal) is skipped, so a seed pins the accepted members."""
     coeffs = coeff_recipe.sample(grid)
-    cases = []
-    attempts = 0
+    pairs = islice(cosine_pairs(seed, grid, max_modes, t_degree, amplitude),
+                   _MAX_ATTEMPTS)
+    cases: list[ManufacturedCase] = []
     while len(cases) < n:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
+        pair = next(pairs, None)
+        if pair is None:
             raise MmsRejected(
                 f"could not draw {n} admissible cases in {_MAX_ATTEMPTS} attempts "
                 f"(q_min={q_min} too strict for this recipe?)"
             )
-        u_field = random_cosine_field(rng, grid.lengths, grid.T, max_modes,
-                                      t_degree, amplitude)
-        v_field = random_cosine_field(rng, grid.lengths, grid.T, max_modes,
-                                      t_degree, amplitude)
-        rec = CaseRecipe(u_field, v_field, coeff_recipe, f_spec, g_spec,
-                         q_min=q_min, q_mode=q_mode)
+        rec = CaseRecipe(*pair, coeff_recipe, f_spec, g_spec, q_min=q_min,
+                         q_mode=q_mode)
         try:
             cases.append(rec.build(grid, coeffs=coeffs))
         except MmsRejected:
             continue
-    return CaseEnsemble(seed, tuple(cases))
+    return tuple(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -432,29 +401,34 @@ def _difference_bound(u1: DiffMemo, u2: DiffMemo, v2: DiffMemo,
     return term1 + term2 + term3 + term4
 
 
-def make_nonlinear_pair(u1_field, v1_field, u2_field, v2_field,
-                        nl: NonlinearCoeffs) -> NonlinearPair:
-    """Sample two manufactured nonlinear states, their residual sources and
-    the bounds m1 and m2.  Each derivative of a state or coefficient field
-    is taken once, through memos dropped when the pair is built."""
+def _nonlinear_states(fields: Sequence[SeparableField], nl: NonlinearCoeffs
+                      ) -> tuple[tuple[DiffMemo, ...], tuple[GridFn, ...], DiffMemo]:
+    """The states ``(u1, v1, u2, v2)`` of ``fields`` sampled on the grid of
+    ``nl`` as derivative memos, their residual sources ``(F1, G1, F2, G2)``
+    taken through them, and the memo of kappa."""
     grid = nl.grid
-    for name, fld in (("u1", u1_field), ("v1", v1_field),
-                      ("u2", u2_field), ("v2", v2_field)):
+    for name, fld in zip(("u1", "v1", "u2", "v2"), fields):
         for face in grid.all_faces():
             worst = fld.max_abs_face_dx(grid, face)
             if worst > CONORMAL_TOL:
                 raise MmsRejected(
                     f"normal derivative of {name} on {face.label()} is {worst:.3g}"
                 )
-    u1, v1, u2, v2 = (DiffMemo(fld.sample(grid))
-                      for fld in (u1_field, v1_field, u2_field, v2_field))
+    u1, v1, u2, v2 = (DiffMemo(fld.sample(grid)) for fld in fields)
     a, kappa = _nonlinear_memos(nl)
-    F1, G1 = _nonlinear_residual(u1, v1, nl, a, kappa)
-    F2, G2 = _nonlinear_residual(u2, v2, nl, a, kappa)
+    sources = (*_nonlinear_residual(u1, v1, nl, a, kappa),
+               *_nonlinear_residual(u2, v2, nl, a, kappa))
+    return (u1, v1, u2, v2), sources, kappa
+
+
+def make_nonlinear_pair(u1_field, v1_field, u2_field, v2_field,
+                        nl: NonlinearCoeffs) -> NonlinearPair:
+    """Sample two manufactured nonlinear states, their residual sources and
+    the bounds m1 and m2.  Each derivative of a state or coefficient field
+    is taken once, through memos dropped when the pair is built."""
+    fields = (u1_field, v1_field, u2_field, v2_field)
+    (u1, v1, u2, v2), sources, kappa = _nonlinear_states(fields, nl)
     m1 = max(_sup_norm_w2(u1) + _sup_norm_w1(v1),
              _sup_norm_w2(u2) + _sup_norm_w1(v2))
-    return NonlinearPair(grid=grid, nl=nl, u1=u1.fn, v1=v1.fn, u2=u2.fn, v2=v2.fn,
-                         u1_field=u1_field, v1_field=v1_field,
-                         u2_field=u2_field, v2_field=v2_field,
-                         F1=F1, G1=G1, F2=F2, G2=G2, m1=m1,
-                         m2=_difference_bound(u1, u2, v2, kappa))
+    return NonlinearPair(nl.grid, nl, u1.fn, v1.fn, u2.fn, v2.fn, *fields, *sources,
+                         m1=m1, m2=_difference_bound(u1, u2, v2, kappa))

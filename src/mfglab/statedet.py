@@ -30,9 +30,8 @@ from .grid import (
     n_interior_slices,
     norm,
 )
-from .models import NonlinearPair, make_nonlinear_pair, residual
+from .models import NonlinearPair, _nonlinear_states, residual
 from .reports import stage
-from .verify import EnsembleMember, FunctionEnsemble
 
 __all__ = [
     "CepsReport",
@@ -64,14 +63,6 @@ class CepsReport:
     excluded: tuple[int, ...]
     drift: Optional[float] = None
     extras: dict[str, float] = field(default_factory=dict)
-
-    def member_curve(self, member: int) -> list[float]:
-        return [r.ratio for r in self.rows if r.member == member]
-
-    @property
-    def c_max(self) -> float:
-        vals = [v for v in self.per_eps_max.values() if math.isfinite(v)]
-        return max(vals) if vals else math.inf
 
 
 def trace_data_norms(f: GridFn) -> tuple[float, float]:
@@ -150,7 +141,7 @@ def _eps_sweep(states: Iterable[tuple[DiffMemo, DiffMemo, GridFn, GridFn]],
     return rows, excluded, per_eps
 
 
-def _thm1_states(members: Iterable[EnsembleMember], coeffs: CoeffSet
+def _thm1_states(members: Iterable, coeffs: CoeffSet
                  ) -> Iterator[tuple[DiffMemo, DiffMemo, GridFn, GridFn]]:
     """Each member's states as derivative memos with its linear residuals,
     computed through them, as sources; the memos go with the tuple."""
@@ -161,8 +152,7 @@ def _thm1_states(members: Iterable[EnsembleMember], coeffs: CoeffSet
         del m, u, v
 
 
-def _thm1_sweep(members: Iterable[EnsembleMember], coeffs: CoeffSet,
-                eps_t: tuple[float, ...]
+def _thm1_sweep(members: Iterable, coeffs: CoeffSet, eps_t: tuple[float, ...]
                 ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
     """:func:`_eps_sweep` over ``members`` with their linear residuals as
     sources, all on the grid of ``coeffs``; each residual is computed just
@@ -171,43 +161,55 @@ def _thm1_sweep(members: Iterable[EnsembleMember], coeffs: CoeffSet,
     return _eps_sweep(_thm1_states(members, coeffs), eps_t)
 
 
-def thm1_experiment(ensemble: FunctionEnsemble, coeff_recipe: CoeffRecipe,
-                    eps_grid: Sequence[float], *,
-                    refine: bool = True) -> CepsReport:
-    """Interior estimate for the linear system over an ensemble.
+def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
+                    eps_grid: Sequence[float], *, refine: bool = True) -> CepsReport:
+    """Interior estimate for the linear system over an ensemble on ``grid``.
 
-    For every member the sources are the discrete residuals, the right side
-    is eps-independent (source norms plus the four observation norms), and
-    the left side shrinks with eps by set inclusion, so each member's ratio
-    curve is non-increasing in eps exactly.  Members with a right side at
-    numerical zero are excluded (0/0).  The curve is recomputed once on the
-    doubled grid when ``refine`` is set.  That pass keeps only each member's
-    two closed-form fields and lets go of the ensemble before it starts (so
-    a caller that keeps no reference of its own has the coarse arrays
-    freed); each member is resampled from its closed form just before it is
-    used and dropped after, so the pass holds one refined member at a time.
-    Inside ``reports.recording`` the coarse pass is timed as the stage
-    ``coarse_s`` and the refined pass as ``refined_s``.
+    ``ensemble`` is a tuple of members with states ``u``, ``v`` on ``grid``,
+    such as :func:`~mfglab.verify.generate_ensemble` draws, so each per-eps
+    maximum is a lower bound on the supremum of the ratio over the class
+    they are drawn from (cosine modes up to ``max_modes`` per axis, time
+    degree up to ``t_degree``).  For every member the sources are the
+    discrete residuals, the right side is eps-independent (source norms
+    plus the four observation norms), and the left side shrinks with eps by
+    set inclusion, so each member's ratio curve is non-increasing in eps
+    exactly.  Members with a right side at numerical zero are excluded
+    (0/0).  The curve is recomputed once on the doubled grid when ``refine``
+    is set.  That pass keeps only each member's closed form
+    (``member.recipe``) and drops its reference to the ensemble before it
+    starts (so a caller that keeps none of its own has the coarse arrays
+    freed); each member is rebuilt through ``recipe.rebuild(grid, coeffs)``
+    just before it is used and dropped after, so the pass holds one refined
+    member at a time.  Inside ``reports.recording`` the coarse pass is timed
+    as the stage ``coarse_s`` and the refined pass as ``refined_s``.
     """
-    grid = ensemble.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
-    forms = [(m.u_field, m.v_field) for m in ensemble.members]
+    forms = [m.recipe for m in ensemble] if refine else []
     with stage("coarse_s"):
-        rows, excluded, per_eps = _thm1_sweep(ensemble.members,
-                                              coeff_recipe.sample(grid), eps_t)
+        rows, excluded, per_eps = _thm1_sweep(ensemble, coeff_recipe.sample(grid),
+                                              eps_t)
     del ensemble  # the coarse states go before the refined pass
     drift = None
     if refine:
         with stage("refined_s"):
             fine = grid.refined(2)
+            fine_coeffs = coeff_recipe.sample(fine)
             _, _, per_eps_fine = _thm1_sweep(
-                (EnsembleMember.sample(uf, vf, fine) for uf, vf in forms),
-                coeff_recipe.sample(fine), eps_t)
+                (f.rebuild(fine, fine_coeffs) for f in forms), fine_coeffs, eps_t)
         coarse_max = max(per_eps.values())
         fine_max = max(per_eps_fine.values())
         drift = fine_max / coarse_max if coarse_max > 0 else math.inf
     return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
                       excluded=tuple(excluded), drift=drift)
+
+
+def _differences(grid: Grid, u1, v1, u2, v2, F1, G1, F2, G2
+                 ) -> list[tuple[DiffMemo, DiffMemo, GridFn, GridFn]]:
+    """The one :func:`_eps_sweep` tuple of a nonlinear pair: the state and
+    source differences, the states as derivative memos."""
+    du, dv, dF, dG = (GridFn(grid, SPACE_TIME, a.values - b.values)
+                      for a, b in ((u1, u2), (v1, v2), (F1, F2), (G1, G2)))
+    return [(DiffMemo(du), DiffMemo(dv), dF, dG)]
 
 
 def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
@@ -217,32 +219,31 @@ def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
 
     The ratio compares interior norms of the state differences against the
     source-difference norms plus the difference observation norms; the
-    coefficient bounds m1 (states) and m2 (difference system) are reported
-    in ``extras``.  Refinement needs the nonlinear coefficient recipe.
-    Inside ``reports.recording`` the two passes are timed as the stages
+    coefficient bounds m1 (states) and m2 (difference system) of ``pair``
+    are reported in ``extras``.  Refinement needs the nonlinear coefficient
+    recipe; the refined pass builds only the pair's states and residual
+    sources on the doubled grid, not its bounds.  Inside
+    ``reports.recording`` the two passes are timed as the stages
     ``coarse_s`` and ``refined_s``, as in ``thm1_experiment``.
     """
     grid = pair.grid
     eps_t = _validate_eps_grid(grid, eps_grid)
-
-    def differences(p: NonlinearPair):
-        du, dv, dF, dG = (GridFn(p.grid, SPACE_TIME, a.values - b.values)
-                          for a, b in ((p.u1, p.u2), (p.v1, p.v2), (p.F1, p.F2),
-                                       (p.G1, p.G2)))
-        return [(DiffMemo(du), DiffMemo(dv), dF, dG)]
-
     with stage("coarse_s"):
-        rows, excluded, per_eps = _eps_sweep(differences(pair), eps_t)
+        rows, excluded, per_eps = _eps_sweep(
+            _differences(grid, pair.u1, pair.v1, pair.u2, pair.v2,
+                         pair.F1, pair.G1, pair.F2, pair.G2), eps_t)
     drift = None
     if refine:
         if nl_recipe is None:
             raise ValueError("refinement needs the nonlinear coefficient recipe")
         with stage("refined_s"):
             fine = grid.refined(2)
-            fine_pair = make_nonlinear_pair(pair.u1_field, pair.v1_field,
-                                            pair.u2_field, pair.v2_field,
-                                            nl_recipe.sample(fine))
-            _, _, per_eps_fine = _eps_sweep(differences(fine_pair), eps_t)
+            memos, sources = _nonlinear_states(
+                (pair.u1_field, pair.v1_field, pair.u2_field, pair.v2_field),
+                nl_recipe.sample(fine))[:2]
+            tuples = _differences(fine, *memos, *sources)
+            del memos, sources  # the states' derivatives go before the sweep
+            _, _, per_eps_fine = _eps_sweep(tuples, eps_t)
         coarse_max = max(per_eps.values())
         drift = (max(per_eps_fine.values()) / coarse_max
                  if coarse_max > 0 else math.inf)

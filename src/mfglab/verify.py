@@ -15,18 +15,18 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import SeparableField, random_cosine_field
+from .basis import SeparableField
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
 from .grid import SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
 # not called here: perfbench's tests check that the tracer rebinds
 # ``mfglab.verify.diff`` and puts it back
 from .grid import diff  # noqa: F401
-from .models import (CaseEnsemble, ManufacturedCase, case_recipes, resampled_cases,
-                     residual)
+from .models import ManufacturedCase, cosine_pairs, residual
 from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -35,7 +35,6 @@ __all__ = [
     "ESTIMATE_KINDS",
     "EstimateRow",
     "EstimateSidePair",
-    "FunctionEnsemble",
     "VerificationReport",
     "estimate_constant",
     "evaluate_estimate",
@@ -447,50 +446,42 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
 # ensembles
 
 
+class FieldPair(NamedTuple):
+    """The closed form of a function-ensemble member: its two fields."""
+
+    u_field: SeparableField
+    v_field: SeparableField
+
+    def rebuild(self, grid: Grid, coeffs: Optional[CoeffSet] = None) -> "EnsembleMember":
+        """The member of these fields sampled on ``grid``; it reads no
+        coefficients, so ``coeffs`` goes unused."""
+        return EnsembleMember(*self, self.u_field.sample(grid), self.v_field.sample(grid))
+
+
 @dataclass(frozen=True)
 class EnsembleMember:
+    """A member of the function ensemble: two closed-form fields and their
+    samples; the sweeps take its linear residual as its sources."""
+
     u_field: SeparableField
     v_field: SeparableField
     u: GridFn
     v: GridFn
 
-    @classmethod
-    def sample(cls, u_field: SeparableField, v_field: SeparableField,
-               grid: Grid) -> "EnsembleMember":
-        """The member of two closed-form fields, sampled on ``grid``."""
-        return cls(u_field, v_field, u_field.sample(grid), v_field.sample(grid))
-
-
-@dataclass(frozen=True)
-class FunctionEnsemble:
-    """Seeded family of cosine-basis state pairs for inequality sweeps."""
-
-    seed: int
-    grid: Grid
-    max_modes: int
-    t_degree: int
-    amplitude: float
-    members: tuple[EnsembleMember, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
+    @property
+    def recipe(self) -> FieldPair:
+        return FieldPair(self.u_field, self.v_field)
 
 
 def generate_ensemble(seed: int, n: int, grid: Grid, max_modes: int = 3,
-                      t_degree: int = 3, amplitude: float = 1.0) -> FunctionEnsemble:
-    """Deterministic ensemble of cosine x time-polynomial state pairs."""
+                      t_degree: int = 3, amplitude: float = 1.0
+                      ) -> tuple[EnsembleMember, ...]:
+    """The first ``n`` pairs of :func:`~mfglab.models.cosine_pairs`, each
+    sampled on ``grid``."""
     if n < 1 or max_modes < 1:
         raise ValueError("need n >= 1 and max_modes >= 1")
-    rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(n):
-        uf = random_cosine_field(rng, grid.lengths, grid.T, max_modes, t_degree,
-                                 amplitude)
-        vf = random_cosine_field(rng, grid.lengths, grid.T, max_modes, t_degree,
-                                 amplitude)
-        members.append(EnsembleMember.sample(uf, vf, grid))
-    return FunctionEnsemble(seed, grid, max_modes, t_degree, amplitude,
-                            tuple(members))
+    pairs = cosine_pairs(seed, grid, max_modes, t_degree, amplitude)
+    return tuple(FieldPair(*pair).rebuild(grid) for pair in islice(pairs, n))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +518,6 @@ class VerificationReport:
     c_emp_refined: Optional[float] = None
 
 
-EnsembleLike = Union[FunctionEnsemble, CaseEnsemble]
 Instance = Union[EnsembleMember, ManufacturedCase]
 
 
@@ -622,7 +612,7 @@ def _stabilization(lam_grid, s_grid, cell_max) -> tuple[dict, Optional[float]]:
     return s0, lam0
 
 
-def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
+def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instance],
                       lam_grid: Sequence[float], s_grid: Sequence[float],
                       coeff_recipe: CoeffRecipe, grid: Grid, *,
                       refine: bool = True
@@ -636,6 +626,12 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     weight factors of every cell) and each member's work
     (sources, data functionals, derivative stacks, weighted squares) is then
     done once for all of them.
+    ``ensemble`` is the tuple of :func:`generate_ensemble` (function pairs)
+    or of :func:`~mfglab.models.mms_case_ensemble` (manufactured cases),
+    both drawn from :func:`~mfglab.models.cosine_pairs`: fields with cosine
+    modes up to ``max_modes`` per axis and time degree up to ``t_degree``.
+    The constant c_emp is the largest ratio over the members, so it is a
+    lower bound on the supremum of the ratio over that class of functions.
     THM2 (Theorem 2, the source stability estimate) sweeps a case ensemble
     at ``s = 0`` only, so its ratio T(|f|^2 + |g|^2) / D0^2 is in unweighted
     norms.  The weight base is built even there, so THM2 is refused wherever
@@ -644,13 +640,14 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
-    and the drift of the constant is recorded.  That pass keeps only the
-    closed forms (each member's two fields, each case's recipe) and lets go
-    of the ensemble before it starts, so a caller that passes the ensemble
-    on and keeps no reference of its own has the coarse arrays freed.  Each
-    member is resampled from its closed form (exactly) just before it is
-    swept and dropped after, and cases drawn from ``coeff_recipe`` share its
-    one sample on that grid.
+    and the drift of the constant is recorded.  That pass keeps only each
+    member's closed form (``member.recipe``) and drops its reference to the
+    ensemble before it starts, so a caller that keeps none of its own has
+    the coarse arrays freed.  Each member is rebuilt there through its one
+    call ``recipe.rebuild(grid, coeffs)``, exactly, just before it is swept
+    and dropped after, with the one sample of ``coeff_recipe`` on that grid;
+    so cases drawn from another coefficient recipe are refused (ValueError)
+    before the coarse pass.
 
     Inside ``reports.recording`` the call adds its seconds, summed over both
     grids and every kind, to three stages: ``members_s`` builds the members
@@ -664,23 +661,22 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: EnsembleLike,
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
     _require_s(kinds, s_grid)
-    is_cases = isinstance(ensemble, CaseEnsemble)
-    instances = ensemble.cases if is_cases else ensemble.members
-    if refine:
-        forms = (case_recipes(instances) if is_cases
-                 else [(m.u_field, m.v_field) for m in instances])
-    sweeps = _grid_sweeps(kinds, instances, lam_grid, s_grid,
+    if any(getattr(m.recipe, "coeff_recipe", coeff_recipe) != coeff_recipe
+           for m in ensemble):
+        raise ValueError("the cases were drawn from another coefficient recipe "
+                         "than the sweep's coeff_recipe")
+    forms = [m.recipe for m in ensemble] if refine else []
+    if None in forms:
+        raise ValueError("a case built without its recipe cannot be rebuilt")
+    sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid,
                           coeff_recipe.sample(grid), grid)
-    del ensemble, instances  # the coarse states go before the refined pass
+    del ensemble  # the coarse states go before the refined pass
     fine_sweeps = [None] * len(kinds)
     if refine:
         fine = grid.refined(2)
         fine_coeffs = coeff_recipe.sample(fine)
-        fine_instances = (resampled_cases(forms, fine, (coeff_recipe, fine_coeffs))
-                          if is_cases else (EnsembleMember.sample(uf, vf, fine)
-                                            for uf, vf in forms))
-        fine_sweeps = _grid_sweeps(kinds, fine_instances, lam_grid, s_grid,
-                                   fine_coeffs, fine)
+        fine_sweeps = _grid_sweeps(kinds, (f.rebuild(fine, fine_coeffs) for f in forms),
+                                   lam_grid, s_grid, fine_coeffs, fine)
     reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)
                     for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
     return reports[0] if isinstance(kind, str) else reports

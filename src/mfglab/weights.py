@@ -68,16 +68,15 @@ class EtaAdmissibilityError(ValueError):
     """No admissible base function for this face set and coefficient pair."""
 
 
-def build_eta(grid: Grid, coeffs: Optional[CoeffSet] = None,
-              tol: float = 1e-12) -> EtaFn:
+def build_eta(grid: Grid, coeffs: CoeffSet, tol: float = 1e-12) -> EtaFn:
     """Construct the weight base for a rectangle with face-aligned gamma.
 
     For each observation face the affine candidate increasing toward that
     face is tried; a candidate is accepted when its conormal derivative
-    (under both principal matrices, exact for the constant gradient) is
-    non-positive on every face outside gamma.  Strongly skewed off-diagonal
-    principal parts can reject every candidate, in which case the offending
-    faces are reported.
+    (under both principal matrices of ``coeffs``, exact for the constant
+    gradient) is non-positive on every face outside gamma.  Strongly skewed
+    off-diagonal principal parts can reject every candidate, in which case
+    the offending faces are reported.
     """
     failures: list[str] = []
     for face in sorted(grid.gamma):
@@ -107,8 +106,8 @@ def _affine_eta(grid: Grid, axis: int, side: int) -> EtaFn:
     return EtaFn(grid=grid, values=vals, grad=grad, axis=axis, side=side)
 
 
-def _admissibility_violations(grid: Grid, eta: EtaFn,
-                              coeffs: Optional[CoeffSet], tol: float) -> list[str]:
+def _admissibility_violations(grid: Grid, eta: EtaFn, coeffs: CoeffSet,
+                              tol: float) -> list[str]:
     if np.min(eta.values) < 1.0 - 1e-12:
         return ["eta drops below 1"]
     if math.hypot(*eta.grad) <= 0.0:
@@ -118,27 +117,17 @@ def _admissibility_violations(grid: Grid, eta: EtaFn,
         if face in grid.gamma:
             continue
         sign = 1.0 if face.side == 1 else -1.0
-        for name, m2 in _principal_matrices(grid, coeffs):
+        for name, m2 in (("A", coeffs.a2), ("B", coeffs.b2)):
             # conormal of the affine eta: sign * sum_j m2[face.axis, j] * grad_j
-            if coeffs is None:
-                val = sign * eta.grad[face.axis]
-                worst = float(val)
-            else:
-                acc = np.zeros_like(face_values(grid, m2[0, 0], face))
-                for j in range(grid.dim):
-                    acc = acc + face_values(grid, m2[face.axis, j], face) * eta.grad[j]
-                worst = float(np.max(sign * acc))
+            acc = np.zeros_like(face_values(grid, m2[0, 0], face))
+            for j in range(grid.dim):
+                acc = acc + face_values(grid, m2[face.axis, j], face) * eta.grad[j]
+            worst = float(np.max(sign * acc))
             if worst > tol:
                 bad.append(
                     f"conormal({name}) on {face.label()} reaches {worst:.3g} > 0"
                 )
     return bad
-
-
-def _principal_matrices(grid: Grid, coeffs: Optional[CoeffSet]):
-    if coeffs is None:
-        return [("identity", None)]
-    return [("A", coeffs.a2), ("B", coeffs.b2)]
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ from mfglab.models import (
 )
 from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import (
-    EnsembleMember,
-    FunctionEnsemble,
+    FieldPair,
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
@@ -94,7 +93,7 @@ def cases20(grid65_both):
 
 def test_criterion_01_weight_identities(grid65):
     t0 = time.perf_counter()
-    eta = build_eta(grid65)
+    eta = build_eta(grid65, CoeffRecipe().sample(grid65))
     for lam in (1.0, 2.0):
         for s in (8.0, 64.0):
             rep = check_weight_identities(
@@ -156,7 +155,7 @@ def test_criterion_03_thm3_ratio_boundedness(grid65, ensemble20):
     coeffs = COUPLED.sample(grid65)
     eta = build_eta(grid65, coeffs)
     bundle = eval_weight_bundle(eta, WeightParams(lam=2.0, s=16.0), grid65)
-    m = ensemble20.members[0]
+    m = ensemble20[0]
     F, G = residual("linear", m.u, m.v, coeffs=coeffs)
     base = evaluate_estimate("THM3", m.u, m.v, F, G, coeffs, bundle)
     scaled = evaluate_estimate("THM3", m.u.scaled(2.0), m.v.scaled(2.0),
@@ -208,7 +207,8 @@ def test_criterion_04_lemma3(grid65):
 
     # tiny-grid brute-force cross-check at 1e-10
     g9 = build_grid(1.0, 1.0, 9, 9, ["x+"])
-    b9 = eval_weight_bundle(build_eta(g9), WeightParams(lam=1.5, s=4.0), g9)
+    b9 = eval_weight_bundle(build_eta(g9, CoeffRecipe().sample(g9)),
+                            WeightParams(lam=1.5, s=4.0), g9)
     rng = np.random.default_rng(0)
     w = GridFn(g9, "space-time", rng.normal(size=g9.shape))
     for p in (0, 1, 2):
@@ -279,16 +279,16 @@ def test_criterion_06_lipschitz_slope(case65):
             time.perf_counter() - t0, 300.0)
 
 
-def test_criterion_07_thm1_curve(ensemble20):
+def test_criterion_07_thm1_curve(grid65, ensemble20):
     t0 = time.perf_counter()
-    T = ensemble20.grid.T
+    T = grid65.T
     eps_grid = (0.05 * T, 0.1 * T, 0.2 * T)
-    rep = thm1_experiment(ensemble20, COUPLED, eps_grid, refine=True)
+    rep = thm1_experiment(ensemble20, COUPLED, grid65, eps_grid, refine=True)
     assert all(math.isfinite(r.ratio) for r in rep.rows)
     for i in range(len(ensemble20)):
         if i in rep.excluded:
             continue
-        curve = rep.member_curve(i)
+        curve = [r.ratio for r in rep.rows if r.member == i]
         assert all(curve[k] >= curve[k + 1] for k in range(len(curve) - 1))
     assert 0.5 <= rep.drift <= 2.0, rep.drift
     _report(7, f"C_eps finite and non-increasing for all members; "
@@ -368,9 +368,8 @@ def test_criterion_10_nonlinear_degeneracy():
     eps_grid = (0.05, 0.1, 0.2)
     rep_nl = thm4_experiment(pair, eps_grid)
     du, dv = u1 - u2, v1 - v2
-    member = EnsembleMember(du, dv, du.sample(g), dv.sample(g))
-    ens = FunctionEnsemble(0, g, 3, 3, 1.0, (member,))
-    rep_lin = thm1_experiment(ens, CoeffRecipe(c0=-p_val), eps_grid,
+    ens = (FieldPair(du, dv).rebuild(g),)
+    rep_lin = thm1_experiment(ens, CoeffRecipe(c0=-p_val), g, eps_grid,
                               refine=False)
     for a, b in zip(rep_nl.rows, rep_lin.rows):
         assert abs(a.ratio - b.ratio) <= 1e-10 * max(a.ratio, 1e-30)

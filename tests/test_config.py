@@ -162,7 +162,7 @@ def test_kinds_refused_at_their_s_values_at_load(tmp_path, capsys, monkeypatch,
     import mfglab.cli
 
     drawn = []
-    monkeypatch.setattr(mfglab.cli, "_build_case_ensemble", lambda *a: drawn.append(a))
+    monkeypatch.setattr(mfglab.cli, "_build_ensemble", lambda *a: drawn.append(a))
     p = carleman_config(tmp_path, kinds, s_values)
     with pytest.raises(ConfigError, match=f"weights.s_values: {message}"):
         load_config(str(p))

@@ -108,7 +108,7 @@ def test_case_member_takes_each_derivative_once(stencil_calls):
 
 def test_state_det_member_takes_each_derivative_once(stencil_calls):
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    thm1_experiment(generate_ensemble(7, 1, g), COUPLED, EPS_GRID, refine=False)
+    thm1_experiment(generate_ensemble(7, 1, g), COUPLED, g, EPS_GRID, refine=False)
     # the residual's six; the interior norms read them
     assert_each_once(stencil_calls, 6)
 
@@ -149,7 +149,7 @@ def test_lemma3_sweep_takes_no_derivative(stencil_calls, monkeypatch):
 def coarse_refs(ens):
     """Weak references to every array a coarse member holds."""
     refs = []
-    for inst in (ens.cases if hasattr(ens, "cases") else ens.members):
+    for inst in ens:
         arrays = [inst.u.values, inst.v.values]
         if hasattr(inst, "F"):
             arrays += [inst.F.values, inst.G.values, inst.sources.q1, inst.sources.q2]
@@ -200,5 +200,5 @@ def test_thm1_frees_coarse_ensemble_before_refined_pass(monkeypatch):
         refs.extend(coarse_refs(ens))
         return ens
 
-    thm1_experiment(ensemble(), COUPLED, EPS_GRID, refine=True)
+    thm1_experiment(ensemble(), COUPLED, g, EPS_GRID, refine=True)
     assert alive == [len(refs), 0]

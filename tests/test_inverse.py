@@ -464,7 +464,7 @@ def discrete_case_2d():
         lambda x1, x2: 1.0 + 0.2 * np.cos(np.pi * x1),
         lambda x1, x2: 1.0 - 0.2 * np.cos(np.pi * x2 / 2.0),
         max_modes=2, t_degree=2, amplitude=1.0, q_min=0.02,
-    ).cases[0]
+    )[0]
     return case, case.sources.f, case.sources.g
 
 

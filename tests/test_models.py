@@ -6,14 +6,17 @@ import pytest
 from mfglab.basis import SeparableField, Term
 from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs
 from mfglab.grid import GridFn, build_grid, norm
+import mfglab.models
 from mfglab.models import (
     MmsRejected,
     analytic_linear_residuals,
+    cosine_pairs,
     make_nonlinear_pair,
     mms_case_ensemble,
     mms_linear,
     residual,
 )
+from mfglab.verify import generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 
@@ -141,11 +144,86 @@ def test_case_ensemble_deterministic_and_resample():
     e1 = mms_case_ensemble(3, 4, g, COUPLED, 1.0, 1.0, **kwargs)
     e2 = mms_case_ensemble(3, 4, g, COUPLED, 1.0, 1.0, **kwargs)
     assert len(e1) == 4
-    for a, b in zip(e1.cases, e2.cases):
+    for a, b in zip(e1, e2):
         assert np.array_equal(a.u.values, b.u.values)
-    fine = e1.cases[0].recipe.resample(g.refined(2))
+    fine = e1[0].recipe.rebuild(g.refined(2), COUPLED.sample(g.refined(2)))
     assert fine.grid.nx == (33,)
-    assert fine.u_field == e1.cases[0].u_field
+    assert fine.u_field == e1[0].u_field
+
+
+# ---------------------------------------------------------------------------
+# both ensembles draw from one seeded stream of closed-form pairs
+
+STREAM = dict(max_modes=2, t_degree=2, amplitude=1.0)
+
+
+def case_ensemble(grid, n=3, seed=3):
+    return mms_case_ensemble(seed, n, grid, COUPLED, 1.0, 1.0, q_min=0.05, **STREAM)
+
+
+def field_pairs(ens):
+    return [(m.u_field, m.v_field) for m in ens]
+
+
+def test_function_and_case_ensembles_share_the_stream(monkeypatch):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    builds = []
+    build = mfglab.models.CaseRecipe.build
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(mfglab.models.CaseRecipe, "build", counted)
+    cases = case_ensemble(g)
+    assert len(builds) == 3  # no draw was rejected
+    functions = generate_ensemble(3, 3, g, **STREAM)
+    assert field_pairs(functions) == field_pairs(cases)
+    for m, c in zip(functions, cases):
+        assert np.array_equal(m.u.values, c.u.values)
+        assert np.array_equal(m.v.values, c.v.values)
+
+
+def test_rejected_draw_consumes_one_pair(monkeypatch):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    attempts = []
+    build = mfglab.models.CaseRecipe.build
+
+    def second_rejected(self, *args, **kwargs):
+        attempts.append(self)
+        if len(attempts) == 2:
+            raise MmsRejected("rejected for the test")
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(mfglab.models.CaseRecipe, "build", second_rejected)
+    cases = case_ensemble(g)
+    pairs = cosine_pairs(3, g, **STREAM)
+    drawn = [next(pairs) for _ in range(4)]
+    assert [(r.u_field, r.v_field) for r in attempts] == drawn
+    assert field_pairs(cases) == [drawn[0], drawn[2], drawn[3]]
+
+
+def test_rebuilt_members_equal_fresh_builds_on_the_fine_grid():
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    fine = g.refined(2)
+    fine_coeffs = COUPLED.sample(fine)
+    # seed 4: no draw is rejected on either grid, so both grids build the
+    # same three cases
+    for coarse, fresh in ((generate_ensemble(4, 3, g, **STREAM),
+                           generate_ensemble(4, 3, fine, **STREAM)),
+                          (case_ensemble(g, seed=4), case_ensemble(fine, seed=4))):
+        assert field_pairs(coarse) == field_pairs(fresh)
+        for member, direct in zip(coarse, fresh):
+            rebuilt = member.recipe.rebuild(fine, fine_coeffs)
+            assert type(rebuilt) is type(direct)
+            names = ("u", "v", "F", "G") if hasattr(direct, "F") else ("u", "v")
+            for name in names:
+                assert np.array_equal(getattr(rebuilt, name).values,
+                                      getattr(direct, name).values), name
+            if hasattr(direct, "sources"):
+                for name in ("q1", "q2", "f", "g"):
+                    assert np.array_equal(getattr(rebuilt.sources, name),
+                                          getattr(direct.sources, name)), name
 
 
 def test_nonlinear_pair_bounds_monotone():

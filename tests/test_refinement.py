@@ -17,7 +17,7 @@ from mfglab.coefficients import CoeffRecipe
 from mfglab.grid import build_grid
 from mfglab.models import mms_case_ensemble
 from mfglab.statedet import thm1_experiment
-from mfglab.verify import EnsembleMember, estimate_constant, generate_ensemble
+from mfglab.verify import estimate_constant, generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 FN_KINDS = ("LEMMA1", "THM3")
@@ -38,12 +38,8 @@ def ensemble(kinds, n, grid):
     return generate_ensemble(7, n, grid, max_modes=2, t_degree=2)
 
 
-def instances(ens):
-    return ens.cases if hasattr(ens, "cases") else ens.members
-
-
 def fields(ens):
-    return [(m.u_field, m.v_field) for m in instances(ens)]
+    return [(m.u_field, m.v_field) for m in ens]
 
 
 def capture(monkeypatch, module, name):
@@ -78,10 +74,10 @@ def test_refined_rows_equal_sweep_on_doubled_grid(kinds, monkeypatch):
 def test_thm1_refined_rows_equal_run_on_doubled_grid(monkeypatch):
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     fine = g.refined(2)
-    expected = thm1_experiment(ensemble(FN_KINDS, 3, fine), COUPLED, EPS_GRID,
+    expected = thm1_experiment(ensemble(FN_KINDS, 3, fine), COUPLED, fine, EPS_GRID,
                                refine=False)
     sweeps = capture(monkeypatch, mfglab.statedet, "_thm1_sweep")
-    rep = thm1_experiment(ensemble(FN_KINDS, 3, g), COUPLED, EPS_GRID, refine=True)
+    rep = thm1_experiment(ensemble(FN_KINDS, 3, g), COUPLED, g, EPS_GRID, refine=True)
     assert len(sweeps) == 2
     rows, excluded, per_eps = sweeps[1]
     assert tuple(rows) == expected.rows
@@ -124,14 +120,13 @@ def test_refined_peak_independent_of_member_count(experiment):
         ens = ensemble(kinds, n, g)
         if experiment == "thm1":
             peaks.append(traced_peak(
-                lambda: thm1_experiment(ens, COUPLED, EPS_GRID, refine=True)))
+                lambda: thm1_experiment(ens, COUPLED, g, EPS_GRID, refine=True)))
         else:
             peaks.append(traced_peak(
                 lambda: estimate_constant(kinds, ens, LAMS, S_VALUES, COUPLED, g,
                                           refine=True)))
-    first, fine = instances(ens)[0], g.refined(2)
-    one_member = member_bytes(first.recipe.resample(fine) if hasattr(first, "recipe")
-                              else EnsembleMember.sample(first.u_field, first.v_field, fine))
+    fine = g.refined(2)
+    one_member = member_bytes(ens[0].recipe.rebuild(fine, COUPLED.sample(fine)))
     # building the whole refined ensemble would add ten members' arrays
     assert peaks[1] - peaks[0] < 2 * one_member
 

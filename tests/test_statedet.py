@@ -8,31 +8,42 @@ from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs, NonlinearRecipe
 from mfglab.grid import build_grid, norm
 from mfglab.models import make_nonlinear_pair
 from mfglab.statedet import thm1_experiment, thm4_experiment
-from mfglab.verify import EnsembleMember, FunctionEnsemble, generate_ensemble
+from mfglab.verify import FieldPair, generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 EPS_GRID = (0.05, 0.1, 0.2)
 
 
+def member_curve(rep, member):
+    """A member's ratios over the eps grid."""
+    return [r.ratio for r in rep.rows if r.member == member]
+
+
+def c_max(rep):
+    """The largest finite per-eps maximum, inf when there is none."""
+    vals = [v for v in rep.per_eps_max.values() if math.isfinite(v)]
+    return max(vals) if vals else math.inf
+
+
 def test_curve_non_increasing_per_member():
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
     ens = generate_ensemble(4, 5, g)
-    rep = thm1_experiment(ens, COUPLED, EPS_GRID, refine=False)
+    rep = thm1_experiment(ens, COUPLED, g, EPS_GRID, refine=False)
     for i in range(len(ens)):
-        curve = rep.member_curve(i)
+        curve = member_curve(rep, i)
         assert len(curve) == len(EPS_GRID)
         assert all(curve[k] >= curve[k + 1] for k in range(len(curve) - 1))
-    assert math.isfinite(rep.c_max)
+    assert math.isfinite(c_max(rep))
 
 
 def test_curve_equals_per_eps_norms():
     # one set of derivative parts per member serves every eps exactly
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = generate_ensemble(4, 3, g)
-    rep = thm1_experiment(ens, COUPLED, EPS_GRID, refine=False)
+    rep = thm1_experiment(ens, COUPLED, g, EPS_GRID, refine=False)
     assert len(rep.rows) == 3 * len(EPS_GRID)
     for row in rep.rows:
-        m = ens.members[row.member]
+        m = ens[row.member]
         assert row.lhs == (norm(m.u, "H21_interior", eps=row.eps)
                            + norm(m.v, "H21_interior", eps=row.eps))
 
@@ -40,7 +51,7 @@ def test_curve_equals_per_eps_norms():
 def test_zero_members_excluded():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = generate_ensemble(4, 2, g, amplitude=0.0)
-    rep = thm1_experiment(ens, COUPLED, (0.1,), refine=False)
+    rep = thm1_experiment(ens, COUPLED, g, (0.1,), refine=False)
     assert rep.excluded == (0, 1)
     assert rep.rows == ()
 
@@ -49,24 +60,18 @@ def test_eps_grid_validation():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = generate_ensemble(4, 1, g)
     with pytest.raises(ValueError, match="outside"):
-        thm1_experiment(ens, COUPLED, (0.7,), refine=False)
+        thm1_experiment(ens, COUPLED, g, (0.7,), refine=False)
     with pytest.raises(ValueError, match="slices"):
-        thm1_experiment(ens, COUPLED, (0.49,), refine=False)
+        thm1_experiment(ens, COUPLED, g, (0.49,), refine=False)
 
 
 def test_ratio_scale_invariance():
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
     ens = generate_ensemble(8, 2, g)
-    scaled_members = tuple(
-        EnsembleMember(m.u_field.scaled(3.0), m.v_field.scaled(3.0),
-                       m.u_field.scaled(3.0).sample(g),
-                       m.v_field.scaled(3.0).sample(g))
-        for m in ens.members
-    )
-    scaled = FunctionEnsemble(ens.seed, g, ens.max_modes, ens.t_degree,
-                              ens.amplitude, scaled_members)
-    r1 = thm1_experiment(ens, COUPLED, EPS_GRID, refine=False)
-    r2 = thm1_experiment(scaled, COUPLED, EPS_GRID, refine=False)
+    scaled = tuple(FieldPair(m.u_field.scaled(3.0), m.v_field.scaled(3.0)).rebuild(g)
+                   for m in ens)
+    r1 = thm1_experiment(ens, COUPLED, g, EPS_GRID, refine=False)
+    r2 = thm1_experiment(scaled, COUPLED, g, EPS_GRID, refine=False)
     for a, b in zip(r1.rows, r2.rows):
         assert abs(a.ratio - b.ratio) <= 1e-12 * a.ratio
 
@@ -74,7 +79,7 @@ def test_ratio_scale_invariance():
 def test_refinement_drift_recorded():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = generate_ensemble(4, 2, g)
-    rep = thm1_experiment(ens, COUPLED, (0.1, 0.2), refine=True)
+    rep = thm1_experiment(ens, COUPLED, g, (0.1, 0.2), refine=True)
     assert rep.drift is not None and math.isfinite(rep.drift)
 
 
@@ -111,10 +116,9 @@ def test_kappa_zero_matches_linear_difference():
 
     du = u1 - u2
     dv = v1 - v2
-    member = EnsembleMember(du, dv, du.sample(g), dv.sample(g))
-    ens = FunctionEnsemble(0, g, 3, 3, 1.0, (member,))
+    ens = (FieldPair(du, dv).rebuild(g),)
     linear = CoeffRecipe(c0=-p_val)
-    rep_lin = thm1_experiment(ens, linear, EPS_GRID, refine=False)
+    rep_lin = thm1_experiment(ens, linear, g, EPS_GRID, refine=False)
     for a, b in zip(rep_nl.rows, rep_lin.rows):
         assert abs(a.ratio - b.ratio) <= 1e-10 * max(a.ratio, 1e-30)
 
@@ -155,3 +159,27 @@ def test_thm4_refine_needs_recipe():
     rep = thm4_experiment(pair, (0.1,), refine=True,
                           nl_recipe=NonlinearRecipe(a=1.0, kappa=0.2, p=0.1))
     assert rep.drift is not None
+
+
+def test_refined_nonlinear_diff_takes_one_difference_bound(monkeypatch):
+    # the refined pass builds the fine pair's states and sources only: the
+    # bounds m1 and m2 are reported for the coarse pair alone
+    import mfglab.models
+    from mfglab.cli import run
+    from mfglab.config import load_config
+
+    calls = []
+    bound = mfglab.models._difference_bound
+
+    def counted(*args):
+        calls.append(args[0].grid.nt)
+        return bound(*args)
+
+    monkeypatch.setattr(mfglab.models, "_difference_bound", counted)
+    cfg = load_config(None, experiment="nonlinear-diff",
+                      overrides={"grid.nx": [17], "grid.nt": 17,
+                                 "statedet.epsilons": [0.1, 0.2],
+                                 "statedet.refine": True})
+    report = run(cfg)
+    assert report.summary["drift"] is not None
+    assert calls == [17]

@@ -32,7 +32,8 @@ def test_weight_time_profiles_unimodal():
     # ell(t) = t(T - t) peaks at t0, so alpha = -h/ell rises to its max at t0
     # and falls after, while phi = exp(lam eta)/ell dips to its minimum there
     g = grid_2d(9, 17)
-    bundle = eval_weight_bundle(build_eta(g), WeightParams(lam=1.0, s=2.0), g)
+    bundle = eval_weight_bundle(build_eta(g, CoeffRecipe().sample(g)),
+                                WeightParams(lam=1.0, s=2.0), g)
     it0 = g.it0 - 1  # interior index of t0
     alpha = bundle.alpha_interior
     assert np.all(np.diff(alpha[..., :it0 + 1], axis=-1) >= 0)
@@ -46,7 +47,7 @@ def test_thm3_sweep_2d_finite():
     g = grid_2d(17, 17)
     ens = generate_ensemble(5, 2, g, max_modes=2, t_degree=2, amplitude=1.0)
     coeffs = COUPLED_2D.sample(g)
-    assert max(max_exact_conormal(fld, m2, g, face) for m in ens.members
+    assert max(max_exact_conormal(fld, m2, g, face) for m in ens
                for fld, m2 in ((m.u_field, coeffs.a2), (m.v_field, coeffs.b2))
                for face in g.all_faces()) <= 1e-10
     rep = estimate_constant("THM3", ens, [1.0], [4.0, 8.0], COUPLED_2D, g,
@@ -63,7 +64,7 @@ def test_case_ensemble_2d():
         lambda x1, x2: 1.0 - 0.2 * np.cos(np.pi * x2 / 2.0),
         max_modes=2, t_degree=2, amplitude=1.0, q_min=0.02,
     )
-    case = ens.cases[0]
+    case = ens[0]
     ru, rv = residual("linear", case.u, case.v, coeffs=case.coeffs)
     scale = np.max(np.abs(ru.values))
     assert np.max(np.abs(ru.values - case.F.values)) <= 1e-12 * scale

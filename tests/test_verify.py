@@ -20,8 +20,8 @@ from mfglab.models import max_exact_conormal, mms_case_ensemble, mms_linear, res
 from mfglab.verify import (
     CASE_KINDS,
     ESTIMATE_KINDS,
-    EnsembleMember,
     EstimateSidePair,
+    FieldPair,
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
@@ -46,7 +46,7 @@ def test_ensemble_deterministic():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     a = generate_ensemble(5, 3, g)
     b = generate_ensemble(5, 3, g)
-    for ma, mb in zip(a.members, b.members):
+    for ma, mb in zip(a, b):
         assert np.array_equal(ma.u.values, mb.u.values)
         assert np.array_equal(ma.v.values, mb.v.values)
 
@@ -54,13 +54,13 @@ def test_ensemble_deterministic():
 def test_zero_amplitude_gives_zero_members():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = generate_ensemble(5, 2, g, amplitude=0.0)
-    for m in ens.members:
+    for m in ens:
         assert np.all(m.u.values == 0.0)
 
 
 def test_ensemble_conormal_at_roundoff():
     g, coeffs, ens, _ = setup()
-    assert max(max_exact_conormal(fld, m2, g, face) for m in ens.members
+    assert max(max_exact_conormal(fld, m2, g, face) for m in ens
                for fld, m2 in ((m.u_field, coeffs.a2), (m.v_field, coeffs.b2))
                for face in g.all_faces()) <= 1e-10
 
@@ -80,7 +80,7 @@ def test_violation_candidate_flag():
 
 def test_scaling_homogeneity_exact():
     g, coeffs, ens, bundle = setup()
-    m = ens.members[0]
+    m = ens[0]
     F, G = residual("linear", m.u, m.v, coeffs=coeffs)
     base = evaluate_estimate("THM3", m.u, m.v, F, G, coeffs, bundle)
     scaled = evaluate_estimate("THM3", m.u.scaled(2.0), m.v.scaled(2.0),
@@ -92,7 +92,7 @@ def test_scaling_homogeneity_exact():
 
 def test_consistency_guard():
     g, coeffs, ens, bundle = setup(n=17)
-    m = ens.members[0]
+    m = ens[0]
     F, G = residual("linear", m.u, m.v, coeffs=coeffs)
     bad_F = GridFn(g, "space-time", F.values + 1.0)
     bad_G = GridFn(g, "space-time", G.values * (1.0 + 1e-6))
@@ -105,7 +105,7 @@ def test_consistency_guard():
 
 def test_lemma4_and_single_sided_kinds_run():
     g, coeffs, ens, bundle = setup(n=17)
-    m = ens.members[0]
+    m = ens[0]
     F, G = residual("linear", m.u, m.v, coeffs=coeffs)
     for kind in ("LEMMA1", "LEMMA2", "LEMMA4"):
         pair = evaluate_estimate(kind, m.u, m.v, F, G, coeffs, bundle)
@@ -159,7 +159,7 @@ def brute_force_lemma3(w, p, bundle):
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_lemma3_brute_force_cross_check(p):
     g = build_grid(1.0, 1.0, 9, 9, ["x+"])
-    eta = build_eta(g)
+    eta = build_eta(g, CoeffRecipe().sample(g))
     bundle = eval_weight_bundle(eta, WeightParams(lam=1.5, s=4.0), g)
     rng = np.random.default_rng(p)
     w = GridFn(g, "space-time", rng.normal(size=g.shape))
@@ -173,7 +173,8 @@ def test_lemma3_antiderivative_is_scipy_cumulative_trapezoid():
     from scipy.integrate import cumulative_trapezoid
 
     g = build_grid((1.0, 2.0), 1.0, (7, 9), 11, ["x1+"])
-    bundle = eval_weight_bundle(build_eta(g), WeightParams(lam=1.0, s=4.0), g)
+    bundle = eval_weight_bundle(build_eta(g, CoeffRecipe().sample(g)),
+                                WeightParams(lam=1.0, s=4.0), g)
     w = GridFn(g, "space-time", np.random.default_rng(4).normal(size=g.shape))
     cum = cumulative_trapezoid(w.values, dx=g.tau, axis=g.dim, initial=0.0)
     inner = cum - cum[..., g.it0][..., None]
@@ -208,7 +209,7 @@ def test_lemma3_constant_reproducible_pin():
 
 def test_lemma3_kinds_refuse_bad_names():
     g, coeffs, ens, bundle = setup(n=17)
-    u = ens.members[0].u
+    u = ens[0].u
     for kind in ("LEMMA3(p=-1)", "LEMMA3(p=01)", "LEMMA3", "LEMMA3(p=1"):
         with pytest.raises(ValueError, match="unknown estimate kind"):
             evaluate_estimate(kind, u, None, None, None, coeffs, bundle)
@@ -282,12 +283,12 @@ def sweep_inputs(kind, dim=1, members=3):
             lambda x, *_: 1.0 - 0.3 * np.cos(np.pi * x),
             q_min=0.05,
         )
-        inputs = [(c.u, c.v, c.F, c.G, c.sources) for c in cases.cases]
+        inputs = [(c.u, c.v, c.F, c.G, c.sources) for c in cases]
         return cases, recipe, g, inputs
     ens = generate_ensemble(7, members, g, max_modes=2, t_degree=2)
     coeffs = recipe.sample(g)
     inputs = [(m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs), None)
-              for m in ens.members]
+              for m in ens]
     return ens, recipe, g, inputs
 
 
@@ -444,6 +445,34 @@ def test_thm2_sweep_with_drift():
     assert rep.drift is not None and math.isfinite(rep.drift)
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_cases_of_another_coefficient_recipe_refused(refine, monkeypatch):
+    # the refined pass rebuilds every case with the sweep's coefficients, so
+    # a case ensemble drawn from other ones is refused before any sweep
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    ens = mms_case_ensemble(13, 2, g, COUPLED, 1.0, 1.0, max_modes=2,
+                            t_degree=2, q_min=0.05)
+    sweeps = []
+    monkeypatch.setattr(mfglab.verify, "_grid_sweeps",
+                        lambda *args: sweeps.append(args))
+    with pytest.raises(ValueError, match="another coefficient recipe"):
+        estimate_constant("THM2", ens, [1.0], [0.0], CoeffRecipe(c0=0.5), g,
+                          refine=refine)
+    assert sweeps == []
+
+
+def test_case_without_recipe_refused_when_refining():
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    drawn = mms_case_ensemble(13, 1, g, COUPLED, 1.0, 1.0, max_modes=2,
+                              t_degree=2, q_min=0.05)[0]
+    bare = mms_linear(drawn.u_field, drawn.v_field, drawn.coeffs, drawn.sources.f,
+                      drawn.sources.g, q_min=0.05)
+    assert bare.recipe is None
+    estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=False)
+    with pytest.raises(ValueError, match="without its recipe"):
+        estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=True)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_thm2_equals_direct_formula(dim):
     """T (|f|^2 + |g|^2) against D0^2: the slices' squared H2 norms and
@@ -534,8 +563,8 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
     counts = Counter()
     counting(monkeypatch, counts, [mfglab.models, mfglab.verify], "residual")
     for cls, name in ((mfglab.basis.SeparableField, "sample"),
-                      (mfglab.models.CaseRecipe, "resample"),
-                      (EnsembleMember, "sample"),
+                      (mfglab.models.CaseRecipe, "rebuild"),
+                      (FieldPair, "rebuild"),
                       (CoeffRecipe, "sample")):
         orig = getattr(cls, name)
 
@@ -558,10 +587,10 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
     # take the residual as their sources there); function-ensemble members:
     # one residual each
     if kinds == ENERGY_KINDS:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "CaseRecipe.resample": n,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "CaseRecipe.rebuild": n,
                                "SeparableField.sample": 2 * n, "residual": n}
     else:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "EnsembleMember.sample": n,
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "FieldPair.rebuild": n,
                                "SeparableField.sample": 2 * n, "residual": 2 * n}
 
 

@@ -20,6 +20,11 @@ def grid_1d(nx=65, nt=65, gamma=("x+",)):
     return build_grid(1.0, 1.0, nx, nt, gamma)
 
 
+def laplacian_eta(g):
+    """The weight base under the pure-Laplacian coefficients."""
+    return build_eta(g, CoeffRecipe().sample(g))
+
+
 def weighted_sq(f, b, m=0, lam_power=0):
     """Integral of f^2 (s phi)^m lam^k W over the space-time cylinder."""
     return np.sum(f.grid.st_weights * f.values**2 * b.weight_factor(m, lam_power))
@@ -27,7 +32,7 @@ def weighted_sq(f, b, m=0, lam_power=0):
 
 def test_eta_toward_observation_face():
     g = grid_1d()
-    eta = build_eta(g)
+    eta = laplacian_eta(g)
     assert eta.axis == 0 and eta.side == 1
     assert eta.values[0] == 1.0 and eta.values[-1] == 2.0
     assert eta.grad == (1.0,)
@@ -35,17 +40,13 @@ def test_eta_toward_observation_face():
 
 def test_eta_mirrored_for_low_face():
     g = grid_1d(gamma=("x-",))
-    eta = build_eta(g)
+    eta = laplacian_eta(g)
     assert eta.values[0] == 2.0 and eta.values[-1] == 1.0
-    # admissibility re-checked numerically with explicit coefficients
-    coeffs = CoeffRecipe().sample(g)
-    eta2 = build_eta(g, coeffs)
-    assert np.array_equal(eta.values, eta2.values)
 
 
 def test_eta_2d_tangential_faces_ok():
     g = build_grid((1.0, 1.0), 1.0, (9, 9), 9, ["x1+"])
-    eta = build_eta(g, CoeffRecipe().sample(g))
+    eta = laplacian_eta(g)
     assert eta.axis == 0
     assert eta.grad[1] == 0.0
 
@@ -60,7 +61,7 @@ def test_eta_rejected_for_skewed_coefficients():
 
 def test_bundle_scalar_values_match_hand_formulas():
     g = grid_1d()
-    eta = build_eta(g)
+    eta = laplacian_eta(g)
     b = eval_weight_bundle(eta, WeightParams(lam=1.0, s=5.0), g)
     # phi(0, T/2) = e^1 / 0.25 and alpha(0, T/2) = (e - e^4)/0.25
     assert abs(b.phi_interior[0, g.it0 - 1] - math.e / 0.25) < 1e-10
@@ -70,7 +71,7 @@ def test_bundle_scalar_values_match_hand_formulas():
 
 def test_weight_normalization_peak():
     g = grid_1d()
-    b = eval_weight_bundle(build_eta(g), WeightParams(lam=1.0, s=5.0), g)
+    b = eval_weight_bundle(laplacian_eta(g), WeightParams(lam=1.0, s=5.0), g)
     w = b.weight_factor(0, 0)
     assert 0.0 <= w.min() and w.max() <= 1.0
     assert w[..., 0].max() == 0.0 and w[..., -1].max() == 0.0
@@ -81,14 +82,14 @@ def test_weight_normalization_peak():
 
 def test_weight_time_symmetry_exact():
     g = grid_1d()
-    b = eval_weight_bundle(build_eta(g), WeightParams(lam=2.0, s=8.0), g)
+    b = eval_weight_bundle(laplacian_eta(g), WeightParams(lam=2.0, s=8.0), g)
     w = b.w_interior
     assert np.array_equal(w, w[..., ::-1])
 
 
 def test_degenerate_s_zero_matches_plain_norm():
     g = grid_1d()
-    eta = build_eta(g)
+    eta = laplacian_eta(g)
     b0 = WeightBundle(eta, WeightParams(lam=3.0, s=0.0), g)
     X, _ = g.meshes()
     f = GridFn(g, "space-time", 1.0 + 0.5 * X)
@@ -98,7 +99,7 @@ def test_degenerate_s_zero_matches_plain_norm():
 
 def test_weighted_integral_zero_field():
     g = grid_1d()
-    b = eval_weight_bundle(build_eta(g), WeightParams(lam=1.0, s=4.0), g)
+    b = eval_weight_bundle(laplacian_eta(g), WeightParams(lam=1.0, s=4.0), g)
     z = GridFn(g, "space-time", np.zeros(g.shape))
     assert weighted_sq(z, b, 2, 1) == 0.0
 
@@ -111,8 +112,8 @@ def test_weighted_integral_fine_grid_oracle():
     g = grid_1d()
     gf = build_grid(1.0, 1.0, 1025, 1025, ["x+"])
     params = WeightParams(lam=1.0, s=0.25)
-    b = eval_weight_bundle(build_eta(g), params, g)
-    bf = eval_weight_bundle(build_eta(gf), params, gf)
+    b = eval_weight_bundle(laplacian_eta(g), params, g)
+    bf = eval_weight_bundle(laplacian_eta(gf), params, gf)
     coarse = weighted_sq(GridFn(g, "space-time", np.ones(g.shape)), b, 1)
     # move the fine weight onto the coarse grid's normalization
     fine = (weighted_sq(GridFn(gf, "space-time", np.ones(gf.shape)), bf, 1)
@@ -122,7 +123,7 @@ def test_weighted_integral_fine_grid_oracle():
 
 def test_identities_report_passes():
     g = grid_1d()
-    b = eval_weight_bundle(build_eta(g), WeightParams(lam=2.0, s=8.0), g)
+    b = eval_weight_bundle(laplacian_eta(g), WeightParams(lam=2.0, s=8.0), g)
     report = check_weight_identities(b)
     assert report.passed, [c.name for c in report.failures()]
     assert report.by_name("alpha_time_symmetry").value <= 1e-12
@@ -141,7 +142,7 @@ def test_xi_maximizer_hand_case():
 
 def test_ratio_bound_identity_finite_and_p_independent():
     g = grid_1d()
-    b = eval_weight_bundle(build_eta(g), WeightParams(lam=1.5, s=16.0), g)
+    b = eval_weight_bundle(laplacian_eta(g), WeightParams(lam=1.5, s=16.0), g)
     rep = check_weight_identities(b)
     vals = [rep.by_name(f"singular_factor_bound_p{p}").value for p in (0, 1, 2)]
     assert all(math.isfinite(v) for v in vals)
@@ -151,7 +152,7 @@ def test_ratio_bound_identity_finite_and_p_independent():
 def test_lambda_overflow_guard():
     g = grid_1d(nx=9, nt=9)
     with pytest.raises(ValueError, match="overflow"):
-        eval_weight_bundle(build_eta(g), WeightParams(lam=400.0, s=1.0), g)
+        eval_weight_bundle(laplacian_eta(g), WeightParams(lam=400.0, s=1.0), g)
 
 
 def test_params_validation():

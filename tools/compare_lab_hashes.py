@@ -16,7 +16,9 @@ reproducible only at a fixed OpenBLAS thread count (threaded OpenBLAS picks
 other kernels); both checkouts run in this one environment, so the
 comparison holds, and the last line gives the thread count that each
 checkout's ``report.json`` records (``OPENBLAS_NUM_THREADS``, or "unset";
-"not recorded" by a checkout that predates the record).
+"not recorded" by a checkout that predates the record).  The very last
+line gives the line count of each checkout's library modules
+(``src/mfglab/*.py``) and its change from base to head.
 
 Under each run whose hashes differ it sizes the move: the largest relative
 change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables and
@@ -139,6 +141,12 @@ def size_move(base: dict[str, Any], head: dict[str, Any]
     return worst, where, other
 
 
+def source_lines(root: Path) -> int:
+    """Lines of the library modules ``src/mfglab/*.py`` of a checkout."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (root / "src" / "mfglab").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     roots = {"base": Path(argv[0]).resolve(), "head": Path(argv[1]).resolve()}
     differ = 0
@@ -178,6 +186,9 @@ def main(argv: list[str]) -> int:
     print("OpenBLAS threads: " + ", ".join(
         f"{side} {' / '.join(sorted(seen)) or 'no report'}"
         for side, seen in threads.items()))
+    lines = {side: source_lines(root) for side, root in roots.items()}
+    print(f"src/mfglab/*.py lines: base {lines['base']}, head {lines['head']} "
+          f"({lines['head'] - lines['base']:+d})")
     return 0
 
 if __name__ == "__main__":
