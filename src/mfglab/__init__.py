@@ -25,8 +25,6 @@ from .models import (
     CaseRecipe,
     ManufacturedCase,
     MmsRejected,
-    NonlinearPair,
-    make_nonlinear_pair,
     mms_case_ensemble,
     mms_linear,
     residual,

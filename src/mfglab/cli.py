@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import islice
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .basis import random_cosine_field
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, load_config
+from .config import _ALLOWED, EXPERIMENTS, ConfigError, ExperimentConfig, load_config
 from .inverse import make_inverse_data, reconstruct, stability_sweep
-from .models import CaseRecipe, make_nonlinear_pair, mms_case_ensemble
+from .models import CaseRecipe, cosine_pairs, mms_case_ensemble
 from .reports import ResultTable, RunReport, emit_report, recording
 from .statedet import thm1_experiment, thm4_experiment
 from .verify import CASE_KINDS, estimate_constant, generate_ensemble
@@ -249,27 +249,18 @@ def _run_state_det(cfg: ExperimentConfig) -> RunReport:
 
 def _run_nonlinear_diff(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.build_grid()
-    nl_recipe = cfg.nonlinear_recipe()
-    nl = nl_recipe.sample(grid)
     spec = cfg.section("nonlinear")
-    rng = np.random.default_rng(int(spec["seed"]))
-    amp = float(spec["amplitude"])
-    fields = [random_cosine_field(rng, grid.lengths, grid.T, 3, 3, amp)
-              for _ in range(4)]
-    pair = make_nonlinear_pair(fields[0], fields[1], fields[2], fields[3], nl)
-    sd = cfg.section("statedet")
-    rep = thm4_experiment(pair, cfg.epsilons(), nl_recipe=nl_recipe,
-                          refine=bool(sd["refine"]))
+    pairs = tuple(islice(cosine_pairs(int(spec["seed"]), grid, 3, 3,
+                                      float(spec["amplitude"])), 2))
+    rep = thm4_experiment(pairs, cfg.nonlinear_recipe(), grid, cfg.epsilons(),
+                          refine=bool(cfg.section("statedet")["refine"]))
     summary = {
         "per_eps_max": {repr(k): v for k, v in rep.per_eps_max.items()},
         "drift": rep.drift,
-        "m1": rep.extras["m1"],
-        "m2": rep.extras["m2"],
+        **rep.extras,  # the bounds m1 and m2
     }
     return RunReport(cfg.experiment, cfg.resolved, [_ceps_table(rep)],
-                     summary=summary,
-                     extra_json={"bounds": {"m1": rep.extras["m1"],
-                                            "m2": rep.extras["m2"]}})
+                     summary=summary, extra_json={"bounds": rep.extras})
 
 
 _DRIVERS = {
@@ -280,15 +271,6 @@ _DRIVERS = {
     "state-det": _run_state_det,
     "nonlinear-diff": _run_nonlinear_diff,
 }
-
-_SEED_SLOT = {
-    "verify-carleman": ("ensemble", "seed"),
-    "reconstruct": ("ensemble", "seed"),
-    "stability-sweep": ("ensemble", "seed"),
-    "state-det": ("ensemble", "seed"),
-    "nonlinear-diff": ("nonlinear", "seed"),
-}
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -308,10 +290,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     overrides: dict[str, Any] = {}
     if args.seed is not None:
-        slot = _SEED_SLOT.get(args.experiment)
-        if slot is None:
+        # the seed of the experiment's ensemble or nonlinear pair
+        section = next((s for s in ("ensemble", "nonlinear")
+                        if s in _ALLOWED[args.experiment]), None)
+        if section is None:
             parser.error(f"{args.experiment} has no seed to override")
-        overrides[f"{slot[0]}.{slot[1]}"] = int(args.seed)
+        overrides[f"{section}.seed"] = int(args.seed)
     if args.out is not None:
         overrides["output.dir"] = args.out
 

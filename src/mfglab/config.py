@@ -9,6 +9,7 @@ published table can be traced back to its exact inputs.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -258,7 +259,7 @@ _SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
                 ("inverse", "seeds"))
 
 
-def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
+def _validate_values(resolved: dict[str, Any]) -> list[str]:
     problems = []
     # the well-formed sweep lists by dotted key; None keeps a computed default
     lists: dict[str, list] = {}
@@ -300,9 +301,12 @@ def _validate_values(experiment: str, resolved: dict[str, Any]) -> list[str]:
             _require_s(kinds, [float(s) for s in lists.get("weights.s_values", ())])
         except ValueError as exc:
             problems.append(f"weights.s_values: {exc}")
-    if experiment in ("reconstruct", "stability-sweep"):
-        if float(resolved["inverse"]["delta"]) < 0:
-            problems.append("inverse.delta: must be >= 0")
+    if "inverse" in resolved:
+        delta = float(resolved["inverse"]["delta"])
+        if not (math.isfinite(delta) and delta >= 0):
+            problems.append("inverse.delta: must be finite and >= 0")
+        if not all(math.isfinite(float(d)) for d in lists.get("inverse.deltas", ())):
+            problems.append("inverse.deltas: entries must be finite")
     return problems
 
 
@@ -311,8 +315,9 @@ def load_config(path: Optional[str], experiment: Optional[str] = None,
     """Load, validate and resolve a config file (or pure defaults).
 
     ``experiment`` from the CLI subcommand must agree with the file's
-    ``experiment`` key when both are given.  ``overrides`` are applied last
-    (CLI --seed / --out).
+    ``experiment`` key when both are given.  ``overrides`` map dotted keys
+    ``section.key`` to values; their keys are checked as the file's are, and
+    they are applied last (CLI --seed / --out).
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -338,6 +343,9 @@ def load_config(path: Optional[str], experiment: Optional[str] = None,
     allowed_tree = {k: _SECTIONS[k] for k in allowed_sections}
     bad: list[str] = []
     _collect_unknown(raw, allowed_tree, "", bad)
+    for dotted, value in (overrides or {}).items():
+        sec, key = dotted.split(".", 1)
+        _collect_unknown({sec: {key: value}}, allowed_tree, "", bad)
     if bad:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(bad)))
 
@@ -347,14 +355,11 @@ def load_config(path: Optional[str], experiment: Optional[str] = None,
             continue
         resolved[section] = _merge(_DEFAULTS[section], raw.get(section))
 
-    if overrides:
-        for dotted, value in overrides.items():
-            sec, key = dotted.split(".", 1)
-            if sec not in resolved:
-                raise ConfigError(f"override {dotted!r} not valid for {exp}")
-            resolved[sec][key] = value
+    for dotted, value in (overrides or {}).items():
+        sec, key = dotted.split(".", 1)
+        resolved[sec][key] = value
 
-    problems = _validate_values(exp, resolved)
+    problems = _validate_values(resolved)
     if problems:
         raise ConfigError("invalid config values: " + "; ".join(problems))
     reconstruction = None

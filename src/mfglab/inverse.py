@@ -114,8 +114,8 @@ def make_inverse_data(case: ManufacturedCase, delta: float, seed: int, *,
     config default: white noise on a snapshot enters the recovery through
     its second derivatives.  ``noisy_slices=True`` noises them too.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     rng = np.random.default_rng(seed)
     g = case.grid
 

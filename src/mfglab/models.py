@@ -9,9 +9,11 @@ Hamilton-Jacobi-type backward equation to a transport-diffusion forward
 equation.  The mixed time directions make the direct initial/terminal value
 problem awkward, so all quantitative experiments consume manufactured cases:
 states built from the cosine basis and sources defined as exact residuals;
-the inverse reads its observations off the states.  No forward solver is
-included: the results concern given solutions, and the inverse builds its
-states from its own least-squares rows.
+the inverse reads its observations off the states.  Every random state is
+drawn from the one seeded stream :func:`cosine_pairs`: the ensembles' pairs
+and the two pairs of a nonlinear difference.  No forward solver is included:
+the results concern given solutions, and the inverse builds its states from
+its own least-squares rows.
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ __all__ = [
     "CaseRecipe",
     "ManufacturedCase",
     "MmsRejected",
-    "NonlinearPair",
     "analytic_linear_residuals",
     "cosine_pairs",
-    "make_nonlinear_pair",
     "mms_case_ensemble",
     "mms_linear",
     "residual",
@@ -332,32 +332,18 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
     return tuple(cases)
 
 
+def _closed_forms(members: Sequence, refine: bool) -> list:
+    """The closed forms (``member.recipe``) that a refined pass rebuilds
+    ``members`` from, none when it does not refine; a case built without
+    its recipe is refused, so a sweep fails before its coarse pass."""
+    forms = [m.recipe for m in members] if refine else []
+    if None in forms:
+        raise ValueError("a case built without its recipe cannot be rebuilt")
+    return forms
+
+
 # ---------------------------------------------------------------------------
 # nonlinear pairs
-
-
-@dataclass(frozen=True)
-class NonlinearPair:
-    """Two states of the nonlinear system with their residual sources, the
-    sup-norm bound m1 of the pair and the bound m2 of the coefficients of
-    the difference system."""
-
-    grid: Grid
-    nl: NonlinearCoeffs
-    u1: GridFn
-    v1: GridFn
-    u2: GridFn
-    v2: GridFn
-    u1_field: SeparableField
-    v1_field: SeparableField
-    u2_field: SeparableField
-    v2_field: SeparableField
-    F1: GridFn
-    G1: GridFn
-    F2: GridFn
-    G2: GridFn
-    m1: float
-    m2: float
 
 
 def _sup_norm_w2(u: DiffMemo) -> float:
@@ -421,14 +407,10 @@ def _nonlinear_states(fields: Sequence[SeparableField], nl: NonlinearCoeffs
     return (u1, v1, u2, v2), sources, kappa
 
 
-def make_nonlinear_pair(u1_field, v1_field, u2_field, v2_field,
-                        nl: NonlinearCoeffs) -> NonlinearPair:
-    """Sample two manufactured nonlinear states, their residual sources and
-    the bounds m1 and m2.  Each derivative of a state or coefficient field
-    is taken once, through memos dropped when the pair is built."""
-    fields = (u1_field, v1_field, u2_field, v2_field)
-    (u1, v1, u2, v2), sources, kappa = _nonlinear_states(fields, nl)
-    m1 = max(_sup_norm_w2(u1) + _sup_norm_w1(v1),
-             _sup_norm_w2(u2) + _sup_norm_w1(v2))
-    return NonlinearPair(nl.grid, nl, u1.fn, v1.fn, u2.fn, v2.fn, *fields, *sources,
-                         m1=m1, m2=_difference_bound(u1, u2, v2, kappa))
+def _pair_bounds(states: Sequence[DiffMemo], kappa: DiffMemo) -> dict[str, float]:
+    """The sup-norm bound m1 of the pair of states ``(u1, v1, u2, v2)`` and
+    the bound m2 of the coefficients of its difference system, read through
+    the memos of :func:`_nonlinear_states`."""
+    u1, v1, u2, v2 = states
+    m1 = max(_sup_norm_w2(u1) + _sup_norm_w1(v1), _sup_norm_w2(u2) + _sup_norm_w1(v2))
+    return {"m1": m1, "m2": _difference_bound(u1, u2, v2, kappa)}

@@ -6,18 +6,21 @@ constant in front of the data necessarily degrades as eps shrinks, so the
 experiments record a curve of empirical constants over an eps grid.  The
 nonlinear variant applies the same machinery to the difference of two
 states of the nonlinear system, whose difference equations are linear in
-the difference with coefficients bounded by the pair's sup norms.
+the difference with coefficients bounded by the pair's sup norms.  Both
+run one coarse pass and one refined pass through one driver, each pass
+building its states on its grid from their closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoeffRecipe, CoeffSet, NonlinearRecipe
+from .basis import SeparableField
+from .coefficients import CoeffRecipe, CoeffSet, NonlinearCoeffs, NonlinearRecipe
 from .grid import (
     SPACE_TIME,
     DiffMemo,
@@ -30,7 +33,7 @@ from .grid import (
     n_interior_slices,
     norm,
 )
-from .models import NonlinearPair, _nonlinear_states, residual
+from .models import _closed_forms, _nonlinear_states, _pair_bounds, residual
 from .reports import stage
 
 __all__ = [
@@ -152,13 +155,44 @@ def _thm1_states(members: Iterable, coeffs: CoeffSet
         del m, u, v
 
 
-def _thm1_sweep(members: Iterable, coeffs: CoeffSet, eps_t: tuple[float, ...]
-                ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
-    """:func:`_eps_sweep` over ``members`` with their linear residuals as
-    sources, all on the grid of ``coeffs``; each residual is computed just
-    before its member is swept, and the interior norms read the derivatives
-    the residual took."""
-    return _eps_sweep(_thm1_states(members, coeffs), eps_t)
+def _nonlinear_differences(fields: Sequence[SeparableField], nl: NonlinearCoeffs,
+                           bounds: Optional[dict[str, float]] = None
+                           ) -> Iterator[tuple[DiffMemo, DiffMemo, GridFn, GridFn]]:
+    """The one sweep tuple of a nonlinear pair ``fields`` (u1, v1, u2, v2) on
+    the grid of ``nl``: the state and source differences, the states as
+    derivative memos.  The bounds m1 and m2 of the pair go into ``bounds``
+    when it is given; the pair's state memos go before the tuple is swept."""
+    states, sources, kappa = _nonlinear_states(fields, nl)
+    if bounds is not None:
+        bounds.update(_pair_bounds(states, kappa))
+    du, dv, dF, dG = (GridFn(nl.grid, SPACE_TIME, a.values - b.values)
+                      for a, b in zip(states[:2] + sources[:2],
+                                      states[2:] + sources[2:]))
+    del states, sources, kappa
+    yield DiffMemo(du), DiffMemo(dv), dF, dG
+
+
+def _coarse_and_refined(coarse: Iterable, rebuild: Callable[[Grid], Iterable],
+                        grid: Grid, eps_grid: Sequence[float], refine: bool,
+                        extras: dict[str, float]) -> CepsReport:
+    """The curve of :func:`_eps_sweep` over the ``coarse`` tuples on
+    ``grid`` and, when ``refine`` is set, its drift: the ratio of the
+    largest per-eps maximum over ``rebuild(grid.refined(2))`` to that of the
+    coarse pass.  ``coarse`` is exhausted before the refined pass starts, so
+    a lazy one holds no coarse state there.  Inside ``reports.recording``
+    the passes are timed as the stages ``coarse_s`` and ``refined_s``."""
+    eps_t = _validate_eps_grid(grid, eps_grid)
+    with stage("coarse_s"):
+        rows, excluded, per_eps = _eps_sweep(coarse, eps_t)
+    drift = None
+    if refine:
+        with stage("refined_s"):
+            _, _, per_eps_fine = _eps_sweep(rebuild(grid.refined(2)), eps_t)
+        coarse_max = max(per_eps.values())
+        drift = (max(per_eps_fine.values()) / coarse_max
+                 if coarse_max > 0 else math.inf)
+    return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
+                      excluded=tuple(excluded), drift=drift, extras=extras)
 
 
 def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
@@ -176,77 +210,44 @@ def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
     exactly.  Members with a right side at numerical zero are excluded
     (0/0).  The curve is recomputed once on the doubled grid when ``refine``
     is set.  That pass keeps only each member's closed form
-    (``member.recipe``) and drops its reference to the ensemble before it
-    starts (so a caller that keeps none of its own has the coarse arrays
-    freed); each member is rebuilt through ``recipe.rebuild(grid, coeffs)``
-    just before it is used and dropped after, so the pass holds one refined
-    member at a time.  Inside ``reports.recording`` the coarse pass is timed
-    as the stage ``coarse_s`` and the refined pass as ``refined_s``.
+    (``member.recipe``; a case built without one is refused, ValueError,
+    before the coarse pass), and the coarse pass drops the ensemble as it
+    ends (so a caller that keeps no reference of its own has the coarse
+    arrays freed); each member is rebuilt through
+    ``recipe.rebuild(grid, coeffs)`` just before it is used and dropped
+    after, so the pass holds one refined member at a time.
     """
-    eps_t = _validate_eps_grid(grid, eps_grid)
-    forms = [m.recipe for m in ensemble] if refine else []
-    with stage("coarse_s"):
-        rows, excluded, per_eps = _thm1_sweep(ensemble, coeff_recipe.sample(grid),
-                                              eps_t)
-    del ensemble  # the coarse states go before the refined pass
-    drift = None
-    if refine:
-        with stage("refined_s"):
-            fine = grid.refined(2)
-            fine_coeffs = coeff_recipe.sample(fine)
-            _, _, per_eps_fine = _thm1_sweep(
-                (f.rebuild(fine, fine_coeffs) for f in forms), fine_coeffs, eps_t)
-        coarse_max = max(per_eps.values())
-        fine_max = max(per_eps_fine.values())
-        drift = fine_max / coarse_max if coarse_max > 0 else math.inf
-    return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
-                      excluded=tuple(excluded), drift=drift)
+    forms = _closed_forms(ensemble, refine)
+
+    def rebuild(fine: Grid) -> Iterator:
+        coeffs = coeff_recipe.sample(fine)
+        return _thm1_states((f.rebuild(fine, coeffs) for f in forms), coeffs)
+
+    coarse = _thm1_states(ensemble, coeff_recipe.sample(grid))
+    del ensemble  # the coarse pass holds the only reference
+    return _coarse_and_refined(coarse, rebuild, grid, eps_grid, refine, {})
 
 
-def _differences(grid: Grid, u1, v1, u2, v2, F1, G1, F2, G2
-                 ) -> list[tuple[DiffMemo, DiffMemo, GridFn, GridFn]]:
-    """The one :func:`_eps_sweep` tuple of a nonlinear pair: the state and
-    source differences, the states as derivative memos."""
-    du, dv, dF, dG = (GridFn(grid, SPACE_TIME, a.values - b.values)
-                      for a, b in ((u1, u2), (v1, v2), (F1, F2), (G1, G2)))
-    return [(DiffMemo(du), DiffMemo(dv), dF, dG)]
-
-
-def thm4_experiment(pair: NonlinearPair, eps_grid: Sequence[float], *,
-                    nl_recipe: Optional[NonlinearRecipe] = None,
-                    refine: bool = False) -> CepsReport:
+def thm4_experiment(pairs: Sequence[tuple[SeparableField, SeparableField]],
+                    nl_recipe: NonlinearRecipe, grid: Grid,
+                    eps_grid: Sequence[float], *, refine: bool = False) -> CepsReport:
     """Difference stability for the nonlinear system.
 
-    The ratio compares interior norms of the state differences against the
-    source-difference norms plus the difference observation norms; the
-    coefficient bounds m1 (states) and m2 (difference system) of ``pair``
-    are reported in ``extras``.  Refinement needs the nonlinear coefficient
-    recipe; the refined pass builds only the pair's states and residual
-    sources on the doubled grid, not its bounds.  Inside
-    ``reports.recording`` the two passes are timed as the stages
-    ``coarse_s`` and ``refined_s``, as in ``thm1_experiment``.
+    ``pairs`` holds the closed forms ``(u1_field, v1_field)`` and
+    ``(u2_field, v2_field)`` of two states, such as the first two pairs of
+    :func:`~mfglab.models.cosine_pairs`.  Each grid pass samples
+    ``nl_recipe`` there and builds the states and their residual sources
+    through one :func:`~mfglab.models._nonlinear_states` call, so the
+    refined pass runs the coarse pass's code on the doubled grid.  The
+    ratio compares interior norms of the state differences against the
+    source-difference norms plus the difference observation norms.  The
+    coefficient bounds m1 (states) and m2 (difference system) of the
+    coarse pair are reported in ``extras``.
     """
-    grid = pair.grid
-    eps_t = _validate_eps_grid(grid, eps_grid)
-    with stage("coarse_s"):
-        rows, excluded, per_eps = _eps_sweep(
-            _differences(grid, pair.u1, pair.v1, pair.u2, pair.v2,
-                         pair.F1, pair.G1, pair.F2, pair.G2), eps_t)
-    drift = None
-    if refine:
-        if nl_recipe is None:
-            raise ValueError("refinement needs the nonlinear coefficient recipe")
-        with stage("refined_s"):
-            fine = grid.refined(2)
-            memos, sources = _nonlinear_states(
-                (pair.u1_field, pair.v1_field, pair.u2_field, pair.v2_field),
-                nl_recipe.sample(fine))[:2]
-            tuples = _differences(fine, *memos, *sources)
-            del memos, sources  # the states' derivatives go before the sweep
-            _, _, per_eps_fine = _eps_sweep(tuples, eps_t)
-        coarse_max = max(per_eps.values())
-        drift = (max(per_eps_fine.values()) / coarse_max
-                 if coarse_max > 0 else math.inf)
-    return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
-                      excluded=tuple(excluded), drift=drift,
-                      extras={"m1": pair.m1, "m2": pair.m2})
+    (u1, v1), (u2, v2) = pairs
+    fields = (u1, v1, u2, v2)
+    bounds: dict[str, float] = {}
+    return _coarse_and_refined(
+        _nonlinear_differences(fields, nl_recipe.sample(grid), bounds),
+        lambda fine: _nonlinear_differences(fields, nl_recipe.sample(fine)),
+        grid, eps_grid, refine, bounds)

@@ -26,7 +26,7 @@ from .grid import SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
 # not called here: perfbench's tests check that the tracer rebinds
 # ``mfglab.verify.diff`` and puts it back
 from .grid import diff  # noqa: F401
-from .models import ManufacturedCase, cosine_pairs, residual
+from .models import ManufacturedCase, _closed_forms, cosine_pairs, residual
 from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -665,9 +665,7 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instan
            for m in ensemble):
         raise ValueError("the cases were drawn from another coefficient recipe "
                          "than the sweep's coeff_recipe")
-    forms = [m.recipe for m in ensemble] if refine else []
-    if None in forms:
-        raise ValueError("a case built without its recipe cannot be rebuilt")
+    forms = _closed_forms(ensemble, refine)
     sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid,
                           coeff_recipe.sample(grid), grid)
     del ensemble  # the coarse states go before the refined pass

@@ -13,7 +13,7 @@ import pytest
 
 from mfglab.basis import SeparableField, Term
 from mfglab.cli import main as cli_main
-from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs
+from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs, NonlinearRecipe
 from mfglab.grid import GridFn, build_grid, diff, norm
 from mfglab.inverse import (
     ReconstructionConfig,
@@ -24,7 +24,6 @@ from mfglab.inverse import (
 )
 from mfglab.models import (
     analytic_linear_residuals,
-    make_nonlinear_pair,
     mms_case_ensemble,
     mms_linear,
     residual,
@@ -355,7 +354,6 @@ def test_criterion_10_nonlinear_degeneracy():
     t0 = time.perf_counter()
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
     p_val = 0.3
-    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.0, p=p_val)
     u1 = SeparableField((1.0,), 1.0, (Term(1.0, ("cos",), (1,), 1),
                                       Term(0.4, ("cos",), (2,), 2)))
     v1 = SeparableField((1.0,), 1.0, (Term(0.8, ("cos",), (2,), 0),
@@ -364,9 +362,9 @@ def test_criterion_10_nonlinear_degeneracy():
                                       Term(0.2, ("cos",), (3,), 1)))
     v2 = SeparableField((1.0,), 1.0, (Term(0.6, ("cos",), (2,), 1),
                                       Term(-0.3, ("cos",), (1,), 3)))
-    pair = make_nonlinear_pair(u1, v1, u2, v2, nl)
     eps_grid = (0.05, 0.1, 0.2)
-    rep_nl = thm4_experiment(pair, eps_grid)
+    rep_nl = thm4_experiment(((u1, v1), (u2, v2)),
+                             NonlinearRecipe(a=1.0, kappa=0.0, p=p_val), g, eps_grid)
     du, dv = u1 - u2, v1 - v2
     ens = (FieldPair(du, dv).rebuild(g),)
     rep_lin = thm1_experiment(ens, CoeffRecipe(c0=-p_val), g, eps_grid,

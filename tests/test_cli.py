@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mfglab.cli import main
+from mfglab.config import EXPERIMENTS, ConfigError
 from mfglab.reports import ResultTable, RunReport, emit_report, recording, stage
 
 SMALL_GRID = "grid: {nx: [17], nt: 17}\n"
@@ -237,6 +238,62 @@ def test_seed_refused_when_the_config_gives_case_states(tmp_path, capsys, monkey
     assert "--seed has no effect" in capsys.readouterr().err
     assert seeds == [2]
     assert not (tmp_path / "case").exists()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_seed_goes_to_the_seed_of_the_configs_draw(monkeypatch, capsys, experiment):
+    """``--seed`` sets ``ensemble.seed`` where the config has an ensemble,
+    ``nonlinear.seed`` where it has a nonlinear pair, and is refused where
+    it has neither (verify-weights)."""
+    import mfglab.cli
+
+    seen = []
+
+    def stop(path, experiment, overrides):
+        seen.append(overrides)
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(mfglab.cli, "load_config", stop)
+    if experiment == "verify-weights":
+        with pytest.raises(SystemExit) as exit_:
+            main([experiment, "--seed", "3"])
+        assert exit_.value.code == 2 and "no seed to override" in capsys.readouterr().err
+        assert seen == []
+        return
+    assert main([experiment, "--seed", "3"]) == 2
+    section = "nonlinear" if experiment == "nonlinear-diff" else "ensemble"
+    assert seen == [{f"{section}.seed": 3}]
+
+
+@pytest.mark.parametrize("seed", [5, 2])
+def test_nonlinear_diff_draws_the_first_two_stream_pairs(monkeypatch, seed):
+    """The pair is the first two pairs of ``cosine_pairs``, which are the
+    four fields drawn one after another from the seed's generator."""
+    import numpy as np
+
+    import mfglab.cli
+    from mfglab.basis import random_cosine_field
+    from mfglab.config import load_config
+    from mfglab.models import cosine_pairs
+
+    seen = []
+    thm4 = mfglab.cli.thm4_experiment
+
+    def recorded(pairs, *args, **kwargs):
+        seen.append(pairs)
+        return thm4(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(mfglab.cli, "thm4_experiment", recorded)
+    cfg = load_config(None, experiment="nonlinear-diff",
+                      overrides={"grid.nx": [17], "grid.nt": 17, "nonlinear.seed": seed,
+                                 "statedet.refine": False})
+    mfglab.cli.run(cfg)
+    g = cfg.build_grid()
+    stream = cosine_pairs(seed, g, 3, 3, 1.0)
+    rng = np.random.default_rng(seed)
+    drawn = [random_cosine_field(rng, g.lengths, g.T, 3, 3, 1.0) for _ in range(4)]
+    assert seen == [(next(stream), next(stream))]
+    assert seen == [((drawn[0], drawn[1]), (drawn[2], drawn[3]))]
 
 
 def test_emit_report_refuses_empty():

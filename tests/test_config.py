@@ -94,6 +94,41 @@ def test_overrides_applied():
     assert cfg.section("output")["dir"] == "/tmp/zz"
 
 
+def test_unknown_override_keys_refused_as_file_keys_are():
+    from pathlib import Path
+
+    state_det = str(Path(__file__).resolve().parents[1] / "configs" / "state_det.yaml")
+    with pytest.raises(ConfigError, match=r"^unknown config keys: ensemble\.sed$"):
+        load_config(state_det, overrides={"ensemble.sed": 3})
+    # a key under a leaf, and a section the experiment does not read (named
+    # alone, as in a file)
+    with pytest.raises(ConfigError, match=r"^unknown config keys: grid\.nt\.x, inverse$"):
+        load_config(state_det, overrides={"inverse.delta": 0.1, "grid.nt": {"x": 1}})
+    # the legacy key stays accepted, as it is in a file
+    cfg = load_config(None, experiment="reconstruct", overrides={"inverse.maxiter": 5})
+    assert cfg.section("inverse")["maxiter"] == 5
+
+
+@pytest.mark.parametrize("experiment,entry,key", [
+    ("reconstruct", "delta: .nan", "inverse.delta"),
+    ("reconstruct", "delta: .inf", "inverse.delta"),
+    ("reconstruct", "delta: -1.0e-3", "inverse.delta"),
+    ("stability-sweep", "deltas: [1.0e-3, .nan, 1.0e-2, 1.0e-1]", "inverse.deltas"),
+    ("stability-sweep", "deltas: [1.0e-3, 1.0e-2, 1.0e-1, .inf]", "inverse.deltas"),
+])
+def test_non_finite_noise_levels_fail_with_code_2(tmp_path, capsys, experiment, entry,
+                                                  key):
+    from mfglab.cli import main
+
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"experiment: {experiment}\ninverse: {{{entry}}}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key}: "):
+        load_config(str(p))
+    assert main([experiment, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_epsilons_default_scaled_by_T(tmp_path):
     p = tmp_path / "t.yaml"
     p.write_text("experiment: state-det\ngrid: {T: 2.0, nt: 65}\n",

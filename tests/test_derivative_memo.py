@@ -7,6 +7,7 @@ import gc
 import hashlib
 import weakref
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,9 +19,8 @@ import mfglab.statedet
 import mfglab.verify
 from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
 from mfglab.grid import DiffMemo, GridFn, build_grid, diff
-from mfglab.models import make_nonlinear_pair, mms_case_ensemble
-from mfglab.basis import random_cosine_field
-from mfglab.statedet import thm1_experiment
+from mfglab.models import cosine_pairs, mms_case_ensemble
+from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import estimate_constant, generate_ensemble, lemma3_kind
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
@@ -115,11 +115,12 @@ def test_state_det_member_takes_each_derivative_once(stencil_calls):
 
 def test_nonlinear_pair_takes_each_derivative_once(stencil_calls):
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    rng = np.random.default_rng(5)
-    fields = [random_cosine_field(rng, g.lengths, g.T, 2, 2, 1.0) for _ in range(4)]
-    make_nonlinear_pair(*fields, NonlinearRecipe(a=1.0, kappa=0.5, p=0.2).sample(g))
-    # t, x and xx of each state; a_x, a_xx, kappa_x; (kappa v2)_x for m2
-    assert_each_once(stencil_calls, 4 * 3 + 3 + 1)
+    pairs = tuple(islice(cosine_pairs(5, g, 2, 2, 1.0), 2))
+    thm4_experiment(pairs, NonlinearRecipe(a=1.0, kappa=0.5, p=0.2), g, EPS_GRID)
+    # the pair's states and bounds: t, x and xx of each state; a_x, a_xx,
+    # kappa_x; (kappa v2)_x for m2; then x, xx and t of each state
+    # difference for its interior norms
+    assert_each_once(stencil_calls, 4 * 3 + 3 + 1 + 2 * 3)
 
 
 def test_lemma3_sweep_takes_no_derivative(stencil_calls, monkeypatch):

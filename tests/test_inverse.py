@@ -92,6 +92,15 @@ def test_noise_reproducible_and_seed_dependent():
     assert not np.array_equal(a.traces["u"][face], c.traces["u"][face])
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.01])
+def test_noise_level_must_be_finite_and_non_negative(delta):
+    # nan fails both ``delta < 0`` and the noise scale's ``> 0``, so an
+    # unchecked nan would return the clean traces
+    case, _, _ = build_case(n=17)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        make_inverse_data(case, delta, 0)
+
+
 def test_noise_std_matches_target():
     # needs >= 1e3 samples per array: long time axis
     g = build_grid(1.0, 1.0, 9, 1025, ["x+"])

@@ -11,7 +11,6 @@ from mfglab.models import (
     MmsRejected,
     analytic_linear_residuals,
     cosine_pairs,
-    make_nonlinear_pair,
     mms_case_ensemble,
     mms_linear,
     residual,
@@ -232,7 +231,11 @@ def test_nonlinear_pair_bounds_monotone():
     u1, v1 = case_fields()
     u2 = u1.scaled(0.5)
     v2 = v1.scaled(0.5)
-    small = make_nonlinear_pair(u1, v1, u2, v2, nl)
-    big = make_nonlinear_pair(u1.scaled(2.0), v1.scaled(2.0),
-                              u2.scaled(2.0), v2.scaled(2.0), nl)
-    assert big.m1 > small.m1 > 0
+
+    def bounds(*fields):
+        states, _, kappa = mfglab.models._nonlinear_states(fields, nl)
+        return mfglab.models._pair_bounds(states, kappa)
+
+    small = bounds(u1, v1, u2, v2)
+    big = bounds(u1.scaled(2.0), v1.scaled(2.0), u2.scaled(2.0), v2.scaled(2.0))
+    assert big["m1"] > small["m1"] > 0

@@ -76,7 +76,7 @@ def test_thm1_refined_rows_equal_run_on_doubled_grid(monkeypatch):
     fine = g.refined(2)
     expected = thm1_experiment(ensemble(FN_KINDS, 3, fine), COUPLED, fine, EPS_GRID,
                                refine=False)
-    sweeps = capture(monkeypatch, mfglab.statedet, "_thm1_sweep")
+    sweeps = capture(monkeypatch, mfglab.statedet, "_eps_sweep")
     rep = thm1_experiment(ensemble(FN_KINDS, 3, g), COUPLED, g, EPS_GRID, refine=True)
     assert len(sweeps) == 2
     rows, excluded, per_eps = sweeps[1]

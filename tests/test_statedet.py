@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
-from mfglab.basis import SeparableField, Term, random_cosine_field
-from mfglab.coefficients import CoeffRecipe, NonlinearCoeffs, NonlinearRecipe
+from mfglab.basis import SeparableField, Term
+from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
 from mfglab.grid import build_grid, norm
-from mfglab.models import make_nonlinear_pair
 from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import FieldPair, generate_ensemble
 
@@ -97,10 +95,9 @@ def pair_fields(lengths=(1.0,), T=1.0):
 
 def test_identical_states_excluded():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.3, p=0.2)
+    nl = NonlinearRecipe(a=1.0, kappa=0.3, p=0.2)
     u1, v1, _, _ = pair_fields()
-    pair = make_nonlinear_pair(u1, v1, u1, v1, nl)
-    rep = thm4_experiment(pair, (0.1,))
+    rep = thm4_experiment(((u1, v1), (u1, v1)), nl, g, (0.1,))
     assert rep.excluded == (0,)
 
 
@@ -109,10 +106,9 @@ def test_kappa_zero_matches_linear_difference():
     # with A = B = a*Lap and c0 = -p; ratios must agree to 1e-10
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
     p_val = 0.3
-    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.0, p=p_val)
+    nl = NonlinearRecipe(a=1.0, kappa=0.0, p=p_val)
     u1, v1, u2, v2 = pair_fields()
-    pair = make_nonlinear_pair(u1, v1, u2, v2, nl)
-    rep_nl = thm4_experiment(pair, EPS_GRID)
+    rep_nl = thm4_experiment(((u1, v1), (u2, v2)), nl, g, EPS_GRID)
 
     du = u1 - u2
     dv = v1 - v2
@@ -126,39 +122,50 @@ def test_kappa_zero_matches_linear_difference():
 def test_difference_scale_invariance():
     # scaling both pair members' difference by c scales lhs and rhs together
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
-    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.0, p=0.1)
+    nl = NonlinearRecipe(a=1.0, kappa=0.0, p=0.1)
     u1, v1, u2, v2 = pair_fields()
-    base = thm4_experiment(make_nonlinear_pair(u1, v1, u2, v2, nl), EPS_GRID)
+    base = thm4_experiment(((u1, v1), (u2, v2)), nl, g, EPS_GRID)
     du, dv = u1 - u2, v1 - v2
     u1s = u2 + du.scaled(2.0)
     v1s = v2 + dv.scaled(2.0)
-    scaled = thm4_experiment(make_nonlinear_pair(u1s, v1s, u2, v2, nl), EPS_GRID)
+    scaled = thm4_experiment(((u1s, v1s), (u2, v2)), nl, g, EPS_GRID)
     for a, b in zip(base.rows, scaled.rows):
         assert abs(a.ratio - b.ratio) <= 1e-9 * a.ratio
 
 
 def test_m2_reported_and_monotone():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.5, p=0.2)
+    nl = NonlinearRecipe(a=1.0, kappa=0.5, p=0.2)
     u1, v1, u2, v2 = pair_fields()
-    small = thm4_experiment(make_nonlinear_pair(u1, v1, u2, v2, nl), (0.1,))
-    big = thm4_experiment(
-        make_nonlinear_pair(u1.scaled(2.0), v1.scaled(2.0),
-                            u2.scaled(2.0), v2.scaled(2.0), nl), (0.1,))
+    small = thm4_experiment(((u1, v1), (u2, v2)), nl, g, (0.1,))
+    big = thm4_experiment(((u1.scaled(2.0), v1.scaled(2.0)),
+                           (u2.scaled(2.0), v2.scaled(2.0))), nl, g, (0.1,))
     assert 0 < small.extras["m2"] < big.extras["m2"]
     assert 0 < small.extras["m1"] < big.extras["m1"]
 
 
-def test_thm4_refine_needs_recipe():
+def test_thm4_builds_the_pair_once_per_grid_pass(monkeypatch):
+    # the coarse and the refined pass run one path: one _nonlinear_states
+    # call each, the coarse one also giving m1 and m2
+    import mfglab.statedet
+
+    grids = []
+    states = mfglab.statedet._nonlinear_states
+
+    def counted(fields, nl):
+        grids.append(nl.grid.nt)
+        return states(fields, nl)
+
+    monkeypatch.setattr(mfglab.statedet, "_nonlinear_states", counted)
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.2, p=0.1)
     u1, v1, u2, v2 = pair_fields()
-    pair = make_nonlinear_pair(u1, v1, u2, v2, nl)
-    with pytest.raises(ValueError, match="recipe"):
-        thm4_experiment(pair, (0.1,), refine=True)
-    rep = thm4_experiment(pair, (0.1,), refine=True,
-                          nl_recipe=NonlinearRecipe(a=1.0, kappa=0.2, p=0.1))
-    assert rep.drift is not None
+    nl = NonlinearRecipe(a=1.0, kappa=0.2, p=0.1)
+    rep = thm4_experiment(((u1, v1), (u2, v2)), nl, g, (0.1,), refine=True)
+    assert grids == [17, 33]
+    assert rep.drift is not None and set(rep.extras) == {"m1", "m2"}
+    coarse = thm4_experiment(((u1, v1), (u2, v2)), nl, g, (0.1,))
+    assert grids == [17, 33, 17]
+    assert (coarse.rows, coarse.extras) == (rep.rows, rep.extras)
 
 
 def test_refined_nonlinear_diff_takes_one_difference_bound(monkeypatch):

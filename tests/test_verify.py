@@ -461,16 +461,36 @@ def test_cases_of_another_coefficient_recipe_refused(refine, monkeypatch):
     assert sweeps == []
 
 
-def test_case_without_recipe_refused_when_refining():
-    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+def case_without_recipe(g):
     drawn = mms_case_ensemble(13, 1, g, COUPLED, 1.0, 1.0, max_modes=2,
                               t_degree=2, q_min=0.05)[0]
     bare = mms_linear(drawn.u_field, drawn.v_field, drawn.coeffs, drawn.sources.f,
                       drawn.sources.g, q_min=0.05)
     assert bare.recipe is None
+    return bare
+
+
+def test_case_without_recipe_refused_when_refining():
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    bare = case_without_recipe(g)
     estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=False)
     with pytest.raises(ValueError, match="without its recipe"):
         estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=True)
+
+
+def test_thm1_refuses_case_without_recipe_before_its_coarse_pass(monkeypatch):
+    # the same closed-form check as estimate_constant's: no sweep runs
+    import mfglab.statedet
+    from mfglab.statedet import thm1_experiment
+
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    bare = case_without_recipe(g)
+    assert thm1_experiment((bare,), COUPLED, g, (0.1,), refine=False).rows
+    sweeps = []
+    monkeypatch.setattr(mfglab.statedet, "_eps_sweep", lambda *args: sweeps.append(args))
+    with pytest.raises(ValueError, match="without its recipe"):
+        thm1_experiment((bare,), COUPLED, g, (0.1,), refine=True)
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -5,9 +5,12 @@
 Runs each config in ``configs/`` (first the lab configs, then those of an
 inverse experiment, each group in file-name order; the groups are read from
 each file's ``experiment`` key, so a new config joins without an edit), and
-then the benchmark's ``perfbench/configs/inverse_cold.yaml`` as it is, at
-two ``--seed`` values (a noisy reconstruct with the conormal rows on random
-cases, where reconstruct_clean is noise-free), with the library of each
+then ``state_det`` and ``nonlinear_diff`` again at ``--seed 2`` (labelled
+``state_det@2`` and ``nonlinear_diff@2``), so their draws are compared away
+from the shipped seed too, and then the benchmark's
+``perfbench/configs/inverse_cold.yaml`` as it is, at two ``--seed`` values
+(a noisy reconstruct with the conormal rows on random cases, where
+reconstruct_clean is noise-free), with the library of each
 checkout, in its own interpreter, and prints one line per run saying
 whether the hashes agree, naming both ``experiment`` keys when the two
 checkouts run the config under different ones, and naming each emitted
@@ -63,9 +66,13 @@ LAB_CONFIGS = tuple(name for name, exp in _EXPERIMENTS.items()
 INVERSE_CONFIGS = tuple(name for name, exp in _EXPERIMENTS.items()
                         if exp in INVERSE_EXPERIMENTS)
 COLD_SEEDS = (1, 2)
+# lab configs run again away from their shipped seed
+RESEEDED = (("state_det", 2), ("nonlinear_diff", 2))
 
 # (label, config path under the checkout, extra command-line arguments)
 RUNS = [(name, f"configs/{name}.yaml", ()) for name in LAB_CONFIGS + INVERSE_CONFIGS] \
+    + [(f"{name}@{seed}", f"configs/{name}.yaml", ("--seed", str(seed)))
+       for name, seed in RESEEDED] \
     + [(f"inverse_cold@{seed}", "perfbench/configs/inverse_cold.yaml",
         ("--seed", str(seed))) for seed in COLD_SEEDS]
 
