@@ -259,6 +259,17 @@ _SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
                 ("inverse", "seeds"))
 
 
+def _numbers(problems: list[str], key: str, cast, values) -> list:
+    """``values`` through ``cast`` (float or int), or an empty list, so the
+    checks on ``key`` are skipped, with a problem that names ``key`` when one
+    of them is not a number."""
+    try:
+        return [cast(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{key}: {exc}")
+        return []
+
+
 def _validate_values(resolved: dict[str, Any]) -> list[str]:
     problems = []
     # the well-formed sweep lists by dotted key; None keeps a computed default
@@ -274,17 +285,22 @@ def _validate_values(resolved: dict[str, Any]) -> list[str]:
         else:
             lists[f"{section}.{key}"] = value
     gspec = resolved.get("grid", {})
-    if "nt" in gspec and int(gspec["nt"]) % 2 == 0:
+    if "nt" in gspec and any(nt % 2 == 0 for nt in
+                             _numbers(problems, "grid.nt", int, [gspec["nt"]])):
         problems.append(f"grid.nt: must be odd, got {gspec['nt']}")
     if "ensemble" in resolved:
         ens = resolved["ensemble"]
         if ens["seed"] is None:
             problems.append("ensemble.seed: explicit seed required")
-        if int(ens["n"]) < 1:
+        if any(n < 1 for n in _numbers(problems, "ensemble.n", int, [ens["n"]])):
             problems.append("ensemble.n: need at least one member")
-    if any(float(l) <= 0 for l in lists.get("weights.lambdas", ())):
+    lambdas = _numbers(problems, "weights.lambdas", float,
+                       lists.get("weights.lambdas", ()))
+    if any(lam <= 0 for lam in lambdas):
         problems.append("weights.lambdas: entries must be positive")
-    if any(float(s) < 0 for s in lists.get("weights.s_values", ())):
+    s_values = _numbers(problems, "weights.s_values", float,
+                        lists.get("weights.s_values", ()))
+    if any(s < 0 for s in s_values):
         problems.append("weights.s_values: entries must be non-negative")
     # estimate kinds by their canonical names, checked against the s values
     # with the sweep's own rules, so a sweep that cannot run fails here
@@ -298,14 +314,15 @@ def _validate_values(resolved: dict[str, Any]) -> list[str]:
     if names and len(kinds) == len(names):
         resolved["estimates"]["kinds"] = kinds
         try:
-            _require_s(kinds, [float(s) for s in lists.get("weights.s_values", ())])
+            _require_s(kinds, s_values)
         except ValueError as exc:
             problems.append(f"weights.s_values: {exc}")
     if "inverse" in resolved:
-        delta = float(resolved["inverse"]["delta"])
-        if not (math.isfinite(delta) and delta >= 0):
+        if not all(math.isfinite(d) and d >= 0 for d in _numbers(
+                problems, "inverse.delta", float, [resolved["inverse"]["delta"]])):
             problems.append("inverse.delta: must be finite and >= 0")
-        if not all(math.isfinite(float(d)) for d in lists.get("inverse.deltas", ())):
+        if not all(math.isfinite(d) for d in _numbers(
+                problems, "inverse.deltas", float, lists.get("inverse.deltas", ()))):
             problems.append("inverse.deltas: entries must be finite")
     return problems
 

@@ -86,14 +86,24 @@ class _Cells:
     """The ``count`` (lam, s) cells of one grid sweep, shared by every member
     and kind swept on the grid: each cell's ``params``, its weight and phi
     on the t0 slice when ``kinds`` has an energy-slice kind (``w_t0``,
-    ``phi_t0``, copies of the bundle's interior slices), and one (count x N)
-    stack per (m, lam_power) that the weighted squares of ``kinds`` read,
-    whose rows are the cells' weight factors, raveled.
+    ``phi_t0``, copies of the bundle's interior slices), and the weight
+    factors (m, lam_power) that the weighted squares of ``kinds`` read.
+
+    Each factor is kept only on its box: the per-axis bounding box, over
+    space and time, of the nodes where it is nonzero, so that it is exactly
+    0 outside.  As s lam grows the normalized weight underflows to 0 on
+    most nodes, and the boxes of the shipped verify-carleman cells hold 12%
+    of the dense factors at 129^2.  Each power has one block, where the
+    cells' boxes, raveled, lie end to end from its start.  A block is
+    allocated at the dense size (count x nodes, the most the boxes can
+    take) but written only up to the last box, so its pages beyond stay
+    untouched; copying the boxes out to a block of their exact size would
+    hold both at once.
 
     ``bundles`` may build each cell's bundle on demand: a bundle writes its
-    row of every stack and is dropped before the next one is built, so the
-    cells never hold more than the stacks plus one bundle's cached arrays.
-    A bundle the caller holds is only read.
+    factors, one at a time, and is dropped before the next one is built, so
+    the cells never hold more than the blocks plus one bundle's cached
+    arrays and one factor.  A bundle the caller holds is only read.
     """
 
     def __init__(self, kinds: Sequence[str], bundles: Iterable[WeightBundle],
@@ -105,43 +115,73 @@ class _Cells:
                   for spec in _kind_terms(kind, grid.dim)
                   for parts in spec.values() for _, m, lam_power in parts}
         size = math.prod(grid.shape)
-        # one block per power: rows allocated one by one fragment the heap
-        self._stacks = {p: np.empty((count, size)) for p in sorted(powers)}
+        # one block per power: boxes allocated one by one fragment the heap
+        self._blocks = {p: np.empty(count * size) for p in sorted(powers)}
+        # per power, each cell's (box, where its entries start in the block)
+        self._boxes: dict[tuple, list] = {p: [] for p in self._blocks}
+        used = dict.fromkeys(self._blocks, 0)
         slices = any(k in ENERGY_KINDS for k in kinds)
         # no enumerate: its cached result tuple would hold the last bundle
         # while the next one is built
         for bundle in bundles:
-            c = len(self.params)
             self.params.append(bundle.params)
             if slices:
                 self.w_t0.append(bundle.w_interior[..., grid.it0 - 1].copy())
                 self.phi_t0.append(bundle.phi_interior[..., grid.it0 - 1].copy())
-            for (m, lam_power), stack in self._stacks.items():
-                stack[c] = bundle.weight_factor(m, lam_power).ravel()
+            for p, block in self._blocks.items():
+                wf = bundle.weight_factor(*p)
+                box = _nonzero_box(wf)
+                part = wf[box]
+                block[used[p]:used[p] + part.size].reshape(part.shape)[...] = part
+                self._boxes[p].append((box, used[p]))
+                used[p] += part.size
+                del wf, part  # before the next factor is built
             del bundle  # its cached arrays go before the next bundle is built
         if len(self.params) != count:
             raise ValueError(f"expected {count} bundles, got {len(self.params)}")
-        self._buf = np.empty(size)
+        self._buf = np.zeros(size)
 
     def sums(self, pre: np.ndarray, m: int, lam_power: int) -> np.ndarray:
-        """``sum(pre * weight_factor(m, lam_power))`` on every cell.
+        """``np.sum(pre * weight_factor(m, lam_power))`` on every cell, bit for
+        bit.
 
-        Each row's products go through one reused N-length buffer and are
-        summed there: the same pairwise sum over the same contiguous products
-        as ``np.sum(pre * wf)``, equal to it bit for bit.  A BLAS product
-        would be faster (``stack @ pre`` about 5x at 8 x 16641) but its bits
-        depend on the OpenBLAS thread count (a 1-row product at 16641 nodes
-        differs between 1 and 2 threads) and on the number of rows (8-row
-        against 1-row calls), and so does ``np.einsum`` on the row count;
-        the lab's outputs must not.
+        A cell's products are taken on its box only, into one zeroed buffer
+        of the grid's size, which is summed whole and zeroed again on the
+        box.  Outside the box each product of the full expression is
+        pre * 0 = 0, so this is the same pairwise sum over the same
+        contiguous products.  A non-finite ``pre`` entry times 0 is NaN, not
+        0, so such a ``pre`` is multiplied by each cell's factor in full.
+        No BLAS product or ``np.einsum``: their bits depend on the OpenBLAS
+        thread count and on the number of rows, and the lab's outputs must
+        not.
         """
-        pre = pre.ravel()
-        stack = self._stacks[(m, lam_power)]
-        out = np.empty(len(stack))
-        for c, row in enumerate(stack):
-            np.multiply(pre, row, out=self._buf)
-            out[c] = self._buf.sum()
+        block = self._blocks[(m, lam_power)]
+        grid_buf = self._buf.reshape(pre.shape)
+        finite = bool(np.isfinite(pre).all())
+        out = np.empty(len(self.params))
+        for c, (box, start) in enumerate(self._boxes[(m, lam_power)]):
+            view = grid_buf[box]
+            wf = block[start:start + view.size].reshape(view.shape)
+            if finite:
+                np.multiply(pre[box], wf, out=view)
+                out[c] = self._buf.sum()
+            else:
+                view[...] = wf  # the buffer holds the full factor
+                out[c] = np.sum(pre * grid_buf)
+            view[...] = 0.0
         return out
+
+
+def _nonzero_box(a: np.ndarray) -> tuple[slice, ...]:
+    """The per-axis bounding box of the nodes where ``a`` is nonzero (NaN
+    counts as nonzero); empty on every axis when none is."""
+    nonzero = a != 0
+    box = []
+    for axis in range(a.ndim):
+        others = tuple(i for i in range(a.ndim) if i != axis)
+        hit = np.flatnonzero(nonzero.any(axis=others))
+        box.append(slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0))
+    return tuple(box)
 
 
 def _d_gamma_sq(f: DiffMemo) -> float:
@@ -549,17 +589,19 @@ def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
     sampled there.
 
     Member-major: the weight base is built once, and each cell's bundle
-    once, just before it writes its row of the weight-factor stacks; it is
-    dropped before the next cell's is built.  Then each member is built in
-    turn, every kind runs on it over all cells, and only its
-    (lhs, rhs, ratio) per kind and cell are kept; its arrays are dropped
-    before the next member is built.  ``instances`` may build each one on
-    demand (the refined pass does), so no grid holds more than one bundle
-    or one member at a time.  Peak memory is therefore the stacks, which
-    grow with cells x distinct weight powers x grid nodes (about 7.5 MB at
-    129^2 for 8 cells and the 7 powers of LEMMA1, LEMMA2, THM3 and LEMMA4),
-    plus one bundle or one member, and the sums over cells reduce through
-    one N-length buffer; neither the bundles nor the member count add to it.
+    once, just before it writes each weight factor on the factor's box (see
+    :class:`_Cells`); it is dropped before the next cell's is built.  Then
+    each member is built in turn, every kind runs on it over all cells, and
+    only its (lhs, rhs, ratio) per kind and cell are kept; its arrays are
+    dropped before the next member is built.  ``instances`` may build each
+    one on demand (the refined pass does), so no grid holds more than one
+    bundle or one member at a time.  Peak memory is therefore the boxed
+    factors, which grow with the cells' boxes x distinct weight powers
+    (for 8 cells and the 7 powers of LEMMA1, LEMMA2, THM3 and LEMMA4 the
+    shipped verify-carleman boxes hold 12% of the dense cells x powers x
+    nodes at 129^2), plus one bundle or one member, and the sums over cells
+    reduce through one grid-sized buffer; neither the bundles nor the member
+    count add to it.
     """
     with stage("sums_s"):
         eta = build_eta(grid, coeffs)
@@ -653,7 +695,7 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instan
     grids and every kind, to three stages: ``members_s`` builds the members
     (residual sources, consistency check, data functionals), ``terms_s``
     their derivative stacks and weighted squares, ``sums_s`` the bundles,
-    weight-factor stacks and the sums over cells.
+    the cells' boxed weight factors and the sums over cells.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if len(ensemble) == 0:

@@ -292,3 +292,32 @@ def test_empty_sweep_list_is_a_config_error(tmp_path, capsys, experiment, key):
         assert main([experiment, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert f"{key}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("reconstruct", "inverse.delta", "abc"),
+    ("stability-sweep", "inverse.deltas", "[1.0e-3, abc]"),
+    ("verify-carleman", "weights.lambdas", "[1.0, abc]"),
+    ("verify-carleman", "weights.s_values", "[abc]"),
+    ("verify-weights", "grid.nt", "abc"),
+    ("verify-carleman", "ensemble.n", "abc"),
+])
+def test_non_numeric_value_is_a_config_error(tmp_path, experiment, key, value):
+    section, name = key.split(".")
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"experiment: {experiment}\n{section}: {{{name}: {value}}}\n",
+                 encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=f"{key}: (could not convert|invalid literal).*'abc'"):
+        load_config(str(p))
+
+
+def test_non_numeric_value_exits_with_code_2(tmp_path, capsys):
+    from mfglab.cli import main
+
+    p = tmp_path / "bad.yaml"
+    p.write_text("experiment: reconstruct\ninverse: {delta: abc}\n", encoding="utf-8")
+    assert main(["reconstruct", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: invalid config values: inverse.delta: could not convert" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()

@@ -693,3 +693,106 @@ def test_sweep_memory_independent_of_member_count():
         working.append(peak - held)
     array_bytes = 8 * int(np.prod(g.shape))
     assert working[2] - working[1] < 12 * array_bytes, working
+
+
+# ---------------------------------------------------------------------------
+# each cell keeps its weight factors on the box where they are nonzero
+
+
+def shipped_carleman(refine=False):
+    """The kinds, grid (65^2, or its refined pass at 129^2), coefficients
+    and cell parameters of configs/verify_carleman.yaml."""
+    from mfglab.config import load_config
+
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs"
+                          / "verify_carleman.yaml"))
+    g = cfg.build_grid()
+    if refine:
+        g = g.refined(2)
+    w = cfg.section("weights")
+    params = [WeightParams(lam=lam, s=s) for lam in w["lambdas"] for s in w["s_values"]]
+    return cfg.section("estimates")["kinds"], g, cfg.coeff_recipe().sample(g), params
+
+
+def cells_of(kinds, g, coeffs, params):
+    eta = build_eta(g, coeffs)
+    bundles = [eval_weight_bundle(eta, p, g) for p in params]
+    return mfglab.verify._Cells(kinds, bundles, len(bundles), g), bundles
+
+
+def box_sizes(cells, power):
+    """The number of nodes in each cell's box of the factor ``power``."""
+    return [math.prod(sl.stop - sl.start for sl in box)
+            for box, _ in cells._boxes[power]]
+
+
+def assert_sums_exact(cells, bundles, a):
+    """Every cell's sums equal the weighted square written out in full,
+    compared with == (NaN equal to NaN)."""
+    g = bundles[0].grid
+    pre = g.st_weights * a * a
+    for m, k in cells._blocks:
+        direct = [np.sum(g.st_weights * a * a * b.weight_factor(m, k)) for b in bundles]
+        assert np.array_equal(cells.sums(pre, m, k), direct, equal_nan=True), (m, k)
+
+
+def box_case(case):
+    """(kinds, grid, coefficients, cell parameters) of each box shape."""
+    if case == "shipped":
+        return shipped_carleman()
+    if case == "2d":
+        g = build_grid((1.0, 2.0), 1.0, (17, 17), 17, ["x1+"])
+        params = [WeightParams(lam=lam, s=s) for lam in LAMS for s in (1.0, 8.0, 64.0)]
+        return FN_KINDS, g, COUPLED_2D.sample(g), params
+    _, g, coeffs, _ = shipped_carleman()
+    if case == "s=0":
+        # (0, 0) is 1 on every node, the other powers of LEMMA1 are 0
+        return ("LEMMA1",), g, coeffs, [WeightParams(lam=1.0, s=0.0)]
+    return FN_KINDS, g, coeffs, [WeightParams(lam=2.0, s=64.0)]
+
+
+@pytest.mark.parametrize("case", ["shipped", "2d", "s=0", "one node"])
+def test_cell_sums_equal_the_full_product_bit_for_bit(case):
+    kinds, g, coeffs, params = box_case(case)
+    cells, bundles = cells_of(kinds, g, coeffs, params)
+    size = math.prod(g.shape)
+    sizes = {p: box_sizes(cells, p) for p in cells._blocks}
+    if case in ("shipped", "2d"):
+        # boxes inside the grid
+        assert all(0 < n < size for cells_n in sizes.values() for n in cells_n)
+    elif case == "s=0":
+        # the whole grid, and no node at all: no nonzero factor
+        assert sizes.pop((0, 0)) == [size]
+        assert set(map(tuple, sizes.values())) == {(0,)}
+    else:
+        # the lam = 2, s = 64 cell keeps the one node where the weight is 1
+        assert set(map(tuple, sizes.values())) == {(1,)}
+    assert_sums_exact(cells, bundles, generate_ensemble(7, 1, g)[0].u.values)
+
+
+def test_inf_at_a_zero_weight_node_gives_nan():
+    """inf * 0 is NaN, so an inf outside a cell's box still reaches its sum."""
+    cells, bundles = cells_of(*shipped_carleman())
+    g = bundles[0].grid
+    a = generate_ensemble(7, 1, g)[0].u.values.copy()
+    node = (0, g.it0)
+    a[node] = np.inf
+    pre = g.st_weights * a * a
+    with np.errstate(invalid="ignore"):
+        assert_sums_exact(cells, bundles, a)
+        for p, boxes in cells._boxes.items():
+            outside = [not all(sl.start <= i < sl.stop for sl, i in zip(box, node))
+                       for box, _ in boxes]
+            assert sum(outside) >= 4
+            assert np.isnan(cells.sums(pre, *p)[outside]).all()
+
+
+def test_shipped_cells_store_a_small_share_of_the_dense_factors():
+    """At 129^2 the boxes of the shipped verify-carleman cells hold 11.9% of
+    cells x powers x nodes; the dense stacks held all of it."""
+    kinds, g, coeffs, params = shipped_carleman(refine=True)
+    cells, _ = cells_of(kinds, g, coeffs, params)
+    powers = len(cells._blocks)
+    assert powers == 7
+    stored = sum(sum(box_sizes(cells, p)) for p in cells._blocks)
+    assert stored <= 0.15 * len(params) * powers * math.prod(g.shape)

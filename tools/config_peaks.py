@@ -15,7 +15,10 @@ floor, an inverse config's peak the second.
 
 Given two checkouts, it prints each config's peak in both and the change
 from BASE_DIR to HEAD_DIR; the two runs of a config alternate which
-checkout goes first.
+checkout goes first.  The last line names, in each checkout, the lab
+config with the largest peak: the one that sets the peak of a process
+that runs them all (the benchmark's lab_suite pass), where two peaks
+within a few tenths of a MB of each other can trade places.
 
 Every process reads its bytecode from one temporary ``PYTHONPYCACHEPREFIX``,
 warmed first by running each checkout's configs once unmeasured.  A process
@@ -92,11 +95,23 @@ def fmt(result) -> str:
     return text
 
 
+def largest_lab_peak(peaks: dict[str, object]) -> str:
+    """The lab config with the largest peak among ``peaks`` (name to
+    :func:`run_config` result), with that peak."""
+    lab = {name: r[0] for name, r in peaks.items()
+           if name in LAB_CONFIGS and not isinstance(r, str)}
+    if not lab:
+        return "no lab config ran"
+    name = max(lab, key=lab.get)
+    return f"{name} {lab[name]:.1f} MB"
+
+
 def main(argv: list[str]) -> int:
     roots = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parents[1]]
     base: Optional[Path] = roots[0] if len(roots) == 2 else None
     head = roots[-1]
     names = tuple(FLOORS) + LAB_CONFIGS + INVERSE_CONFIGS
+    peaks: dict[Path, dict[str, object]] = {root: {} for root in roots}
     with tempfile.TemporaryDirectory() as prefix:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
         warm = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
@@ -104,16 +119,20 @@ def main(argv: list[str]) -> int:
             for name in names:
                 run_config(root, name, warm)
         for i, name in enumerate(names):
-            if base is None:
-                print(f"{name:17s} peak {fmt(run_config(head, name, env))}")
-                continue
             order = (base, head) if i % 2 == 0 else (head, base)
-            results = {root: run_config(root, name, env) for root in order}
-            old, new = results[base], results[head]
+            for root in roots if base is None else order:
+                peaks[root][name] = run_config(root, name, env)
+            if base is None:
+                print(f"{name:17s} peak {fmt(peaks[head][name])}")
+                continue
+            old, new = peaks[base][name], peaks[head][name]
             line = f"{name:17s} base {fmt(old)}  head {fmt(new)}"
             if not isinstance(old, str) and not isinstance(new, str):
                 line += f"  delta {new[0] - old[0]:+5.1f} MB"
             print(line)
+    labels = {head: ""} if base is None else {base: "base ", head: "head "}
+    print("largest lab peak: " + "  ".join(
+        label + largest_lab_peak(peaks[root]) for root, label in labels.items()))
     return 0
 
 
