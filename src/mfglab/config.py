@@ -20,6 +20,7 @@ from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
 from .inverse import ReconstructionConfig, load_scipy
+from .statedet import _validate_eps_grid
 from .verify import _canonical_kind, _require_s
 
 __all__ = ["ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config"]
@@ -36,6 +37,14 @@ EXPERIMENTS = (
 
 class ConfigError(ValueError):
     pass
+
+
+def _grid(gspec: dict[str, Any]) -> Grid:
+    try:
+        return build_grid(gspec["lengths"], gspec["T"], gspec["nx"],
+                          gspec["nt"], gspec["gamma"])
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
 
 _ALLOWED: dict[str, tuple[str, ...]] = {
@@ -89,7 +98,8 @@ _SECTIONS: dict[str, Any] = {
     **{name: dict.fromkeys(keys) for name, keys in _DEFAULTS.items()},
 }
 _SECTIONS["coefficients"]["coupling"] = OPEN
-# accepted so that older configs still load; has no effect
+# has no effect; accepted because the frozen benchmark config
+# perfbench/configs/inverse_cold.yaml carries it
 _SECTIONS["inverse"]["maxiter"] = None
 
 
@@ -136,12 +146,7 @@ class ExperimentConfig:
     # -- builders ------------------------------------------------------------
 
     def build_grid(self) -> Grid:
-        gspec = self.section("grid")
-        try:
-            return build_grid(gspec["lengths"], gspec["T"], gspec["nx"],
-                              gspec["nt"], gspec["gamma"])
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        return _grid(self.section("grid"))
 
     def coeff_recipe(self) -> CoeffRecipe:
         """The coefficient recipe; on the config grid both principal parts must
@@ -259,10 +264,33 @@ _SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
                 ("inverse", "seeds"))
 
 
+# keys that take a whole number or true/false, and the ones of them that
+# hold a list of whole numbers
+_WHOLE = ("grid.nt", "grid.nx", "ensemble.seed", "ensemble.n", "ensemble.max_modes",
+          "ensemble.t_degree", "inverse.seeds", "nonlinear.seed")
+_FLAGS = ("estimates.refine", "statedet.refine", "inverse.noisy_slices")
+_WHOLE_LISTS = ("grid.nx", "inverse.seeds")
+
+
+def _whole(value: Any) -> int:
+    """``value`` as an int: an int or a float with no fractional part, not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"invalid literal for a whole number: {value!r}")
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _numbers(problems: list[str], key: str, cast, values) -> list:
-    """``values`` through ``cast`` (float or int), or an empty list, so the
-    checks on ``key`` are skipped, with a problem that names ``key`` when one
-    of them is not a number."""
+    """``values`` through ``cast`` (float, :func:`_whole` or :func:`_flag`),
+    or an empty list, so the checks on ``key`` are skipped, with a problem
+    that names ``key`` when one of them is not of that type."""
     try:
         return [cast(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -284,16 +312,25 @@ def _validate_values(resolved: dict[str, Any]) -> list[str]:
             problems.append(f"{section}.{key}: need at least one entry")
         else:
             lists[f"{section}.{key}"] = value
-    gspec = resolved.get("grid", {})
-    if "nt" in gspec and any(nt % 2 == 0 for nt in
-                             _numbers(problems, "grid.nt", int, [gspec["nt"]])):
-        problems.append(f"grid.nt: must be odd, got {gspec['nt']}")
-    if "ensemble" in resolved:
-        ens = resolved["ensemble"]
-        if ens["seed"] is None:
-            problems.append("ensemble.seed: explicit seed required")
-        if any(n < 1 for n in _numbers(problems, "ensemble.n", int, [ens["n"]])):
-            problems.append("ensemble.n: need at least one member")
+    # whole numbers and flags are stored as cast, so the resolved config
+    # records the values the run reads
+    typed: dict[str, list] = {}
+    for dotted in _WHOLE + _FLAGS:
+        section, key = dotted.split(".")
+        if resolved.get(section, {}).get(key) is None:
+            continue
+        value = resolved[section][key]
+        listed = dotted in _WHOLE_LISTS and isinstance(value, list)
+        typed[dotted] = _numbers(problems, dotted, _whole if dotted in _WHOLE else _flag,
+                                 value if listed else [value])
+        if typed[dotted]:
+            resolved[section][key] = typed[dotted] if listed else typed[dotted][0]
+    if any(nt % 2 == 0 for nt in typed.get("grid.nt", ())):
+        problems.append(f"grid.nt: must be odd, got {resolved['grid']['nt']}")
+    if "ensemble" in resolved and resolved["ensemble"]["seed"] is None:
+        problems.append("ensemble.seed: explicit seed required")
+    if any(n < 1 for n in typed.get("ensemble.n", ())):
+        problems.append("ensemble.n: need at least one member")
     lambdas = _numbers(problems, "weights.lambdas", float,
                        lists.get("weights.lambdas", ()))
     if any(lam <= 0 for lam in lambdas):
@@ -317,6 +354,16 @@ def _validate_values(resolved: dict[str, Any]) -> list[str]:
             _require_s(kinds, s_values)
         except ValueError as exc:
             problems.append(f"weights.s_values: {exc}")
+    # the eps grid checked by the sweep's own rule on the config grid, so a
+    # bad eps fails before anything is drawn
+    epsilons = _numbers(problems, "statedet.epsilons", float,
+                        lists.get("statedet.epsilons", ()))
+    if epsilons and not problems:
+        grid = _grid(resolved["grid"])
+        try:
+            _validate_eps_grid(grid, epsilons)
+        except ValueError as exc:
+            problems.append(f"statedet.epsilons: {exc}")
     if "inverse" in resolved:
         if not all(math.isfinite(d) and d >= 0 for d in _numbers(
                 problems, "inverse.delta", float, [resolved["inverse"]["delta"]])):

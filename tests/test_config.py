@@ -321,3 +321,75 @@ def test_non_numeric_value_exits_with_code_2(tmp_path, capsys):
     assert "config error: invalid config values: inverse.delta: could not convert" in (
         capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("verify-weights", "grid.nt", "17.5"),
+    ("verify-weights", "grid.nt", "true"),
+    ("verify-weights", "grid.nx", "[17.5]"),
+    ("verify-carleman", "ensemble.seed", "7.5"),
+    ("verify-carleman", "ensemble.n", "2.5"),
+    ("verify-carleman", "ensemble.max_modes", "2.7"),
+    ("verify-carleman", "ensemble.t_degree", "true"),
+    ("stability-sweep", "inverse.seeds", "[1.5]"),
+    ("stability-sweep", "inverse.seeds", "[0, false]"),
+    ("nonlinear-diff", "nonlinear.seed", "'5'"),
+    ("verify-carleman", "estimates.refine", "'false'"),
+    ("state-det", "statedet.refine", "0"),
+    ("reconstruct", "inverse.noisy_slices", "1"),
+])
+def test_whole_number_and_flag_keys_take_only_their_type(tmp_path, experiment, key,
+                                                         value):
+    section, name = key.split(".")
+    message = ("must be true or false" if name in ("refine", "noisy_slices")
+               else "invalid literal for a whole number")
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"experiment: {experiment}\n{section}: {{{name}: {value}}}\n",
+                 encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key}: {message}"):
+        load_config(str(p))
+
+
+def test_fractional_counts_exit_with_code_2_and_whole_floats_resolve_to_ints(
+        tmp_path, capsys):
+    from mfglab.cli import main
+
+    p = tmp_path / "bad.yaml"
+    p.write_text("experiment: verify-carleman\ngrid: {nx: [17.5], nt: 17.5}\n"
+                 "ensemble: {n: 2.5, max_modes: 2.7}\n", encoding="utf-8")
+    assert main(["verify-carleman", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("grid.nt", "grid.nx", "ensemble.n",
+                                      "ensemble.max_modes"))
+    assert not (tmp_path / "out").exists()
+    p.write_text("experiment: verify-carleman\ngrid: {nx: [17.0], nt: 17.0}\n"
+                 "ensemble: {n: 2.0}\n", encoding="utf-8")
+    cfg = load_config(str(p))
+    assert cfg.section("grid")["nx"] == [17] and type(cfg.section("grid")["nt"]) is int
+    assert type(cfg.section("ensemble")["n"]) is int
+
+
+@pytest.mark.parametrize("experiment,epsilons,message", [
+    ("state-det", "[0.1, 0.6]", "eps=0.6 outside \\(0, T/2\\)"),
+    ("nonlinear-diff", "[0.0]", "eps=0.0 outside \\(0, T/2\\)"),
+    ("state-det", "[0.45]", "eps=0.45 leaves fewer than 3 time slices"),
+])
+def test_epsilons_checked_against_the_config_grid_at_load(tmp_path, capsys, monkeypatch,
+                                                         experiment, epsilons, message):
+    """The sweep's own eps rule runs when the config loads, on the config
+    grid: a bad eps is a config error (exit code 2) before any draw."""
+    import mfglab.cli
+
+    drawn = []
+    monkeypatch.setattr(mfglab.cli, "_build_ensemble", lambda *a: drawn.append(a))
+    monkeypatch.setattr(mfglab.cli, "cosine_pairs", lambda *a: drawn.append(a))
+    p = tmp_path / "eps.yaml"
+    p.write_text(f"experiment: {experiment}\ngrid: {{nx: [17], nt: 17}}\n"
+                 f"statedet: {{epsilons: {epsilons}}}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"statedet.epsilons: {message}"):
+        load_config(str(p))
+    assert mfglab.cli.main([experiment, "--config", str(p),
+                            "--out", str(tmp_path / "out")]) == 2
+    assert "statedet.epsilons" in capsys.readouterr().err
+    assert drawn == []
+    assert not (tmp_path / "out").exists()

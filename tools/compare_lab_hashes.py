@@ -1,37 +1,71 @@
-"""Compare the output_hash of the shipped configs between two checkouts.
+"""Run the shipped configs of two checkouts and compare hashes, cells and peaks.
 
-    python tools/compare_lab_hashes.py BASE_DIR HEAD_DIR
+    python tools/compare_lab_hashes.py [[BASE_DIR] HEAD_DIR]
 
-Runs each config in ``configs/`` (first the lab configs, then those of an
-inverse experiment, each group in file-name order; the groups are read from
-each file's ``experiment`` key, so a new config joins without an edit), and
-then ``state_det`` and ``nonlinear_diff`` again at ``--seed 2`` (labelled
-``state_det@2`` and ``nonlinear_diff@2``), so their draws are compared away
-from the shipped seed too, and then the benchmark's
-``perfbench/configs/inverse_cold.yaml`` as it is, at two ``--seed`` values
-(a noisy reconstruct with the conormal rows on random cases, where
-reconstruct_clean is noise-free), with the library of each
-checkout, in its own interpreter, and prints one line per run saying
-whether the hashes agree, naming both ``experiment`` keys when the two
-checkouts run the config under different ones, and naming each emitted
-file that only one checkout writes.  The inverse hashes are
-reproducible only at a fixed OpenBLAS thread count (threaded OpenBLAS picks
-other kernels); both checkouts run in this one environment, so the
-comparison holds, and the last line gives the thread count that each
-checkout's ``report.json`` records (``OPENBLAS_NUM_THREADS``, or "unset";
-"not recorded" by a checkout that predates the record).  The very last
-line gives the line count of each checkout's library modules
-(``src/mfglab/*.py``) and its change from base to head.
+Each run of ``RUNS`` goes once through each checkout, with that checkout's
+library, in its own fresh interpreter; the checkouts alternate which goes
+first.  The runs, in order:
 
-Under each run whose hashes differ it sizes the move: the largest relative
-change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables and
-the summary in ``report.json`` (naming the cell), and every other cell that
-differs: text, flags, an empty cell, a value that turns non-finite, or a
-cell only one side has; or it says that no table or summary cell differs,
-when the hash moves for the emitted files alone.  A roundoff move then
-reads apart from a real one, and a file-set change apart from both.
-It only reports: the exit code is 0 whatever differs or fails, because an
-intended numeric change moves a hash too.
+- two floors: a process that only imports the library ("imports only"),
+  and one that also imports the SciPy modules of the inverse solver
+  through ``mfglab.inverse.load_scipy`` ("imports + inverse"), as
+  ``load_config`` does for an inverse config.  A lab config's peak
+  includes the first floor, an inverse config's peak the second;
+- each config in ``configs/``: first the lab configs, then those of an
+  inverse experiment, each group in file-name order (the groups are read
+  from each file's ``experiment`` key, so a new config joins without an
+  edit);
+- ``state_det@2`` and ``nonlinear_diff@2``: those configs at ``--seed 2``,
+  so their draws are compared away from the shipped seed too;
+- ``inverse_cold@1`` and ``inverse_cold@2``: the benchmark's
+  ``perfbench/configs/inverse_cold.yaml`` as it is, at two seeds (a noisy
+  reconstruct with the conormal rows on random cases, where
+  reconstruct_clean is noise-free).
+
+For each config run it prints:
+
+- whether the ``output_hash`` values agree, with both hashes (or why a run
+  has none), both ``experiment`` keys when the checkouts run the config
+  under different ones, and each emitted file that only one checkout
+  writes;
+- when the hashes differ, the size of the move: the largest relative
+  change ``|a - b| / max(|a|, |b|)`` over the numeric cells of the tables
+  and the summary in ``report.json`` (naming the cell), and every other
+  cell that differs: text, flags, an empty cell, a value that turns
+  non-finite, or a cell only one side has; or that no table or summary
+  cell differs, when the hash moves for the emitted files alone.  A
+  roundoff move then reads apart from a real one, and a file-set change
+  apart from both;
+- ``peak``: each checkout's peak resident set size (``ru_maxrss`` of that
+  one process) and the change from base to head; a floor prints this line
+  alone;
+- one line per checkout with the run's ``wall_time_s`` and its stage
+  ``timings`` from its ``report.json``.
+
+Then the closing lines give:
+
+- how many of the config runs' hashes differ;
+- the OpenBLAS thread count each checkout's ``report.json`` records
+  (``OPENBLAS_NUM_THREADS``, or "unset"; "not recorded" by a checkout that
+  predates the record).  The inverse hashes are reproducible only at a
+  fixed thread count (threaded OpenBLAS picks other kernels); both
+  checkouts run in this one environment, so the comparison holds;
+- in each checkout, the lab config with the largest peak: the one that
+  sets the peak of a process that runs them all (the benchmark's
+  lab_suite pass), where two peaks within a few tenths of a MB of each
+  other can trade places;
+- the line count of each checkout's library modules (``src/mfglab/*.py``)
+  and its change from base to head.
+
+Given one checkout (default: this one) it prints the same for that one
+alone, without the hash verdicts and deltas.
+
+Every process reads its bytecode from one temporary ``PYTHONPYCACHEPREFIX``,
+warmed first by one unmeasured pass of every run of each checkout.  A
+process that compiles its modules (under ``PYTHONDONTWRITEBYTECODE=1`` with
+a stale or missing ``__pycache__``) peaks 1-2 MB higher, which would hide
+what the code itself holds.  It only reports: the exit code is 0 whatever
+differs or fails, because an intended numeric change moves a hash too.
 """
 
 from __future__ import annotations
@@ -48,6 +82,10 @@ from typing import Any, Iterator, Optional
 import yaml
 
 INVERSE_EXPERIMENTS = ("reconstruct", "stability-sweep")
+# the code each floor process runs
+FLOORS = {"imports only": "import mfglab.cli",
+          "imports + inverse": ("import mfglab.cli, mfglab.inverse; "
+                                "mfglab.inverse.load_scipy()")}
 
 
 def experiment_of(config: Path) -> Optional[str]:
@@ -69,36 +107,48 @@ COLD_SEEDS = (1, 2)
 # lab configs run again away from their shipped seed
 RESEEDED = (("state_det", 2), ("nonlinear_diff", 2))
 
-# (label, config path under the checkout, extra command-line arguments)
-RUNS = [(name, f"configs/{name}.yaml", ()) for name in LAB_CONFIGS + INVERSE_CONFIGS] \
+# (label, config path under the checkout or None for a floor, extra
+# command-line arguments: the CLI's after the config, or the floor's code)
+RUNS = [(name, None, ("-c", code)) for name, code in FLOORS.items()] \
+    + [(name, f"configs/{name}.yaml", ()) for name in LAB_CONFIGS + INVERSE_CONFIGS] \
     + [(f"{name}@{seed}", f"configs/{name}.yaml", ("--seed", str(seed)))
        for name, seed in RESEEDED] \
     + [(f"inverse_cold@{seed}", "perfbench/configs/inverse_cold.yaml",
         ("--seed", str(seed))) for seed in COLD_SEEDS]
 
+Result = tuple[str, Optional[float], Optional[dict[str, Any]], set[str]]
 
-def output_hash(root: Path, config_path: str, extra: tuple[str, ...]
-                ) -> tuple[str, Optional[str], Optional[dict[str, Any]], set[str]]:
-    """The run's output_hash (or why there is none), the OpenBLAS thread
-    count its report.json records, the parsed report.json and the names of
-    the files the run wrote."""
-    config = root / config_path
-    experiment = experiment_of(config)
-    if experiment is None:
-        return "missing", None, None, set()
+
+def run_once(root: Path, config_path: Optional[str], extra: tuple[str, ...]) -> Result:
+    """One run of ``RUNS`` with the library of ``root``, in a fresh
+    interpreter: its output_hash (a floor has none: "floor"; a run that
+    fails says why), its own peak RSS in MB, its parsed report.json and
+    the names of the files it wrote."""
     with tempfile.TemporaryDirectory() as out:
+        if config_path is None:
+            argv = [sys.executable, *extra]
+        else:
+            config = root / config_path
+            experiment = experiment_of(config)
+            if experiment is None:
+                return "missing", None, None, set()
+            argv = [sys.executable, "-m", "mfglab", experiment, "--config", str(config),
+                    "--out", out, *extra]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfglab", experiment, "--config", str(config),
-             "--out", out, *extra],
-            cwd=root, env=env, capture_output=True, text=True)
+        with subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            err = proc.stderr.read().strip().splitlines()
+            # reap the child here: wait4 gives this one process's rusage
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
-            return (f"failed ({proc.stderr.strip().splitlines()[-1:]})", None, None,
+            return (f"failed ({err[-1] if err else proc.returncode})", None, None,
                     set())
-        files = {path.name for path in Path(out).iterdir()}
+        peak = usage.ru_maxrss / 1024.0  # Linux: KiB
+        if config_path is None:
+            return "floor", peak, None, set()
         report = json.loads((Path(out) / "report.json").read_text())
-        threads = report["versions"].get("openblas_threads", "not recorded")
-        return report["output_hash"], threads, report, files
+        return report["output_hash"], peak, report, {p.name for p in Path(out).iterdir()}
 
 
 def _leaves(name: str, obj: Any) -> Iterator[tuple[str, Any]]:
@@ -154,49 +204,93 @@ def source_lines(root: Path) -> int:
                for path in (root / "src" / "mfglab").glob("*.py"))
 
 
+def _print_hashes(name: str, config_path: str, roots: dict[str, Path],
+                  results: dict[str, Result]) -> bool:
+    """Print the hash lines of one config run; whether the hashes differ."""
+    hashes = "  ".join(f"{side} {r[0]}" for side, r in results.items())
+    if len(results) == 1:
+        print(f"{name:17s} {hashes}")
+        return False
+    (base, _, old, base_files), (head, _, new, head_files) = results.values()
+    same = base == head
+    # a config moved to another experiment writes other tables, so its
+    # cells differ by name rather than by value
+    experiments = {side: experiment_of(root / config_path) for side, root in roots.items()}
+    moved = (f"  experiment base {experiments['base']} head {experiments['head']}"
+             if experiments["base"] != experiments["head"] else "")
+    only = "".join(f"  only {side} writes {', '.join(sorted(mine - theirs))}"
+                   for side, mine, theirs in (("base", base_files, head_files),
+                                              ("head", head_files, base_files))
+                   if mine - theirs)
+    print(f"{name:17s} {'same' if same else 'DIFFERS'}  {hashes}{moved}{only}")
+    if not same and old is not None and new is not None:
+        worst, where, other = size_move(old, new)
+        if where is None and not other:
+            print(f"{'':17s} no table or summary cell differs")
+        else:
+            print(f"{'':17s} largest relative change {worst:.3g}"
+                  + (f" ({where})" if where else ""))
+        if other:
+            shown = ", ".join(other[:5]) + (", ..." if len(other) > 5 else "")
+            print(f"{'':17s} {len(other)} non-numeric cells differ: {shown}")
+    return not same
+
+
 def main(argv: list[str]) -> int:
-    roots = {"base": Path(argv[0]).resolve(), "head": Path(argv[1]).resolve()}
+    if len(argv) > 2:
+        raise SystemExit("usage: compare_lab_hashes.py [[BASE_DIR] HEAD_DIR]")
+    paths = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parents[1]]
+    # records are keyed by side, so one directory given twice runs twice
+    roots = dict(zip(("base", "head")[-len(paths):], paths))
+    sides = list(roots)
+    peaks: dict[str, dict[str, float]] = {side: {} for side in sides}
+    threads: dict[str, set[str]] = {side: set() for side in sides}
     differ = 0
-    threads: dict[str, set[str]] = {side: set() for side in roots}
-    for name, config_path, extra in RUNS:
-        hashes, reports, files = {}, {}, {}
-        for side, root in roots.items():
-            hashes[side], recorded, reports[side], files[side] = output_hash(
-                root, config_path, extra)
-            if recorded is not None:
-                threads[side].add(recorded)
-        same = hashes["base"] == hashes["head"]
-        differ += not same
-        # a config moved to another experiment writes other tables, so its
-        # cells differ by name rather than by value
-        experiments = {side: experiment_of(root / config_path)
-                       for side, root in roots.items()}
-        moved = (f"  experiment base {experiments['base']} head {experiments['head']}"
-                 if experiments["base"] != experiments["head"] else "")
-        only = "".join(
-            f"  only {side} writes {', '.join(sorted(files[side] - files[rival]))}"
-            for side, rival in (("base", "head"), ("head", "base"))
-            if files[side] - files[rival])
-        print(f"{name:17s} {'same' if same else 'DIFFERS'}  "
-              f"base {hashes['base']}  head {hashes['head']}{moved}{only}")
-        if not same and None not in reports.values():
-            worst, where, other = size_move(reports["base"], reports["head"])
-            if where is None and not other:
-                print(f"{'':17s} no table or summary cell differs")
-            else:
-                print(f"{'':17s} largest relative change {worst:.3g}"
-                      + (f" ({where})" if where else ""))
-            if other:
-                shown = ", ".join(other[:5]) + (", ..." if len(other) > 5 else "")
-                print(f"{'':17s} {len(other)} non-numeric cells differ: {shown}")
-    print(f"{differ} of {len(RUNS)} output_hash values differ")
+    with tempfile.TemporaryDirectory() as prefix:
+        os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
+        os.environ["PYTHONPYCACHEPREFIX"] = prefix
+        for root in roots.values():
+            for _, config_path, extra in RUNS:
+                run_once(root, config_path, extra)
+        for i, (name, config_path, extra) in enumerate(RUNS):
+            results: dict[str, Result] = dict.fromkeys(sides)
+            for side in sides if i % 2 == 0 else sides[::-1]:
+                results[side] = run_once(roots[side], config_path, extra)
+            if config_path is not None:
+                differ += _print_hashes(name, config_path, roots, results)
+            line = "  ".join(f"{side} {r[0] if r[1] is None else f'{r[1]:.1f} MB'}"
+                             for side, r in results.items())
+            if len(sides) == 2 and None not in (results["base"][1], results["head"][1]):
+                line += f"  delta {results['head'][1] - results['base'][1]:+.1f} MB"
+            print(f"{'' if config_path else name:17s} peak  {line}")
+            for side, (_, peak, report, _) in results.items():
+                if peak is not None:
+                    peaks[side][name] = peak
+                if report is not None:
+                    threads[side].add(report["versions"].get("openblas_threads",
+                                                             "not recorded"))
+                    timings = ", ".join(f"{k} {v:.3f} s"
+                                        for k, v in sorted(report["timings"].items()))
+                    print(f"{'':17s} {side}  wall {report['wall_time_s']:.3f} s"
+                          + (f" ({timings})" if timings else ""))
+    if len(sides) == 2:
+        print(f"{differ} of {sum(path is not None for _, path, _ in RUNS)} "
+              "output_hash values differ")
     print("OpenBLAS threads: " + ", ".join(
         f"{side} {' / '.join(sorted(seen)) or 'no report'}"
         for side, seen in threads.items()))
+    largest = []
+    for side in sides:
+        lab = {name: peak for name, peak in peaks[side].items() if name in LAB_CONFIGS}
+        top = max(lab, key=lab.get, default=None)
+        largest.append(f"{side} " + (f"{top} {lab[top]:.1f} MB" if top
+                                     else "no lab config ran"))
+    print("largest lab peak: " + "  ".join(largest))
     lines = {side: source_lines(root) for side, root in roots.items()}
-    print(f"src/mfglab/*.py lines: base {lines['base']}, head {lines['head']} "
-          f"({lines['head'] - lines['base']:+d})")
+    print("src/mfglab/*.py lines: " + ", ".join(f"{s} {n}" for s, n in lines.items())
+          + (f" ({lines['head'] - lines['base']:+d})" if len(sides) == 2 else ""))
     return 0
+
 
 if __name__ == "__main__":
     raise SystemExit(main(sys.argv[1:]))
