@@ -44,21 +44,18 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def _run_verify_weights(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
-    recipe = cfg.coeff_recipe()
-    coeffs = recipe.sample(grid)
-    eta = build_eta(grid, coeffs)
+    grid = cfg.grid
+    eta = build_eta(grid, cfg.coeff_recipe.sample(grid))
     wspec = cfg.section("weights")
     rows = []
     all_passed = True
     for lam in wspec["lambdas"]:
         for s in wspec["s_values"]:
-            bundle = eval_weight_bundle(eta, WeightParams(lam=float(lam),
-                                                          s=float(s)), grid)
+            bundle = eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
             rep = check_weight_identities(bundle)
             all_passed &= rep.passed
             for check in rep.checks:
-                rows.append((check.name, float(lam), float(s), check.value,
+                rows.append((check.name, lam, s, check.value,
                              check.tol if check.tol is not None else "",
                              check.passed))
     table = ResultTable("weights", ("identity", "lambda", "s", "value", "tol",
@@ -67,43 +64,42 @@ def _run_verify_weights(cfg: ExperimentConfig) -> RunReport:
                      summary={"all_passed": all_passed, "checks": len(rows)})
 
 
-def _build_ensemble(cfg: ExperimentConfig, grid, recipe=None, n=None) -> tuple:
-    """The ``ensemble`` section's draw on ``grid``: its function pairs, or
-    the manufactured cases of ``recipe`` when one is given; ``n`` overrides
-    the section's size."""
+def _build_ensemble(cfg: ExperimentConfig, cases=False, n=None) -> tuple:
+    """The ``ensemble`` section's draw on the config grid: its function
+    pairs, or manufactured cases of the config's coefficients when
+    ``cases``; ``n`` overrides the section's size."""
     ens = cfg.section("ensemble")
-    args = (int(ens["seed"]), int(ens["n"] if n is None else n), grid)
-    shape = dict(max_modes=int(ens["max_modes"]), t_degree=int(ens["t_degree"]),
-                 amplitude=float(ens["amplitude"]))
-    if recipe is None:
+    args = (ens["seed"], ens["n"] if n is None else n, cfg.grid)
+    shape = dict(max_modes=ens["max_modes"], t_degree=ens["t_degree"],
+                 amplitude=ens["amplitude"])
+    if not cases:
         return generate_ensemble(*args, **shape)
-    f_spec, g_spec, q_min = cfg.source_specs()
-    return mms_case_ensemble(*args, recipe, f_spec, g_spec, q_min=q_min, **shape)
+    f_spec, g_spec, q_min = cfg.sources
+    return mms_case_ensemble(*args, cfg.coeff_recipe, f_spec, g_spec, q_min=q_min,
+                             **shape)
 
 
-def _inverse_case(cfg: ExperimentConfig, grid, recipe):
+def _inverse_case(cfg: ExperimentConfig):
     """Manufactured case for the inverse experiments: the explicit config
     states when given, a seeded random admissible draw otherwise."""
-    fields = cfg.case_fields()
-    if fields is None:
-        return _build_ensemble(cfg, grid, recipe, n=1)[0]
-    f_spec, g_spec, q_min = cfg.source_specs()
-    return CaseRecipe(*fields, recipe, f_spec, g_spec, q_min=q_min).build(grid)
+    if cfg.case_fields is None:
+        return _build_ensemble(cfg, cases=True, n=1)[0]
+    f_spec, g_spec, q_min = cfg.sources
+    return CaseRecipe(*cfg.case_fields, cfg.coeff_recipe, f_spec, g_spec,
+                      q_min=q_min).build(cfg.grid)
 
 
 def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
-    recipe = cfg.coeff_recipe()
     est = cfg.section("estimates")
     kinds = est["kinds"]  # canonical names, checked when the config loaded
     wspec = cfg.section("weights")
-    refine = bool(est["refine"])
 
     def sweep(group, build_ensemble):
         if not group:
             return {}
         reports = estimate_constant(group, build_ensemble(), wspec["lambdas"],
-                                    wspec["s_values"], recipe, grid, refine=refine)
+                                    wspec["s_values"], cfg.coeff_recipe, cfg.grid,
+                                    refine=est["refine"])
         return dict(zip(group, reports))
 
     # one sweep call per ensemble: the kinds that read the factorized sources
@@ -112,8 +108,8 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
     # refined pass
     fn_kinds = list(dict.fromkeys(k for k in kinds if k not in CASE_KINDS))
     case_kinds = list(dict.fromkeys(k for k in kinds if k in CASE_KINDS))
-    reports = sweep(fn_kinds, lambda: _build_ensemble(cfg, grid))
-    reports |= sweep(case_kinds, lambda: _build_ensemble(cfg, grid, recipe))
+    reports = sweep(fn_kinds, lambda: _build_ensemble(cfg))
+    reports |= sweep(case_kinds, lambda: _build_ensemble(cfg, cases=True))
     rows = []
     const_rows = []
     summary: dict[str, Any] = {}
@@ -146,13 +142,12 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
 
 
 def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
-    recipe = cfg.coeff_recipe()
-    case = _inverse_case(cfg, grid, recipe)
+    grid = cfg.grid
+    case = _inverse_case(cfg)
     inv = cfg.section("inverse")
-    delta = float(inv["delta"])
-    data = make_inverse_data(case, delta, int(inv["seeds"][0]),
-                             noisy_slices=bool(inv["noisy_slices"]))
+    delta = inv["delta"]
+    data = make_inverse_data(case, delta, inv["seeds"][0],
+                             noisy_slices=inv["noisy_slices"])
     recon = cfg.reconstruction
     res = reconstruct(data, recon, truth=(case.sources.f, case.sources.g))
     metrics = [
@@ -189,17 +184,11 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
 
 
 def _run_stability_sweep(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
-    recipe = cfg.coeff_recipe()
-    case = _inverse_case(cfg, grid, recipe)
     inv = cfg.section("inverse")
     # the sweep replaces the configured beta by beta_scale * delta^2
-    rep = stability_sweep(
-        case, [float(d) for d in inv["deltas"]], cfg.reconstruction,
-        seeds=[int(s) for s in inv["seeds"]],
-        beta_scale=float(inv["beta_scale"]),
-        noisy_slices=bool(inv["noisy_slices"]),
-    )
+    rep = stability_sweep(_inverse_case(cfg), inv["deltas"], cfg.reconstruction,
+                          seeds=inv["seeds"], beta_scale=inv["beta_scale"],
+                          noisy_slices=inv["noisy_slices"])
     rows = tuple(
         (r.delta, r.seed, r.err_f, r.err_g, r.err_total, r.beta, r.converged)
         for r in rep.rows
@@ -231,13 +220,10 @@ def _ceps_table(rep) -> ResultTable:
 
 
 def _run_state_det(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
-    recipe = cfg.coeff_recipe()
-    sd = cfg.section("statedet")
     # no reference of our own: the experiment frees the coarse ensemble
     # before its refined pass
-    rep = thm1_experiment(_build_ensemble(cfg, grid), recipe, grid, cfg.epsilons(),
-                          refine=bool(sd["refine"]))
+    rep = thm1_experiment(_build_ensemble(cfg), cfg.coeff_recipe, cfg.grid, cfg.epsilons,
+                          refine=cfg.section("statedet")["refine"])
     summary = {
         "per_eps_max": {repr(k): v for k, v in rep.per_eps_max.items()},
         "drift": rep.drift,
@@ -248,12 +234,10 @@ def _run_state_det(cfg: ExperimentConfig) -> RunReport:
 
 
 def _run_nonlinear_diff(cfg: ExperimentConfig) -> RunReport:
-    grid = cfg.build_grid()
     spec = cfg.section("nonlinear")
-    pairs = tuple(islice(cosine_pairs(int(spec["seed"]), grid, 3, 3,
-                                      float(spec["amplitude"])), 2))
-    rep = thm4_experiment(pairs, cfg.nonlinear_recipe(), grid, cfg.epsilons(),
-                          refine=bool(cfg.section("statedet")["refine"]))
+    pairs = tuple(islice(cosine_pairs(spec["seed"], cfg.grid, 3, 3, spec["amplitude"]), 2))
+    rep = thm4_experiment(pairs, cfg.nonlinear_recipe, cfg.grid, cfg.epsilons,
+                          refine=cfg.section("statedet")["refine"])
     summary = {
         "per_eps_max": {repr(k): v for k, v in rep.per_eps_max.items()},
         "drift": rep.drift,
@@ -295,14 +279,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         if s in _ALLOWED[args.experiment]), None)
         if section is None:
             parser.error(f"{args.experiment} has no seed to override")
-        overrides[f"{section}.seed"] = int(args.seed)
+        overrides[f"{section}.seed"] = args.seed
     if args.out is not None:
         overrides["output.dir"] = args.out
 
     try:
         config = load_config(args.config, experiment=args.experiment,
                              overrides=overrides)
-        if args.seed is not None and config.case_fields() is not None:
+        if args.seed is not None and config.case_fields is not None:
             raise ConfigError("--seed has no effect: the config's explicit case "
                               "states draw nothing from ensemble.seed")
         report = run(config)

@@ -1,14 +1,16 @@
-"""Experiment configuration: YAML loading, strict validation, defaults.
+"""Experiment configuration: YAML loading, one typed key table, and the
+run's inputs built at load.
 
-Configs are plain key-value YAML.  Unknown keys are a hard error (every
-offender is listed), seeds are explicit constants, and the fully resolved
-configuration (defaults included) is echoed into every run report so a
-published table can be traced back to its exact inputs.
+One walk over the key table refuses unknown keys (every offender is
+listed), sections that are not mappings and values of the wrong type, and
+stores each cast value, so the resolved configuration (defaults included)
+echoed into every run report records what the run reads.  Everything the
+run builds from it is built here, so a bad input is a :class:`ConfigError`
+before anything is drawn.  Seeds are explicit constants.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -16,37 +18,22 @@ from typing import Any, Optional
 
 import yaml
 
+from .basis import SeparableField, Term
 from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
-from .inverse import ReconstructionConfig, load_scipy
+from .inverse import ReconstructionConfig, _validate_noise_grid, load_scipy
 from .statedet import _validate_eps_grid
 from .verify import _canonical_kind, _require_s
 
 __all__ = ["ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config"]
-
-EXPERIMENTS = (
-    "verify-weights",
-    "verify-carleman",
-    "reconstruct",
-    "stability-sweep",
-    "state-det",
-    "nonlinear-diff",
-)
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _grid(gspec: dict[str, Any]) -> Grid:
-    try:
-        return build_grid(gspec["lengths"], gspec["T"], gspec["nx"],
-                          gspec["nt"], gspec["gamma"])
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
+# each experiment's sections, its `experiment` key first
 _ALLOWED: dict[str, tuple[str, ...]] = {
     "verify-weights": ("experiment", "grid", "coefficients", "weights", "output"),
     "verify-carleman": ("experiment", "grid", "coefficients", "weights",
@@ -59,6 +46,7 @@ _ALLOWED: dict[str, tuple[str, ...]] = {
                   "output"),
     "nonlinear-diff": ("experiment", "grid", "nonlinear", "statedet", "output"),
 }
+EXPERIMENTS = tuple(_ALLOWED)
 
 _DEFAULTS: dict[str, Any] = {
     "grid": {"lengths": [1.0], "T": 1.0, "nx": [65], "nt": 65, "gamma": ["x+"]},
@@ -79,10 +67,14 @@ _DEFAULTS: dict[str, Any] = {
     # None draws a random admissible case from the ensemble stream instead
     "case": {"u": None, "v": None},
     "estimates": {"kinds": ["THM3"], "refine": True},
+    # maxiter has no effect; it is accepted because the frozen benchmark
+    # config perfbench/configs/inverse_cold.yaml carries it
     "inverse": {"delta": 0.0, "deltas": [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
                 "seeds": [0, 1, 2], "beta": 1e-10, "beta_scale": 1.0,
                 "omega_pde": 1.0, "omega_gamma": 10.0, "omega_slice": 10.0,
-                "omega_bc": 0.0, "tol": 1e-6, "noisy_slices": False},
+                "omega_bc": 0.0, "tol": 1e-6, "noisy_slices": False,
+                "maxiter": None},
+    # None: 0.05, 0.1 and 0.2 times T
     "statedet": {"epsilons": None, "refine": True},
     "nonlinear": {"a": "1", "kappa": "0.5", "p": "0.2", "amplitude": 1.0,
                   "seed": 5},
@@ -90,186 +82,16 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
-# key tree: dict -> nested keys; OPEN marks free-form string-keyed mappings
-OPEN = "__open__"
+# -- casts: each returns its value typed, or raises naming what is wrong ----
 
-_SECTIONS: dict[str, Any] = {
-    "experiment": None,
-    **{name: dict.fromkeys(keys) for name, keys in _DEFAULTS.items()},
-}
-_SECTIONS["coefficients"]["coupling"] = OPEN
-# has no effect; accepted because the frozen benchmark config
-# perfbench/configs/inverse_cold.yaml carries it
-_SECTIONS["inverse"]["maxiter"] = None
-
-
-def _collect_unknown(cfg: Any, allowed: Any, prefix: str, bad: list[str]) -> None:
-    if allowed is OPEN or not isinstance(cfg, dict):
-        return
-    if not isinstance(allowed, dict):
-        if isinstance(cfg, dict):
-            for k in cfg:
-                bad.append(f"{prefix}.{k}" if prefix else str(k))
-        return
-    for key, val in cfg.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
-        if key not in allowed:
-            bad.append(path)
-        else:
-            _collect_unknown(val, allowed[key], path, bad)
-
-
-def _merge(defaults: Any, override: Any) -> Any:
-    if isinstance(defaults, dict) and isinstance(override, dict):
-        out = copy.deepcopy(defaults)
-        for k, v in override.items():
-            out[k] = _merge(out.get(k), v) if k in out else copy.deepcopy(v)
-        return out
-    return copy.deepcopy(override) if override is not None else copy.deepcopy(defaults)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully resolved experiment configuration.
-
-    ``reconstruction`` holds the penalties, ridge and tolerance of the
-    ``inverse`` section of an inverse experiment (None otherwise).
-    """
-
-    experiment: str
-    resolved: dict[str, Any]
-    reconstruction: Optional[ReconstructionConfig] = None
-
-    def section(self, name: str) -> dict[str, Any]:
-        return self.resolved[name]
-
-    # -- builders ------------------------------------------------------------
-
-    def build_grid(self) -> Grid:
-        return _grid(self.section("grid"))
-
-    def coeff_recipe(self) -> CoeffRecipe:
-        """The coefficient recipe; on the config grid both principal parts must
-        be symmetric with least eigenvalue at least ``chi`` at every node."""
-        spec = self.section("coefficients")
-        dim = len(self.section("grid")["lengths"])
-
-        def st(expr):
-            return compile_spacetime(str(expr), dim)
-
-        def matrix(rows):
-            if rows is None:
-                return None  # identity principal part
-            if len(rows) != dim or any(len(r) != dim for r in rows):
-                raise ConfigError(
-                    f"coefficient matrix must be {dim}x{dim} expressions")
-            return [[st(e) for e in row] for row in rows]
-
-        def vector(items):
-            if items is None:
-                return None
-            if len(items) != dim:
-                raise ConfigError(f"lower-order coefficients need {dim} entries")
-            return [st(e) for e in items]
-
-        coupling_spec = spec["coupling"]
-        if coupling_spec is None:
-            if dim == 1:
-                coupling_spec = {"0": "0.5", "2": "0.3"}
-            else:
-                coupling_spec = {"00": "0.5", "20": "0.3", "02": "0.3"}
-        coupling = {}
-        for key, expr in dict(coupling_spec).items():
-            digits = str(key)
-            if len(digits) != dim or not digits.isdigit():
-                raise ConfigError(
-                    f"coupling key {key!r} must be {dim} digits (orders per axis)")
-            gidx = tuple(int(c) for c in digits)
-            if sum(gidx) > 2:
-                raise ConfigError(f"coupling key {key!r} exceeds total order 2")
-            coupling[gidx] = st(expr)
-        recipe = CoeffRecipe(
-            a2=matrix(spec["a"]), b2=matrix(spec["b"]),
-            a1=vector(spec["a_lower"]), b1=vector(spec["b_lower"]),
-            a0=st(spec["a0"]), b0=st(spec["b0"]), c0=st(spec["c0"]),
-            b_gamma=coupling, chi=float(spec["chi"]),
-        )
-        try:
-            least = check_ellipticity(recipe.sample(self.build_grid()))
-        except ValueError as exc:
-            raise ConfigError(f"coefficients: {exc}") from exc
-        if least < recipe.chi:
-            raise ConfigError(
-                f"coefficients: least eigenvalue of the principal parts is "
-                f"{least:.6g} < chi={recipe.chi:g}")
-        return recipe
-
-    def nonlinear_recipe(self) -> NonlinearRecipe:
-        spec = self.section("nonlinear")
-        dim = len(self.section("grid")["lengths"])
-        return NonlinearRecipe(
-            a=compile_spacetime(str(spec["a"]), dim),
-            kappa=compile_spacetime(str(spec["kappa"]), dim),
-            p=compile_spacetime(str(spec["p"]), dim),
-        )
-
-    def source_specs(self):
-        spec = self.section("sources")
-        dim = len(self.section("grid")["lengths"])
-        return (compile_spatial(str(spec["f"]), dim),
-                compile_spatial(str(spec["g"]), dim), float(spec["q_min"]))
-
-    def case_fields(self):
-        """Optional explicit manufactured states (None when not configured)."""
-        if "case" not in self.resolved:
-            return None
-        spec = self.section("case")
-        if spec["u"] is None or spec["v"] is None:
-            if spec["u"] is not None or spec["v"] is not None:
-                raise ConfigError("case needs both u and v term lists")
-            return None
-        from .basis import SeparableField, Term
-
-        gspec = self.section("grid")
-        dim = len(gspec["lengths"])
-        lengths = tuple(float(L) for L in gspec["lengths"])
-        T = float(gspec["T"])
-
-        def parse_terms(entries, name):
-            terms = []
-            for entry in entries:
-                if len(entry) != 3:
-                    raise ConfigError(
-                        f"case.{name} terms are [coeff, mode(s), t_power]")
-                coeff, modes, tpow = entry
-                modes = (int(modes),) if dim == 1 else tuple(int(k) for k in modes)
-                if len(modes) != dim:
-                    raise ConfigError(f"case.{name}: need {dim} mode numbers")
-                terms.append(Term(float(coeff), ("cos",) * dim, modes, int(tpow)))
-            return SeparableField(lengths, T, tuple(terms))
-
-        return parse_terms(spec["u"], "u"), parse_terms(spec["v"], "v")
-
-    def epsilons(self) -> list[float]:
-        eps = self.section("statedet")["epsilons"]
-        if eps is None:
-            T = float(self.section("grid")["T"])
-            return [0.05 * T, 0.1 * T, 0.2 * T]
-        return [float(e) for e in eps]
-
-
-# the lists a run sweeps over; an empty one would give an empty table
-_SWEEP_LISTS = (("weights", "lambdas"), ("weights", "s_values"),
-                ("estimates", "kinds"), ("statedet", "epsilons"), ("inverse", "deltas"),
-                ("inverse", "seeds"))
-
-
-# keys that take a whole number or true/false, and the ones of them that
-# hold a list of whole numbers
-_WHOLE = ("grid.nt", "grid.nx", "ensemble.seed", "ensemble.n", "ensemble.max_modes",
-          "ensemble.t_degree", "inverse.seeds", "nonlinear.seed")
-_FLAGS = ("estimates.refine", "statedet.refine", "inverse.noisy_slices")
-_WHOLE_LISTS = ("grid.nx", "inverse.seeds")
+def _number(value: Any) -> float:
+    """``value`` as a finite float: a number or its text, not a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
 
 
 def _whole(value: Any) -> int:
@@ -287,111 +109,269 @@ def _flag(value: Any) -> bool:
     return value
 
 
-def _numbers(problems: list[str], key: str, cast, values) -> list:
-    """``values`` through ``cast`` (float, :func:`_whole` or :func:`_flag`),
-    or an empty list, so the checks on ``key`` are skipped, with a problem
-    that names ``key`` when one of them is not of that type."""
-    try:
-        return [cast(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{key}: {exc}")
-        return []
+def _text(value: Any) -> str:
+    """``value`` as text (an expression, face or kind name); a number is
+    read as its text, a bool is refused."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"must be text, got {value!r}")
 
 
-def _validate_values(resolved: dict[str, Any]) -> list[str]:
-    problems = []
-    # the well-formed sweep lists by dotted key; None keeps a computed default
-    lists: dict[str, list] = {}
-    for section, key in _SWEEP_LISTS:
-        value = resolved.get(section, {}).get(key)
-        if value is None:
-            continue
+def _list_of(cast):
+    def cast_list(value: Any) -> list:
         if not isinstance(value, list):
-            problems.append(f"{section}.{key}: must be a list")
-        elif not value:
-            problems.append(f"{section}.{key}: need at least one entry")
-        else:
-            lists[f"{section}.{key}"] = value
-    # whole numbers and flags are stored as cast, so the resolved config
-    # records the values the run reads
-    typed: dict[str, list] = {}
-    for dotted in _WHOLE + _FLAGS:
-        section, key = dotted.split(".")
-        if resolved.get(section, {}).get(key) is None:
-            continue
-        value = resolved[section][key]
-        listed = dotted in _WHOLE_LISTS and isinstance(value, list)
-        typed[dotted] = _numbers(problems, dotted, _whole if dotted in _WHOLE else _flag,
-                                 value if listed else [value])
-        if typed[dotted]:
-            resolved[section][key] = typed[dotted] if listed else typed[dotted][0]
-    if any(nt % 2 == 0 for nt in typed.get("grid.nt", ())):
-        problems.append(f"grid.nt: must be odd, got {resolved['grid']['nt']}")
-    if "ensemble" in resolved and resolved["ensemble"]["seed"] is None:
-        problems.append("ensemble.seed: explicit seed required")
-    if any(n < 1 for n in typed.get("ensemble.n", ())):
-        problems.append("ensemble.n: need at least one member")
-    lambdas = _numbers(problems, "weights.lambdas", float,
-                       lists.get("weights.lambdas", ()))
-    if any(lam <= 0 for lam in lambdas):
-        problems.append("weights.lambdas: entries must be positive")
-    s_values = _numbers(problems, "weights.s_values", float,
-                        lists.get("weights.s_values", ()))
-    if any(s < 0 for s in s_values):
-        problems.append("weights.s_values: entries must be non-negative")
-    # estimate kinds by their canonical names, checked against the s values
-    # with the sweep's own rules, so a sweep that cannot run fails here
-    names = lists.get("estimates.kinds", [])
-    kinds = []
-    for name in names:
-        try:
-            kinds.append(_canonical_kind(name))
-        except ValueError as exc:
-            problems.append(f"estimates.kinds: {exc}")
-    if names and len(kinds) == len(names):
-        resolved["estimates"]["kinds"] = kinds
-        try:
-            _require_s(kinds, s_values)
-        except ValueError as exc:
-            problems.append(f"weights.s_values: {exc}")
-    # the eps grid checked by the sweep's own rule on the config grid, so a
-    # bad eps fails before anything is drawn
-    epsilons = _numbers(problems, "statedet.epsilons", float,
-                        lists.get("statedet.epsilons", ()))
-    if epsilons and not problems:
-        grid = _grid(resolved["grid"])
-        try:
-            _validate_eps_grid(grid, epsilons)
-        except ValueError as exc:
-            problems.append(f"statedet.epsilons: {exc}")
-    if "inverse" in resolved:
-        if not all(math.isfinite(d) and d >= 0 for d in _numbers(
-                problems, "inverse.delta", float, [resolved["inverse"]["delta"]])):
-            problems.append("inverse.delta: must be finite and >= 0")
-        if not all(math.isfinite(d) for d in _numbers(
-                problems, "inverse.deltas", float, lists.get("inverse.deltas", ()))):
-            problems.append("inverse.deltas: entries must be finite")
-    return problems
+            raise ValueError("must be a list")
+        if not value:
+            raise ValueError("need at least one entry")
+        return [cast(v) for v in value]
+    return cast_list
+
+
+def _mapping(value: Any) -> dict[str, str]:
+    """An open mapping of text to text (the coupling's orders to expressions)."""
+    if not isinstance(value, dict):
+        raise ValueError("must be a mapping")
+    return {_text(k): _text(v) for k, v in value.items()}
+
+
+def _term(entry: Any) -> list:
+    """A case term ``[coeff, mode(s), t_power]``: a number, a whole number
+    or a list of them (one per axis), and a whole number >= 0."""
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ValueError(f"terms are [coeff, mode(s), t_power], got {entry!r}")
+    coeff, modes, tpow = entry
+    modes = _list_of(_whole)(modes) if isinstance(modes, list) else _whole(modes)
+    tpow = _whole(tpow)
+    if tpow < 0:
+        raise ValueError(f"t_power must be >= 0, got {tpow}")
+    return [_number(coeff), modes, tpow]
+
+
+def _cast_of(default: Any):
+    if isinstance(default, list):
+        return _list_of(_cast_of(default[0]))
+    return {bool: _flag, int: _whole, float: _number, str: _text}[type(default)]
+
+
+# the casts of the keys whose default is None; the builders below check
+# the shapes that depend on the grid
+_STATED = {
+    "coefficients.a": _list_of(_list_of(_text)),
+    "coefficients.b": _list_of(_list_of(_text)),
+    "coefficients.a_lower": _list_of(_text),
+    "coefficients.b_lower": _list_of(_text),
+    "coefficients.coupling": _mapping,
+    "case.u": _list_of(_term),
+    "case.v": _list_of(_term),
+    "inverse.maxiter": _whole,
+    "statedet.epsilons": _list_of(_number),
+}
+
+# the key table: section -> key -> (default, cast)
+_KEYS: dict[str, dict[str, tuple[Any, Any]]] = {
+    section: {key: (default, _STATED[f"{section}.{key}"] if default is None
+                    else _cast_of(default))
+              for key, default in keys.items()}
+    for section, keys in _DEFAULTS.items()
+}
+
+# the bound on each cast value (on each entry of a list)
+_RANGES = {
+    "ensemble.seed": ">= 0", "nonlinear.seed": ">= 0", "inverse.seeds": ">= 0",
+    "ensemble.n": ">= 1", "ensemble.max_modes": ">= 1", "ensemble.t_degree": ">= 0",
+    "ensemble.amplitude": "> 0", "nonlinear.amplitude": "> 0",
+    "weights.lambdas": "> 0", "weights.s_values": ">= 0",
+    "inverse.delta": ">= 0", "inverse.beta_scale": ">= 0",
+}
+
+
+def _within(value: Any, rule: str) -> bool:
+    op, bound = rule.split()
+    return all(v >= float(bound) if op == ">=" else v > float(bound)
+               for v in (value if isinstance(value, list) else [value]))
+
+
+# -- builders: each takes its section's cast values and the config grid -----
+
+def _coeff_recipe(spec: dict[str, Any], grid: Grid) -> CoeffRecipe:
+    """The coefficient recipe; on ``grid`` both principal parts must be
+    symmetric with least eigenvalue at least ``chi`` at every node."""
+    dim = grid.dim
+
+    def st(expr):
+        return compile_spacetime(expr, dim)
+
+    def matrix(rows):
+        if rows is None:
+            return None  # identity principal part
+        if len(rows) != dim or any(len(r) != dim for r in rows):
+            raise ValueError(f"coefficient matrix must be {dim}x{dim} expressions")
+        return [[st(e) for e in row] for row in rows]
+
+    def vector(items):
+        if items is None:
+            return None
+        if len(items) != dim:
+            raise ValueError(f"lower-order coefficients need {dim} entries")
+        return [st(e) for e in items]
+
+    coupling_spec = spec["coupling"]
+    if coupling_spec is None:
+        coupling_spec = ({"0": "0.5", "2": "0.3"} if dim == 1
+                         else {"00": "0.5", "20": "0.3", "02": "0.3"})
+    coupling = {}
+    for key, expr in coupling_spec.items():
+        if len(key) != dim or not key.isdigit():
+            raise ValueError(f"coupling key {key!r} must be {dim} digits (orders per axis)")
+        gidx = tuple(int(c) for c in key)
+        if sum(gidx) > 2:
+            raise ValueError(f"coupling key {key!r} exceeds total order 2")
+        coupling[gidx] = st(expr)
+    recipe = CoeffRecipe(
+        a2=matrix(spec["a"]), b2=matrix(spec["b"]),
+        a1=vector(spec["a_lower"]), b1=vector(spec["b_lower"]),
+        a0=st(spec["a0"]), b0=st(spec["b0"]), c0=st(spec["c0"]),
+        b_gamma=coupling, chi=spec["chi"],
+    )
+    least = check_ellipticity(recipe.sample(grid))
+    if least < recipe.chi:
+        raise ValueError(f"least eigenvalue of the principal parts is {least:.6g} "
+                         f"< chi={recipe.chi:g}")
+    return recipe
+
+
+def _sources(spec: dict[str, Any], grid: Grid) -> tuple:
+    return (compile_spatial(spec["f"], grid.dim), compile_spatial(spec["g"], grid.dim),
+            spec["q_min"])
+
+
+def _case_fields(spec: dict[str, Any], grid: Grid) -> Optional[tuple]:
+    """The explicit manufactured states, or None when the case is drawn."""
+    if spec["u"] is None or spec["v"] is None:
+        if spec["u"] is not None or spec["v"] is not None:
+            raise ValueError("needs both u and v term lists")
+        return None
+
+    def field(name):
+        terms = []
+        for coeff, modes, tpow in spec[name]:
+            modes = tuple(modes) if isinstance(modes, list) else (modes,)
+            if len(modes) != grid.dim:
+                raise ValueError(f"{name}: need {grid.dim} mode numbers")
+            terms.append(Term(coeff, ("cos",) * grid.dim, modes, tpow))
+        return SeparableField(grid.lengths, grid.T, tuple(terms))
+
+    return field("u"), field("v")
+
+
+def _nonlinear_recipe(spec: dict[str, Any], grid: Grid) -> NonlinearRecipe:
+    return NonlinearRecipe(**{k: compile_spacetime(spec[k], grid.dim)
+                              for k in ("a", "kappa", "p")})
+
+
+def _epsilons(spec: dict[str, Any], grid: Grid) -> list[float]:
+    """The eps grid, checked by the sweep's own rule on the config grid."""
+    eps = spec["epsilons"]
+    if eps is None:
+        eps = [0.05 * grid.T, 0.1 * grid.T, 0.2 * grid.T]
+    return list(_validate_eps_grid(grid, eps))
+
+
+def _reconstruction(spec: dict[str, Any], grid: Grid) -> ReconstructionConfig:
+    recon = ReconstructionConfig(**{f.name: spec[f.name]
+                                    for f in fields(ReconstructionConfig)})
+    # the solver's SciPy modules load with the config, not in the run
+    load_scipy()
+    return recon
+
+
+# what load_config builds: the ExperimentConfig field, the key an error
+# names (its section leads), and the builder
+_BUILT = (
+    ("coeff_recipe", "coefficients", _coeff_recipe),
+    ("sources", "sources", _sources),
+    ("case_fields", "case", _case_fields),
+    ("nonlinear_recipe", "nonlinear", _nonlinear_recipe),
+    ("epsilons", "statedet.epsilons", _epsilons),
+    ("reconstruction", "inverse", _reconstruction),
+)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated, fully resolved experiment configuration, and the run's
+    inputs built from it on ``grid``; a built field is None when the
+    experiment has no such section.  ``sources`` holds the compiled profiles
+    f and g and ``q_min``; ``case_fields`` the explicit states u and v (None
+    also when the case is drawn); ``reconstruction`` the penalties, ridge and
+    tolerance of the ``inverse`` section."""
+
+    experiment: str
+    resolved: dict[str, Any]
+    grid: Grid
+    coeff_recipe: Optional[CoeffRecipe] = None
+    sources: Optional[tuple] = None
+    case_fields: Optional[tuple] = None
+    nonlinear_recipe: Optional[NonlinearRecipe] = None
+    epsilons: Optional[list[float]] = None
+    reconstruction: Optional[ReconstructionConfig] = None
+
+    def section(self, name: str) -> dict[str, Any]:
+        return self.resolved[name]
+
+    def build_grid(self) -> Grid:
+        return self.grid
+
+    def source_specs(self) -> Optional[tuple]:
+        return self.sources
+
+
+class _Loader(yaml.SafeLoader):
+    """The safe loader; a key given twice in one mapping is an error, where
+    PyYAML would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if key.value in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key.value!r}", key.start_mark)
+                seen.add(key.value)
+        return super().construct_mapping(node, deep=deep)
+
+
+def _read(path: str) -> dict[str, Any]:
+    """The mapping at the root of the YAML file ``path``."""
+    try:
+        loaded = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        raise ConfigError(f"{path}: {where}{getattr(exc, 'problem', None) or exc}") from exc
+    if loaded is None:
+        return {}
+    if not isinstance(loaded, dict):
+        raise ConfigError("config root must be a mapping")
+    return loaded
 
 
 def load_config(path: Optional[str], experiment: Optional[str] = None,
                 overrides: Optional[dict[str, Any]] = None) -> ExperimentConfig:
-    """Load, validate and resolve a config file (or pure defaults).
+    """Load, validate and resolve a config file (or pure defaults), and
+    build the run's inputs from it.
 
     ``experiment`` from the CLI subcommand must agree with the file's
     ``experiment`` key when both are given.  ``overrides`` map dotted keys
-    ``section.key`` to values; their keys are checked as the file's are, and
-    they are applied last (CLI --seed / --out).
+    ``section.key`` to values; they are applied last (CLI --seed / --out)
+    and checked as the file's keys are.
     """
-    raw: dict[str, Any] = {}
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        loaded = yaml.safe_load(text)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError("config root must be a mapping")
-        raw = loaded
+    raw = {} if path is None else _read(path)
     file_exp = raw.get("experiment")
     exp = experiment or file_exp
     if exp is None:
@@ -402,39 +382,72 @@ def load_config(path: Optional[str], experiment: Optional[str] = None,
         raise ConfigError(
             f"config file says experiment={file_exp!r} but the subcommand is "
             f"{experiment!r}")
-
-    allowed_sections = _ALLOWED[exp]
-    allowed_tree = {k: _SECTIONS[k] for k in allowed_sections}
-    bad: list[str] = []
-    _collect_unknown(raw, allowed_tree, "", bad)
     for dotted, value in (overrides or {}).items():
-        sec, key = dotted.split(".", 1)
-        _collect_unknown({sec: {key: value}}, allowed_tree, "", bad)
-    if bad:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(bad)))
+        section, key = dotted.split(".", 1)
+        if raw.get(section) is None:
+            raw[section] = {}
+        if isinstance(raw[section], dict):
+            raw[section][key] = value
 
+    # the walk: unknown keys, then each value through its cast; a null
+    # value keeps the default
+    allowed = _ALLOWED[exp]
+    unknown = [str(k) for k in raw if k not in allowed]
+    problems: list[str] = []
     resolved: dict[str, Any] = {"experiment": exp}
-    for section in allowed_sections:
-        if section == "experiment":
+    for section in allowed[1:]:
+        given = raw.get(section)
+        if given is None:
+            given = {}
+        if not isinstance(given, dict):
+            problems.append(f"{section}: must be a mapping, got {given!r}")
             continue
-        resolved[section] = _merge(_DEFAULTS[section], raw.get(section))
+        unknown += [f"{section}.{k}" for k in given if k not in _KEYS[section]]
+        resolved[section] = values = {}
+        for key, (default, cast) in _KEYS[section].items():
+            value = default if given.get(key) is None else given[key]
+            if isinstance(value, dict) and cast is not _mapping:
+                unknown += [f"{section}.{key}.{k}" for k in value]
+            try:
+                values[key] = None if value is None else cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                problems.append(f"{section}.{key}: {exc}")
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
-    for dotted, value in (overrides or {}).items():
-        sec, key = dotted.split(".", 1)
-        resolved[sec][key] = value
-
-    problems = _validate_values(resolved)
+    for dotted, rule in _RANGES.items():
+        section, key = dotted.split(".")
+        value = resolved.get(section, {}).get(key)
+        if value is not None and not _within(value, rule):
+            problems.append(f"{dotted}: must be {rule}, got {value!r}")
+    # estimate kinds by their canonical names, checked against the s values
+    # with the sweep's own rules, so a sweep that cannot run fails here
+    estimates = resolved.get("estimates", {})
+    if "kinds" in estimates:
+        try:
+            estimates["kinds"] = [_canonical_kind(k) for k in estimates["kinds"]]
+        except ValueError as exc:
+            problems.append(f"estimates.kinds: {exc}")
+        else:
+            try:
+                _require_s(estimates["kinds"],
+                           resolved.get("weights", {}).get("s_values", ()))
+            except ValueError as exc:
+                problems.append(f"weights.s_values: {exc}")
     if problems:
         raise ConfigError("invalid config values: " + "; ".join(problems))
-    reconstruction = None
-    if "inverse" in resolved:
-        inv = resolved["inverse"]
-        try:
-            reconstruction = ReconstructionConfig(
-                **{f.name: float(inv[f.name]) for f in fields(ReconstructionConfig)})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"inverse: {exc}") from exc
-        # the solver's SciPy modules load with the config, not in the run
-        load_scipy()
-    return ExperimentConfig(experiment=exp, resolved=resolved,
-                            reconstruction=reconstruction)
+
+    built: dict[str, Any] = {}
+    named = "grid"
+    try:
+        grid = built["grid"] = build_grid(**resolved["grid"])
+        for name, named, builder in _BUILT:
+            section = named.split(".")[0]
+            if section in resolved:
+                built[name] = builder(resolved[section], grid)
+        if exp == "stability-sweep":
+            named, inv = "inverse", resolved["inverse"]
+            _validate_noise_grid(inv["deltas"], inv["seeds"])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{named}: {exc}") from exc
+    return ExperimentConfig(experiment=exp, resolved=resolved, **built)

@@ -208,8 +208,9 @@ def build_grid(
         raise ValueError("lengths and nx must have the same number of axes")
     if len(lengths_t) not in (1, 2):
         raise ValueError("only 1 or 2 spatial dimensions are supported")
-    if any(L <= 0 for L in lengths_t) or T <= 0:
-        raise ValueError("lengths and T must be positive")
+    # written so that a nan fails every comparison
+    if not all(0 < L < math.inf for L in (*lengths_t, T)):
+        raise ValueError("lengths and T must be positive and finite")
     if any(n < 5 for n in nx_t):
         raise ValueError("each spatial axis needs nx >= 5")
     nt = int(nt)

@@ -977,6 +977,21 @@ class StabilityReport:
     singular_values: np.ndarray = field(compare=False)
 
 
+def _validate_noise_grid(deltas: Sequence[float], seeds: Sequence[int]) -> list[float]:
+    """The sweep's noise levels as floats: at least 4, positive and spanning
+    two decades, over at least 3 seeds."""
+    deltas = [float(d) for d in deltas]
+    if len(deltas) < 4:
+        raise ValueError("need at least 4 noise levels")
+    if min(deltas) <= 0:
+        raise ValueError("noise levels must be positive (log fit)")
+    if max(deltas) / min(deltas) < 100.0 * (1 - 1e-12):
+        raise ValueError("noise levels must span at least two decades")
+    if len(seeds) < 3:
+        raise ValueError("need at least 3 seeds")
+    return deltas
+
+
 def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
                     cfg: Optional[ReconstructionConfig] = None, *,
                     seeds: Sequence[int] = (0, 1, 2),
@@ -1006,15 +1021,7 @@ def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
     through its second derivatives, which floors the error independently
     of delta and hides the proportionality this experiment measures.
     """
-    deltas = [float(d) for d in deltas]
-    if len(deltas) < 4:
-        raise ValueError("need at least 4 noise levels")
-    if min(deltas) <= 0:
-        raise ValueError("noise levels must be positive (log fit)")
-    if max(deltas) / min(deltas) < 100.0 * (1 - 1e-12):
-        raise ValueError("noise levels must span at least two decades")
-    if len(seeds) < 3:
-        raise ValueError("need at least 3 seeds")
+    deltas = _validate_noise_grid(deltas, seeds)
     base = cfg or ReconstructionConfig()
     truth = (case.sources.f, case.sources.g)
     g = case.grid

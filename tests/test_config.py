@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
-from mfglab.config import ConfigError, load_config
+from mfglab.cli import main
+from mfglab.config import _ALLOWED, _DEFAULTS, ConfigError, load_config
 
 
 def test_defaults_resolve_without_file():
@@ -43,9 +47,7 @@ def test_experiment_mismatch(tmp_path):
 
 def test_coefficient_expressions_compile():
     cfg = load_config(None, experiment="verify-carleman")
-    recipe = cfg.coeff_recipe()
-    grid = cfg.build_grid()
-    coeffs = recipe.sample(grid)
+    coeffs = cfg.coeff_recipe.sample(cfg.grid)
     assert coeffs.c0[0, 0] == 1.0
     assert (0,) in coeffs.b_gamma and (2,) in coeffs.b_gamma
 
@@ -57,9 +59,8 @@ def test_bad_coupling_key(tmp_path):
         "coefficients: {coupling: {'3': '1'}}\n",
         encoding="utf-8",
     )
-    cfg = load_config(str(p), experiment="verify-carleman")
-    with pytest.raises(ConfigError, match="order 2"):
-        cfg.coeff_recipe()
+    with pytest.raises(ConfigError, match="coefficients: .*order 2"):
+        load_config(str(p), experiment="verify-carleman")
 
 
 def coefficients_config(tmp_path, coefficients, grid=None):
@@ -73,18 +74,17 @@ def coefficients_config(tmp_path, coefficients, grid=None):
 
 def test_principal_part_below_chi_refused(tmp_path):
     with pytest.raises(ConfigError, match=r"least eigenvalue .* is 0\.5 < chi=1"):
-        coefficients_config(tmp_path, "{a: [['0.5']]}").coeff_recipe()
-    assert coefficients_config(tmp_path, "{a: [['0.5']], chi: 0.5}").coeff_recipe().chi == 0.5
+        coefficients_config(tmp_path, "{a: [['0.5']]}")
+    assert coefficients_config(tmp_path, "{a: [['0.5']], chi: 0.5}").coeff_recipe.chi == 0.5
     # backward-parabolic principal part
     with pytest.raises(ConfigError, match=r"is -1 < chi=1"):
-        coefficients_config(tmp_path, "{b: [['-1']]}").coeff_recipe()
+        coefficients_config(tmp_path, "{b: [['-1']]}")
 
 
 def test_asymmetric_principal_part_refused(tmp_path):
-    cfg = coefficients_config(tmp_path, "{a: [['1', '0.5'], ['0.25', '1']]}",
-                              grid="{lengths: [1.0, 1.0], nx: [9, 9], nt: 9, gamma: [x1+]}")
     with pytest.raises(ConfigError, match="symmetric"):
-        cfg.coeff_recipe()
+        coefficients_config(tmp_path, "{a: [['1', '0.5'], ['0.25', '1']]}",
+                            grid="{lengths: [1.0, 1.0], nx: [9, 9], nt: 9, gamma: [x1+]}")
 
 
 def test_overrides_applied():
@@ -134,7 +134,7 @@ def test_epsilons_default_scaled_by_T(tmp_path):
     p.write_text("experiment: state-det\ngrid: {T: 2.0, nt: 65}\n",
                  encoding="utf-8")
     cfg = load_config(str(p), experiment="state-det")
-    assert cfg.epsilons() == [0.1, 0.2, 0.4]
+    assert cfg.epsilons == [0.1, 0.2, 0.4]
 
 
 def test_unknown_experiment():
@@ -218,7 +218,7 @@ def test_explicit_case_terms(tmp_path):
         encoding="utf-8",
     )
     cfg = load_config(str(p), experiment="reconstruct")
-    u_field, v_field = cfg.case_fields()
+    u_field, v_field = cfg.case_fields
     assert len(u_field.terms) == 2 and len(v_field.terms) == 1
     assert u_field.terms[1].tpow == 2
 
@@ -229,14 +229,13 @@ def test_case_needs_both_states(tmp_path):
         "experiment: reconstruct\ncase: {u: [[1.0, 1, 0]]}\n",
         encoding="utf-8",
     )
-    cfg = load_config(str(p), experiment="reconstruct")
-    with pytest.raises(ConfigError, match="both"):
-        cfg.case_fields()
+    with pytest.raises(ConfigError, match="case: needs both"):
+        load_config(str(p), experiment="reconstruct")
 
 
 def test_case_defaults_to_random_draw():
     cfg = load_config(None, experiment="stability-sweep")
-    assert cfg.case_fields() is None
+    assert cfg.case_fields is None
 
 
 def test_inverse_section_builds_its_reconstruction_config_once():
@@ -254,19 +253,19 @@ def test_inverse_section_builds_its_reconstruction_config_once():
 
 @pytest.mark.parametrize("entry,message", [
     ("omega_bc: -1.0", "penalty weights must be finite and >= 0"),
-    ("omega_gamma: .inf", "penalty weights must be finite"),
-    ("beta: .nan", "penalty weights must be finite"),
-    ("omega_pde: .nan", "omega_pde must be positive and finite"),
     ("tol: -1.0", "tol must be positive and finite"),
     ("tol: [1]", "float"),
     ("beta: abc", "could not convert"),
 ])
 def test_bad_inverse_values_are_config_errors(tmp_path, entry, message):
+    """A value of the wrong type is refused by the walk, which names the
+    key; a number out of the solver's range by the solver's settings, which
+    the section's error names."""
     p = tmp_path / "bad.yaml"
     p.write_text(f"experiment: reconstruct\ninverse: {{{entry}}}\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=message) as err:
         load_config(str(p))
-    assert str(err.value).startswith("inverse: ")
+    assert str(err.value).startswith(("inverse: ", "invalid config values: inverse."))
 
 
 @pytest.mark.parametrize("experiment,key", [
@@ -393,3 +392,96 @@ def test_epsilons_checked_against_the_config_grid_at_load(tmp_path, capsys, monk
     assert "statedet.epsilons" in capsys.readouterr().err
     assert drawn == []
     assert not (tmp_path / "out").exists()
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_every_one_key_edit_loads_or_is_a_config_error(tmp_path, path):
+    """Each key the config's experiment reads (``output`` aside), set in turn
+    to each of a few wrongly typed or out-of-range values, and each section
+    set to a scalar: the config loads or raises ConfigError, nothing else.
+    ``true`` is refused by every number key, and a scalar section always."""
+    base = yaml.safe_load(path.read_text(encoding="utf-8"))
+    exp = base["experiment"]
+    given = {f"{section}.{key}": value for section, keys in base.items()
+             if section != "experiment" for key, value in keys.items()}
+    for section in _ALLOWED[exp][1:]:
+        if section == "output":
+            continue
+        for key, default in _DEFAULTS[section].items():
+            for value in ("abc", [1], {"k": 1}, True, -1, float("nan")):
+                try:
+                    load_config(None, exp, {**given, f"{section}.{key}": value})
+                except ConfigError:
+                    continue
+                assert not (value is True and type(default) in (int, float)), (
+                    f"{section}.{key}: true loaded")
+        p = tmp_path / "scalar.yaml"
+        p.write_text(yaml.safe_dump({**base, section: 5}), encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=f"^invalid config values: {section}: must be a mapping"):
+            load_config(str(p))
+
+
+@pytest.mark.parametrize("experiment,text,args,message", [
+    pytest.param("verify-weights", "grid: {nx: [65\n", (),
+                 r"bad\.yaml: line 3, column 1: expected ','", id="yaml-syntax"),
+    pytest.param("verify-weights", "grid: {nx: [65], nx: [33]}\n", (),
+                 r"bad\.yaml: line 2, column 18: duplicate key 'nx'", id="duplicate-key"),
+    pytest.param("verify-weights", None, (),
+                 r"cannot read config file .*missing\.yaml: No such file",
+                 id="missing-file"),
+    pytest.param("state-det", "ensemble: {seed: -1}\n", (), r"ensemble\.seed: must be >= 0",
+                 id="ensemble-seed"),
+    pytest.param("state-det", "", ("--seed", "-1"), r"ensemble\.seed: must be >= 0",
+                 id="cli-seed"),
+    pytest.param("nonlinear-diff", "nonlinear: {seed: -1}\n", (),
+                 r"nonlinear\.seed: must be >= 0", id="nonlinear-seed"),
+    pytest.param("stability-sweep", "inverse: {seeds: [0, -1, 2]}\n", (),
+                 r"inverse\.seeds: must be >= 0", id="inverse-seeds"),
+    pytest.param("verify-carleman", "ensemble: {amplitude: .nan}\n", (),
+                 r"ensemble\.amplitude: must be finite", id="amplitude-nan"),
+    pytest.param("verify-carleman", "ensemble: {amplitude: 0}\n", (),
+                 r"ensemble\.amplitude: must be > 0", id="amplitude-zero"),
+    pytest.param("nonlinear-diff", "nonlinear: {amplitude: -1.0}\n", (),
+                 r"nonlinear\.amplitude: must be > 0", id="nonlinear-amplitude"),
+    pytest.param("verify-carleman", "ensemble: {max_modes: 0}\n", (),
+                 r"ensemble\.max_modes: must be >= 1", id="max-modes"),
+    pytest.param("verify-carleman", "ensemble: {t_degree: -1}\n", (),
+                 r"ensemble\.t_degree: must be >= 0", id="t-degree"),
+    pytest.param("verify-weights", "grid: {T: .nan}\n", (), r"grid\.T: must be finite",
+                 id="grid-T"),
+    pytest.param("stability-sweep", "inverse: {beta_scale: .nan}\n", (),
+                 r"inverse\.beta_scale: must be finite", id="beta-scale"),
+    pytest.param("reconstruct", "inverse: {omega_gamma: .inf}\n", (),
+                 r"inverse\.omega_gamma: must be finite", id="omega-gamma-inf"),
+    pytest.param("reconstruct", "inverse: {beta: .nan}\n", (),
+                 r"inverse\.beta: must be finite", id="beta-nan"),
+    pytest.param("reconstruct", "inverse: {omega_pde: .nan}\n", (),
+                 r"inverse\.omega_pde: must be finite", id="omega-pde-nan"),
+    pytest.param("stability-sweep", "inverse: {deltas: [1.0]}\n", (),
+                 r"inverse: need at least 4 noise levels", id="sweep-deltas"),
+    pytest.param("stability-sweep", "inverse: {seeds: [1]}\n", (),
+                 r"inverse: need at least 3 seeds", id="sweep-seeds"),
+])
+def test_bad_file_or_value_exits_with_code_2_before_any_draw(
+        tmp_path, capsys, monkeypatch, experiment, text, args, message):
+    """A file that cannot be read or parsed, a key given twice, a value out
+    of its range and a stability sweep too short to fit are config errors
+    (exit code 2) that name the file or the key, before anything is drawn
+    and with nothing written."""
+    import mfglab.cli
+
+    drawn = []
+    for name in ("_build_ensemble", "_inverse_case", "cosine_pairs"):
+        monkeypatch.setattr(mfglab.cli, name, lambda *a, **k: drawn.append(a))
+    p = tmp_path / ("missing.yaml" if text is None else "bad.yaml")
+    if text is not None:
+        p.write_text(f"experiment: {experiment}\n{text}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(p), "--out", str(out), *args]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert drawn == []
+    assert not out.exists()

@@ -21,9 +21,8 @@ CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 def test_example_config_loads(path):
     cfg = load_config(str(path))
     assert cfg.experiment in path.read_text()
-    cfg.build_grid()
-    if "coefficients" in cfg.resolved:
-        cfg.coeff_recipe()
+    assert cfg.grid is not None
+    assert (cfg.coeff_recipe is None) == ("coefficients" not in cfg.resolved)
 
 
 def assert_emitted(out: Path, names: list[str]) -> None:

@@ -52,6 +52,13 @@ def test_small_nx_rejected():
         build_grid(1.0, 1.0, 4, 65, ["x+"])
 
 
+@pytest.mark.parametrize("lengths,T", [(1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+                                       (math.nan, 1.0), ((1.0, math.inf), 1.0)])
+def test_non_positive_or_non_finite_extent_rejected(lengths, T):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_grid(lengths, T, (65,) * len(np.atleast_1d(lengths)), 65, ["x+"])
+
+
 def test_parse_face_aliases():
     assert parse_face("x+") == parse_face("x1+")
     assert parse_face("x2-").axis == 1

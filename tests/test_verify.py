@@ -711,7 +711,7 @@ def shipped_carleman(refine=False):
         g = g.refined(2)
     w = cfg.section("weights")
     params = [WeightParams(lam=lam, s=s) for lam in w["lambdas"] for s in w["s_values"]]
-    return cfg.section("estimates")["kinds"], g, cfg.coeff_recipe().sample(g), params
+    return cfg.section("estimates")["kinds"], g, cfg.coeff_recipe.sample(g), params
 
 
 def cells_of(kinds, g, coeffs, params):
