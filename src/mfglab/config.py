@@ -16,13 +16,15 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
 import yaml
 
 from .basis import SeparableField, Term
-from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity
+from .coefficients import CoeffRecipe, NonlinearRecipe, check_ellipticity, sample_spatial
 from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
 from .inverse import ReconstructionConfig, _validate_noise_grid, load_scipy
+from .models import _require_profiles
 from .statedet import _validate_eps_grid
 from .verify import _canonical_kind, _require_s
 
@@ -243,8 +245,10 @@ def _coeff_recipe(spec: dict[str, Any], grid: Grid) -> CoeffRecipe:
 
 
 def _sources(spec: dict[str, Any], grid: Grid) -> tuple:
-    return (compile_spatial(spec["f"], grid.dim), compile_spatial(spec["g"], grid.dim),
-            spec["q_min"])
+    """The compiled profiles f and g, which pass mms_linear's rule on ``grid``, and q_min."""
+    f, g = (compile_spatial(spec[k], grid.dim) for k in ("f", "g"))
+    _require_profiles(sample_spatial(grid, f), sample_spatial(grid, g))
+    return f, g, spec["q_min"]
 
 
 def _case_fields(spec: dict[str, Any], grid: Grid) -> Optional[tuple]:
@@ -267,8 +271,11 @@ def _case_fields(spec: dict[str, Any], grid: Grid) -> Optional[tuple]:
 
 
 def _nonlinear_recipe(spec: dict[str, Any], grid: Grid) -> NonlinearRecipe:
-    return NonlinearRecipe(**{k: compile_spacetime(spec[k], grid.dim)
-                              for k in ("a", "kappa", "p")})
+    """The nonlinear recipe, whose fields are finite and a positive on ``grid``."""
+    recipe = NonlinearRecipe(**{k: compile_spacetime(spec[k], grid.dim)
+                                for k in ("a", "kappa", "p")})
+    recipe.sample(grid)
+    return recipe
 
 
 def _epsilons(spec: dict[str, Any], grid: Grid) -> list[float]:
@@ -441,10 +448,11 @@ def load_config(path: Optional[str], experiment: Optional[str] = None,
     named = "grid"
     try:
         grid = built["grid"] = build_grid(**resolved["grid"])
-        for name, named, builder in _BUILT:
-            section = named.split(".")[0]
-            if section in resolved:
-                built[name] = builder(resolved[section], grid)
+        with np.errstate(all="ignore"):  # an overflow fails a finiteness check
+            for name, named, builder in _BUILT:
+                section = named.split(".")[0]
+                if section in resolved:
+                    built[name] = builder(resolved[section], grid)
         if exp == "stability-sweep":
             named, inv = "inverse", resolved["inverse"]
             _validate_noise_grid(inv["deltas"], inv["seeds"])

@@ -231,6 +231,14 @@ def _check_conormal_exact(fld: SeparableField, coeffs: CoeffSet, which: str,
             )
 
 
+def _require_profiles(f: np.ndarray, g: np.ndarray) -> None:
+    """Refuse source profiles that are not finite or not bounded away from zero."""
+    for profile in (f, g):
+        mag = np.abs(profile)
+        if not np.isfinite(mag).all() or mag.min() <= 1e-8 * mag.max():
+            raise MmsRejected("f and g must be bounded away from zero")
+
+
 def mms_linear(u_field: SeparableField, v_field: SeparableField,
                coeffs: CoeffSet, f: np.ndarray, g: np.ndarray, *,
                q_min: float = 0.1,
@@ -247,18 +255,14 @@ def mms_linear(u_field: SeparableField, v_field: SeparableField,
     exact by construction and has no order to measure).
 
     Cases whose modulations dip below ``q_min`` at t0 (checked by
-    ``SourceFactors``), or whose f or g vanishes somewhere, are rejected.
+    ``SourceFactors``), or whose f or g is not finite or vanishes, are rejected.
     """
     grid = coeffs.grid
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape != grid.space_shape or g.shape != grid.space_shape:
         raise ValueError("f and g must be spatial fields on the case grid")
-    f_floor = float(np.min(np.abs(f)))
-    g_floor = float(np.min(np.abs(g)))
-    if f_floor < 1e-8 * float(np.max(np.abs(f))) or \
-            g_floor < 1e-8 * float(np.max(np.abs(g))):
-        raise MmsRejected("f and g must be bounded away from zero")
+    _require_profiles(f, g)
 
     _check_conormal_exact(u_field, coeffs, "A", "u")
     _check_conormal_exact(v_field, coeffs, "B", "v")

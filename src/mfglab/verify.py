@@ -139,36 +139,27 @@ class _Cells:
             del bundle  # its cached arrays go before the next bundle is built
         if len(self.params) != count:
             raise ValueError(f"expected {count} bundles, got {len(self.params)}")
-        self._buf = np.zeros(size)
 
     def sums(self, pre: np.ndarray, m: int, lam_power: int) -> np.ndarray:
-        """``np.sum(pre * weight_factor(m, lam_power))`` on every cell, bit for
-        bit.
-
-        A cell's products are taken on its box only, into one zeroed buffer
-        of the grid's size, which is summed whole and zeroed again on the
-        box.  Outside the box each product of the full expression is
-        pre * 0 = 0, so this is the same pairwise sum over the same
-        contiguous products.  A non-finite ``pre`` entry times 0 is NaN, not
-        0, so such a ``pre`` is multiplied by each cell's factor in full.
-        No BLAS product or ``np.einsum``: their bits depend on the OpenBLAS
-        thread count and on the number of rows, and the lab's outputs must
-        not.
+        """The integral of ``pre * weight_factor(m, lam_power)`` on every cell,
+        summed on the cell's box only: NumPy's pairwise sum of
+        ``pre[box] * factor[box]`` in C order.  A non-finite ``pre`` entry
+        outside the box would meet a zero factor (inf * 0 = NaN), so that
+        cell's sum is NaN.  No BLAS product or ``np.einsum``: their bits
+        depend on the OpenBLAS thread count and on the number of rows, and
+        the lab's outputs must not.
         """
         block = self._blocks[(m, lam_power)]
-        grid_buf = self._buf.reshape(pre.shape)
-        finite = bool(np.isfinite(pre).all())
+        bad = ~np.isfinite(pre)
+        n_bad = np.count_nonzero(bad)
         out = np.empty(len(self.params))
         for c, (box, start) in enumerate(self._boxes[(m, lam_power)]):
-            view = grid_buf[box]
-            wf = block[start:start + view.size].reshape(view.shape)
-            if finite:
-                np.multiply(pre[box], wf, out=view)
-                out[c] = self._buf.sum()
+            part = pre[box]
+            if n_bad and np.count_nonzero(bad[box]) < n_bad:
+                out[c] = np.nan
             else:
-                view[...] = wf  # the buffer holds the full factor
-                out[c] = np.sum(pre * grid_buf)
-            view[...] = 0.0
+                wf = block[start:start + part.size].reshape(part.shape)
+                out[c] = np.multiply(part, wf).sum()
         return out
 
 
@@ -380,8 +371,6 @@ class _Member:
         if vec is None:
             with stage("terms_s"):
                 a = self._values(key)
-                # operand order of st_weights * a * a * factor, so the weighted
-                # integral rounds exactly as when it is written out in one expression
                 pre = self.grid.st_weights * a * a
             with stage("sums_s"):
                 vec = self.sums[(key, m, lam_power)] = cells.sums(pre, m, lam_power)
@@ -599,9 +588,8 @@ def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
     factors, which grow with the cells' boxes x distinct weight powers
     (for 8 cells and the 7 powers of LEMMA1, LEMMA2, THM3 and LEMMA4 the
     shipped verify-carleman boxes hold 12% of the dense cells x powers x
-    nodes at 129^2), plus one bundle or one member, and the sums over cells
-    reduce through one grid-sized buffer; neither the bundles nor the member
-    count add to it.
+    nodes at 129^2), plus one bundle or one member; neither the bundles nor
+    the member count add to it.
     """
     with stage("sums_s"):
         eta = build_eta(grid, coeffs)

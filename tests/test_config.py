@@ -465,6 +465,21 @@ def test_every_one_key_edit_loads_or_is_a_config_error(tmp_path, path):
                  r"inverse: need at least 4 noise levels", id="sweep-deltas"),
     pytest.param("stability-sweep", "inverse: {seeds: [1]}\n", (),
                  r"inverse: need at least 3 seeds", id="sweep-seeds"),
+    pytest.param("reconstruct", "sources: {f: \"exp(1000)\"}\n", (),
+                 r"sources: f and g must be bounded away from zero",
+                 id="sources-f-overflow"),
+    pytest.param("reconstruct", "sources: {f: \"0\"}\n", (),
+                 r"sources: f and g must be bounded away from zero",
+                 id="sources-f-zero"),
+    pytest.param("reconstruct", "sources: {f: \"x - 0.5\"}\n", (),
+                 r"sources: f and g must be bounded away from zero",
+                 id="sources-f-vanishes"),
+    pytest.param("nonlinear-diff", "nonlinear: {kappa: \"exp(1000)\"}\n", (),
+                 r"nonlinear: kappa contains non-finite entries",
+                 id="nonlinear-kappa-overflow"),
+    pytest.param("nonlinear-diff", "nonlinear: {a: \"-1\"}\n", (),
+                 r"nonlinear: diffusion field a must be positive",
+                 id="nonlinear-a-negative"),
 ])
 def test_bad_file_or_value_exits_with_code_2_before_any_draw(
         tmp_path, capsys, monkeypatch, experiment, text, args, message):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,20 @@ def test_vanishing_f_rejected():
     f = np.cos(np.pi * g.xs[0])  # vanishes mid-domain
     with pytest.raises(MmsRejected, match="bounded away"):
         mms_linear(u_f, v_f, coeffs, f, np.ones(g.space_shape))
+
+
+@pytest.mark.parametrize("value", [0.0, np.inf])
+def test_zero_or_infinite_f_rejected_before_dividing(value):
+    """f == 0 and f == inf are refused before the modulations divide by
+    them, with no warning, as a case ensemble's redraws expect."""
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    coeffs = COUPLED.sample(g)
+    u_f, v_f = case_fields()
+    f = np.full(g.space_shape, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MmsRejected, match="bounded away"):
+            mms_linear(u_f, v_f, coeffs, f, np.ones(g.space_shape))
 
 
 def test_scaling_f_halves_q():
