@@ -38,8 +38,10 @@ sweeps fit the log-log slope of the error against the data perturbation.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -205,6 +207,28 @@ def load_scipy() -> None:
     timed stages do not include their import."""
     import scipy.linalg  # noqa: F401
     import scipy.sparse  # noqa: F401
+
+
+def _blas_threads_setter() -> Optional[Callable[[int], int]]:
+    """``openblas_set_num_threads_local`` of SciPy's OpenBLAS (it sets the
+    calling thread's thread count and returns the old one), None if absent."""
+    from scipy.linalg import cython_blas
+
+    setter = getattr(ctypes.CDLL(cython_blas.__file__), "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one SciPy BLAS thread, so that no sum follows the thread count."""
+    setter = _blas_threads_setter() or (lambda count: count)
+    before = setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def kron_axes(sizes: Sequence[int], factors: Mapping[int, sp.spmatrix]) -> sp.csr_matrix:
@@ -409,11 +433,11 @@ class _LevelCholesky:
     triangular multiply (``dtrmm``, or ``dtrmv`` for one right-hand side),
     which OpenBLAS runs several times faster than ``dtrsm`` on these block
     sizes; the accuracy is that of triangular inversion (Du Croz and Higham
-    1992).  All dense
-    work goes through SciPy's BLAS and LAPACK: NumPy ships its own OpenBLAS
-    thread pool, and alternating the two pools on small blocks costs each
-    call milliseconds.  Every BLAS call works in place (``overwrite_*``) on
-    F-contiguous b x b or b x m blocks.
+    1992).  All dense work goes through SciPy's BLAS and LAPACK: NumPy ships
+    its own OpenBLAS thread pool, which ``_one_blas_thread`` does not pin
+    (so its sums would change with the thread count), and alternating the
+    two pools on small blocks costs each call milliseconds.  Every BLAS call
+    works in place (``overwrite_*``) on F-contiguous b x b or b x m blocks.
     """
 
     def __init__(self, k: sp.spmatrix, b: int):
@@ -683,6 +707,7 @@ def _level_rows(ay: sp.csc_matrix,
     return order, blocks
 
 
+@_one_blas_thread()
 def reduce_sources(data: InverseData, cfg: ReconstructionConfig) -> SourceReduction:
     """Eliminate the states from the source columns once.
 
@@ -857,6 +882,7 @@ def _solve(red: SourceReduction, b: np.ndarray, betas: Sequence[float]
     return z, y, res, normal
 
 
+@_one_blas_thread()
 def reconstruct(data: InverseData, cfg: ReconstructionConfig,
                 truth: Optional[tuple[np.ndarray, np.ndarray]] = None
                 ) -> ReconstructionResult:
@@ -992,6 +1018,7 @@ def _validate_noise_grid(deltas: Sequence[float], seeds: Sequence[int]) -> list[
     return deltas
 
 
+@_one_blas_thread()
 def stability_sweep(case: ManufacturedCase, deltas: Sequence[float],
                     cfg: Optional[ReconstructionConfig] = None, *,
                     seeds: Sequence[int] = (0, 1, 2),

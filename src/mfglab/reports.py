@@ -95,23 +95,27 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def versions(self) -> dict[str, str]:
-        """Library versions and the OpenBLAS thread count, on which the
-        inverse hashes depend (threaded OpenBLAS takes other kernels)."""
+        """Library versions, the OpenBLAS thread count the timings were taken
+        at and, once an inverse run loaded SciPy's BLAS, whether it is pinned."""
         import os
         import platform
+        import sys
 
         import numpy
         import scipy
 
-        from . import __version__
+        from . import __version__, inverse
 
-        return {
+        out = {
             "mfglab": __version__,
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
             "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         }
+        if "scipy.linalg" in sys.modules:
+            out["inverse_blas_threads"] = "1" if inverse._blas_threads_setter() else "unpinned"
+        return out
 
 
 def _json_default(obj):

@@ -591,7 +591,7 @@ def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
     nodes at 129^2), plus one bundle or one member; neither the bundles nor
     the member count add to it.
     """
-    with stage("sums_s"):
+    with stage("cells_s"):
         eta = build_eta(grid, coeffs)
         cell_keys = [(lam, s) for lam in lam_grid for s in s_grid]
         bundles = (eval_weight_bundle(eta, WeightParams(lam=lam, s=s), grid)
@@ -680,10 +680,10 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instan
     before the coarse pass.
 
     Inside ``reports.recording`` the call adds its seconds, summed over both
-    grids and every kind, to three stages: ``members_s`` builds the members
-    (residual sources, consistency check, data functionals), ``terms_s``
-    their derivative stacks and weighted squares, ``sums_s`` the bundles,
-    the cells' boxed weight factors and the sums over cells.
+    grids and every kind, to four stages: ``cells_s`` builds the bundles and
+    the cells' boxed weight factors, ``members_s`` the members (residual
+    sources, consistency check, data functionals), ``terms_s`` their
+    derivative stacks and weighted squares, and ``sums_s`` sums over cells.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if len(ensemble) == 0:

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+from mfglab import inverse
 from mfglab.cli import main
 from mfglab.config import EXPERIMENTS, ConfigError
 from mfglab.reports import ResultTable, RunReport, emit_report, recording, stage
@@ -351,7 +353,7 @@ def test_sweep_timings_outside_output_hash(tmp_path):
         reports.append(json.loads((tmp_path / name / "report.json").read_text()))
     for report in reports:
         timings = report["timings"]
-        assert set(timings) == {"members_s", "terms_s", "sums_s"}
+        assert set(timings) == {"members_s", "terms_s", "cells_s", "sums_s"}
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings.values()) <= report["wall_time_s"]
     assert reports[0]["output_hash"] == reports[1]["output_hash"]
@@ -382,7 +384,7 @@ def test_state_det_timings_outside_output_hash(tmp_path):
     ("verify-carleman", "ensemble: {seed: 3, n: 2, max_modes: 2, t_degree: 2}\n"
                         "weights: {lambdas: [1.0], s_values: [8.0, 16.0]}\n"
                         "estimates: {kinds: [LEMMA3(p=0), LEMMA3(p=1)], refine: false}\n",
-     {"members_s", "terms_s", "sums_s"}),
+     {"members_s", "terms_s", "cells_s", "sums_s"}),
     ("nonlinear-diff", "statedet: {epsilons: [0.2], refine: true}\n",
      {"coarse_s", "refined_s"}),
 ])
@@ -494,7 +496,9 @@ def test_bad_inverse_penalty_fails_with_code_2_before_the_case(tmp_path, capsys,
 
 def test_lab_runs_import_no_scipy_submodule(tmp_path):
     """SciPy's sparse and linear-algebra modules load only for an inverse
-    experiment, when its config is loaded."""
+    experiment, when its config is loaded; a lab run and the emission of its
+    report (whose ``versions`` record reads SciPy's BLAS only once loaded)
+    load neither."""
     root = Path(__file__).resolve().parents[1]
     code = """
 import json, sys
@@ -502,7 +506,8 @@ import mfglab, mfglab.cli
 from mfglab.config import load_config
 heavy = ("scipy.sparse", "scipy.linalg")
 seen = {"import": [m for m in heavy if m in sys.modules]}
-mfglab.cli.run(load_config(sys.argv[1], overrides={"output.dir": sys.argv[2]}))
+from mfglab.reports import emit_report
+emit_report(mfglab.cli.run(load_config(sys.argv[1])), sys.argv[2])
 seen["lemma3"] = [m for m in heavy if m in sys.modules]
 load_config(sys.argv[3])
 seen["inverse config"] = [m for m in ("mfglab.inverse", *heavy) if m in sys.modules]
@@ -520,34 +525,88 @@ print(json.dumps(seen))
                                                   "scipy.linalg"]}
 
 
-def test_lab_output_independent_of_openblas_thread_count(tmp_path):
-    """The lab's sums and sampling make no BLAS call, whose results change
-    with the OpenBLAS thread count: a verify-carleman run whose refined pass
-    sums over 129^2 nodes gives the same output_hash at 1 and at 2 threads.
-    One cell with a spread-out weight: a 1 x 16641 product ``stack @ pre``
-    then takes other bits at 2 threads, while an 8-row one, or one cell at
-    lambda 2, s 64 (a weight on few nodes), was seen to give equal bits."""
+# a verify-carleman run whose refined pass sums over 129^2 nodes
+LAB_129 = (
+    "experiment: verify-carleman\n"
+    "grid: {nx: [65], nt: 65, gamma: [x+]}\n"
+    "coefficients: {c0: '1', coupling: {'0': '0.5', '2': '0.3'}}\n"
+    "ensemble: {seed: 7, n: 2}\n"
+    "weights: {lambdas: [1.0], s_values: [8.0]}\n"
+    "estimates: {kinds: [LEMMA1, THM3, LEMMA4], refine: true}\n"
+)
+
+
+@pytest.mark.parametrize("name", ["lab-129", "reconstruct_clean", "stability_sweep",
+                                  "inverse_cold-129"])
+def test_output_independent_of_openblas_thread_count(tmp_path, name):
+    """Every output_hash is the same at 1 and at 2 OpenBLAS threads.
+
+    The lab's sums and sampling make no BLAS call, whose results change
+    with the thread count.  In ``lab-129`` one cell with a spread-out weight
+    would make a 1 x 16641 product ``stack @ pre`` take other bits at 2
+    threads, while an 8-row one, or one cell at lambda 2, s 64 (a weight on
+    few nodes), was seen to give equal bits.  The inverse runs SciPy's BLAS
+    on one thread: unpinned, the shipped reconstruct and stability sweep
+    hash differently at 2 threads, and so does the benchmark's cold
+    reconstruct at 129^2, whose 16,641-row objective terms (``ddot``, outside
+    the solve) OpenBLAS splits over the threads.
+    """
     root = Path(__file__).resolve().parents[1]
+    if name == "lab-129":
+        text = LAB_129
+    elif name == "inverse_cold-129":
+        spec = yaml.safe_load((root / "perfbench" / "configs" / "inverse_cold.yaml")
+                              .read_text(encoding="utf-8"))
+        spec["grid"].update(nx=[129], nt=129)
+        text = yaml.safe_dump(spec)
+    else:
+        text = (root / "configs" / f"{name}.yaml").read_text(encoding="utf-8")
     cfg = tmp_path / "c.yaml"
-    cfg.write_text(
-        "experiment: verify-carleman\n"
-        "grid: {nx: [65], nt: 65, gamma: [x+]}\n"
-        "coefficients: {c0: '1', coupling: {'0': '0.5', '2': '0.3'}}\n"
-        "ensemble: {seed: 7, n: 2}\n"
-        "weights: {lambdas: [1.0], s_values: [8.0]}\n"
-        "estimates: {kinds: [LEMMA1, THM3, LEMMA4], refine: true}\n",
-        encoding="utf-8",
-    )
+    cfg.write_text(text, encoding="utf-8")
     hashes = set()
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(
                    p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
-        subprocess.run([sys.executable, "-m", "mfglab", "verify-carleman",
+        subprocess.run([sys.executable, "-m", "mfglab", yaml.safe_load(text)["experiment"],
                         "--config", str(cfg), "--out", str(out)],
                        env=env, check=True, capture_output=True)
         report = json.loads((out / "report.json").read_text())
         assert report["versions"]["openblas_threads"] == threads
         hashes.add(report["output_hash"])
     assert len(hashes) == 1
+
+
+def test_blas_pin_sets_one_thread_and_restores_the_count(monkeypatch):
+    counts = [3]
+
+    def setter(count):
+        old, counts[0] = counts[0], count
+        return old
+
+    monkeypatch.setattr(inverse, "_blas_threads_setter", lambda: setter)
+    with pytest.raises(RuntimeError):
+        with inverse._one_blas_thread():
+            assert counts == [1]
+            raise RuntimeError
+    assert counts == [3]
+
+
+def test_inverse_runs_unpinned_without_the_thread_setter(tmp_path, monkeypatch):
+    """A SciPy whose BLAS has no ``openblas_set_num_threads_local`` still
+    reconstructs, unpinned, and report.json says so."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "experiment: reconstruct\n"
+        "grid: {nx: [17], nt: 17, gamma: [x-, x+]}\n"
+        "ensemble: {seed: 3, n: 1, max_modes: 2, t_degree: 2}\n"
+        "sources: {q_min: 0.02}\n"
+        "inverse: {delta: 1.0e-2, beta: 1.0e-4}\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(inverse, "_blas_threads_setter", lambda: None)
+    assert run_cli(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["summary"]["converged"] is True
+    assert report["versions"]["inverse_blas_threads"] == "unpinned"

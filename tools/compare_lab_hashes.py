@@ -45,11 +45,6 @@ For each config run it prints:
 Then the closing lines give:
 
 - how many of the config runs' hashes differ;
-- the OpenBLAS thread count each checkout's ``report.json`` records
-  (``OPENBLAS_NUM_THREADS``, or "unset"; "not recorded" by a checkout that
-  predates the record).  The inverse hashes are reproducible only at a
-  fixed thread count (threaded OpenBLAS picks other kernels); both
-  checkouts run in this one environment, so the comparison holds;
 - in each checkout, the lab config with the largest peak: the one that
   sets the peak of a process that runs them all (the benchmark's
   lab_suite pass), where two peaks within a few tenths of a MB of each
@@ -244,7 +239,6 @@ def main(argv: list[str]) -> int:
     roots = dict(zip(("base", "head")[-len(paths):], paths))
     sides = list(roots)
     peaks: dict[str, dict[str, float]] = {side: {} for side in sides}
-    threads: dict[str, set[str]] = {side: set() for side in sides}
     differ = 0
     with tempfile.TemporaryDirectory() as prefix:
         os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
@@ -267,8 +261,6 @@ def main(argv: list[str]) -> int:
                 if peak is not None:
                     peaks[side][name] = peak
                 if report is not None:
-                    threads[side].add(report["versions"].get("openblas_threads",
-                                                             "not recorded"))
                     timings = ", ".join(f"{k} {v:.3f} s"
                                         for k, v in sorted(report["timings"].items()))
                     print(f"{'':17s} {side}  wall {report['wall_time_s']:.3f} s"
@@ -276,9 +268,6 @@ def main(argv: list[str]) -> int:
     if len(sides) == 2:
         print(f"{differ} of {sum(path is not None for _, path, _ in RUNS)} "
               "output_hash values differ")
-    print("OpenBLAS threads: " + ", ".join(
-        f"{side} {' / '.join(sorted(seen)) or 'no report'}"
-        for side, seen in threads.items()))
     largest = []
     for side in sides:
         lab = {name: peak for name, peak in peaks[side].items() if name in LAB_CONFIGS}
