@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,6 +72,11 @@ class SeparableField:
                 continue
             out.append(Term(t.coeff * t.tpow / self.T, t.kinds, t.modes, t.tpow - 1))
         return SeparableField(self.lengths, self.T, tuple(out))
+
+    @cached_property
+    def grad(self) -> tuple["SeparableField", ...]:
+        """``dx`` along each axis, built on first use and kept with the field."""
+        return tuple(self.dx(a) for a in range(self.dim))
 
     def derivative(self, t_order: int = 0, x: Sequence[int] = ()) -> "SeparableField":
         f = self
@@ -149,8 +155,8 @@ class SeparableField:
     def max_abs_face_dx(self, grid: Grid, face: Face,
                         axis: Optional[int] = None) -> float:
         """Max absolute exact derivative along ``axis`` on a face (default:
-        the face normal)."""
-        d = self.dx(face.axis if axis is None else axis)
+        the face normal), sampled from the kept :attr:`grad`."""
+        d = self.grad[face.axis if axis is None else axis]
         if not d.terms:
             return 0.0
         return float(np.max(np.abs(d.sample_face(grid, face))))

@@ -523,49 +523,14 @@ def gamma_jets(grid: Grid, values: np.ndarray) -> dict[Face, FaceJet]:
 NORM_KINDS = ("L2_Q", "L2_slice", "H2_slice", "H21_Q", "H21_interior", "D_gamma")
 
 
-def _fsum_quad(weighted_terms: np.ndarray) -> float:
-    """Correctly rounded sum, equal to ``math.fsum`` bit for bit; it keeps
-    nested-interval norms exactly monotone.
-
-    Vectorized error-free extraction (Rump, Ogita and Oishi, "Accurate
-    floating-point summation, part I", SIAM J. Sci. Comput. 2008): with
-    ``max|r| < 2**e`` and ``sigma = 2**(ceil(log2(n + 2)) + e)``, the split
-    ``q = (sigma + r) - sigma``, ``r - q`` is exact and ``sum(q)`` is exact in
-    any order.  Each round leaves a remainder smaller by about
-    ``53 - log2(n)`` bits; ``math.fsum`` then rounds the few exact partial
-    sums, plus whatever remainder the exponent guard leaves, once.
-    """
-    r = np.ravel(weighted_terms)
-    top = float(np.max(np.abs(r))) if r.size else 0.0
-    if not math.isfinite(top):
-        # inf, nan: fsum's own special-value rules and errors
-        return math.fsum(r.tolist())
-    if top == 0.0:
-        # only signed zeros: fsum decides the sign of an all-zero sum
-        return math.fsum([-0.0] if np.signbit(r).all() else [0.0])
-    partials = []
-    while top:
-        r = r[r != 0.0]
-        e = math.frexp(top)[1]
-        k = (r.size + 1).bit_length()  # ceil(log2(n + 2))
-        if e < -960 or k + e > 1023:
-            # sigma would leave the normal range: fsum takes the rest as is
-            partials += r.tolist()
-            break
-        sigma = math.ldexp(1.0, k + e)
-        q = (sigma + r) - sigma
-        partials.append(float(np.sum(q)))
-        r = r - q
-        top = float(np.max(np.abs(r)))
-    return math.fsum(partials)
-
-
 def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
     """Discrete norm of a field.
 
     ``H21_interior`` restricts the time integration to nodes inside
-    [eps, T-eps]; ``D_gamma`` is the boundary-data functional
-    (time derivative, gradient and value integrated over gamma x (0, T)).
+    [eps, T-eps], one correctly rounded sum of per-slice totals per
+    derivative part (:func:`h21_interior_sq_curve`); ``D_gamma`` is the
+    boundary-data functional (time derivative, gradient and value
+    integrated over gamma x (0, T)).
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
@@ -596,7 +561,7 @@ def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
         if kind == "H21_Q":
             w = g.st_weights
             return math.sqrt(sum(float(np.sum(w * p * p)) for p in parts))
-        return math.sqrt(h21_interior_sq(g, parts, eps))
+        return math.sqrt(h21_interior_sq_curve(g, parts, [eps])[0])
 
     # D_gamma
     total = 0.0
@@ -623,21 +588,40 @@ def h21_parts(f: Union[GridFn, DiffMemo]) -> list[np.ndarray]:
     return parts
 
 
-def h21_interior_sq(grid: Grid, parts: Sequence[np.ndarray],
-                    eps: float | None) -> float:
-    """Squared ``H21_interior`` norm from the :func:`h21_parts` of a field:
-    the time integration runs over the nodes inside [eps, T-eps]."""
-    if eps is None or not 0.0 < eps < grid.T / 2.0:
-        raise ValueError("H21_interior needs eps in (0, T/2)")
-    idx = np.nonzero(_interior_time_mask(grid, eps))[0]
-    if idx.size < 2:
-        raise ValueError(f"eps={eps} leaves fewer than 2 time nodes")
-    w = np.multiply.outer(grid.space_weights, _trapezoid_weights(idx.size, grid.tau))
-    total = 0.0
-    for p in parts:
-        sub = np.take(p, idx, axis=grid.dim)
-        total += _fsum_quad(w * sub * sub)
-    return total
+def h21_interior_sq_curve(grid: Grid, parts: Sequence[np.ndarray],
+                          eps_grid: Sequence[float]) -> list[float]:
+    """Squared ``H21_interior`` norms over ``eps_grid`` from the
+    :func:`h21_parts` of a field, the time integration running over the
+    nodes inside [eps, T-eps].
+
+    Each part's weighted square is summed over space once per time slice,
+    at the full step tau.  The norm at one eps is then, per part, one
+    ``math.fsum`` of the slice totals inside the interval with its two end
+    totals halved (the trapezoid ends; halving a double is exact), and the
+    parts are added in order.  The exact sum over a nested interval is no
+    larger, as the totals are non-negative, and correct rounding keeps that
+    order, so the curve is non-increasing in eps exactly.  The slice sums
+    are NumPy reductions, so the bits do not depend on the BLAS thread
+    count.
+    """
+    spans = []
+    for eps in eps_grid:
+        if eps is None or not 0.0 < eps < grid.T / 2.0:
+            raise ValueError("H21_interior needs eps in (0, T/2)")
+        idx = np.nonzero(_interior_time_mask(grid, eps))[0]
+        if idx.size < 2:
+            raise ValueError(f"eps={eps} leaves fewer than 2 time nodes")
+        spans.append((int(idx[0]), int(idx[-1])))
+    w = grid.space_weights[..., None] * grid.tau
+    space = tuple(range(grid.dim))
+    totals = [np.sum(w * p * p, axis=space).tolist() for p in parts]
+    curve = []
+    for lo, hi in spans:
+        sq = 0.0
+        for t in totals:
+            sq += math.fsum([t[lo] / 2.0, *t[lo + 1:hi], t[hi] / 2.0])
+        curve.append(sq)
+    return curve
 
 
 def _interior_time_mask(grid: Grid, eps: float) -> np.ndarray:

@@ -626,7 +626,7 @@ class _LevelCholesky:
 _DENSE_LIMIT = 2.5e8
 # the most source columns eliminated per multi-right-hand-side state solve;
 # the sources split into as few chunks as that allows, of near-equal width
-# (65, 65, 64 at 97^2).  Measured with the remainder as the last chunk, 96
+# (64, 65, 65 at 97^2).  Measured with the remainder as the last chunk, 96
 # against 64 gave a 5-15% faster elimination at 65^2 and 97^2 for 5 MB more
 # peak memory at 97^2, and 194 a 10% faster one for 15 MB more
 _CHUNK = 96

@@ -28,7 +28,7 @@ from .grid import (
     GridFn,
     face_quad_weights,
     gamma_jets,
-    h21_interior_sq,
+    h21_interior_sq_curve,
     h21_parts,
     n_interior_slices,
     norm,
@@ -86,11 +86,13 @@ def trace_data_norms(f: GridFn) -> tuple[float, float]:
 def _interior_curve(u: DiffMemo, v: DiffMemo,
                     eps_grid: Sequence[float]) -> list[float]:
     """Left sides ||u||_{H21_interior} + ||v||_{H21_interior} over the eps
-    grid, from one set of derivative parts per state."""
+    grid, each state's parts summed over space once per time slice
+    (:func:`~mfglab.grid.h21_interior_sq_curve`), so each eps costs one
+    sum of slice totals per part."""
     g = u.grid
-    pu, pv = h21_parts(u), h21_parts(v)
-    return [math.sqrt(h21_interior_sq(g, pu, eps))
-            + math.sqrt(h21_interior_sq(g, pv, eps)) for eps in eps_grid]
+    cu = h21_interior_sq_curve(g, h21_parts(u), eps_grid)
+    cv = h21_interior_sq_curve(g, h21_parts(v), eps_grid)
+    return [math.sqrt(a) + math.sqrt(b) for a, b in zip(cu, cv)]
 
 
 def _state_rhs(u: GridFn, v: GridFn, F: GridFn, G: GridFn) -> float:
@@ -119,9 +121,11 @@ def _eps_sweep(states: Iterable[tuple[DiffMemo, DiffMemo, GridFn, GridFn]],
                ) -> tuple[list[CepsRow], list[int], dict[float, float]]:
     """Rows, excluded indices and per-eps maxima over (u, v, F, G) tuples,
     states ``u, v`` given as derivative memos, with sources ``F, G``.  The
-    sources are dropped once the right side is taken and the states, with
-    every derivative in their memos, once the left sides are, so a lazy
-    ``states`` holds one tuple at a time."""
+    right side is taken once per tuple and the left sides of every eps in
+    one pass (:func:`_interior_curve`).  The sources are dropped once the
+    right side is taken and the states, with every derivative in their
+    memos, once the left sides are, so a lazy ``states`` holds one tuple at
+    a time."""
     rows: list[CepsRow] = []
     excluded: list[int] = []
     per_eps: dict[float, float] = {e: 0.0 for e in eps_t}

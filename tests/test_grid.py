@@ -5,13 +5,14 @@ import pytest
 
 from mfglab.grid import (
     GridFn,
-    _fsum_quad,
     apply_stencil,
     build_grid,
     diff,
     face_quad_weights,
     face_values,
     gamma_jets,
+    h21_interior_sq_curve,
+    h21_parts,
     norm,
     parse_face,
 )
@@ -147,63 +148,59 @@ def test_h21_reassembly_matches():
     assert abs(total - parts) <= 1e-12 * max(total, 1.0)
 
 
-def test_h21_interior_monotone_in_eps():
-    g = grid_1d(nx=33)
-    rng = np.random.default_rng(3)
-    f = GridFn(g, "space-time", rng.normal(size=g.shape))
+def random_field(g):
+    return GridFn(g, "space-time", np.random.default_rng(3).normal(size=g.shape))
+
+
+def wide_range_field(g):
+    """Random signs at magnitudes spread over about 1e-100 to 1e+100."""
+    rng = np.random.default_rng(5)
+    return GridFn(g, "space-time", rng.normal(size=g.shape)
+                  * 10.0 ** rng.uniform(-100, 100, g.shape))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_field(grid_1d(nx=33)),
+    lambda: wide_range_field(grid_1d(nx=33)),
+    lambda: random_field(build_grid((1.0, 2.0), 1.0, (17, 9), 33, ["x1+"])),
+], ids=["1d", "1d-wide-range", "2d"])
+def test_h21_interior_monotone_in_eps(make):
+    f = make()
     eps_grid = [0.05, 0.1, 0.2, 0.3, 0.4]
     vals = [norm(f, "H21_interior", eps=e) for e in eps_grid]
     assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 
 
-def same_float(a, b):
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+@pytest.mark.parametrize("g", [
+    grid_1d(nx=33),
+    build_grid((1.0, 2.0), 1.0, (17, 9), 33, ["x1+"]),
+], ids=["1d", "2d"])
+def test_h21_interior_is_one_fsum_of_slice_totals_per_part(g):
+    # per part: the interval's slice totals of the weighted square, summed
+    # over space, in one correctly rounded sum with the two end totals halved
+    f = random_field(g)
+    space = tuple(range(g.dim))
+    for eps in (0.05, 0.2, 0.4):
+        idx = np.nonzero((g.ts >= eps - 1e-12) & (g.ts <= g.T - eps + 1e-12))[0]
+        lo, hi = idx[0], idx[-1]
+        expected = 0.0
+        for p in h21_parts(f):
+            t = np.sum(g.st_weights * p * p, axis=space).tolist()
+            expected += math.fsum([t[lo] / 2, *t[lo + 1:hi], t[hi] / 2])
+        assert norm(f, "H21_interior", eps=eps) == math.sqrt(expected)
 
 
-def exact_sum_inputs():
-    """Fixed-seed arrays: sizes 1 to 20k, exponent spreads up to 1e+-300,
-    cancellation, zeros, subnormals."""
-    rng = np.random.default_rng(2008)
-    for i, spread in enumerate([0, 1, 16, 50, 150, 300] * 12):
-        n = int(rng.integers(1, 20_000 if i % 6 == 0 else 400))
-        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
-        if i % 3 == 1:
-            a[rng.integers(0, n, n // 3 + 1)] = 0.0
-        if i % 4 == 2:
-            a = np.concatenate([a, -a[: n // 2]])  # exact cancellation
-        yield a
-    yield rng.standard_normal((33, 17)) ** 2 * 1e-3  # a 2-D quadrature array
-    yield np.array([5e-324, 5e-324, -1e-320, 2.5e-308])
-    yield np.full(1000, 5e-324)
-    yield rng.standard_normal(500) * 1e-310
-    yield np.array([1e308, 1e307, -1e308])
-    yield np.array([1e300, -1e300, 1e-300])
-    for zeros in (np.zeros(7), -np.zeros(7), np.array([0.0, -0.0]), np.zeros(0)):
-        yield zeros
-
-
-def crafted_ties():
-    """Sums that land on or next to a rounding tie of 1."""
-    for k in range(-8, 9):
-        yield np.array([1.0, 2.0**-53 * k, 2.0**-60])
-        yield np.array([1.0, 2.0**-53 * k, -(2.0**-60)])
-        yield np.array([1.0, 2.0**-53, 2.0**-106 * k, 2.0**-200])
-
-
-def test_exact_sum_equals_fsum_bitwise():
-    for a in [*exact_sum_inputs(), *crafted_ties()]:
-        assert same_float(_fsum_quad(a), math.fsum(a.ravel().tolist())), a
-
-
-def test_exact_sum_special_values_as_fsum():
-    assert math.isnan(_fsum_quad(np.array([1.0, np.nan])))
-    assert _fsum_quad(np.array([np.inf, 1.0, 5.0])) == math.inf
-    for a, err in ((np.array([np.inf, -np.inf]), ValueError),
-                   (np.array([1e308, 1e308, -1e308]), OverflowError)):
-        with pytest.raises(err):
-            math.fsum(a.tolist())
-        with pytest.raises(err):
-            _fsum_quad(a)
+@pytest.mark.parametrize("bad,check", [(math.inf, math.isinf), (math.nan, math.isnan)])
+def test_h21_interior_special_values(bad, check):
+    # a field's values as its one part: GridFn refuses non-finite values
+    g = grid_1d(nx=17, nt=17)
+    v = np.ones(g.shape)
+    v[8, 8] = bad  # t = 0.5, inside [eps, T - eps]
+    inside, = h21_interior_sq_curve(g, [v], [0.25])
+    assert check(inside)
+    v[8, 8], v[8, 1] = 1.0, bad  # t = 1/16, outside it
+    outside, = h21_interior_sq_curve(g, [v], [0.25])
+    assert outside == h21_interior_sq_curve(g, [np.ones(g.shape)], [0.25])[0]
 
 
 def test_h21_interior_eps_validation():
