@@ -25,7 +25,7 @@ from .expressions import compile_spacetime, compile_spatial
 from .grid import Grid, build_grid
 from .inverse import ReconstructionConfig, _validate_noise_grid, load_scipy
 from .models import _require_profiles
-from .statedet import _validate_eps_grid
+from .statedet import _eps_nodes
 from .verify import _canonical_kind, _require_s
 
 __all__ = ["ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config"]
@@ -76,7 +76,7 @@ _DEFAULTS: dict[str, Any] = {
                 "omega_pde": 1.0, "omega_gamma": 10.0, "omega_slice": 10.0,
                 "omega_bc": 0.0, "tol": 1e-6, "noisy_slices": False,
                 "maxiter": None},
-    # None: 0.05, 0.1 and 0.2 times T
+    # None: 0.05, 0.1 and 0.2 times T, each moved inward to a time node
     "statedet": {"epsilons": None, "refine": True},
     "nonlinear": {"a": "1", "kappa": "0.5", "p": "0.2", "amplitude": 1.0,
                   "seed": 5},
@@ -279,11 +279,13 @@ def _nonlinear_recipe(spec: dict[str, Any], grid: Grid) -> NonlinearRecipe:
 
 
 def _epsilons(spec: dict[str, Any], grid: Grid) -> list[float]:
-    """The eps grid, checked by the sweep's own rule on the config grid."""
+    """The eps grid as given, checked by the sweep's own rule
+    (:func:`~mfglab.statedet._eps_nodes`) on the config grid."""
     eps = spec["epsilons"]
     if eps is None:
         eps = [0.05 * grid.T, 0.1 * grid.T, 0.2 * grid.T]
-    return list(_validate_eps_grid(grid, eps))
+    _eps_nodes(grid, eps)
+    return list(eps)
 
 
 def _reconstruction(spec: dict[str, Any], grid: Grid) -> ReconstructionConfig:

@@ -526,9 +526,10 @@ NORM_KINDS = ("L2_Q", "L2_slice", "H2_slice", "H21_Q", "H21_interior", "D_gamma"
 def norm(f: GridFn, kind: str, *, eps: float | None = None) -> float:
     """Discrete norm of a field.
 
-    ``H21_interior`` restricts the time integration to nodes inside
-    [eps, T-eps], one correctly rounded sum of per-slice totals per
-    derivative part (:func:`h21_interior_sq_curve`); ``D_gamma`` is the
+    ``H21_interior`` restricts the time integration to the
+    :func:`interior_span` of eps, the nodes inside [eps, T-eps], one
+    correctly rounded sum of per-slice totals per derivative part
+    (:func:`h21_interior_sq_curve`); ``D_gamma`` is the
     boundary-data functional (time derivative, gradient and value
     integrated over gamma x (0, T)).
     """
@@ -591,12 +592,12 @@ def h21_parts(f: Union[GridFn, DiffMemo]) -> list[np.ndarray]:
 def h21_interior_sq_curve(grid: Grid, parts: Sequence[np.ndarray],
                           eps_grid: Sequence[float]) -> list[float]:
     """Squared ``H21_interior`` norms over ``eps_grid`` from the
-    :func:`h21_parts` of a field, the time integration running over the
-    nodes inside [eps, T-eps].
+    :func:`h21_parts` of a field, the time integration running over each
+    eps's :func:`interior_span`.
 
     Each part's weighted square is summed over space once per time slice,
     at the full step tau.  The norm at one eps is then, per part, one
-    ``math.fsum`` of the slice totals inside the interval with its two end
+    ``math.fsum`` of the slice totals inside the span with its two end
     totals halved (the trapezoid ends; halving a double is exact), and the
     parts are added in order.  The exact sum over a nested interval is no
     larger, as the totals are non-negative, and correct rounding keeps that
@@ -604,30 +605,22 @@ def h21_interior_sq_curve(grid: Grid, parts: Sequence[np.ndarray],
     are NumPy reductions, so the bits do not depend on the BLAS thread
     count.
     """
-    spans = []
-    for eps in eps_grid:
-        if eps is None or not 0.0 < eps < grid.T / 2.0:
-            raise ValueError("H21_interior needs eps in (0, T/2)")
-        idx = np.nonzero(_interior_time_mask(grid, eps))[0]
-        if idx.size < 2:
-            raise ValueError(f"eps={eps} leaves fewer than 2 time nodes")
-        spans.append((int(idx[0]), int(idx[-1])))
+    spans = [interior_span(grid, eps) for eps in eps_grid]
     w = grid.space_weights[..., None] * grid.tau
     space = tuple(range(grid.dim))
     totals = [np.sum(w * p * p, axis=space).tolist() for p in parts]
-    curve = []
-    for lo, hi in spans:
-        sq = 0.0
-        for t in totals:
-            sq += math.fsum([t[lo] / 2.0, *t[lo + 1:hi], t[hi] / 2.0])
-        curve.append(sq)
-    return curve
+    return [sum(math.fsum([t[lo] / 2.0, *t[lo + 1:hi], t[hi] / 2.0]) for t in totals)
+            for lo, hi in spans]
 
 
-def _interior_time_mask(grid: Grid, eps: float) -> np.ndarray:
+def interior_span(grid: Grid, eps: float) -> tuple[int, int]:
+    """The indices of the first and last time nodes inside [eps, T-eps],
+    within 1e-12 T, the interval of the interior norm; refuses an eps
+    outside (0, T/2) and one that leaves fewer than 3 time slices."""
+    if eps is None or not 0.0 < eps < grid.T / 2.0:
+        raise ValueError(f"eps={eps} outside (0, T/2)")
     tol = 1e-12 * grid.T
-    return (grid.ts >= eps - tol) & (grid.ts <= grid.T - eps + tol)
-
-
-def n_interior_slices(grid: Grid, eps: float) -> int:
-    return int(np.count_nonzero(_interior_time_mask(grid, eps)))
+    idx = np.nonzero((grid.ts >= eps - tol) & (grid.ts <= grid.T - eps + tol))[0]
+    if idx.size < 3:
+        raise ValueError(f"eps={eps} leaves fewer than 3 time slices on this grid")
+    return int(idx[0]), int(idx[-1])

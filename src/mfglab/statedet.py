@@ -30,7 +30,7 @@ from .grid import (
     gamma_jets,
     h21_interior_sq_curve,
     h21_parts,
-    n_interior_slices,
+    interior_span,
     norm,
 )
 from .models import _closed_forms, _nonlinear_states, _pair_bounds, residual
@@ -102,18 +102,18 @@ def _state_rhs(u: GridFn, v: GridFn, F: GridFn, G: GridFn) -> float:
             + u_h1 + u_grad + v_h1 + v_grad)
 
 
-def _validate_eps_grid(grid: Grid, eps_grid: Sequence[float]) -> tuple[float, ...]:
-    out = []
+def _eps_nodes(grid: Grid, eps_grid: Sequence[float]) -> tuple[float, ...]:
+    """Each eps moved inward to the time node of ``grid`` its
+    :func:`~mfglab.grid.interior_span` starts at, which a refined grid
+    keeps; two eps that start at one node are refused."""
+    nodes: dict[float, float] = {}
     for eps in eps_grid:
-        eps = float(eps)
-        if not 0.0 < eps < grid.T / 2.0:
-            raise ValueError(f"eps={eps} outside (0, T/2)")
-        if n_interior_slices(grid, eps) < 3:
-            raise ValueError(
-                f"eps={eps} leaves fewer than 3 time slices on this grid"
-            )
-        out.append(eps)
-    return tuple(out)
+        node = float(grid.ts[interior_span(grid, eps)[0]])
+        if node in nodes:
+            raise ValueError(f"eps={eps} and eps={nodes[node]} both start "
+                             f"at the time node {node}")
+        nodes[node] = eps
+    return tuple(nodes)
 
 
 def _eps_sweep(states: Iterable[tuple[DiffMemo, DiffMemo, GridFn, GridFn]],
@@ -182,10 +182,12 @@ def _coarse_and_refined(coarse: Iterable, rebuild: Callable[[Grid], Iterable],
     """The curve of :func:`_eps_sweep` over the ``coarse`` tuples on
     ``grid`` and, when ``refine`` is set, its drift: the ratio of the
     largest per-eps maximum over ``rebuild(grid.refined(2))`` to that of the
-    coarse pass.  ``coarse`` is exhausted before the refined pass starts, so
-    a lazy one holds no coarse state there.  Inside ``reports.recording``
-    the passes are timed as the stages ``coarse_s`` and ``refined_s``."""
-    eps_t = _validate_eps_grid(grid, eps_grid)
+    coarse pass.  Both passes sweep the :func:`_eps_nodes` of ``eps_grid``
+    on ``grid``, so they integrate over the same intervals.  ``coarse`` is
+    exhausted before the refined pass starts, so a lazy one holds no coarse
+    state there.  Inside ``reports.recording`` the passes are timed as the
+    stages ``coarse_s`` and ``refined_s``."""
+    eps_t = _eps_nodes(grid, eps_grid)
     with stage("coarse_s"):
         rows, excluded, per_eps = _eps_sweep(coarse, eps_t)
     drift = None
@@ -211,15 +213,16 @@ def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
     discrete residuals, the right side is eps-independent (source norms
     plus the four observation norms), and the left side shrinks with eps by
     set inclusion, so each member's ratio curve is non-increasing in eps
-    exactly.  Members with a right side at numerical zero are excluded
-    (0/0).  The curve is recomputed once on the doubled grid when ``refine``
-    is set.  That pass keeps only each member's closed form
-    (``member.recipe``; a case built without one is refused, ValueError,
-    before the coarse pass), and the coarse pass drops the ensemble as it
-    ends (so a caller that keeps no reference of its own has the coarse
-    arrays freed); each member is rebuilt through
-    ``recipe.rebuild(grid, coeffs)`` just before it is used and dropped
-    after, so the pass holds one refined member at a time.
+    exactly.  Each eps is moved inward to the time node of ``grid`` its
+    interval starts at, which the rows name (:func:`_eps_nodes`).  Members
+    with a right side at numerical zero are excluded (0/0).  The curve is
+    recomputed once on the doubled grid when ``refine`` is set.  That pass
+    keeps only each member's closed form (``member.recipe``; a case built
+    without one is refused, ValueError, before the coarse pass), and the
+    coarse pass drops the ensemble as it ends (so a caller that keeps no
+    reference of its own has the coarse arrays freed); each member is
+    rebuilt through ``recipe.rebuild(grid, coeffs)`` just before it is used
+    and dropped after, so the pass holds one refined member at a time.
     """
     forms = _closed_forms(ensemble, refine)
 
@@ -244,7 +247,8 @@ def thm4_experiment(pairs: Sequence[tuple[SeparableField, SeparableField]],
     through one :func:`~mfglab.models._nonlinear_states` call, so the
     refined pass runs the coarse pass's code on the doubled grid.  The
     ratio compares interior norms of the state differences against the
-    source-difference norms plus the difference observation norms.  The
+    source-difference norms plus the difference observation norms, each eps
+    moved to a time node of ``grid`` as in :func:`thm1_experiment`.  The
     coefficient bounds m1 (states) and m2 (difference system) of the
     coarse pair are reported in ``extras``.
     """

@@ -372,6 +372,7 @@ def test_fractional_counts_exit_with_code_2_and_whole_floats_resolve_to_ints(
     ("state-det", "[0.1, 0.6]", "eps=0.6 outside \\(0, T/2\\)"),
     ("nonlinear-diff", "[0.0]", "eps=0.0 outside \\(0, T/2\\)"),
     ("state-det", "[0.45]", "eps=0.45 leaves fewer than 3 time slices"),
+    ("state-det", "[0.1, 0.11]", "eps=0.11 and eps=0.1 both start at the time node 0.125"),
 ])
 def test_epsilons_checked_against_the_config_grid_at_load(tmp_path, capsys, monkeypatch,
                                                          experiment, epsilons, message):

@@ -1,25 +1,28 @@
 """The refined pass of a sweep builds each member on the doubled grid just
 before it is swept: its rows equal a sweep over members built on that grid
-directly, and its memory does not grow with the member count.  A sweep also
-holds one weight bundle at a time, so its memory beyond the weight-factor
-stacks does not grow with the cell count."""
+directly (for state-det at the eps nodes of the coarse grid), and its
+memory does not grow with the member count.  A sweep also holds one weight
+bundle at a time, so its memory beyond the weight-factor stacks does not
+grow with the cell count."""
 
 import gc
 import tracemalloc
 import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import mfglab.statedet
 import mfglab.verify
-from mfglab.coefficients import CoeffRecipe
+from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
 from mfglab.grid import build_grid
-from mfglab.models import mms_case_ensemble
-from mfglab.statedet import thm1_experiment
+from mfglab.models import cosine_pairs, mms_case_ensemble
+from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import estimate_constant, generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
+NL_RECIPE = NonlinearRecipe(a=1.0, kappa=0.5, p=0.2)
 FN_KINDS = ("LEMMA1", "THM3")
 ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
 LAMS = (1.0,)
@@ -71,18 +74,37 @@ def test_refined_rows_equal_sweep_on_doubled_grid(kinds, monkeypatch):
         assert (cell_max, tuple(invalid)) == (rep.cell_max, rep.invalid)
 
 
-def test_thm1_refined_rows_equal_run_on_doubled_grid(monkeypatch):
+def assert_refined_pass_equals_run_on_doubled_grid(experiment, monkeypatch):
+    """``experiment(grid, eps_grid, refine)``'s refined pass sweeps what a
+    run on the doubled grid does at the eps the coarse pass reports: each
+    eps moved inward to the coarse node its interval starts at."""
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    fine = g.refined(2)
-    expected = thm1_experiment(ensemble(FN_KINDS, 3, fine), COUPLED, fine, EPS_GRID,
-                               refine=False)
     sweeps = capture(monkeypatch, mfglab.statedet, "_eps_sweep")
-    rep = thm1_experiment(ensemble(FN_KINDS, 3, g), COUPLED, g, EPS_GRID, refine=True)
-    assert len(sweeps) == 2
+    rep = experiment(g, EPS_GRID, True)
+    assert rep.eps_grid == (0.125, 0.25)  # 0.2 would start at 0.21875 on 33
+    assert list(rep.per_eps_max) == [r.eps for r in rep.rows[:2]] == list(rep.eps_grid)
+    expected = experiment(g.refined(2), rep.eps_grid, False)
+    assert len(sweeps) == 3
     rows, excluded, per_eps = sweeps[1]
     assert tuple(rows) == expected.rows
     assert (tuple(excluded), per_eps) == (expected.excluded, expected.per_eps_max)
     assert rep.drift == max(per_eps.values()) / max(rep.per_eps_max.values())
+
+
+def test_thm1_refined_rows_equal_run_on_doubled_grid(monkeypatch):
+    assert_refined_pass_equals_run_on_doubled_grid(
+        lambda grid, eps_grid, refine: thm1_experiment(
+            ensemble(FN_KINDS, 3, grid), COUPLED, grid, eps_grid, refine=refine),
+        monkeypatch)
+
+
+def test_thm4_refined_rows_equal_run_on_doubled_grid(monkeypatch):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    pairs = tuple(islice(cosine_pairs(5, g, 3, 3, 1.0), 2))
+    assert_refined_pass_equals_run_on_doubled_grid(
+        lambda grid, eps_grid, refine: thm4_experiment(
+            pairs, NL_RECIPE, grid, eps_grid, refine=refine),
+        monkeypatch)
 
 
 # ---------------------------------------------------------------------------

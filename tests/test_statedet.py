@@ -1,15 +1,19 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from mfglab.basis import SeparableField, Term
+from mfglab.cli import run
 from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
+from mfglab.config import load_config
 from mfglab.grid import build_grid, norm
 from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import FieldPair, generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 EPS_GRID = (0.05, 0.1, 0.2)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def member_curve(rep, member):
@@ -61,6 +65,16 @@ def test_eps_grid_validation():
         thm1_experiment(ens, COUPLED, g, (0.7,), refine=False)
     with pytest.raises(ValueError, match="slices"):
         thm1_experiment(ens, COUPLED, g, (0.49,), refine=False)
+    with pytest.raises(ValueError, match="both start at the time node 0.125"):
+        thm1_experiment(ens, COUPLED, g, (0.1, 0.11), refine=False)
+
+
+@pytest.mark.parametrize("name", ["state_det", "nonlinear_diff"])
+def test_shipped_drift_measures_refinement(name):
+    # both passes integrate over one interval per eps, so the shipped drifts
+    # read 1 (1.00020 and 0.99933)
+    cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+    assert abs(run(cfg).summary["drift"] - 1.0) <= 1e-3
 
 
 def test_ratio_scale_invariance():

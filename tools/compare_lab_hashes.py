@@ -38,9 +38,12 @@ For each config run it prints:
   apart from both;
 - ``peak``: each checkout's peak resident set size (``ru_maxrss`` of that
   one process) and the change from base to head; a floor prints this line
-  alone;
-- one line per checkout with the run's ``wall_time_s`` and its stage
-  ``timings`` from its ``report.json``.
+  alone.
+
+It prints no wall times: one fresh run per checkout is no timing, as two
+runs of identical code can differ by 40%.  Each run's ``report.json``
+keeps its stage ``timings``, and a timing claim takes alternating pairs of
+``perfbench/run.py``.
 
 Then the closing lines give:
 
@@ -257,14 +260,9 @@ def main(argv: list[str]) -> int:
             if len(sides) == 2 and None not in (results["base"][1], results["head"][1]):
                 line += f"  delta {results['head'][1] - results['base'][1]:+.1f} MB"
             print(f"{'' if config_path else name:17s} peak  {line}")
-            for side, (_, peak, report, _) in results.items():
+            for side, (_, peak, _, _) in results.items():
                 if peak is not None:
                     peaks[side][name] = peak
-                if report is not None:
-                    timings = ", ".join(f"{k} {v:.3f} s"
-                                        for k, v in sorted(report["timings"].items()))
-                    print(f"{'':17s} {side}  wall {report['wall_time_s']:.3f} s"
-                          + (f" ({timings})" if timings else ""))
     if len(sides) == 2:
         print(f"{differ} of {sum(path is not None for _, path, _ in RUNS)} "
               "output_hash values differ")
