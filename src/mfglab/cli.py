@@ -104,8 +104,8 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
 
     # one sweep call per ensemble: the kinds that read the factorized sources
     # run on manufactured cases, every other kind on the function ensemble;
-    # the ensemble is built in the call, so the sweep can free it before its
-    # refined pass
+    # the ensemble is built in the call, so the sweep frees it before its
+    # first pass
     fn_kinds = list(dict.fromkeys(k for k in kinds if k not in CASE_KINDS))
     case_kinds = list(dict.fromkeys(k for k in kinds if k in CASE_KINDS))
     reports = sweep(fn_kinds, lambda: _build_ensemble(cfg))
@@ -220,8 +220,8 @@ def _ceps_table(rep) -> ResultTable:
 
 
 def _run_state_det(cfg: ExperimentConfig) -> RunReport:
-    # no reference of our own: the experiment frees the coarse ensemble
-    # before its refined pass
+    # no reference of our own: the experiment frees the drawn ensemble
+    # before its first pass
     rep = thm1_experiment(_build_ensemble(cfg), cfg.coeff_recipe, cfg.grid, cfg.epsilons,
                           refine=cfg.section("statedet")["refine"])
     summary = {

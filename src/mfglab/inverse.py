@@ -578,15 +578,10 @@ class _LevelCholesky:
             raise ValueError(f"expected an F-ordered float ({b}, m, {nt}) array, "
                              f"got {y.dtype} {y.shape}")
         m = y.shape[1]
-        # out -= op(a) @ x in place; level 2 for one right-hand side, where it
-        # beats dgemm (``_tri_mul`` makes the same choice)
-        if m == 1:
-            def sub_mul(a, x, out, trans=0):
-                blas.dgemv(-1.0, a, x[:, 0], 1.0, out[:, 0], trans=trans,
-                           overwrite_y=1)
-        else:
-            def sub_mul(a, x, out, trans=0):
-                blas.dgemm(-1.0, a, x, 1.0, out, trans_a=trans, overwrite_c=1)
+
+        # out -= op(a) @ x in place; dgemm beats dgemv on one column too
+        def sub_mul(a, x, out, trans=0):
+            blas.dgemm(-1.0, a, x, 1.0, out, trans_a=trans, overwrite_c=1)
 
         tri_mul = self._tri_mul
         w = np.empty((b, m), order="F")
@@ -814,10 +809,10 @@ def _solve(red: SourceReduction, b: np.ndarray, betas: Sequence[float]
     order); column j is solved with the ridge ``betas[j]``.  Every stage
     runs once on the whole block: the two state solves take all m
     right-hand sides at once (level 3 BLAS), Q^T is applied with one
-    ``dgemqrt`` and each column gets its own Tikhonov filter.  With one
-    column every dense product is level 2, as in
-    ``_LevelCholesky.solve_levels``, so a single solve keeps the arithmetic
-    of a vector solve.  At most three rows x m blocks are alive at once.
+    ``dgemqrt`` and each column gets its own Tikhonov filter.  One column
+    takes the same ``dgemm`` calls, which beat ``dgemv`` there; only the
+    triangular multiplies of ``_LevelCholesky`` switch to ``dtrmv``.  At
+    most three rows x m blocks are alive at once.
     Returns the sources (sources x m), the states (states x m, level
     order), the residuals ``A x - b`` (rows x m, block row order) and the
     relative normal residual of each column.
@@ -829,8 +824,6 @@ def _solve(red: SourceReduction, b: np.ndarray, betas: Sequence[float]
 
     def mul_t(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """a^T x through SciPy's BLAS, like every dense product here."""
-        if m == 1:
-            return blas.dgemv(1.0, a, x[:, 0], trans=1)[:, None]
         return blas.dgemm(1.0, a, x, trans_a=1)
 
     # ||A^T b|| of each column scales its normal residual

@@ -63,8 +63,7 @@ class CaseRecipe:
     q_min: float = 0.1
     q_mode: Literal["discrete", "analytic"] = "discrete"
 
-    def build(self, grid: Grid, q_min: Optional[float] = None,
-              coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
+    def build(self, grid: Grid, coeffs: Optional[CoeffSet] = None) -> "ManufacturedCase":
         """Sample the case on ``grid``; ``coeffs``, when given, is this
         recipe's coefficient set already sampled there (shared, not copied)."""
         if coeffs is None:
@@ -72,19 +71,8 @@ class CaseRecipe:
         return mms_linear(
             self.u_field, self.v_field, coeffs,
             sample_spatial(grid, self.f_spec), sample_spatial(grid, self.g_spec),
-            q_min=self.q_min if q_min is None else q_min,
-            q_mode=self.q_mode, recipe=self,
+            q_min=self.q_min, q_mode=self.q_mode, recipe=self,
         )
-
-    def rebuild(self, grid: Grid, coeffs: CoeffSet) -> "ManufacturedCase":
-        """The case drawn from this recipe, built on another grid with
-        ``coeffs`` as in :meth:`build`.
-
-        The t0 modulation floor is relaxed to machine level here: it was
-        enforced where the case was drawn, and refined sampling may dip
-        slightly between the accepted coarse nodes.
-        """
-        return self.build(grid, q_min=1e-12, coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -336,13 +324,13 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
     return tuple(cases)
 
 
-def _closed_forms(members: Sequence, refine: bool) -> list:
-    """The closed forms (``member.recipe``) that a refined pass rebuilds
-    ``members`` from, none when it does not refine; a case built without
-    its recipe is refused, so a sweep fails before its coarse pass."""
-    forms = [m.recipe for m in members] if refine else []
+def _closed_forms(members: Sequence) -> list:
+    """The closed forms (``member.recipe``) that every grid pass of a sweep
+    samples ``members`` from; a case built without its recipe is refused,
+    so a sweep fails before its first pass."""
+    forms = [m.recipe for m in members]
     if None in forms:
-        raise ValueError("a case built without its recipe cannot be rebuilt")
+        raise ValueError("a case built without its recipe cannot be swept")
     return forms
 
 

@@ -7,8 +7,8 @@ experiments record a curve of empirical constants over an eps grid.  The
 nonlinear variant applies the same machinery to the difference of two
 states of the nonlinear system, whose difference equations are linear in
 the difference with coefficients bounded by the pair's sup norms.  Both
-run one coarse pass and one refined pass through one driver, each pass
-building its states on its grid from their closed forms.
+run their grid passes, the coarse one and the refined one, through one
+driver that builds each pass's states on its grid from their closed forms.
 """
 
 from __future__ import annotations
@@ -148,15 +148,16 @@ def _eps_sweep(states: Iterable[tuple[DiffMemo, DiffMemo, GridFn, GridFn]],
     return rows, excluded, per_eps
 
 
-def _thm1_states(members: Iterable, coeffs: CoeffSet
+def _thm1_states(forms: Iterable, coeffs: CoeffSet
                  ) -> Iterator[tuple[DiffMemo, DiffMemo, GridFn, GridFn]]:
-    """Each member's states as derivative memos with its linear residuals,
-    computed through them, as sources; the memos go with the tuple."""
-    for m in members:
-        u, v = DiffMemo(m.u), DiffMemo(m.v)
+    """Each closed form's states, sampled on the grid of ``coeffs`` as
+    derivative memos, with its linear residuals, computed through them, as
+    sources; the memos go with the tuple."""
+    grid = coeffs.grid
+    for form in forms:
+        u, v = (DiffMemo(f.sample(grid)) for f in (form.u_field, form.v_field))
         yield (u, v, *residual("linear", u, v, coeffs=coeffs))
-        # let go of this member before ``members`` builds the next one
-        del m, u, v
+        del u, v  # before the next form is sampled
 
 
 def _nonlinear_differences(fields: Sequence[SeparableField], nl: NonlinearCoeffs,
@@ -176,26 +177,28 @@ def _nonlinear_differences(fields: Sequence[SeparableField], nl: NonlinearCoeffs
     yield DiffMemo(du), DiffMemo(dv), dF, dG
 
 
-def _coarse_and_refined(coarse: Iterable, rebuild: Callable[[Grid], Iterable],
-                        grid: Grid, eps_grid: Sequence[float], refine: bool,
+def _coarse_and_refined(build: Callable[[Grid], Iterable], grid: Grid,
+                        eps_grid: Sequence[float], refine: bool,
                         extras: dict[str, float]) -> CepsReport:
-    """The curve of :func:`_eps_sweep` over the ``coarse`` tuples on
-    ``grid`` and, when ``refine`` is set, its drift: the ratio of the
-    largest per-eps maximum over ``rebuild(grid.refined(2))`` to that of the
-    coarse pass.  Both passes sweep the :func:`_eps_nodes` of ``eps_grid``
-    on ``grid``, so they integrate over the same intervals.  ``coarse`` is
-    exhausted before the refined pass starts, so a lazy one holds no coarse
-    state there.  Inside ``reports.recording`` the passes are timed as the
-    stages ``coarse_s`` and ``refined_s``."""
+    """The curve of :func:`_eps_sweep` over the tuples ``build(grid)`` and,
+    when ``refine`` is set, its drift: the ratio of the largest per-eps
+    maximum over ``build(grid.refined(2))`` to that of the coarse pass.
+    Every pass sweeps the :func:`_eps_nodes` of ``eps_grid`` on ``grid``,
+    so they integrate over the same intervals, and each pass's tuples are
+    built and exhausted before the next pass starts.  Inside
+    ``reports.recording`` the passes are timed as the stages ``coarse_s``
+    and ``refined_s``."""
     eps_t = _eps_nodes(grid, eps_grid)
-    with stage("coarse_s"):
-        rows, excluded, per_eps = _eps_sweep(coarse, eps_t)
+    grids = (grid, grid.refined(2)) if refine else (grid,)
+    passes = []
+    for g, name in zip(grids, ("coarse_s", "refined_s")):
+        with stage(name):
+            passes.append(_eps_sweep(build(g), eps_t))
+    (rows, excluded, per_eps), *fine = passes
     drift = None
-    if refine:
-        with stage("refined_s"):
-            _, _, per_eps_fine = _eps_sweep(rebuild(grid.refined(2)), eps_t)
+    if fine:
         coarse_max = max(per_eps.values())
-        drift = (max(per_eps_fine.values()) / coarse_max
+        drift = (max(fine[0][2].values()) / coarse_max
                  if coarse_max > 0 else math.inf)
     return CepsReport(eps_grid=eps_t, rows=tuple(rows), per_eps_max=per_eps,
                       excluded=tuple(excluded), drift=drift, extras=extras)
@@ -205,7 +208,7 @@ def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
                     eps_grid: Sequence[float], *, refine: bool = True) -> CepsReport:
     """Interior estimate for the linear system over an ensemble on ``grid``.
 
-    ``ensemble`` is a tuple of members with states ``u``, ``v`` on ``grid``,
+    ``ensemble`` is a tuple of members with closed forms ``member.recipe``,
     such as :func:`~mfglab.verify.generate_ensemble` draws, so each per-eps
     maximum is a lower bound on the supremum of the ratio over the class
     they are drawn from (cosine modes up to ``max_modes`` per axis, time
@@ -216,23 +219,18 @@ def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
     exactly.  Each eps is moved inward to the time node of ``grid`` its
     interval starts at, which the rows name (:func:`_eps_nodes`).  Members
     with a right side at numerical zero are excluded (0/0).  The curve is
-    recomputed once on the doubled grid when ``refine`` is set.  That pass
-    keeps only each member's closed form (``member.recipe``; a case built
-    without one is refused, ValueError, before the coarse pass), and the
-    coarse pass drops the ensemble as it ends (so a caller that keeps no
-    reference of its own has the coarse arrays freed); each member is
-    rebuilt through ``recipe.rebuild(grid, coeffs)`` just before it is used
-    and dropped after, so the pass holds one refined member at a time.
+    recomputed once on the doubled grid when ``refine`` is set.  The
+    experiment keeps only each member's closed form (a case built without
+    one is refused, ValueError) and drops its reference to the ensemble
+    before the first pass, so a caller that keeps none of its own has the
+    drawn arrays freed; every pass samples each member from its closed form
+    just before it is used and drops it after, so a pass holds one member
+    at a time.
     """
-    forms = _closed_forms(ensemble, refine)
-
-    def rebuild(fine: Grid) -> Iterator:
-        coeffs = coeff_recipe.sample(fine)
-        return _thm1_states((f.rebuild(fine, coeffs) for f in forms), coeffs)
-
-    coarse = _thm1_states(ensemble, coeff_recipe.sample(grid))
-    del ensemble  # the coarse pass holds the only reference
-    return _coarse_and_refined(coarse, rebuild, grid, eps_grid, refine, {})
+    forms = _closed_forms(ensemble)
+    del ensemble  # the drawn arrays go before the first pass
+    return _coarse_and_refined(lambda g: _thm1_states(forms, coeff_recipe.sample(g)),
+                               grid, eps_grid, refine, {})
 
 
 def thm4_experiment(pairs: Sequence[tuple[SeparableField, SeparableField]],
@@ -256,6 +254,6 @@ def thm4_experiment(pairs: Sequence[tuple[SeparableField, SeparableField]],
     fields = (u1, v1, u2, v2)
     bounds: dict[str, float] = {}
     return _coarse_and_refined(
-        _nonlinear_differences(fields, nl_recipe.sample(grid), bounds),
-        lambda fine: _nonlinear_differences(fields, nl_recipe.sample(fine)),
+        lambda g: _nonlinear_differences(fields, nl_recipe.sample(g),
+                                         bounds if g is grid else None),
         grid, eps_grid, refine, bounds)

@@ -21,12 +21,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .basis import SeparableField
-from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator
+from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator, sample_spatial
 from .grid import SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
 # not called here: perfbench's tests check that the tracer rebinds
 # ``mfglab.verify.diff`` and puts it back
 from .grid import diff  # noqa: F401
-from .models import ManufacturedCase, _closed_forms, cosine_pairs, residual
+from .models import _closed_forms, cosine_pairs, residual
 from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -313,8 +313,8 @@ def _require(kind: str, u, v, F, G, sources) -> None:
 @dataclass
 class _Member:
     """One instance on one grid, shared by every kind swept over it: the
-    states and the sources F, G, each a derivative memo, the sources'
-    factors, the data functionals, and a memo of each weighted square's sums
+    states and the sources F, G, each a derivative memo, the source profiles
+    (f, g), the data functionals, and a memo of each weighted square's sums
     over the cells of the one sweep it belongs to.  The memos live as long
     as the member, so the residual sources, the operators, the data
     functionals and every kind share one derivative of each field along each
@@ -326,7 +326,7 @@ class _Member:
     v: Optional[DiffMemo]
     F: Optional[DiffMemo]
     G: Optional[DiffMemo]
-    sources: Optional[SourceFactors]
+    sources: Optional[tuple[np.ndarray, np.ndarray]]
     coeffs: CoeffSet
     data: dict[str, float] = field(default_factory=dict)
     sums: dict[tuple, np.ndarray] = field(default_factory=dict)
@@ -350,7 +350,7 @@ class _Member:
             return (self.fn(("v", _DT)).values
                     - apply_operator("B", self.v, self.coeffs).values)
         if key in ("f", "g"):
-            profile = getattr(self.sources, key)
+            profile = self.sources[("f", "g").index(key)]
             return np.broadcast_to(profile[..., None], self.grid.shape)
         if key == "Iu":
             return self.antiderivative
@@ -379,12 +379,13 @@ class _Member:
 
 def _member(kinds: Sequence[str], u: Optional[Field], v: Optional[Field],
             F: Optional[Field], G: Optional[Field], coeffs: CoeffSet,
-            sources: Optional[SourceFactors], *,
+            sources: Optional[tuple[np.ndarray, np.ndarray]], *,
             derived: bool = False) -> _Member:
     """Validate one instance for ``kinds`` and compute its data functionals;
-    F and G are checked against the residual of (u, v) for the system kinds
-    unless they were ``derived`` from it.  A field given as a
-    :class:`DiffMemo` becomes the member's memo as it is."""
+    ``sources`` is the pair of source profiles (f, g).  F and G are checked
+    against the residual of (u, v) for the system kinds unless they were
+    ``derived`` from it.  A field given as a :class:`DiffMemo` becomes the
+    member's memo as it is."""
     for kind in kinds:
         _require(kind, u, v, F, G, sources)
     u, v, F, G = (None if f is None else as_memo(f) for f in (u, v, F, G))
@@ -467,7 +468,8 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
     for one member on one cell.
     """
     _require_s((kind,), (bundle.params.s,))
-    member = _member((kind,), u, v, F, G, coeffs, sources)
+    profiles = None if sources is None else (sources.f, sources.g)
+    member = _member((kind,), u, v, F, G, coeffs, profiles)
     return _pairs(kind, member, _Cells((kind,), (bundle,), 1, bundle.grid))[0]
 
 
@@ -481,21 +483,24 @@ class FieldPair(NamedTuple):
     u_field: SeparableField
     v_field: SeparableField
 
-    def rebuild(self, grid: Grid, coeffs: Optional[CoeffSet] = None) -> "EnsembleMember":
-        """The member of these fields sampled on ``grid``; it reads no
-        coefficients, so ``coeffs`` goes unused."""
-        return EnsembleMember(*self, self.u_field.sample(grid), self.v_field.sample(grid))
-
 
 @dataclass(frozen=True)
 class EnsembleMember:
-    """A member of the function ensemble: two closed-form fields and their
-    samples; the sweeps take its linear residual as its sources."""
+    """A member of the function ensemble: two closed-form fields, sampled on
+    ``grid`` when ``u`` or ``v`` is first read; the sweeps sample its closed
+    form themselves and take its linear residual as its sources."""
 
     u_field: SeparableField
     v_field: SeparableField
-    u: GridFn
-    v: GridFn
+    grid: Grid
+
+    @cached_property
+    def u(self) -> GridFn:
+        return self.u_field.sample(self.grid)
+
+    @cached_property
+    def v(self) -> GridFn:
+        return self.v_field.sample(self.grid)
 
     @property
     def recipe(self) -> FieldPair:
@@ -505,12 +510,12 @@ class EnsembleMember:
 def generate_ensemble(seed: int, n: int, grid: Grid, max_modes: int = 3,
                       t_degree: int = 3, amplitude: float = 1.0
                       ) -> tuple[EnsembleMember, ...]:
-    """The first ``n`` pairs of :func:`~mfglab.models.cosine_pairs`, each
-    sampled on ``grid``."""
+    """The first ``n`` pairs of :func:`~mfglab.models.cosine_pairs` as
+    members on ``grid``, none of them sampled yet."""
     if n < 1 or max_modes < 1:
         raise ValueError("need n >= 1 and max_modes >= 1")
     pairs = cosine_pairs(seed, grid, max_modes, t_degree, amplitude)
-    return tuple(FieldPair(*pair).rebuild(grid) for pair in islice(pairs, n))
+    return tuple(EnsembleMember(*pair, grid) for pair in islice(pairs, n))
 
 
 # ---------------------------------------------------------------------------
@@ -547,49 +552,46 @@ class VerificationReport:
     c_emp_refined: Optional[float] = None
 
 
-Instance = Union[EnsembleMember, ManufacturedCase]
-
-
-def _members(kinds: Sequence[str], instances: Iterable[Instance],
+def _members(kinds: Sequence[str], forms: Iterable,
              coeffs: CoeffSet) -> Iterator[_Member]:
-    """The sweep members of ``instances`` (all on the grid of ``coeffs``),
-    built one at a time; a function-ensemble member takes its residual as
-    sources F, G when a kind reads them (THM3, LEMMA4)."""
+    """The sweep members of the closed forms ``forms`` (``member.recipe``),
+    each sampled on the grid of ``coeffs`` just before it is swept: the
+    states from ``u_field`` and ``v_field``, their residual as the sources
+    F, G when a kind reads them (THM3, LEMMA4), and the source profiles
+    from ``f_spec`` and ``g_spec`` when a kind reads those (``CASE_KINDS``)."""
+    grid = coeffs.grid
     sources = any(k in _SYSTEM_KINDS for k in kinds)
-    for inst in instances:
+    profiles = any(k in CASE_KINDS for k in kinds)
+    for form in forms:
         with stage("members_s"):
-            u, v = DiffMemo(inst.u), DiffMemo(inst.v)
-            if isinstance(inst, EnsembleMember):
-                F, G = (residual("linear", u, v, coeffs=coeffs) if sources
-                        else (None, None))
-                member = _member(kinds, u, v, F, G, coeffs, None, derived=True)
-                del F, G  # only the member holds them, so they go with it
-            else:
-                member = _member(kinds, u, v, inst.F, inst.G, coeffs, inst.sources)
+            u, v = (DiffMemo(f.sample(grid)) for f in (form.u_field, form.v_field))
+            F, G = (residual("linear", u, v, coeffs=coeffs) if sources
+                    else (None, None))
+            fg = (tuple(sample_spatial(grid, p) for p in (form.f_spec, form.g_spec))
+                  if profiles else None)
+            member = _member(kinds, u, v, F, G, coeffs, fg, derived=True)
+            del F, G, fg  # only the member holds them, so they go with it
         yield member
-        # let go of this instance before ``instances`` builds the next one
-        del inst, member, u, v
+        del member, u, v  # before the next member is sampled
 
 
-def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
-                 s_grid, coeffs: CoeffSet,
-                 grid: Grid) -> list[tuple[list[EstimateRow], dict, list]]:
-    """Sweep every kind over ``instances`` on one grid, with ``coeffs``
-    sampled there.
+def _grid_sweeps(kinds: Sequence[str], forms: Iterable, lam_grid, s_grid,
+                 coeffs: CoeffSet, grid: Grid) -> list[tuple[list[EstimateRow], dict, list]]:
+    """Sweep every kind over the members of the closed forms ``forms`` on
+    one grid, with ``coeffs`` sampled there.
 
     Member-major: the weight base is built once, and each cell's bundle
     once, just before it writes each weight factor on the factor's box (see
     :class:`_Cells`); it is dropped before the next cell's is built.  Then
-    each member is built in turn, every kind runs on it over all cells, and
-    only its (lhs, rhs, ratio) per kind and cell are kept; its arrays are
-    dropped before the next member is built.  ``instances`` may build each
-    one on demand (the refined pass does), so no grid holds more than one
-    bundle or one member at a time.  Peak memory is therefore the boxed
-    factors, which grow with the cells' boxes x distinct weight powers
-    (for 8 cells and the 7 powers of LEMMA1, LEMMA2, THM3 and LEMMA4 the
-    shipped verify-carleman boxes hold 12% of the dense cells x powers x
-    nodes at 129^2), plus one bundle or one member; neither the bundles nor
-    the member count add to it.
+    each member is sampled in turn (:func:`_members`), every kind runs on it
+    over all cells, and only its (lhs, rhs, ratio) per kind and cell are
+    kept; its arrays are dropped before the next member is sampled, so no
+    grid holds more than one bundle or one member at a time.  Peak memory
+    is therefore the boxed factors, which grow with the cells' boxes x
+    distinct weight powers (for 8 cells and the 7 powers of LEMMA1, LEMMA2,
+    THM3 and LEMMA4 the shipped verify-carleman boxes hold 12% of the dense
+    cells x powers x nodes at 129^2), plus one bundle or one member;
+    neither the bundles nor the member count add to it.
     """
     with stage("cells_s"):
         eta = build_eta(grid, coeffs)
@@ -599,7 +601,7 @@ def _grid_sweeps(kinds: Sequence[str], instances: Iterable[Instance], lam_grid,
         cells = _Cells(kinds, bundles, len(cell_keys), grid)
     # values[kind][cell] holds one (lhs, rhs, ratio) per member
     values = [[[] for _ in cell_keys] for _ in kinds]
-    for member in _members(kinds, instances, coeffs):
+    for member in _members(kinds, forms, coeffs):
         for per_cell, kind in zip(values, kinds):
             for out, pair in zip(per_cell, _pairs(kind, member, cells)):
                 out.append((pair.lhs, pair.rhs, pair.ratio))
@@ -642,7 +644,7 @@ def _stabilization(lam_grid, s_grid, cell_max) -> tuple[dict, Optional[float]]:
     return s0, lam0
 
 
-def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instance],
+def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence,
                       lam_grid: Sequence[float], s_grid: Sequence[float],
                       coeff_recipe: CoeffRecipe, grid: Grid, *,
                       refine: bool = True
@@ -670,19 +672,20 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instan
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
-    and the drift of the constant is recorded.  That pass keeps only each
-    member's closed form (``member.recipe``) and drops its reference to the
-    ensemble before it starts, so a caller that keeps none of its own has
-    the coarse arrays freed.  Each member is rebuilt there through its one
-    call ``recipe.rebuild(grid, coeffs)``, exactly, just before it is swept
-    and dropped after, with the one sample of ``coeff_recipe`` on that grid;
-    so cases drawn from another coefficient recipe are refused (ValueError)
-    before the coarse pass.
+    and the drift of the constant is recorded.  The sweep keeps only each
+    member's closed form (``member.recipe``: its two fields, or a case's
+    ``CaseRecipe``) and drops its reference to the ensemble before the first
+    pass, so a caller that keeps none of its own has the drawn arrays freed.
+    Every pass samples each member from its closed form just before it is
+    swept (:func:`_members`), with the one sample of ``coeff_recipe`` on
+    that grid; so a case built without its recipe, cases drawn from another
+    coefficient recipe and ``CASE_KINDS`` over function members are refused
+    (ValueError) before the first pass.
 
     Inside ``reports.recording`` the call adds its seconds, summed over both
     grids and every kind, to four stages: ``cells_s`` builds the bundles and
-    the cells' boxed weight factors, ``members_s`` the members (residual
-    sources, consistency check, data functionals), ``terms_s`` their
+    the cells' boxed weight factors, ``members_s`` the members (sampled
+    states, residual sources, data functionals), ``terms_s`` their
     derivative stacks and weighted squares, and ``sums_s`` sums over cells.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
@@ -691,26 +694,22 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence[Instan
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
     _require_s(kinds, s_grid)
-    if any(getattr(m.recipe, "coeff_recipe", coeff_recipe) != coeff_recipe
-           for m in ensemble):
+    forms = _closed_forms(ensemble)
+    del ensemble  # the drawn arrays go before the first pass
+    if any(getattr(f, "coeff_recipe", coeff_recipe) != coeff_recipe for f in forms):
         raise ValueError("the cases were drawn from another coefficient recipe "
                          "than the sweep's coeff_recipe")
-    forms = _closed_forms(ensemble, refine)
-    sweeps = _grid_sweeps(kinds, ensemble, lam_grid, s_grid,
-                          coeff_recipe.sample(grid), grid)
-    del ensemble  # the coarse states go before the refined pass
-    fine_sweeps = [None] * len(kinds)
-    if refine:
-        fine = grid.refined(2)
-        fine_coeffs = coeff_recipe.sample(fine)
-        fine_sweeps = _grid_sweeps(kinds, (f.rebuild(fine, fine_coeffs) for f in forms),
-                                   lam_grid, s_grid, fine_coeffs, fine)
-    reports = tuple(_report(k, lam_grid, s_grid, sweep, fine_sweep)
-                    for k, sweep, fine_sweep in zip(kinds, sweeps, fine_sweeps))
+    if any(k in CASE_KINDS for k in kinds) and not all(hasattr(f, "f_spec") for f in forms):
+        raise ValueError(f"{kinds} read the source profiles: sweep manufactured cases")
+    grids = (grid, grid.refined(2)) if refine else (grid,)
+    passes = [_grid_sweeps(kinds, forms, lam_grid, s_grid, coeff_recipe.sample(g), g)
+              for g in grids]
+    reports = tuple(_report(k, lam_grid, s_grid, *per_grid)
+                    for k, *per_grid in zip(kinds, *passes))
     return reports[0] if isinstance(kind, str) else reports
 
 
-def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep) -> VerificationReport:
+def _report(kind: str, lam_grid, s_grid, sweep, fine_sweep=None) -> VerificationReport:
     rows, cell_max, invalid = sweep
     valid_vals = [v for c, v in cell_max.items() if c not in invalid]
     c_emp = max(valid_vals) if valid_vals else math.inf

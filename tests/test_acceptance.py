@@ -30,7 +30,7 @@ from mfglab.models import (
 )
 from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import (
-    FieldPair,
+    EnsembleMember,
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
@@ -366,7 +366,7 @@ def test_criterion_10_nonlinear_degeneracy():
     rep_nl = thm4_experiment(((u1, v1), (u2, v2)),
                              NonlinearRecipe(a=1.0, kappa=0.0, p=p_val), g, eps_grid)
     du, dv = u1 - u2, v1 - v2
-    ens = (FieldPair(du, dv).rebuild(g),)
+    ens = (EnsembleMember(du, dv, g),)
     rep_lin = thm1_experiment(ens, CoeffRecipe(c0=-p_val), g, eps_grid,
                               refine=False)
     for a, b in zip(rep_nl.rows, rep_lin.rows):

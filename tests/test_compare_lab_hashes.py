@@ -59,3 +59,24 @@ def test_runs_hold_each_shipped_config_once_at_its_seed_and_both_floors(tool):
     assert all(f"configs/{label}.yaml" == path for label, path, extra in tool.RUNS
                if label in shipped)
     assert [label for label, path, _ in tool.RUNS if path is None] == list(tool.FLOORS)
+
+
+def test_moved_cells_are_counted_by_column_and_summary_key(tool):
+    # an eps placed on another node renames the eps column and the per-eps
+    # summary keys, and moves no lhs, rhs or ratio: only the labels moved
+    def ceps(eps, drift):
+        rows = [[e, m, 1.0 + m, 2.0, (1.0 + m) / 2.0] for e in eps for m in (0, 1)]
+        return {"tables": {"ceps": {"header": ["epsilon", "member", "lhs", "rhs", "ratio"],
+                                    "rows": rows}},
+                "summary": {"per_eps_max": {repr(e): 1.0 for e in eps},
+                            "drift": drift, "excluded_members": []}}
+
+    base, head = ceps((0.05, 0.1), 1.0081), ceps((0.0625, 0.1), 1.0081)
+    assert tool.moved_by_column(base, head) == {"ceps.epsilon": (2, 4),
+                                                 "summary.per_eps_max": (2, 3)}
+    assert tool.column_of("summary.per_eps_max.0.05") == "summary.per_eps_max"
+    assert tool.column_of("summary.k[1].x") == "summary.k"
+    # a value move is counted in its own column
+    head = ceps((0.05, 0.1), 1.0002)
+    assert tool.moved_by_column(base, head) == {"summary.drift": (1, 1)}
+    assert tool.moved_by_column(base, base) == {}

@@ -1,4 +1,4 @@
-"""The refined pass of a sweep builds each member on the doubled grid just
+"""The refined pass of a sweep samples each member on the doubled grid just
 before it is swept: its rows equal a sweep over members built on that grid
 directly (for state-det at the eps nodes of the coarse grid), and its
 memory does not grow with the member count.  A sweep also holds one weight
@@ -121,18 +121,6 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def member_bytes(member) -> int:
-    """Bytes of one member's space-time arrays (a case also holds its sources
-    and their two modulations)."""
-    arrays = [member.u, member.v]
-    if hasattr(member, "F"):
-        arrays += [member.F, member.G]
-    total = sum(a.values.nbytes for a in arrays)
-    if hasattr(member, "sources"):
-        total += member.sources.q1.nbytes + member.sources.q2.nbytes
-    return total
-
-
 @pytest.mark.parametrize("experiment", ["functions", "cases", "thm1"])
 def test_refined_peak_independent_of_member_count(experiment):
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
@@ -148,8 +136,8 @@ def test_refined_peak_independent_of_member_count(experiment):
                 lambda: estimate_constant(kinds, ens, LAMS, S_VALUES, COUPLED, g,
                                           refine=True)))
     fine = g.refined(2)
-    one_member = member_bytes(ens[0].recipe.rebuild(fine, COUPLED.sample(fine)))
-    # building the whole refined ensemble would add ten members' arrays
+    one_member = sum(f.sample(fine).values.nbytes for f in (ens[0].u_field, ens[0].v_field))
+    # sampling the whole refined ensemble would add ten members' states
     assert peaks[1] - peaks[0] < 2 * one_member
 
 

@@ -9,7 +9,7 @@ from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
 from mfglab.config import load_config
 from mfglab.grid import build_grid, norm
 from mfglab.statedet import thm1_experiment, thm4_experiment
-from mfglab.verify import FieldPair, generate_ensemble
+from mfglab.verify import EnsembleMember, generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 EPS_GRID = (0.05, 0.1, 0.2)
@@ -80,7 +80,7 @@ def test_shipped_drift_measures_refinement(name):
 def test_ratio_scale_invariance():
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
     ens = generate_ensemble(8, 2, g)
-    scaled = tuple(FieldPair(m.u_field.scaled(3.0), m.v_field.scaled(3.0)).rebuild(g)
+    scaled = tuple(EnsembleMember(m.u_field.scaled(3.0), m.v_field.scaled(3.0), g)
                    for m in ens)
     r1 = thm1_experiment(ens, COUPLED, g, EPS_GRID, refine=False)
     r2 = thm1_experiment(scaled, COUPLED, g, EPS_GRID, refine=False)
@@ -126,7 +126,7 @@ def test_kappa_zero_matches_linear_difference():
 
     du = u1 - u2
     dv = v1 - v2
-    ens = (FieldPair(du, dv).rebuild(g),)
+    ens = (EnsembleMember(du, dv, g),)
     linear = CoeffRecipe(c0=-p_val)
     rep_lin = thm1_experiment(ens, linear, g, EPS_GRID, refine=False)
     for a, b in zip(rep_nl.rows, rep_lin.rows):

@@ -21,7 +21,6 @@ from mfglab.verify import (
     CASE_KINDS,
     ESTIMATE_KINDS,
     EstimateSidePair,
-    FieldPair,
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
@@ -49,6 +48,24 @@ def test_ensemble_deterministic():
     for ma, mb in zip(a, b):
         assert np.array_equal(ma.u.values, mb.u.values)
         assert np.array_equal(ma.v.values, mb.v.values)
+
+
+def test_ensemble_samples_each_field_on_first_read(monkeypatch):
+    # a sweep samples the closed forms itself, so the draw samples nothing
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    sampled = []
+    sample = SeparableField.sample
+
+    def counted(self, grid):
+        sampled.append(self)
+        return sample(self, grid)
+
+    monkeypatch.setattr(SeparableField, "sample", counted)
+    (m,) = generate_ensemble(5, 1, g)
+    assert sampled == []
+    assert m.u is m.u and sampled == [m.u_field]
+    assert np.array_equal(m.v.values, sample(m.v_field, g).values)
+    assert sampled == [m.u_field, m.v_field]
 
 
 def test_zero_amplitude_gives_zero_members():
@@ -451,7 +468,7 @@ def test_thm2_sweep_with_drift():
 
 @pytest.mark.parametrize("refine", [False, True])
 def test_cases_of_another_coefficient_recipe_refused(refine, monkeypatch):
-    # the refined pass rebuilds every case with the sweep's coefficients, so
+    # every pass samples each case with the sweep's coefficients, so
     # a case ensemble drawn from other ones is refused before any sweep
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = mms_case_ensemble(13, 2, g, COUPLED, 1.0, 1.0, max_modes=2,
@@ -475,11 +492,20 @@ def case_without_recipe(g):
 
 
 def test_case_without_recipe_refused_when_refining():
+    # every pass samples its members from their closed forms, so a case
+    # without its recipe is refused whether or not the sweep refines
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     bare = case_without_recipe(g)
-    estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=False)
-    with pytest.raises(ValueError, match="without its recipe"):
-        estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=True)
+    for refine in (False, True):
+        with pytest.raises(ValueError, match="without its recipe"):
+            estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=refine)
+
+
+def test_case_kinds_over_function_members_refused():
+    # the function ensemble's closed forms carry no source profiles
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    with pytest.raises(ValueError, match="sweep manufactured cases"):
+        estimate_constant("THM2", generate_ensemble(5, 1, g), [1.0], [0.0], COUPLED, g)
 
 
 def test_thm1_refuses_case_without_recipe_before_its_coarse_pass(monkeypatch):
@@ -489,11 +515,11 @@ def test_thm1_refuses_case_without_recipe_before_its_coarse_pass(monkeypatch):
 
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     bare = case_without_recipe(g)
-    assert thm1_experiment((bare,), COUPLED, g, (0.1,), refine=False).rows
     sweeps = []
     monkeypatch.setattr(mfglab.statedet, "_eps_sweep", lambda *args: sweeps.append(args))
-    with pytest.raises(ValueError, match="without its recipe"):
-        thm1_experiment((bare,), COUPLED, g, (0.1,), refine=True)
+    for refine in (False, True):
+        with pytest.raises(ValueError, match="without its recipe"):
+            thm1_experiment((bare,), COUPLED, g, (0.1,), refine=refine)
     assert sweeps == []
 
 
@@ -587,8 +613,7 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
     counts = Counter()
     counting(monkeypatch, counts, [mfglab.models, mfglab.verify], "residual")
     for cls, name in ((mfglab.basis.SeparableField, "sample"),
-                      (mfglab.models.CaseRecipe, "rebuild"),
-                      (FieldPair, "rebuild"),
+                      (mfglab.models.CaseRecipe, "build"),
                       (CoeffRecipe, "sample")):
         orig = getattr(cls, name)
 
@@ -606,16 +631,15 @@ def test_per_grid_work_independent_of_kind_count(kinds, monkeypatch):
         per_call.append(dict(counts))
     assert per_call[0] == per_call[1]
     n = len(ens)
-    # each grid: one coefficient sample; the refined grid: one member built
-    # from its closed forms per member (cases share that grid's sample and
-    # take the residual as their sources there); function-ensemble members:
-    # one residual each
+    # each grid: one coefficient sample and each member's two fields sampled
+    # from their closed forms; no case is built, and the energy kinds read
+    # no residual, which the function kinds' THM3 and LEMMA4 take once per
+    # member and grid
     if kinds == ENERGY_KINDS:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "CaseRecipe.rebuild": n,
-                               "SeparableField.sample": 2 * n, "residual": n}
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "SeparableField.sample": 4 * n}
     else:
-        assert per_call[1] == {"CoeffRecipe.sample": 2, "FieldPair.rebuild": n,
-                               "SeparableField.sample": 2 * n, "residual": 2 * n}
+        assert per_call[1] == {"CoeffRecipe.sample": 2, "SeparableField.sample": 4 * n,
+                               "residual": 2 * n}
 
 
 # ---------------------------------------------------------------------------

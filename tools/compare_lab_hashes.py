@@ -33,9 +33,11 @@ For each config run it prints:
   and the summary in ``report.json`` (naming the cell), and every other
   cell that differs: text, flags, an empty cell, a value that turns
   non-finite, or a cell only one side has; or that no table or summary
-  cell differs, when the hash moves for the emitted files alone.  A
-  roundoff move then reads apart from a real one, and a file-set change
-  apart from both;
+  cell differs, when the hash moves for the emitted files alone.  Then,
+  for each table column and top-level summary key with a moved cell, how
+  many of its cells moved, of how many.  A roundoff move then reads apart
+  from a real one, a file-set change apart from both, and a move of the
+  labels alone (a renamed eps, say) apart from a move of the values;
 - ``peak``: each checkout's peak resident set size (``ru_maxrss`` of that
   one process) and the change from base to head; a floor prints this line
   alone.
@@ -71,9 +73,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
@@ -176,24 +180,56 @@ def _finite_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+_MISSING = object()
+
+
+def _moved(old: dict[str, Any], new: dict[str, Any]) -> Iterator[tuple[str, Any, Any]]:
+    """Each cell that differs between two :func:`cells` maps, with its value
+    on each side (``_MISSING`` on the side that lacks it)."""
+    for name in list(old) + [n for n in new if n not in old]:
+        a, b = old.get(name, _MISSING), new.get(name, _MISSING)
+        if a is _MISSING or b is _MISSING:
+            yield name, a, b
+        elif _finite_number(a) and _finite_number(b):
+            if a != b:
+                yield name, a, b
+        elif json.dumps(a) != json.dumps(b):  # NaN reads equal to NaN here
+            yield name, a, b
+
+
 def size_move(base: dict[str, Any], head: dict[str, Any]
               ) -> tuple[float, Optional[str], list[str]]:
     """The largest relative change over the cells finite on both sides, the
     cell it is in, and the names of the other cells that differ."""
-    old, new = cells(base), cells(head)
     worst, where, other = 0.0, None, []
-    for name in list(old) + [n for n in new if n not in old]:
-        if name not in old or name not in new:
-            other.append(name)
-            continue
-        a, b = old[name], new[name]
+    for name, a, b in _moved(cells(base), cells(head)):
         if _finite_number(a) and _finite_number(b):
-            rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+            rel = abs(a - b) / max(abs(a), abs(b))
             if rel > worst:
                 worst, where = rel, name
-        elif json.dumps(a) != json.dumps(b):  # NaN reads equal to NaN here
+        else:
             other.append(name)
     return worst, where, other
+
+
+def column_of(name: str) -> str:
+    """The table column (``table.column``) or top-level summary key
+    (``summary.key``) that a cell named by :func:`cells` belongs to."""
+    if name.startswith("summary."):
+        return "summary." + re.split(r"[.\[]", name[len("summary."):], maxsplit=1)[0]
+    table, rest = name.split("[", 1)
+    return f"{table}.{rest.split('].', 1)[1]}"
+
+
+def moved_by_column(base: dict[str, Any], head: dict[str, Any]
+                    ) -> dict[str, tuple[int, int]]:
+    """For each table column and top-level summary key with a cell that
+    differs: how many of its cells differ, and how many it has (on either
+    side), in the order the cells are named."""
+    old, new = cells(base), cells(head)
+    total = Counter(column_of(name) for name in old.keys() | new.keys())
+    moved = Counter(column_of(name) for name, _, _ in _moved(old, new))
+    return {col: (n, total[col]) for col, n in moved.items()}
 
 
 def source_lines(root: Path) -> int:
@@ -231,6 +267,10 @@ def _print_hashes(name: str, config_path: str, roots: dict[str, Path],
         if other:
             shown = ", ".join(other[:5]) + (", ..." if len(other) > 5 else "")
             print(f"{'':17s} {len(other)} non-numeric cells differ: {shown}")
+        by_column = moved_by_column(old, new)
+        if by_column:
+            print(f"{'':17s} cells moved by column: "
+                  + ", ".join(f"{col} {n} of {of}" for col, (n, of) in by_column.items()))
     return not same
 
 
