@@ -65,9 +65,9 @@ def _run_verify_weights(cfg: ExperimentConfig) -> RunReport:
 
 
 def _build_ensemble(cfg: ExperimentConfig, cases=False, n=None) -> tuple:
-    """The ``ensemble`` section's draw on the config grid: its function
-    pairs, or manufactured cases of the config's coefficients when
-    ``cases``; ``n`` overrides the section's size."""
+    """The ``ensemble`` section's draw on the config grid: its field pairs,
+    or the recipes of cases of the config's coefficients when ``cases``;
+    ``n`` overrides the section's size."""
     ens = cfg.section("ensemble")
     args = (ens["seed"], ens["n"] if n is None else n, cfg.grid)
     shape = dict(max_modes=ens["max_modes"], t_degree=ens["t_degree"],
@@ -80,13 +80,14 @@ def _build_ensemble(cfg: ExperimentConfig, cases=False, n=None) -> tuple:
 
 
 def _inverse_case(cfg: ExperimentConfig):
-    """Manufactured case for the inverse experiments: the explicit config
-    states when given, a seeded random admissible draw otherwise."""
+    """Manufactured case for the inverse experiments, built on the config
+    grid: of the explicit config states when given, of a seeded random
+    admissible draw otherwise."""
     if cfg.case_fields is None:
-        return _build_ensemble(cfg, cases=True, n=1)[0]
-    f_spec, g_spec, q_min = cfg.sources
-    return CaseRecipe(*cfg.case_fields, cfg.coeff_recipe, f_spec, g_spec,
-                      q_min=q_min).build(cfg.grid)
+        recipe = _build_ensemble(cfg, cases=True, n=1)[0]
+    else:
+        recipe = CaseRecipe(*cfg.case_fields, cfg.coeff_recipe, *cfg.sources)
+    return recipe.build(cfg.grid)
 
 
 def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
@@ -94,22 +95,19 @@ def _run_verify_carleman(cfg: ExperimentConfig) -> RunReport:
     kinds = est["kinds"]  # canonical names, checked when the config loaded
     wspec = cfg.section("weights")
 
-    def sweep(group, build_ensemble):
+    def sweep(group, cases):
         if not group:
             return {}
-        reports = estimate_constant(group, build_ensemble(), wspec["lambdas"],
+        reports = estimate_constant(group, _build_ensemble(cfg, cases), wspec["lambdas"],
                                     wspec["s_values"], cfg.coeff_recipe, cfg.grid,
                                     refine=est["refine"])
         return dict(zip(group, reports))
 
-    # one sweep call per ensemble: the kinds that read the factorized sources
-    # run on manufactured cases, every other kind on the function ensemble;
-    # the ensemble is built in the call, so the sweep frees it before its
-    # first pass
+    # one sweep call per ensemble: the kinds that read the source profiles
+    # run on case recipes, every other kind on the field pairs
     fn_kinds = list(dict.fromkeys(k for k in kinds if k not in CASE_KINDS))
     case_kinds = list(dict.fromkeys(k for k in kinds if k in CASE_KINDS))
-    reports = sweep(fn_kinds, lambda: _build_ensemble(cfg))
-    reports |= sweep(case_kinds, lambda: _build_ensemble(cfg, cases=True))
+    reports = sweep(fn_kinds, False) | sweep(case_kinds, True)
     rows = []
     const_rows = []
     summary: dict[str, Any] = {}
@@ -220,8 +218,6 @@ def _ceps_table(rep) -> ResultTable:
 
 
 def _run_state_det(cfg: ExperimentConfig) -> RunReport:
-    # no reference of our own: the experiment frees the drawn ensemble
-    # before its first pass
     rep = thm1_experiment(_build_ensemble(cfg), cfg.coeff_recipe, cfg.grid, cfg.epsilons,
                           refine=cfg.section("statedet")["refine"])
     summary = {

@@ -10,17 +10,19 @@ equation.  The mixed time directions make the direct initial/terminal value
 problem awkward, so all quantitative experiments consume manufactured cases:
 states built from the cosine basis and sources defined as exact residuals;
 the inverse reads its observations off the states.  Every random state is
-drawn from the one seeded stream :func:`cosine_pairs`: the ensembles' pairs
-and the two pairs of a nonlinear difference.  No forward solver is included:
-the results concern given solutions, and the inverse builds its states from
-its own least-squares rows.
+drawn from the one seeded stream :func:`cosine_pairs` of closed forms
+(:class:`FieldPair`): the function ensemble's members, the states of the
+case ensemble's recipes and the two pairs of a nonlinear difference; both
+ensembles are tuples of closed forms, sampled by each sweep on its grids.
+No forward solver is included: the results concern given solutions, and the
+inverse builds its states from its own least-squares rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Literal, Optional, Sequence, Union
+from typing import Callable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .grid import SPACE_TIME, DiffMemo, Face, Grid, GridFn, as_memo, face_values
 
 __all__ = [
     "CaseRecipe",
+    "FieldPair",
     "ManufacturedCase",
     "MmsRejected",
     "analytic_linear_residuals",
@@ -49,6 +52,13 @@ __all__ = [
 ]
 
 CONORMAL_TOL = 1e-10
+
+
+class FieldPair(NamedTuple):
+    """The closed form of a function-ensemble member: its two fields."""
+
+    u_field: SeparableField
+    v_field: SeparableField
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,7 @@ class CaseRecipe:
         return mms_linear(
             self.u_field, self.v_field, coeffs,
             sample_spatial(grid, self.f_spec), sample_spatial(grid, self.g_spec),
-            q_min=self.q_min, q_mode=self.q_mode, recipe=self,
+            q_min=self.q_min, q_mode=self.q_mode,
         )
 
 
@@ -90,7 +100,6 @@ class ManufacturedCase:
     G: GridFn
     sources: SourceFactors
     q_mode: str
-    recipe: Optional[CaseRecipe] = None
 
     def scaled(self, c: float) -> "ManufacturedCase":
         """Same case with all states and sources scaled by c (the
@@ -230,8 +239,8 @@ def _require_profiles(f: np.ndarray, g: np.ndarray) -> None:
 def mms_linear(u_field: SeparableField, v_field: SeparableField,
                coeffs: CoeffSet, f: np.ndarray, g: np.ndarray, *,
                q_min: float = 0.1,
-               q_mode: Literal["discrete", "analytic"] = "discrete",
-               recipe: Optional[CaseRecipe] = None) -> ManufacturedCase:
+               q_mode: Literal["discrete", "analytic"] = "discrete"
+               ) -> ManufacturedCase:
     """Build a manufactured case for the linear system.
 
     Sources factorize as F = q1 f, G = q2 g with the modulations defined by
@@ -274,22 +283,27 @@ def mms_linear(u_field: SeparableField, v_field: SeparableField,
         G=GridFn(grid, SPACE_TIME, q2 * g[..., None]),
         sources=sources,
         q_mode=q_mode,
-        recipe=recipe,
     )
 
 
 def cosine_pairs(seed: int, grid: Grid, max_modes: int = 3, t_degree: int = 3,
-                 amplitude: float = 1.0
-                 ) -> Iterator[tuple[SeparableField, SeparableField]]:
-    """The seeded stream of closed-form state pairs ``(u_field, v_field)``
-    that every ensemble draws from, in draw order.  Each field is a
+                 amplitude: float = 1.0) -> Iterator[FieldPair]:
+    """The seeded stream of closed-form state pairs that every ensemble
+    draws from, in draw order.  Each field is a
     :func:`~mfglab.basis.random_cosine_field`: cosine modes 0..``max_modes``
     per axis times time monomials of degree 0..``t_degree``, with
     coefficients uniform in [-amplitude, amplitude]."""
     rng = np.random.default_rng(seed)
     while True:
-        yield tuple(random_cosine_field(rng, grid.lengths, grid.T, max_modes,
-                                        t_degree, amplitude) for _ in range(2))
+        yield FieldPair(*(random_cosine_field(rng, grid.lengths, grid.T, max_modes,
+                                              t_degree, amplitude) for _ in range(2)))
+
+
+def _require_draw(n: int, max_modes: int) -> None:
+    """The rule of both ensemble draws: at least one member, and at least
+    one cosine mode per axis."""
+    if n < 1 or max_modes < 1:
+        raise ValueError("need n >= 1 and max_modes >= 1")
 
 
 # draws before mms_case_ensemble gives up on its t0 modulation floor
@@ -300,15 +314,18 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
                       f_spec, g_spec, *, max_modes: int = 3, t_degree: int = 3,
                       amplitude: float = 1.0, q_min: float = 0.1,
                       q_mode: Literal["discrete", "analytic"] = "discrete"
-                      ) -> tuple[ManufacturedCase, ...]:
-    """The first ``n`` admissible cases built from :func:`cosine_pairs`:
-    a pair whose case :meth:`CaseRecipe.build` rejects (t0 modulation floor,
-    conormal) is skipped, so a seed pins the accepted members."""
+                      ) -> tuple[CaseRecipe, ...]:
+    """The recipes of the first ``n`` admissible cases drawn from
+    :func:`cosine_pairs`.  Each candidate is built on ``grid`` to be
+    checked (t0 modulation floor, exact conormal, profiles) and dropped at
+    once; a pair whose case :meth:`CaseRecipe.build` rejects is skipped, so
+    a seed pins the accepted members."""
+    _require_draw(n, max_modes)
     coeffs = coeff_recipe.sample(grid)
     pairs = islice(cosine_pairs(seed, grid, max_modes, t_degree, amplitude),
                    _MAX_ATTEMPTS)
-    cases: list[ManufacturedCase] = []
-    while len(cases) < n:
+    recipes: list[CaseRecipe] = []
+    while len(recipes) < n:
         pair = next(pairs, None)
         if pair is None:
             raise MmsRejected(
@@ -318,20 +335,11 @@ def mms_case_ensemble(seed: int, n: int, grid: Grid, coeff_recipe: CoeffRecipe,
         rec = CaseRecipe(*pair, coeff_recipe, f_spec, g_spec, q_min=q_min,
                          q_mode=q_mode)
         try:
-            cases.append(rec.build(grid, coeffs=coeffs))
+            rec.build(grid, coeffs=coeffs)
         except MmsRejected:
             continue
-    return tuple(cases)
-
-
-def _closed_forms(members: Sequence) -> list:
-    """The closed forms (``member.recipe``) that every grid pass of a sweep
-    samples ``members`` from; a case built without its recipe is refused,
-    so a sweep fails before its first pass."""
-    forms = [m.recipe for m in members]
-    if None in forms:
-        raise ValueError("a case built without its recipe cannot be swept")
-    return forms
+        recipes.append(rec)
+    return tuple(recipes)
 
 
 # ---------------------------------------------------------------------------

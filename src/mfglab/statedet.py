@@ -33,7 +33,7 @@ from .grid import (
     interior_span,
     norm,
 )
-from .models import _closed_forms, _nonlinear_states, _pair_bounds, residual
+from .models import FieldPair, _nonlinear_states, _pair_bounds, residual
 from .reports import stage
 
 __all__ = [
@@ -208,32 +208,28 @@ def thm1_experiment(ensemble: Sequence, coeff_recipe: CoeffRecipe, grid: Grid,
                     eps_grid: Sequence[float], *, refine: bool = True) -> CepsReport:
     """Interior estimate for the linear system over an ensemble on ``grid``.
 
-    ``ensemble`` is a tuple of members with closed forms ``member.recipe``,
-    such as :func:`~mfglab.verify.generate_ensemble` draws, so each per-eps
-    maximum is a lower bound on the supremum of the ratio over the class
-    they are drawn from (cosine modes up to ``max_modes`` per axis, time
-    degree up to ``t_degree``).  For every member the sources are the
-    discrete residuals, the right side is eps-independent (source norms
-    plus the four observation norms), and the left side shrinks with eps by
-    set inclusion, so each member's ratio curve is non-increasing in eps
-    exactly.  Each eps is moved inward to the time node of ``grid`` its
+    ``ensemble`` is a tuple of closed forms with fields ``u_field`` and
+    ``v_field``, such as :func:`~mfglab.verify.generate_ensemble` draws, so
+    each per-eps maximum is a lower bound on the supremum of the ratio over
+    the class they are drawn from (cosine modes up to ``max_modes`` per
+    axis, time degree up to ``t_degree``).  For every member the sources
+    are the discrete residuals, the right side is eps-independent (source
+    norms plus the four observation norms), and the left side shrinks with
+    eps by set inclusion, so each member's ratio curve is non-increasing in
+    eps exactly.  Each eps is moved inward to the time node of ``grid`` its
     interval starts at, which the rows name (:func:`_eps_nodes`).  Members
     with a right side at numerical zero are excluded (0/0).  The curve is
-    recomputed once on the doubled grid when ``refine`` is set.  The
-    experiment keeps only each member's closed form (a case built without
-    one is refused, ValueError) and drops its reference to the ensemble
-    before the first pass, so a caller that keeps none of its own has the
-    drawn arrays freed; every pass samples each member from its closed form
-    just before it is used and drops it after, so a pass holds one member
-    at a time.
+    recomputed once on the doubled grid when ``refine`` is set.  Every pass
+    samples each member just before it is used and drops it after, so a
+    pass holds one member at a time.  An empty ensemble is refused.
     """
-    forms = _closed_forms(ensemble)
-    del ensemble  # the drawn arrays go before the first pass
-    return _coarse_and_refined(lambda g: _thm1_states(forms, coeff_recipe.sample(g)),
+    if len(ensemble) == 0:
+        raise ValueError("ensemble must be non-empty")
+    return _coarse_and_refined(lambda g: _thm1_states(ensemble, coeff_recipe.sample(g)),
                                grid, eps_grid, refine, {})
 
 
-def thm4_experiment(pairs: Sequence[tuple[SeparableField, SeparableField]],
+def thm4_experiment(pairs: Sequence[FieldPair],
                     nl_recipe: NonlinearRecipe, grid: Grid,
                     eps_grid: Sequence[float], *, refine: bool = False) -> CepsReport:
     """Difference stability for the nonlinear system.

@@ -16,17 +16,16 @@ import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import SeparableField
 from .coefficients import CoeffRecipe, CoeffSet, SourceFactors, apply_operator, sample_spatial
 from .grid import SPATIAL_SLICE, DiffMemo, Grid, GridFn, as_memo, norm
 # not called here: perfbench's tests check that the tracer rebinds
 # ``mfglab.verify.diff`` and puts it back
 from .grid import diff  # noqa: F401
-from .models import _closed_forms, cosine_pairs, residual
+from .models import FieldPair, _require_draw, cosine_pairs, residual
 from .reports import stage
 from .weights import WeightBundle, WeightParams, build_eta, eval_weight_bundle
 
@@ -46,7 +45,7 @@ ESTIMATE_KINDS = ("LEMMA1", "LEMMA2", "THM3", "LEMMA4", "ENERGY_3_8", "ENERGY_3_
                   "THM2")
 # the midpoint-slice kinds
 ENERGY_KINDS = ("ENERGY_3_8", "ENERGY_3_9")
-# the kinds that read the factorized sources, so sweep manufactured cases
+# the kinds that read the source profiles, so sweep case recipes
 CASE_KINDS = ENERGY_KINDS + ("THM2",)
 
 ZERO_RHS_FLOOR = 0.0
@@ -477,45 +476,13 @@ def evaluate_estimate(kind: str, u: Optional[GridFn], v: Optional[GridFn],
 # ensembles
 
 
-class FieldPair(NamedTuple):
-    """The closed form of a function-ensemble member: its two fields."""
-
-    u_field: SeparableField
-    v_field: SeparableField
-
-
-@dataclass(frozen=True)
-class EnsembleMember:
-    """A member of the function ensemble: two closed-form fields, sampled on
-    ``grid`` when ``u`` or ``v`` is first read; the sweeps sample its closed
-    form themselves and take its linear residual as its sources."""
-
-    u_field: SeparableField
-    v_field: SeparableField
-    grid: Grid
-
-    @cached_property
-    def u(self) -> GridFn:
-        return self.u_field.sample(self.grid)
-
-    @cached_property
-    def v(self) -> GridFn:
-        return self.v_field.sample(self.grid)
-
-    @property
-    def recipe(self) -> FieldPair:
-        return FieldPair(self.u_field, self.v_field)
-
-
 def generate_ensemble(seed: int, n: int, grid: Grid, max_modes: int = 3,
                       t_degree: int = 3, amplitude: float = 1.0
-                      ) -> tuple[EnsembleMember, ...]:
-    """The first ``n`` pairs of :func:`~mfglab.models.cosine_pairs` as
-    members on ``grid``, none of them sampled yet."""
-    if n < 1 or max_modes < 1:
-        raise ValueError("need n >= 1 and max_modes >= 1")
-    pairs = cosine_pairs(seed, grid, max_modes, t_degree, amplitude)
-    return tuple(EnsembleMember(*pair, grid) for pair in islice(pairs, n))
+                      ) -> tuple[FieldPair, ...]:
+    """The first ``n`` pairs of :func:`~mfglab.models.cosine_pairs`: the
+    function ensemble, as closed forms that each sweep samples itself."""
+    _require_draw(n, max_modes)
+    return tuple(islice(cosine_pairs(seed, grid, max_modes, t_degree, amplitude), n))
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +521,11 @@ class VerificationReport:
 
 def _members(kinds: Sequence[str], forms: Iterable,
              coeffs: CoeffSet) -> Iterator[_Member]:
-    """The sweep members of the closed forms ``forms`` (``member.recipe``),
-    each sampled on the grid of ``coeffs`` just before it is swept: the
-    states from ``u_field`` and ``v_field``, their residual as the sources
-    F, G when a kind reads them (THM3, LEMMA4), and the source profiles
-    from ``f_spec`` and ``g_spec`` when a kind reads those (``CASE_KINDS``)."""
+    """The sweep members of the closed forms ``forms``, each sampled on the
+    grid of ``coeffs`` just before it is swept: the states from ``u_field``
+    and ``v_field``, their residual as the sources F, G when a kind reads
+    them (THM3, LEMMA4), and the source profiles from ``f_spec`` and
+    ``g_spec`` when a kind reads those (``CASE_KINDS``)."""
     grid = coeffs.grid
     sources = any(k in _SYSTEM_KINDS for k in kinds)
     profiles = any(k in CASE_KINDS for k in kinds)
@@ -658,10 +625,11 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence,
     weight factors of every cell) and each member's work
     (sources, data functionals, derivative stacks, weighted squares) is then
     done once for all of them.
-    ``ensemble`` is the tuple of :func:`generate_ensemble` (function pairs)
-    or of :func:`~mfglab.models.mms_case_ensemble` (manufactured cases),
-    both drawn from :func:`~mfglab.models.cosine_pairs`: fields with cosine
-    modes up to ``max_modes`` per axis and time degree up to ``t_degree``.
+    ``ensemble`` is a tuple of closed forms drawn from
+    :func:`~mfglab.models.cosine_pairs`, the field pairs of
+    :func:`generate_ensemble` or the case recipes of
+    :func:`~mfglab.models.mms_case_ensemble`: fields with cosine modes up
+    to ``max_modes`` per axis and time degree up to ``t_degree``.
     The constant c_emp is the largest ratio over the members, so it is a
     lower bound on the supremum of the ratio over that class of functions.
     THM2 (Theorem 2, the source stability estimate) sweeps a case ensemble
@@ -672,15 +640,11 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence,
     Cells whose max ratio exceeds 10x the median over valid cells are flagged
     as instability diagnostics; non-finite integrals mark a cell invalid.
     When ``refine`` is set, the whole sweep repeats once on the doubled grid
-    and the drift of the constant is recorded.  The sweep keeps only each
-    member's closed form (``member.recipe``: its two fields, or a case's
-    ``CaseRecipe``) and drops its reference to the ensemble before the first
-    pass, so a caller that keeps none of its own has the drawn arrays freed.
-    Every pass samples each member from its closed form just before it is
-    swept (:func:`_members`), with the one sample of ``coeff_recipe`` on
-    that grid; so a case built without its recipe, cases drawn from another
-    coefficient recipe and ``CASE_KINDS`` over function members are refused
-    (ValueError) before the first pass.
+    and the drift of the constant is recorded.  Every pass samples each
+    member just before it is swept (:func:`_members`), with the one sample
+    of ``coeff_recipe`` on that grid; so recipes drawn from another
+    coefficient recipe, and ``CASE_KINDS`` over anything but recipes, are
+    refused (ValueError) before the first pass.
 
     Inside ``reports.recording`` the call adds its seconds, summed over both
     grids and every kind, to four stages: ``cells_s`` builds the bundles and
@@ -694,15 +658,14 @@ def estimate_constant(kind: Union[str, Sequence[str]], ensemble: Sequence,
     lam_grid = tuple(float(x) for x in lam_grid)
     s_grid = tuple(float(x) for x in s_grid)
     _require_s(kinds, s_grid)
-    forms = _closed_forms(ensemble)
-    del ensemble  # the drawn arrays go before the first pass
-    if any(getattr(f, "coeff_recipe", coeff_recipe) != coeff_recipe for f in forms):
+    if any(getattr(f, "coeff_recipe", coeff_recipe) != coeff_recipe for f in ensemble):
         raise ValueError("the cases were drawn from another coefficient recipe "
                          "than the sweep's coeff_recipe")
-    if any(k in CASE_KINDS for k in kinds) and not all(hasattr(f, "f_spec") for f in forms):
-        raise ValueError(f"{kinds} read the source profiles: sweep manufactured cases")
+    if any(k in CASE_KINDS for k in kinds) and not all(hasattr(f, "f_spec") for f in ensemble):
+        raise ValueError(f"{kinds} read the source profiles: sweep the CaseRecipes "
+                         "of mms_case_ensemble")
     grids = (grid, grid.refined(2)) if refine else (grid,)
-    passes = [_grid_sweeps(kinds, forms, lam_grid, s_grid, coeff_recipe.sample(g), g)
+    passes = [_grid_sweeps(kinds, ensemble, lam_grid, s_grid, coeff_recipe.sample(g), g)
               for g in grids]
     reports = tuple(_report(k, lam_grid, s_grid, *per_grid)
                     for k, *per_grid in zip(kinds, *passes))

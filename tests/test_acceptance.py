@@ -23,6 +23,7 @@ from mfglab.inverse import (
     stability_sweep,
 )
 from mfglab.models import (
+    FieldPair,
     analytic_linear_residuals,
     mms_case_ensemble,
     mms_linear,
@@ -30,7 +31,6 @@ from mfglab.models import (
 )
 from mfglab.statedet import thm1_experiment, thm4_experiment
 from mfglab.verify import (
-    EnsembleMember,
     estimate_constant,
     evaluate_estimate,
     generate_ensemble,
@@ -155,9 +155,10 @@ def test_criterion_03_thm3_ratio_boundedness(grid65, ensemble20):
     eta = build_eta(grid65, coeffs)
     bundle = eval_weight_bundle(eta, WeightParams(lam=2.0, s=16.0), grid65)
     m = ensemble20[0]
-    F, G = residual("linear", m.u, m.v, coeffs=coeffs)
-    base = evaluate_estimate("THM3", m.u, m.v, F, G, coeffs, bundle)
-    scaled = evaluate_estimate("THM3", m.u.scaled(2.0), m.v.scaled(2.0),
+    u, v = m.u_field.sample(grid65), m.v_field.sample(grid65)
+    F, G = residual("linear", u, v, coeffs=coeffs)
+    base = evaluate_estimate("THM3", u, v, F, G, coeffs, bundle)
+    scaled = evaluate_estimate("THM3", u.scaled(2.0), v.scaled(2.0),
                                F.scaled(2.0), G.scaled(2.0), coeffs, bundle)
     assert abs(scaled.ratio - base.ratio) <= 1e-12 * base.ratio
     _report(3, f"C_emp {rep.c_emp:.3e}, drift {rep.drift:.3f}, "
@@ -366,7 +367,7 @@ def test_criterion_10_nonlinear_degeneracy():
     rep_nl = thm4_experiment(((u1, v1), (u2, v2)),
                              NonlinearRecipe(a=1.0, kappa=0.0, p=p_val), g, eps_grid)
     du, dv = u1 - u2, v1 - v2
-    ens = (EnsembleMember(du, dv, g),)
+    ens = (FieldPair(du, dv),)
     rep_lin = thm1_experiment(ens, CoeffRecipe(c0=-p_val), g, eps_grid,
                               refine=False)
     for a, b in zip(rep_nl.rows, rep_lin.rows):

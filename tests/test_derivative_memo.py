@@ -1,11 +1,8 @@
 """Each derivative of a swept member's fields is taken once, through the one
-derivative memo the member holds, and a sweep frees the drawn ensemble
-before its first pass."""
+derivative memo the member holds, and a drawn ensemble holds no array."""
 
 import functools
-import gc
 import hashlib
-import weakref
 from collections import Counter
 from itertools import islice
 
@@ -144,62 +141,28 @@ def test_lemma3_sweep_takes_no_derivative(stencil_calls, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a sweep frees the drawn ensemble before its first pass
+# a draw holds no array: both ensembles are closed forms
 
 
-def drawn_refs(ens):
-    """Weak references to every array a drawn member holds."""
-    refs = []
-    for inst in ens:
-        arrays = [inst.u.values, inst.v.values]
-        if hasattr(inst, "F"):
-            arrays += [inst.F.values, inst.G.values, inst.sources.q1, inst.sources.q2]
-        refs += [weakref.ref(a) for a in arrays]
-    return refs
+def arrays_in(obj) -> int:
+    """The number of ndarrays reachable from ``obj`` through sequences,
+    dicts and instance attributes (functions are not entered)."""
+    if isinstance(obj, np.ndarray):
+        return 1
+    if isinstance(obj, (tuple, list)):
+        return sum(arrays_in(x) for x in obj)
+    if isinstance(obj, dict):
+        return sum(arrays_in(x) for x in (*obj.keys(), *obj.values()))
+    if hasattr(obj, "__dict__") and not callable(obj):
+        return sum(arrays_in(x) for x in vars(obj).values())
+    return 0
 
 
-def alive_at_passes(monkeypatch, module, name):
-    """Patch the generator or function ``module.name`` to record, at its
-    first two calls (the coarse and the refined pass), how many drawn arrays
-    are still alive."""
-    refs, alive = [], []
-    orig = getattr(module, name)
-
-    def recorded(*args, **kwargs):
-        if len(alive) < 2:
-            gc.collect()
-            alive.append(sum(r() is not None for r in refs))
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, recorded)
-    return refs, alive
-
-
-@pytest.mark.parametrize("kinds", [FN_KINDS, ENERGY_KINDS])
-def test_estimate_constant_frees_drawn_ensemble_before_first_pass(kinds, monkeypatch):
+def test_draws_hold_no_array():
     g = build_grid(1.0, 1.0, 17, 17, ["x-", "x+"])
-    refs, alive = alive_at_passes(monkeypatch, mfglab.verify, "_members")
-
-    def ensemble():
-        if kinds == ENERGY_KINDS:
-            ens = mms_case_ensemble(21, 3, g, COUPLED, 1.0, 1.0, q_min=0.02)
-        else:
-            ens = generate_ensemble(7, 3, g)
-        refs.extend(drawn_refs(ens))
-        return ens
-
-    estimate_constant(kinds, ensemble(), LAMS, S_VALUES, COUPLED, g, refine=True)
-    assert len(refs) > 0 and alive == [0, 0]
-
-
-def test_thm1_frees_drawn_ensemble_before_first_pass(monkeypatch):
-    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    refs, alive = alive_at_passes(monkeypatch, mfglab.statedet, "_thm1_states")
-
-    def ensemble():
-        ens = generate_ensemble(7, 3, g)
-        refs.extend(drawn_refs(ens))
-        return ens
-
-    thm1_experiment(ensemble(), COUPLED, g, EPS_GRID, refine=True)
-    assert len(refs) > 0 and alive == [0, 0]
+    pairs = generate_ensemble(7, 3, g)
+    recipes = mms_case_ensemble(21, 3, g, COUPLED, 1.0, 1.0, q_min=0.02)
+    assert len(pairs) == len(recipes) == 3
+    assert arrays_in(pairs) == arrays_in(recipes) == 0
+    # the walk does reach a built case's arrays
+    assert arrays_in(recipes[0].build(g)) > 0

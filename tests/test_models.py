@@ -16,7 +16,7 @@ from mfglab.models import (
     mms_linear,
     residual,
 )
-from mfglab.verify import EnsembleMember, generate_ensemble
+from mfglab.verify import generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 
@@ -159,8 +159,8 @@ def test_case_ensemble_deterministic_and_resample():
     e2 = mms_case_ensemble(3, 4, g, COUPLED, 1.0, 1.0, **kwargs)
     assert len(e1) == 4
     for a, b in zip(e1, e2):
-        assert np.array_equal(a.u.values, b.u.values)
-    fine = e1[0].recipe.build(g.refined(2))
+        assert np.array_equal(a.build(g).u.values, b.build(g).u.values)
+    fine = e1[0].build(g.refined(2))
     assert fine.grid.nx == (33,)
     assert fine.u_field == e1[0].u_field
 
@@ -193,9 +193,19 @@ def test_function_and_case_ensembles_share_the_stream(monkeypatch):
     assert len(builds) == 3  # no draw was rejected
     functions = generate_ensemble(3, 3, g, **STREAM)
     assert field_pairs(functions) == field_pairs(cases)
-    for m, c in zip(functions, cases):
-        assert np.array_equal(m.u.values, c.u.values)
-        assert np.array_equal(m.v.values, c.v.values)
+    for m, c in zip(functions, (r.build(g) for r in cases)):
+        assert np.array_equal(m.u_field.sample(g).values, c.u.values)
+        assert np.array_equal(m.v_field.sample(g).values, c.v.values)
+
+
+@pytest.mark.parametrize("n,max_modes", [(0, 2), (-1, 2), (1, 0)])
+def test_both_draws_refuse_an_empty_or_modeless_draw(n, max_modes):
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    shape = dict(STREAM, max_modes=max_modes)
+    with pytest.raises(ValueError, match="need n >= 1 and max_modes >= 1"):
+        generate_ensemble(3, n, g, **shape)
+    with pytest.raises(ValueError, match="need n >= 1 and max_modes >= 1"):
+        mms_case_ensemble(3, n, g, COUPLED, 1.0, 1.0, q_min=0.05, **shape)
 
 
 def test_rejected_draw_consumes_one_pair(monkeypatch):
@@ -226,10 +236,9 @@ def test_rebuilt_members_equal_fresh_builds_on_the_fine_grid():
     fresh = generate_ensemble(4, 3, fine, **STREAM)
     assert field_pairs(coarse) == field_pairs(fresh)
     for member, direct in zip(coarse, fresh):
-        rebuilt = EnsembleMember(*member.recipe, fine)
-        for name in ("u", "v"):
-            assert np.array_equal(getattr(rebuilt, name).values,
-                                  getattr(direct, name).values), name
+        for name in ("u_field", "v_field"):
+            assert np.array_equal(getattr(member, name).sample(fine).values,
+                                  getattr(direct, name).sample(fine).values), name
 
 
 def test_nonlinear_pair_bounds_monotone():

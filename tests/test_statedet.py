@@ -8,8 +8,9 @@ from mfglab.cli import run
 from mfglab.coefficients import CoeffRecipe, NonlinearRecipe
 from mfglab.config import load_config
 from mfglab.grid import build_grid, norm
+from mfglab.models import FieldPair
 from mfglab.statedet import thm1_experiment, thm4_experiment
-from mfglab.verify import EnsembleMember, generate_ensemble
+from mfglab.verify import generate_ensemble
 
 COUPLED = CoeffRecipe(c0=1.0, b_gamma={(0,): 0.5, (2,): 0.3})
 EPS_GRID = (0.05, 0.1, 0.2)
@@ -46,8 +47,8 @@ def test_curve_equals_per_eps_norms():
     assert len(rep.rows) == 3 * len(EPS_GRID)
     for row in rep.rows:
         m = ens[row.member]
-        assert row.lhs == (norm(m.u, "H21_interior", eps=row.eps)
-                           + norm(m.v, "H21_interior", eps=row.eps))
+        assert row.lhs == (norm(m.u_field.sample(g), "H21_interior", eps=row.eps)
+                           + norm(m.v_field.sample(g), "H21_interior", eps=row.eps))
 
 
 def test_zero_members_excluded():
@@ -56,6 +57,14 @@ def test_zero_members_excluded():
     rep = thm1_experiment(ens, COUPLED, g, (0.1,), refine=False)
     assert rep.excluded == (0, 1)
     assert rep.rows == ()
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_empty_ensemble_refused(refine):
+    # as estimate_constant refuses it: no member gives no curve
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    with pytest.raises(ValueError, match="ensemble must be non-empty"):
+        thm1_experiment((), COUPLED, g, (0.125,), refine=refine)
 
 
 def test_eps_grid_validation():
@@ -80,7 +89,7 @@ def test_shipped_drift_measures_refinement(name):
 def test_ratio_scale_invariance():
     g = build_grid(1.0, 1.0, 33, 33, ["x+"])
     ens = generate_ensemble(8, 2, g)
-    scaled = tuple(EnsembleMember(m.u_field.scaled(3.0), m.v_field.scaled(3.0), g)
+    scaled = tuple(FieldPair(m.u_field.scaled(3.0), m.v_field.scaled(3.0))
                    for m in ens)
     r1 = thm1_experiment(ens, COUPLED, g, EPS_GRID, refine=False)
     r2 = thm1_experiment(scaled, COUPLED, g, EPS_GRID, refine=False)
@@ -126,7 +135,7 @@ def test_kappa_zero_matches_linear_difference():
 
     du = u1 - u2
     dv = v1 - v2
-    ens = (EnsembleMember(du, dv, g),)
+    ens = (FieldPair(du, dv),)
     linear = CoeffRecipe(c0=-p_val)
     rep_lin = thm1_experiment(ens, linear, g, EPS_GRID, refine=False)
     for a, b in zip(rep_nl.rows, rep_lin.rows):

@@ -64,7 +64,7 @@ def test_case_ensemble_2d():
         lambda x1, x2: 1.0 - 0.2 * np.cos(np.pi * x2 / 2.0),
         max_modes=2, t_degree=2, amplitude=1.0, q_min=0.02,
     )
-    case = ens[0]
+    case = ens[0].build(g)
     ru, rv = residual("linear", case.u, case.v, coeffs=case.coeffs)
     scale = np.max(np.abs(ru.values))
     assert np.max(np.abs(ru.values - case.F.values)) <= 1e-12 * scale

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,14 @@ import mfglab.verify
 from mfglab.coefficients import CoeffRecipe
 from mfglab.basis import SeparableField, Term
 from mfglab.grid import SPATIAL_SLICE, GridFn, build_grid, diff, norm
-from mfglab.models import max_exact_conormal, mms_case_ensemble, mms_linear, residual
+from mfglab.models import (
+    FieldPair,
+    cosine_pairs,
+    max_exact_conormal,
+    mms_case_ensemble,
+    mms_linear,
+    residual,
+)
 from mfglab.verify import (
     CASE_KINDS,
     ESTIMATE_KINDS,
@@ -41,38 +49,33 @@ def setup(n=33, seed=7, members=4):
     return g, coeffs, ens, bundle
 
 
+def states(member, g):
+    """A closed form's two states sampled on ``g``."""
+    return member.u_field.sample(g), member.v_field.sample(g)
+
+
 def test_ensemble_deterministic():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     a = generate_ensemble(5, 3, g)
     b = generate_ensemble(5, 3, g)
     for ma, mb in zip(a, b):
-        assert np.array_equal(ma.u.values, mb.u.values)
-        assert np.array_equal(ma.v.values, mb.v.values)
+        for fa, fb in zip(states(ma, g), states(mb, g)):
+            assert np.array_equal(fa.values, fb.values)
 
 
-def test_ensemble_samples_each_field_on_first_read(monkeypatch):
-    # a sweep samples the closed forms itself, so the draw samples nothing
+def test_ensemble_is_the_first_pairs_of_the_stream():
+    # the draw returns closed forms and samples nothing
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    sampled = []
-    sample = SeparableField.sample
-
-    def counted(self, grid):
-        sampled.append(self)
-        return sample(self, grid)
-
-    monkeypatch.setattr(SeparableField, "sample", counted)
-    (m,) = generate_ensemble(5, 1, g)
-    assert sampled == []
-    assert m.u is m.u and sampled == [m.u_field]
-    assert np.array_equal(m.v.values, sample(m.v_field, g).values)
-    assert sampled == [m.u_field, m.v_field]
+    ens = generate_ensemble(5, 3, g, max_modes=2, t_degree=1, amplitude=0.5)
+    assert ens == tuple(islice(cosine_pairs(5, g, 2, 1, 0.5), 3))
+    assert all(type(m) is FieldPair for m in ens)
 
 
 def test_zero_amplitude_gives_zero_members():
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
     ens = generate_ensemble(5, 2, g, amplitude=0.0)
     for m in ens:
-        assert np.all(m.u.values == 0.0)
+        assert np.all(m.u_field.sample(g).values == 0.0)
 
 
 def test_ensemble_conormal_at_roundoff():
@@ -97,10 +100,10 @@ def test_violation_candidate_flag():
 
 def test_scaling_homogeneity_exact():
     g, coeffs, ens, bundle = setup()
-    m = ens[0]
-    F, G = residual("linear", m.u, m.v, coeffs=coeffs)
-    base = evaluate_estimate("THM3", m.u, m.v, F, G, coeffs, bundle)
-    scaled = evaluate_estimate("THM3", m.u.scaled(2.0), m.v.scaled(2.0),
+    u, v = states(ens[0], g)
+    F, G = residual("linear", u, v, coeffs=coeffs)
+    base = evaluate_estimate("THM3", u, v, F, G, coeffs, bundle)
+    scaled = evaluate_estimate("THM3", u.scaled(2.0), v.scaled(2.0),
                                F.scaled(2.0), G.scaled(2.0), coeffs, bundle)
     assert abs(scaled.lhs - 4.0 * base.lhs) <= 1e-12 * scaled.lhs
     assert abs(scaled.rhs - 4.0 * base.rhs) <= 1e-12 * scaled.rhs
@@ -109,23 +112,23 @@ def test_scaling_homogeneity_exact():
 
 def test_consistency_guard():
     g, coeffs, ens, bundle = setup(n=17)
-    m = ens[0]
-    F, G = residual("linear", m.u, m.v, coeffs=coeffs)
+    u, v = states(ens[0], g)
+    F, G = residual("linear", u, v, coeffs=coeffs)
     bad_F = GridFn(g, "space-time", F.values + 1.0)
     bad_G = GridFn(g, "space-time", G.values * (1.0 + 1e-6))
     for kind in ("THM3", "LEMMA4"):
         with pytest.raises(ValueError, match="F is not the residual"):
-            evaluate_estimate(kind, m.u, m.v, bad_F, G, coeffs, bundle)
+            evaluate_estimate(kind, u, v, bad_F, G, coeffs, bundle)
         with pytest.raises(ValueError, match="G is not the residual"):
-            evaluate_estimate(kind, m.u, m.v, F, bad_G, coeffs, bundle)
+            evaluate_estimate(kind, u, v, F, bad_G, coeffs, bundle)
 
 
 def test_lemma4_and_single_sided_kinds_run():
     g, coeffs, ens, bundle = setup(n=17)
-    m = ens[0]
-    F, G = residual("linear", m.u, m.v, coeffs=coeffs)
+    u, v = states(ens[0], g)
+    F, G = residual("linear", u, v, coeffs=coeffs)
     for kind in ("LEMMA1", "LEMMA2", "LEMMA4"):
-        pair = evaluate_estimate(kind, m.u, m.v, F, G, coeffs, bundle)
+        pair = evaluate_estimate(kind, u, v, F, G, coeffs, bundle)
         assert math.isfinite(pair.ratio)
         assert pair.lhs >= 0 and pair.rhs > 0
         assert all(v >= 0 for v in pair.lhs_terms.values())
@@ -226,7 +229,7 @@ def test_lemma3_constant_reproducible_pin():
 
 def test_lemma3_kinds_refuse_bad_names():
     g, coeffs, ens, bundle = setup(n=17)
-    u = ens[0].u
+    u = ens[0].u_field.sample(g)
     for kind in ("LEMMA3(p=-1)", "LEMMA3(p=01)", "LEMMA3", "LEMMA3(p=1"):
         with pytest.raises(ValueError, match="unknown estimate kind"):
             evaluate_estimate(kind, u, None, None, None, coeffs, bundle)
@@ -300,12 +303,13 @@ def sweep_inputs(kind, dim=1, members=3):
             lambda x, *_: 1.0 - 0.3 * np.cos(np.pi * x),
             q_min=0.05,
         )
-        inputs = [(c.u, c.v, c.F, c.G, c.sources) for c in cases]
+        built = [r.build(g) for r in cases]
+        inputs = [(c.u, c.v, c.F, c.G, c.sources) for c in built]
         return cases, recipe, g, inputs
     ens = generate_ensemble(7, members, g, max_modes=2, t_degree=2)
     coeffs = recipe.sample(g)
-    inputs = [(m.u, m.v, *residual("linear", m.u, m.v, coeffs=coeffs), None)
-              for m in ens]
+    inputs = [(u, v, *residual("linear", u, v, coeffs=coeffs), None)
+              for u, v in (states(m, g) for m in ens)]
     return ens, recipe, g, inputs
 
 
@@ -482,45 +486,27 @@ def test_cases_of_another_coefficient_recipe_refused(refine, monkeypatch):
     assert sweeps == []
 
 
-def case_without_recipe(g):
-    drawn = mms_case_ensemble(13, 1, g, COUPLED, 1.0, 1.0, max_modes=2,
-                              t_degree=2, q_min=0.05)[0]
-    bare = mms_linear(drawn.u_field, drawn.v_field, drawn.coeffs, drawn.sources.f,
-                      drawn.sources.g, q_min=0.05)
-    assert bare.recipe is None
-    return bare
-
-
-def test_case_without_recipe_refused_when_refining():
-    # every pass samples its members from their closed forms, so a case
-    # without its recipe is refused whether or not the sweep refines
+def test_built_case_refused_before_any_sweep(monkeypatch):
+    # a CASE_KINDS sweep reads the profiles of mms_case_ensemble's recipes,
+    # which a built case does not carry
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    bare = case_without_recipe(g)
+    (recipe,) = mms_case_ensemble(13, 1, g, COUPLED, 1.0, 1.0, max_modes=2,
+                                  t_degree=2, q_min=0.05)
+    sweeps = []
+    monkeypatch.setattr(mfglab.verify, "_grid_sweeps",
+                        lambda *args: sweeps.append(args))
     for refine in (False, True):
-        with pytest.raises(ValueError, match="without its recipe"):
-            estimate_constant("THM2", (bare,), [1.0], [0.0], COUPLED, g, refine=refine)
+        with pytest.raises(ValueError, match="CaseRecipes of mms_case_ensemble"):
+            estimate_constant("THM2", (recipe.build(g),), [1.0], [0.0], COUPLED, g,
+                              refine=refine)
+    assert sweeps == []
 
 
 def test_case_kinds_over_function_members_refused():
     # the function ensemble's closed forms carry no source profiles
     g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    with pytest.raises(ValueError, match="sweep manufactured cases"):
+    with pytest.raises(ValueError, match="CaseRecipes of mms_case_ensemble"):
         estimate_constant("THM2", generate_ensemble(5, 1, g), [1.0], [0.0], COUPLED, g)
-
-
-def test_thm1_refuses_case_without_recipe_before_its_coarse_pass(monkeypatch):
-    # the same closed-form check as estimate_constant's: no sweep runs
-    import mfglab.statedet
-    from mfglab.statedet import thm1_experiment
-
-    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
-    bare = case_without_recipe(g)
-    sweeps = []
-    monkeypatch.setattr(mfglab.statedet, "_eps_sweep", lambda *args: sweeps.append(args))
-    for refine in (False, True):
-        with pytest.raises(ValueError, match="without its recipe"):
-            thm1_experiment((bare,), COUPLED, g, (0.1,), refine=refine)
-    assert sweeps == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -806,14 +792,14 @@ def test_cell_sums_are_box_sums_near_the_full_product(case):
     else:
         # the lam = 2, s = 64 cell keeps the one node where the weight is 1
         assert set(map(tuple, sizes.values())) == {(1,)}
-    assert_sums_exact(cells, bundles, generate_ensemble(7, 1, g)[0].u.values)
+    assert_sums_exact(cells, bundles, generate_ensemble(7, 1, g)[0].u_field.sample(g).values)
 
 
 def test_inf_at_a_zero_weight_node_gives_nan():
     """inf * 0 is NaN, so an inf outside a cell's box still reaches its sum."""
     cells, bundles = cells_of(*shipped_carleman())
     g = bundles[0].grid
-    a = generate_ensemble(7, 1, g)[0].u.values.copy()
+    a = generate_ensemble(7, 1, g)[0].u_field.sample(g).values.copy()
     node = (0, g.it0)
     a[node] = np.inf
     pre = g.st_weights * a * a
