@@ -49,11 +49,21 @@ class MmsRejected(ValueError):
 
 
 def sample_field(grid: Grid, spec: FieldSpec) -> np.ndarray:
-    """Sample a constant or callable (x1, [x2,] t) -> value on the space-time grid."""
-    if callable(spec):
-        vals = np.asarray(spec(*grid.meshes()), dtype=float)
-        return np.broadcast_to(vals, grid.shape).copy()
-    return np.full(grid.shape, float(spec))
+    """Sample a constant or callable (x1, [x2,] t) -> value on the space-time grid.
+
+    A number, or a callable whose value is 0-d, samples to a read-only
+    zero-stride view of that value (no grid-sized array); any other value
+    is broadcast into an array of its own.
+    """
+    vals = np.asarray(spec(*grid.meshes()) if callable(spec) else spec, dtype=float)
+    out = np.broadcast_to(vals, grid.shape)
+    return out if vals.ndim == 0 else out.copy()
+
+
+def _is_constant(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds one value as a zero-stride view, as
+    :func:`sample_field` samples a constant."""
+    return not any(arr.strides)
 
 
 def sample_spatial(grid: Grid, spec: FieldSpec) -> np.ndarray:
@@ -72,7 +82,8 @@ class CoeffSet:
     first-order vectors, ``a0``/``b0``/``c0`` scalar fields and ``b_gamma``
     maps spatial multi-indices (total order <= 2) to the fields of the
     second-order coupling operator.  ``chi`` is the claimed ellipticity
-    constant.
+    constant.  A constant field may be held as a read-only zero-stride view
+    (:func:`sample_field`), which :func:`operator_terms` reads as a constant.
     """
 
     grid: Grid
@@ -146,24 +157,24 @@ class CoeffRecipe:
         d = grid.dim
         shape = grid.shape
 
+        def stacked(entries, lead):
+            """The sampled ``entries`` as one array of shape ``lead + shape``,
+            a zero-stride view on the grid axes when every entry is a constant."""
+            if all(_is_constant(e) for e in entries):
+                values = np.reshape([e.item(0) for e in entries], lead + (1,) * len(shape))
+                return np.broadcast_to(values, lead + shape)
+            return np.stack(entries).reshape(lead + shape)
+
         def matrix(spec):
             if spec is None:
-                m = np.zeros((d, d, *shape))
-                for i in range(d):
-                    m[i, i] = 1.0
-                return m
-            m = np.empty((d, d, *shape))
-            for i in range(d):
-                for j in range(d):
-                    m[i, j] = sample_field(grid, spec[i][j])
-            return m
+                spec = [[float(i == j) for j in range(d)] for i in range(d)]
+            return stacked([sample_field(grid, spec[i][j])
+                            for i in range(d) for j in range(d)], (d, d))
 
         def vector(spec):
-            v = np.zeros((d, *shape))
-            if spec is not None:
-                for i in range(d):
-                    v[i] = sample_field(grid, spec[i])
-            return v
+            if spec is None:
+                spec = [0.0] * d
+            return stacked([sample_field(grid, s) for s in spec], (d,))
 
         return CoeffSet(
             grid=grid,
@@ -292,6 +303,8 @@ def operator_terms(kind: str, c: CoeffSet) -> list[tuple[np.ndarray, tuple[int, 
     twice: its second derivative).  This is the one statement of the
     operator formula; field application, the closed-form residuals
     of ``models`` and the inverse's least-squares assembly all sum over it.
+    A term whose coefficient is a constant zero is left out: each sum starts
+    from +0.0, so adding its signed zeros would change no value.
     """
     if kind in ("A", "B"):
         m2 = c.a2 if kind == "A" else c.b2
@@ -300,11 +313,13 @@ def operator_terms(kind: str, c: CoeffSet) -> list[tuple[np.ndarray, tuple[int, 
         for i in range(c.grid.dim):
             terms.append((m1[i], (i,)))
             terms += [(m2[i, j], (i, j)) for j in range(c.grid.dim)]
-        return terms
-    if kind == "A0":
-        return [(coef, tuple(ax for ax, order in enumerate(gidx) for _ in range(order)))
-                for gidx, coef in c.b_gamma.items()]
-    raise ValueError(f"unknown operator kind {kind!r}")
+    elif kind == "A0":
+        terms = [(coef, tuple(ax for ax, order in enumerate(gidx) for _ in range(order)))
+                 for gidx, coef in c.b_gamma.items()]
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return [(coef, axes) for coef, axes in terms
+            if not (_is_constant(coef) and coef.item(0) == 0.0)]
 
 
 def apply_operator(kind: str, f: Union[GridFn, DiffMemo], c: CoeffSet) -> GridFn:

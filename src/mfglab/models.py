@@ -388,10 +388,15 @@ def _difference_bound(u1: DiffMemo, u2: DiffMemo, v2: DiffMemo,
 
 
 def _nonlinear_states(fields: Sequence[SeparableField], nl: NonlinearCoeffs
-                      ) -> tuple[tuple[DiffMemo, ...], tuple[GridFn, ...], DiffMemo]:
-    """The states ``(u1, v1, u2, v2)`` of ``fields`` sampled on the grid of
-    ``nl`` as derivative memos, their residual sources ``(F1, G1, F2, G2)``
-    taken through them, and the memo of kappa."""
+                      ) -> tuple[Iterator[tuple[DiffMemo, DiffMemo, GridFn, GridFn]],
+                                 DiffMemo]:
+    """The pairs ``(u1, v1)`` and ``(u2, v2)`` of ``fields`` on the grid of
+    ``nl``, and the memo of kappa.  Each pair comes as ``(u, v, F, G)``: the
+    states as derivative memos and their residual sources taken through
+    them.  A pair is sampled as it is drawn and not kept here, so a caller
+    that keeps only a pair's values (``memo.fn``) holds one pair's
+    derivatives at a time.  The normal derivatives of all four fields are
+    checked before this returns."""
     grid = nl.grid
     for name, fld in zip(("u1", "v1", "u2", "v2"), fields):
         for face in grid.all_faces():
@@ -400,17 +405,21 @@ def _nonlinear_states(fields: Sequence[SeparableField], nl: NonlinearCoeffs
                 raise MmsRejected(
                     f"normal derivative of {name} on {face.label()} is {worst:.3g}"
                 )
-    u1, v1, u2, v2 = (DiffMemo(fld.sample(grid)) for fld in fields)
     a, kappa = _nonlinear_memos(nl)
-    sources = (*_nonlinear_residual(u1, v1, nl, a, kappa),
-               *_nonlinear_residual(u2, v2, nl, a, kappa))
-    return (u1, v1, u2, v2), sources, kappa
+
+    def pairs():
+        for u_field, v_field in (fields[:2], fields[2:]):
+            u, v = (DiffMemo(fld.sample(grid)) for fld in (u_field, v_field))
+            yield (u, v, *_nonlinear_residual(u, v, nl, a, kappa))
+            del u, v  # before the next pair is sampled
+
+    return pairs(), kappa
 
 
 def _pair_bounds(states: Sequence[DiffMemo], kappa: DiffMemo) -> dict[str, float]:
     """The sup-norm bound m1 of the pair of states ``(u1, v1, u2, v2)`` and
     the bound m2 of the coefficients of its difference system, read through
-    the memos of :func:`_nonlinear_states`."""
+    the memos that :func:`_nonlinear_states` yields."""
     u1, v1, u2, v2 = states
     m1 = max(_sup_norm_w2(u1) + _sup_norm_w1(v1), _sup_norm_w2(u2) + _sup_norm_w1(v2))
     return {"m1": m1, "m2": _difference_bound(u1, u2, v2, kappa)}

@@ -166,8 +166,15 @@ def _nonlinear_differences(fields: Sequence[SeparableField], nl: NonlinearCoeffs
     """The one sweep tuple of a nonlinear pair ``fields`` (u1, v1, u2, v2) on
     the grid of ``nl``: the state and source differences, the states as
     derivative memos.  The bounds m1 and m2 of the pair go into ``bounds``
-    when it is given; the pair's state memos go before the tuple is swept."""
-    states, sources, kappa = _nonlinear_states(fields, nl)
+    when it is given, read through both pairs' memos; without it only each
+    pair's values are kept, so its derivatives go before the next pair is
+    sampled.  The pair's states go before the tuple is swept."""
+    pairs, kappa = _nonlinear_states(fields, nl)
+    states, sources = [], []
+    for u, v, F, G in pairs:
+        states += (u, v) if bounds is not None else (u.fn, v.fn)
+        sources += (F, G)
+        del u, v  # the loop would keep them while the next pair is sampled
     if bounds is not None:
         bounds.update(_pair_bounds(states, kappa))
     du, dv, dF, dG = (GridFn(nl.grid, SPACE_TIME, a.values - b.values)

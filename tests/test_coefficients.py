@@ -3,13 +3,17 @@ import pytest
 
 from mfglab.coefficients import (
     CoeffRecipe,
+    CoeffSet,
     MmsRejected,
     NonlinearCoeffs,
     SourceFactors,
     apply_operator,
     check_ellipticity,
     conormal_operator,
+    operator_terms,
+    sample_field,
 )
+from mfglab.expressions import compile_spacetime
 from mfglab.grid import GridFn, build_grid, face_values, parse_face
 from mfglab.inverse import derivative_matrix
 
@@ -136,3 +140,102 @@ def test_source_factors_floor_enforced():
     with pytest.raises(MmsRejected, match=r"\|q1\(\., t0\)\| = 0\.01 < q_min=0\.1 at node \(0,\)"):
         SourceFactors(grid=g, q1=0.01 * ones, q2=ones,
                       f=np.ones(g.space_shape), g=np.ones(g.space_shape))
+
+
+# -- constants held as views, constant-zero terms left out ----------------------
+
+
+def zero_strides_on_grid(arr, g):
+    """Whether ``arr`` repeats one value per leading index over the grid axes."""
+    return arr.strides[arr.ndim - len(g.shape):] == (0,) * len(g.shape)
+
+
+def test_constants_sample_to_views_and_fields_to_arrays():
+    g = grid_1d(nx=9, nt=9)
+    for spec in (0.5, 3, lambda x, t: np.float64(2.0), compile_spacetime("0.5", 1),
+                 compile_spacetime("1 + 2 * 0.25", 1)):
+        arr = sample_field(g, spec)
+        assert arr.shape == g.shape and zero_strides_on_grid(arr, g)
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, np.full(g.shape, float(arr.item(0))))
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    for spec in (compile_spacetime("1 + x * t", 1), lambda x, t: 1.0 + 0 * x):
+        arr = sample_field(g, spec)
+        assert arr.flags.writeable and arr.flags.owndata
+        assert not zero_strides_on_grid(arr, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_default_coefficients_are_views(dim):
+    g = grid_1d(nx=9, nt=9) if dim == 1 else build_grid((1.0, 1.0), 1.0, (9, 9), 9,
+                                                         ["x1+"])
+    c = CoeffRecipe().sample(g)
+    for name in ("a2", "b2", "a1", "b1", "a0", "b0", "c0"):
+        arr = getattr(c, name)
+        assert zero_strides_on_grid(arr, g) and not arr.flags.writeable, name
+    assert np.array_equal(c.a2[(...,) + (0,) * len(g.shape)], np.eye(dim))
+    assert not np.any(c.a1)
+    nl = NonlinearCoeffs.sample(g, a=1.0, kappa=0.5, p=0.0)
+    assert all(zero_strides_on_grid(getattr(nl, k), g) for k in ("a", "kappa", "p"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_terms_leave_out_constant_zeros(dim):
+    g = grid_1d(nx=9, nt=9) if dim == 1 else build_grid((1.0, 1.0), 1.0, (9, 9), 9,
+                                                         ["x1+"])
+    zero = (0,) * dim
+    c = CoeffRecipe(b0=0.0, b_gamma={zero: 0.0}).sample(g)
+    diagonal = [(i, i) for i in range(dim)]
+    assert [axes for _, axes in operator_terms("A", c)] == diagonal
+    assert [axes for _, axes in operator_terms("B", c)] == diagonal
+    assert operator_terms("A0", c) == []
+
+
+def mixed_recipe(dim):
+    """Constants (zeros among them) next to varying fields in every family."""
+    if dim == 1:
+        return CoeffRecipe(
+            a2=[[lambda x, t: 1.0 + 0.2 * x * t]], a1=[0.0],
+            b1=[lambda x, t: np.sin(x) + t], a0=0.0, b0=0.0, c0=0.5,
+            b_gamma={(0,): 0.0, (1,): lambda x, t: x - t, (2,): 0.3})
+    return CoeffRecipe(
+        a2=[[1.0, 0.0], [0.0, 2.0]],
+        b2=[[lambda x, y, t: 1.0 + 0.1 * x * t, 0.0], [0.0, lambda x, y, t: 1.5 + y]],
+        b1=[0.0, lambda x, y, t: x * y - t], a0=lambda x, y, t: np.sin(x + y + t),
+        c0=1.0,
+        b_gamma={(0, 0): 0.5, (1, 1): 0.0, (2, 0): lambda x, y, t: x * t,
+                 (0, 2): 0.3, (1, 0): 0.0})
+
+
+def materialized(c):
+    """``c`` with every coefficient copied into an array of its own."""
+    return CoeffSet(c.grid, *(np.array(getattr(c, k))
+                              for k in ("a2", "b2", "a1", "b1", "a0", "b0", "c0")),
+                    {k: np.array(v) for k, v in c.b_gamma.items()}, chi=c.chi)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_views_and_left_out_terms_change_no_bit(dim):
+    from mfglab.inverse import _operator_matrix
+    from mfglab.models import residual
+
+    g = grid_1d(nx=9, nt=9) if dim == 1 else build_grid((1.0, 2.0), 1.0, (9, 11), 9,
+                                                         ["x1+", "x2-"])
+    c = mixed_recipe(dim).sample(g)
+    full = materialized(c)
+    rng = np.random.default_rng(5)
+    u, v = (GridFn(g, "space-time", rng.normal(size=g.shape)) for _ in range(2))
+    for kind in ("A", "B", "A0"):
+        assert len(operator_terms(kind, c)) < len(operator_terms(kind, full)), kind
+        assert same_bits(apply_operator(kind, u, c).values,
+                         apply_operator(kind, u, full).values), kind
+        assert same_bits(_operator_matrix(kind, c).toarray(),
+                         _operator_matrix(kind, full).toarray()), kind
+    for got, want in zip(residual("linear", u, v, coeffs=c),
+                         residual("linear", u, v, coeffs=full)):
+        assert same_bits(got.values, want.values)

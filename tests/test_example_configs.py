@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from mfglab.cli import main as cli_main, run
+from mfglab.cli import main as cli_main
 from mfglab.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

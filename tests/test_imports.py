@@ -1,4 +1,5 @@
-"""No module of the library or of ``tools/`` imports a name it never uses.
+"""No module of the library, of ``tools/`` or of the tests imports a name it
+never uses.
 
 A stand-in for a linter's unused-import rule, read with ``ast`` alone.  A
 name counts as used when the module reads it anywhere (an annotation, a
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "mfglab").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+MODULES = sorted([*(ROOT / "src" / "mfglab").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def _read_names(tree: ast.AST) -> set[str]:

@@ -249,7 +249,8 @@ def test_nonlinear_pair_bounds_monotone():
     v2 = v1.scaled(0.5)
 
     def bounds(*fields):
-        states, _, kappa = mfglab.models._nonlinear_states(fields, nl)
+        pairs, kappa = mfglab.models._nonlinear_states(fields, nl)
+        states = [state for u, v, _, _ in pairs for state in (u, v)]
         return mfglab.models._pair_bounds(states, kappa)
 
     small = bounds(u1, v1, u2, v2)

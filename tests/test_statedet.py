@@ -191,6 +191,33 @@ def test_thm4_builds_the_pair_once_per_grid_pass(monkeypatch):
     assert (coarse.rows, coarse.extras) == (rep.rows, rep.extras)
 
 
+def test_refined_pass_holds_one_pairs_derivatives(monkeypatch):
+    # when the second pair's residual is taken, count the derivative memos
+    # of other states alive on that grid: the coarse pass keeps the first
+    # pair's for m1 and m2, the refined pass, which takes no bounds, none
+    import gc
+
+    import mfglab.models
+    from mfglab.grid import DiffMemo
+
+    held = []
+    residual = mfglab.models._nonlinear_residual
+
+    def counted(u, v, nl, a, kappa):
+        others = [m for m in gc.get_objects()
+                  if isinstance(m, DiffMemo) and m.grid is u.grid and m._taken
+                  and not any(m is own for own in (u, v, a, kappa))]
+        held.append((u.grid.nt, len(others)))
+        return residual(u, v, nl, a, kappa)
+
+    monkeypatch.setattr(mfglab.models, "_nonlinear_residual", counted)
+    g = build_grid(1.0, 1.0, 17, 17, ["x+"])
+    u1, v1, u2, v2 = pair_fields()
+    nl = NonlinearRecipe(a=1.0, kappa=0.2, p=0.1)
+    thm4_experiment(((u1, v1), (u2, v2)), nl, g, (0.1,), refine=True)
+    assert held == [(17, 0), (17, 2), (33, 0), (33, 0)]
+
+
 def test_refined_nonlinear_diff_takes_one_difference_bound(monkeypatch):
     # the refined pass builds the fine pair's states and sources only: the
     # bounds m1 and m2 are reported for the coarse pair alone

@@ -6,7 +6,7 @@ import numpy as np
 
 from mfglab.cli import main as cli_main
 from mfglab.coefficients import CoeffRecipe, check_ellipticity
-from mfglab.grid import GridFn, build_grid, norm
+from mfglab.grid import build_grid, norm
 from mfglab.models import max_exact_conormal, mms_case_ensemble, residual
 from mfglab.verify import estimate_constant, generate_ensemble
 from mfglab.weights import WeightParams, build_eta, eval_weight_bundle

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mfglab.basis import random_cosine_field
 from mfglab.coefficients import CoeffRecipe
 from mfglab.grid import GridFn, build_grid, norm
 from mfglab.weights import (

@@ -50,10 +50,12 @@ keeps its stage ``timings``, and a timing claim takes alternating pairs of
 Then the closing lines give:
 
 - how many of the config runs' hashes differ;
-- in each checkout, the lab config with the largest peak: the one that
-  sets the peak of a process that runs them all (the benchmark's
-  lab_suite pass), where two peaks within a few tenths of a MB of each
-  other can trade places;
+- in each checkout, the lab config with the largest fresh-process peak,
+  where two peaks within a few tenths of a MB of each other can trade
+  places.  It need not set the peak of a process that runs them all in
+  turn (the benchmark's lab_suite pass): there each config starts on the
+  heap the earlier ones left, so a later config with a lower fresh peak
+  can raise the one-process peak past it;
 - the line count of each checkout's library modules (``src/mfglab/*.py``)
   and its change from base to head.
 
